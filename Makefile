@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: all vet build test race cover bench bench-smoke micro
+.PHONY: all vet build test race cover bench bench-smoke micro perf
 
 all: vet build test
 
@@ -31,7 +31,13 @@ cover:
 		if (t + 0 < f + 0) { printf "coverage %.1f%% is below the %.1f%% floor\n", t, f; exit 1 } \
 		printf "coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
-# Full benchmark suite with allocation columns.
+# The repository's benchmark (bench/README.md): five workloads, end-to-end
+# metrics and the per-layer ledger, written to bench/out/. This is the
+# performance record; the go-test benches below are for working on a layer.
+perf:
+	go run ./bench
+
+# Every go-test benchmark with allocation columns.
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
 

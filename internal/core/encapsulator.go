@@ -113,7 +113,7 @@ type Encapsulator struct {
 	maxX uint64 // effective SFC3 X-axis bound (ps * R)
 	max  uint64 // exclusive bound on v_c
 
-	pool sync.Pool // *encScratch; nil New when no stage needs scratch
+	pool *sync.Pool // *encScratch; nil when no stage needs scratch
 }
 
 // encScratch is the pooled per-call working set of ValueAt. The stage-1
@@ -201,23 +201,30 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 		e.max = e.max2
 	}
 	if e.c1 != nil || e.c2 != nil {
-		e.pool.New = e.newScratch
+		e.pool = newScratchPool(e.c1, e.c2)
 	}
 	return e, nil
 }
 
-// newScratch builds one pooled working set sized for the configured curves.
-func (e *Encapsulator) newScratch() any {
-	sc := &encScratch{p2: make(sfc.Point, 2)}
-	if e.c1 != nil {
-		sc.p = make(sfc.Point, e.c1.Dims())
-		sc.s = make([]uint32, e.c1.ScratchLen())
-		sc.memoKey = make([]uint32, e.c1.Dims())
+// newScratchPool returns a pool of working sets sized for the given curves
+// (either may be nil). The pool is an allocation of its own and its New
+// holds sizes, not curves: the runtime keeps a used pool reachable for two
+// garbage-collection cycles, and a sweep that builds an encapsulator per
+// cell must not have each one's lookup tables pinned that long.
+func newScratchPool(c1, c2 sfc.Curve) *sync.Pool {
+	var dims1, len1, len2 int
+	if c1 != nil {
+		dims1, len1 = c1.Dims(), c1.ScratchLen()
 	}
-	if e.c2 != nil {
-		sc.s2 = make([]uint32, e.c2.ScratchLen())
+	if c2 != nil {
+		len2 = c2.ScratchLen()
 	}
-	return sc
+	return &sync.Pool{New: func() any {
+		return &encScratch{
+			p: make(sfc.Point, dims1), s: make([]uint32, len1), memoKey: make([]uint32, dims1),
+			p2: make(sfc.Point, 2), s2: make([]uint32, len2),
+		}
+	}}
 }
 
 // MustEncapsulator is NewEncapsulator for static configurations.
@@ -251,7 +258,7 @@ func (e *Encapsulator) Value(r *Request, now int64, head int) uint64 {
 // automatically. With UseCylinder unset, progress is ignored.
 func (e *Encapsulator) ValueAt(r *Request, now int64, head int, progress uint64) uint64 {
 	var sc *encScratch
-	if e.pool.New != nil {
+	if e.pool != nil {
 		sc = e.pool.Get().(*encScratch)
 	}
 	v := e.stage1(r, sc)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"sfcsched/internal/sfc"
 )
@@ -298,5 +300,25 @@ func TestEncapsulatorValidation(t *testing.T) {
 		if _, err := NewEncapsulator(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
+	}
+}
+
+// TestUsedEncapsulatorIsCollectedAtNextGC: the runtime keeps a used
+// sync.Pool reachable for two collections, so a pool embedded in the
+// encapsulator (or one whose New closes over it) pins the encapsulator and
+// its curve tables that long — in a sweep that builds one per cell, several
+// thousand tables at once. One collection must be enough.
+func TestUsedEncapsulatorIsCollectedAtNextGC(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e := MustEncapsulator(EncapsulatorConfig{Curve1: sfc.MustNew("hilbert", 3, 8), Levels: 8})
+		e.Value(req([]int{1, 2, 3}, 0, 0), 0, 0)
+		runtime.SetFinalizer(e, func(*Encapsulator) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Error("an encapsulator used once and dropped survived a collection")
 	}
 }

@@ -41,9 +41,12 @@ type Model struct {
 
 	zoneOfCyl []int16 // cylinder -> zone lookup
 
-	// sqrtSeek, when set via UseSqrtSeek, replaces the power curve with
-	// the paper's literal a + b*sqrt(d) model.
-	sqrtSeek *SqrtSeek
+	// seekByDist[d] is the seek time over d cylinders: the power curve
+	// tabulated at construction, or the paper's literal a + b*sqrt(d)
+	// model after UseSqrtSeek. SeekTime runs on every dispatch and the
+	// curve has only Cylinders distinct arguments, so the table keeps
+	// math.Pow and math.Sqrt off that path.
+	seekByDist []int64
 }
 
 // Params bundles the calibration inputs for NewModel.
@@ -114,6 +117,8 @@ func NewModel(p Params) (*Model, error) {
 	}
 	m.gamma = calibrateGamma(p.MinSeek, p.MaxSeek, p.AvgSeek)
 	m.buildZones(p.ZoneCount, p.OuterSPT, p.InnerSPT)
+	m.seekByDist = make([]int64, m.Cylinders)
+	m.tabulateSeek(m.powerSeek)
 	return m, nil
 }
 
@@ -182,23 +187,32 @@ func (m *Model) checkCyl(cyl int) {
 	}
 }
 
-// SeekTime returns the head-movement time from cylinder from to cylinder
-// to, in microseconds. Zero distance costs nothing.
-func (m *Model) SeekTime(from, to int) int64 {
-	m.checkCyl(from)
-	m.checkCyl(to)
-	if m.sqrtSeek != nil {
-		return m.sqrtSeek.Time(from, to)
-	}
-	d := from - to
-	if d < 0 {
-		d = -d
-	}
+// powerSeek is the calibrated power curve at distance d >= 0.
+func (m *Model) powerSeek(d int) int64 {
 	if d == 0 {
 		return 0
 	}
 	u := float64(d) / float64(m.Cylinders-1)
 	return m.MinSeek + int64(float64(m.MaxSeek-m.MinSeek)*math.Pow(u, m.gamma))
+}
+
+// tabulateSeek fills seekByDist from curve for every distance 0..C-1.
+func (m *Model) tabulateSeek(curve func(d int) int64) {
+	for d := range m.seekByDist {
+		m.seekByDist[d] = curve(d)
+	}
+}
+
+// SeekTime returns the head-movement time from cylinder from to cylinder
+// to, in microseconds. Zero distance costs nothing.
+func (m *Model) SeekTime(from, to int) int64 {
+	m.checkCyl(from)
+	m.checkCyl(to)
+	d := from - to
+	if d < 0 {
+		d = -d
+	}
+	return m.seekByDist[d]
 }
 
 // RevolutionTime returns the time of one full platter revolution.

@@ -67,10 +67,15 @@ func (s *SqrtSeek) Mean() float64 {
 // Max returns the full-stroke seek time.
 func (s *SqrtSeek) Max() int64 { return s.Time(0, s.Cylinders-1) }
 
-// UseSqrtSeek swaps the model's seek curve for the sqrt model: SeekTime
-// calls delegate to it while everything else (zones, rotation, transfer)
-// is unchanged. It returns the model for chaining.
+// UseSqrtSeek swaps the model's seek curve for the sqrt model as it is at
+// the call (nil restores the calibrated power curve): SeekTime answers
+// from it while everything else (zones, rotation, transfer) is unchanged.
+// It returns the model for chaining.
 func (m *Model) UseSqrtSeek(s *SqrtSeek) *Model {
-	m.sqrtSeek = s
+	if s == nil {
+		m.tabulateSeek(m.powerSeek)
+	} else {
+		m.tabulateSeek(func(d int) int64 { return s.Time(0, d) })
+	}
 	return m
 }

@@ -114,25 +114,33 @@ func (c *Collector) OnArrival(r *core.Request) {
 	}
 }
 
-// dispatchVisitor is a reusable binding of (collector, dispatched request)
-// for the OnDispatch queue walk. A closure literal capturing them would be
-// heap-allocated on every dispatch — the simulator's dominant allocation —
-// so the closure is built once per pooled visitor (capturing only the
-// visitor itself) and rebound through the struct fields.
+// dispatchVisitor binds one dispatch for the OnDispatch queue walk: the
+// dispatched request's priorities clipped to the tracked dimensions, and
+// the counters they are compared into. The visit closure captures only the
+// visitor, so it is built once per pooled visitor and rebound through the
+// fields; the pool (rather than a field of Collector) keeps collectors
+// plain data that reflect.DeepEqual can compare.
 type dispatchVisitor struct {
-	c     *Collector
-	r     *core.Request
+	rp    []int
+	inv   []uint64
 	visit func(*core.Request)
 }
 
 var visitorPool = sync.Pool{New: func() any {
 	v := &dispatchVisitor{}
+	// Priority levels of queued requests are close to uniformly random, so
+	// a conditional increment mispredicts about every other comparison;
+	// adding the comparison's 0/1 result instead keeps the loop free of
+	// data-dependent branches.
 	v.visit = func(w *core.Request) {
-		c, r := v.c, v.r
-		for k := 0; k < c.dims && k < len(w.Priorities) && k < len(r.Priorities); k++ {
-			if w.Priorities[k] < r.Priorities[k] {
-				c.InversionsPerDim[k]++
+		n := min(len(w.Priorities), len(v.rp))
+		wp, rp, inv := w.Priorities[:n], v.rp[:n], v.inv[:n]
+		for k := range wp {
+			var d uint64
+			if wp[k] < rp[k] {
+				d = 1
 			}
+			inv[k] += d
 		}
 	}
 	return v
@@ -146,9 +154,9 @@ func (c *Collector) OnDispatch(r *core.Request, pending func(func(*core.Request)
 		return
 	}
 	v := visitorPool.Get().(*dispatchVisitor)
-	v.c, v.r = c, r
+	v.rp, v.inv = r.Priorities[:min(c.dims, len(r.Priorities))], c.InversionsPerDim
 	pending(v.visit)
-	v.c, v.r = nil, nil
+	v.rp, v.inv = nil, nil
 	visitorPool.Put(v)
 }
 

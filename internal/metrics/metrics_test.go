@@ -2,10 +2,114 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"sfcsched/internal/core"
 )
+
+// inversionsByDefinition is §5.1 read literally: per tracked dimension, the
+// queued requests whose level is strictly lower (priority strictly higher)
+// than the dispatched request's. A dimension counts for a pair only when
+// both vectors have it. OnDispatch must agree with it on every input.
+func inversionsByDefinition(dims int, r *core.Request, queued []*core.Request) []uint64 {
+	inv := make([]uint64, max(dims, 0))
+	for _, w := range queued {
+		for k := 0; k < dims; k++ {
+			if k < len(w.Priorities) && k < len(r.Priorities) {
+				if w.Priorities[k] < r.Priorities[k] {
+					inv[k]++
+				}
+			}
+		}
+	}
+	return inv
+}
+
+func eachOf(queued []*core.Request) func(func(*core.Request)) {
+	return func(visit func(*core.Request)) {
+		for _, w := range queued {
+			visit(w)
+		}
+	}
+}
+
+func TestOnDispatchMatchesDefinition(t *testing.T) {
+	req := func(p ...int) *core.Request { return &core.Request{Priorities: p} }
+	self := req(3, 3, 3)
+	cases := []struct {
+		name   string
+		dims   int
+		r      *core.Request
+		queued []*core.Request
+		want   []uint64
+	}{
+		{"no dims", 0, req(1, 2), []*core.Request{req(0, 0)}, []uint64{}},
+		{"empty queue", 3, req(4, 4, 4), nil, []uint64{0, 0, 0}},
+		{"strict only", 2, req(4, 4), []*core.Request{req(4, 3), req(3, 4), req(5, 5)}, []uint64{1, 1}},
+		{"negative and beyond levels", 2, req(0, 9), []*core.Request{req(-1, 8), req(-7, 100), req(0, 9)}, []uint64{2, 1}},
+		{"dispatched shorter than dims", 3, req(5), []*core.Request{req(1, 1, 1), req(9, 0, 0)}, []uint64{1, 0, 0}},
+		{"dispatched longer than dims", 2, req(5, 5, 5, 5), []*core.Request{req(1, 1, 1, 1)}, []uint64{1, 1}},
+		{"queued shorter than dims", 3, req(5, 5, 5), []*core.Request{req(1), req(), req(1, 1)}, []uint64{2, 1, 0}},
+		{"queued longer than dims", 1, req(5), []*core.Request{req(1, 1, 1), req(6, 0, 0)}, []uint64{1}},
+		{"no priorities at all", 2, req(), []*core.Request{req(0, 0)}, []uint64{0, 0}},
+		{"queue holds the dispatched request and its twin", 3, self, []*core.Request{self, req(3, 3, 3), req(2, 3, 4)}, []uint64{1, 0, 0}},
+		{"twelve dims", 12, req(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+			[]*core.Request{req(0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1), req(0, 0, 0, 0, 0, 0)},
+			[]uint64{2, 1, 2, 1, 2, 1, 1, 0, 1, 0, 1, 0}},
+	}
+	for _, tc := range cases {
+		c := NewCollector(tc.dims, 8)
+		c.OnDispatch(tc.r, eachOf(tc.queued))
+		if !reflect.DeepEqual(c.InversionsPerDim, tc.want) {
+			t.Errorf("%s: OnDispatch counted %v, want %v", tc.name, c.InversionsPerDim, tc.want)
+		}
+		if ref := inversionsByDefinition(tc.dims, tc.r, tc.queued); !reflect.DeepEqual(ref, tc.want) {
+			t.Errorf("%s: the reference counts %v, the row says %v", tc.name, ref, tc.want)
+		}
+	}
+}
+
+// FuzzOnDispatchMatchesDefinition accumulates a few dispatches over ragged
+// random vectors (levels from below 0 to beyond the collector's range) into
+// one collector and holds the sum to the literal definition.
+func FuzzOnDispatchMatchesDefinition(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(8), uint8(35))
+	f.Add(int64(2), uint8(0), uint8(1), uint8(4))
+	f.Add(int64(3), uint8(12), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(1), uint8(200), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, dims, levels, depth uint8) {
+		d, l := int(dims%13), int(levels)
+		rng := rand.New(rand.NewSource(seed))
+		vec := func() *core.Request {
+			p := make([]int, rng.Intn(d+4))
+			for k := range p {
+				p[k] = rng.Intn(l+5) - 2
+			}
+			return &core.Request{Priorities: p}
+		}
+		c := NewCollector(d, l)
+		want := make([]uint64, d)
+		for n := 0; n < 3; n++ {
+			r := vec()
+			queued := make([]*core.Request, int(depth))
+			for i := range queued {
+				queued[i] = vec()
+			}
+			if len(queued) > 1 {
+				queued[rng.Intn(len(queued))] = r
+			}
+			c.OnDispatch(r, eachOf(queued))
+			for k, v := range inversionsByDefinition(d, r, queued) {
+				want[k] += v
+			}
+		}
+		if !reflect.DeepEqual(c.InversionsPerDim, want) {
+			t.Fatalf("dims %d: OnDispatch accumulated %v, the definition %v", d, c.InversionsPerDim, want)
+		}
+	})
+}
 
 func TestInversionCounting(t *testing.T) {
 	c := NewCollector(2, 8)

@@ -39,8 +39,13 @@ func (s *EDF) Next(now int64, head int) *core.Request {
 type SCANEDF struct {
 	queue
 	// Quantum groups deadlines into batches; requests whose deadlines fall
-	// in the same batch are served in scan order.
+	// in the same batch are served in scan order. A request's batch is
+	// fixed when it is added, so Quantum must not change while requests
+	// are queued.
 	Quantum int64
+	// batches[i] is the quantized deadline of reqs[i], computed once at
+	// Add so that Next's scans compare integers instead of dividing.
+	batches []int64
 }
 
 // NewSCANEDF returns a SCAN-EDF scheduler with the given deadline quantum.
@@ -50,15 +55,13 @@ func NewSCANEDF(quantum int64) *SCANEDF { return &SCANEDF{Quantum: quantum} }
 func (s *SCANEDF) Name() string { return "scan-edf" }
 
 // Add implements Scheduler.
-func (s *SCANEDF) Add(r *core.Request, now int64, head int) { s.add(r) }
-
-// batch returns the quantized deadline of r.
-func (s *SCANEDF) batch(r *core.Request) int64 {
-	d := effDeadline(r)
-	if s.Quantum <= 0 {
-		return d
+func (s *SCANEDF) Add(r *core.Request, now int64, head int) {
+	s.add(r)
+	b := effDeadline(r)
+	if s.Quantum > 0 {
+		b /= s.Quantum
 	}
-	return d / s.Quantum
+	s.batches = append(s.batches, b)
 }
 
 // Next implements Scheduler.
@@ -69,15 +72,16 @@ func (s *SCANEDF) Next(now int64, head int) *core.Request {
 	// Find the earliest deadline batch, then the request within it that is
 	// nearest ahead of the head (upward sweep), falling back to nearest
 	// overall when the sweep has passed every batch member.
-	minBatch := s.batch(s.reqs[0])
-	for _, r := range s.reqs[1:] {
-		if b := s.batch(r); b < minBatch {
+	batches := s.batches[:len(s.reqs)] // same length; tells the compiler so
+	minBatch := batches[0]
+	for _, b := range batches[1:] {
+		if b < minBatch {
 			minBatch = b
 		}
 	}
 	best, bestKey := -1, int(^uint(0)>>1)
 	for i, r := range s.reqs {
-		if s.batch(r) != minBatch {
+		if batches[i] != minBatch {
 			continue
 		}
 		key := r.Cylinder - head
@@ -88,5 +92,6 @@ func (s *SCANEDF) Next(now int64, head int) *core.Request {
 			best, bestKey = i, key
 		}
 	}
+	s.batches = append(s.batches[:best], s.batches[best+1:]...)
 	return s.removeAt(best)
 }

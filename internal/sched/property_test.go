@@ -233,3 +233,88 @@ func TestBUCKETNeverInvertsValues(t *testing.T) {
 		prev = r.Value
 	}
 }
+
+// twoPassSCANEDF is SCAN-EDF as it stood before requests carried their
+// batch: Next quantizes every queued deadline in each of its two passes.
+// Kept verbatim as the reference the keyed SCANEDF must pop identically to.
+type twoPassSCANEDF struct {
+	queue
+	Quantum int64
+}
+
+func (s *twoPassSCANEDF) batch(r *core.Request) int64 {
+	d := effDeadline(r)
+	if s.Quantum <= 0 {
+		return d
+	}
+	return d / s.Quantum
+}
+
+func (s *twoPassSCANEDF) Next(now int64, head int) *core.Request {
+	if len(s.reqs) == 0 {
+		return nil
+	}
+	minBatch := s.batch(s.reqs[0])
+	for _, r := range s.reqs[1:] {
+		if b := s.batch(r); b < minBatch {
+			minBatch = b
+		}
+	}
+	best, bestKey := -1, int(^uint(0)>>1)
+	for i, r := range s.reqs {
+		if s.batch(r) != minBatch {
+			continue
+		}
+		key := r.Cylinder - head
+		if key < 0 {
+			key += 1 << 30 // behind the head: serve after the ones ahead
+		}
+		if key < bestKey {
+			best, bestKey = i, key
+		}
+	}
+	return s.removeAt(best)
+}
+
+// TestSCANEDFMatchesTwoPassReference drives the keyed SCANEDF and the
+// reference through the same random Add/Next interleavings — few distinct
+// cylinders so scan ties occur, deadlines that share batches, requests
+// with no deadline — and requires the same request from every Next, and a
+// key slice that never drifts from the queue.
+func TestSCANEDFMatchesTwoPassReference(t *testing.T) {
+	for _, quantum := range []int64{0, 1, 50_000} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			rng := stats.NewRNG(seed)
+			s, ref := NewSCANEDF(quantum), &twoPassSCANEDF{Quantum: quantum}
+			now, head := int64(0), 0
+			step := func(add bool) {
+				now += int64(rng.Uint64n(20_000))
+				if add {
+					r := &core.Request{Cylinder: rng.Intn(40) * 97, Arrival: now}
+					if rng.Float64() < 0.8 {
+						r.Deadline = now + 1 + int64(rng.Uint64n(200_000))
+					}
+					s.Add(r, now, head)
+					ref.add(r)
+				} else {
+					got, want := s.Next(now, head), ref.Next(now, head)
+					if got != want {
+						t.Fatalf("quantum %d seed %d: keyed SCAN-EDF popped %+v, the reference %+v", quantum, seed, got, want)
+					}
+					if got != nil {
+						head = got.Cylinder
+					}
+				}
+				if len(s.batches) != s.Len() || s.Len() != ref.Len() {
+					t.Fatalf("quantum %d seed %d: %d keys, Len %d, reference Len %d", quantum, seed, len(s.batches), s.Len(), ref.Len())
+				}
+			}
+			for i := 0; i < 1500; i++ {
+				step(rng.Float64() < 0.55)
+			}
+			for s.Len() > 0 {
+				step(false)
+			}
+		}
+	}
+}

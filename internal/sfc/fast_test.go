@@ -147,3 +147,24 @@ func FuzzIndexFastEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestNewLUTConstructionAllocs bounds what building a table costs: the LUT,
+// its table, the odometer point and one scratch — not one working slice per
+// cell, which made construction the fixed cost of every sweep cell.
+// TestLUTMatchesIndex holds the tables equal to the checked Index.
+func TestNewLUTConstructionAllocs(t *testing.T) {
+	for _, c := range fastCases(t) {
+		c := c
+		if cells, _ := pow(uint64(c.Side()), c.Dims()); cells > MaxLUTCells {
+			continue
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := NewLUT(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s(%dd,%d): NewLUT allocates %v times, want <= 4", c.Name(), c.Dims(), c.Side(), allocs)
+		}
+	}
+}

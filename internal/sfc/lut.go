@@ -9,7 +9,7 @@ const MaxLUTCells = 1 << 16
 
 // LUT wraps a curve with a precomputed cell -> index table, turning Index
 // into a row-major rank computation plus one table load. It is built once
-// at construction (one reference Index call per grid cell) and is
+// at construction (one IndexFast call per grid cell) and is
 // worthwhile for curves whose Index walks bit or digit levels (Hilbert,
 // Peano, Gray) on grids small enough for MaxLUTCells.
 //
@@ -35,10 +35,13 @@ func NewLUT(c Curve) (*LUT, error) {
 		return nil, fmt.Errorf("sfc: %d-cell grid exceeds the %d-cell LUT limit", cells, MaxLUTCells)
 	}
 	l := &LUT{base: c, dims: c.Dims(), side: c.Side(), tab: make([]uint64, cells)}
-	// Enumerate cells in row-major (rank) order with an odometer.
+	// Enumerate cells in row-major (rank) order with an odometer. Its
+	// points are valid by construction, so the unchecked IndexFast over one
+	// scratch serves: the checked Index allocates working memory per call.
 	p := make(Point, l.dims)
+	scratch := make([]uint32, c.ScratchLen())
 	for rank := uint64(0); rank < cells; rank++ {
-		l.tab[rank] = c.Index(p)
+		l.tab[rank] = c.IndexFast(p, scratch)
 		for i := 0; i < l.dims; i++ {
 			p[i]++
 			if p[i] < l.side {
