@@ -38,7 +38,6 @@ import (
 	"sfcsched/internal/obs"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sim"
-	"sfcsched/internal/stats"
 )
 
 // Config describes one cluster run.
@@ -219,7 +218,8 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	if m == nil {
 		m = DefaultMetrics
 	}
-	dims, levels, classes, maxTenant := inferShapes(cfg, trace)
+	dims, levels := sim.InferShape(cfg.Dims, cfg.Levels, trace)
+	classes, maxTenant := inferLedgers(cfg.Classes, trace)
 
 	dpn := cfg.DisksPerNode
 	blocksPerNode := dpn * cfg.Disk.Cylinders
@@ -235,17 +235,9 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 				return nil, fmt.Errorf("cluster: node %d disk %d: %w", n, d, err)
 			}
 			id := n*dpn + d
-			col := metrics.NewCollector(dims, levels)
-			st := &sim.Station{
-				ID:             id,
-				Sched:          s,
-				Disk:           cfg.Disk,
-				Col:            col,
-				SampleRotation: cfg.SampleRotation,
-			}
-			stations[id] = st
-			perDisk[id] = col
-			nodes[n].stations[d] = st
+			perDisk[id] = metrics.NewCollector(dims, levels)
+			stations[id] = &sim.Station{Sched: s, Disk: cfg.Disk, Col: perDisk[id]}
+			nodes[n].stations[d] = stations[id]
 		}
 	}
 
@@ -267,12 +259,14 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		res.Tenants[t].Tenant = t
 	}
 
-	eng := &sim.Engine{
-		Stations:  stations,
-		DropLate:  cfg.DropLate,
-		RNG:       stats.NewRNG(cfg.Seed),
-		Trace:     cfg.Trace,
-		Telemetry: cfg.Telemetry,
+	// The cluster's run is assembled where every topology's is; its own
+	// fields are the subset of sim.Options it supports.
+	var eng sim.Engine
+	if err := eng.Setup(sim.Options{
+		Seed: cfg.Seed, DropLate: cfg.DropLate, SampleRotation: cfg.SampleRotation,
+		Trace: cfg.Trace, Telemetry: cfg.Telemetry,
+	}, stations, false); err != nil {
+		return nil, err
 	}
 	eng.OnServed = func(st *sim.Station, r *core.Request, now int64) {
 		cs := res.PerClass[r.Class]
@@ -347,36 +341,19 @@ func MustRun(cfg Config, trace []*core.Request) *Result {
 	return res
 }
 
-// inferShapes fills zero Dims/Levels/Classes from the trace and finds the
+// inferLedgers fills a zero class count from the trace and finds the
 // highest tenant ID, so per-class and per-tenant ledgers are sized before
 // the run starts.
-func inferShapes(cfg Config, trace []*core.Request) (dims, levels, classes, maxTenant int) {
-	dims, levels, classes = cfg.Dims, cfg.Levels, cfg.Classes
+func inferLedgers(classes int, trace []*core.Request) (int, int) {
+	maxClass, maxTenant := 0, 0
 	for _, r := range trace {
-		if cfg.Dims == 0 && len(r.Priorities) > dims {
-			dims = len(r.Priorities)
-		}
-		if cfg.Levels == 0 {
-			for _, p := range r.Priorities {
-				if p+1 > levels {
-					levels = p + 1
-				}
-			}
-		}
-		if cfg.Classes == 0 && r.Class+1 > classes {
-			classes = r.Class + 1
-		}
-		if r.Tenant > maxTenant {
-			maxTenant = r.Tenant
-		}
+		maxClass = max(maxClass, r.Class)
+		maxTenant = max(maxTenant, r.Tenant)
 	}
-	if levels < 1 {
-		levels = 1
+	if classes == 0 {
+		classes = maxClass + 1
 	}
-	if classes < 1 {
-		classes = 1
-	}
-	return dims, levels, classes, maxTenant
+	return classes, maxTenant
 }
 
 // clampInt clamps v to [0, n).

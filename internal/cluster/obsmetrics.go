@@ -36,25 +36,16 @@ var DefaultMetrics = &Metrics{}
 // Register registers every field of m under prefix (e.g.
 // "sfcsched_cluster") in reg.
 func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"arrivals", "requests offered to the cluster", &m.Arrivals},
-		{"admit_dropped", "requests rejected by admission control", &m.AdmitDropped},
-		{"routed", "admitted requests handed to a node", &m.Routed},
-		{"served", "completed services", &m.Served},
-		{"dispatch_dropped", "requests dropped at dispatch (deadline expired)", &m.DispatchDropped},
-		{"late_starts", "services started past their deadline", &m.LateStarts},
-		{"latency_us", "completion latency of served requests, microseconds", &m.LatencyUS},
-		{"node_depth_max", "high-water backlog of the routed node", &m.NodeDepthMax},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterAll(prefix, []obs.Entry{
+		{Name: "arrivals", Help: "requests offered to the cluster", V: &m.Arrivals},
+		{Name: "admit_dropped", Help: "requests rejected by admission control", V: &m.AdmitDropped},
+		{Name: "routed", Help: "admitted requests handed to a node", V: &m.Routed},
+		{Name: "served", Help: "completed services", V: &m.Served},
+		{Name: "dispatch_dropped", Help: "requests dropped at dispatch (deadline expired)", V: &m.DispatchDropped},
+		{Name: "late_starts", Help: "services started past their deadline", V: &m.LateStarts},
+		{Name: "latency_us", Help: "completion latency of served requests, microseconds", V: &m.LatencyUS},
+		{Name: "node_depth_max", Help: "high-water backlog of the routed node", V: &m.NodeDepthMax},
+	})
 }
 
 // MustRegister is Register for static wiring.

@@ -57,28 +57,19 @@ var DefaultMetrics = &Metrics{}
 // reg. Metric names follow Prometheus conventions; counters gain a _total
 // suffix at export time.
 func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"adds", "requests enqueued", &m.Adds},
-		{"dispatches", "requests dispatched", &m.Dispatches},
-		{"queue_depth_hiwater", "largest queue depth seen at enqueue", &m.QueueDepthHiWater},
-		{"preemptions", "arrivals that preempted into the serving queue", &m.Preemptions},
-		{"promotions", "SP promotions from the waiting queue", &m.Promotions},
-		{"swaps", "serving/waiting queue batch swaps", &m.Swaps},
-		{"window_expansions", "ER blocking-window growth events", &m.WindowExpansions},
-		{"window_resets", "ER blocking-window resets", &m.WindowResets},
-		{"sweep_progress_cylinders", "cumulative cylinders swept on the scan timeline", &m.SweepProgress},
-		{"sweep_saturations", "sweep-timeline progress saturation events", &m.SweepSaturations},
-		{"dispatch_wait_us", "arrival-to-dispatch delay, microseconds", &m.DispatchWait},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterAll(prefix, []obs.Entry{
+		{Name: "adds", Help: "requests enqueued", V: &m.Adds},
+		{Name: "dispatches", Help: "requests dispatched", V: &m.Dispatches},
+		{Name: "queue_depth_hiwater", Help: "largest queue depth seen at enqueue", V: &m.QueueDepthHiWater},
+		{Name: "preemptions", Help: "arrivals that preempted into the serving queue", V: &m.Preemptions},
+		{Name: "promotions", Help: "SP promotions from the waiting queue", V: &m.Promotions},
+		{Name: "swaps", Help: "serving/waiting queue batch swaps", V: &m.Swaps},
+		{Name: "window_expansions", Help: "ER blocking-window growth events", V: &m.WindowExpansions},
+		{Name: "window_resets", Help: "ER blocking-window resets", V: &m.WindowResets},
+		{Name: "sweep_progress_cylinders", Help: "cumulative cylinders swept on the scan timeline", V: &m.SweepProgress},
+		{Name: "sweep_saturations", Help: "sweep-timeline progress saturation events", V: &m.SweepSaturations},
+		{Name: "dispatch_wait_us", Help: "arrival-to-dispatch delay, microseconds", V: &m.DispatchWait},
+	})
 }
 
 // MustRegister is Register for static wiring.

@@ -42,29 +42,20 @@ var DefaultMetrics = &Metrics{}
 // Register registers every field of m under prefix (e.g. "sfcsched_fault")
 // in reg.
 func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"transients", "injected transient read errors", &m.Transients},
-		{"retries", "fault-induced request re-enqueues", &m.Retries},
-		{"exhausted", "requests abandoned after the retry budget", &m.Exhausted},
-		{"bad_sector_hits", "first touches of latent bad ranges", &m.BadSectorHits},
-		{"remaps", "bad ranges remapped to the spare area", &m.Remaps},
-		{"remap_hits", "dispatches redirected to the spare area", &m.RemapHits},
-		{"disk_failures", "whole-disk failures", &m.DiskFailures},
-		{"reconstruct_reads", "survivor reads serving degraded reads", &m.ReconstructReads},
-		{"rebuild_reads", "survivor reads issued by the rebuild", &m.RebuildReads},
-		{"degraded", "1 while a disk is down", &m.Degraded},
-		{"rebuild_progress_blocks", "per-disk blocks rebuilt so far", &m.RebuildProgress},
-		{"degraded_window_us", "duration of the last degraded window, microseconds", &m.DegradedWindowUs},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterAll(prefix, []obs.Entry{
+		{Name: "transients", Help: "injected transient read errors", V: &m.Transients},
+		{Name: "retries", Help: "fault-induced request re-enqueues", V: &m.Retries},
+		{Name: "exhausted", Help: "requests abandoned after the retry budget", V: &m.Exhausted},
+		{Name: "bad_sector_hits", Help: "first touches of latent bad ranges", V: &m.BadSectorHits},
+		{Name: "remaps", Help: "bad ranges remapped to the spare area", V: &m.Remaps},
+		{Name: "remap_hits", Help: "dispatches redirected to the spare area", V: &m.RemapHits},
+		{Name: "disk_failures", Help: "whole-disk failures", V: &m.DiskFailures},
+		{Name: "reconstruct_reads", Help: "survivor reads serving degraded reads", V: &m.ReconstructReads},
+		{Name: "rebuild_reads", Help: "survivor reads issued by the rebuild", V: &m.RebuildReads},
+		{Name: "degraded", Help: "1 while a disk is down", V: &m.Degraded},
+		{Name: "rebuild_progress_blocks", Help: "per-disk blocks rebuilt so far", V: &m.RebuildProgress},
+		{Name: "degraded_window_us", Help: "duration of the last degraded window, microseconds", V: &m.DegradedWindowUs},
+	})
 }
 
 // MustRegister is Register for static wiring.

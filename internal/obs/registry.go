@@ -63,6 +63,24 @@ func (r *Registry) MustRegister(name, help string, v any) {
 	}
 }
 
+// Entry is one row of a metric set's registration table: the metric's
+// name below the set's prefix, its help string, and the metric.
+type Entry struct {
+	Name, Help string
+	V          any
+}
+
+// RegisterAll registers every entry under prefix_Name, stopping at the
+// first error. It is the loop behind each package's Metrics.Register.
+func (r *Registry) RegisterAll(prefix string, entries []Entry) error {
+	for _, e := range entries {
+		if err := r.Register(prefix+"_"+e.Name, e.Help, e.V); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // names returns the registered names in sorted order.
 func (r *Registry) names() []string {
 	ns := make([]string, 0, len(r.vars))

@@ -24,6 +24,18 @@ func TestRegisterValidation(t *testing.T) {
 	if err := r.Register("fn", "", func() float64 { return 1.5 }); err != nil {
 		t.Errorf("func metric rejected: %v", err)
 	}
+	// RegisterAll prefixes every row and stops at the first bad one.
+	err := r.RegisterAll("set", []Entry{
+		{Name: "a", Help: "first", V: &Counter{}},
+		{Name: "bad name", V: &Counter{}},
+		{Name: "never", V: &Counter{}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "set_bad name") {
+		t.Errorf("RegisterAll error = %v, want the malformed set_bad name", err)
+	}
+	if names := strings.Join(r.names(), " "); names != "fn ok_name set_a" {
+		t.Errorf("registered names = %q, want fn ok_name set_a", names)
+	}
 }
 
 func TestWritePrometheus(t *testing.T) {

@@ -47,29 +47,20 @@ var DefaultMetrics = &Metrics{}
 // Register registers every field of m under prefix (conventionally
 // "sfcsched_serve") in reg.
 func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"submitted", "requests accepted into the serving scheduler", &m.Submitted},
-		{"rejected", "submissions refused by a closed ingress", &m.Rejected},
-		{"dispatched", "dispatch decisions (services plus drops)", &m.Dispatched},
-		{"completed", "services completed by the backend", &m.Completed},
-		{"dropped", "requests dropped at dispatch past their deadline", &m.Dropped},
-		{"abandoned", "requests abandoned by Stop or cancellation", &m.Abandoned},
-		{"backpressure_waits", "Submit calls that blocked on the queue quota", &m.BackpressureWaits},
-		{"drains", "completed graceful shutdowns", &m.Drains},
-		{"head_travel_cylinders", "cumulative emulated head movement", &m.HeadTravelCylinders},
-		{"inflight", "services currently running on the backend", &m.InFlight},
-		{"model_latency_us", "arrival-to-completion time on the model clock, microseconds", &m.ModelLatency},
-		{"wall_service_us", "wall-clock time per backend service, microseconds", &m.WallService},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterAll(prefix, []obs.Entry{
+		{Name: "submitted", Help: "requests accepted into the serving scheduler", V: &m.Submitted},
+		{Name: "rejected", Help: "submissions refused by a closed ingress", V: &m.Rejected},
+		{Name: "dispatched", Help: "dispatch decisions (services plus drops)", V: &m.Dispatched},
+		{Name: "completed", Help: "services completed by the backend", V: &m.Completed},
+		{Name: "dropped", Help: "requests dropped at dispatch past their deadline", V: &m.Dropped},
+		{Name: "abandoned", Help: "requests abandoned by Stop or cancellation", V: &m.Abandoned},
+		{Name: "backpressure_waits", Help: "Submit calls that blocked on the queue quota", V: &m.BackpressureWaits},
+		{Name: "drains", Help: "completed graceful shutdowns", V: &m.Drains},
+		{Name: "head_travel_cylinders", Help: "cumulative emulated head movement", V: &m.HeadTravelCylinders},
+		{Name: "inflight", Help: "services currently running on the backend", V: &m.InFlight},
+		{Name: "model_latency_us", Help: "arrival-to-completion time on the model clock, microseconds", V: &m.ModelLatency},
+		{Name: "wall_service_us", Help: "wall-clock time per backend service, microseconds", V: &m.WallService},
+	})
 }
 
 // MustRegister is Register for static wiring.
@@ -108,22 +99,13 @@ var DefaultCalibMetrics = &CalibMetrics{}
 // Register registers every field of m under prefix (conventionally
 // "sfcsched_calib") in reg.
 func (m *CalibMetrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"runs", "completed calibration runs", &m.Runs},
-		{"aligned_requests", "requests matched between sim and live records", &m.AlignedRequests},
-		{"latency_mape_ppm", "last run's per-request latency MAPE, ppm (1e6 = 100%)", &m.LatencyMAPEPpm},
-		{"order_pearson_ppm", "last run's dispatch-order Pearson r, ppm (1e6 = 1.0)", &m.OrderPearsonPpm},
-		{"head_travel_delta_ppm", "last run's (live-sim)/sim head-travel delta, ppm", &m.HeadTravelDeltaPpm},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterAll(prefix, []obs.Entry{
+		{Name: "runs", Help: "completed calibration runs", V: &m.Runs},
+		{Name: "aligned_requests", Help: "requests matched between sim and live records", V: &m.AlignedRequests},
+		{Name: "latency_mape_ppm", Help: "last run's per-request latency MAPE, ppm (1e6 = 100%)", V: &m.LatencyMAPEPpm},
+		{Name: "order_pearson_ppm", Help: "last run's dispatch-order Pearson r, ppm (1e6 = 1.0)", V: &m.OrderPearsonPpm},
+		{Name: "head_travel_delta_ppm", Help: "last run's (live-sim)/sim head-travel delta, ppm", V: &m.HeadTravelDeltaPpm},
+	})
 }
 
 // MustRegister is Register for static wiring.

@@ -8,7 +8,6 @@ import (
 	"sfcsched/internal/fault"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/stats"
 )
 
 // ArrayConfig configures a RAID-5 array simulation: logical block requests
@@ -80,6 +79,28 @@ type logicalState struct {
 	readsLeft int
 }
 
+// raid5 is the logical bookkeeping of one RunArray; its methods are the
+// engine hooks. Every physical request in flight maps to its logical
+// request in byPhys, and the background rebuild's reads map to the
+// sentinel &a.rebuild there — so each hook does one lookup, rebuild
+// traffic needs no second map, and no hook is ever wrapped around
+// another.
+type raid5 struct {
+	cfg ArrayConfig
+	eng Engine
+	res *ArrayResult
+
+	byPhys     map[*core.Request]*logicalState
+	nextPhysID uint64
+
+	// Rebuild pump: one stripe row at a time, its survivor reads competing
+	// in the same per-disk scheduler queues as foreground requests.
+	rebuild        logicalState
+	nextRebuildID  uint64
+	rebuildPending int
+	rebuiltBlocks  int
+}
+
 // RunArray simulates the logical trace (sorted by arrival) on the array:
 // an N-station Engine with the RAID-5 logical/physical mapping layered
 // above it through the engine hooks. Physical dispatches flow through the
@@ -97,365 +118,296 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 	if cfg.Array == nil || cfg.NewScheduler == nil {
 		return nil, fmt.Errorf("sim: ArrayConfig needs Array and NewScheduler")
 	}
-	model := cfg.Array.Model
-	stations := make([]*Station, cfg.Array.Disks)
-	perDisk := make([]*metrics.Collector, cfg.Array.Disks)
+	dims, levels := InferShape(cfg.Dims, cfg.Levels, logical)
+	n := cfg.Array.Disks
+	res := &ArrayResult{
+		Logical:    metrics.NewCollector(dims, levels),
+		PerDisk:    make([]*metrics.Collector, n),
+		PerDiskOps: make([]uint64, n),
+	}
+	stations := make([]*Station, n)
 	for d := range stations {
 		s, err := cfg.NewScheduler(d)
 		if err != nil {
 			return nil, fmt.Errorf("sim: disk %d scheduler: %w", d, err)
 		}
-		perDisk[d] = metrics.NewCollector(cfg.Dims, cfg.Levels)
-		stations[d] = &Station{
-			ID:             d,
-			Sched:          s,
-			Disk:           model,
-			Col:            perDisk[d],
-			SampleRotation: cfg.SampleRotation,
-			// The array models the head position at rest: schedulers see
-			// the last completed cylinder until the next completion.
-		}
+		res.PerDisk[d] = metrics.NewCollector(dims, levels)
+		// No HeadAtDispatch: the array models the head position at rest,
+		// schedulers see the last completed cylinder until the next
+		// completion.
+		stations[d] = &Station{Sched: s, Disk: cfg.Array.Model, Col: res.PerDisk[d]}
 	}
-	res := &ArrayResult{
-		Logical:    metrics.NewCollector(cfg.Dims, cfg.Levels),
-		PerDisk:    perDisk,
-		PerDiskOps: make([]uint64, cfg.Array.Disks),
+	a := &raid5{cfg: cfg, res: res, byPhys: make(map[*core.Request]*logicalState)}
+	if err := a.eng.Setup(cfg.Options, stations, true); err != nil {
+		return nil, err
 	}
-	eng := &Engine{
-		Stations:  stations,
-		DropLate:  cfg.DropLate,
-		RNG:       stats.NewRNG(cfg.Seed),
-		Trace:     cfg.Trace,
-		Decisions: cfg.Decisions,
-		Telemetry: cfg.Telemetry,
+	a.eng.OnServed, a.eng.OnDropped = a.onServed, a.onDropped
+	a.eng.OnLateStart, a.eng.OnFaulted = a.onLateStart, a.reroute
+	if cfg.Fault != nil && cfg.Fault.FailAt > 0 {
+		a.eng.At(cfg.Fault.FailAt, a.fail)
 	}
-	for _, sh := range cfg.Shadows {
-		if sh.Station < 0 || sh.Station >= len(stations) {
-			return nil, fmt.Errorf("sim: shadow %q targets station %d outside array of %d disks", sh.name, sh.Station, len(stations))
-		}
-		if sh.used {
-			return nil, fmt.Errorf("sim: shadow %q already rode a run; shadows are single-use", sh.name)
-		}
-		st := stations[sh.Station]
-		sh.bind(st, cfg.DropLate)
-		st.shadows = append(st.shadows, sh)
-	}
-	var inj *fault.Injector
-	if !cfg.Fault.Zero() {
-		if cfg.Fault.FailAt > 0 && (cfg.Fault.FailDisk < 0 || cfg.Fault.FailDisk >= cfg.Array.Disks) {
-			return nil, fmt.Errorf("sim: FailDisk %d outside array of %d disks", cfg.Fault.FailDisk, cfg.Array.Disks)
-		}
-		var err error
-		inj, err = fault.New(*cfg.Fault, model.Cylinders)
-		if err != nil {
-			return nil, err
-		}
-		eng.Faults = inj
-	}
-
-	byPhys := make(map[*core.Request]*logicalState)
-	var nextPhysID uint64
-
-	createPhys := func(st *logicalState, op disk.PhysOp, now int64) {
-		nextPhysID++
-		pr := &core.Request{
-			ID:         nextPhysID,
-			Priorities: st.req.Priorities,
-			Deadline:   st.req.Deadline,
-			Cylinder:   op.Cylinder,
-			Size:       op.Size,
-			Arrival:    now,
-			Write:      op.Write,
-			Value:      st.req.Value,
-		}
-		byPhys[pr] = st
-		eng.Stations[op.Disk].Enqueue(pr, now)
-		res.PerDiskOps[op.Disk]++
-	}
-
-	// enqueue issues physical ops, transparently degrading any op that
-	// targets the failed disk: writes are absorbed (recoverable from
-	// parity), reads fan out into same-cylinder reconstruction reads on
-	// every survivor. Callers account pending as one completion per op;
-	// enqueue adjusts it for absorbed and fanned-out ops.
-	enqueue := func(st *logicalState, ops []disk.PhysOp, now int64) {
-		for _, op := range ops {
-			if fd, down := downDisk(inj); down && op.Disk == fd {
-				if op.Write {
-					res.AbsorbedWrites++
-					st.pending--
-					continue
-				}
-				res.Reconstructions++
-				if inj != nil {
-					inj.Metrics().ReconstructReads.Add(uint64(cfg.Array.Disks - 1))
-				}
-				st.pending += cfg.Array.Disks - 2
-				if len(st.writeOps) > 0 {
-					st.readsLeft += cfg.Array.Disks - 2
-				}
-				for d := 0; d < cfg.Array.Disks; d++ {
-					if d == fd {
-						continue
-					}
-					createPhys(st, disk.PhysOp{Disk: d, Cylinder: op.Cylinder, Size: op.Size}, now)
-				}
-				continue
-			}
-			createPhys(st, op, now)
-		}
-	}
-
-	finish := func(st *logicalState, now int64) {
-		if st.finished {
-			return
-		}
-		st.finished = true
-		if st.missed {
-			res.Logical.OnDropped(st.req)
-		} else {
-			res.Logical.OnServed(st.req, 0, 0, now)
-		}
-	}
-
-	// opDone accounts one completed, dropped or absorbed physical op and
-	// fires the deferred write phase or the logical completion when due.
-	var opDone func(st *logicalState, now int64, wasRead bool)
-	opDone = func(st *logicalState, now int64, wasRead bool) {
-		st.pending--
-		if wasRead && len(st.writeOps) > 0 {
-			st.readsLeft--
-			if st.readsLeft == 0 {
-				if st.missed {
-					// The read phase failed; the write phase is abandoned.
-					st.pending -= len(st.writeOps)
-					st.writeOps = nil
-				} else {
-					ops := st.writeOps
-					st.writeOps = nil
-					enqueue(st, ops, now) // pending already counts them
-				}
-			}
-		}
-		if st.pending == 0 {
-			finish(st, now)
-		}
-	}
-
-	// reroute re-issues a physical op stranded on the failed disk
-	// (queued at failure time, in flight, or returning from a retry
-	// backoff) through the degraded path.
-	reroute := func(pr *core.Request, now int64) {
-		st := byPhys[pr]
-		delete(byPhys, pr)
-		op := disk.PhysOp{Disk: cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}
-		wasRead := !pr.Write
-		// An absorbed write completes the op; a read fans out into
-		// survivor reads that replace it (pending gains the fan-out and
-		// loses the original).
-		st.pending++
-		if wasRead && len(st.writeOps) > 0 {
-			st.readsLeft++
-		}
-		enqueue(st, []disk.PhysOp{op}, now)
-		opDone(st, now, wasRead)
-	}
-
-	eng.OnDropped = func(_ *Station, r *core.Request, now int64) {
-		st := byPhys[r]
-		delete(byPhys, r)
-		st.missed = true
-		opDone(st, now, !r.Write)
-	}
-	eng.OnLateStart = func(_ *Station, r *core.Request, _ int64) {
-		byPhys[r].missed = true
-	}
-	eng.OnServed = func(_ *Station, r *core.Request, now int64) {
-		st := byPhys[r]
-		delete(byPhys, r)
-		opDone(st, now, !r.Write)
-	}
-
-	if inj != nil && cfg.Fault.FailAt > 0 {
-		armFailure(cfg, eng, inj, res, reroute)
-	}
-
-	res.Makespan = eng.Run(logical, func(lr *core.Request, now int64) {
-		res.Logical.OnArrival(lr)
-		st := &logicalState{req: lr}
-		block := blockOf(lr)
-		var ops []disk.PhysOp
-		fd, down := downDisk(inj)
-		if lr.Write {
-			if down {
-				ops = cfg.Array.DegradedWrite(block, fd)
-				if s, d, _ := cfg.Array.Layout(block); fd == d || fd == cfg.Array.ParityDisk(s) {
-					res.AbsorbedWrites++
-				}
-			} else {
-				ops = cfg.Array.Write(block)
-			}
-		} else if down {
-			ops = cfg.Array.DegradedRead(block, fd)
-			if len(ops) > 1 {
-				res.Reconstructions++
-				inj.Metrics().ReconstructReads.Add(uint64(len(ops)))
-			}
-		} else {
-			ops = cfg.Array.Read(block)
-		}
-		var phase1 []disk.PhysOp
-		for _, op := range ops {
-			if op.Write {
-				st.writeOps = append(st.writeOps, op)
-			} else {
-				phase1 = append(phase1, op)
-			}
-		}
-		st.readsLeft = len(phase1)
-		st.pending = len(phase1) + len(st.writeOps)
-		if len(phase1) == 0 && len(st.writeOps) > 0 {
-			// Degraded write with the data disk's read phase absent
-			// (parity-only update): no reads gate the write phase.
-			w := st.writeOps
-			st.writeOps = nil
-			enqueue(st, w, now)
-		} else {
-			enqueue(st, phase1, now)
-		}
-		if st.pending == 0 {
-			finish(st, now)
-		}
-	})
-	for _, c := range perDisk {
+	res.Makespan = a.eng.Run(logical, a.arrive)
+	for _, c := range res.PerDisk {
 		res.SeekTime += c.SeekTime
 		res.BusyTime += c.ServiceTime
 	}
-	if inj != nil {
-		fs := inj.Stats()
-		res.Faults = &fs
-	}
-	if len(cfg.Shadows) > 0 {
-		res.Shadows = make([]ShadowReport, len(cfg.Shadows))
-		for i, sh := range cfg.Shadows {
-			res.Shadows[i] = sh.Report()
-		}
-	}
+	res.Faults, res.Shadows = a.eng.faultStats(), a.eng.shadowReports()
 	return res, nil
 }
 
-// armFailure schedules the planned whole-disk failure and, when enabled,
-// the background rebuild pump.
-func armFailure(cfg ArrayConfig, eng *Engine, inj *fault.Injector, res *ArrayResult,
-	reroute func(*core.Request, int64)) {
-	k := cfg.Fault.FailDisk
-	plan := inj.Plan()
-
-	// Rebuild pump: one stripe row at a time, its survivor reads competing
-	// in the same per-disk scheduler queues as foreground requests.
-	isRebuild := make(map[*core.Request]bool)
-	var nextRebuildID uint64
-	rebuildPending := 0
-	rebuiltBlocks := 0
-	var issueRebuild func(now int64)
-	issueRebuild = func(now int64) {
-		if rebuiltBlocks >= plan.RebuildBlocks {
-			inj.MarkRebuilt(now)
-			if cfg.OnRebuilt != nil {
-				cfg.OnRebuilt(k, now)
+// arrive maps an arriving logical request onto its physical operations.
+func (a *raid5) arrive(lr *core.Request, now int64) {
+	array := a.cfg.Array
+	a.res.Logical.OnArrival(lr)
+	st := &logicalState{req: lr}
+	block := blockOf(lr)
+	var ops []disk.PhysOp
+	fd, down := a.downDisk()
+	if lr.Write {
+		if down {
+			ops = array.DegradedWrite(block, fd)
+			if s, d, _ := array.Layout(block); fd == d || fd == array.ParityDisk(s) {
+				a.res.AbsorbedWrites++
 			}
-			return
-		}
-		ops := cfg.Array.RebuildStripe(int64(rebuiltBlocks), k)
-		rebuildPending = len(ops)
-		for _, op := range ops {
-			nextRebuildID++
-			// Rebuild reads carry no deadline and no priorities: they are
-			// background traffic contending purely on the disk layer.
-			pr := &core.Request{ID: 1<<63 | nextRebuildID, Cylinder: op.Cylinder, Size: op.Size, Arrival: now}
-			isRebuild[pr] = true
-			eng.Stations[op.Disk].Enqueue(pr, now)
-			res.PerDiskOps[op.Disk]++
-			res.RebuildReads++
-			inj.Metrics().RebuildReads.Inc()
-		}
-	}
-	rebuildOpDone := func(now int64) {
-		rebuildPending--
-		if rebuildPending > 0 {
-			return
-		}
-		rebuiltBlocks++
-		inj.Metrics().RebuildProgress.Set(int64(rebuiltBlocks))
-		if plan.RebuildInterval > 0 {
-			eng.At(now+plan.RebuildInterval, issueRebuild)
 		} else {
-			issueRebuild(now)
+			ops = array.Write(block)
+		}
+	} else if down {
+		ops = array.DegradedRead(block, fd)
+		if len(ops) > 1 {
+			a.res.Reconstructions++
+			a.eng.Faults.Metrics().ReconstructReads.Add(uint64(len(ops)))
+		}
+	} else {
+		ops = array.Read(block)
+	}
+	var phase1 []disk.PhysOp
+	for _, op := range ops {
+		if op.Write {
+			st.writeOps = append(st.writeOps, op)
+		} else {
+			phase1 = append(phase1, op)
 		}
 	}
-
-	// Rebuild reads bypass the logical bookkeeping: intercept them before
-	// the foreground hooks run.
-	onServed, onDropped := eng.OnServed, eng.OnDropped
-	eng.OnServed = func(st *Station, r *core.Request, now int64) {
-		if isRebuild[r] {
-			delete(isRebuild, r)
-			rebuildOpDone(now)
-			return
-		}
-		onServed(st, r, now)
+	st.readsLeft = len(phase1)
+	st.pending = len(phase1) + len(st.writeOps)
+	if len(phase1) == 0 && len(st.writeOps) > 0 {
+		// Degraded write with the data disk's read phase absent
+		// (parity-only update): no reads gate the write phase.
+		w := st.writeOps
+		st.writeOps = nil
+		a.enqueue(st, w, now)
+	} else {
+		a.enqueue(st, phase1, now)
 	}
-	eng.OnDropped = func(st *Station, r *core.Request, now int64) {
-		if isRebuild[r] {
-			// A rebuild read abandoned by the retry budget: the stripe row
-			// proceeds without it (the pump must not stall).
-			delete(isRebuild, r)
-			rebuildOpDone(now)
-			return
-		}
-		onDropped(st, r, now)
+	if st.pending == 0 {
+		a.finish(st, now)
 	}
-	eng.OnFaulted = func(_ *Station, r *core.Request, now int64) {
-		if isRebuild[r] {
-			delete(isRebuild, r)
-			rebuildOpDone(now)
-			return
-		}
-		reroute(r, now)
-	}
-
-	eng.At(plan.FailAt, func(now int64) {
-		inj.FailNow(now)
-		if cfg.OnFaulted != nil {
-			cfg.OnFaulted(k, now)
-		}
-		// Drain the dead disk's queue, re-routing every stranded op; the
-		// in-flight one (if any) is re-routed by its Lost completion.
-		st := eng.Stations[k]
-		for st.Sched.Len() > 0 {
-			pr := st.Sched.Next(now, st.Head())
-			if pr == nil {
-				break
-			}
-			if isRebuild[pr] {
-				delete(isRebuild, pr)
-				rebuildOpDone(now)
-				continue
-			}
-			reroute(pr, now)
-		}
-		if plan.Rebuild {
-			issueRebuild(now)
-		}
-	})
 }
 
-// downDisk returns the currently failed disk of inj, if any.
-func downDisk(inj *fault.Injector) (int, bool) {
-	if inj == nil {
+func (a *raid5) createPhys(st *logicalState, op disk.PhysOp, now int64) {
+	a.nextPhysID++
+	pr := &core.Request{
+		ID:         a.nextPhysID,
+		Priorities: st.req.Priorities,
+		Deadline:   st.req.Deadline,
+		Cylinder:   op.Cylinder,
+		Size:       op.Size,
+		Arrival:    now,
+		Write:      op.Write,
+		Value:      st.req.Value,
+	}
+	a.byPhys[pr] = st
+	a.eng.Stations[op.Disk].Enqueue(pr, now)
+	a.res.PerDiskOps[op.Disk]++
+}
+
+// enqueue issues physical ops, transparently degrading any op that
+// targets the failed disk: writes are absorbed (recoverable from
+// parity), reads fan out into same-cylinder reconstruction reads on
+// every survivor. Callers account pending as one completion per op;
+// enqueue adjusts it for absorbed and fanned-out ops.
+func (a *raid5) enqueue(st *logicalState, ops []disk.PhysOp, now int64) {
+	disks := a.cfg.Array.Disks
+	fd, down := a.downDisk()
+	for _, op := range ops {
+		if !down || op.Disk != fd {
+			a.createPhys(st, op, now)
+			continue
+		}
+		if op.Write {
+			a.res.AbsorbedWrites++
+			st.pending--
+			continue
+		}
+		a.res.Reconstructions++
+		a.eng.Faults.Metrics().ReconstructReads.Add(uint64(disks - 1))
+		st.pending += disks - 2
+		if len(st.writeOps) > 0 {
+			st.readsLeft += disks - 2
+		}
+		for d := 0; d < disks; d++ {
+			if d != fd {
+				a.createPhys(st, disk.PhysOp{Disk: d, Cylinder: op.Cylinder, Size: op.Size}, now)
+			}
+		}
+	}
+}
+
+func (a *raid5) finish(st *logicalState, now int64) {
+	if st.finished {
+		return
+	}
+	st.finished = true
+	if st.missed {
+		a.res.Logical.OnDropped(st.req)
+	} else {
+		a.res.Logical.OnServed(st.req, 0, 0, now)
+	}
+}
+
+// opDone accounts one completed, dropped or absorbed physical op and
+// fires the deferred write phase or the logical completion when due.
+func (a *raid5) opDone(st *logicalState, now int64, wasRead bool) {
+	st.pending--
+	if wasRead && len(st.writeOps) > 0 {
+		st.readsLeft--
+		if st.readsLeft == 0 {
+			ops := st.writeOps
+			st.writeOps = nil
+			if st.missed {
+				// The read phase failed; the write phase is abandoned.
+				st.pending -= len(ops)
+			} else {
+				a.enqueue(st, ops, now) // pending already counts them
+			}
+		}
+	}
+	if st.pending == 0 {
+		a.finish(st, now)
+	}
+}
+
+// take resolves a physical request leaving the engine (served, dropped
+// or stranded) to its logical state and forgets it. A rebuild read
+// resolves to nil after advancing the pump: rebuild traffic bypasses the
+// logical bookkeeping, and a read abandoned by the retry budget or
+// stranded on the dead disk must not stall its stripe row.
+func (a *raid5) take(r *core.Request, now int64) *logicalState {
+	st := a.byPhys[r]
+	delete(a.byPhys, r)
+	if st == &a.rebuild {
+		a.rebuildOpDone(now)
+		return nil
+	}
+	return st
+}
+
+func (a *raid5) onServed(_ *Station, r *core.Request, now int64) {
+	if st := a.take(r, now); st != nil {
+		a.opDone(st, now, !r.Write)
+	}
+}
+
+func (a *raid5) onDropped(_ *Station, r *core.Request, now int64) {
+	if st := a.take(r, now); st != nil {
+		st.missed = true
+		a.opDone(st, now, !r.Write)
+	}
+}
+
+func (a *raid5) onLateStart(_ *Station, r *core.Request, _ int64) {
+	a.byPhys[r].missed = true
+}
+
+// reroute (the OnFaulted hook) re-issues a physical op stranded on the
+// failed disk — queued at failure time, in flight, or returning from a
+// retry backoff — through the degraded path.
+func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {
+	st := a.take(pr, now)
+	if st == nil {
+		return
+	}
+	wasRead := !pr.Write
+	// An absorbed write completes the op; a read fans out into survivor
+	// reads that replace it (pending gains the fan-out and loses the
+	// original).
+	st.pending++
+	if wasRead && len(st.writeOps) > 0 {
+		st.readsLeft++
+	}
+	a.enqueue(st, []disk.PhysOp{{Disk: a.cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}}, now)
+	a.opDone(st, now, wasRead)
+}
+
+// fail is the planned whole-disk failure, fired by the FailAt timer.
+func (a *raid5) fail(now int64) {
+	k := a.cfg.Fault.FailDisk
+	a.eng.Faults.FailNow(now)
+	if a.cfg.OnFaulted != nil {
+		a.cfg.OnFaulted(k, now)
+	}
+	// Drain the dead disk's queue, re-routing every stranded op; the
+	// in-flight one (if any) is re-routed by its Lost completion.
+	st := a.eng.Stations[k]
+	for st.Sched.Len() > 0 {
+		pr := st.Sched.Next(now, st.Head())
+		if pr == nil {
+			break
+		}
+		a.reroute(st, pr, now)
+	}
+	if a.cfg.Fault.Rebuild {
+		a.issueRebuild(now)
+	}
+}
+
+// issueRebuild issues the survivor reads of the next stripe row, or
+// returns the disk to service when the last row is done.
+func (a *raid5) issueRebuild(now int64) {
+	k := a.cfg.Fault.FailDisk
+	if a.rebuiltBlocks >= a.cfg.Fault.RebuildBlocks {
+		a.eng.Faults.MarkRebuilt(now)
+		if a.cfg.OnRebuilt != nil {
+			a.cfg.OnRebuilt(k, now)
+		}
+		return
+	}
+	ops := a.cfg.Array.RebuildStripe(int64(a.rebuiltBlocks), k)
+	a.rebuildPending = len(ops)
+	for _, op := range ops {
+		a.nextRebuildID++
+		// Rebuild reads carry no deadline and no priorities: they are
+		// background traffic contending purely on the disk layer.
+		pr := &core.Request{ID: 1<<63 | a.nextRebuildID, Cylinder: op.Cylinder, Size: op.Size, Arrival: now}
+		a.byPhys[pr] = &a.rebuild
+		a.eng.Stations[op.Disk].Enqueue(pr, now)
+		a.res.PerDiskOps[op.Disk]++
+		a.res.RebuildReads++
+		a.eng.Faults.Metrics().RebuildReads.Inc()
+	}
+}
+
+func (a *raid5) rebuildOpDone(now int64) {
+	a.rebuildPending--
+	if a.rebuildPending > 0 {
+		return
+	}
+	a.rebuiltBlocks++
+	a.eng.Faults.Metrics().RebuildProgress.Set(int64(a.rebuiltBlocks))
+	if a.cfg.Fault.RebuildInterval > 0 {
+		a.eng.At(now+a.cfg.Fault.RebuildInterval, a.issueRebuild)
+	} else {
+		a.issueRebuild(now)
+	}
+}
+
+// downDisk returns the currently failed disk, if any.
+func (a *raid5) downDisk() (int, bool) {
+	if a.eng.Faults == nil {
 		return 0, false
 	}
-	return inj.DownDisk()
+	return a.eng.Faults.DownDisk()
 }
 
 // blockOf returns the logical block number of a request; array workloads

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
@@ -9,20 +11,23 @@ import (
 	"sfcsched/internal/stats"
 )
 
-// This file is the unified event-driven engine behind both public entry
-// points: Run drives a one-station Engine, RunArray an N-station Engine
-// with the RAID-5 logical/physical mapping layered on top through the
-// Engine hooks. There is exactly one dispatch/drop/service/metrics code
-// path — the Station methods below — so every topology observes identical
-// semantics and emits the same TraceEvent stream and metrics.
+// This file is the unified event-driven engine behind every topology: Run
+// drives a one-station Engine, RunArray an N-station Engine with the
+// RAID-5 logical/physical mapping layered on top through the Engine hooks,
+// cluster.Run one station per member disk behind a router. All three
+// assemble their run in Engine.Setup, and there is exactly one
+// dispatch/drop/service/metrics code path — the Station methods below — so
+// every topology observes identical semantics and emits the same
+// TraceEvent stream and metrics.
 
 // Station is one service point of the engine: a disk model (or a fixed
 // service time) plus the queue discipline feeding it. Service is
 // non-interruptible — a dispatched request occupies the station until its
 // completion event fires.
 type Station struct {
-	// ID is the station index; it doubles as TraceEvent.DiskID and as the
-	// deterministic tie-break for same-time completion events.
+	// ID is the station index, assigned by Engine.Setup; it doubles as
+	// TraceEvent.DiskID and as the deterministic tie-break for same-time
+	// completion events.
 	ID int
 	// Sched is the queue discipline under test. Required.
 	Sched sched.Scheduler
@@ -38,7 +43,8 @@ type Station struct {
 	// constant service time (pure queueing experiments).
 	FixedService int64
 	// SampleRotation draws rotational latency from the engine RNG instead
-	// of charging the deterministic average.
+	// of charging the deterministic average. Engine.Setup copies it from
+	// Options.
 	SampleRotation bool
 	// HeadAtDispatch moves the head to the target cylinder the moment a
 	// service starts, so arrivals during the service window observe the
@@ -168,9 +174,10 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Engine is the deterministic event-driven simulator core. Configure the
-// fields, then call Run with an arrival-sorted trace and a delivery
-// callback that routes each arriving request onto a station.
+// Engine is the deterministic event-driven simulator core. Setup assembles
+// a run from Options and the topology's stations; the topology then
+// installs its hooks and calls Run with an arrival-sorted trace and a
+// delivery callback that routes each arriving request onto a station.
 type Engine struct {
 	// Stations are the service points, indexed by Station.ID. At each
 	// event time idle stations dispatch in index order, which fixes the
@@ -222,22 +229,104 @@ type Engine struct {
 	events   eventHeap
 	now      int64
 	timerSeq uint64
+	rng      stats.RNG
+	shadows  []*Shadow
 }
 
 // Now returns the engine clock, µs.
 func (e *Engine) Now() int64 { return e.now }
 
-// Reset returns the engine to its pre-run state while keeping the event
-// heap's capacity, so a recycled engine's next run pushes events into the
-// memory the previous run grew (sim.Reuse). Configuration fields
-// (Stations, hooks, RNG, …) are the caller's to reassign.
-func (e *Engine) Reset() {
-	for i := range e.events {
-		e.events[i] = event{}
+// Setup assembles a run on e — the one place sim.Run, sim.RunArray and
+// cluster.Run wire their engine. Everything a previous run left behind
+// (events, clock, hooks, injector) is discarded; only the event heap's
+// capacity is kept, so a recycled engine (sim.Reuse) pushes into the
+// memory earlier runs grew. Stations get their index as ID, opts'
+// SampleRotation and the shadows that target them; the RNG is reseeded to
+// the exact stats.NewRNG(opts.Seed) stream. failable says whether the
+// topology can lose a whole disk (Fault.FailAt): only arrays re-route.
+//
+// Setup validates what only the assembled topology can: every shadow and
+// every disk the fault plan names must be one of stations.
+func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
+	clear(e.events)
+	*e = Engine{
+		Stations:  stations,
+		DropLate:  opts.DropLate,
+		Trace:     opts.Trace,
+		Decisions: opts.Decisions,
+		Telemetry: opts.Telemetry,
+		events:    e.events[:0],
+		shadows:   opts.Shadows,
 	}
-	e.events = e.events[:0]
-	e.now = 0
-	e.timerSeq = 0
+	e.rng.Seed(opts.Seed)
+	e.RNG = &e.rng
+	n := len(stations)
+	for i, st := range stations {
+		st.ID, st.SampleRotation, st.shadows = i, opts.SampleRotation, nil
+	}
+	for _, sh := range opts.Shadows {
+		if sh.Station < 0 || sh.Station >= n {
+			return fmt.Errorf("sim: shadow %q targets station %d, outside the run's %d", sh.name, sh.Station, n)
+		}
+		if sh.used {
+			return fmt.Errorf("sim: shadow %q already rode a run; shadows are single-use", sh.name)
+		}
+		st := stations[sh.Station]
+		sh.bind(st, opts.DropLate)
+		st.shadows = append(st.shadows, sh)
+	}
+	plan := opts.Fault
+	if plan.Zero() {
+		return nil
+	}
+	if plan.FailAt > 0 && !failable {
+		return fmt.Errorf("sim: whole-disk failure requires an array run")
+	}
+	if plan.FailAt > 0 && (plan.FailDisk < 0 || plan.FailDisk >= n) {
+		return fmt.Errorf("sim: FailDisk %d outside array of %d disks", plan.FailDisk, n)
+	}
+	// An index past the last station never matches a completion: the plan
+	// would pass by injecting nothing. (Negative disks fail plan.Validate.)
+	for i, ev := range plan.Scripted {
+		if ev.Disk >= n {
+			return fmt.Errorf("sim: fault plan Scripted[%d] names disk %d, outside the run's %d", i, ev.Disk, n)
+		}
+	}
+	for i, b := range plan.Bad {
+		if b.Disk >= n {
+			return fmt.Errorf("sim: fault plan Bad[%d] names disk %d, outside the run's %d", i, b.Disk, n)
+		}
+	}
+	cyls := 0
+	if n > 0 && stations[0].Disk != nil {
+		cyls = stations[0].Disk.Cylinders
+	}
+	var err error
+	e.Faults, err = fault.New(*plan, cyls)
+	return err
+}
+
+// faultStats snapshots the injector's counters; nil when the run had no
+// (or a zero) fault plan.
+func (e *Engine) faultStats() *fault.Stats {
+	if e.Faults == nil {
+		return nil
+	}
+	fs := e.Faults.Stats()
+	return &fs
+}
+
+// shadowReports returns one divergence report per attached shadow, in
+// Options.Shadows order; nil when the run had none.
+func (e *Engine) shadowReports() []ShadowReport {
+	if len(e.shadows) == 0 {
+		return nil
+	}
+	reports := make([]ShadowReport, len(e.shadows))
+	for i, sh := range e.shadows {
+		reports[i] = sh.Report()
+	}
+	return reports
 }
 
 // At schedules fn to run at time t (e.g. a planned disk failure or a

@@ -37,9 +37,10 @@ func TestZeroFaultPlanByteIdenticalSingle(t *testing.T) {
 	baseEvents, baseRes := run(nil)
 	for name, plan := range map[string]*fault.Plan{
 		"zero-plan": {Seed: 99, Metrics: quietMetrics()},
-		// A plan that can never fire: the injector is installed and rules
-		// on every completion, yet must not perturb a single byte.
-		"armed-but-silent": {Seed: 99, Bad: []fault.BadRange{{Disk: 5, From: 0, To: 1}}, Metrics: quietMetrics()},
+		// A plan that can never fire (its one event is scripted past the
+		// end of the run): the injector is installed and rules on every
+		// completion, yet must not perturb a single byte.
+		"armed-but-silent": {Seed: 99, Scripted: []fault.Event{{Time: 1 << 60, Disk: 0, Cylinder: -1}}, Metrics: quietMetrics()},
 	} {
 		events, res := run(plan)
 		if !reflect.DeepEqual(events, baseEvents) {
@@ -75,7 +76,7 @@ func TestZeroFaultPlanByteIdenticalArray(t *testing.T) {
 		return events, res
 	}
 	baseEvents, baseRes := run(nil)
-	events, res := run(&fault.Plan{Seed: 4, Bad: []fault.BadRange{{Disk: 99, From: 0, To: 1}}, Metrics: quietMetrics()})
+	events, res := run(&fault.Plan{Seed: 4, Scripted: []fault.Event{{Time: 1 << 60, Disk: 4, Cylinder: -1}}, Metrics: quietMetrics()})
 	if !reflect.DeepEqual(events, baseEvents) {
 		t.Error("armed-but-silent plan: array trace stream diverged")
 	}

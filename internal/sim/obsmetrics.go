@@ -40,24 +40,15 @@ var DefaultDecisionMetrics = &DecisionMetrics{}
 // Register registers every field of m under prefix (e.g.
 // "sfcsched_decision") in reg.
 func (m *DecisionMetrics) Register(reg *obs.Registry, prefix string) error {
-	type entry struct {
-		name, help string
-		v          any
-	}
-	for _, e := range []entry{
-		{"decisions", "dispatch decisions captured by decision tracing", &m.Decisions},
-		{"drops", "captured decisions that were deadline drops", &m.Drops},
-		{"candidate_depth", "candidate-set size at decision time", &m.CandidateDepth},
-		{"choice_slack_us", "deadline slack of the chosen request at dispatch, microseconds", &m.ChoiceSlack},
-		{"shadow_decisions", "primary dispatches observed by shadow schedulers", &m.ShadowDecisions},
-		{"shadow_disagreements", "shadow choices that differed from the primary", &m.ShadowDisagreements},
-		{"telemetry_samples", "telemetry rows recorded", &m.TelemetrySamples},
-	} {
-		if err := reg.Register(prefix+"_"+e.name, e.help, e.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reg.RegisterAll(prefix, []obs.Entry{
+		{Name: "decisions", Help: "dispatch decisions captured by decision tracing", V: &m.Decisions},
+		{Name: "drops", Help: "captured decisions that were deadline drops", V: &m.Drops},
+		{Name: "candidate_depth", Help: "candidate-set size at decision time", V: &m.CandidateDepth},
+		{Name: "choice_slack_us", Help: "deadline slack of the chosen request at dispatch, microseconds", V: &m.ChoiceSlack},
+		{Name: "shadow_decisions", Help: "primary dispatches observed by shadow schedulers", V: &m.ShadowDecisions},
+		{Name: "shadow_disagreements", Help: "shadow choices that differed from the primary", V: &m.ShadowDisagreements},
+		{Name: "telemetry_samples", Help: "telemetry rows recorded", V: &m.TelemetrySamples},
+	})
 }
 
 // MustRegister is Register for static wiring.

@@ -1,17 +1,15 @@
 package sim
 
-import (
-	"sfcsched/internal/metrics"
-	"sfcsched/internal/stats"
-)
+import "sfcsched/internal/metrics"
 
-// Reuse recycles the per-run state Run rebuilds on every call — the
-// metrics collector (and its waiting-time sample buffer), the Station,
-// the Engine's event heap and the rotational-latency RNG — across
-// successive runs. A sweep that runs thousands of simulations through one
-// Reuse performs a small run-constant number of allocations per run
-// instead of re-growing every buffer (pinned by the allocation gate in
-// alloc_test.go).
+// Reuse holds the per-run state of Run — the metrics collector (and its
+// waiting-time sample buffer), the Station, and the Engine with its event
+// heap and rotational-latency RNG — and recycles it across successive
+// runs. Every Run goes through one: without Config.Reuse it is a
+// throw-away, so the fresh path is the recycled path on an empty Reuse. A
+// sweep that runs thousands of simulations through one Reuse performs a
+// small run-constant number of allocations per run instead of re-growing
+// every buffer (pinned by the allocation gate in alloc_test.go).
 //
 // The zero value is ready to use; install it via Config.Reuse. A Reuse is
 // NOT safe for concurrent use — parallel sweeps give each worker cell its
@@ -31,7 +29,6 @@ type Reuse struct {
 	st       Station
 	stations [1]*Station
 	eng      Engine
-	rng      stats.RNG
 }
 
 // collector returns the recycled collector reset for a new run, or a new
@@ -43,32 +40,4 @@ func (ru *Reuse) collector(dims, levels int) *metrics.Collector {
 	}
 	ru.col.Reset()
 	return ru.col
-}
-
-// engine rebinds the recycled engine and station for a new run under cfg
-// and returns them. All previous-run state (event heap contents, clock,
-// hooks, head position, in-flight service) is discarded; the event heap's
-// backing array and the RNG object are retained.
-func (ru *Reuse) engine(cfg Config, col *metrics.Collector) (*Engine, *Station) {
-	ru.st = Station{
-		Sched:          cfg.Scheduler,
-		Disk:           cfg.Disk,
-		Col:            col,
-		TransferOnly:   cfg.TransferOnly,
-		FixedService:   cfg.FixedService,
-		SampleRotation: cfg.SampleRotation,
-		HeadAtDispatch: true,
-		IdleProbe:      true,
-	}
-	ru.stations[0] = &ru.st
-	ru.rng.Seed(cfg.Seed)
-	ru.eng.Reset()
-	ru.eng.Stations = ru.stations[:]
-	ru.eng.DropLate = cfg.DropLate
-	ru.eng.RNG = &ru.rng
-	ru.eng.Trace = cfg.Trace
-	ru.eng.Faults = nil
-	ru.eng.OnServed, ru.eng.OnDropped = nil, nil
-	ru.eng.OnLateStart, ru.eng.OnFaulted = nil, nil
-	return &ru.eng, &ru.st
 }

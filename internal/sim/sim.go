@@ -2,11 +2,13 @@
 // feeds a pre-generated trace to one or more schedulers, models service
 // times with the disk model, and reports the metrics of the paper's §5-6.
 //
-// Both public entry points run on the same deterministic event-heap
-// Engine: Run drives a single Station (one disk, one scheduler) and
-// RunArray drives one Station per disk of a RAID-5 array with the
-// logical/physical mapping layered on top. Events are ordered by
-// (time, seq), so identical configurations replay identically.
+// Every topology runs on the same deterministic event-heap Engine and
+// assembles its run in one place, Engine.Setup: Run drives a single
+// Station (one disk, one scheduler) through a Reuse — the caller's, or a
+// throw-away one for a fresh run — RunArray drives one Station per disk
+// of a RAID-5 array with the logical/physical mapping layered on top, and
+// internal/cluster one Station per member disk behind a router. Events are
+// ordered by (time, seq), so identical configurations replay identically.
 package sim
 
 import (
@@ -18,7 +20,6 @@ import (
 	"sfcsched/internal/fault"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/stats"
 )
 
 // Options is the configuration core shared by Config and ArrayConfig: the
@@ -31,8 +32,9 @@ type Options struct {
 	// lost). When false, expired requests are still serviced and counted
 	// late.
 	DropLate bool
-	// Dims and Levels size the metrics collectors. For single-disk runs,
-	// Dims defaults to the widest priority vector in the trace.
+	// Dims and Levels size the metrics collectors. Zero infers them from
+	// the trace on every topology (InferShape): the widest priority vector
+	// and the highest level present.
 	Dims   int
 	Levels int
 	// SampleRotation draws rotational latency uniformly instead of using
@@ -105,7 +107,8 @@ type Result struct {
 }
 
 // Run simulates trace (sorted by arrival time) under cfg as a one-station
-// Engine.
+// Engine. The run always goes through a Reuse — cfg.Reuse, or a throw-away
+// one — so fresh and recycled runs are the same code.
 func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("sim: Scheduler is required")
@@ -113,57 +116,24 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	if cfg.Disk == nil && cfg.FixedService <= 0 {
 		return nil, fmt.Errorf("sim: need a Disk model or FixedService")
 	}
-	dims, levels := inferShape(cfg.Dims, cfg.Levels, trace)
-	var col *metrics.Collector
-	var st *Station
-	var eng *Engine
-	if cfg.Reuse != nil {
-		col = cfg.Reuse.collector(dims, levels)
-		eng, st = cfg.Reuse.engine(cfg, col)
-	} else {
-		col = metrics.NewCollector(dims, levels)
-		st = &Station{
-			Sched:          cfg.Scheduler,
-			Disk:           cfg.Disk,
-			Col:            col,
-			TransferOnly:   cfg.TransferOnly,
-			FixedService:   cfg.FixedService,
-			SampleRotation: cfg.SampleRotation,
-			HeadAtDispatch: true,
-			IdleProbe:      true,
-		}
-		eng = &Engine{
-			Stations: []*Station{st},
-			DropLate: cfg.DropLate,
-			RNG:      stats.NewRNG(cfg.Seed),
-			Trace:    cfg.Trace,
-		}
+	ru := cfg.Reuse
+	if ru == nil {
+		ru = new(Reuse)
 	}
-	eng.Decisions = cfg.Decisions
-	eng.Telemetry = cfg.Telemetry
-	for _, sh := range cfg.Shadows {
-		if sh.Station != 0 {
-			return nil, fmt.Errorf("sim: shadow %q targets station %d on a single-disk run", sh.name, sh.Station)
-		}
-		if sh.used {
-			return nil, fmt.Errorf("sim: shadow %q already rode a run; shadows are single-use", sh.name)
-		}
-		sh.bind(st, cfg.DropLate)
+	col := ru.collector(InferShape(cfg.Dims, cfg.Levels, trace))
+	st, eng := &ru.st, &ru.eng
+	*st = Station{
+		Sched:          cfg.Scheduler,
+		Disk:           cfg.Disk,
+		Col:            col,
+		TransferOnly:   cfg.TransferOnly,
+		FixedService:   cfg.FixedService,
+		HeadAtDispatch: true,
+		IdleProbe:      true,
 	}
-	st.shadows = cfg.Shadows
-	if !cfg.Fault.Zero() {
-		if cfg.Fault.FailAt > 0 {
-			return nil, fmt.Errorf("sim: whole-disk failure requires an array run")
-		}
-		cyls := 0
-		if cfg.Disk != nil {
-			cyls = cfg.Disk.Cylinders
-		}
-		inj, err := fault.New(*cfg.Fault, cyls)
-		if err != nil {
-			return nil, err
-		}
-		eng.Faults = inj
+	ru.stations[0] = st
+	if err := eng.Setup(cfg.Options, ru.stations[:], false); err != nil {
+		return nil, err
 	}
 	col.Makespan = eng.Run(trace, func(r *core.Request, _ int64) {
 		col.OnArrival(r)
@@ -171,18 +141,13 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		// a service window; the head is en route to (then at) the target.
 		st.Enqueue(r, r.Arrival)
 	})
-	res := &Result{Collector: col, HeadTravel: st.HeadTravel(), Scheduler: cfg.Scheduler.Name()}
-	if eng.Faults != nil {
-		fs := eng.Faults.Stats()
-		res.Faults = &fs
-	}
-	if len(cfg.Shadows) > 0 {
-		res.Shadows = make([]ShadowReport, len(cfg.Shadows))
-		for i, sh := range cfg.Shadows {
-			res.Shadows[i] = sh.Report()
-		}
-	}
-	return res, nil
+	return &Result{
+		Collector:  col,
+		HeadTravel: st.HeadTravel(),
+		Scheduler:  cfg.Scheduler.Name(),
+		Faults:     eng.faultStats(),
+		Shadows:    eng.shadowReports(),
+	}, nil
 }
 
 // MustRun is Run for static configurations.
@@ -194,25 +159,25 @@ func MustRun(cfg Config, trace []*core.Request) *Result {
 	return res
 }
 
-// inferShape fills zero Dims/Levels from the widest priority vector and
-// the highest level present in the trace.
-func inferShape(dims, levels int, trace []*core.Request) (int, int) {
-	if dims == 0 {
-		for _, r := range trace {
-			if len(r.Priorities) > dims {
-				dims = len(r.Priorities)
-			}
+// InferShape fills zero dims/levels from the widest priority vector and
+// the highest level present in the trace — the one shape inference behind
+// Run, RunArray and cluster.Run.
+func InferShape(dims, levels int, trace []*core.Request) (int, int) {
+	if dims != 0 && levels != 0 {
+		return dims, levels
+	}
+	width, top := 0, 0
+	for _, r := range trace {
+		width = max(width, len(r.Priorities))
+		for _, p := range r.Priorities {
+			top = max(top, p)
 		}
 	}
+	if dims == 0 {
+		dims = width
+	}
 	if levels == 0 {
-		levels = 1
-		for _, r := range trace {
-			for _, p := range r.Priorities {
-				if p+1 > levels {
-					levels = p + 1
-				}
-			}
-		}
+		levels = top + 1
 	}
 	return dims, levels
 }
