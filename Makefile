@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: all vet build test race cover bench bench-smoke micro perf
+.PHONY: all vet build test race cover bench bench-smoke perf
 
 all: vet build test
 
@@ -18,9 +18,11 @@ test:
 	go test ./...
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
-# (ShardedScheduler, obs counters) and the golden differential suite.
+# (core.Locked, obs counters, the serve dispatcher) and the golden
+# differential suite; the second line is the shutdown/ingress soak.
 race:
 	go test -race ./internal/...
+	go test -race -count=20 ./internal/serve ./internal/core -run 'Dispatcher|Locked|Sharded|Scrape'
 
 # Mirrors the CI coverage job: fail when total statement coverage over the
 # internal packages drops below the floor.
@@ -44,7 +46,3 @@ bench:
 # One iteration of every benchmark: catches bit-rot without the cost.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
-
-# Hot-path micro-costs (curve index, value cascade, dispatch cycle).
-micro:
-	go run ./cmd/schedbench -exp micro

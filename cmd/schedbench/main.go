@@ -80,8 +80,6 @@ func run(out io.Writer, id string, o *options) error {
 		return experiments.Table1(out)
 	case "ablations":
 		return experiments.Ablations(out, o.seed, o.workers)
-	case "micro":
-		return runMicro(out)
 	case "fig5":
 		cfg := experiments.DefaultSFC1Config()
 		cfg.Seed = o.seed
@@ -249,7 +247,7 @@ func run(out io.Writer, id string, o *options) error {
 		}
 		render(res)
 	default:
-		return fmt.Errorf("unknown experiment (known: %s, ablations, micro)", strings.Join(experiments.All(), ", "))
+		return fmt.Errorf("unknown experiment (known: %s, ablations)", strings.Join(experiments.All(), ", "))
 	}
 	return nil
 }

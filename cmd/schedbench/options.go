@@ -33,7 +33,7 @@ type options struct {
 
 // register binds every option to fs with its default.
 func (o *options) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+strings.Join(experiments.All(), ", ")+", ablations, micro, or all")
+	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+strings.Join(experiments.All(), ", ")+", ablations, or all")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
 	fs.IntVar(&o.requests, "requests", 0, "override request count (0 = experiment default)")
 	fs.StringVar(&o.users, "users", "", "fig11 only: comma-separated user counts")

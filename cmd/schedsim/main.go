@@ -372,7 +372,9 @@ func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector
 	fmt.Printf(" %8d %8d", hits, fdrop)
 }
 
-// build constructs the named scheduler.
+// build constructs the named scheduler. Every path goes through it — the
+// simulated runs, the shadows, and both sides of a -serve calibration — so
+// a flag means the same policy wherever it applies.
 func build(name string, m *disk.Model, curve string, f float64, r int, window float64, levels, dims int, horizon int64) (sched.Scheduler, error) {
 	est := m.ServiceTime
 	switch name {
@@ -415,9 +417,7 @@ func build(name string, m *disk.Model, curve string, f float64, r int, window fl
 }
 
 // cascadedConfig translates the cascaded flags into the three-stage
-// encapsulator configuration. It is shared between build (the simulated
-// schedulers) and the -serve calibration path, so both sides of an
-// observe-predict-calibrate run schedule with exactly the same policy.
+// encapsulator configuration.
 func cascadedConfig(m *disk.Model, curve string, f float64, r int, levels, dims int, horizon int64) (core.EncapsulatorConfig, error) {
 	cv, err := sfc.New(curve, dims, uint32(levels))
 	if err != nil {

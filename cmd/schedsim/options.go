@@ -116,7 +116,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.tenantZones, "tenant-zones", false, "pin each tenant's requests to its own contiguous block zone")
 	fs.IntVar(&o.classes, "classes", 1, "SLO classes; generated requests get class = tenant mod classes")
 
-	fs.BoolVar(&o.serve, "serve", false, "calibrate the simulator against the live real-clock dispatcher on the same trace (cascaded only)")
+	fs.BoolVar(&o.serve, "serve", false, "calibrate the simulator against the live real-clock dispatcher on the same trace, both serving -sched")
 	fs.Float64Var(&o.dilation, "dilation", 100, "serve: model seconds covered per wall-clock second")
 	fs.IntVar(&o.inflight, "inflight", 1, "serve: concurrent backend services (1 = single-arm semantics)")
 
@@ -251,8 +251,8 @@ func (o *options) validate() error {
 		return fmt.Errorf("-inflight must be at least 1, got %d", o.inflight)
 	}
 	if o.serve {
-		if o.sched != "cascaded" {
-			return fmt.Errorf("-serve calibrates the cascaded scheduler; got -sched %s", o.sched)
+		if o.sched == "all" {
+			return fmt.Errorf("-serve calibrates one scheduler per run; got -sched all")
 		}
 		if o.arrayDisks > 0 || o.clusterNodes > 0 {
 			return fmt.Errorf("-serve runs the single-disk serving path; drop -array/-cluster")

@@ -63,8 +63,7 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation"},
 		{"negative dilation", []string{"-dilation", "-5"}, "-dilation"},
 		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
-		{"serve with baseline sched", []string{"-serve", "-sched", "scan"}, "cascaded"},
-		{"serve with all", []string{"-serve", "-sched", "all"}, "cascaded"},
+		{"serve with all", []string{"-serve", "-sched", "all"}, "-sched all"},
 		{"serve with array", []string{"-serve", "-array", "5"}, "-array"},
 		{"serve with cluster", []string{"-serve", "-cluster", "4"}, "-cluster"},
 		{"serve with fault rate", []string{"-serve", "-fault-rate", "0.1"}, "fault injection"},
@@ -107,6 +106,8 @@ func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 		{"-serve"},
 		{"-serve", "-dilation", "0.5", "-inflight", "4", "-drop=false"},
 		{"-serve", "-curve", "zorder", "-r", "0", "-deadline-min", "0"},
+		{"-serve", "-sched", "scan"},
+		{"-serve", "-sched", "cascaded", "-window", "0.9"},
 	}
 	for _, args := range cases {
 		if err := parse(t, args...).validate(); err != nil {

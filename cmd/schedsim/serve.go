@@ -9,6 +9,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/serve"
 )
 
@@ -17,12 +18,10 @@ import (
 // serves the identical trace on the dilated wall clock against the
 // emulated disk, and the report scores how well the prediction held.
 func runServeCalib(out io.Writer, opt options, m *disk.Model, trace []*core.Request) error {
-	ecfg, err := cascadedConfig(m, opt.curve, opt.f, opt.r, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
-	if err != nil {
-		return err
-	}
 	cal, err := serve.Calibrate(context.Background(), serve.CalibrationConfig{
-		Sched:    ecfg,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return build(opt.sched, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+		},
 		Service:  disk.ServiceModel{Disk: m},
 		Dilation: opt.dilation,
 		InFlight: opt.inflight,
@@ -31,8 +30,8 @@ func runServeCalib(out io.Writer, opt options, m *disk.Model, trace []*core.Requ
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "calibrate: %d requests, dilation %g, in-flight %d, drop=%v\n",
-		len(trace), opt.dilation, opt.inflight, opt.drop)
+	fmt.Fprintf(out, "calibrate: %d requests, dilation %g, in-flight %d, drop=%v, sched %s\n",
+		len(trace), opt.dilation, opt.inflight, opt.drop, opt.sched)
 	fmt.Fprintf(out, "  %-5s %8s %8s %10s %12s %12s\n",
 		"side", "served", "dropped", "abandoned", "head-travel", "makespan(s)")
 	fmt.Fprintf(out, "  %-5s %8d %8d %10d %12d %12.2f\n",

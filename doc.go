@@ -21,7 +21,6 @@
 //   - examples/ — four runnable scenarios.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and
-// design decisions, and EXPERIMENTS.md for paper-vs-measured results. This
-// file also anchors the root benchmark suite (bench_test.go), which
-// regenerates every figure under `go test -bench=.`.
+// design decisions, EXPERIMENTS.md for paper-vs-measured results, and
+// bench/README.md for the performance record.
 package sfcsched

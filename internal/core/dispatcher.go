@@ -89,8 +89,8 @@ type DispatchStats struct {
 }
 
 // Dispatcher drains requests in characterization-value order under the
-// configured preemption policy. It is not safe for concurrent use; see
-// ShardedScheduler for a concurrent front-end.
+// configured preemption policy. It is not safe for concurrent use; put the
+// Scheduler that owns it behind Lock for a concurrent front-end.
 type Dispatcher struct {
 	cfg    DispatcherConfig
 	q      Heap4[entry, entryCmp] // serving queue

@@ -17,6 +17,13 @@ func shardedTestConfig() EncapsulatorConfig {
 	}
 }
 
+// mustLocked is the fully-preemptive cascade behind the locked ingress —
+// what the pre-Locked concurrent queue type scheduled with, so the
+// TestSharded* contracts below keep pinning the same dispatch order.
+func mustLocked(ecfg EncapsulatorConfig) *Locked {
+	return Lock(MustScheduler("", ecfg, DispatcherConfig{Mode: FullyPreemptive}, 0))
+}
+
 func randomRequest(rng *rand.Rand, id uint64) *Request {
 	return &Request{
 		ID:         id,
@@ -27,12 +34,23 @@ func randomRequest(rng *rand.Rand, id uint64) *Request {
 }
 
 // TestShardedMatchesSchedulerSerialized feeds the identical (op, now, head)
-// sequence to a ShardedScheduler and to a Scheduler with a fully preemptive
-// dispatcher: the dispatch order must match bit for bit.
+// sequence to a locked scheduler and to a bare Scheduler of the same
+// dispatcher policy: the dispatch order must match bit for bit — the lock
+// adds nothing to, and takes nothing from, the policy underneath.
 func TestShardedMatchesSchedulerSerialized(t *testing.T) {
+	for _, dcfg := range []DispatcherConfig{
+		{Mode: FullyPreemptive},
+		{Mode: NonPreemptive},
+		{Mode: ConditionallyPreemptive, Window: 1 << 16, SP: true, ER: true},
+	} {
+		lockedMatchesBare(t, dcfg)
+	}
+}
+
+func lockedMatchesBare(t *testing.T, dcfg DispatcherConfig) {
 	ecfg := shardedTestConfig()
-	ss := MustShardedScheduler("s", ecfg, 4)
-	ref := MustScheduler("r", ecfg, DispatcherConfig{Mode: FullyPreemptive}, 0)
+	ss := Lock(MustScheduler("s", ecfg, dcfg, 0))
+	ref := MustScheduler("r", ecfg, dcfg, 0)
 
 	rng := rand.New(rand.NewSource(7))
 	now, head := int64(0), 0
@@ -78,7 +96,7 @@ func TestShardedMatchesSchedulerSerialized(t *testing.T) {
 // -race this also exercises the locking protocol.
 func TestShardedConcurrentConservation(t *testing.T) {
 	const producers, perProducer = 4, 500
-	ss := MustShardedScheduler("s", shardedTestConfig(), 8)
+	ss := mustLocked(shardedTestConfig())
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -115,46 +133,9 @@ func TestShardedConcurrentConservation(t *testing.T) {
 	}
 }
 
-func TestShardedValidation(t *testing.T) {
-	if _, err := NewShardedScheduler("s", EncapsulatorConfig{
-		Levels: 1, UseCylinder: true, R: 1, Cylinders: 1 << 16,
-	}, 4); err == nil {
-		t.Error("expected error for cylinder count beyond the packed sweep field")
-	}
-	if _, err := NewShardedScheduler("s", shardedTestConfig(), -1); err == nil {
-		t.Error("expected error for negative shard count")
-	}
-	for _, tc := range []struct{ in, want int }{{0, 8}, {1, 1}, {3, 4}, {4, 4}, {5, 8}, {16, 16}} {
-		s := MustShardedScheduler("s", shardedTestConfig(), tc.in)
-		if s.Shards() != tc.want {
-			t.Errorf("shards(%d) = %d, want %d", tc.in, s.Shards(), tc.want)
-		}
-	}
-	if MustShardedScheduler("", shardedTestConfig(), 1).Name() == "" {
-		t.Error("default name missing")
-	}
-}
-
-// TestShardedSweepForwardOnly mirrors the Scheduler test: head movement is
-// cyclic forward progress, even across wraps, on the packed atomic word.
-func TestShardedSweepForwardOnly(t *testing.T) {
-	s := MustShardedScheduler("s", EncapsulatorConfig{
-		Levels: 1, UseCylinder: true, R: 1, Cylinders: 100,
-	}, 2)
-	if got := s.observeHead(90); got != 90 {
-		t.Fatalf("progress after head 90: %d", got)
-	}
-	if got := s.observeHead(10); got != 110 { // 90 -> 10 wraps: +20
-		t.Fatalf("progress after wrap to 10: %d", got)
-	}
-	if got := s.observeHead(10); got != 110 { // stationary head: no movement
-		t.Fatalf("progress after stationary observation: %d", got)
-	}
-}
-
 // TestShardedEachAndLen checks the snapshot accessors.
 func TestShardedEachAndLen(t *testing.T) {
-	ss := MustShardedScheduler("s", shardedTestConfig(), 4)
+	ss := mustLocked(shardedTestConfig())
 	rng := rand.New(rand.NewSource(9))
 	want := map[uint64]bool{}
 	for i := uint64(1); i <= 40; i++ {

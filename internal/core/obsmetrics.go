@@ -10,8 +10,8 @@ import (
 // atomic instructions, so the Add/Next zero-allocation gates hold with
 // instrumentation enabled.
 //
-// By default every Dispatcher, Scheduler and ShardedScheduler reports into
-// the process-wide DefaultMetrics aggregate, which needs no wiring: a
+// By default every Dispatcher and Scheduler (bare or behind a Locked) reports
+// into the process-wide DefaultMetrics aggregate, which needs no wiring: a
 // binary can register it once (see Metrics.Register) and observe all
 // scheduler activity in the process. Tests and multi-scheduler servers that
 // need per-instance counts install their own instance with SetMetrics.
@@ -38,10 +38,6 @@ type Metrics struct {
 	// SweepProgress is the cumulative number of cylinders the head has
 	// swept (cyclically) on the SFC3 scan timeline.
 	SweepProgress obs.Gauge
-	// SweepSaturations counts sweep-timeline saturation events: the packed
-	// 48-bit progress field of ShardedScheduler reaching its ceiling (after
-	// which progress clamps rather than wrapping; see observeHead).
-	SweepSaturations obs.Counter
 
 	// DispatchWait is the distribution of simulated queueing delay: the
 	// time from a request's arrival to its dispatch, in the scheduler's
@@ -67,7 +63,6 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "window_expansions", Help: "ER blocking-window growth events", V: &m.WindowExpansions},
 		{Name: "window_resets", Help: "ER blocking-window resets", V: &m.WindowResets},
 		{Name: "sweep_progress_cylinders", Help: "cumulative cylinders swept on the scan timeline", V: &m.SweepProgress},
-		{Name: "sweep_saturations", Help: "sweep-timeline progress saturation events", V: &m.SweepSaturations},
 		{Name: "dispatch_wait_us", Help: "arrival-to-dispatch delay, microseconds", V: &m.DispatchWait},
 	})
 }

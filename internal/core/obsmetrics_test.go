@@ -107,7 +107,7 @@ func TestSchedulerMetrics(t *testing.T) {
 }
 
 func TestShardedSchedulerMetrics(t *testing.T) {
-	s := MustShardedScheduler("s", shardedTestConfig(), 4)
+	s := mustLocked(shardedTestConfig())
 	m := &Metrics{}
 	s.SetMetrics(m)
 
@@ -132,7 +132,7 @@ func TestShardedSchedulerMetrics(t *testing.T) {
 // goroutines Add and a consumer drains, without a data race or a torn read
 // crashing the exporter.
 func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
-	s := MustShardedScheduler("s", shardedTestConfig(), 4)
+	s := mustLocked(shardedTestConfig())
 	m := &Metrics{}
 	s.SetMetrics(m)
 	reg := obs.NewRegistry()
@@ -211,7 +211,7 @@ func TestMetricsRegister(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if len(snap) != 11 {
-		t.Errorf("snapshot has %d metrics, want 11", len(snap))
+	if len(snap) != 10 {
+		t.Errorf("snapshot has %d metrics, want 10", len(snap))
 	}
 }

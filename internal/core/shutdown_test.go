@@ -17,12 +17,13 @@ func shutdownConfig() EncapsulatorConfig {
 
 // TestShardedCloseDrainNoLossNoDoubleDispatch is the shutdown contract of
 // the serving layer: producers hammer TryAdd while a consumer drains via
-// Next; Close lands mid-sweep; afterwards Drain hands back the remainder.
-// Every request a producer saw accepted must come out of Next or Drain
-// exactly once, and every rejected request must come out of neither.
+// Next; Close lands mid-sweep; afterwards the remainder is drained (Next
+// until nil). Every request a producer saw accepted must come out exactly
+// once, and every rejected request must not come out at all.
 func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
-	s := MustShardedScheduler("", shutdownConfig(), 8)
-	s.SetMetrics(&Metrics{})
+	s := mustLocked(shutdownConfig())
+	m := &Metrics{}
+	s.SetMetrics(m)
 
 	const producers = 4
 	const perProducer = 2000
@@ -79,7 +80,7 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 
 	close(start)
 	// Let the mill turn, then slam the ingress shut mid-sweep.
-	for s.Metrics().Adds.Load() < producers*perProducer/4 {
+	for m.Adds.Load() < producers*perProducer/4 {
 		runtime.Gosched()
 	}
 	s.Close()
@@ -88,15 +89,15 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 	consumerWG.Wait()
 
 	drained := 0
-	s.Drain(func(r *Request) {
+	for r := s.Next(0, 0); r != nil; r = s.Next(0, 0) {
 		seen[r.ID]++
 		drained++
-	})
-	if s.Len() != 0 {
-		t.Fatalf("scheduler still holds %d requests after Drain", s.Len())
 	}
-	if !s.Closed() {
-		t.Fatal("scheduler not marked closed")
+	if s.Len() != 0 {
+		t.Fatalf("scheduler still holds %d requests after the drain", s.Len())
+	}
+	if s.TryAdd(&Request{ID: 1 << 40, Priorities: []int{0}}, 0, 0) {
+		t.Fatal("scheduler not closed after Close")
 	}
 
 	var nAccepted int
@@ -123,7 +124,7 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 
 // TestShardedTryAddAfterCloseRejects pins the quiescent-state semantics.
 func TestShardedTryAddAfterCloseRejects(t *testing.T) {
-	s := MustShardedScheduler("", shutdownConfig(), 4)
+	s := mustLocked(shutdownConfig())
 	s.SetMetrics(&Metrics{})
 	r := &Request{ID: 1, Priorities: []int{0}, Cylinder: 10}
 	if !s.TryAdd(r, 0, 0) {
@@ -142,18 +143,19 @@ func TestShardedTryAddAfterCloseRejects(t *testing.T) {
 	if got := s.Next(0, 0); got == nil || got.ID != 1 {
 		t.Fatalf("Next after Close = %v, want request 1", got)
 	}
-	// Drain is idempotent on an empty closed scheduler.
-	if n := s.Drain(nil); n != 0 {
-		t.Fatalf("Drain on empty scheduler returned %d", n)
+	// An empty closed scheduler stays empty and closed.
+	if r := s.Next(0, 0); r != nil || s.Len() != 0 {
+		t.Fatalf("empty closed scheduler handed out %v, len %d", r, s.Len())
 	}
 }
 
-// TestShardedDrainOrder checks Drain hands back the remainder in the exact
-// (value, sequence) order Next would have dispatched it.
+// TestShardedDrainOrder checks a drain — Close, then Next until nil — hands
+// back the remainder in the exact (value, sequence) order an open scheduler
+// would have dispatched it.
 func TestShardedDrainOrder(t *testing.T) {
-	s := MustShardedScheduler("", shutdownConfig(), 4)
+	s := mustLocked(shutdownConfig())
 	s.SetMetrics(&Metrics{})
-	ref := MustShardedScheduler("", shutdownConfig(), 4)
+	ref := mustLocked(shutdownConfig())
 	ref.SetMetrics(&Metrics{})
 	for i := 1; i <= 64; i++ {
 		r := &Request{
@@ -166,7 +168,10 @@ func TestShardedDrainOrder(t *testing.T) {
 		ref.Add(r, 0, 0)
 	}
 	var got []uint64
-	s.Drain(func(r *Request) { got = append(got, r.ID) })
+	s.Close()
+	for r := s.Next(0, 0); r != nil; r = s.Next(0, 0) {
+		got = append(got, r.ID)
+	}
 	for i := 0; ; i++ {
 		r := ref.Next(0, 0)
 		if r == nil {

@@ -7,6 +7,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/serve"
 	"sfcsched/internal/workload"
 )
@@ -89,6 +90,16 @@ func Calibrate(cfg CalibrateConfig) (*Result, error) {
 		UseDeadline: true, DeadlineHorizon: cfg.DeadlineMax, DeadlineSpan: cfg.DeadlineMax, DeadlineSlack: true,
 		UseCylinder: true, R: 3, Cylinders: model.Cylinders,
 	}
+	// Fully-preemptive cascade on both sides, counting into a throwaway sink
+	// so a calibration never moves the process-wide scheduler metrics.
+	newScheduler := func() (sched.Scheduler, error) {
+		s, err := core.NewScheduler("calibrate", ecfg, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+		if err != nil {
+			return nil, err
+		}
+		s.SetMetrics(&core.Metrics{})
+		return s, nil
+	}
 
 	res := &Result{
 		ID:     "calibrate",
@@ -112,10 +123,10 @@ func Calibrate(cfg CalibrateConfig) (*Result, error) {
 	for i, dil := range cfg.Dilations {
 		res.X[i] = dil
 		cal, err := serve.Calibrate(context.Background(), serve.CalibrationConfig{
-			Sched:    ecfg,
-			Service:  disk.ServiceModel{Disk: model},
-			Dilation: dil,
-			InFlight: cfg.InFlight,
+			NewScheduler: newScheduler,
+			Service:      disk.ServiceModel{Disk: model},
+			Dilation:     dil,
+			InFlight:     cfg.InFlight,
 		}, trace)
 		if err != nil {
 			return nil, err

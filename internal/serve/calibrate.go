@@ -8,19 +8,20 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/stats"
 )
 
 // CalibrationConfig describes one observe-predict-calibrate run: the same
-// scheduler configuration and service model instantiated twice — once
-// under the simulator's virtual clock, once under the live dispatcher on
-// the dilated wall clock — and fed the identical trace.
+// scheduling policy and service model instantiated twice — once under the
+// simulator's virtual clock, once under the live dispatcher on the dilated
+// wall clock — and fed the identical trace.
 type CalibrationConfig struct {
-	// Sched is the Cascaded-SFC configuration both sides schedule with.
-	Sched core.EncapsulatorConfig
-	// Shards is the sharded scheduler's shard count (0 picks the default).
-	Shards int
+	// NewScheduler builds the policy both sides schedule with; it is called
+	// twice and must return a fresh, identically configured scheduler each
+	// time. Required.
+	NewScheduler func() (sched.Scheduler, error)
 	// Service is the service-time model both sides charge. Rotational
 	// sampling is forced off: calibration needs both sides deterministic
 	// so every divergence is attributable to the serving path.
@@ -95,20 +96,22 @@ type simRec struct {
 }
 
 // Calibrate runs trace (sorted by arrival) through the simulator and
-// through a live dispatcher with identical scheduler and service-time
-// configuration, aligns the per-request records by ID, and scores the
-// simulator's predictive accuracy. The scores land in the returned
-// Calibration and in the sfcsched_calib_* metrics.
+// through a live dispatcher, each with a scheduler from cfg.NewScheduler and
+// the same service-time configuration, aligns the per-request records by
+// ID, and scores the simulator's predictive accuracy. The scores land in the
+// returned Calibration and in the sfcsched_calib_* metrics.
 func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request) (*Calibration, error) {
 	cfg.Service.SampleRotation = false
+	if cfg.NewScheduler == nil {
+		return nil, fmt.Errorf("serve: calibration requires a scheduler factory")
+	}
 
 	// Predict: the simulator's run, with per-request completion times and
 	// dispatch ranks captured off the trace hook.
-	simSched, err := core.NewShardedScheduler("calib-sim", cfg.Sched, cfg.Shards)
+	simSched, err := cfg.NewScheduler()
 	if err != nil {
 		return nil, err
 	}
-	simSched.SetMetrics(&core.Metrics{})
 	cal := &Calibration{}
 	simRecs := make(map[uint64]simRec, len(trace))
 	simRank := 0
@@ -146,11 +149,10 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	if err != nil {
 		return nil, err
 	}
-	liveSched, err := core.NewShardedScheduler("calib-live", cfg.Sched, cfg.Shards)
+	liveSched, err := cfg.NewScheduler()
 	if err != nil {
 		return nil, err
 	}
-	liveSched.SetMetrics(&core.Metrics{})
 	d, err := New(Config{
 		Sched: liveSched, Backend: backend, Clock: clock,
 		InFlight: cfg.InFlight, MaxQueue: cfg.MaxQueue, DropLate: cfg.DropLate,

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"sfcsched/internal/disk"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
+
+// newFullyPreemptive is the calibration factory of the default test policy.
+func newFullyPreemptive() (sched.Scheduler, error) { return fullyPreemptive(), nil }
 
 // TestCalibrateExactOrderPreloaded is the calibration half of the
 // exact-order acceptance pin: a preloaded arrival-at-zero trace must score
@@ -17,12 +22,11 @@ import (
 func TestCalibrateExactOrderPreloaded(t *testing.T) {
 	trace := zeroArrivalTrace(96)
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
-		Sched:    serveConfig(),
-		Shards:   8,
-		Service:  disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
-		Dilation: 20_000,
-		InFlight: 1,
-		Preload:  true,
+		NewScheduler: newFullyPreemptive,
+		Service:      disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
+		Dilation:     20_000,
+		InFlight:     1,
+		Preload:      true,
 	}, trace)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -65,12 +69,11 @@ func TestCalibrateReplay(t *testing.T) {
 	}.MustGenerate()
 	cm := &CalibMetrics{}
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
-		Sched:    serveConfig(),
-		Shards:   8,
-		Service:  disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
-		Dilation: 50,
-		InFlight: 1,
-		Calib:    cm,
+		NewScheduler: newFullyPreemptive,
+		Service:      disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
+		Dilation:     50,
+		InFlight:     1,
+		Calib:        cm,
 	}, trace)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -106,17 +109,28 @@ func TestCalibrateValidation(t *testing.T) {
 	sm := disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())}
 	trace := zeroArrivalTrace(4)
 	if _, err := Calibrate(context.Background(), CalibrationConfig{
-		Sched: serveConfig(), Service: sm, Dilation: 0,
+		Service: sm, Dilation: 100,
+	}, trace); err == nil {
+		t.Error("missing scheduler factory accepted")
+	}
+	failing := func() (sched.Scheduler, error) { return nil, errors.New("no scheduler") }
+	if _, err := Calibrate(context.Background(), CalibrationConfig{
+		NewScheduler: failing, Service: sm, Dilation: 100,
+	}, trace); err == nil {
+		t.Error("failing scheduler factory accepted")
+	}
+	if _, err := Calibrate(context.Background(), CalibrationConfig{
+		NewScheduler: newFullyPreemptive, Service: sm, Dilation: 0,
 	}, trace); err == nil {
 		t.Error("zero dilation accepted")
 	}
 	if _, err := Calibrate(context.Background(), CalibrationConfig{
-		Sched: serveConfig(), Service: sm, Dilation: 100, Preload: true, MaxQueue: 2,
+		NewScheduler: newFullyPreemptive, Service: sm, Dilation: 100, Preload: true, MaxQueue: 2,
 	}, trace); err == nil {
 		t.Error("preload larger than the queue bound accepted")
 	}
 	if _, err := Calibrate(context.Background(), CalibrationConfig{
-		Sched: serveConfig(), Service: disk.ServiceModel{}, Dilation: 100,
+		NewScheduler: newFullyPreemptive, Service: disk.ServiceModel{}, Dilation: 100,
 	}, trace); err == nil {
 		t.Error("empty service model accepted")
 	}

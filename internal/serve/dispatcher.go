@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/sched"
 )
 
 // Errors returned by the submission path.
@@ -25,10 +26,13 @@ var (
 
 // Config configures a Dispatcher.
 type Config struct {
-	// Sched is the concurrent scheduler the dispatcher consumes. Required.
-	// The dispatcher owns the consumer side (Next/Close/Drain); any number
-	// of goroutines may feed it through Submit.
-	Sched *core.ShardedScheduler
+	// Sched is the scheduling policy the dispatcher serves with — any
+	// sched.Scheduler, the contract the simulator consumes. Required. New
+	// puts it behind core.Lock (a *core.Locked is taken as is), and from
+	// then on the dispatcher owns it: the loop is the only consumer, any
+	// number of goroutines feed it through Submit, and the caller must not
+	// touch it again.
+	Sched sched.Scheduler
 	// Backend executes dispatched requests. Required.
 	Backend Backend
 	// Clock is the dilated model clock submissions and dispatches are
@@ -82,12 +86,13 @@ type Record struct {
 }
 
 // Dispatcher is the real-clock serving loop: it pops requests from a
-// core.ShardedScheduler in characterization-value order and executes them
+// locked scheduler in that scheduler's dispatch order and executes them
 // against a Backend, with a bounded number in flight. The zero value is
 // not usable; construct with New, then Start, Submit from any number of
 // goroutines, and shut down with Drain (graceful) or Stop (immediate).
 type Dispatcher struct {
 	cfg Config
+	q   *core.Locked // cfg.Sched behind the one ingress lock
 	m   *Metrics
 
 	ctx     context.Context
@@ -150,6 +155,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{
 		cfg:     cfg,
+		q:       core.Lock(cfg.Sched),
 		m:       m,
 		stopped: make(chan struct{}),
 		slots:   make(chan struct{}, cfg.InFlight),
@@ -226,7 +232,7 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 			}
 		}
 	}
-	if !d.cfg.Sched.TryAdd(r, now, d.Head()) {
+	if !d.q.TryAdd(r, now, d.Head()) {
 		if d.quota != nil {
 			<-d.quota
 		}
@@ -245,11 +251,10 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 // expires first the remaining work is abandoned via Stop and ctx's error
 // is returned.
 func (d *Dispatcher) Drain(ctx context.Context) error {
+	d.q.Close()
 	if !d.started.Load() {
-		d.cfg.Sched.Close()
 		return ErrNotStarted
 	}
-	d.cfg.Sched.Close()
 	d.draining.Store(true)
 	d.wake()
 	select {
@@ -265,23 +270,31 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 
 // Stop halts the dispatcher immediately: the ingress closes, in-flight
 // backend services are canceled and recorded as abandoned, and requests
-// still queued are counted abandoned as well. Stop blocks until the loop
-// and all workers have exited. Idempotent.
+// still queued are counted abandoned as well — also on a dispatcher that
+// was never started, whose staged work (Preload) would otherwise stay
+// outstanding forever. Stop blocks until the loop and all workers have
+// exited. Idempotent; a Start after Stop does nothing.
 func (d *Dispatcher) Stop() {
-	if !d.started.Load() {
-		d.cfg.Sched.Close()
-		return
-	}
 	d.stop.Do(func() {
-		d.cfg.Sched.Close()
+		d.q.Close()
+		d.startMu.Lock()
+		if !d.started.Load() {
+			// Never started: enter the stopped state directly, so there is
+			// no loop to wait for and none can start later and serve what
+			// is counted abandoned below.
+			d.ctx, d.cancel = context.WithCancel(context.Background())
+			close(d.stopped)
+			d.started.Store(true)
+		}
+		d.startMu.Unlock()
 		d.cancel()
+		<-d.stopped
+		d.workers.Wait()
+		if n := d.q.Len(); n > 0 {
+			d.m.Abandoned.Add(uint64(n))
+			d.outstanding.Add(int64(-n))
+		}
 	})
-	<-d.stopped
-	d.workers.Wait()
-	if n := d.cfg.Sched.Drain(nil); n > 0 {
-		d.m.Abandoned.Add(uint64(n))
-		d.outstanding.Add(int64(-n))
-	}
 }
 
 // Records returns a copy of the accumulated dispatch records in dispatch
@@ -345,7 +358,7 @@ func (d *Dispatcher) loop() {
 func (d *Dispatcher) take() (*core.Request, bool) {
 	for {
 		now := d.cfg.Clock.Now()
-		if r := d.cfg.Sched.Next(now, d.Head()); r != nil {
+		if r := d.q.Next(now, d.Head()); r != nil {
 			if d.cfg.DropLate && r.Deadline > 0 && now > r.Deadline {
 				d.drop(r, now)
 				continue

@@ -10,6 +10,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/sim"
 )
 
@@ -21,6 +22,20 @@ func serveConfig() core.EncapsulatorConfig {
 		UseDeadline: true, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
 		UseCylinder: true, R: 3, Cylinders: 3832,
 	}
+}
+
+// cascade builds the cascaded scheduler under the given dispatcher policy,
+// counting into a throwaway sink.
+func cascade(dcfg core.DispatcherConfig, windowFrac float64) *core.Scheduler {
+	s := core.MustScheduler("", serveConfig(), dcfg, windowFrac)
+	s.SetMetrics(&core.Metrics{})
+	return s
+}
+
+// fullyPreemptive is the policy the serving tests default to: pure v_c
+// order, the one the layer served before it could serve any other.
+func fullyPreemptive() *core.Scheduler {
+	return cascade(core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 }
 
 // reqAt builds one test request with a far-off deadline.
@@ -71,9 +86,7 @@ func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *Metrics) {
 	m := &Metrics{}
 	cfg.Metrics = m
 	if cfg.Sched == nil {
-		s := core.MustShardedScheduler("", serveConfig(), 8)
-		s.SetMetrics(&core.Metrics{})
-		cfg.Sched = s
+		cfg.Sched = fullyPreemptive()
 	}
 	if cfg.Clock == nil {
 		c, err := NewClock(10_000)
@@ -93,6 +106,17 @@ func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *Metrics) {
 	return d, m
 }
 
+// checkLedger asserts the conservation identity of the serving ledger:
+// every accepted request ended exactly one way and none is outstanding.
+func checkLedger(t *testing.T, d *Dispatcher, m *Metrics) {
+	t.Helper()
+	sub, ended := m.Submitted.Load(), m.Completed.Load()+m.Dropped.Load()+m.Abandoned.Load()
+	if sub != ended || d.Outstanding() != 0 {
+		t.Fatalf("ledger broken: submitted %d != completed %d + dropped %d + abandoned %d, outstanding %d",
+			sub, m.Completed.Load(), m.Dropped.Load(), m.Abandoned.Load(), d.Outstanding())
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -105,8 +129,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestNewValidation(t *testing.T) {
-	s := core.MustShardedScheduler("", serveConfig(), 4)
-	s.SetMetrics(&core.Metrics{})
+	s := fullyPreemptive()
 	clock, _ := NewClock(100)
 	be := &fakeBackend{}
 	bad := []Config{
@@ -197,54 +220,90 @@ func TestDispatcherServesAllConcurrentSubmitters(t *testing.T) {
 	}
 }
 
+// servedPolicies is every policy the serving layer can be handed: the
+// cascade under each dispatcher discipline of §3 and the thirteen
+// baselines. Each entry builds a fresh scheduler per call.
+type policy struct {
+	name string
+	new  func() sched.Scheduler
+}
+
+func servedPolicies() []policy {
+	est := disk.MustModel(disk.QuantumXP32150Params()).ServiceTime
+	cond := core.ConditionallyPreemptive
+	return []policy{
+		{"cascaded-full", func() sched.Scheduler { return fullyPreemptive() }},
+		{"cascaded-nonpreemptive", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: core.NonPreemptive}, 0) }},
+		{"cascaded-window", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: cond}, 0.02) }},
+		{"cascaded-sp", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: cond, SP: true}, 0.02) }},
+		{"cascaded-sp-er", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: cond, SP: true, ER: true}, 0.02) }},
+		{"fcfs", func() sched.Scheduler { return sched.NewFCFS() }},
+		{"sstf", func() sched.Scheduler { return sched.NewSSTF() }},
+		{"scan", func() sched.Scheduler { return sched.NewSCAN() }},
+		{"cscan", func() sched.Scheduler { return sched.NewCSCAN() }},
+		{"edf", func() sched.Scheduler { return sched.NewEDF() }},
+		{"scan-edf", func() sched.Scheduler { return sched.NewSCANEDF(50_000) }},
+		{"fd-scan", func() sched.Scheduler { return sched.NewFDSCAN(est) }},
+		{"scan-rt", func() sched.Scheduler { return sched.NewSCANRT(est) }},
+		{"ssedo", func() sched.Scheduler { return sched.NewSSEDO(0, 0) }},
+		{"ssedv", func() sched.Scheduler { return sched.NewSSEDV(0, 0) }},
+		{"multi-queue", func() sched.Scheduler { return sched.NewMultiQueue(8) }},
+		{"bucket", func() sched.Scheduler { return sched.NewBUCKET() }},
+		{"kamel", func() sched.Scheduler { return sched.NewKamel(est) }},
+	}
+}
+
 // TestDispatcherExactSimOrder is the acceptance-criteria pin: on a
 // preloaded arrival-at-zero trace the live dispatcher's dispatch order is
-// bit-identical to sim.Run's, because every characterization value anchors
-// on the initial head/sweep state and Next pops a fixed queued set in pure
-// (value, sequence) order — wall-clock jitter has nothing left to perturb.
-// The guarantee is independent of the in-flight bound.
+// bit-identical to sim.Run's, because both sides enqueue the whole trace
+// against the initial head and sweep state and then pop a fixed queued set
+// — wall-clock jitter has nothing left to perturb. The guarantee is
+// independent of the in-flight bound, and it holds for every policy the
+// layer can serve, not only pure v_c order. (FD-SCAN and SSEDV read the
+// clock in Next, and the two sides' clocks do differ; they agree here
+// because the trace's deadlines are far off and 1 µs apart, so whichever
+// clock is asked sees them all feasible or all expired together.)
 func TestDispatcherExactSimOrder(t *testing.T) {
-	for _, inflight := range []int{1, 3} {
-		trace := zeroArrivalTrace(96)
-		model := disk.MustModel(disk.QuantumXP32150Params())
-		sm := disk.ServiceModel{Disk: model}
+	model := disk.MustModel(disk.QuantumXP32150Params())
+	sm := disk.ServiceModel{Disk: model}
+	for _, pol := range servedPolicies() {
+		for _, inflight := range []int{1, 3} {
+			trace := zeroArrivalTrace(96)
+			var simOrder []uint64
+			if _, err := sim.Run(sim.Config{
+				Disk: model, Scheduler: pol.new(),
+				Options: sim.Options{Trace: func(ev sim.TraceEvent) {
+					if !ev.Dropped {
+						simOrder = append(simOrder, ev.Request.ID)
+					}
+				}},
+			}, trace); err != nil {
+				t.Fatalf("%s: sim.Run: %v", pol.name, err)
+			}
 
-		simSched := core.MustShardedScheduler("", serveConfig(), 8)
-		simSched.SetMetrics(&core.Metrics{})
-		var simOrder []uint64
-		if _, err := sim.Run(sim.Config{
-			Disk: model, Scheduler: simSched,
-			Options: sim.Options{Trace: func(ev sim.TraceEvent) {
-				if !ev.Dropped {
-					simOrder = append(simOrder, ev.Request.ID)
+			clock, _ := NewClock(50_000)
+			be, err := NewEmulatedDisk(sm, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, _ := newTestDispatcher(t, Config{Sched: pol.new(), Backend: be, Clock: clock, InFlight: inflight})
+			if err := Preload(context.Background(), d, trace); err != nil {
+				t.Fatalf("%s: Preload: %v", pol.name, err)
+			}
+			d.Start(context.Background())
+			if err := d.Drain(context.Background()); err != nil {
+				t.Fatalf("%s: Drain: %v", pol.name, err)
+			}
+
+			recs := d.Records()
+			if len(recs) != len(simOrder) {
+				t.Fatalf("%s inflight %d: live served %d, sim served %d", pol.name, inflight, len(recs), len(simOrder))
+			}
+			for i, rec := range recs {
+				if rec.ID != simOrder[i] {
+					t.Fatalf("%s inflight %d: dispatch order diverges at %d: live %d, sim %d",
+						pol.name, inflight, i, rec.ID, simOrder[i])
 				}
-			}},
-		}, trace); err != nil {
-			t.Fatalf("sim.Run: %v", err)
-		}
-
-		clock, _ := NewClock(50_000)
-		be, err := NewEmulatedDisk(sm, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, _ := newTestDispatcher(t, Config{Backend: be, Clock: clock, InFlight: inflight})
-		if err := Preload(context.Background(), d, trace); err != nil {
-			t.Fatalf("Preload: %v", err)
-		}
-		d.Start(context.Background())
-		if err := d.Drain(context.Background()); err != nil {
-			t.Fatalf("Drain: %v", err)
-		}
-
-		recs := d.Records()
-		if len(recs) != len(simOrder) {
-			t.Fatalf("inflight %d: live served %d, sim served %d", inflight, len(recs), len(simOrder))
-		}
-		for i, rec := range recs {
-			if rec.ID != simOrder[i] {
-				t.Fatalf("inflight %d: dispatch order diverges at %d: live %d, sim %d",
-					inflight, i, rec.ID, simOrder[i])
 			}
 		}
 	}
@@ -341,6 +400,119 @@ func TestDispatcherStopAbandons(t *testing.T) {
 	d.Stop()
 	if err := d.Submit(context.Background(), reqAt(99, 0, 4096)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Stop = %v, want ErrClosed", err)
+	}
+	checkLedger(t, d, m)
+
+	// Stop before Start: staged work must not stay outstanding forever, is
+	// counted once however often Stop is called, and a late Start cannot
+	// serve what the ledger already wrote off.
+	d, m = newTestDispatcher(t, Config{})
+	if err := Preload(context.Background(), d, zeroArrivalTrace(10)); err != nil {
+		t.Fatalf("Preload: %v", err)
+	}
+	d.Stop()
+	d.Stop()
+	d.Start(context.Background())
+	if err := d.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain after Stop: %v", err)
+	}
+	if sub, ab, done := m.Submitted.Load(), m.Abandoned.Load(), m.Completed.Load(); sub != 10 || ab != 10 || done != 0 {
+		t.Fatalf("never-started Stop: submitted %d abandoned %d completed %d, want 10/10/0", sub, ab, done)
+	}
+	checkLedger(t, d, m)
+}
+
+// backendFunc adapts a function to a geometry-less Backend charging a fixed
+// 10 µs per successful service.
+type backendFunc func(ctx context.Context, r *core.Request) error
+
+func (f backendFunc) Cylinders() int { return 0 }
+
+func (f backendFunc) Serve(ctx context.Context, r *core.Request, _ int) (Completion, error) {
+	return Completion{Service: 10}, f(ctx, r)
+}
+
+// TestDispatcherHostileBackends serves a staged FCFS trace (so dispatch
+// order is ID order) against backends that misbehave, and checks that the
+// ledger is conserved whatever the backend does.
+func TestDispatcherHostileBackends(t *testing.T) {
+	const n = 12
+	// reversing completes each in-flight triple backwards: request id
+	// waits for id+1 unless it is the last of its triple.
+	finished := make([]chan struct{}, n+2)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	var mu sync.Mutex
+	var completion []uint64
+	reversing := backendFunc(func(ctx context.Context, r *core.Request) error {
+		if r.ID%3 != 0 {
+			select {
+			case <-finished[r.ID+1]:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		mu.Lock()
+		completion = append(completion, r.ID)
+		mu.Unlock()
+		close(finished[r.ID])
+		return nil
+	})
+	for _, tc := range []struct {
+		name      string
+		inflight  int
+		backend   Backend
+		drainFor  time.Duration // 0: no deadline
+		wantErr   error
+		completed uint64
+		fails     func(id uint64) bool // which dispatched services end abandoned
+	}{
+		{"serve errors", 1, backendFunc(func(_ context.Context, r *core.Request) error {
+			if r.ID%3 == 0 {
+				return errors.New("medium error")
+			}
+			return nil
+		}), 0, nil, 8, func(id uint64) bool { return id%3 == 0 }},
+		{"out-of-order completion", 3, reversing, 0, nil, n, func(uint64) bool { return false }},
+		{"stall past the drain deadline", 2, &fakeBackend{gate: make(chan struct{})},
+			20 * time.Millisecond, context.DeadlineExceeded, 0, func(uint64) bool { return true }},
+	} {
+		d, m := newTestDispatcher(t, Config{Sched: sched.NewFCFS(), Backend: tc.backend, InFlight: tc.inflight})
+		if err := Preload(context.Background(), d, zeroArrivalTrace(n)); err != nil {
+			t.Fatalf("%s: Preload: %v", tc.name, err)
+		}
+		d.Start(context.Background())
+		ctx, cancel := context.Background(), context.CancelFunc(func() {})
+		if tc.drainFor > 0 {
+			ctx, cancel = context.WithTimeout(ctx, tc.drainFor)
+		}
+		err := d.Drain(ctx)
+		cancel()
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("%s: Drain = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if done, ab := m.Completed.Load(), m.Abandoned.Load(); done != tc.completed || ab != n-tc.completed {
+			t.Fatalf("%s: completed %d abandoned %d, want %d/%d", tc.name, done, ab, tc.completed, n-tc.completed)
+		}
+		checkLedger(t, d, m)
+		for i, rec := range d.Records() {
+			if rec.Seq != i || rec.ID != uint64(i+1) {
+				t.Fatalf("%s: record %d is request %d seq %d; FCFS dispatch order is ID order", tc.name, i, rec.ID, rec.Seq)
+			}
+			if rec.Abandoned != tc.fails(rec.ID) {
+				t.Fatalf("%s: request %d abandoned = %v, want %v", tc.name, rec.ID, rec.Abandoned, tc.fails(rec.ID))
+			}
+		}
+	}
+	want := []uint64{3, 2, 1, 6, 5, 4, 9, 8, 7, 12, 11, 10}
+	if len(completion) != n {
+		t.Fatalf("reversing backend completed %v", completion)
+	}
+	for i, id := range completion {
+		if id != want[i] {
+			t.Fatalf("completion order %v, want %v: the backend did not complete out of order", completion, want)
+		}
 	}
 }
 

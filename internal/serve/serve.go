@@ -1,13 +1,15 @@
-// Package serve lifts the Cascaded-SFC scheduler out of the simulator's
-// virtual clock and stands it up as a real concurrent service: goroutines
-// submit requests into a core.ShardedScheduler, a dispatcher pops them in
-// characterization-value order and executes each against a pluggable
-// Backend on the wall clock.
+// Package serve lifts the repo's schedulers out of the simulator's virtual
+// clock and stands them up as a real concurrent service: goroutines submit
+// requests into a locked scheduler, a dispatcher pops them in that
+// scheduler's dispatch order and executes each against a pluggable Backend
+// on the wall clock.
 //
 // The layer split is policy / clock / backend:
 //
-//   - Policy: core.ShardedScheduler — the identical scheduler code the
-//     simulator drives, fed concurrently instead of from an event loop.
+//   - Policy: any sched.Scheduler — Cascaded-SFC under any preemption mode
+//     and window, or a baseline — the identical code the simulator drives,
+//     put behind core.Lock and fed concurrently instead of from an event
+//     loop. The package builds no scheduler of its own.
 //   - Clock: Clock — wall time scaled by a dilation factor into the model's
 //     microsecond timeline, so a 65-second workload can be served in under
 //     a second (or stretched out for debugging) without touching policy or
