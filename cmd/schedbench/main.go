@@ -67,187 +67,15 @@ func main() {
 	}
 }
 
+// run executes one experiment with the flag overrides of o.
 func run(out io.Writer, id string, o *options) error {
-	render := func(r *experiments.Result) {
-		if o.asCSV {
-			r.RenderCSV(out)
-		} else {
-			r.Render(out)
-		}
+	p := experiments.Params{Seed: o.seed, Requests: o.requests, Workers: o.workers}
+	var err error
+	if p.Users, err = o.parseUsers(); err != nil {
+		return err
 	}
-	switch id {
-	case "table1":
-		return experiments.Table1(out)
-	case "ablations":
-		return experiments.Ablations(out, o.seed, o.workers)
-	case "fig5":
-		cfg := experiments.DefaultSFC1Config()
-		cfg.Seed = o.seed
-		cfg.Workers = o.workers
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		res, err := experiments.Fig5(cfg, nil)
-		if err != nil {
-			return err
-		}
-		render(res)
-	case "fig6":
-		cfg := experiments.DefaultSFC1Config()
-		cfg.Seed = o.seed
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		res, err := experiments.Fig6(cfg, nil, 0.05)
-		if err != nil {
-			return err
-		}
-		render(res)
-	case "fig7":
-		cfg := experiments.DefaultSFC1Config()
-		cfg.Seed = o.seed
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, err := experiments.Fig7(cfg, nil)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-	case "fig8":
-		cfg := experiments.DefaultSFC2Config()
-		cfg.Seed = o.seed
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, err := experiments.Fig8(cfg, nil)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-	case "fig9":
-		cfg := experiments.DefaultSFC2Config()
-		cfg.Seed = o.seed
-		cfg.Service = 26_000 // overload so every scheduler must sacrifice
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		rs, err := experiments.Fig9(cfg, 1)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			render(r)
-		}
-	case "fig10":
-		cfg := experiments.DefaultSFC3Config()
-		cfg.Seed = o.seed
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, c, err := experiments.Fig10(cfg, nil)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-		render(c)
-	case "faultsweep":
-		cfg := experiments.DefaultFaultSweepConfig()
-		cfg.Seed = o.seed
-		cfg.Workers = o.workers
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, err := experiments.FaultSweep(cfg)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-	case "divergence":
-		cfg := experiments.DefaultDivergenceConfig()
-		cfg.Seed = o.seed
-		cfg.Workers = o.workers
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, err := experiments.Divergence(cfg)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-	case "cluster":
-		cfg := experiments.DefaultClusterConfig()
-		cfg.Seed = o.seed
-		cfg.Workers = o.workers
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, c, err := experiments.Cluster(cfg)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-		render(c)
-	case "replaydiff":
-		cfg := experiments.DefaultReplayDiffConfig()
-		cfg.Seed = o.seed
-		cfg.Workers = o.workers
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		a, b, err := experiments.ReplayDiff(cfg)
-		if err != nil {
-			return err
-		}
-		render(a)
-		render(b)
-	case "calibrate":
-		cfg := experiments.DefaultCalibrateConfig()
-		cfg.Seed = o.seed
-		if o.requests > 0 {
-			cfg.Requests = o.requests
-		}
-		if dils, err := o.parseDilations(); err != nil {
-			return err
-		} else if len(dils) > 0 {
-			cfg.Dilations = dils
-		}
-		res, err := experiments.Calibrate(cfg)
-		if err != nil {
-			return err
-		}
-		render(res)
-	case "fig11", "fig11raid":
-		cfg := experiments.DefaultFig11Config()
-		cfg.Seed = o.seed
-		cfg.Workers = o.workers
-		if o.users != "" {
-			cfg.Users = nil
-			for _, f := range strings.Split(o.users, ",") {
-				var u int
-				if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &u); err != nil {
-					return fmt.Errorf("bad user count %q: %v", f, err)
-				}
-				cfg.Users = append(cfg.Users, u)
-			}
-		}
-		runner := experiments.Fig11
-		if id == "fig11raid" {
-			runner = experiments.Fig11RAID
-		}
-		res, err := runner(cfg)
-		if err != nil {
-			return err
-		}
-		render(res)
-	default:
-		return fmt.Errorf("unknown experiment (known: %s, ablations)", strings.Join(experiments.All(), ", "))
+	if p.Dilations, err = o.parseDilations(); err != nil {
+		return err
 	}
-	return nil
+	return experiments.Run(out, id, p, o.asCSV)
 }

@@ -33,7 +33,7 @@ type options struct {
 
 // register binds every option to fs with its default.
 func (o *options) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+strings.Join(experiments.All(), ", ")+", ablations, or all")
+	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+strings.Join(experiments.All(), ", ")+", or all")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
 	fs.IntVar(&o.requests, "requests", 0, "override request count (0 = experiment default)")
 	fs.StringVar(&o.users, "users", "", "fig11 only: comma-separated user counts")
@@ -81,6 +81,23 @@ func (o *options) validate() error {
 		}
 	}
 	return nil
+}
+
+// parseUsers parses the -users list; empty means "use the experiment
+// default".
+func (o *options) parseUsers() ([]int, error) {
+	if o.users == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, f := range strings.Split(o.users, ",") {
+		var u int
+		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &u); err != nil {
+			return nil, fmt.Errorf("bad user count %q: %v", f, err)
+		}
+		out = append(out, u)
+	}
+	return out, nil
 }
 
 // parseDilations parses the -dilations sweep list; empty means "use the

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/disk"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sfc"
@@ -39,16 +38,15 @@ func Ablations(w io.Writer, seed uint64, workers int) error {
 // predecessor single-curve design (the paper's reference [2]): one
 // Hilbert curve over (priorities, deadline, cylinder) as equal axes.
 func ablationCascadeVsSingle(w io.Writer, seed uint64, workers int) error {
-	m, err := disk.NewModel(disk.QuantumXP32150Params())
+	m, err := xp32150()
 	if err != nil {
 		return err
 	}
-	var arena workload.Arena
 	trace, err := workload.Open{
 		Seed: seed, Count: 5000, MeanInterarrival: 13_000,
 		Dims: 2, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
 		Cylinders: m.Cylinders, SizeMin: 4 << 10, SizeMax: 256 << 10,
-	}.GenerateArena(&arena)
+	}.Generate()
 	if err != nil {
 		return err
 	}
@@ -103,11 +101,10 @@ func ablationCascadeVsSingle(w io.Writer, seed uint64, workers int) error {
 // ablationDeadlineMode compares the absolute deadline axis against the
 // slack-at-enqueue ablation.
 func ablationDeadlineMode(w io.Writer, seed uint64, workers int) error {
-	var arena workload.Arena
 	trace, err := workload.Open{
 		Seed: seed, Count: 4000, MeanInterarrival: 25_000,
 		Dims: 1, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
-	}.GenerateArena(&arena)
+	}.Generate()
 	if err != nil {
 		return err
 	}
@@ -144,10 +141,9 @@ func ablationDeadlineMode(w io.Writer, seed uint64, workers int) error {
 
 // ablationSP compares the Serve-and-Promote policy on and off.
 func ablationSP(w io.Writer, seed uint64, workers int) error {
-	var arena workload.Arena
 	trace, err := workload.Open{
 		Seed: seed, Count: 4000, MeanInterarrival: 25_000, Dims: 4, Levels: 16,
-	}.GenerateArena(&arena)
+	}.Generate()
 	if err != nil {
 		return err
 	}
@@ -220,10 +216,9 @@ func ablationER(w io.Writer) error {
 // ablationWindow sweeps the blocking window and reports preemption
 // pressure.
 func ablationWindow(w io.Writer, seed uint64, workers int) error {
-	var arena workload.Arena
 	trace, err := workload.Open{
 		Seed: seed, Count: 3000, MeanInterarrival: 25_000, Dims: 4, Levels: 16,
-	}.GenerateArena(&arena)
+	}.Generate()
 	if err != nil {
 		return err
 	}

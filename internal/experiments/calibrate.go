@@ -66,7 +66,7 @@ func Calibrate(cfg CalibrateConfig) (*Result, error) {
 	if len(cfg.Dilations) == 0 {
 		cfg.Dilations = DefaultCalibrateConfig().Dilations
 	}
-	model, err := disk.NewModel(disk.QuantumXP32150Params())
+	model, err := xp32150()
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"sfcsched/internal/cluster"
-	"sfcsched/internal/disk"
-	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
@@ -17,12 +15,10 @@ import (
 // the block space, which routing policy keeps the stringent class inside
 // its SLO, and what does admission control buy the survivors?
 type ClusterConfig struct {
-	Seed uint64
+	common
 	// Interarrivals lists the mean arrival gaps to sweep, µs (the x-axis
 	// renders as offered load in req/s across the whole cluster).
 	Interarrivals []int64
-	// Requests is the request count per point.
-	Requests int
 	// Nodes and DisksPerNode shape the cluster.
 	Nodes        int
 	DisksPerNode int
@@ -35,9 +31,6 @@ type ClusterConfig struct {
 	// (tokens/s and burst size) for the "token" admission series.
 	AdmitRate  int64
 	AdmitBurst int64
-	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). Results
-	// are identical for every worker count; see internal/runner.
-	Workers int
 }
 
 // DefaultClusterConfig sweeps a 4-node cluster of single-disk arrays from
@@ -46,9 +39,8 @@ type ClusterConfig struct {
 // load-blind from load-aware routing.
 func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{
-		Seed:          1,
+		common:        common{Seed: 1, Requests: 4000},
 		Interarrivals: []int64{8_000, 5_000, 3_500, 2_500, 2_000},
-		Requests:      4000,
 		Nodes:         4,
 		DisksPerNode:  1,
 		Tenants:       8,
@@ -80,15 +72,11 @@ func Cluster(cfg ClusterConfig) (*Result, *Result, *Result, error) {
 	if len(cfg.Interarrivals) == 0 {
 		cfg.Interarrivals = DefaultClusterConfig().Interarrivals
 	}
-	model, err := disk.NewModel(disk.QuantumXP32150Params())
+	model, err := xp32150()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	x := make([]float64, len(cfg.Interarrivals))
-	for i, ia := range cfg.Interarrivals {
-		x[i] = float64(int64(1_000_000 / ia))
-	}
+	x := loadAxis(cfg.Interarrivals)
 	notes := []string{
 		fmt.Sprintf("%d nodes × %d disks, SCAN-EDF members; %d requests per point, %d tenants (zipf %.1f, zoned), %d classes",
 			cfg.Nodes, cfg.DisksPerNode, cfg.Requests, cfg.Tenants, cfg.TenantSkew, cfg.Classes),
@@ -119,68 +107,46 @@ func Cluster(cfg ClusterConfig) (*Result, *Result, *Result, error) {
 		X:      x,
 	}
 
-	type cellOut struct{ loss, lat, jain float64 }
-	nPol := len(clusterPolicies)
-	cells, err := runner.Map(cfg.Workers, len(cfg.Interarrivals)*nPol, func(i int) (cellOut, error) {
-		ia, pol := cfg.Interarrivals[i/nPol], clusterPolicies[i%nPol]
+	names := make([]string, len(clusterPolicies))
+	for i, pol := range clusterPolicies {
+		names[i] = pol.router + "+" + pol.admit
+	}
+	return loss, lat, jain, sweep(cfg.Workers, names, func(x, s int) ([]float64, error) {
+		pol := clusterPolicies[s]
 		ccfg := cluster.Config{
 			Nodes: cfg.Nodes, DisksPerNode: cfg.DisksPerNode, Disk: model,
-			NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
+			NewScheduler: func(int, int) (sched.Scheduler, error) { return scanEDFPolicy.build() },
 			DropLate:     true, Seed: cfg.Seed, Classes: cfg.Classes,
 		}
 		// Routers and buckets are stateful: built fresh per cell so cells
 		// share nothing.
 		var err error
 		if ccfg.Router, err = cluster.NewRouter(pol.router); err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
 		if ccfg.Admission, err = cluster.NewAdmitter(pol.admit, cfg.Classes, cfg.AdmitRate, cfg.AdmitBurst); err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
-		var arena workload.Arena
 		trace, err := workload.Open{
-			Seed: cfg.Seed, Count: cfg.Requests, MeanInterarrival: ia,
+			Seed: cfg.Seed, Count: cfg.Requests, MeanInterarrival: cfg.Interarrivals[x],
 			Dims: 1, Levels: 4,
 			DeadlineMin: 50_000, DeadlineMax: 800_000,
 			Cylinders: ccfg.MaxBlocks(), Size: 64 << 10,
 			Tenants: cfg.Tenants, TenantSkew: cfg.TenantSkew,
 			Classes: cfg.Classes, TenantZones: true,
-		}.GenerateArena(&arena)
+		}.Generate()
 		if err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
 		res, err := cluster.Run(ccfg, trace)
 		if err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
 		c0 := res.PerClass[0]
-		out := cellOut{loss: 100 * c0.LossRate(), jain: res.Jain()}
+		var latMs float64
 		if c0.Served > 0 {
-			out.lat = float64(c0.LatencySum) / float64(c0.Served) / 1000
+			latMs = float64(c0.LatencySum) / float64(c0.Served) / 1000
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for j, pol := range clusterPolicies {
-		name := pol.router + "+" + pol.admit
-		ly := make([]float64, len(x))
-		py := make([]float64, len(x))
-		jy := make([]float64, len(x))
-		for i := range x {
-			c := cells[i*nPol+j]
-			ly[i], py[i], jy[i] = c.loss, c.lat, c.jain
-		}
-		if err := loss.AddSeries(name, ly); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := lat.AddSeries(name, py); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := jain.AddSeries(name, jy); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return loss, lat, jain, nil
+		return []float64{100 * c0.LossRate(), latMs, res.Jain()}, nil
+	}, loss, lat, jain)
 }

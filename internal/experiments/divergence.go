@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"sfcsched/internal/core"
-	"sfcsched/internal/disk"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -19,20 +16,15 @@ import (
 // would the dispatch sequence be under another policy, and how much head
 // travel would it cost — without running separate simulations per policy.
 type DivergenceConfig struct {
-	Seed uint64
+	common
 	// Interarrivals lists the mean arrival gaps to sweep, µs (the x-axis
 	// renders as offered load in req/s).
 	Interarrivals []int64
-	// Requests is the request count per point.
-	Requests int
 	// Levels is the number of priority levels.
 	Levels int
 	// DeadlineMin/Max bound the relative deadlines, µs.
 	DeadlineMin int64
 	DeadlineMax int64
-	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). Results
-	// are identical for every worker count; see internal/runner.
-	Workers int
 }
 
 // DefaultDivergenceConfig sweeps from a lightly loaded disk (queues mostly
@@ -40,9 +32,8 @@ type DivergenceConfig struct {
 // choices diverge hard).
 func DefaultDivergenceConfig() DivergenceConfig {
 	return DivergenceConfig{
-		Seed:          1,
+		common:        common{Seed: 1, Requests: 3000},
 		Interarrivals: []int64{24_000, 16_000, 12_000, 9_000, 7_000},
-		Requests:      3000,
 		Levels:        8,
 		DeadlineMin:   300_000,
 		DeadlineMax:   700_000,
@@ -53,30 +44,12 @@ func DefaultDivergenceConfig() DivergenceConfig {
 // cascaded primary: the paper's strongest baseline, the naive baseline,
 // and the cascaded scheduler itself with a 4x wider blocking window (the
 // knob §5.1 sweeps).
-func divergenceShadows(levels int, horizon int64) (map[string]func() (sched.Scheduler, error), []string) {
-	names := []string{"scan-edf", "fcfs", "cascaded-w20"}
-	return map[string]func() (sched.Scheduler, error){
-		"scan-edf":     func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		"fcfs":         func() (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-		"cascaded-w20": func() (sched.Scheduler, error) { return divergencePrimary(levels, horizon, 0.20) },
-	}, names
-}
-
-// divergencePrimary builds the cascaded scheduler of the faultsweep
-// experiment: hilbert over the (deadline, priority) plane, conditionally
-// preemptive, blocking window windowFrac of the value space.
-func divergencePrimary(levels int, horizon int64, windowFrac float64) (sched.Scheduler, error) {
-	cv, err := sfc.New("hilbert", 2, uint32(levels))
-	if err != nil {
-		return nil, err
+func divergenceShadows(levels int, horizon int64) []policy {
+	return []policy{
+		scanEDFPolicy,
+		fcfsPolicy,
+		{"cascaded-w20", func() (sched.Scheduler, error) { return planeCascade(levels, horizon, 0.20) }},
 	}
-	return core.NewScheduler("cascaded",
-		core.EncapsulatorConfig{
-			Levels:      levels,
-			UseDeadline: true, Curve2: cv,
-			DeadlineHorizon: horizon, DeadlineSlack: true,
-		},
-		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
 }
 
 // Divergence sweeps offered load and reports, per shadow policy, the
@@ -87,16 +60,12 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 	if len(cfg.Interarrivals) == 0 {
 		cfg.Interarrivals = DefaultDivergenceConfig().Interarrivals
 	}
-	model, err := disk.NewModel(disk.QuantumXP32150Params())
+	model, err := xp32150()
 	if err != nil {
 		return nil, nil, err
 	}
-	shadows, names := divergenceShadows(cfg.Levels, cfg.DeadlineMax)
-
-	x := make([]float64, len(cfg.Interarrivals))
-	for i, ia := range cfg.Interarrivals {
-		x[i] = float64(int64(1_000_000 / ia))
-	}
+	shadows := divergenceShadows(cfg.Levels, cfg.DeadlineMax)
+	x := loadAxis(cfg.Interarrivals)
 	notes := []string{
 		fmt.Sprintf("primary: cascaded hilbert (deadline, priority), window 5%%; %d requests per point, deadlines [%d,%d]ms",
 			cfg.Requests, cfg.DeadlineMin/1000, cfg.DeadlineMax/1000),
@@ -119,9 +88,9 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 		X:      x,
 	}
 
-	type cellOut struct{ disagree, travel []float64 }
-	cells, err := runner.Map(cfg.Workers, len(cfg.Interarrivals), func(i int) (cellOut, error) {
-		var arena workload.Arena
+	// One run per load point answers every shadow at once, so the runs fan
+	// out here, x by x, and sweep only unpacks them into series.
+	runs, err := runner.Map(cfg.Workers, len(x), func(i int) ([][]float64, error) {
 		trace, err := workload.Open{
 			Seed:             cfg.Seed,
 			Count:            cfg.Requests,
@@ -133,23 +102,23 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 			Cylinders:        model.Cylinders,
 			SizeMin:          4 << 10,
 			SizeMax:          128 << 10,
-		}.GenerateArena(&arena)
+		}.Generate()
 		if err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
-		primary, err := divergencePrimary(cfg.Levels, cfg.DeadlineMax, 0.05)
+		primary, err := planeCascade(cfg.Levels, cfg.DeadlineMax, 0.05)
 		if err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
-		shs := make([]*sim.Shadow, len(names))
-		for j, name := range names {
-			s, err := shadows[name]()
+		shs := make([]*sim.Shadow, len(shadows))
+		for j, p := range shadows {
+			s, err := p.build()
 			if err != nil {
-				return cellOut{}, err
+				return nil, err
 			}
-			shs[j] = sim.NewShadow(name, s)
+			shs[j] = sim.NewShadow(p.name, s)
 		}
-		out := cellOut{disagree: make([]float64, len(names)), travel: make([]float64, len(names))}
+		out := make([][]float64, len(shadows))
 		err = runReused(sim.Config{
 			Disk: model, Scheduler: primary,
 			Options: sim.Options{
@@ -158,8 +127,10 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 			},
 		}, trace, func(res *sim.Result) error {
 			for j, rep := range res.Shadows {
-				out.disagree[j] = 100 * rep.DisagreementRate()
-				out.travel[j] = percent(float64(rep.HeadTravel-res.HeadTravel), float64(res.HeadTravel))
+				out[j] = []float64{
+					100 * rep.DisagreementRate(),
+					percent(float64(rep.HeadTravel-res.HeadTravel), float64(res.HeadTravel)),
+				}
 			}
 			return nil
 		})
@@ -168,19 +139,7 @@ func Divergence(cfg DivergenceConfig) (*Result, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for j, name := range names {
-		dy := make([]float64, len(cells))
-		ty := make([]float64, len(cells))
-		for i, c := range cells {
-			dy[i] = c.disagree[j]
-			ty[i] = c.travel[j]
-		}
-		if err := disagree.AddSeries(name, dy); err != nil {
-			return nil, nil, err
-		}
-		if err := travel.AddSeries(name, ty); err != nil {
-			return nil, nil, err
-		}
-	}
-	return disagree, travel, nil
+	return disagree, travel, sweep(1, policyNames(shadows), func(x, s int) ([]float64, error) {
+		return runs[x][s], nil
+	}, disagree, travel)
 }

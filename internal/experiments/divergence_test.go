@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
+
+	"sfcsched/internal/core"
 )
 
 // smallDivergence shrinks the default sweep for fast shape and
@@ -55,18 +56,32 @@ func TestDivergenceShape(t *testing.T) {
 	}
 }
 
-func TestDivergenceDeterministic(t *testing.T) {
+// The cascaded-w20 shadow must be the primary with a 4x wider blocking
+// window, not the primary's twin: it was once built at the primary's own
+// 5 %, so the published column measured the primary against itself.
+func TestDivergenceW20ShadowIsFourTimesWider(t *testing.T) {
 	cfg := smallDivergence()
-	a1, b1, err := Divergence(cfg)
+	primary, err := planeCascade(cfg.Levels, cfg.DeadlineMax, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, b2, err := Divergence(cfg)
+	shadows := divergenceShadows(cfg.Levels, cfg.DeadlineMax)
+	w20, err := shadows[len(shadows)-1].build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(b1, b2) {
-		t.Fatal("divergence sweep diverged between identical runs")
+	pw, sw := primary.(*core.Scheduler).Window(), w20.(*core.Scheduler).Window()
+	if pw == 0 || sw < 4*pw-4 || sw > 4*pw+4 {
+		t.Errorf("cascaded-w20 window %d, want 4x the primary's %d", sw, pw)
+	}
+	disagree, _, err := Divergence(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, y := range series(t, disagree, "cascaded-w20") {
+		if y == 0 {
+			t.Errorf("cascaded-w20 never disagrees with the primary at load point %d: still its twin", i)
+		}
 	}
 }
 

@@ -10,11 +10,22 @@
 //	Fig. 10  — seek optimization (R)           (Fig10)
 //	Fig. 11  — §6 aggregate weighted losses    (Fig11)
 //
-// Each experiment returns a Result holding labeled series that the
-// cmd/schedbench tool renders as text tables. Absolute values differ from
+// Each experiment returns Results holding labeled series that
+// cmd/schedbench renders as text tables or CSV. Absolute values differ from
 // the paper (different hardware era, simulated substrate); the claims under
 // test are the *shapes*: who wins, by what rough factor, and where the
 // crossovers sit. EXPERIMENTS.md records paper-vs-measured for each.
+//
+// The package has one grid and one table. A figure is an x-axis × series
+// grid of independent simulation runs: its function prepares what the
+// cells share read-only (traces, baselines, the disk model) and hands the
+// grid to sweep (sweep.go), the only place cells are fanned out over the
+// worker pool and transposed into series — so Workers means the same thing
+// in every experiment and never changes a byte of output. Registry
+// (registry.go) is the only list of experiments; schedbench's -exp help,
+// -exp all and the golden test range over it. Adding an experiment is one
+// function and one Registry row (plus testdata/<id>.csv, recorded with
+// schedbench -exp <id> -csv -requests 400).
 package experiments
 
 import (
@@ -149,14 +160,4 @@ func ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// All lists the experiment IDs in paper order. fig11raid is the §6
-// experiment on the full RAID-5 array at the paper's unscaled bit rate;
-// faultsweep is the PR-5 robustness sweep over transient fault rates on
-// the degraded array; divergence is the PR-7 counterfactual
-// shadow-scheduler sweep; calibrate is the PR-9 sim-vs-live serving-path
-// scoring sweep (wall-clock measurement — the one non-deterministic CSV).
-func All() []string {
-	return []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig11raid", "faultsweep", "divergence", "cluster", "replaydiff", "calibrate"}
 }

@@ -293,13 +293,6 @@ func TestResultRenderAndValidation(t *testing.T) {
 	}
 }
 
-func TestAllListsEveryExperiment(t *testing.T) {
-	ids := All()
-	if len(ids) != 14 {
-		t.Errorf("want 14 experiments, got %v", ids)
-	}
-}
-
 func TestFig11RAIDShape(t *testing.T) {
 	cfg := DefaultFig11Config()
 	cfg.Users = []int{68, 91}

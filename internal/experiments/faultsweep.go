@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
-	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -19,11 +16,9 @@ import (
 // degrades. Every run is deterministic: the same config replays the same
 // failure, the same retries, and the same CSV.
 type FaultSweepConfig struct {
-	Seed uint64
+	common
 	// Rates lists the transient fault rates to sweep (x-axis).
 	Rates []float64
-	// Requests is the logical request count per point.
-	Requests int
 	// MeanInterarrival is the mean logical arrival gap, µs.
 	MeanInterarrival int64
 	// Levels is the number of priority levels.
@@ -47,9 +42,6 @@ type FaultSweepConfig struct {
 	Rebuild         bool
 	RebuildBlocks   int
 	RebuildInterval int64
-	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). The
-	// results are identical for every worker count; see internal/runner.
-	Workers int
 }
 
 // DefaultFaultSweepConfig returns a sweep that crosses the array's
@@ -57,9 +49,8 @@ type FaultSweepConfig struct {
 // retry traffic visibly eats into deadline slack.
 func DefaultFaultSweepConfig() FaultSweepConfig {
 	return FaultSweepConfig{
-		Seed:             1,
+		common:           common{Seed: 1, Requests: 4000},
 		Rates:            []float64{0, 0.005, 0.01, 0.02},
-		Requests:         4000,
 		MeanInterarrival: 9_000,
 		Levels:           8,
 		DeadlineMin:      400_000,
@@ -79,26 +70,13 @@ func DefaultFaultSweepConfig() FaultSweepConfig {
 
 // faultSweepAlgorithms builds the compared schedulers: the cascaded SFC
 // scheduler over the (deadline, priority) plane plus three baselines.
-func faultSweepAlgorithms(levels int, horizon int64) (map[string]func() (sched.Scheduler, error), []string) {
-	names := []string{"cascaded", "scan-edf", "edf", "cscan"}
-	return map[string]func() (sched.Scheduler, error){
-		"cascaded": func() (sched.Scheduler, error) {
-			cv, err := sfc.New("hilbert", 2, uint32(levels))
-			if err != nil {
-				return nil, err
-			}
-			return core.NewScheduler("cascaded",
-				core.EncapsulatorConfig{
-					Levels:      levels,
-					UseDeadline: true, Curve2: cv,
-					DeadlineHorizon: horizon, DeadlineSlack: true,
-				},
-				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
-		},
-		"scan-edf": func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		"edf":      func() (sched.Scheduler, error) { return sched.NewEDF(), nil },
-		"cscan":    func() (sched.Scheduler, error) { return sched.NewCSCAN(), nil },
-	}, names
+func faultSweepAlgorithms(levels int, horizon int64) []policy {
+	return []policy{
+		{"cascaded", func() (sched.Scheduler, error) { return planeCascade(levels, horizon, 0.02) }},
+		scanEDFPolicy,
+		{"edf", func() (sched.Scheduler, error) { return sched.NewEDF(), nil }},
+		{"cscan", func() (sched.Scheduler, error) { return sched.NewCSCAN(), nil }},
+	}
 }
 
 // FaultSweep sweeps the transient-fault rate over the degraded RAID-5
@@ -110,7 +88,7 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = DefaultFaultSweepConfig().Rates
 	}
-	model, err := disk.NewModel(disk.QuantumXP32150Params())
+	model, err := xp32150()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,7 +96,7 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	algs, names := faultSweepAlgorithms(cfg.Levels, cfg.DeadlineMax)
+	algs := faultSweepAlgorithms(cfg.Levels, cfg.DeadlineMax)
 
 	failNote := "no disk failure armed"
 	if cfg.FailAt > 0 {
@@ -147,7 +125,6 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 		X:      append([]float64(nil), cfg.Rates...),
 	}
 
-	var arena workload.Arena
 	trace, err := workload.Open{
 		Seed:             cfg.Seed,
 		Count:            cfg.Requests,
@@ -160,7 +137,7 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 		SizeMin:          cfg.BlockSize,
 		SizeMax:          cfg.BlockSize,
 		WriteFrac:        cfg.WriteFrac,
-	}.GenerateArena(&arena)
+	}.Generate()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,53 +160,25 @@ func FaultSweep(cfg FaultSweepConfig) (*Result, *Result, error) {
 		plans[i] = plan
 	}
 
-	// One cell per (rate, scheduler), rate-major like the sequential loop
-	// this replaces. Cells share only read-only inputs (trace, array,
-	// plans); each RunArray builds its own schedulers and collectors.
-	type cellOut struct{ drop, faultShare float64 }
-	nAlg := len(names)
-	cells, err := runner.Map(cfg.Workers, len(cfg.Rates)*nAlg, func(i int) (cellOut, error) {
-		name := names[i%nAlg]
+	// Cells share only read-only inputs (trace, array, plans); each
+	// RunArray builds its own schedulers and collectors.
+	return drops, faultShare, sweep(cfg.Workers, policyNames(algs), func(x, s int) ([]float64, error) {
 		ar, err := sim.RunArray(sim.ArrayConfig{
-			Array: array,
-			NewScheduler: func(int) (sched.Scheduler, error) {
-				return algs[name]()
-			},
+			Array:        array,
+			NewScheduler: func(int) (sched.Scheduler, error) { return algs[s].build() },
 			Options: sim.Options{
 				DropLate: true, Dims: 1, Levels: cfg.Levels,
-				Seed: cfg.Seed, Fault: plans[i/nAlg],
+				Seed: cfg.Seed, Fault: plans[x],
 			},
 		}, trace)
 		if err != nil {
-			return cellOut{}, err
+			return nil, err
 		}
 		total := ar.Logical.Served + ar.Logical.Dropped
 		var fdrop uint64
 		for _, c := range ar.PerDisk {
 			fdrop += c.FaultDropped
 		}
-		return cellOut{
-			drop:       percent(float64(ar.Logical.Dropped), float64(total)),
-			faultShare: float64(fdrop),
-		}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	dropYs := map[string][]float64{}
-	faultYs := map[string][]float64{}
-	for i, c := range cells {
-		name := names[i%nAlg]
-		dropYs[name] = append(dropYs[name], c.drop)
-		faultYs[name] = append(faultYs[name], c.faultShare)
-	}
-	for _, name := range names {
-		if err := drops.AddSeries(name, dropYs[name]); err != nil {
-			return nil, nil, err
-		}
-		if err := faultShare.AddSeries(name, faultYs[name]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return drops, faultShare, nil
+		return []float64{percent(float64(ar.Logical.Dropped), float64(total)), float64(fdrop)}, nil
+	}, drops, faultShare)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,21 +53,6 @@ func TestFaultSweepShape(t *testing.T) {
 	}
 	if !anyFaultDrop {
 		t.Error("no scheduler recorded a fault-attributed drop at the top fault rate")
-	}
-}
-
-func TestFaultSweepDeterministic(t *testing.T) {
-	cfg := smallFaultSweep()
-	a1, b1, err := FaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, b2, err := FaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(b1, b2) {
-		t.Fatal("fault sweep diverged between identical runs")
 	}
 }
 

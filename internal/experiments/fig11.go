@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/disk"
 	"sfcsched/internal/metrics"
-	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
@@ -62,14 +60,14 @@ func DefaultFig11Config() Fig11Config {
 	}
 }
 
-// fig11Algorithms builds the five §6 schedulers. The 2-D curves map the
+// fig11Algorithms builds the §6 schedulers. The 2-D curves map the
 // (priority, time-to-deadline) plane: Sweep-X puts priority on X so the
 // sweep orders by deadline (EDF-like); Sweep-Y puts priority on Y so the
 // sweep orders by priority (multi-queue-like); Hilbert and Peano balance
 // both.
-func fig11Algorithms(cfg Fig11Config, horizon int64) (map[string]func() (sched.Scheduler, error), []string) {
-	mk2d := func(curve string, priorityOnY bool) func() (sched.Scheduler, error) {
-		return func() (sched.Scheduler, error) {
+func fig11Algorithms(cfg Fig11Config) []policy {
+	mk2d := func(name, curve string, priorityOnY bool) policy {
+		return policy{name, func() (sched.Scheduler, error) {
 			cv, err := sfc.New(curve, 2, uint32(cfg.Levels))
 			if err != nil {
 				return nil, err
@@ -82,23 +80,58 @@ func fig11Algorithms(cfg Fig11Config, horizon int64) (map[string]func() (sched.S
 				core.EncapsulatorConfig{
 					Levels:      cfg.Levels,
 					UseDeadline: true, Curve2: cv, Curve2PriorityOnY: priorityOnY,
-					DeadlineHorizon: horizon, DeadlineSlack: true,
+					DeadlineHorizon: cfg.DeadlineMax, DeadlineSlack: true,
 				},
 				core.DispatcherConfig{Mode: core.NonPreemptive}, 0)
-		}
+		}}
 	}
-	names := []string{"fcfs", "sweep-x", "sweep-y", "hilbert", "peano", "diagonal", "moore"}
-	return map[string]func() (sched.Scheduler, error){
-		"fcfs":     func() (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-		"sweep-x":  mk2d("sweep", false),
-		"sweep-y":  mk2d("sweep", true),
-		"hilbert":  mk2d("hilbert", false),
-		"peano":    mk2d("peano", false),
-		"diagonal": mk2d("diagonal", false),
+	return []policy{
+		fcfsPolicy,
+		mk2d("sweep-x", "sweep", false),
+		mk2d("sweep-y", "sweep", true),
+		mk2d("hilbert", "hilbert", false),
+		mk2d("peano", "peano", false),
+		mk2d("diagonal", "diagonal", false),
 		// moore closes the Hilbert loop, removing the open curve's
 		// urgent-cell endpoint pathology (EXPERIMENTS.md).
-		"moore": mk2d("moore", false),
-	}, names
+		mk2d("moore", "moore", false),
+	}
+}
+
+// usersAxis renders the swept stream counts as the x-axis.
+func (c Fig11Config) usersAxis() []float64 {
+	xs := make([]float64, len(c.Users))
+	for i, u := range c.Users {
+		xs[i] = float64(u)
+	}
+	return xs
+}
+
+// traces generates one NewsByte5 workload per swept user count, at
+// bitRate over an address space of cylinders, up front; each is then
+// shared read-only by every cell of its sweep point.
+func (c Fig11Config) traces(bitRate float64, cylinders int) ([][]*core.Request, error) {
+	traces := make([][]*core.Request, len(c.Users))
+	for i, users := range c.Users {
+		var err error
+		traces[i], err = workload.Streams{
+			Seed:        c.Seed,
+			Users:       users,
+			Duration:    c.Duration,
+			BitRate:     bitRate,
+			BlockSize:   c.BlockSize,
+			Levels:      c.Levels,
+			DeadlineMin: c.DeadlineMin,
+			DeadlineMax: c.DeadlineMax,
+			Cylinders:   cylinders,
+			WriteFrac:   c.WriteFrac,
+			Burst:       3,
+		}.Generate()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return traces, nil
 }
 
 // Fig11 sweeps the number of concurrent editing streams and reports the
@@ -107,23 +140,18 @@ func Fig11(cfg Fig11Config) (*Result, error) {
 	if len(cfg.Users) == 0 {
 		cfg.Users = DefaultFig11Config().Users
 	}
-	m, err := disk.NewModel(disk.QuantumXP32150Params())
+	m, err := xp32150()
 	if err != nil {
 		return nil, err
 	}
-	algs, names := fig11Algorithms(cfg, cfg.DeadlineMax)
+	algs := fig11Algorithms(cfg)
 	weights := metrics.LinearWeights(cfg.Levels, cfg.CostRatio)
-
-	xs := make([]float64, len(cfg.Users))
-	for i, u := range cfg.Users {
-		xs[i] = float64(u)
-	}
 	res := &Result{
 		ID:     "fig11",
 		Title:  "Aggregate weighted losses vs number of users (NewsByte5 workload)",
 		XLabel: "users",
 		YLabel: fmt.Sprintf("weighted loss cost (top:bottom weight %g:1)", cfg.CostRatio),
-		X:      xs,
+		X:      cfg.usersAxis(),
 		Notes: []string{
 			fmt.Sprintf("bitrate=%.0fkbps block=%dKB levels=%d deadlines=[%d,%d]ms writes=%.0f%% duration=%ds",
 				cfg.BitRate/1000, cfg.BlockSize>>10, cfg.Levels,
@@ -131,57 +159,23 @@ func Fig11(cfg Fig11Config) (*Result, error) {
 			"bitrate scaled from the paper's 1.5 Mbps so one simulated disk spans the same load band as the PanaViss RAID (see DESIGN.md)",
 		},
 	}
-	// Traces are generated up front (into per-point arenas kept alive
-	// below), then shared read-only by every cell of their sweep point.
-	arenas := make([]workload.Arena, len(cfg.Users))
-	traces := make([][]*core.Request, len(cfg.Users))
-	for i, users := range cfg.Users {
-		traces[i], err = workload.Streams{
-			Seed:        cfg.Seed,
-			Users:       users,
-			Duration:    cfg.Duration,
-			BitRate:     cfg.BitRate,
-			BlockSize:   cfg.BlockSize,
-			Levels:      cfg.Levels,
-			DeadlineMin: cfg.DeadlineMin,
-			DeadlineMax: cfg.DeadlineMax,
-			Cylinders:   m.Cylinders,
-			WriteFrac:   cfg.WriteFrac,
-			Burst:       3,
-		}.GenerateArena(&arenas[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	// One cell per (users, scheduler), users-major like the sequential
-	// loop this replaces.
-	nAlg := len(names)
-	costs, err := runner.Map(cfg.Workers, len(cfg.Users)*nAlg, func(i int) (float64, error) {
-		s, err := algs[names[i%nAlg]]()
-		if err != nil {
-			return 0, err
-		}
-		var cost float64
-		err = runReused(sim.Config{
-			Disk: m, Scheduler: s,
-			Options: sim.Options{DropLate: true, Dims: 1, Levels: cfg.Levels, Seed: cfg.Seed},
-		}, traces[i/nAlg], func(r *sim.Result) error {
-			cost, err = r.WeightedLossCost(0, weights)
-			return err
-		})
-		return cost, err
-	})
+	traces, err := cfg.traces(cfg.BitRate, m.Cylinders)
 	if err != nil {
 		return nil, err
 	}
-	for j, name := range names {
-		ys := make([]float64, len(cfg.Users))
-		for u := range cfg.Users {
-			ys[u] = costs[u*nAlg+j]
-		}
-		if err := res.AddSeries(name, ys); err != nil {
+	return res, sweep(cfg.Workers, policyNames(algs), func(x, s int) ([]float64, error) {
+		sc, err := algs[s].build()
+		if err != nil {
 			return nil, err
 		}
-	}
-	return res, nil
+		var cost float64
+		err = runReused(sim.Config{
+			Disk: m, Scheduler: sc,
+			Options: sim.Options{DropLate: true, Dims: 1, Levels: cfg.Levels, Seed: cfg.Seed},
+		}, traces[x], func(r *sim.Result) error {
+			cost, err = r.WeightedLossCost(0, weights)
+			return err
+		})
+		return []float64{cost}, err
+	}, res)
 }

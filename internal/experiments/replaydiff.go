@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/disk"
-	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
@@ -19,37 +17,29 @@ import (
 // byte for byte. A non-zero divergence is a determinism regression — the
 // standing gate the CI cmp step holds between builds.
 type ReplayDiffConfig struct {
-	Seed uint64
-	// Requests is the total request count per scenario.
-	Requests int
+	common
 	// Scenarios lists the multi-client scenarios to run (default: all of
 	// workload.Scenarios()).
 	Scenarios []string
-	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). Results
-	// are identical for every worker count; see internal/runner.
-	Workers int
 }
 
 // DefaultReplayDiffConfig runs every built-in scenario at a load that
 // produces both services and deadline drops.
 func DefaultReplayDiffConfig() ReplayDiffConfig {
-	return ReplayDiffConfig{Seed: 1, Requests: 3000, Scenarios: workload.Scenarios()}
+	return ReplayDiffConfig{common: common{Seed: 1, Requests: 3000}, Scenarios: workload.Scenarios()}
 }
 
 // replayDiffSchedulers lists the disciplines the round trip is checked
 // under: the cascaded scheduler (stateful SFC stages, the hardest case),
 // the paper's strongest baseline, and the naive baseline.
-func replayDiffSchedulers() (map[string]func() (sched.Scheduler, error), []string) {
-	names := []string{"cascaded", "scan-edf", "fcfs"}
-	return map[string]func() (sched.Scheduler, error){
-		"cascaded": func() (sched.Scheduler, error) {
-			return core.NewScheduler("cascaded",
-				core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
-				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
-		},
-		"scan-edf": func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		"fcfs":     func() (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-	}, names
+var replayDiffSchedulers = []policy{
+	{"cascaded", func() (sched.Scheduler, error) {
+		return core.NewScheduler("cascaded",
+			core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
+			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
+	}},
+	scanEDFPolicy,
+	fcfsPolicy,
 }
 
 // ReplayDiff runs the scenarios and reports two results over the scenario
@@ -62,17 +52,28 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 	if len(cfg.Scenarios) == 0 {
 		cfg.Scenarios = workload.Scenarios()
 	}
-	model, err := disk.NewModel(disk.QuantumXP32150Params())
+	model, err := xp32150()
 	if err != nil {
 		return nil, nil, err
 	}
-	scheds, names := replayDiffSchedulers()
 
+	// Each scenario's trace is generated once, up front, and shared
+	// read-only by the cells of its sweep point.
 	x := make([]float64, len(cfg.Scenarios))
+	dims := make([]int, len(cfg.Scenarios))
+	traces := make([][]*core.Request, len(cfg.Scenarios))
 	notes := []string{fmt.Sprintf("%d requests per scenario; scenario axis:", cfg.Requests)}
 	for i, name := range cfg.Scenarios {
 		x[i] = float64(i)
 		notes = append(notes, fmt.Sprintf("  x=%d: %s", i, name))
+		spec, err := workload.ScenarioSpec(name, cfg.Seed, cfg.Requests, model.Cylinders)
+		if err != nil {
+			return nil, nil, err
+		}
+		dims[i] = spec.Dims()
+		if traces[i], err = spec.Generate(); err != nil {
+			return nil, nil, err
+		}
 	}
 	drops := &Result{
 		ID:     "replaydiff",
@@ -90,72 +91,46 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 		X:      x,
 	}
 
-	type cellOut struct{ drop, diverge []float64 }
-	cells, err := runner.Map(cfg.Workers, len(cfg.Scenarios), func(i int) (cellOut, error) {
-		spec, err := workload.ScenarioSpec(cfg.Scenarios[i], cfg.Seed, cfg.Requests, model.Cylinders)
-		if err != nil {
-			return cellOut{}, err
-		}
-		var arena, replayArena workload.Arena
-		trace, err := spec.GenerateArena(&arena)
-		if err != nil {
-			return cellOut{}, err
-		}
-		out := cellOut{drop: make([]float64, len(names)), diverge: make([]float64, len(names))}
-		for j, name := range names {
-			record := func(reqs []*core.Request, buf *bytes.Buffer) error {
-				s, err := scheds[name]()
-				if err != nil {
-					return err
-				}
-				return runReused(sim.Config{
-					Disk: model, Scheduler: s,
-					Options: sim.Options{
-						DropLate: true, Dims: spec.Dims(), Levels: 8,
-						Seed: cfg.Seed, Trace: sim.JSONLTrace(buf),
-					},
-				}, reqs, func(res *sim.Result) error {
-					out.drop[j] = percent(float64(res.Dropped), float64(res.Served+res.Dropped))
-					return nil
-				})
-			}
-			var recA, recB bytes.Buffer
-			if err := record(trace, &recA); err != nil {
-				return cellOut{}, err
-			}
-			rec, err := workload.LoadReplay(bytes.NewReader(recA.Bytes()))
+	// A cell records its scenario under its scheduler, replays the
+	// recording and compares the two byte for byte.
+	return drops, diverged, sweep(cfg.Workers, policyNames(replayDiffSchedulers), func(x, s int) ([]float64, error) {
+		trace := traces[x]
+		var drop float64
+		record := func(reqs []*core.Request, buf *bytes.Buffer) error {
+			sc, err := replayDiffSchedulers[s].build()
 			if err != nil {
-				return cellOut{}, err
+				return err
 			}
-			if rec.Len() != len(trace) {
-				return cellOut{}, fmt.Errorf("replaydiff: %s/%s: replay reconstructed %d of %d requests",
-					cfg.Scenarios[i], name, rec.Len(), len(trace))
-			}
-			if err := record(rec.GenerateArena(&replayArena), &recB); err != nil {
-				return cellOut{}, err
-			}
-			if !bytes.Equal(recA.Bytes(), recB.Bytes()) {
-				out.diverge[j] = 1
-			}
+			return runReused(sim.Config{
+				Disk: model, Scheduler: sc,
+				Options: sim.Options{
+					DropLate: true, Dims: dims[x], Levels: 8,
+					Seed: cfg.Seed, Trace: sim.JSONLTrace(buf),
+				},
+			}, reqs, func(res *sim.Result) error {
+				drop = percent(float64(res.Dropped), float64(res.Served+res.Dropped))
+				return nil
+			})
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for j, name := range names {
-		dy := make([]float64, len(cells))
-		vy := make([]float64, len(cells))
-		for i, c := range cells {
-			dy[i] = c.drop[j]
-			vy[i] = c.diverge[j]
+		var recA, recB bytes.Buffer
+		if err := record(trace, &recA); err != nil {
+			return nil, err
 		}
-		if err := drops.AddSeries(name, dy); err != nil {
-			return nil, nil, err
+		rec, err := workload.LoadReplay(bytes.NewReader(recA.Bytes()))
+		if err != nil {
+			return nil, err
 		}
-		if err := diverged.AddSeries(name, vy); err != nil {
-			return nil, nil, err
+		if rec.Len() != len(trace) {
+			return nil, fmt.Errorf("replaydiff: %s/%s: replay reconstructed %d of %d requests",
+				cfg.Scenarios[x], replayDiffSchedulers[s].name, rec.Len(), len(trace))
 		}
-	}
-	return drops, diverged, nil
+		if err := record(rec.Generate(), &recB); err != nil {
+			return nil, err
+		}
+		var diverge float64
+		if !bytes.Equal(recA.Bytes(), recB.Bytes()) {
+			diverge = 1
+		}
+		return []float64{drop, diverge}, nil
+	}, drops, diverged)
 }

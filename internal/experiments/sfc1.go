@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
@@ -16,26 +15,21 @@ import (
 // and transfer-dominated service, so SFC2 and SFC3 are skipped and the
 // priority curve is evaluated in isolation (paper §5.1).
 type SFC1Config struct {
-	Seed     uint64
-	Requests int
-	Dims     int
-	Levels   int
+	common
+	Dims   int
+	Levels int
 	// MeanInterarrival is the Poisson mean, µs (paper: 25 ms).
 	MeanInterarrival int64
 	// Service is the constant transfer-dominated service time, µs. The
 	// paper holds it implicit; near the interarrival mean keeps a live
 	// queue without unbounded growth.
 	Service int64
-	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). The
-	// results are identical for every worker count; see internal/runner.
-	Workers int
 }
 
 // DefaultSFC1Config returns the §5.1 parameters.
 func DefaultSFC1Config() SFC1Config {
 	return SFC1Config{
-		Seed:             1,
-		Requests:         4000,
+		common:           common{Seed: 1, Requests: 4000},
 		Dims:             4,
 		Levels:           16,
 		MeanInterarrival: 25_000,
@@ -43,15 +37,15 @@ func DefaultSFC1Config() SFC1Config {
 	}
 }
 
-// trace generates the experiment's workload into a (an optional) arena.
-func (c SFC1Config) trace(a *workload.Arena) ([]*core.Request, error) {
+// trace generates the experiment's workload.
+func (c SFC1Config) trace() ([]*core.Request, error) {
 	return workload.Open{
 		Seed:             c.Seed,
 		Count:            c.Requests,
 		MeanInterarrival: c.MeanInterarrival,
 		Dims:             c.Dims,
 		Levels:           c.Levels,
-	}.GenerateArena(a)
+	}.Generate()
 }
 
 // simConfig is the stage-1 simulation configuration for scheduler s.
@@ -63,15 +57,16 @@ func (c SFC1Config) simConfig(s sched.Scheduler) sim.Config {
 	}
 }
 
-// run simulates one scheduler over the stage-1 workload. The result is
-// freshly allocated and stays valid indefinitely (unlike runReused).
-func (c SFC1Config) run(s sched.Scheduler, trace []*core.Request) (*sim.Result, error) {
-	return sim.Run(c.simConfig(s), trace)
+// fifo runs the FIFO baseline every stage-1 figure normalizes by. The
+// result is freshly allocated and stays valid while the cells read it
+// (unlike runReused's).
+func (c SFC1Config) fifo(trace []*core.Request) (*sim.Result, error) {
+	return sim.Run(c.simConfig(sched.NewFCFS()), trace)
 }
 
 // scheduler builds the Cascaded-SFC scheduler reduced to SFC1 only.
-func (c SFC1Config) scheduler(curve string, dims int, windowFrac float64) (*core.Scheduler, error) {
-	cv, err := sfc.New(curve, dims, uint32(c.Levels))
+func (c SFC1Config) scheduler(curve string, windowFrac float64) (*core.Scheduler, error) {
+	cv, err := sfc.New(curve, c.Dims, uint32(c.Levels))
 	if err != nil {
 		return nil, err
 	}
@@ -83,21 +78,34 @@ func (c SFC1Config) scheduler(curve string, dims int, windowFrac float64) (*core
 	)
 }
 
+// cell runs one (curve, window) grid cell over trace, with its own
+// scheduler and pooled per-run state, and returns what extract reads.
+func (c SFC1Config) cell(curve string, windowFrac float64, trace []*core.Request, extract func(*sim.Result) []float64) ([]float64, error) {
+	s, err := c.scheduler(curve, windowFrac)
+	if err != nil {
+		return nil, err
+	}
+	return runCell(c.simConfig(s), trace, extract)
+}
+
+// inversionsPct extracts total priority inversions as a percentage of base.
+func inversionsPct(base float64) func(*sim.Result) []float64 {
+	return func(r *sim.Result) []float64 { return []float64{percent(float64(r.TotalInversions()), base)} }
+}
+
+var defaultWindowsPct = []float64{0, 1, 2, 5, 10, 20, 40, 60, 80, 100}
+
 // Fig5 measures total priority inversion (as % of FIFO) against the
 // blocking-window size for each of the paper's seven curves.
 func Fig5(cfg SFC1Config, windowsPct []float64) (*Result, error) {
 	if len(windowsPct) == 0 {
-		windowsPct = []float64{0, 1, 2, 5, 10, 20, 40, 60, 80, 100}
+		windowsPct = defaultWindowsPct
 	}
-	var arena workload.Arena
-	trace, err := cfg.trace(&arena)
+	trace, err := cfg.trace()
 	if err != nil {
 		return nil, err
 	}
-	// The FIFO baseline runs first (and un-reused — cells read base while
-	// it is retained); the (curve, window) grid then fans out, each cell
-	// with its own scheduler and pooled per-run state.
-	fifo, err := cfg.run(sched.NewFCFS(), trace)
+	fifo, err := cfg.fifo(trace)
 	if err != nil {
 		return nil, err
 	}
@@ -115,28 +123,9 @@ func Fig5(cfg SFC1Config, windowsPct []float64) (*Result, error) {
 		},
 	}
 	curves := sfc.PaperNames()
-	nW := len(windowsPct)
-	ys, err := runner.Map(cfg.Workers, len(curves)*nW, func(i int) (float64, error) {
-		s, err := cfg.scheduler(curves[i/nW], cfg.Dims, windowsPct[i%nW]/100)
-		if err != nil {
-			return 0, err
-		}
-		var y float64
-		err = runReused(cfg.simConfig(s), trace, func(r *sim.Result) error {
-			y = percent(float64(r.TotalInversions()), base)
-			return nil
-		})
-		return y, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for j, curve := range curves {
-		if err := res.AddSeries(curve, ys[j*nW:(j+1)*nW]); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return res, sweep(cfg.Workers, curves, func(x, s int) ([]float64, error) {
+		return cfg.cell(curves[s], windowsPct[x]/100, trace, inversionsPct(base))
+	}, res)
 }
 
 // Fig6 measures total priority inversion (% of FIFO) as the number of QoS
@@ -159,42 +148,29 @@ func Fig6(cfg SFC1Config, dims []float64, windowFrac float64) (*Result, error) {
 				cfg.Levels, windowFrac*100, cfg.MeanInterarrival, cfg.Service, cfg.Requests),
 		},
 	}
-	type key struct{ curve string }
-	ys := map[key][]float64{}
-	var arena workload.Arena
-	for _, df := range dims {
-		d := int(df)
-		dcfg := cfg
-		dcfg.Dims = d
-		// Each dimension count regenerates into the same arena: every run
-		// of the previous point has finished by then.
-		trace, err := dcfg.trace(&arena)
+	// Each dimension count has its own workload and FIFO baseline,
+	// prepared up front and then shared read-only by the cells of that
+	// point.
+	cfgs := make([]SFC1Config, len(dims))
+	traces := make([][]*core.Request, len(dims))
+	bases := make([]float64, len(dims))
+	for i, d := range dims {
+		cfgs[i] = cfg
+		cfgs[i].Dims = int(d)
+		var err error
+		if traces[i], err = cfgs[i].trace(); err != nil {
+			return nil, err
+		}
+		fifo, err := cfgs[i].fifo(traces[i])
 		if err != nil {
 			return nil, err
 		}
-		fifo, err := dcfg.run(sched.NewFCFS(), trace)
-		if err != nil {
-			return nil, err
-		}
-		base := float64(fifo.TotalInversions())
-		for _, curve := range sfc.PaperNames() {
-			s, err := dcfg.scheduler(curve, d, windowFrac)
-			if err != nil {
-				return nil, err
-			}
-			r, err := dcfg.run(s, trace)
-			if err != nil {
-				return nil, err
-			}
-			ys[key{curve}] = append(ys[key{curve}], percent(float64(r.TotalInversions()), base))
-		}
+		bases[i] = float64(fifo.TotalInversions())
 	}
-	for _, curve := range sfc.PaperNames() {
-		if err := res.AddSeries(curve, ys[key{curve}]); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	curves := sfc.PaperNames()
+	return res, sweep(cfg.Workers, curves, func(x, s int) ([]float64, error) {
+		return cfgs[x].cell(curves[s], windowFrac, traces[x], inversionsPct(bases[x]))
+	}, res)
 }
 
 // Fig7 measures fairness: (a) the standard deviation of the per-dimension
@@ -203,14 +179,13 @@ func Fig6(cfg SFC1Config, dims []float64, windowFrac float64) (*Result, error) {
 // separately.
 func Fig7(cfg SFC1Config, windowsPct []float64) (a, b *Result, err error) {
 	if len(windowsPct) == 0 {
-		windowsPct = []float64{0, 1, 2, 5, 10, 20, 40, 60, 80, 100}
+		windowsPct = defaultWindowsPct
 	}
-	var arena workload.Arena
-	trace, err := cfg.trace(&arena)
+	trace, err := cfg.trace()
 	if err != nil {
 		return nil, nil, err
 	}
-	fifo, err := cfg.run(sched.NewFCFS(), trace)
+	fifo, err := cfg.fifo(trace)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,37 +201,20 @@ func Fig7(cfg SFC1Config, windowsPct []float64) (a, b *Result, err error) {
 		XLabel: "window%", YLabel: "favored dimension inversion percentage",
 		X: windowsPct, Notes: []string{note},
 	}
-	for _, curve := range sfc.PaperNames() {
-		sds := make([]float64, len(windowsPct))
-		favs := make([]float64, len(windowsPct))
-		for i, wp := range windowsPct {
-			s, err := cfg.scheduler(curve, cfg.Dims, wp/100)
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := cfg.run(s, trace)
-			if err != nil {
-				return nil, nil, err
-			}
+	curves := sfc.PaperNames()
+	return a, b, sweep(cfg.Workers, curves, func(x, s int) ([]float64, error) {
+		return cfg.cell(curves[s], windowsPct[x]/100, trace, func(r *sim.Result) []float64 {
 			pcts := make([]float64, cfg.Dims)
 			fav := -1.0
-			for k := 0; k < cfg.Dims; k++ {
+			for k := range pcts {
 				pcts[k] = percent(float64(r.InversionsPerDim[k]), float64(fifo.InversionsPerDim[k]))
 				if fav < 0 || pcts[k] < fav {
 					fav = pcts[k]
 				}
 			}
-			sds[i] = stddev(pcts)
-			favs[i] = fav
-		}
-		if err := a.AddSeries(curve, sds); err != nil {
-			return nil, nil, err
-		}
-		if err := b.AddSeries(curve, favs); err != nil {
-			return nil, nil, err
-		}
-	}
-	return a, b, nil
+			return []float64{stddev(pcts), fav}
+		})
+	}, a, b)
 }
 
 func stddev(vs []float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
@@ -15,8 +16,7 @@ import (
 // multi-priority requests with transfer-dominated service, so SFC3 is
 // skipped (paper §5.2).
 type SFC2Config struct {
-	Seed             uint64
-	Requests         int
+	common
 	Dims             int
 	Levels           int
 	MeanInterarrival int64
@@ -31,8 +31,7 @@ type SFC2Config struct {
 // DefaultSFC2Config returns the §5.2 parameters.
 func DefaultSFC2Config() SFC2Config {
 	return SFC2Config{
-		Seed:             1,
-		Requests:         4000,
+		common:           common{Seed: 1, Requests: 4000},
 		Dims:             3,
 		Levels:           8,
 		MeanInterarrival: 25_000,
@@ -55,12 +54,18 @@ func (c SFC2Config) trace() ([]*core.Request, error) {
 	}.Generate()
 }
 
-func (c SFC2Config) run(s sched.Scheduler, trace []*core.Request) (*sim.Result, error) {
-	return sim.Run(sim.Config{
+func (c SFC2Config) simConfig(s sched.Scheduler) sim.Config {
+	return sim.Config{
 		Scheduler:    s,
 		FixedService: c.Service,
 		Options:      sim.Options{DropLate: true, Dims: c.Dims, Levels: c.Levels, Seed: c.Seed},
-	}, trace)
+	}
+}
+
+// edf runs the EDF baseline the stage-2 figures compare against; the
+// result is freshly allocated and stays valid while the cells read it.
+func (c SFC2Config) edf(trace []*core.Request) (*sim.Result, error) {
+	return sim.Run(c.simConfig(sched.NewEDF()), trace)
 }
 
 // horizon bounds the absolute deadlines of the whole run.
@@ -107,7 +112,7 @@ func Fig8(cfg SFC2Config, fs []float64) (a, b *Result, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	edf, err := cfg.run(sched.NewEDF(), trace)
+	edf, err := cfg.edf(trace)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,29 +130,18 @@ func Fig8(cfg SFC2Config, fs []float64) (a, b *Result, err error) {
 		XLabel: "f", YLabel: "deadline misses, % of EDF",
 		X: fs, Notes: []string{note},
 	}
-	for _, curve := range cfg.Curves {
-		invs := make([]float64, len(fs))
-		misses := make([]float64, len(fs))
-		for i, f := range fs {
-			s, err := cfg.scheduler(curve, f)
-			if err != nil {
-				return nil, nil, err
+	return a, b, sweep(cfg.Workers, cfg.Curves, func(x, s int) ([]float64, error) {
+		sc, err := cfg.scheduler(cfg.Curves[s], fs[x])
+		if err != nil {
+			return nil, err
+		}
+		return runCell(cfg.simConfig(sc), trace, func(r *sim.Result) []float64 {
+			return []float64{
+				percent(float64(r.TotalInversions()), baseInv),
+				percent(float64(r.TotalMisses()), baseMiss),
 			}
-			r, err := cfg.run(s, trace)
-			if err != nil {
-				return nil, nil, err
-			}
-			invs[i] = percent(float64(r.TotalInversions()), baseInv)
-			misses[i] = percent(float64(r.TotalMisses()), baseMiss)
-		}
-		if err := a.AddSeries(curve, invs); err != nil {
-			return nil, nil, err
-		}
-		if err := b.AddSeries(curve, misses); err != nil {
-			return nil, nil, err
-		}
-	}
-	return a, b, nil
+		})
+	}, a, b)
 }
 
 // Fig9 measures selectivity: how deadline misses distribute over priority
@@ -163,34 +157,30 @@ func Fig9(cfg SFC2Config, f float64) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type runOut struct {
-		name string
-		res  *sim.Result
-	}
-	var runs []runOut
-	edf, err := cfg.run(sched.NewEDF(), trace)
+	// One run per series answers every (dimension, level) point of that
+	// series, so the runs fan out here and sweep only unpacks them. The
+	// results are retained, hence un-reused.
+	names := append([]string{"edf"}, cfg.Curves...)
+	runs, err := runner.Map(cfg.Workers, len(names), func(s int) (*sim.Result, error) {
+		if s == 0 {
+			return cfg.edf(trace)
+		}
+		sc, err := cfg.scheduler(names[s], f)
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(cfg.simConfig(sc), trace)
+	})
 	if err != nil {
 		return nil, err
-	}
-	runs = append(runs, runOut{"edf", edf})
-	for _, curve := range cfg.Curves {
-		s, err := cfg.scheduler(curve, f)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cfg.run(s, trace)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, runOut{curve, r})
 	}
 	levels := make([]float64, cfg.Levels)
 	for l := range levels {
 		levels[l] = float64(l + 1)
 	}
 	out := make([]*Result, cfg.Dims)
-	for k := 0; k < cfg.Dims; k++ {
-		res := &Result{
+	for k := range out {
+		out[k] = &Result{
 			ID:     fmt.Sprintf("fig9-dim%d", k+1),
 			Title:  fmt.Sprintf("Deadline misses per priority level, dimension %d of %d", k+1, cfg.Dims),
 			XLabel: "level",
@@ -201,16 +191,12 @@ func Fig9(cfg SFC2Config, f float64) ([]*Result, error) {
 					cfg.Dims, cfg.Levels, cfg.DeadlineMin/1000, cfg.DeadlineMax/1000),
 			},
 		}
-		for _, ro := range runs {
-			ys := make([]float64, cfg.Levels)
-			for l := 0; l < cfg.Levels; l++ {
-				ys[l] = float64(ro.res.MissesPerDimLevel[k][l])
-			}
-			if err := res.AddSeries(ro.name, ys); err != nil {
-				return nil, err
-			}
-		}
-		out[k] = res
 	}
-	return out, nil
+	return out, sweep(1, names, func(x, s int) ([]float64, error) {
+		ys := make([]float64, cfg.Dims)
+		for k := range ys {
+			ys[k] = float64(runs[s].MissesPerDimLevel[k][x])
+		}
+		return ys, nil
+	}, out...)
 }

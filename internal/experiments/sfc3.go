@@ -16,8 +16,7 @@ import (
 // disk model and the partition count R trades seek optimization against
 // priority/deadline fidelity (paper §5.3).
 type SFC3Config struct {
-	Seed             uint64
-	Requests         int
+	common
 	Dims             int
 	Levels           int
 	MeanInterarrival int64
@@ -38,8 +37,7 @@ type SFC3Config struct {
 // DefaultSFC3Config returns the §5.3 parameters.
 func DefaultSFC3Config() SFC3Config {
 	return SFC3Config{
-		Seed:             1,
-		Requests:         6000,
+		common:           common{Seed: 1, Requests: 6000},
 		Dims:             3,
 		Levels:           8,
 		MeanInterarrival: 13_000,
@@ -67,12 +65,12 @@ func (c SFC3Config) trace(cyls int) ([]*core.Request, error) {
 	}.Generate()
 }
 
-func (c SFC3Config) run(m *disk.Model, s sched.Scheduler, trace []*core.Request) (*sim.Result, error) {
-	return sim.Run(sim.Config{
+func (c SFC3Config) simConfig(m *disk.Model, s sched.Scheduler) sim.Config {
+	return sim.Config{
 		Disk:      m,
 		Scheduler: s,
 		Options:   sim.Options{DropLate: true, Dims: c.Dims, Levels: c.Levels, Seed: c.Seed},
-	}, trace)
+	}
 }
 
 // scheduler builds the full three-stage cascade with R partitions. The
@@ -105,7 +103,7 @@ func Fig10(cfg SFC3Config, rs []float64) (a, b, c *Result, err error) {
 	if len(rs) == 0 {
 		rs = []float64{1, 2, 3, 4, 6, 8, 12, 16}
 	}
-	m, err := disk.NewModel(disk.QuantumXP32150Params())
+	m, err := xp32150()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -113,13 +111,23 @@ func Fig10(cfg SFC3Config, rs []float64) (a, b, c *Result, err error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cscan, err := cfg.run(m, sched.NewCSCAN(), trace)
+	// The baselines are retained (the notes and every cell read them),
+	// hence un-reused.
+	cscan, err := sim.Run(cfg.simConfig(m, sched.NewCSCAN()), trace)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	edf, err := cfg.run(m, sched.NewEDF(), trace)
+	edf, err := sim.Run(cfg.simConfig(m, sched.NewEDF()), trace)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	// views are the three sub-figures' readings of one run.
+	views := func(r *sim.Result) []float64 {
+		return []float64{
+			percent(float64(r.TotalInversions()), float64(cscan.TotalInversions())),
+			ratio(float64(r.TotalMisses()), float64(cscan.TotalMisses())),
+			float64(r.SeekTime) / 1e6,
+		}
 	}
 	note := fmt.Sprintf("curve1=%s f=%g dims=%d levels=%d blocks<=%dKB interarrival=%dms",
 		cfg.Curve1, cfg.F, cfg.Dims, cfg.Levels, cfg.SizeMax>>10, cfg.MeanInterarrival/1000)
@@ -142,53 +150,22 @@ func Fig10(cfg SFC3Config, rs []float64) (a, b, c *Result, err error) {
 		XLabel: "R", YLabel: "total seek time, seconds",
 		X: rs, Notes: []string{note, base},
 	}
-	var invs, misses, seeks []float64
-	for _, rf := range rs {
-		s, err := cfg.scheduler(m, int(rf))
+	err = sweep(cfg.Workers, []string{"cascaded"}, func(x, _ int) ([]float64, error) {
+		s, err := cfg.scheduler(m, int(rs[x]))
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		r, err := cfg.run(m, s, trace)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		invs = append(invs, percent(float64(r.TotalInversions()), float64(cscan.TotalInversions())))
-		misses = append(misses, ratio(float64(r.TotalMisses()), float64(cscan.TotalMisses())))
-		seeks = append(seeks, float64(r.SeekTime)/1e6)
-	}
-	if err := a.AddSeries("cascaded", invs); err != nil {
+		return runCell(cfg.simConfig(m, s), trace, views)
+	}, a, b, c)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := b.AddSeries("cascaded", misses); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := c.AddSeries("cascaded", seeks); err != nil {
-		return nil, nil, nil, err
-	}
-	flat := func(v float64) []float64 {
-		ys := make([]float64, len(rs))
-		for i := range ys {
-			ys[i] = v
-		}
-		return ys
-	}
-	if err := a.AddSeries("edf", flat(percent(float64(edf.TotalInversions()), float64(cscan.TotalInversions())))); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := b.AddSeries("edf", flat(ratio(float64(edf.TotalMisses()), float64(cscan.TotalMisses())))); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := c.AddSeries("edf", flat(float64(edf.SeekTime)/1e6)); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := a.AddSeries("cscan", flat(100)); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := b.AddSeries("cscan", flat(1)); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := c.AddSeries("cscan", flat(float64(cscan.SeekTime)/1e6)); err != nil {
-		return nil, nil, nil, err
-	}
+	ev := views(edf)
+	a.flat("edf", ev[0])
+	b.flat("edf", ev[1])
+	c.flat("edf", ev[2])
+	a.flat("cscan", 100)
+	b.flat("cscan", 1)
+	c.flat("cscan", float64(cscan.SeekTime)/1e6)
 	return a, b, c, nil
 }

@@ -223,38 +223,3 @@ func (tel *Telemetry) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteJSONL writes one JSON object per sampled row, matching the CSV
-// column names.
-func (tel *Telemetry) WriteJSONL(w io.Writer) error {
-	var buf []byte
-	for i := range tel.Time {
-		b := buf[:0]
-		b = append(b, `{"time_us":`...)
-		b = strconv.AppendInt(b, tel.Time[i], 10)
-		b = append(b, `,"disk":`...)
-		b = strconv.AppendInt(b, int64(tel.Disk[i]), 10)
-		b = append(b, `,"depth":`...)
-		b = strconv.AppendInt(b, int64(tel.Depth[i]), 10)
-		b = append(b, `,"busy":`...)
-		b = strconv.AppendFloat(b, tel.Busy[i], 'f', 4, 64)
-		b = append(b, `,"v_min":`...)
-		b = strconv.AppendUint(b, tel.VMin[i], 10)
-		b = append(b, `,"v_max":`...)
-		b = strconv.AppendUint(b, tel.VMax[i], 10)
-		b = append(b, `,"deadlined":`...)
-		b = strconv.AppendInt(b, int64(tel.Deadlined[i]), 10)
-		b = append(b, `,"slack_min":`...)
-		b = strconv.AppendInt(b, tel.SlackMin[i], 10)
-		b = append(b, `,"slack_p50":`...)
-		b = strconv.AppendInt(b, tel.SlackP50[i], 10)
-		b = append(b, `,"slack_max":`...)
-		b = strconv.AppendInt(b, tel.SlackMax[i], 10)
-		b = append(b, '}', '\n')
-		buf = b
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}

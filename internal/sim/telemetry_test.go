@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -127,29 +126,6 @@ func TestTelemetryCSVDeterministic(t *testing.T) {
 	for i, line := range lines {
 		if got := strings.Count(line, ",") + 1; got != wantCols {
 			t.Fatalf("line %d has %d columns, want %d: %s", i, got, wantCols, line)
-		}
-	}
-}
-
-func TestTelemetryJSONL(t *testing.T) {
-	tel := runTelemetry(t, 22)
-	var buf bytes.Buffer
-	if err := tel.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != tel.Rows() {
-		t.Fatalf("%d JSONL lines for %d rows", len(lines), tel.Rows())
-	}
-	for i, line := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("row %d is not valid JSON: %v", i, err)
-		}
-		for _, key := range []string{"time_us", "disk", "depth", "busy", "v_min", "v_max", "slack_p50"} {
-			if _, ok := obj[key]; !ok {
-				t.Fatalf("row %d missing %q", i, key)
-			}
 		}
 	}
 }

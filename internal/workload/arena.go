@@ -56,11 +56,11 @@ func (a *Arena) pointers(n int) []*core.Request {
 	return a.ptrs
 }
 
-// GenerateArena builds the same trace as Generate — identical requests in
-// identical order — into a's slabs. A nil arena falls back to Generate.
+// GenerateArena builds the trace into a's slabs; a nil arena means a
+// fresh one.
 func (w Open) GenerateArena(a *Arena) ([]*core.Request, error) {
 	if a == nil {
-		return w.Generate()
+		a = new(Arena)
 	}
 	if err := w.validate(); err != nil {
 		return nil, err
@@ -98,11 +98,11 @@ func (w Open) MustGenerateArena(a *Arena) []*core.Request {
 	return reqs
 }
 
-// GenerateArena builds the same trace as Generate — identical requests in
-// identical order — into a's slabs. A nil arena falls back to Generate.
+// GenerateArena builds the trace, sorted by arrival time, into a's slabs;
+// a nil arena means a fresh one.
 func (s Streams) GenerateArena(a *Arena) ([]*core.Request, error) {
 	if a == nil {
-		return s.Generate()
+		a = new(Arena)
 	}
 	burst, err := s.validate()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/stats"
 )
 
 // openVariants covers every draw path of the Open generator: each branch
@@ -45,11 +46,48 @@ func sameTrace(t *testing.T, label string, plain, arena []*core.Request) {
 	}
 }
 
+// heapOpen is the per-request-allocating Open generator Generate used to
+// be, kept as an independent reference for the arena form.
+func heapOpen(w Open) []*core.Request {
+	rng := stats.NewRNG(w.Seed)
+	var zipf *stats.Zipf
+	if w.Dist == Zipf {
+		zipf = stats.NewZipf(rng.Split(), w.Levels, 1.0)
+	}
+	tzipf := w.tenantZipf()
+	reqs := make([]*core.Request, 0, w.Count)
+	now := int64(0)
+	for i := 0; i < w.Count; i++ {
+		r := &core.Request{}
+		if w.Dims > 0 {
+			r.Priorities = make([]int, w.Dims)
+		}
+		w.genOne(i, &now, rng, zipf, tzipf, r)
+		reqs = append(reqs, r)
+	}
+	return reqs
+}
+
 func TestOpenGenerateArenaMatchesGenerate(t *testing.T) {
 	for vi, w := range openVariants() {
 		var a Arena
-		sameTrace(t, fmt.Sprintf("variant %d", vi), w.MustGenerate(), w.MustGenerateArena(&a))
+		sameTrace(t, fmt.Sprintf("variant %d", vi), heapOpen(w), w.MustGenerateArena(&a))
+		sameTrace(t, fmt.Sprintf("variant %d, own arena", vi), heapOpen(w), w.MustGenerate())
 	}
+}
+
+// heapStreams is the per-request-allocating Streams generator Generate
+// used to be, kept as an independent reference for the arena form.
+func heapStreams(s Streams) []*core.Request {
+	var reqs []*core.Request
+	s.generate(max(s.Burst, 1), func(r core.Request, level int) {
+		q := &core.Request{}
+		*q = r
+		q.Priorities = []int{level}
+		reqs = append(reqs, q)
+	})
+	sortAndRenumber(reqs)
+	return reqs
 }
 
 func TestStreamsGenerateArenaMatchesGenerate(t *testing.T) {
@@ -59,7 +97,8 @@ func TestStreamsGenerateArenaMatchesGenerate(t *testing.T) {
 		Cylinders: 3832, WriteFrac: 0.2, Burst: 3,
 	}
 	var a Arena
-	sameTrace(t, "streams", s.MustGenerate(), s.MustGenerateArena(&a))
+	sameTrace(t, "streams", heapStreams(s), s.MustGenerateArena(&a))
+	sameTrace(t, "streams, own arena", heapStreams(s), s.MustGenerate())
 }
 
 // Regenerating into the same arena must recycle the slabs (same backing

@@ -198,29 +198,16 @@ func (p *Replay) Len() int { return len(p.reqs) }
 // none carried priorities).
 func (p *Replay) Dims() int { return p.dims }
 
-// Generate returns a fresh copy of the recorded trace in arrival order.
-// Like the generator forms it allocates every request; unlike them it
-// consumes no RNG draws — the same Replay always yields the same trace.
-func (p *Replay) Generate() []*core.Request {
-	reqs := make([]*core.Request, len(p.reqs))
-	for i := range p.reqs {
-		r := &core.Request{}
-		*r = p.reqs[i]
-		if p.dims > 0 {
-			r.Priorities = make([]int, p.dims)
-			copy(r.Priorities, p.reqs[i].Priorities)
-		}
-		reqs[i] = r
-	}
-	return reqs
-}
+// Generate returns a fresh copy of the recorded trace in arrival order,
+// in an arena of its own. Unlike the generator forms it consumes no RNG
+// draws — the same Replay always yields the same trace.
+func (p *Replay) Generate() []*core.Request { return p.GenerateArena(new(Arena)) }
 
-// GenerateArena builds the same trace as Generate into a's slabs,
-// allocation-free once the slabs have grown to size. A nil arena falls
-// back to Generate.
+// GenerateArena copies the recorded trace into a's slabs, allocation-free
+// once the slabs have grown to size; a nil arena means a fresh one.
 func (p *Replay) GenerateArena(a *Arena) []*core.Request {
 	if a == nil {
-		return p.Generate()
+		a = new(Arena)
 	}
 	n := len(p.reqs)
 	reqs := a.requests(n)

@@ -118,14 +118,31 @@ func TestLoadReplayErrors(t *testing.T) {
 	}
 }
 
+// heapReplay is the per-request-allocating copy Generate used to be, kept
+// as an independent reference for the arena form.
+func heapReplay(p *Replay) []*core.Request {
+	reqs := make([]*core.Request, len(p.reqs))
+	for i := range p.reqs {
+		r := &core.Request{}
+		*r = p.reqs[i]
+		if p.dims > 0 {
+			r.Priorities = make([]int, p.dims)
+			copy(r.Priorities, p.reqs[i].Priorities)
+		}
+		reqs[i] = r
+	}
+	return reqs
+}
+
 func TestReplayGenerateArenaMatchesGenerate(t *testing.T) {
 	p, err := LoadReplay(strings.NewReader(replayJSONL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a Arena
-	sameTrace(t, "replay arena", p.Generate(), p.GenerateArena(&a))
-	sameTrace(t, "nil arena", p.Generate(), p.GenerateArena(nil))
+	sameTrace(t, "replay arena", heapReplay(p), p.GenerateArena(&a))
+	sameTrace(t, "nil arena", heapReplay(p), p.GenerateArena(nil))
+	sameTrace(t, "own arena", heapReplay(p), p.Generate())
 	// A second generation through the same arena recycles the slabs.
 	first := p.GenerateArena(&a)
 	p0 := first[0]

@@ -232,9 +232,8 @@ func (s Spec) clientRNG(i int) *stats.RNG {
 }
 
 // generate fills client c's requests through fill, which must return the
-// i-th request with its Priorities already sized to c.Dims. Both Generate
-// forms funnel through here, so they consume the client stream identically
-// draw for draw. Per request the draw order is: gap (first request of each
+// i-th request with its Priorities already sized to c.Dims. Per request
+// the draw order is: gap (first request of each
 // burst epoch only), priority levels, deadline, cylinder (uniform
 // placement only), write, value.
 func (c Client) generate(rng *stats.RNG, fill func(i int) *core.Request) {
@@ -294,29 +293,9 @@ func (c Client) generate(rng *stats.RNG, fill func(i int) *core.Request) {
 	}
 }
 
-// Generate builds the merged trace, sorted by arrival with IDs reassigned
-// 1..n. It is deterministic in the spec.
-func (s Spec) Generate() ([]*core.Request, error) {
-	dims, err := s.validate()
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]*core.Request, 0, s.Count())
-	for ci, c := range s.Clients {
-		rng := s.clientRNG(ci)
-		base := len(reqs)
-		for i := 0; i < c.Count; i++ {
-			r := &core.Request{}
-			if dims > 0 {
-				r.Priorities = make([]int, dims)
-			}
-			reqs = append(reqs, r)
-		}
-		c.generate(rng, func(i int) *core.Request { return reqs[base+i] })
-	}
-	sortAndRenumber(reqs)
-	return reqs, nil
-}
+// Generate builds the merged trace into an arena of its own. It is
+// deterministic in the spec.
+func (s Spec) Generate() ([]*core.Request, error) { return s.GenerateArena(new(Arena)) }
 
 // MustGenerate is Generate for static configurations.
 func (s Spec) MustGenerate() []*core.Request {
@@ -327,11 +306,11 @@ func (s Spec) MustGenerate() []*core.Request {
 	return reqs
 }
 
-// GenerateArena builds the same trace as Generate — identical requests in
-// identical order — into a's slabs. A nil arena falls back to Generate.
+// GenerateArena builds the merged trace, sorted by arrival with IDs
+// reassigned 1..n, into a's slabs; a nil arena means a fresh one.
 func (s Spec) GenerateArena(a *Arena) ([]*core.Request, error) {
 	if a == nil {
-		return s.Generate()
+		a = new(Arena)
 	}
 	dims, err := s.validate()
 	if err != nil {

@@ -57,10 +57,31 @@ func specVariants() []Spec {
 	}
 }
 
+// heapSpec is the per-request-allocating Spec generator Generate used to
+// be, kept as an independent reference for the arena form.
+func heapSpec(s Spec) []*core.Request {
+	dims := s.Dims()
+	reqs := make([]*core.Request, 0, s.Count())
+	for ci, c := range s.Clients {
+		base := len(reqs)
+		for i := 0; i < c.Count; i++ {
+			r := &core.Request{}
+			if dims > 0 {
+				r.Priorities = make([]int, dims)
+			}
+			reqs = append(reqs, r)
+		}
+		c.generate(s.clientRNG(ci), func(i int) *core.Request { return reqs[base+i] })
+	}
+	sortAndRenumber(reqs)
+	return reqs
+}
+
 func TestSpecGenerateArenaMatchesGenerate(t *testing.T) {
 	for vi, s := range specVariants() {
 		var a Arena
-		sameTrace(t, fmt.Sprintf("variant %d", vi), s.MustGenerate(), s.MustGenerateArena(&a))
+		sameTrace(t, fmt.Sprintf("variant %d", vi), heapSpec(s), s.MustGenerateArena(&a))
+		sameTrace(t, fmt.Sprintf("variant %d, own arena", vi), heapSpec(s), s.MustGenerate())
 	}
 }
 

@@ -6,11 +6,10 @@
 // in a comparison is fed the identical trace, so differences in outcomes
 // are attributable to scheduling alone.
 //
-// Each generator has two forms: Generate allocates every request (and its
-// priority vector) individually, GenerateArena packs them into an Arena's
-// contiguous slabs for allocation-free regeneration across sweep cells.
-// Both replay the same RNG draw sequence, so they produce identical
-// traces.
+// Each generator packs its requests (and their priority vectors) into an
+// Arena's contiguous slabs: GenerateArena into the caller's, for
+// allocation-free regeneration across sweep cells, Generate into a fresh
+// one.
 package workload
 
 import (
@@ -124,9 +123,7 @@ func (w Open) tenantZipf() *stats.Zipf {
 
 // genOne fills the i-th request into r, advancing the arrival clock. The
 // caller provides r zeroed except for Priorities, which must already have
-// length w.Dims (backed by an arena slab or a fresh allocation); both
-// Generate forms funnel through here, so they consume the RNG stream
-// identically draw for draw. tzipf is non-nil iff Tenants > 0; the tenant
+// length w.Dims. tzipf is non-nil iff Tenants > 0; the tenant
 // draws come from its private stream, so tagging never perturbs the main
 // stream of an otherwise identical configuration.
 func (w Open) genOne(i int, now *int64, rng *stats.RNG, zipf, tzipf *stats.Zipf, r *core.Request) {
@@ -176,29 +173,9 @@ func (w Open) genOne(i int, now *int64, rng *stats.RNG, zipf, tzipf *stats.Zipf,
 	}
 }
 
-// Generate builds the trace. It is deterministic in the configuration.
-func (w Open) Generate() ([]*core.Request, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(w.Seed)
-	var zipf *stats.Zipf
-	if w.Dist == Zipf {
-		zipf = stats.NewZipf(rng.Split(), w.Levels, 1.0)
-	}
-	tzipf := w.tenantZipf()
-	reqs := make([]*core.Request, 0, w.Count)
-	now := int64(0)
-	for i := 0; i < w.Count; i++ {
-		r := &core.Request{}
-		if w.Dims > 0 {
-			r.Priorities = make([]int, w.Dims)
-		}
-		w.genOne(i, &now, rng, zipf, tzipf, r)
-		reqs = append(reqs, r)
-	}
-	return reqs, nil
-}
+// Generate builds the trace into an arena of its own. It is deterministic
+// in the configuration.
+func (w Open) Generate() ([]*core.Request, error) { return w.GenerateArena(new(Arena)) }
 
 // MustGenerate is Generate for static configurations.
 func (w Open) MustGenerate() []*core.Request {
@@ -279,9 +256,7 @@ func (s Streams) validate() (burst int, err error) {
 
 // generate runs the stream mix and hands every request to emit in
 // generation (pre-sort) order, with its single priority level passed
-// separately so callers choose where the priority vector lives. Both
-// Generate forms funnel through here, so they consume the RNG stream
-// identically draw for draw.
+// separately so the caller chooses where the priority vector lives.
 func (s Streams) generate(burst int, emit func(r core.Request, level int)) {
 	rng := stats.NewRNG(s.Seed)
 	// A stream consumes BitRate bits/s; each block lasts blockPeriod.
@@ -323,22 +298,9 @@ func (s Streams) generate(burst int, emit func(r core.Request, level int)) {
 	}
 }
 
-// Generate builds the trace sorted by arrival time.
-func (s Streams) Generate() ([]*core.Request, error) {
-	burst, err := s.validate()
-	if err != nil {
-		return nil, err
-	}
-	var reqs []*core.Request
-	s.generate(burst, func(r core.Request, level int) {
-		q := &core.Request{}
-		*q = r
-		q.Priorities = []int{level}
-		reqs = append(reqs, q)
-	})
-	sortAndRenumber(reqs)
-	return reqs, nil
-}
+// Generate builds the trace, sorted by arrival time, into an arena of its
+// own.
+func (s Streams) Generate() ([]*core.Request, error) { return s.GenerateArena(new(Arena)) }
 
 // MustGenerate is Generate for static configurations.
 func (s Streams) MustGenerate() []*core.Request {
