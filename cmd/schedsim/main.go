@@ -202,7 +202,7 @@ func main() {
 			ar, err := sim.RunArray(sim.ArrayConfig{
 				Array: array,
 				NewScheduler: func(int) (sched.Scheduler, error) {
-					return build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+					return opt.build(name, m)
 				},
 				Options: opts,
 			}, trace)
@@ -220,7 +220,7 @@ func main() {
 			fmt.Println()
 			continue
 		}
-		s, err := build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+		s, err := opt.build(name, m)
 		if err != nil {
 			fatal(err)
 		}
@@ -261,7 +261,7 @@ func runCluster(opt options, m *disk.Model, name string, trace []*core.Request,
 	cfg := cluster.Config{
 		Nodes: opt.clusterNodes, DisksPerNode: opt.clusterDisks, Disk: m,
 		NewScheduler: func(int, int) (sched.Scheduler, error) {
-			return build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+			return opt.build(name, m)
 		},
 		Classes:  opt.classes,
 		Seed:     opt.seed,
@@ -327,7 +327,7 @@ func buildShadows(opt options, m *disk.Model) ([]*sim.Shadow, error) {
 		if name == "" {
 			continue
 		}
-		s, err := build(name, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+		s, err := opt.build(name, m)
 		if err != nil {
 			return nil, fmt.Errorf("-shadow %s: %w", name, err)
 		}
@@ -375,16 +375,16 @@ func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector
 // build constructs the named scheduler. Every path goes through it — the
 // simulated runs, the shadows, and both sides of a -serve calibration — so
 // a flag means the same policy wherever it applies.
-func build(name string, m *disk.Model, curve string, f float64, r int, window float64, levels, dims int, horizon int64) (sched.Scheduler, error) {
+func (opt options) build(name string, m *disk.Model) (sched.Scheduler, error) {
 	est := m.ServiceTime
 	switch name {
 	case "cascaded":
-		cfg, err := cascadedConfig(m, curve, f, r, levels, dims, horizon)
+		cfg, err := opt.cascadedConfig(m)
 		if err != nil {
 			return nil, err
 		}
 		return core.NewScheduler("cascaded", cfg,
-			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, window)
+			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, opt.window)
 	case "fcfs":
 		return sched.NewFCFS(), nil
 	case "sstf":
@@ -406,7 +406,7 @@ func build(name string, m *disk.Model, curve string, f float64, r int, window fl
 	case "ssedv":
 		return sched.NewSSEDV(0, 0), nil
 	case "multi-queue":
-		return sched.NewMultiQueue(levels), nil
+		return sched.NewMultiQueue(opt.levels), nil
 	case "bucket":
 		return sched.NewBUCKET(), nil
 	case "kamel":
@@ -418,22 +418,22 @@ func build(name string, m *disk.Model, curve string, f float64, r int, window fl
 
 // cascadedConfig translates the cascaded flags into the three-stage
 // encapsulator configuration.
-func cascadedConfig(m *disk.Model, curve string, f float64, r int, levels, dims int, horizon int64) (core.EncapsulatorConfig, error) {
-	cv, err := sfc.New(curve, dims, uint32(levels))
+func (opt options) cascadedConfig(m *disk.Model) (core.EncapsulatorConfig, error) {
+	cv, err := sfc.New(opt.curve, opt.dims, uint32(opt.levels))
 	if err != nil {
 		return core.EncapsulatorConfig{}, err
 	}
-	cfg := core.EncapsulatorConfig{Curve1: cv, Levels: levels}
-	if horizon > 0 {
+	cfg := core.EncapsulatorConfig{Curve1: cv, Levels: opt.levels}
+	if horizon := opt.deadlineMax.Microseconds(); horizon > 0 {
 		cfg.UseDeadline = true
-		cfg.F = f
+		cfg.F = opt.f
 		cfg.DeadlineHorizon = horizon
 		cfg.DeadlineSpan = horizon
 		cfg.DeadlineSlack = true
 	}
-	if r > 0 {
+	if opt.r > 0 {
 		cfg.UseCylinder = true
-		cfg.R = r
+		cfg.R = opt.r
 		cfg.Cylinders = m.Cylinders
 	}
 	return cfg, nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"sfcsched/internal/cluster"
 	"sfcsched/internal/fault"
 	"sfcsched/internal/workload"
 )
@@ -230,18 +231,15 @@ func (o *options) validate() error {
 		if o.faultRate > 0 || o.failDisk >= 0 {
 			return fmt.Errorf("fault injection is not wired into the cluster layer; drop the fault flags or -cluster")
 		}
-		switch o.router {
-		case "rr", "round-robin", "least", "least-loaded", "affinity":
-		default:
-			return fmt.Errorf("unknown -router %q (known: rr, least, affinity)", o.router)
-		}
-		switch o.admit {
-		case "always", "token", "token-bucket":
-		default:
-			return fmt.Errorf("unknown -admit %q (known: always, token)", o.admit)
-		}
 		if o.admit != "always" && (o.admitRate < 1 || o.admitBurst < 1) {
 			return fmt.Errorf("-admit-rate and -admit-burst must be at least 1, got %d and %d", o.admitRate, o.admitBurst)
+		}
+		// The constructors own the name tables.
+		if _, err := cluster.NewRouter(o.router); err != nil {
+			return fmt.Errorf("-router: %w", err)
+		}
+		if _, err := cluster.NewAdmitter(o.admit, o.classes, o.admitRate, o.admitBurst); err != nil {
+			return fmt.Errorf("-admit: %w", err)
 		}
 	}
 	if !(o.dilation > 0) {

@@ -20,7 +20,7 @@ import (
 func runServeCalib(out io.Writer, opt options, m *disk.Model, trace []*core.Request) error {
 	cal, err := serve.Calibrate(context.Background(), serve.CalibrationConfig{
 		NewScheduler: func() (sched.Scheduler, error) {
-			return build(opt.sched, m, opt.curve, opt.f, opt.r, opt.window, opt.levels, opt.dims, opt.deadlineMax.Microseconds())
+			return opt.build(opt.sched, m)
 		},
 		Service:  disk.ServiceModel{Disk: m},
 		Dilation: opt.dilation,

@@ -293,10 +293,11 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	}
 
 	res.Makespan = eng.Run(trace, func(r *core.Request, now int64) {
-		class := clampInt(r.Class, classes)
+		class := min(max(r.Class, 0), classes-1)
 		cs := res.PerClass[class]
 		cs.Arrived++
-		ten := &res.Tenants[clampInt(r.Tenant, len(res.Tenants))]
+		tenant := min(max(r.Tenant, 0), len(res.Tenants)-1)
+		ten := &res.Tenants[tenant]
 		ten.Arrived++
 		m.Arrivals.Inc()
 		if !admit.Admit(class, now) {
@@ -306,18 +307,18 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		}
 		cs.Admitted++
 		ten.Admitted++
-		n := clampInt(router.Route(r, nodes, now), cfg.Nodes)
+		n := min(max(router.Route(r, nodes, now), 0), cfg.Nodes-1)
 		res.PerNode[n].Routed++
 		m.Routed.Inc()
 		m.NodeDepthMax.Observe(int64(nodes[n].Depth()))
 
-		block := clampInt(r.Cylinder, cfg.MaxBlocks()) % blocksPerNode
+		block := min(max(r.Cylinder, 0), cfg.MaxBlocks()-1) % blocksPerNode
 		st := stations[n*dpn+block%dpn]
 		phys := &core.Request{
 			ID: r.ID, Priorities: r.Priorities, Deadline: r.Deadline,
 			Cylinder: block / dpn, Size: r.Size, Arrival: r.Arrival,
 			Write: r.Write, Value: r.Value,
-			Tenant: clampInt(r.Tenant, len(res.Tenants)), Class: class,
+			Tenant: tenant, Class: class,
 		}
 		st.Col.OnArrival(phys)
 		st.Enqueue(phys, now)
@@ -354,15 +355,4 @@ func inferLedgers(classes int, trace []*core.Request) (int, int) {
 		classes = maxClass + 1
 	}
 	return classes, maxTenant
-}
-
-// clampInt clamps v to [0, n).
-func clampInt(v, n int) int {
-	if v < 0 {
-		return 0
-	}
-	if v >= n {
-		return n - 1
-	}
-	return v
 }

@@ -31,6 +31,23 @@ func TestValueAtNoAllocs(t *testing.T) {
 	}
 }
 
+// The single-stage baseline owns its point and curve scratch the way the
+// cascade owns its pool; Hilbert is the curve that needs the scratch.
+func TestSingleStageValueNoAllocs(t *testing.T) {
+	skipUnderRace(t)
+	ss, err := NewSingleStage("hilbert", 2, 8, 1_000_000, 3832)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Request{Priorities: []int{3, 6}, Deadline: 600_000, Cylinder: 1200}
+	allocs := testing.AllocsPerRun(1000, func() {
+		ss.Value(r, 1, 7)
+	})
+	if allocs != 0 {
+		t.Errorf("SingleStage.Value allocates %v per op", allocs)
+	}
+}
+
 func TestDispatcherSteadyStateNoAllocs(t *testing.T) {
 	skipUnderRace(t)
 	d := MustDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 1000, SP: true})

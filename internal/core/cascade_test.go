@@ -121,7 +121,7 @@ func TestCascadeStageOrderMatters(t *testing.T) {
 		{ID: 2, Priorities: []int{0}, Deadline: 900_000},
 	}
 	p := mk(0, TieDeadline)
-	d := MustFuncScheduler("edf", EmulateEDF().fn, DispatcherConfig{Mode: FullyPreemptive})
+	d := EmulateEDF()
 	for _, r := range reqs {
 		p.Add(r, 0, 0)
 		d.Add(r, 0, 0)

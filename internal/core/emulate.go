@@ -1,157 +1,83 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// ValueFunc computes a characterization value for a request: the paper's
-// §4.2 observation that, with the SFC stages bypassed, the Cascaded-SFC
+// ValueFunc is a Valuer that ignores the sweep timeline: the paper's §4.2
+// observation that, with the SFC stages bypassed, the Cascaded-SFC
 // machinery realizes "any one-dimensional disk scheduler" by choosing the
 // insertion criterion. Lower values dispatch earlier.
 type ValueFunc func(r *Request, now int64, head int) uint64
 
-// FuncScheduler couples an arbitrary ValueFunc with a Dispatcher,
-// providing the same interface as the full Scheduler.
-type FuncScheduler struct {
-	fn   ValueFunc
-	disp *Dispatcher
-	name string
+// ValueAt implements Valuer.
+func (f ValueFunc) ValueAt(r *Request, now int64, head int, _ uint64) uint64 {
+	return f(r, now, head)
 }
 
-// NewFuncScheduler builds a scheduler around fn.
-func NewFuncScheduler(name string, fn ValueFunc, dcfg DispatcherConfig) (*FuncScheduler, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("core: NewFuncScheduler needs a value function")
-	}
-	disp, err := NewDispatcher(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		name = "func-scheduler"
-	}
-	return &FuncScheduler{fn: fn, disp: disp, name: name}, nil
-}
-
-// MustFuncScheduler is NewFuncScheduler for static configurations.
-func MustFuncScheduler(name string, fn ValueFunc, dcfg DispatcherConfig) *FuncScheduler {
-	s, err := NewFuncScheduler(name, fn, dcfg)
+// preset builds a §4.2 emulation: values computed at insertion, zero
+// window, fully preemptive.
+func preset(name string, v Valuer, cylinders int) *Scheduler {
+	s, err := NewValueScheduler(name, v, cylinders, DispatcherConfig{Mode: FullyPreemptive})
 	if err != nil {
 		panic(err)
 	}
 	return s
 }
 
-// Name implements the scheduler contract.
-func (s *FuncScheduler) Name() string { return s.name }
+// The paper's §4.2 emulation presets. Each returns a Scheduler whose
+// dispatch order reproduces the named classic.
 
-// Add implements the scheduler contract.
-func (s *FuncScheduler) Add(r *Request, now int64, head int) {
-	s.disp.Add(r, s.fn(r, now, head))
-}
-
-// Next implements the scheduler contract.
-func (s *FuncScheduler) Next(now int64, head int) *Request { return s.disp.Next() }
-
-// Len implements the scheduler contract.
-func (s *FuncScheduler) Len() int { return s.disp.Len() }
-
-// Each implements the scheduler contract.
-func (s *FuncScheduler) Each(visit func(*Request)) { s.disp.Each(visit) }
-
-// Dispatcher exposes the queue machinery.
-func (s *FuncScheduler) Dispatcher() *Dispatcher { return s.disp }
-
-// The paper's §4.2 emulation presets. Each returns a FuncScheduler whose
-// dispatch order reproduces the named classic (values computed at
-// insertion, zero window, fully preemptive).
-
-// EmulateFCFS orders by arrival sequence.
-func EmulateFCFS() *FuncScheduler {
-	var seq uint64
-	return MustFuncScheduler("fcfs(emulated)",
-		func(r *Request, now int64, head int) uint64 {
-			seq++
-			return seq
-		},
-		DispatcherConfig{Mode: FullyPreemptive})
+// EmulateFCFS orders by arrival sequence: every request gets the same
+// value and the dispatcher's FIFO tie-break is the criterion.
+func EmulateFCFS() *Scheduler {
+	return preset("fcfs(emulated)", ValueFunc(func(*Request, int64, int) uint64 { return 0 }), 0)
 }
 
 // EmulateEDF orders by absolute deadline; requests without one go last.
-func EmulateEDF() *FuncScheduler {
-	return MustFuncScheduler("edf(emulated)",
-		func(r *Request, now int64, head int) uint64 {
-			if r.Deadline == 0 {
-				return math.MaxUint64
-			}
-			return uint64(r.Deadline)
-		},
-		DispatcherConfig{Mode: FullyPreemptive})
+func EmulateEDF() *Scheduler {
+	return preset("edf(emulated)", ValueFunc(func(r *Request, _ int64, _ int) uint64 {
+		if r.Deadline == 0 {
+			return math.MaxUint64
+		}
+		return uint64(r.Deadline)
+	}), 0)
 }
 
 // EmulateSSTF orders by seek distance from the head position at insertion.
 // True SSTF re-evaluates at every dispatch; the emulation freezes the
 // insertion-time distance, which the paper accepts as the cost of the
 // unified framework.
-func EmulateSSTF() *FuncScheduler {
-	return MustFuncScheduler("sstf(emulated)",
-		func(r *Request, now int64, head int) uint64 {
-			d := r.Cylinder - head
-			if d < 0 {
-				d = -d
-			}
-			return uint64(d)
-		},
-		DispatcherConfig{Mode: FullyPreemptive})
+func EmulateSSTF() *Scheduler {
+	return preset("sstf(emulated)", ValueFunc(func(r *Request, _ int64, head int) uint64 {
+		return uint64(max(r.Cylinder-head, head-r.Cylinder))
+	}), 0)
+}
+
+// cscan is EmulateCSCAN's criterion on a disk of that many cylinders.
+type cscan int
+
+func (c cscan) ValueAt(r *Request, _ int64, head int, progress uint64) uint64 {
+	n := int(c)
+	cyl := min(max(r.Cylinder, 0), n-1)
+	head = min(max(head, 0), n-1)
+	return progress + uint64((cyl-head+n)%n)
 }
 
 // EmulateCSCAN orders by cyclic distance ahead of the head on the absolute
 // sweep timeline (one pure scan, like the SFC3 stage at R = 1).
-func EmulateCSCAN(cylinders int) *FuncScheduler {
-	if cylinders < 1 {
-		cylinders = 1
-	}
-	var progress uint64
-	lastHead := 0
-	return MustFuncScheduler("cscan(emulated)",
-		func(r *Request, now int64, head int) uint64 {
-			if head < 0 {
-				head = 0
-			}
-			if head >= cylinders {
-				head = cylinders - 1
-			}
-			progress += uint64((head - lastHead + cylinders) % cylinders)
-			lastHead = head
-			cyl := r.Cylinder
-			if cyl < 0 {
-				cyl = 0
-			}
-			if cyl >= cylinders {
-				cyl = cylinders - 1
-			}
-			return progress + uint64((cyl-head+cylinders)%cylinders)
-		},
-		DispatcherConfig{Mode: FullyPreemptive})
+func EmulateCSCAN(cylinders int) *Scheduler {
+	cylinders = max(cylinders, 1)
+	return preset("cscan(emulated)", cscan(cylinders), cylinders)
 }
 
 // EmulateMultiQueue orders by the first priority level, FIFO within a
 // level (the multi-queue scheduler with FIFO instead of scan inside each
 // queue).
-func EmulateMultiQueue(levels int) *FuncScheduler {
-	if levels < 1 {
-		levels = 1
-	}
-	var seq uint64
-	return MustFuncScheduler("multi-queue(emulated)",
-		func(r *Request, now int64, head int) uint64 {
-			seq++
-			l := 0
-			if len(r.Priorities) > 0 {
-				l = clampLevel(r.Priorities[0], levels)
-			}
-			return uint64(l)<<40 | seq
-		},
-		DispatcherConfig{Mode: FullyPreemptive})
+func EmulateMultiQueue(levels int) *Scheduler {
+	levels = max(levels, 1)
+	return preset("multi-queue(emulated)", ValueFunc(func(r *Request, _ int64, _ int) uint64 {
+		if len(r.Priorities) == 0 {
+			return 0
+		}
+		return uint64(clampLevel(r.Priorities[0], levels))
+	}), 0)
 }

@@ -6,7 +6,7 @@ import (
 	"sfcsched/internal/stats"
 )
 
-func drainFunc(s *FuncScheduler, head int) []uint64 {
+func drainFunc(s *Scheduler, head int) []uint64 {
 	var ids []uint64
 	for r := s.Next(0, head); r != nil; r = s.Next(0, head) {
 		ids = append(ids, r.ID)
@@ -17,14 +17,16 @@ func drainFunc(s *FuncScheduler, head int) []uint64 {
 	return ids
 }
 
-func TestNewFuncSchedulerValidation(t *testing.T) {
-	if _, err := NewFuncScheduler("x", nil, DispatcherConfig{Mode: FullyPreemptive}); err == nil {
+func TestNewValueSchedulerValidation(t *testing.T) {
+	full := DispatcherConfig{Mode: FullyPreemptive}
+	if _, err := NewValueScheduler("x", nil, 0, full); err == nil {
+		t.Error("expected error for nil valuer")
+	}
+	if _, err := NewValueScheduler("x", ValueFunc(nil), 0, full); err == nil {
 		t.Error("expected error for nil value function")
 	}
-	s := MustFuncScheduler("", func(*Request, int64, int) uint64 { return 0 },
-		DispatcherConfig{Mode: FullyPreemptive})
-	if s.Name() != "func-scheduler" {
-		t.Errorf("default name = %q", s.Name())
+	if _, err := NewValueScheduler("x", EmulateEDF().v, 0, DispatcherConfig{Mode: PreemptMode(99)}); err == nil {
+		t.Error("expected the dispatcher's error for an unknown preempt mode")
 	}
 }
 

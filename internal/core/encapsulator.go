@@ -394,14 +394,8 @@ const wScale = 1 << 20
 // exact while making cross-epoch comparisons coherent.
 func (e *Encapsulator) stage3(v2 uint64, r *Request, head int, progress uint64) uint64 {
 	xv := scale(v2, e.max2, e.maxX)
-	cyl := r.Cylinder
 	c := e.cfg.Cylinders
-	if cyl < 0 {
-		cyl = 0
-	}
-	if cyl >= c {
-		cyl = c - 1
-	}
+	cyl := min(max(r.Cylinder, 0), c-1)
 	ahead := uint64((cyl - head + c) % c)
 	pn := xv / e.ps
 	yv := progress + ahead + pn*uint64(c)
@@ -431,20 +425,6 @@ func scale(v, from, to uint64) uint64 {
 	hi, lo := bits.Mul64(v, to)
 	q, _ := bits.Div64(hi, lo, from)
 	return q
-}
-
-// scaleFloat is the pre-integer float64 implementation of scale, kept as a
-// test oracle: the exact path must agree with it on every grid whose
-// products stay within float64's 53-bit mantissa (all grids the
-// encapsulator uses).
-func scaleFloat(v, from, to uint64) uint64 {
-	if from == 0 {
-		return 0
-	}
-	if v >= from {
-		v = from - 1
-	}
-	return uint64(float64(v) * float64(to) / float64(from))
 }
 
 func clampLevel(l, levels int) int {

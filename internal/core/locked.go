@@ -3,8 +3,8 @@ package core
 import "sync"
 
 // queue is the five-method scheduler contract — sched.Scheduler, restated
-// here because package sched imports core. Scheduler, SingleStage and every
-// baseline in internal/sched satisfy it.
+// here because package sched imports core. Scheduler, over any Valuer, and
+// every baseline in internal/sched satisfy it.
 type queue interface {
 	Name() string
 	Add(r *Request, now int64, head int)

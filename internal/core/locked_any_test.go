@@ -48,3 +48,63 @@ func TestLockedAnySchedulerCloseRejects(t *testing.T) {
 		t.Fatalf("drained ingress handed out %v", r)
 	}
 }
+
+// TestValueSchedulersShareOneContract: every value-ordered constructor
+// yields the same type, so each has redirectable counters that attribute
+// dispatches as well as adds, the batch insert, and the RequestValue and
+// Window views that sim.ValueRanker and sim.WindowStater name (asserted as
+// interfaces in internal/sim, which core cannot import).
+func TestValueSchedulersShareOneContract(t *testing.T) {
+	must := func(s sched.Scheduler, err error) sched.Scheduler {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	full := core.DispatcherConfig{Mode: core.FullyPreemptive}
+	schedulers := []sched.Scheduler{
+		must(core.NewScheduler("", core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000}, full, 0)),
+		core.EmulateFCFS(),
+		core.EmulateEDF(),
+		core.EmulateSSTF(),
+		core.EmulateCSCAN(3832),
+		core.EmulateMultiQueue(8),
+		must(core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832, full)),
+		must(sched.NewBUCKETSeek(8, 3, 3832)),
+	}
+	for _, s := range schedulers {
+		t.Run(s.Name(), func(t *testing.T) {
+			v, ok := s.(interface {
+				SetMetrics(*core.Metrics)
+				AddBatch(rs []*core.Request, now int64, head int)
+				RequestValue(r *core.Request, now int64, head int) uint64
+				Window() uint64
+			})
+			if !ok {
+				t.Fatalf("%T lacks SetMetrics, AddBatch, RequestValue or Window", s)
+			}
+			m := &core.Metrics{}
+			v.SetMetrics(m)
+			reqs := make([]*core.Request, 6)
+			for i := range reqs {
+				reqs[i] = &core.Request{ID: uint64(i + 1), Priorities: []int{i % 8, 0}, Deadline: int64(100_000 * (i + 1)), Cylinder: 500 * i, Value: i + 1}
+			}
+			s.Add(reqs[0], 0, 100)
+			want := v.RequestValue(reqs[0], 0, 100)
+			if again := v.RequestValue(reqs[0], 0, 100); again != want {
+				t.Errorf("RequestValue is not read-only: %d then %d", want, again)
+			}
+			v.AddBatch(reqs[1:], 0, 100)
+			if v.Window() != 0 {
+				t.Errorf("Window = %d on a fully-preemptive dispatcher", v.Window())
+			}
+			for head := 100; s.Len() > 0; {
+				head = s.Next(0, head).Cylinder
+			}
+			n := uint64(len(reqs))
+			if m.Adds.Load() != n || m.Dispatches.Load() != n {
+				t.Errorf("adds=%d dispatches=%d, want both %d", m.Adds.Load(), m.Dispatches.Load(), n)
+			}
+		})
+	}
+}

@@ -22,6 +22,20 @@ var encapsulatorGrids = [][2]uint64{
 	{1000, 64},              // legacy test grid
 }
 
+// scaleFloat is the pre-integer float64 implementation of scale, kept as a
+// test oracle: the exact path must agree with it on every grid whose
+// products stay within float64's 53-bit mantissa (all grids the
+// encapsulator uses).
+func scaleFloat(v, from, to uint64) uint64 {
+	if from == 0 {
+		return 0
+	}
+	if v >= from {
+		v = from - 1
+	}
+	return uint64(float64(v) * float64(to) / float64(from))
+}
+
 func TestScaleMatchesFloatOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, g := range encapsulatorGrids {

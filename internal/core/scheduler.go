@@ -2,19 +2,35 @@ package core
 
 import "fmt"
 
-// Scheduler couples an Encapsulator with a Dispatcher into the complete
-// Cascaded-SFC disk scheduler. It satisfies the scheduler contract used by
-// the simulator: values are computed at enqueue time (including the SFC3
-// head-relative seek dimension, as in the paper).
+// Valuer is an insertion criterion: it maps a request to the scalar the
+// dispatcher orders by, lower first. progress is the owning Scheduler's
+// sweep timeline (see observeHead), 0 when it was built without cylinders.
+// ValueAt must be a function of its arguments alone, because
+// Scheduler.RequestValue calls it on queued requests; it may reuse private
+// scratch, since one scheduler owns one valuer and never calls it
+// concurrently.
+type Valuer interface {
+	ValueAt(r *Request, now int64, head int, progress uint64) uint64
+}
+
+// Scheduler couples a Valuer with a Dispatcher: §4.2 in the type system.
+// Over an Encapsulator it is the complete Cascaded-SFC disk scheduler; over
+// a one-line criterion it is a classic (emulate.go), the single-curve
+// baseline (singlestage.go) or an extended one (sched.NewBUCKETSeek). It
+// satisfies the scheduler contract used by the simulator: values are
+// computed at enqueue time (including the SFC3 head-relative seek
+// dimension, as in the paper).
 type Scheduler struct {
-	enc  *Encapsulator
+	v    Valuer
 	disp *Dispatcher
 	name string
 
-	// Scan-timeline tracking for the SFC3 stage: cumulative cylinders the
-	// head has swept (cyclically) and the last head position observed.
-	progress uint64
-	lastHead int
+	// Scan-timeline tracking for the seek dimension: cumulative cylinders
+	// the head has swept (cyclically, modulo cylinders; 0 = no timeline)
+	// and the last head position observed.
+	cylinders int
+	progress  uint64
+	lastHead  int
 
 	vbuf []uint64 // reusable AddBatch value buffer
 
@@ -35,14 +51,24 @@ func NewScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, w
 	if dcfg.Window == 0 && windowFrac > 0 {
 		dcfg.Window = uint64(windowFrac * float64(enc.MaxValue()))
 	}
+	if name == "" {
+		name = "cascaded-sfc"
+	}
+	return NewValueScheduler(name, enc, enc.cfg.Cylinders, dcfg)
+}
+
+// NewValueScheduler builds a scheduler that inserts by v's criterion.
+// cylinders is the modulus of the sweep timeline handed to v as progress;
+// 0 keeps none, for criteria that ignore the head.
+func NewValueScheduler(name string, v Valuer, cylinders int, dcfg DispatcherConfig) (*Scheduler, error) {
+	if f, isFunc := v.(ValueFunc); v == nil || isFunc && f == nil {
+		return nil, fmt.Errorf("core: NewValueScheduler needs a valuer")
+	}
 	disp, err := NewDispatcher(dcfg)
 	if err != nil {
 		return nil, err
 	}
-	if name == "" {
-		name = "cascaded-sfc"
-	}
-	return &Scheduler{enc: enc, disp: disp, name: name, m: disp.Metrics()}, nil
+	return &Scheduler{v: v, disp: disp, name: name, cylinders: cylinders, m: disp.Metrics()}, nil
 }
 
 // MustScheduler is NewScheduler for static configurations.
@@ -57,8 +83,12 @@ func MustScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, 
 // Name returns the scheduler's display name.
 func (s *Scheduler) Name() string { return s.name }
 
-// Encapsulator exposes the value mapper (e.g. for window sizing).
-func (s *Scheduler) Encapsulator() *Encapsulator { return s.enc }
+// Encapsulator exposes the value mapper (e.g. for window sizing); nil when
+// the scheduler was built over another Valuer.
+func (s *Scheduler) Encapsulator() *Encapsulator {
+	enc, _ := s.v.(*Encapsulator)
+	return enc
+}
 
 // Dispatcher exposes the queue machinery (e.g. for policy stats).
 func (s *Scheduler) Dispatcher() *Dispatcher { return s.disp }
@@ -78,16 +108,11 @@ func (s *Scheduler) Metrics() *Metrics { return s.m }
 // Any movement counts as forward cyclic progress, which is exact while the
 // scheduler itself drives the head in sweep order.
 func (s *Scheduler) observeHead(head int) {
-	c := s.enc.cfg.Cylinders
+	c := s.cylinders
 	if c <= 0 {
 		return
 	}
-	if head < 0 {
-		head = 0
-	}
-	if head >= c {
-		head = c - 1
-	}
+	head = min(max(head, 0), c-1)
 	s.progress += uint64((head - s.lastHead + c) % c)
 	s.lastHead = head
 	s.m.SweepProgress.Set(int64(s.progress))
@@ -97,7 +122,7 @@ func (s *Scheduler) observeHead(head int) {
 // the disk head at cylinder head.
 func (s *Scheduler) Add(r *Request, now int64, head int) {
 	s.observeHead(head)
-	s.disp.Add(r, s.enc.ValueAt(r, now, head, s.progress))
+	s.disp.Add(r, s.v.ValueAt(r, now, head, s.progress))
 }
 
 // AddBatch enqueues every request of rs at time now with the disk head at
@@ -114,7 +139,7 @@ func (s *Scheduler) AddBatch(rs []*Request, now int64, head int) {
 	}
 	vs := s.vbuf[:len(rs)]
 	for i, r := range rs {
-		vs[i] = s.enc.ValueAt(r, now, head, s.progress)
+		vs[i] = s.v.ValueAt(r, now, head, s.progress)
 	}
 	s.disp.AddBatch(rs, vs)
 }
@@ -129,13 +154,13 @@ func (s *Scheduler) Next(now int64, head int) *Request {
 	return r
 }
 
-// RequestValue returns the characterization value the encapsulator would
+// RequestValue returns the characterization value the valuer would
 // assign r at time now with the head at cylinder head, on the current
 // sweep timeline. Read-only: neither the queues nor the sweep progress
 // change, so observability layers (sim decision tracing) can rank queued
 // candidates by v_c without perturbing the scheduler.
 func (s *Scheduler) RequestValue(r *Request, now int64, head int) uint64 {
-	return s.enc.ValueAt(r, now, head, s.progress)
+	return s.v.ValueAt(r, now, head, s.progress)
 }
 
 // Window returns the dispatcher's current blocking window (ER may have

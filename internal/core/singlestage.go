@@ -22,6 +22,10 @@ type SingleStage struct {
 	// Cylinder axis size (0 disables the axis).
 	cylinders int
 	dims      int // priority dimensions = curve dims - extra axes
+
+	// Value's working memory: a SingleStage is owned by one scheduler.
+	p       sfc.Point
+	scratch []uint32
 }
 
 // NewSingleStage builds the single-curve scheduler core. The curve must
@@ -57,15 +61,18 @@ func NewSingleStage(curveName string, priorityDims, levels int, deadlineHorizon 
 		deadlineHorizon: deadlineHorizon,
 		cylinders:       cylinders,
 		dims:            priorityDims,
+		p:               make(sfc.Point, total),
+		scratch:         make([]uint32, curve.ScratchLen()),
 	}, nil
 }
 
 // MaxValue returns the exclusive bound on Value results.
 func (s *SingleStage) MaxValue() uint64 { return s.curve.MaxIndex() }
 
-// Value maps the request onto the single curve.
+// Value maps the request onto the single curve. Not safe for concurrent
+// use.
 func (s *SingleStage) Value(r *Request, now int64, head int) uint64 {
-	p := make(sfc.Point, s.curve.Dims())
+	p := s.p
 	side := uint64(s.curve.Side())
 	axis := 0
 	for ; axis < s.dims; axis++ {
@@ -87,21 +94,18 @@ func (s *SingleStage) Value(r *Request, now int64, head int) uint64 {
 		axis++
 	}
 	if s.cylinders > 0 {
-		cyl := r.Cylinder
-		if cyl < 0 {
-			cyl = 0
-		}
-		if cyl >= s.cylinders {
-			cyl = s.cylinders - 1
-		}
+		// Both on the disk: IndexFast does not validate the point.
+		cyl := min(max(r.Cylinder, 0), s.cylinders-1)
+		head = min(max(head, 0), s.cylinders-1)
 		ahead := uint64((cyl - head + s.cylinders) % s.cylinders)
 		p[axis] = uint32(ahead * side / uint64(s.cylinders))
 	}
-	return s.curve.Index(p)
+	return s.curve.IndexFast(p, s.scratch)
 }
 
-// NewSingleStageScheduler wraps the single-stage core in a FuncScheduler.
-func NewSingleStageScheduler(name, curveName string, priorityDims, levels int, deadlineHorizon int64, cylinders int, dcfg DispatcherConfig) (*FuncScheduler, error) {
+// NewSingleStageScheduler puts the single-stage core in front of a
+// dispatcher.
+func NewSingleStageScheduler(name, curveName string, priorityDims, levels int, deadlineHorizon int64, cylinders int, dcfg DispatcherConfig) (*Scheduler, error) {
 	ss, err := NewSingleStage(curveName, priorityDims, levels, deadlineHorizon, cylinders)
 	if err != nil {
 		return nil, err
@@ -109,5 +113,5 @@ func NewSingleStageScheduler(name, curveName string, priorityDims, levels int, d
 	if name == "" {
 		name = "single-" + curveName
 	}
-	return NewFuncScheduler(name, ss.Value, dcfg)
+	return NewValueScheduler(name, ValueFunc(ss.Value), 0, dcfg)
 }

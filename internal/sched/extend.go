@@ -64,83 +64,31 @@ func NewMultiQueueMulti(curve sfc.Curve, levels, outLevels int) (*MultiQueue, er
 	return m, nil
 }
 
-// BUCKETSeek is the BUCKET value scheduler extended with the cascade's
-// SFC3 stage: the bucket rank becomes the X coordinate of the
-// R-partitioned cyclic scan, so each value band is served in sweep order
-// instead of pure EDF — §4.3's "take the output of the BUCKET algorithm
-// and enter it into SFC3 ... with the cylinder position".
-type BUCKETSeek struct {
-	disp      *core.Dispatcher
-	r         int
-	cylinders int
-	values    int
+// bucketSeek is NewBUCKETSeek's insertion criterion.
+type bucketSeek struct{ values, r, cylinders int }
 
-	progress uint64
-	lastHead int
+// ValueAt implements core.Valuer. Higher Value means a more important
+// request and therefore an earlier partition.
+func (b bucketSeek) ValueAt(r *core.Request, _ int64, head int, progress uint64) uint64 {
+	v := min(max(r.Value, 1), b.values)
+	pn := uint64(b.values-v) * uint64(b.r) / uint64(b.values)
+	cyl := min(max(r.Cylinder, 0), b.cylinders-1)
+	head = min(max(head, 0), b.cylinders-1)
+	ahead := uint64((cyl - head + b.cylinders) % b.cylinders)
+	yv := progress + ahead + pn*uint64(b.cylinders)
+	return yv*uint64(b.values) + uint64(b.values-v)
 }
 
-// NewBUCKETSeek returns a seek-aware BUCKET over the given value range
-// (requests carry Value in [1, values]) with R scan partitions.
-func NewBUCKETSeek(values, r, cylinders int) (*BUCKETSeek, error) {
+// NewBUCKETSeek returns the BUCKET value scheduler extended with the
+// cascade's SFC3 stage, over the given value range (requests carry Value in
+// [1, values]) with R scan partitions: the bucket rank becomes the X
+// coordinate of the R-partitioned cyclic scan, so each value band is served
+// in sweep order instead of pure EDF — §4.3's "take the output of the
+// BUCKET algorithm and enter it into SFC3 ... with the cylinder position".
+func NewBUCKETSeek(values, r, cylinders int) (*core.Scheduler, error) {
 	if values < 1 || r < 1 || cylinders < 1 {
 		return nil, fmt.Errorf("sched: invalid BUCKETSeek config values=%d r=%d cylinders=%d", values, r, cylinders)
 	}
-	return &BUCKETSeek{
-		disp:      core.MustDispatcher(core.DispatcherConfig{Mode: core.FullyPreemptive}),
-		r:         r,
-		cylinders: cylinders,
-		values:    values,
-	}, nil
-}
-
-// Name implements Scheduler.
-func (s *BUCKETSeek) Name() string { return "bucket-seek" }
-
-// Len implements Scheduler.
-func (s *BUCKETSeek) Len() int { return s.disp.Len() }
-
-// Each implements Scheduler.
-func (s *BUCKETSeek) Each(visit func(*core.Request)) { s.disp.Each(visit) }
-
-// observe advances the absolute sweep timeline (see core.Scheduler).
-func (s *BUCKETSeek) observe(head int) int {
-	if head < 0 {
-		head = 0
-	}
-	if head >= s.cylinders {
-		head = s.cylinders - 1
-	}
-	s.progress += uint64((head - s.lastHead + s.cylinders) % s.cylinders)
-	s.lastHead = head
-	return head
-}
-
-// Add implements Scheduler. Higher Value means a more important request
-// and therefore an earlier partition.
-func (s *BUCKETSeek) Add(r *core.Request, now int64, head int) {
-	head = s.observe(head)
-	v := r.Value
-	if v < 1 {
-		v = 1
-	}
-	if v > s.values {
-		v = s.values
-	}
-	pn := uint64(s.values-v) * uint64(s.r) / uint64(s.values)
-	cyl := r.Cylinder
-	if cyl < 0 {
-		cyl = 0
-	}
-	if cyl >= s.cylinders {
-		cyl = s.cylinders - 1
-	}
-	ahead := uint64((cyl - head + s.cylinders) % s.cylinders)
-	yv := s.progress + ahead + pn*uint64(s.cylinders)
-	s.disp.Add(r, yv*uint64(s.values)+uint64(s.values-v))
-}
-
-// Next implements Scheduler.
-func (s *BUCKETSeek) Next(now int64, head int) *core.Request {
-	s.observe(head)
-	return s.disp.Next()
+	return core.NewValueScheduler("bucket-seek", bucketSeek{values, r, cylinders}, cylinders,
+		core.DispatcherConfig{Mode: core.FullyPreemptive})
 }

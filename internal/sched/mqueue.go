@@ -39,14 +39,7 @@ func (s *MultiQueue) Each(visit func(*core.Request)) {
 
 // level clamps the configured level function's result into range.
 func (s *MultiQueue) level(r *core.Request) int {
-	l := s.Level(r)
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(s.levels) {
-		l = len(s.levels) - 1
-	}
-	return l
+	return min(max(s.Level(r), 0), len(s.levels)-1)
 }
 
 // Add implements Scheduler.

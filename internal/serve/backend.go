@@ -60,24 +60,13 @@ func (e *EmulatedDisk) Cylinders() int { return e.model.Cylinders() }
 // Serve charges the model's service time for r by sleeping it out on the
 // emulated disk's dilated clock.
 func (e *EmulatedDisk) Serve(ctx context.Context, r *core.Request, head int) (Completion, error) {
-	seek, svc := e.model.Times(head, clampCyl(r.Cylinder, e.Cylinders()), r.Size, nil)
+	target := r.Cylinder
+	if n := e.Cylinders(); n > 0 { // 0: no geometry to clamp onto
+		target = min(max(target, 0), n-1)
+	}
+	seek, svc := e.model.Times(head, target, r.Size, nil)
 	if err := e.clock.SleepFor(ctx, svc); err != nil {
 		return Completion{}, err
 	}
 	return Completion{Seek: seek, Service: svc}, nil
-}
-
-// clampCyl clamps a target cylinder into [0, cylinders); cylinders <= 0
-// means no geometry and leaves the target untouched.
-func clampCyl(cyl, cylinders int) int {
-	if cylinders <= 0 {
-		return cyl
-	}
-	if cyl < 0 {
-		return 0
-	}
-	if cyl >= cylinders {
-		return cylinders - 1
-	}
-	return cyl
 }

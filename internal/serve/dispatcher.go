@@ -334,14 +334,18 @@ func (d *Dispatcher) loop() {
 		}
 		now := d.cfg.Clock.Now()
 		head := d.Head()
-		target := clampCyl(r.Cylinder, d.cfg.Backend.Cylinders())
+		target := r.Cylinder
+		if n := d.cfg.Backend.Cylinders(); n > 0 { // 0: no geometry to clamp onto
+			target = min(max(target, 0), n-1)
+		}
 		// Single-disk HeadAtDispatch semantics: the head is en route to the
 		// target for the whole service window, so submissions arriving
 		// mid-service anchor their values on the position being seeked to —
 		// exactly what the simulator's stations expose to the scheduler.
 		d.head.Store(int64(target))
-		d.travel.Add(int64(absInt(target - head)))
-		d.m.HeadTravelCylinders.Add(uint64(absInt(target - head)))
+		dist := max(target-head, head-target)
+		d.travel.Add(int64(dist))
+		d.m.HeadTravelCylinders.Add(uint64(dist))
 		seq := d.dispSeq
 		d.dispSeq++
 		d.m.Dispatched.Inc()
@@ -442,11 +446,4 @@ func (d *Dispatcher) record(rec Record) {
 		cb(rec)
 	}
 	d.recMu.Unlock()
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -572,7 +572,7 @@ func TestDispatcherHeadTracking(t *testing.T) {
 		if rec.Head != head {
 			t.Fatalf("record %d departs from head %d, dispatcher head was %d", rec.ID, rec.Head, head)
 		}
-		travel += int64(absInt(rec.Target - rec.Head))
+		travel += int64(max(rec.Target-rec.Head, rec.Head-rec.Target))
 		head = rec.Target
 	}
 	if d.HeadTravel() != travel {

@@ -71,6 +71,28 @@ type Inverter interface {
 	Point(idx uint64, dst Point) Point
 }
 
+// grid is the header every curve embeds: the shape of its natural grid, the
+// exclusive bound on its Index results, and the Curve accessors that read
+// them. A curve whose IndexFast needs working memory declares its own
+// ScratchLen over this one.
+type grid struct {
+	dims int
+	side uint32
+	max  uint64
+}
+
+// Dims implements Curve.
+func (g *grid) Dims() int { return g.dims }
+
+// Side implements Curve.
+func (g *grid) Side() uint32 { return g.side }
+
+// MaxIndex implements Curve.
+func (g *grid) MaxIndex() uint64 { return g.max }
+
+// ScratchLen implements Curve.
+func (g *grid) ScratchLen() int { return 0 }
+
 // scratchFor returns a scratch slice of at least n elements, reusing s
 // when its capacity allows.
 func scratchFor(s []uint32, n int) []uint32 {

@@ -11,11 +11,7 @@ import "fmt"
 // inverse. For dims > 2 the curve defines a total order (sum of coordinates
 // major, alternating lexicographic minor) but not a contiguous bijection,
 // so Bijective() reports false.
-type Diagonal struct {
-	dims int
-	side uint32
-	max  uint64
-}
+type Diagonal struct{ grid }
 
 // NewDiagonal returns a diagonal order over a (side)^dims grid.
 func NewDiagonal(dims int, side uint32) (*Diagonal, error) {
@@ -29,27 +25,13 @@ func NewDiagonal(dims int, side uint32) (*Diagonal, error) {
 		if _, ok := pow(uint64(side), dims+1); !ok {
 			return nil, fmt.Errorf("sfc: diagonal order values for %d^%d grid overflow uint64", side, dims)
 		}
+		n *= uint64(dims)
 	}
-	return &Diagonal{dims: dims, side: side, max: n}, nil
+	return &Diagonal{grid{dims, side, n}}, nil
 }
 
 // Name implements Curve.
 func (c *Diagonal) Name() string { return "diagonal" }
-
-// Dims implements Curve.
-func (c *Diagonal) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Diagonal) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Diagonal) MaxIndex() uint64 {
-	if c.dims == 2 {
-		return c.max
-	}
-	cells, _ := pow(uint64(c.side), c.dims)
-	return cells * uint64(c.dims)
-}
 
 // Bijective implements Curve.
 func (c *Diagonal) Bijective() bool { return c.dims == 2 }
@@ -80,9 +62,6 @@ func (c *Diagonal) IndexFast(p Point, _ []uint32) uint64 {
 	cells, _ := pow(uint64(c.side), c.dims)
 	return sum*cells + lex
 }
-
-// ScratchLen implements Curve.
-func (c *Diagonal) ScratchLen() int { return 0 }
 
 // diagLen returns the number of cells on diagonal t of an n-by-n grid.
 func diagLen(t, n int64) int64 {

@@ -7,10 +7,8 @@ package sfc
 // by a power of two — which gives the curve better clustering than Z-order
 // but, as the paper observes, poor priority-inversion behavior.
 type Gray struct {
-	dims int
+	grid
 	bits int
-	side uint32
-	max  uint64
 }
 
 // NewGray returns a Gray-coded curve over a (2^bits)^dims grid.
@@ -19,25 +17,11 @@ func NewGray(dims, bits int) (*Gray, error) {
 	if err := checkBinary(dims, bits); err != nil {
 		return nil, err
 	}
-	return &Gray{
-		dims: dims,
-		bits: bits,
-		side: 1 << bits,
-		max:  shiftMax(dims * bits),
-	}, nil
+	return &Gray{grid{dims, 1 << bits, shiftMax(dims * bits)}, bits}, nil
 }
 
 // Name implements Curve.
 func (c *Gray) Name() string { return "gray" }
-
-// Dims implements Curve.
-func (c *Gray) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Gray) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Gray) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *Gray) Bijective() bool { return true }
@@ -52,9 +36,6 @@ func (c *Gray) Index(p Point) uint64 {
 func (c *Gray) IndexFast(p Point, _ []uint32) uint64 {
 	return grayRank(interleave(p, c.bits))
 }
-
-// ScratchLen implements Curve.
-func (c *Gray) ScratchLen() int { return 0 }
 
 // Point implements Inverter.
 func (c *Gray) Point(idx uint64, dst Point) Point {

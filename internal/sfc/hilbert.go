@@ -6,10 +6,8 @@ package sfc
 // neighbors — and is the most "fair" of the curves studied in the paper:
 // no dimension dominates the order.
 type Hilbert struct {
-	dims int
+	grid
 	bits int
-	side uint32
-	max  uint64
 }
 
 // NewHilbert returns a Hilbert curve over a (2^bits)^dims grid.
@@ -18,25 +16,11 @@ func NewHilbert(dims, bits int) (*Hilbert, error) {
 	if err := checkBinary(dims, bits); err != nil {
 		return nil, err
 	}
-	return &Hilbert{
-		dims: dims,
-		bits: bits,
-		side: 1 << bits,
-		max:  shiftMax(dims * bits),
-	}, nil
+	return &Hilbert{grid{dims, 1 << bits, shiftMax(dims * bits)}, bits}, nil
 }
 
 // Name implements Curve.
 func (c *Hilbert) Name() string { return "hilbert" }
-
-// Dims implements Curve.
-func (c *Hilbert) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Hilbert) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Hilbert) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *Hilbert) Bijective() bool { return true }

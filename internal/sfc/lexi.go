@@ -15,11 +15,7 @@ package sfc
 // sees a priority inversion while the others absorb all of them.
 
 // Sweep is the row-major curve.
-type Sweep struct {
-	dims int
-	side uint32
-	max  uint64
-}
+type Sweep struct{ grid }
 
 // NewSweep returns a Sweep curve over a (side)^dims grid.
 func NewSweep(dims int, side uint32) (*Sweep, error) {
@@ -27,20 +23,11 @@ func NewSweep(dims int, side uint32) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sweep{dims: dims, side: side, max: n}, nil
+	return &Sweep{grid{dims, side, n}}, nil
 }
 
 // Name implements Curve.
 func (c *Sweep) Name() string { return "sweep" }
-
-// Dims implements Curve.
-func (c *Sweep) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Sweep) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Sweep) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *Sweep) Bijective() bool { return true }
@@ -60,9 +47,6 @@ func (c *Sweep) IndexFast(p Point, _ []uint32) uint64 {
 	return idx
 }
 
-// ScratchLen implements Curve.
-func (c *Sweep) ScratchLen() int { return 0 }
-
 // Point implements Inverter.
 func (c *Sweep) Point(idx uint64, dst Point) Point {
 	checkIndex(idx, c.max)
@@ -75,11 +59,7 @@ func (c *Sweep) Point(idx uint64, dst Point) Point {
 }
 
 // Scan is the boustrophedon (serpentine) curve.
-type Scan struct {
-	dims int
-	side uint32
-	max  uint64
-}
+type Scan struct{ grid }
 
 // NewScan returns a Scan curve over a (side)^dims grid.
 func NewScan(dims int, side uint32) (*Scan, error) {
@@ -87,20 +67,11 @@ func NewScan(dims int, side uint32) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scan{dims: dims, side: side, max: n}, nil
+	return &Scan{grid{dims, side, n}}, nil
 }
 
 // Name implements Curve.
 func (c *Scan) Name() string { return "scan" }
-
-// Dims implements Curve.
-func (c *Scan) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Scan) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Scan) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *Scan) Bijective() bool { return true }
@@ -129,9 +100,6 @@ func (c *Scan) IndexFast(p Point, _ []uint32) uint64 {
 	return idx
 }
 
-// ScratchLen implements Curve.
-func (c *Scan) ScratchLen() int { return 0 }
-
 // Point implements Inverter.
 func (c *Scan) Point(idx uint64, dst Point) Point {
 	checkIndex(idx, c.max)
@@ -154,11 +122,7 @@ func (c *Scan) Point(idx uint64, dst Point) Point {
 
 // CScan is the cyclic-scan curve: serpentine above the lowest dimension,
 // always-forward in the lowest dimension.
-type CScan struct {
-	dims int
-	side uint32
-	max  uint64
-}
+type CScan struct{ grid }
 
 // NewCScan returns a C-Scan curve over a (side)^dims grid.
 func NewCScan(dims int, side uint32) (*CScan, error) {
@@ -166,20 +130,11 @@ func NewCScan(dims int, side uint32) (*CScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CScan{dims: dims, side: side, max: n}, nil
+	return &CScan{grid{dims, side, n}}, nil
 }
 
 // Name implements Curve.
 func (c *CScan) Name() string { return "cscan" }
-
-// Dims implements Curve.
-func (c *CScan) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *CScan) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *CScan) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *CScan) Bijective() bool { return true }
@@ -204,9 +159,6 @@ func (c *CScan) IndexFast(p Point, _ []uint32) uint64 {
 	}
 	return idx
 }
-
-// ScratchLen implements Curve.
-func (c *CScan) ScratchLen() int { return 0 }
 
 // Point implements Inverter.
 func (c *CScan) Point(idx uint64, dst Point) Point {

@@ -18,9 +18,8 @@ const MaxLUTCells = 1 << 16
 // implement Inverter even when the base curve does: callers that need the
 // inverse should keep a reference to the base curve (see Base).
 type LUT struct {
+	grid
 	base Curve
-	dims int
-	side uint32
 	tab  []uint64
 }
 
@@ -34,7 +33,7 @@ func NewLUT(c Curve) (*LUT, error) {
 	if cells > MaxLUTCells {
 		return nil, fmt.Errorf("sfc: %d-cell grid exceeds the %d-cell LUT limit", cells, MaxLUTCells)
 	}
-	l := &LUT{base: c, dims: c.Dims(), side: c.Side(), tab: make([]uint64, cells)}
+	l := &LUT{grid{c.Dims(), c.Side(), c.MaxIndex()}, c, make([]uint64, cells)}
 	// Enumerate cells in row-major (rank) order with an odometer. Its
 	// points are valid by construction, so the unchecked IndexFast over one
 	// scratch serves: the checked Index allocates working memory per call.
@@ -60,15 +59,6 @@ func (l *LUT) Base() Curve { return l.base }
 // labels stay stable when a LUT is swapped in.
 func (l *LUT) Name() string { return l.base.Name() }
 
-// Dims implements Curve.
-func (l *LUT) Dims() int { return l.dims }
-
-// Side implements Curve.
-func (l *LUT) Side() uint32 { return l.side }
-
-// MaxIndex implements Curve.
-func (l *LUT) MaxIndex() uint64 { return l.base.MaxIndex() }
-
 // Bijective implements Curve.
 func (l *LUT) Bijective() bool { return l.base.Bijective() }
 
@@ -86,9 +76,6 @@ func (l *LUT) IndexFast(p Point, _ []uint32) uint64 {
 	}
 	return l.tab[rank]
 }
-
-// ScratchLen implements Curve.
-func (l *LUT) ScratchLen() int { return 0 }
 
 // Accelerate returns a LUT over c when its grid fits MaxLUTCells, and c
 // itself otherwise. Already-accelerated curves pass through unchanged.

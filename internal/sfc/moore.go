@@ -10,9 +10,8 @@ package sfc
 // then serve last (see EXPERIMENTS.md, Fig. 11). Closing the loop removes
 // the pathological endpoint while preserving Hilbert's locality.
 type Moore struct {
+	grid
 	bits int
-	side uint32
-	max  uint64
 	sub  *Hilbert // side/2 Hilbert sub-curve
 }
 
@@ -21,7 +20,7 @@ func NewMoore(bits int) (*Moore, error) {
 	if err := checkBinary(2, bits); err != nil {
 		return nil, err
 	}
-	m := &Moore{bits: bits, side: 1 << bits, max: 1 << (2 * bits)}
+	m := &Moore{grid: grid{2, 1 << bits, 1 << (2 * bits)}, bits: bits}
 	if bits > 1 {
 		sub, err := NewHilbert(2, bits-1)
 		if err != nil {
@@ -34,15 +33,6 @@ func NewMoore(bits int) (*Moore, error) {
 
 // Name implements Curve.
 func (c *Moore) Name() string { return "moore" }
-
-// Dims implements Curve.
-func (c *Moore) Dims() int { return 2 }
-
-// Side implements Curve.
-func (c *Moore) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Moore) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *Moore) Bijective() bool { return true }

@@ -10,10 +10,8 @@ import "fmt"
 // The resulting curve is continuous: consecutive cells are grid neighbors,
 // which the adjacency property tests verify.
 type Peano struct {
-	dims  int
-	order int // digits per dimension
-	side  uint32
-	max   uint64
+	grid
+	order int      // digits per dimension
 	p3    []uint32 // p3[k] = 3^k, k in [0, order)
 }
 
@@ -39,20 +37,11 @@ func NewPeano(dims, order int) (*Peano, error) {
 	for k := 1; k < order; k++ {
 		p3[k] = p3[k-1] * 3
 	}
-	return &Peano{dims: dims, order: order, side: uint32(side), max: max, p3: p3}, nil
+	return &Peano{grid{dims, uint32(side), max}, order, p3}, nil
 }
 
 // Name implements Curve.
 func (c *Peano) Name() string { return "peano" }
-
-// Dims implements Curve.
-func (c *Peano) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Peano) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Peano) MaxIndex() uint64 { return c.max }
 
 // Bijective implements Curve.
 func (c *Peano) Bijective() bool { return true }

@@ -17,9 +17,7 @@ import (
 // bijection onto a contiguous index range, so Bijective() reports false and
 // the curve does not implement Inverter.
 type Spiral struct {
-	dims int
-	side uint32 // odd for dims == 2
-	max  uint64
+	grid // side is odd for dims == 2
 }
 
 // NewSpiral returns a spiral order over a (side)^dims grid. For dims == 2
@@ -34,32 +32,18 @@ func NewSpiral(dims int, side uint32) (*Spiral, error) {
 		return nil, err
 	}
 	if dims != 2 {
-		// Order values are shell*side^dims + lexicographic rank.
+		// Order values are shell*side^dims + lexicographic rank: not
+		// contiguous, so MaxIndex bounds them instead.
 		if _, ok := pow(uint64(side), dims+1); !ok {
 			return nil, fmt.Errorf("sfc: spiral order values for %d^%d grid overflow uint64", side, dims)
 		}
+		n *= uint64(side)
 	}
-	return &Spiral{dims: dims, side: side, max: n}, nil
+	return &Spiral{grid{dims, side, n}}, nil
 }
 
 // Name implements Curve.
 func (c *Spiral) Name() string { return "spiral" }
-
-// Dims implements Curve.
-func (c *Spiral) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *Spiral) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *Spiral) MaxIndex() uint64 {
-	if c.dims == 2 {
-		return c.max
-	}
-	// Shell-order values are not contiguous; bound them instead.
-	v, _ := pow(uint64(c.side), c.dims)
-	return v * uint64(c.side)
-}
 
 // Bijective implements Curve.
 func (c *Spiral) Bijective() bool { return c.dims == 2 }
@@ -94,9 +78,6 @@ func (c *Spiral) IndexFast(p Point, _ []uint32) uint64 {
 	cells, _ := pow(uint64(c.side), c.dims)
 	return uint64(shell)*cells + lex
 }
-
-// ScratchLen implements Curve.
-func (c *Spiral) ScratchLen() int { return 0 }
 
 // index2 returns the exact 2-D spiral index.
 func (c *Spiral) index2(p Point) uint64 {

@@ -7,10 +7,8 @@ import "fmt"
 // order in its own right. Dimension Dims()-1 contributes the most
 // significant bit at every level.
 type ZOrder struct {
-	dims int
+	grid
 	bits int
-	side uint32
-	max  uint64
 }
 
 // NewZOrder returns a Z-order curve over a (2^bits)^dims grid.
@@ -19,12 +17,7 @@ func NewZOrder(dims, bits int) (*ZOrder, error) {
 	if err := checkBinary(dims, bits); err != nil {
 		return nil, err
 	}
-	return &ZOrder{
-		dims: dims,
-		bits: bits,
-		side: 1 << bits,
-		max:  shiftMax(dims * bits),
-	}, nil
+	return &ZOrder{grid{dims, 1 << bits, shiftMax(dims * bits)}, bits}, nil
 }
 
 // checkBinary validates a binary-grid configuration.
@@ -52,15 +45,6 @@ func shiftMax(n int) uint64 {
 // Name implements Curve.
 func (c *ZOrder) Name() string { return "zorder" }
 
-// Dims implements Curve.
-func (c *ZOrder) Dims() int { return c.dims }
-
-// Side implements Curve.
-func (c *ZOrder) Side() uint32 { return c.side }
-
-// MaxIndex implements Curve.
-func (c *ZOrder) MaxIndex() uint64 { return c.max }
-
 // Bijective implements Curve.
 func (c *ZOrder) Bijective() bool { return true }
 
@@ -74,9 +58,6 @@ func (c *ZOrder) Index(p Point) uint64 {
 func (c *ZOrder) IndexFast(p Point, _ []uint32) uint64 {
 	return interleave(p, c.bits)
 }
-
-// ScratchLen implements Curve.
-func (c *ZOrder) ScratchLen() int { return 0 }
 
 // Point implements Inverter.
 func (c *ZOrder) Point(idx uint64, dst Point) Point {

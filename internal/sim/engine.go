@@ -436,14 +436,14 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		st.Col.OnDispatch(r, st.Sched.Each)
 		target := r.Cylinder
 		if st.Disk != nil {
-			target = clampCyl(r.Cylinder, st.Disk.Cylinders)
+			target = min(max(target, 0), st.Disk.Cylinders-1)
 			if e.Faults != nil {
 				target = e.Faults.Redirect(st.ID, target)
 			}
 		}
 		seek, svc := st.serviceTimeAt(target, r.Size, e.RNG)
 		if st.Disk != nil {
-			st.headTravel += int64(absInt(target - st.head))
+			st.headTravel += int64(max(target-st.head, st.head-target))
 		}
 		if e.Trace != nil {
 			e.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head, Seek: seek, Service: svc, QueueLen: st.Sched.Len()})

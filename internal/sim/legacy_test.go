@@ -82,7 +82,7 @@ func legacyRun(cfg Config, trace []*core.Request) (*Result, error) {
 		seek, svc := legacyServiceTime(cfg, head, r, rng)
 		start := now
 		if cfg.Disk != nil {
-			res.HeadTravel += int64(absInt(r.Cylinder - head))
+			res.HeadTravel += int64(max(r.Cylinder-head, head-r.Cylinder))
 		}
 		if cfg.Trace != nil {
 			cfg.Trace(TraceEvent{Now: now, Request: r, Head: head, Seek: seek, Service: svc, QueueLen: s.Len()})
@@ -110,11 +110,11 @@ func legacyServiceTime(cfg Config, head int, r *core.Request, rng *stats.RNG) (i
 	if cfg.FixedService > 0 {
 		return 0, cfg.FixedService
 	}
-	cyl := clampCyl(r.Cylinder, cfg.Disk.Cylinders)
+	cyl := min(max(r.Cylinder, 0), cfg.Disk.Cylinders-1)
 	if cfg.TransferOnly {
 		return 0, cfg.Disk.TransferTime(cyl, r.Size)
 	}
-	seek := cfg.Disk.SeekTime(clampCyl(head, cfg.Disk.Cylinders), cyl)
+	seek := cfg.Disk.SeekTime(min(max(head, 0), cfg.Disk.Cylinders-1), cyl)
 	rot := cfg.Disk.AvgRotationalLatency()
 	if cfg.SampleRotation {
 		rot = cfg.Disk.RotationalLatency(rng)
@@ -127,7 +127,7 @@ func legacyTargetCylinder(cfg Config, r *core.Request) int {
 	if cfg.Disk == nil {
 		return r.Cylinder
 	}
-	return clampCyl(r.Cylinder, cfg.Disk.Cylinders)
+	return min(max(r.Cylinder, 0), cfg.Disk.Cylinders-1)
 }
 
 // legacyLogicalState tracks one in-flight logical request.

@@ -112,9 +112,9 @@ func (sh *Shadow) observe(primary *core.Request, now int64) {
 		}
 		target := r.Cylinder
 		if sh.cylinders > 0 {
-			target = clampCyl(target, sh.cylinders)
+			target = min(max(target, 0), sh.cylinders-1)
 		}
-		sh.travel += int64(absInt(target - sh.head))
+		sh.travel += int64(max(target-sh.head, sh.head-target))
 		sh.head = target
 		if r.Deadline > 0 && primary.Deadline > 0 {
 			sh.slackDelta += r.Deadline - primary.Deadline

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/sched"
 )
@@ -108,6 +109,50 @@ func TestShadowSSTFBeatsFCFSTravel(t *testing.T) {
 	}
 	if rep.Agreements == rep.Decisions {
 		t.Error("SSTF shadow never disagreed with FCFS; workload too trivial")
+	}
+}
+
+// A §4.2 preset, the single-curve baseline and BUCKET-seek are
+// core.Schedulers like the cascade: the decision layer sees their values
+// and window, and a shadow over one counts into its own sink instead of
+// the process-wide one.
+func TestValuePresetsAreObservable(t *testing.T) {
+	single, err := core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832,
+		core.DispatcherConfig{Mode: core.FullyPreemptive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bucket, err := sched.NewBUCKETSeek(8, 3, 3832)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []sched.Scheduler{core.EmulateFCFS(), core.EmulateEDF(), core.EmulateSSTF(),
+		core.EmulateCSCAN(3832), core.EmulateMultiQueue(8), single, bucket} {
+		if _, ok := s.(ValueRanker); !ok {
+			t.Errorf("%s is not a ValueRanker", s.Name())
+		}
+		if _, ok := s.(WindowStater); !ok {
+			t.Errorf("%s is not a WindowStater", s.Name())
+		}
+		NewShadow(s.Name(), s)
+		if m, ok := s.(interface{ Metrics() *core.Metrics }); !ok || m.Metrics() == core.DefaultMetrics {
+			t.Errorf("a shadow over %s counts into core.DefaultMetrics", s.Name())
+		}
+	}
+
+	dt := NewDecisionTrace(1 << 16)
+	dt.SetMetrics(&DecisionMetrics{})
+	MustRun(Config{
+		Disk: xp(), Scheduler: core.EmulateEDF(),
+		Options: Options{DropLate: true, Decisions: dt},
+	}, decisionWorkload(3))
+	if dt.Total() == 0 {
+		t.Fatal("no decisions captured")
+	}
+	for i, rec := range dt.Records() {
+		if rec.Chosen.V == NoValue {
+			t.Fatalf("record %d: emulated EDF orders by value, chosen V missing", i)
+		}
 	}
 }
 

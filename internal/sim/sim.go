@@ -189,20 +189,3 @@ func SortByArrival(trace []*core.Request) {
 		return trace[i].Arrival < trace[j].Arrival
 	})
 }
-
-func clampCyl(c, n int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= n {
-		return n - 1
-	}
-	return c
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
