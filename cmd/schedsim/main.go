@@ -6,8 +6,8 @@
 //
 //	schedsim -sched cascaded -curve hilbert -f 1 -r 3 -window 0.02
 //	schedsim -sched edf -requests 8000 -interarrival 10ms
-//	schedsim -sched all                 # every scheduler over the same trace
-//	schedsim -trace open.csv -sched all # replay a tracegen CSV file
+//	schedsim -sched all                  # every scheduler over the same trace
+//	schedsim -replay open.csv -sched all # replay a tracegen CSV file
 //	schedsim -sched cascaded -dispatch-trace run.jsonl  # JSONL dispatch log
 //	schedsim -sched all -fault-rate 0.01                # transient faults
 //	schedsim -array 5 -fail-disk 2 -rebuild             # degraded RAID-5
@@ -36,20 +36,28 @@ func main() {
 	var opt options
 	opt.register(flag.CommandLine)
 	flag.Parse()
-	if err := opt.validate(); err != nil {
-		fatal(err)
+	if err := run(opt); err != nil {
+		fmt.Fprintf(os.Stderr, "schedsim: %v\n", err)
+		os.Exit(1)
 	}
+}
 
+// run is the whole command after flag parsing. Each constructor validates
+// its own inputs; run adds the name of the flag that fed it.
+func run(opt options) error {
+	if err := opt.validate(); err != nil {
+		return err
+	}
 	m, err := disk.NewModel(disk.QuantumXP32150Params())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var array *disk.RAID5
 	cylinders := m.Cylinders
-	if opt.arrayDisks > 0 {
+	if opt.arrayDisks != 0 {
 		array, err = disk.NewRAID5(opt.arrayDisks, opt.blockSize, m)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("-array: %w", err)
 		}
 		// Array workloads address logical blocks, not cylinders.
 		cylinders = int(array.MaxBlocks())
@@ -60,41 +68,23 @@ func main() {
 		cylinders = opt.clusterNodes * opt.clusterDisks * m.Cylinders
 	}
 	var trace []*core.Request
-	if opt.traceFile != "" {
-		f, err := os.Open(opt.traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		trace, err = workload.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		sim.SortByArrival(trace)
-		opt.dims = 0
-		for _, r := range trace {
-			if len(r.Priorities) > opt.dims {
-				opt.dims = len(r.Priorities)
-			}
-		}
-	} else if opt.replayFile != "" {
+	if opt.replayFile != "" {
 		rec, err := workload.LoadReplayFile(opt.replayFile)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("-replay: %w", err)
 		}
 		trace = rec.Generate()
-		// Schedulers must be built with the recorded dimensionality, as the
-		// -trace path does, so a same-build replay reproduces the recording
-		// byte for byte.
+		// Schedulers must be built with the recorded dimensionality so a
+		// same-build replay reproduces the recording byte for byte.
 		opt.dims = rec.Dims()
 	} else if opt.specName != "" {
 		spec, err := workload.ScenarioSpec(opt.specName, opt.seed, opt.requests, cylinders)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("-spec: %w", err)
 		}
 		trace, err = spec.Generate()
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("-spec: %w", err)
 		}
 		// The scenarios fix their own priority shape.
 		opt.dims = spec.Dims()
@@ -118,15 +108,12 @@ func main() {
 			Classes:          opt.classes,
 		}.Generate()
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("workload flags: %w", err)
 		}
 	}
 
 	if opt.serve {
-		if err := runServeCalib(os.Stdout, opt, m, trace); err != nil {
-			fatal(err)
-		}
-		return
+		return runServeCalib(os.Stdout, opt, m, trace)
 	}
 
 	names := []string{opt.sched}
@@ -138,7 +125,7 @@ func main() {
 	if opt.dispatchOut != "" {
 		w, closeOut, err := outWriter(opt.dispatchOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer closeOut()
 		traceHook = sim.JSONLTrace(w)
@@ -147,7 +134,7 @@ func main() {
 	if opt.decisionOut != "" {
 		w, closeOut, err := outWriter(opt.decisionOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer closeOut()
 		decisions = sim.NewDecisionTrace(1024)
@@ -158,6 +145,9 @@ func main() {
 		telemetry = sim.NewTelemetry(opt.telemetryInterval.Microseconds())
 	}
 	plan := opt.faultPlan()
+	if plan.Zero() {
+		plan = nil
+	}
 	opts := sim.Options{
 		DropLate: opt.drop,
 		Dims:     opt.dims, Levels: opt.levels, Seed: opt.seed,
@@ -176,7 +166,7 @@ func main() {
 		if opt.clusterNodes > 0 {
 			res, err := runCluster(opt, m, name, trace, traceHook, telemetry)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			var served, dropped, late uint64
 			for _, cs := range res.PerClass {
@@ -207,7 +197,7 @@ func main() {
 				Options: opts,
 			}, trace)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			inv := uint64(0)
 			for _, c := range ar.PerDisk {
@@ -222,16 +212,16 @@ func main() {
 		}
 		s, err := opt.build(name, m)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runOpts := opts
 		runOpts.Shadows, err = buildShadows(opt, m)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err := sim.Run(sim.Config{Disk: m, Scheduler: s, Options: runOpts}, trace)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("%-12s %8d %8d %8d %10.2f %10.2f %12d",
 			name, res.Served, res.Dropped, res.Late,
@@ -243,14 +233,15 @@ func main() {
 	if telemetry != nil {
 		w, closeOut, err := outWriter(opt.telemetryOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		err = telemetry.WriteCSV(w)
 		closeOut()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // runCluster simulates one scheduler across the -cluster topology: every
@@ -437,9 +428,4 @@ func (opt options) cascadedConfig(m *disk.Model) (core.EncapsulatorConfig, error
 		cfg.Cylinders = m.Cylinders
 	}
 	return cfg, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "schedsim: %v\n", err)
-	os.Exit(1)
 }

@@ -3,12 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"sfcsched/internal/cluster"
 	"sfcsched/internal/fault"
-	"sfcsched/internal/workload"
+	"sfcsched/internal/serve"
 )
 
 // options collects every schedsim flag so the flag surface can be
@@ -29,7 +28,6 @@ type options struct {
 	sizeMin      int64
 	sizeMax      int64
 	drop         bool
-	traceFile    string
 	replayFile   string
 	specName     string
 	dispatchOut  string
@@ -94,7 +92,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Int64Var(&o.sizeMin, "size-min", 4<<10, "transfer size of the highest priority, bytes")
 	fs.Int64Var(&o.sizeMax, "size-max", 256<<10, "transfer size of the lowest priority, bytes")
 	fs.BoolVar(&o.drop, "drop", true, "drop requests whose deadline passed before service")
-	fs.StringVar(&o.traceFile, "trace", "", "replay a tracegen CSV file instead of generating a workload")
 	fs.StringVar(&o.replayFile, "replay", "", "re-execute a recorded trace (a -dispatch-trace JSONL or a tracegen CSV) instead of generating a workload; pass the recording run's scheduler flags for a byte-identical replay")
 	fs.StringVar(&o.specName, "spec", "", "generate a built-in multi-client scenario instead of the open Poisson workload: steady, flash, diurnal, mixed")
 	fs.StringVar(&o.dispatchOut, "dispatch-trace", "", "write a JSONL stream of dispatch decisions to this file (- for stdout)")
@@ -132,61 +129,24 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.DurationVar(&o.rebuildInterval, "rebuild-interval", 5*time.Millisecond, "array: pacing gap between rebuild stripe reads")
 }
 
-// validate rejects inconsistent flag combinations with a specific error
-// before any model or trace work begins.
+// validate rejects inconsistent flag combinations, and values no
+// constructor below checks, before any model or trace work begins. A rule
+// about one flag's value belongs to the constructor that consumes it; the
+// cheap ones are called here so their errors come early and carry the
+// flag's name, the rest report from run.
 func (o *options) validate() error {
-	sources := 0
-	for _, s := range []string{o.traceFile, o.replayFile, o.specName} {
-		if s != "" {
-			sources++
-		}
+	if o.replayFile != "" && o.specName != "" {
+		return fmt.Errorf("-replay and -spec are mutually exclusive workload sources")
 	}
-	if sources > 1 {
-		return fmt.Errorf("-trace, -replay and -spec are mutually exclusive workload sources")
-	}
-	if o.specName != "" {
-		known := false
-		for _, n := range workload.Scenarios() {
-			known = known || n == o.specName
-		}
-		if !known {
-			return fmt.Errorf("unknown -spec %q (known: %s)", o.specName, strings.Join(workload.Scenarios(), ", "))
-		}
-		if o.requests <= 0 {
-			return fmt.Errorf("-requests must be positive, got %d", o.requests)
-		}
-	}
-	if sources == 0 {
-		if o.requests <= 0 {
-			return fmt.Errorf("-requests must be positive, got %d", o.requests)
-		}
-		if o.interarrival <= 0 {
-			return fmt.Errorf("-interarrival must be positive, got %v", o.interarrival)
-		}
-		if o.dims < 1 || o.levels < 1 {
-			return fmt.Errorf("-dims and -levels must be at least 1, got %d and %d", o.dims, o.levels)
+	if o.replayFile == "" && o.specName == "" {
+		// Open takes zero dimensions; the cascaded curve and the shadows
+		// built from -dims do not.
+		if o.dims < 1 {
+			return fmt.Errorf("-dims must be at least 1, got %d", o.dims)
 		}
 		if o.deadlineMin < 0 {
 			return fmt.Errorf("-deadline-min must not be negative, got %v", o.deadlineMin)
 		}
-		if o.deadlineMin > 0 && o.deadlineMax < o.deadlineMin {
-			return fmt.Errorf("-deadline-max (%v) must not be below -deadline-min (%v)", o.deadlineMax, o.deadlineMin)
-		}
-		if o.sizeMin < 1 || o.sizeMax < o.sizeMin {
-			return fmt.Errorf("transfer sizes must satisfy 1 <= -size-min <= -size-max, got %d and %d", o.sizeMin, o.sizeMax)
-		}
-	}
-	if o.writeFrac < 0 || o.writeFrac > 1 {
-		return fmt.Errorf("-write-frac must be in [0,1], got %v", o.writeFrac)
-	}
-	if o.arrayDisks < 0 {
-		return fmt.Errorf("-array must not be negative, got %d", o.arrayDisks)
-	}
-	if o.arrayDisks > 0 && o.arrayDisks < 3 {
-		return fmt.Errorf("-array needs at least 3 disks for RAID-5, got %d", o.arrayDisks)
-	}
-	if o.arrayDisks > 0 && o.blockSize < 1 {
-		return fmt.Errorf("-block must be positive, got %d", o.blockSize)
 	}
 	if o.shadowList != "" && o.arrayDisks > 0 {
 		return fmt.Errorf("-shadow works on single-disk runs; array stations would need per-disk shadow sets")
@@ -202,12 +162,6 @@ func (o *options) validate() error {
 	}
 	if o.clusterNodes < 0 {
 		return fmt.Errorf("-cluster must not be negative, got %d", o.clusterNodes)
-	}
-	if o.tenants < 0 {
-		return fmt.Errorf("-tenants must not be negative, got %d", o.tenants)
-	}
-	if o.tenantSkew < 0 {
-		return fmt.Errorf("-tenant-skew must not be negative, got %v", o.tenantSkew)
 	}
 	if o.tenantZones && o.tenants == 0 {
 		return fmt.Errorf("-tenant-zones requires -tenants: there are no tenants to zone")
@@ -231,10 +185,6 @@ func (o *options) validate() error {
 		if o.faultRate > 0 || o.failDisk >= 0 {
 			return fmt.Errorf("fault injection is not wired into the cluster layer; drop the fault flags or -cluster")
 		}
-		if o.admit != "always" && (o.admitRate < 1 || o.admitBurst < 1) {
-			return fmt.Errorf("-admit-rate and -admit-burst must be at least 1, got %d and %d", o.admitRate, o.admitBurst)
-		}
-		// The constructors own the name tables.
 		if _, err := cluster.NewRouter(o.router); err != nil {
 			return fmt.Errorf("-router: %w", err)
 		}
@@ -242,8 +192,8 @@ func (o *options) validate() error {
 			return fmt.Errorf("-admit: %w", err)
 		}
 	}
-	if !(o.dilation > 0) {
-		return fmt.Errorf("-dilation must be positive, got %v", o.dilation)
+	if _, err := serve.NewClock(o.dilation); err != nil {
+		return fmt.Errorf("-dilation: %w", err)
 	}
 	if o.inflight < 1 {
 		return fmt.Errorf("-inflight must be at least 1, got %d", o.inflight)
@@ -270,46 +220,24 @@ func (o *options) validate() error {
 	if o.telemetryOut != "" && o.telemetryInterval <= 0 {
 		return fmt.Errorf("-telemetry-interval must be positive, got %v", o.telemetryInterval)
 	}
-	if o.faultRate < 0 || o.faultRate > 1 {
-		return fmt.Errorf("-fault-rate must be in [0,1], got %v", o.faultRate)
-	}
+	// The plan spells "no retries" and "no failure" as a negative count
+	// and a zero time, so neither flag may carry those by accident.
 	if o.retries < 0 {
 		return fmt.Errorf("-retries must not be negative, got %d", o.retries)
 	}
-	if o.retryBase < 0 {
-		return fmt.Errorf("-retry-base must not be negative, got %v", o.retryBase)
+	if o.failDisk >= 0 && o.failAt <= 0 {
+		return fmt.Errorf("-fail-at must be positive, got %v", o.failAt)
 	}
-	if o.failDisk >= 0 {
-		if o.arrayDisks == 0 {
-			return fmt.Errorf("-fail-disk requires -array: whole-disk failure needs RAID-5 redundancy")
-		}
-		if o.failDisk >= o.arrayDisks {
-			return fmt.Errorf("-fail-disk %d out of range for a %d-disk array", o.failDisk, o.arrayDisks)
-		}
-		if o.failAt <= 0 {
-			return fmt.Errorf("-fail-at must be positive, got %v", o.failAt)
-		}
-	}
-	if o.rebuild {
-		if o.failDisk < 0 {
-			return fmt.Errorf("-rebuild requires -fail-disk: there is nothing to rebuild")
-		}
-		if o.rebuildBlocks <= 0 {
-			return fmt.Errorf("-rebuild-blocks must be positive, got %d", o.rebuildBlocks)
-		}
-		if o.rebuildInterval < 0 {
-			return fmt.Errorf("-rebuild-interval must not be negative, got %v", o.rebuildInterval)
-		}
+	if err := o.faultPlan().Validate(); err != nil {
+		return fmt.Errorf("fault flags: %w", err)
 	}
 	return nil
 }
 
-// faultPlan translates the fault flags into a plan, or nil when no fault
-// source is armed (keeping fault-free runs on the zero-plan fast path).
+// faultPlan translates the fault flags into a plan. With no fault source
+// armed the plan is Zero, which run drops to keep fault-free runs on the
+// nil-plan fast path.
 func (o *options) faultPlan() *fault.Plan {
-	if o.faultRate == 0 && o.failDisk < 0 {
-		return nil
-	}
 	plan := &fault.Plan{
 		Seed:          o.faultSeed,
 		TransientRate: o.faultRate,
@@ -322,11 +250,11 @@ func (o *options) faultPlan() *fault.Plan {
 	if o.failDisk >= 0 {
 		plan.FailDisk = o.failDisk
 		plan.FailAt = o.failAt.Microseconds()
-		if o.rebuild {
-			plan.Rebuild = true
-			plan.RebuildBlocks = o.rebuildBlocks
-			plan.RebuildInterval = o.rebuildInterval.Microseconds()
-		}
+	}
+	if o.rebuild {
+		plan.Rebuild = true
+		plan.RebuildBlocks = o.rebuildBlocks
+		plan.RebuildInterval = o.rebuildInterval.Microseconds()
 	}
 	return plan
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -20,48 +21,54 @@ func parse(t *testing.T, args ...string) *options {
 	return &o
 }
 
+// Every bad flag value or combination is reported before the first
+// simulated event. Rules about one flag's value live in the constructor
+// that consumes it, so most rows assert on that owner's error under the
+// flag name run wraps it in.
 func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 	cases := []struct {
 		name    string
 		args    []string
-		wantErr string // substring of the validation error
+		wantErr string // substring of the error
 	}{
-		{"fail-disk without array", []string{"-fail-disk", "0"}, "requires -array"},
-		{"fail-disk out of range", []string{"-array", "5", "-fail-disk", "5"}, "out of range"},
+		{"fail-disk without array", []string{"-fail-disk", "0"}, "sim: whole-disk failure requires an array run"},
+		{"fail-disk out of range", []string{"-array", "5", "-fail-disk", "5"}, "sim: FailDisk 5 outside array of 5 disks"},
 		{"fail-disk negative fail-at", []string{"-array", "5", "-fail-disk", "1", "-fail-at", "-1s"}, "-fail-at"},
-		{"rebuild without fail-disk", []string{"-rebuild"}, "requires -fail-disk"},
-		{"rebuild without blocks", []string{"-array", "5", "-fail-disk", "1", "-rebuild", "-rebuild-blocks", "0"}, "-rebuild-blocks"},
-		{"rebuild negative interval", []string{"-array", "5", "-fail-disk", "1", "-rebuild", "-rebuild-interval", "-1ms"}, "-rebuild-interval"},
-		{"write-frac above one", []string{"-write-frac", "1.5"}, "-write-frac"},
-		{"write-frac negative", []string{"-write-frac", "-0.1"}, "-write-frac"},
-		{"fault-rate above one", []string{"-fault-rate", "2"}, "-fault-rate"},
-		{"fault-rate negative", []string{"-fault-rate", "-0.5"}, "-fault-rate"},
+		{"rebuild without fail-disk", []string{"-rebuild"}, "fault flags: fault: Rebuild requires a planned disk failure"},
+		{"rebuild without blocks", []string{"-array", "5", "-fail-disk", "1", "-rebuild", "-rebuild-blocks", "0"}, "fault flags: fault: Rebuild requires RebuildBlocks > 0"},
+		{"rebuild negative interval", []string{"-array", "5", "-fail-disk", "1", "-rebuild", "-rebuild-interval", "-1ms"}, "fault flags: fault: negative RebuildInterval"},
+		{"write-frac above one", []string{"-write-frac", "1.5"}, "workload flags: workload: WriteFrac 1.5 outside [0,1]"},
+		{"write-frac negative", []string{"-write-frac", "-0.1"}, "workload flags: workload: WriteFrac -0.1 outside [0,1]"},
+		{"fault-rate above one", []string{"-fault-rate", "2"}, "fault flags: fault: TransientRate 2 outside [0,1]"},
+		{"fault-rate negative", []string{"-fault-rate", "-0.5"}, "fault flags: fault: TransientRate -0.5 outside [0,1]"},
 		{"negative retries", []string{"-retries", "-1"}, "-retries"},
-		{"negative retry base", []string{"-retry-base", "-5ms"}, "-retry-base"},
-		{"two-disk array", []string{"-array", "2"}, "at least 3 disks"},
-		{"negative array", []string{"-array", "-1"}, "-array"},
-		{"array zero block size", []string{"-array", "5", "-block", "0"}, "-block"},
-		{"zero requests", []string{"-requests", "0"}, "-requests"},
-		{"zero interarrival", []string{"-interarrival", "0"}, "-interarrival"},
+		{"negative retry base", []string{"-retry-base", "-5ms"}, "fault flags: fault: negative RetryBase"},
+		{"two-disk array", []string{"-array", "2"}, "-array: disk: RAID-5 needs at least 3 disks, got 2"},
+		{"negative array", []string{"-array", "-1"}, "-array: disk: RAID-5 needs at least 3 disks, got -1"},
+		{"array zero block size", []string{"-array", "5", "-block", "0"}, "-array: disk: invalid block size 0"},
+		{"zero requests", []string{"-requests", "0"}, "workload flags: workload: Count must be positive"},
+		{"zero interarrival", []string{"-interarrival", "0"}, "workload flags: workload: MeanInterarrival must be positive"},
 		{"zero dims", []string{"-dims", "0"}, "-dims"},
-		{"deadline max below min", []string{"-deadline-min", "1s", "-deadline-max", "500ms"}, "-deadline-max"},
+		{"zero levels", []string{"-levels", "0"}, "workload flags: workload: invalid priority shape"},
+		{"deadline max below min", []string{"-deadline-min", "1s", "-deadline-max", "500ms"}, "workload flags: workload: DeadlineMax < DeadlineMin"},
 		{"negative deadline min", []string{"-deadline-min", "-1s"}, "-deadline-min"},
-		{"size max below min", []string{"-size-min", "8192", "-size-max", "4096"}, "-size-min"},
+		{"size max below min", []string{"-size-min", "8192", "-size-max", "4096"}, "workload flags: workload: sizes must satisfy 1 <= SizeMin <= SizeMax"},
+		{"zero size min", []string{"-size-min", "0"}, "workload flags: workload: sizes must satisfy 1 <= SizeMin <= SizeMax"},
 		{"negative cluster", []string{"-cluster", "-1"}, "-cluster"},
 		{"cluster zero disks", []string{"-cluster", "4", "-cluster-disks", "0"}, "-cluster-disks"},
 		{"cluster with array", []string{"-cluster", "4", "-array", "5"}, "mutually exclusive"},
 		{"cluster with shadow", []string{"-cluster", "4", "-shadow", "fcfs"}, "-shadow"},
 		{"cluster with decision trace", []string{"-cluster", "4", "-decision-trace", "-"}, "-decision-trace"},
 		{"cluster with fault rate", []string{"-cluster", "4", "-fault-rate", "0.1"}, "fault injection"},
-		{"cluster unknown router", []string{"-cluster", "4", "-router", "random"}, "-router"},
-		{"cluster unknown admit", []string{"-cluster", "4", "-admit", "priority"}, "-admit"},
-		{"cluster zero admit rate", []string{"-cluster", "4", "-admit", "token", "-admit-rate", "0"}, "-admit-rate"},
-		{"negative tenants", []string{"-tenants", "-2"}, "-tenants"},
-		{"negative tenant skew", []string{"-tenants", "4", "-tenant-skew", "-1"}, "-tenant-skew"},
+		{"cluster unknown router", []string{"-cluster", "4", "-router", "random"}, "-router: cluster: unknown router"},
+		{"cluster unknown admit", []string{"-cluster", "4", "-admit", "priority"}, "-admit: cluster: unknown admission policy"},
+		{"cluster zero admit rate", []string{"-cluster", "4", "-admit", "token", "-admit-rate", "0"}, "-admit: cluster: token bucket rate and burst must be positive"},
+		{"negative tenants", []string{"-tenants", "-2"}, "workload flags: workload: Tenants and TenantSkew must be non-negative"},
+		{"negative tenant skew", []string{"-tenants", "4", "-tenant-skew", "-1"}, "workload flags: workload: Tenants and TenantSkew must be non-negative"},
 		{"zones without tenants", []string{"-tenant-zones"}, "-tenant-zones"},
 		{"zero classes", []string{"-classes", "0"}, "-classes"},
-		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation"},
-		{"negative dilation", []string{"-dilation", "-5"}, "-dilation"},
+		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation: serve: dilation factor must be positive"},
+		{"negative dilation", []string{"-dilation", "-5"}, "-dilation: serve: dilation factor must be positive"},
 		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"serve with all", []string{"-serve", "-sched", "all"}, "-sched all"},
 		{"serve with array", []string{"-serve", "-array", "5"}, "-array"},
@@ -71,19 +78,19 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"serve with decision trace", []string{"-serve", "-decision-trace", "-"}, "-decision-trace"},
 		{"serve with telemetry", []string{"-serve", "-telemetry", "-"}, "-telemetry"},
 		{"serve with dispatch trace", []string{"-serve", "-dispatch-trace", "-"}, "-dispatch-trace"},
-		{"trace with replay", []string{"-trace", "run.csv", "-replay", "run.jsonl"}, "mutually exclusive"},
 		{"replay with spec", []string{"-replay", "run.jsonl", "-spec", "mixed"}, "mutually exclusive"},
-		{"unknown spec", []string{"-spec", "tsunami"}, "-spec"},
-		{"spec zero requests", []string{"-spec", "flash", "-requests", "0"}, "-requests"},
+		{"replay missing file", []string{"-replay", filepath.Join(t.TempDir(), "none.jsonl")}, "-replay: workload: opening replay trace"},
+		{"unknown spec", []string{"-spec", "tsunami"}, "-spec: workload: unknown scenario"},
+		{"spec zero requests", []string{"-spec", "flash", "-requests", "0"}, "-spec: workload: scenario \"flash\" needs at least 4 requests"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := parse(t, tc.args...).validate()
+			err := run(*parse(t, tc.args...))
 			if err == nil {
-				t.Fatalf("validate(%v) accepted, want error containing %q", tc.args, tc.wantErr)
+				t.Fatalf("run(%v) succeeded, want error containing %q", tc.args, tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validate(%v) = %q, want substring %q", tc.args, err, tc.wantErr)
+				t.Fatalf("run(%v) = %q, want substring %q", tc.args, err, tc.wantErr)
 			}
 		})
 	}
@@ -96,7 +103,6 @@ func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 		{"-array", "5", "-fail-disk", "4", "-rebuild", "-write-frac", "1"},
 		{"-fault-rate", "1", "-retry-base", "0"},
 		// Trace replay skips the workload-shape checks entirely.
-		{"-trace", "run.csv", "-requests", "0", "-dims", "0"},
 		{"-replay", "run.jsonl", "-requests", "0", "-dims", "0"},
 		{"-spec", "mixed", "-sched", "all"},
 		{"-spec", "diurnal", "-requests", "2000", "-cluster", "2"},
@@ -117,8 +123,8 @@ func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 }
 
 func TestFaultPlanTranslation(t *testing.T) {
-	if plan := parse(t).faultPlan(); plan != nil {
-		t.Fatalf("default flags built a fault plan: %+v", plan)
+	if plan := parse(t).faultPlan(); !plan.Zero() {
+		t.Fatalf("default flags armed a fault source: %+v", plan)
 	}
 
 	o := parse(t, "-fault-rate", "0.02", "-fault-seed", "7", "-retries", "2", "-retry-base", "3ms")

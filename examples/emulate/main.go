@@ -1,19 +1,17 @@
-// Emulate: the paper's §4.2 generalization claim. With the right stage
-// configuration and a zero window, Cascaded-SFC reproduces classic
-// schedulers exactly. This example configures three emulations — EDF,
-// multi-queue priority, and C-SCAN — runs each against its reference
-// implementation on the same trace, and verifies the dispatch orders match
-// request for request.
+// Emulate: the paper's §4.2 generalization claim. With the right insertion
+// criterion and a zero window, the Cascaded-SFC dispatcher reproduces
+// classic schedulers exactly. This example takes three of core's emulation
+// presets — EDF, multi-queue priority, and C-SCAN — runs each against its
+// reference implementation on the same trace, and verifies the dispatch
+// orders match request for request.
 package main
 
 import (
 	"fmt"
-	"math"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/workload"
 )
 
@@ -30,45 +28,18 @@ func main() {
 		Cylinders:        model.Cylinders,
 		Size:             64 << 10,
 	}.MustGenerate()
-	horizon := int64(2_000_000)
 
-	// EDF: stage 1 ignored (single value), stage 2 with f -> infinity
-	// orders purely by deadline, stage 3 skipped.
-	edfEmu := core.MustScheduler("emulated-edf",
-		core.EncapsulatorConfig{
-			Levels:          1, // collapse priorities: deadline decides
-			UseDeadline:     true,
-			F:               math.Inf(1),
-			DeadlineHorizon: horizon,
-		},
-		core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-	check("EDF", trace, edfEmu, sched.NewEDF())
+	// EDF: the insertion criterion is the absolute deadline.
+	check("EDF", trace, core.EmulateEDF(), sched.NewEDF())
 
-	// Multi-queue: a 2-D sweep with priority on the major axis serves the
-	// highest priority level first; deadline breaks ties inside a level
-	// (the reference multi-queue uses scan order inside a level, so the
-	// emulation compares level sequences rather than exact IDs).
-	mqEmu := core.MustScheduler("emulated-multiqueue",
-		core.EncapsulatorConfig{
-			Levels:            8,
-			UseDeadline:       true,
-			Curve2:            sfc.MustNew("sweep", 2, 8),
-			Curve2PriorityOnY: true,
-			DeadlineHorizon:   horizon,
-		},
-		core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-	checkLevels("multi-queue", trace, mqEmu, sched.NewMultiQueue(8))
+	// Multi-queue: the criterion is the priority level. The emulation is
+	// FIFO inside a level where the reference scans, so the comparison is
+	// of level sequences rather than exact IDs.
+	checkLevels("multi-queue", trace, core.EmulateMultiQueue(8), sched.NewMultiQueue(8))
 
-	// C-SCAN: stages 1-2 ignored, stage 3 with R = 1 is one pure scan.
-	cscanEmu := core.MustScheduler("emulated-cscan",
-		core.EncapsulatorConfig{
-			Levels:      1,
-			UseCylinder: true,
-			R:           1,
-			Cylinders:   model.Cylinders,
-		},
-		core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-	check("C-SCAN", trace, cscanEmu, sched.NewCSCAN())
+	// C-SCAN: the criterion is the cyclic distance ahead of the head on
+	// the sweep timeline — the SFC3 stage at R = 1, one pure scan.
+	check("C-SCAN", trace, core.EmulateCSCAN(model.Cylinders), sched.NewCSCAN())
 }
 
 // drainAll enqueues the whole trace, then drains, returning dispatch IDs.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"sfcsched/internal/sfc"
 )
@@ -94,10 +93,12 @@ type EncapsulatorConfig struct {
 }
 
 // Encapsulator maps requests to characterization values v_c (paper Fig. 2,
-// "Part 1"). It is safe for concurrent use after construction.
+// "Part 1"). One scheduler owns one encapsulator and never calls it
+// concurrently (the Valuer contract): ValueAt works in the encapsulator's
+// own scratch.
 //
-// The value computation is allocation-free: per-call working memory (curve
-// points and scratch words) comes from an internal sync.Pool, small SFC1
+// The value computation is allocation-free: the working memory (curve
+// points and scratch words) is sized once at construction, small SFC1
 // grids are served from a precomputed lookup table (sfc.Accelerate), and
 // all axis rescaling is exact 128-bit integer arithmetic.
 type Encapsulator struct {
@@ -113,23 +114,16 @@ type Encapsulator struct {
 	maxX uint64 // effective SFC3 X-axis bound (ps * R)
 	max  uint64 // exclusive bound on v_c
 
-	pool *sync.Pool // *encScratch; nil when no stage needs scratch
+	sc encScratch
 }
 
-// encScratch is the pooled per-call working set of ValueAt. The stage-1
-// memo rides along: multimedia workloads enqueue long runs of requests
-// with identical priority vectors (one per stream), so remembering the last
-// cell -> index mapping per pooled scratch skips the curve walk entirely on
-// repeats. A miss costs one Dims()-word compare.
+// encScratch is the working set of ValueAt; a stage without a curve leaves
+// its half nil.
 type encScratch struct {
 	p  sfc.Point // stage-1 cell
 	s  []uint32  // Curve1 IndexFast scratch
 	p2 sfc.Point // stage-2 cell (always len 2)
 	s2 []uint32  // Curve2 IndexFast scratch
-
-	memoOK  bool
-	memoVal uint64
-	memoKey []uint32 // last stage-1 cell
 }
 
 // NewEncapsulator validates cfg and returns a ready encapsulator.
@@ -144,6 +138,7 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 	if cfg.Curve1 != nil {
 		e.max1 = cfg.Curve1.MaxIndex()
 		e.c1 = sfc.Accelerate(cfg.Curve1)
+		e.sc.p, e.sc.s = make(sfc.Point, e.c1.Dims()), make([]uint32, e.c1.ScratchLen())
 		side := uint64(cfg.Curve1.Side())
 		e.lvl2cell = make([]uint32, cfg.Levels)
 		for l := range e.lvl2cell {
@@ -173,6 +168,7 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 			}
 			e.max2 = cfg.Curve2.MaxIndex()
 			e.c2 = sfc.Accelerate(cfg.Curve2)
+			e.sc.p2, e.sc.s2 = make(sfc.Point, 2), make([]uint32, e.c2.ScratchLen())
 		case cfg.F == 0 || math.IsInf(cfg.F, 1):
 			// Lexicographic composition at the extremes.
 			e.max2 = stage2Res * stage2Res
@@ -200,31 +196,7 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 	} else {
 		e.max = e.max2
 	}
-	if e.c1 != nil || e.c2 != nil {
-		e.pool = newScratchPool(e.c1, e.c2)
-	}
 	return e, nil
-}
-
-// newScratchPool returns a pool of working sets sized for the given curves
-// (either may be nil). The pool is an allocation of its own and its New
-// holds sizes, not curves: the runtime keeps a used pool reachable for two
-// garbage-collection cycles, and a sweep that builds an encapsulator per
-// cell must not have each one's lookup tables pinned that long.
-func newScratchPool(c1, c2 sfc.Curve) *sync.Pool {
-	var dims1, len1, len2 int
-	if c1 != nil {
-		dims1, len1 = c1.Dims(), c1.ScratchLen()
-	}
-	if c2 != nil {
-		len2 = c2.ScratchLen()
-	}
-	return &sync.Pool{New: func() any {
-		return &encScratch{
-			p: make(sfc.Point, dims1), s: make([]uint32, len1), memoKey: make([]uint32, dims1),
-			p2: make(sfc.Point, 2), s2: make([]uint32, len2),
-		}
-	}}
 }
 
 // MustEncapsulator is NewEncapsulator for static configurations.
@@ -257,25 +229,18 @@ func (e *Encapsulator) Value(r *Request, now int64, head int) uint64 {
 // comparable on this absolute sweep timeline; Scheduler tracks progress
 // automatically. With UseCylinder unset, progress is ignored.
 func (e *Encapsulator) ValueAt(r *Request, now int64, head int, progress uint64) uint64 {
-	var sc *encScratch
-	if e.pool != nil {
-		sc = e.pool.Get().(*encScratch)
-	}
-	v := e.stage1(r, sc)
+	v := e.stage1(r)
 	if e.cfg.UseDeadline {
-		v = e.stage2(v, r, now, sc)
+		v = e.stage2(v, r, now)
 	}
 	if e.cfg.UseCylinder {
 		v = e.stage3(v, r, head, progress)
-	}
-	if sc != nil {
-		e.pool.Put(sc)
 	}
 	return v
 }
 
 // stage1 collapses the D priority dimensions through SFC1.
-func (e *Encapsulator) stage1(r *Request, sc *encScratch) uint64 {
+func (e *Encapsulator) stage1(r *Request) uint64 {
 	c := e.c1
 	if c == nil {
 		if len(r.Priorities) == 0 {
@@ -283,7 +248,7 @@ func (e *Encapsulator) stage1(r *Request, sc *encScratch) uint64 {
 		}
 		return uint64(clampLevel(r.Priorities[0], e.cfg.Levels))
 	}
-	p := sc.p
+	p := e.sc.p
 	for i := range p {
 		var cell uint32
 		if i < len(r.Priorities) {
@@ -291,28 +256,11 @@ func (e *Encapsulator) stage1(r *Request, sc *encScratch) uint64 {
 		}
 		p[i] = cell
 	}
-	if sc.memoOK && cellsEqual(p, sc.memoKey) {
-		return sc.memoVal
-	}
-	v := c.IndexFast(p, sc.s)
-	copy(sc.memoKey, p)
-	sc.memoOK = true
-	sc.memoVal = v
-	return v
-}
-
-// cellsEqual reports whether two equal-length cells match.
-func cellsEqual(a sfc.Point, b []uint32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return c.IndexFast(p, e.sc.s)
 }
 
 // stage2 combines the stage-1 value with the deadline.
-func (e *Encapsulator) stage2(v1 uint64, r *Request, now int64, sc *encScratch) uint64 {
+func (e *Encapsulator) stage2(v1 uint64, r *Request, now int64) uint64 {
 	pn := scale(v1, e.max1, stage2Res)
 	d := r.Deadline
 	if e.cfg.DeadlineSlack {
@@ -332,13 +280,13 @@ func (e *Encapsulator) stage2(v1 uint64, r *Request, now int64, sc *encScratch) 
 		side := uint64(c.Side())
 		x := uint32(scale(dn, stage2Res, side))
 		y := uint32(scale(pn, stage2Res, side))
-		p2 := sc.p2
+		p2 := e.sc.p2
 		if e.cfg.Curve2PriorityOnY {
 			p2[0], p2[1] = x, y
 		} else {
 			p2[0], p2[1] = y, x
 		}
-		return c.IndexFast(p2, sc.s2)
+		return c.IndexFast(p2, e.sc.s2)
 	}
 
 	switch {

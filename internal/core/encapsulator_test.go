@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -320,5 +323,78 @@ func TestUsedEncapsulatorIsCollectedAtNextGC(t *testing.T) {
 	case <-collected:
 	case <-time.After(2 * time.Second):
 		t.Error("an encapsulator used once and dropped survived a collection")
+	}
+}
+
+// TestSchedulersOwnTheirEncapsulator: an encapsulator works in its own
+// scratch, so what may run concurrently is two schedulers, never two calls
+// into one. Two schedulers built from one config — sharing its curve
+// values, each with its own encapsulator — driven from two goroutines must
+// each produce the serial dispatch order (and stay silent under -race).
+func TestSchedulersOwnTheirEncapsulator(t *testing.T) {
+	configs := map[string]EncapsulatorConfig{
+		"table": shardedTestConfig(),
+		// A grid past MaxLUTCells with a curve stage 2: both curves are
+		// walked in the scratch on every call.
+		"walked": {
+			Curve1: sfc.MustNew("hilbert", 6, 8), Levels: 8,
+			UseDeadline: true, DeadlineHorizon: 700_000, Curve2: sfc.MustNew("hilbert", 2, 512),
+			UseCylinder: true, R: 3, Cylinders: 3832,
+		},
+	}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			trace := make([]*Request, 4000)
+			for i := range trace {
+				r := randomRequest(rng, uint64(i))
+				r.Arrival = int64(i) * 900
+				r.Deadline += r.Arrival
+				trace[i] = r
+			}
+			// Three arrivals per service keep a standing queue; the rest
+			// drains at the end.
+			run := func() []uint64 {
+				s := MustScheduler("", cfg, DispatcherConfig{Mode: ConditionallyPreemptive, SP: true}, 0.02)
+				order := make([]uint64, 0, len(trace))
+				head := 0
+				serve := func(now int64) bool {
+					r := s.Next(now, head)
+					if r == nil {
+						return false
+					}
+					order, head = append(order, r.ID), r.Cylinder
+					return true
+				}
+				for i, r := range trace {
+					s.Add(r, r.Arrival, head)
+					if i%3 == 2 {
+						serve(r.Arrival)
+					}
+				}
+				for serve(trace[len(trace)-1].Arrival) {
+				}
+				return order
+			}
+			want := run()
+			if len(want) != len(trace) {
+				t.Fatalf("serial run dispatched %d of %d requests", len(want), len(trace))
+			}
+			var got [2][]uint64
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g] = run()
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				if !slices.Equal(got[g], want) {
+					t.Errorf("goroutine %d diverged from the serial dispatch order", g)
+				}
+			}
+		})
 	}
 }

@@ -42,12 +42,6 @@ type Request struct {
 	Class int
 }
 
-// HigherPriorityIn reports whether r has strictly higher priority than s in
-// dimension dim (a lower level number).
-func (r *Request) HigherPriorityIn(s *Request, dim int) bool {
-	return r.Priorities[dim] < s.Priorities[dim]
-}
-
 // Slack returns time remaining until the deadline at time now; requests
 // without a deadline report a very large slack.
 func (r *Request) Slack(now int64) int64 {

@@ -253,12 +253,6 @@ func (m *Model) ServiceTime(head, cyl int, size int64) int64 {
 	return m.SeekTime(head, cyl) + m.AvgRotationalLatency() + m.TransferTime(cyl, size)
 }
 
-// SampledServiceTime is ServiceTime with the rotational latency drawn from
-// rng instead of averaged; the simulator uses it for service realism.
-func (m *Model) SampledServiceTime(head, cyl int, size int64, rng *stats.RNG) int64 {
-	return m.SeekTime(head, cyl) + m.RotationalLatency(rng) + m.TransferTime(cyl, size)
-}
-
 // Capacity returns the formatted capacity of the disk in bytes.
 func (m *Model) Capacity() int64 {
 	var total int64

@@ -44,9 +44,11 @@ type Collector struct {
 	// attributable to load alone.
 	FaultDropped uint64
 
-	SeekTime     int64 // total head-movement time, µs
-	ServiceTime  int64 // total busy time, µs
-	Makespan     int64 // completion time of the run, µs
+	SeekTime    int64 // total head-movement time, µs
+	ServiceTime int64 // total busy time, µs
+	Makespan    int64 // completion time of the run, µs
+	// WaitingTimes aggregates arrival-to-service-start waits of served
+	// requests, µs: running count, sum and extremes, no samples.
 	WaitingTimes stats.Summary
 }
 
@@ -73,9 +75,9 @@ func NewCollector(dims, levels int) *Collector {
 	return c
 }
 
-// Reset clears every counter in place, retaining the per-dimension slices
-// and the waiting-time sample buffer, so a collector can be recycled
-// across runs (sim.Reuse) instead of reallocated. The dims/levels shape is
+// Reset clears every counter in place, retaining the per-dimension slices,
+// so a collector can be recycled across runs (sim.Reuse) instead of
+// reallocated. The dims/levels shape is
 // unchanged; a run needing a different shape needs a new collector.
 func (c *Collector) Reset() {
 	clear(c.InversionsPerDim)

@@ -16,7 +16,7 @@ const MaxLUTCells = 1 << 16
 // LUT implements Curve with the base curve's name and bounds, so it can be
 // dropped in anywhere the base curve is accepted. It intentionally does NOT
 // implement Inverter even when the base curve does: callers that need the
-// inverse should keep a reference to the base curve (see Base).
+// inverse should keep a reference to the base curve.
 type LUT struct {
 	grid
 	base Curve
@@ -51,9 +51,6 @@ func NewLUT(c Curve) (*LUT, error) {
 	}
 	return l, nil
 }
-
-// Base returns the wrapped curve.
-func (l *LUT) Base() Curve { return l.base }
 
 // Name implements Curve. It reports the base curve's name so experiment
 // labels stay stable when a LUT is swapped in.

@@ -171,40 +171,17 @@ func TestSummary(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 {
 		t.Errorf("Min=%v Max=%v", s.Min(), s.Max())
 	}
-	if got := s.Percentile(50); got != 3 {
-		t.Errorf("median = %v", got)
-	}
-	if got := s.StdDev(); math.Abs(got-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("stddev = %v, want sqrt(2)", got)
+	s.Reset()
+	s.Add(-2)
+	if s.N() != 1 || s.Sum() != -2 || s.Min() != -2 || s.Max() != -2 {
+		t.Errorf("after Reset and one Add: N=%d Sum=%v Min=%v Max=%v", s.N(), s.Sum(), s.Min(), s.Max())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty summary should report zeros")
-	}
-}
-
-func TestSummaryAddAfterSort(t *testing.T) {
-	var s Summary
-	s.Add(10)
-	_ = s.Min() // forces sort
-	s.Add(1)
-	if s.Min() != 1 {
-		t.Errorf("Min after late Add = %v, want 1", s.Min())
-	}
-}
-
-func TestPercentileInterpolation(t *testing.T) {
-	var s Summary
-	s.Add(0)
-	s.Add(10)
-	if got := s.Percentile(25); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("p25 = %v, want 2.5", got)
-	}
-	if s.Percentile(0) != 0 || s.Percentile(100) != 10 {
-		t.Error("extreme percentiles wrong")
 	}
 }
 

@@ -1,114 +1,49 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Summary accumulates scalar observations and reports moments and order
-// statistics. It keeps all samples; the simulator's sample counts are small
-// enough (tens of thousands) that exact percentiles are affordable.
+// Summary accumulates scalar observations as running aggregates: count,
+// sum and extremes. It stores no samples.
 type Summary struct {
-	samples []float64
-	sum     float64
-	sorted  bool
+	n        int
+	sum      float64
+	min, max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
-	s.samples = append(s.samples, v)
+	if s.n == 0 || v < s.min {
+		s.min = v
+	}
+	if s.n == 0 || v > s.max {
+		s.max = v
+	}
+	s.n++
 	s.sum += v
-	s.sorted = false
 }
 
-// Reset discards every observation while keeping the sample buffer's
-// capacity, so a summary can be reused across runs without reallocating.
-func (s *Summary) Reset() {
-	s.samples = s.samples[:0]
-	s.sum = 0
-	s.sorted = false
-}
+// Reset discards every observation.
+func (s *Summary) Reset() { *s = Summary{} }
 
 // N returns the number of observations recorded.
-func (s *Summary) N() int { return len(s.samples) }
+func (s *Summary) N() int { return s.n }
 
 // Sum returns the total of all observations.
 func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty summary.
 func (s *Summary) Mean() float64 {
-	if len(s.samples) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	return s.sum / float64(len(s.samples))
+	return s.sum / float64(s.n)
 }
-
-// Variance returns the population variance, or 0 for fewer than two samples.
-func (s *Summary) Variance() float64 {
-	n := len(s.samples)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.samples {
-		d := v - m
-		acc += d * d
-	}
-	return acc / float64(n)
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.samples[0]
-}
+func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.samples[len(s.samples)-1]
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation between closest ranks, or 0 for an empty summary.
-func (s *Summary) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	if p <= 0 {
-		return s.samples[0]
-	}
-	if p >= 100 {
-		return s.samples[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.samples[lo]
-	}
-	frac := rank - float64(lo)
-	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
-}
-
-func (s *Summary) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
-}
+func (s *Summary) Max() float64 { return s.max }
 
 // MeanStdDev returns the mean and population standard deviation of vs.
 func MeanStdDev(vs []float64) (mean, stddev float64) {

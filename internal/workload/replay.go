@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 
 	"sfcsched/internal/core"
@@ -22,9 +23,9 @@ import (
 //
 // A dispatch trace is recorded in *dispatch* order, which is not arrival
 // order, and fault-injected runs log one line per service attempt of the
-// same request. Loading therefore dedupes by request ID (first occurrence
-// wins; every occurrence carries the same request fields) and re-sorts by
-// (arrival, ID) — exactly the generator order, because every generator
+// same request. Loading therefore dedupes by request ID (a repeat must
+// carry the same request fields; one that does not is an error, not a row
+// to drop) and re-sorts by (arrival, ID) — exactly the generator order, because every generator
 // assigns dense IDs in stable arrival order before the run.
 type Replay struct {
 	reqs []core.Request
@@ -85,7 +86,7 @@ func loadReplayJSONL(br *bufio.Reader) (*Replay, error) {
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var lines []replayLine
-	seen := make(map[uint64]bool)
+	first := make(map[uint64]int) // ID -> index into lines
 	for n := 1; sc.Scan(); n++ {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
@@ -98,12 +99,15 @@ func loadReplayJSONL(br *bufio.Reader) (*Replay, error) {
 		if ln.Disk != 0 {
 			return nil, fmt.Errorf("workload: replay line %d: disk %d — array traces record physical per-disk operations, not the logical request stream, and cannot be replayed", n, ln.Disk)
 		}
-		if seen[ln.ID] {
+		if i, ok := first[ln.ID]; ok {
 			// A fault retry: the same request logged again on a later
 			// attempt. The request fields are identical; keep the first.
+			if !reflect.DeepEqual(ln, lines[i]) {
+				return nil, fmt.Errorf("workload: replay line %d: request %d differs from its earlier line", n, ln.ID)
+			}
 			continue
 		}
-		seen[ln.ID] = true
+		first[ln.ID] = len(lines)
 		lines = append(lines, ln)
 	}
 	if err := sc.Err(); err != nil {
@@ -159,12 +163,15 @@ func loadReplayCSV(br *bufio.Reader) (*Replay, error) {
 		prio: make([]int, 0, len(trace)*dims),
 		dims: dims,
 	}
-	seen := make(map[uint64]bool)
-	for _, r := range trace {
-		if seen[r.ID] {
+	first := make(map[uint64]int) // ID -> index into p.reqs
+	for n, r := range trace {
+		if i, ok := first[r.ID]; ok {
+			if !reflect.DeepEqual(*r, p.reqs[i]) {
+				return nil, fmt.Errorf("workload: replay row %d: request %d differs from its earlier row", n+1, r.ID)
+			}
 			continue
 		}
-		seen[r.ID] = true
+		first[r.ID] = len(p.reqs)
 		p.reqs = append(p.reqs, *r)
 	}
 	p.prio = p.prio[:len(p.reqs)*dims]

@@ -106,6 +106,8 @@ func TestLoadReplayErrors(t *testing.T) {
 		{"mixed-dims", `{"now":1,"id":1,"cyl":0,"arrival":0,"wait":1,"prio":[1],"head":0,"queue":0}` + "\n" +
 			`{"now":2,"id":2,"cyl":0,"arrival":1,"wait":1,"prio":[1,2],"head":0,"queue":0}` + "\n", "dimensionalities"},
 		{"bad-csv", "id,arrival_us,deadline_us,cylinder,size,write,value\nnope,0,0,0,0,false,0\n", "id"},
+		{"contradicting-retry", `{"id":7,"cyl":10,"arrival":5}` + "\n" + `{"id":7,"cyl":99,"arrival":6}` + "\n", "request 7 differs"},
+		{"contradicting-csv-row", csvHeader1 + "1,10,500,7,4096,false,0,3\n1,20,0,8,512,true,0,2\n", "request 1 differs"},
 		{"wrong-header", "bogus,header\n1,2\n", "header"},
 	}
 	for _, tc := range cases {

@@ -99,6 +99,12 @@ func (w Open) validate() error {
 	if w.DeadlineMax < w.DeadlineMin {
 		return fmt.Errorf("workload: DeadlineMax < DeadlineMin")
 	}
+	if (w.SizeMin != 0 || w.SizeMax != 0) && (w.SizeMin < 1 || w.SizeMax < w.SizeMin) {
+		return fmt.Errorf("workload: sizes must satisfy 1 <= SizeMin <= SizeMax, got %d and %d", w.SizeMin, w.SizeMax)
+	}
+	if w.WriteFrac < 0 || w.WriteFrac > 1 {
+		return fmt.Errorf("workload: WriteFrac %v outside [0,1]", w.WriteFrac)
+	}
 	if w.Tenants < 0 || w.TenantSkew < 0 {
 		return fmt.Errorf("workload: Tenants and TenantSkew must be non-negative")
 	}
