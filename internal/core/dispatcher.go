@@ -295,3 +295,14 @@ func (d *Dispatcher) Each(visit func(*Request)) {
 		visit(e.req)
 	}
 }
+
+// EachValue is Each yielding every queued request with the value it was
+// enqueued at: the value the dispatcher orders it by.
+func (d *Dispatcher) EachValue(visit func(*Request, uint64)) {
+	for _, e := range d.q.Slice() {
+		visit(e.req, e.v)
+	}
+	for _, e := range d.qw.Slice() {
+		visit(e.req, e.v)
+	}
+}

@@ -253,6 +253,21 @@ func TestEachVisitsAllQueued(t *testing.T) {
 	if len(seen) != 3 || !seen[2] || !seen[3] || !seen[4] {
 		t.Errorf("Each visited %v", seen)
 	}
+	// EachValue walks the same requests in the same order, each with the
+	// value it was added at, across both queues.
+	var order []uint64
+	d.Each(func(r *Request) { order = append(order, r.ID) })
+	queued := map[uint64]uint64{2: 1, 3: 50, 4: 60}
+	i := 0
+	d.EachValue(func(r *Request, v uint64) {
+		if i >= len(order) || r.ID != order[i] || v != queued[r.ID] {
+			t.Errorf("EachValue visit %d: (%d, %d), want request %v at its queued value", i, r.ID, v, order)
+		}
+		i++
+	})
+	if i != len(order) {
+		t.Errorf("EachValue visited %d requests, Each %d", i, len(order))
+	}
 	if d.Len() != 3 {
 		t.Errorf("Len = %d, want 3", d.Len())
 	}

@@ -51,9 +51,10 @@ func TestLockedAnySchedulerCloseRejects(t *testing.T) {
 
 // TestValueSchedulersShareOneContract: every value-ordered constructor
 // yields the same type, so each has redirectable counters that attribute
-// dispatches as well as adds, the batch insert, and the RequestValue and
-// Window views that sim.ValueRanker and sim.WindowStater name (asserted as
-// interfaces in internal/sim, which core cannot import).
+// dispatches as well as adds, the batch insert, and the EachValue,
+// RequestValue and Window views that sim.ValueWalker, sim.ValueRanker and
+// sim.WindowStater name (asserted as interfaces in internal/sim, which core
+// cannot import).
 func TestValueSchedulersShareOneContract(t *testing.T) {
 	must := func(s sched.Scheduler, err error) sched.Scheduler {
 		if err != nil {
@@ -77,11 +78,12 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 			v, ok := s.(interface {
 				SetMetrics(*core.Metrics)
 				AddBatch(rs []*core.Request, now int64, head int)
+				EachValue(visit func(*core.Request, uint64))
 				RequestValue(r *core.Request, now int64, head int) uint64
 				Window() uint64
 			})
 			if !ok {
-				t.Fatalf("%T lacks SetMetrics, AddBatch, RequestValue or Window", s)
+				t.Fatalf("%T lacks SetMetrics, AddBatch, EachValue, RequestValue or Window", s)
 			}
 			m := &core.Metrics{}
 			v.SetMetrics(m)
@@ -95,6 +97,11 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 				t.Errorf("RequestValue is not read-only: %d then %d", want, again)
 			}
 			v.AddBatch(reqs[1:], 0, 100)
+			walked := 0
+			v.EachValue(func(*core.Request, uint64) { walked++ })
+			if walked != s.Len() {
+				t.Errorf("EachValue visited %d of %d queued requests", walked, s.Len())
+			}
 			if v.Window() != 0 {
 				t.Errorf("Window = %d on a fully-preemptive dispatcher", v.Window())
 			}

@@ -157,8 +157,9 @@ func (s *Scheduler) Next(now int64, head int) *Request {
 // RequestValue returns the characterization value the valuer would
 // assign r at time now with the head at cylinder head, on the current
 // sweep timeline. Read-only: neither the queues nor the sweep progress
-// change, so observability layers (sim decision tracing) can rank queued
-// candidates by v_c without perturbing the scheduler.
+// change. It is not the value r was queued at (see EachValue); nothing
+// outside tests calls it but the benchmark's scheduler decorator
+// (bench/decor.go), which stays frozen until the benchmark is next revised.
 func (s *Scheduler) RequestValue(r *Request, now int64, head int) uint64 {
 	return s.v.ValueAt(r, now, head, s.progress)
 }
@@ -172,3 +173,7 @@ func (s *Scheduler) Len() int { return s.disp.Len() }
 
 // Each visits all queued requests.
 func (s *Scheduler) Each(visit func(*Request)) { s.disp.Each(visit) }
+
+// EachValue visits all queued requests with the values they were enqueued
+// at (Dispatcher.EachValue), so observers read v_c without recomputing it.
+func (s *Scheduler) EachValue(visit func(*Request, uint64)) { s.disp.EachValue(visit) }

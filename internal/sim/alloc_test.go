@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sfcsched/internal/core"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
@@ -127,29 +128,38 @@ func TestRunObservabilityDisabledAllocs(t *testing.T) {
 // stay run-constant: the ring is pre-filled after warmup, the candidate
 // and slack scratch have grown to the deepest queue, and the telemetry
 // columns are recycled by Reset — so captures cost no per-decision
-// allocations.
+// allocations, on the slack-ranked walk (C-SCAN) and on the queued-value
+// walk (the cascade) alike.
 func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
 	trace := reuseBenchWorkload().MustGenerateArena(&arena)
-	var ru Reuse
-	dt := NewDecisionTrace(512)
-	dt.SetMetrics(&DecisionMetrics{})
-	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
-	cfg := Config{
-		Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru,
-		Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8,
-			Decisions: dt, Telemetry: tel},
+	enc, err := core.NewEncapsulator(benchCascadeConfig(t, 3, 700_000))
+	if err != nil {
+		t.Fatal(err)
 	}
-	MustRun(cfg, trace) // warm: fills the ring, grows scratch and columns
-	tel.Reset()
-	MustRun(cfg, trace)
-	allocs := testing.AllocsPerRun(10, func() {
-		tel.Reset()
-		MustRun(cfg, trace)
-	})
-	if allocs > 32 {
-		t.Errorf("Run with decision trace + telemetry allocates %v per run, want <= 32", allocs)
+	for _, s := range []sched.Scheduler{sched.NewCSCAN(), benchCascade(t, enc, enc, core.ConditionallyPreemptive)} {
+		t.Run(s.Name(), func(t *testing.T) {
+			var ru Reuse
+			dt := NewDecisionTrace(512)
+			dt.SetMetrics(&DecisionMetrics{})
+			tel := NewTelemetry(50_000)
+			tel.SetMetrics(&DecisionMetrics{})
+			cfg := Config{
+				Disk: xp(), Scheduler: s, Reuse: &ru,
+				Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8,
+					Decisions: dt, Telemetry: tel},
+			}
+			MustRun(cfg, trace) // warm: fills the ring, grows scratch and columns
+			tel.Reset()
+			MustRun(cfg, trace)
+			allocs := testing.AllocsPerRun(10, func() {
+				tel.Reset()
+				MustRun(cfg, trace)
+			})
+			if allocs > 32 {
+				t.Errorf("Run with decision trace + telemetry allocates %v per run, want <= 32", allocs)
+			}
+		})
 	}
 }

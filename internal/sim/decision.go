@@ -2,10 +2,10 @@ package sim
 
 import (
 	"io"
-	"slices"
 	"strconv"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/sched"
 )
 
 // This file is the decision-observability layer of the simulator: a
@@ -21,27 +21,52 @@ import (
 // With tracing enabled, records land in a fixed-capacity ring and every
 // per-decision buffer (candidate scratch, slack scratch, JSONL buffer) is
 // reused, so steady-state capture performs no per-decision allocations
-// once the scratch has grown to the deepest queue observed.
+// once the scratch has grown to the deepest queue observed. A decision
+// costs one queue walk and one pass over its candidates: values are read
+// as queued (ValueWalker), never recomputed, and nothing is sorted.
 
 // MaxTopK is the number of head-of-queue candidates retained per decision
 // record. Fixed-size so records are flat copyable values with no
 // per-record allocation.
 const MaxTopK = 8
 
-// NoValue marks a candidate whose scheduler does not expose
-// characterization values (it does not implement ValueRanker).
+// NoValue marks a candidate whose scheduler exposes no queued values (it
+// does not implement ValueWalker).
 const NoValue = ^uint64(0)
 
 // NoDeadlineSlack is the slack reported for requests without a deadline
 // (matching core.Request.Slack).
 const NoDeadlineSlack = int64(1) << 62
 
-// ValueRanker is implemented by schedulers that can report the scalar
-// value they order requests by — lower is served earlier. core.Scheduler
-// implements it with the encapsulator's v_c. The call must be read-only:
-// decision tracing invokes it per queued candidate on live queues.
+// ValueWalker is implemented by schedulers that order requests by a scalar
+// computed once, at enqueue — lower is served earlier. EachValue visits
+// every queued request with that value and must be read-only: decision
+// tracing and telemetry walk live queues with it. core.Scheduler
+// implements it with the dispatcher's queued v_c.
+type ValueWalker interface {
+	EachValue(visit func(*core.Request, uint64))
+}
+
+// ValueRanker is implemented by schedulers that can recompute the value
+// they would assign a request now (core.Scheduler.RequestValue). No
+// observer in this package calls it — they read the queued values through
+// ValueWalker. It stays because the benchmark's scheduler decorator
+// (bench/decor.go) forwards it, until the benchmark is next revised.
 type ValueRanker interface {
 	RequestValue(r *core.Request, now int64, head int) uint64
+}
+
+// eachValue walks s's queue as (request, value) pairs: with the values the
+// dispatcher queued when s is a ValueWalker, otherwise through noValue,
+// which must be visit with NoValue bound once by the caller so the walk
+// allocates nothing. It reports whether the values are the scheduler's.
+func eachValue(s sched.Scheduler, visit func(*core.Request, uint64), noValue func(*core.Request)) bool {
+	if w, ok := s.(ValueWalker); ok {
+		w.EachValue(visit)
+		return true
+	}
+	s.Each(noValue)
+	return false
 }
 
 // WindowStater is implemented by schedulers exposing a blocking-window
@@ -60,8 +85,9 @@ type DecisionCandidate struct {
 	// Slack is the deadline slack at decision time, µs (negative when
 	// expired, NoDeadlineSlack when the request has no deadline).
 	Slack int64
-	// V is the scheduler's characterization value for the candidate at
-	// decision time, or NoValue when the scheduler exposes none.
+	// V is the value the candidate was enqueued at — the one the
+	// dispatcher orders it by — or NoValue when the scheduler is not a
+	// ValueWalker.
 	V uint64
 }
 
@@ -85,12 +111,13 @@ type DecisionRecord struct {
 	// Window is the blocking-window state of a WindowStater scheduler at
 	// the decision, 0 otherwise.
 	Window uint64
-	// Chosen is the dispatched (or dropped) request.
+	// Chosen is the dispatched (or dropped) request; its V is the queued
+	// value of the candidate with its ID.
 	Chosen DecisionCandidate
 	// Dropped marks a §6 deadline drop rather than a service start.
 	Dropped bool
-	// VSpread is the max-min spread of candidate values when the
-	// scheduler is a ValueRanker, 0 otherwise.
+	// VSpread is the max-min spread of the candidates' queued values when
+	// the scheduler is a ValueWalker, 0 otherwise.
 	VSpread uint64
 	// SlackMin, SlackP50 and SlackMax summarize the deadline-slack
 	// distribution over the Deadlined candidates, µs. All zero when no
@@ -101,11 +128,8 @@ type DecisionRecord struct {
 	// K is the number of valid entries in TopK.
 	K int
 	// TopK holds the K head-of-queue candidates in rank order: by (V, ID)
-	// when the scheduler is a ValueRanker, by (Slack, ID) otherwise. The
-	// ranking is a consistent decision-time snapshot — for value
-	// schedulers the values are recomputed at the decision's (now, head),
-	// which may differ from the enqueue-time values the dispatcher
-	// actually sorted by.
+	// over the enqueue-time values the dispatcher sorted by when the
+	// scheduler is a ValueWalker, by (Slack, ID) otherwise.
 	TopK [MaxTopK]DecisionCandidate
 }
 
@@ -125,12 +149,13 @@ type DecisionTrace struct {
 	m     *DecisionMetrics
 
 	// Per-snapshot scratch, reused across decisions.
-	cands  []DecisionCandidate
-	slacks []int64
-	visit  func(*core.Request)
-	vr     ValueRanker
-	now    int64
-	head   int
+	cands   []DecisionCandidate
+	slacks  []int64
+	visit   func(*core.Request, uint64)
+	noValue func(*core.Request)
+	byV     bool
+	now     int64
+	head    int
 }
 
 // NewDecisionTrace returns a trace retaining the last capacity decision
@@ -142,15 +167,12 @@ func NewDecisionTrace(capacity int) *DecisionTrace {
 		capacity = 1
 	}
 	t := &DecisionTrace{cap: capacity, m: DefaultDecisionMetrics}
-	t.visit = func(r *core.Request) {
-		v := NoValue
-		if t.vr != nil {
-			v = t.vr.RequestValue(r, t.now, t.head)
-		}
+	t.visit = func(r *core.Request, v uint64) {
 		t.cands = append(t.cands, DecisionCandidate{
 			ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(t.now), V: v,
 		})
 	}
+	t.noValue = func(r *core.Request) { t.visit(r, NoValue) }
 	return t
 }
 
@@ -182,38 +204,120 @@ func (t *DecisionTrace) Records() []DecisionRecord {
 // scheduler is asked to decide. The walk is read-only.
 func (t *DecisionTrace) snapshot(st *Station, now int64) {
 	t.cands = t.cands[:0]
-	t.vr, _ = st.Sched.(ValueRanker)
 	t.now, t.head = now, st.head
-	st.Sched.Each(t.visit)
+	t.byV = eachValue(st.Sched, t.visit, t.noValue)
 }
 
-// candByV ranks candidates by (V, ID); candBySlack by (Slack, ID). Both
-// are total orders, so rankings are deterministic.
-func candByV(a, b DecisionCandidate) int {
-	if a.V != b.V {
-		if a.V < b.V {
-			return -1
-		}
-		return 1
+// ranksBefore orders candidates by (V, ID) when byV, by (Slack, ID)
+// otherwise. Queued IDs are distinct, so both are total orders and
+// rankings are deterministic.
+func ranksBefore(a, b DecisionCandidate, byV bool) bool {
+	if byV && a.V != b.V {
+		return a.V < b.V
 	}
-	return cmpU64(a.ID, b.ID)
-}
-
-func candBySlack(a, b DecisionCandidate) int {
-	if a.Slack != b.Slack {
-		if a.Slack < b.Slack {
-			return -1
-		}
-		return 1
+	if !byV && a.Slack != b.Slack {
+		return a.Slack < b.Slack
 	}
-	return cmpU64(a.ID, b.ID)
+	return a.ID < b.ID
 }
 
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
+// summarize fills rec's candidate summary — Chosen.V, Deadlined, VSpread,
+// the slack distribution and TopK — in one pass over cands, keeping the
+// top MaxTopK by bounded insertion. rec.Chosen.ID must be set and rec.K
+// zero. slacks is scratch, returned grown.
+func summarize(rec *DecisionRecord, cands []DecisionCandidate, byV bool, slacks []int64) []int64 {
+	slacks = slacks[:0]
+	vmin, vmax := NoValue, uint64(0)
+	for _, c := range cands {
+		if c.ID == rec.Chosen.ID {
+			rec.Chosen.V = c.V
+		}
+		if c.Slack != NoDeadlineSlack {
+			slacks = append(slacks, c.Slack)
+		}
+		vmin, vmax = min(vmin, c.V), max(vmax, c.V)
+
+		k := rec.K
+		if k == MaxTopK {
+			if !ranksBefore(c, rec.TopK[k-1], byV) {
+				continue
+			}
+			k--
+		} else {
+			rec.K++
+		}
+		for ; k > 0 && ranksBefore(c, rec.TopK[k-1], byV); k-- {
+			rec.TopK[k] = rec.TopK[k-1]
+		}
+		rec.TopK[k] = c
+	}
+	if byV && len(cands) > 0 {
+		rec.VSpread = vmax - vmin
+	}
+	rec.Deadlined = len(slacks)
+	rec.SlackMin, rec.SlackP50, rec.SlackMax = slackSummary(slacks)
+	return slacks
+}
+
+// slackSummary returns the minimum, the median — exactly what a sort would
+// leave at s[len(s)/2] — and the maximum of s, all 0 when s is empty. It
+// reorders s: the median comes from quickselect, O(n) expected, where a
+// sort would be O(n log n).
+func slackSummary(s []int64) (lo, p50, hi int64) {
+	if len(s) == 0 {
+		return 0, 0, 0
+	}
+	lo, hi = s[0], s[0]
+	for _, x := range s[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, selectNth(s, len(s)/2), hi
+}
+
+// selectNth returns the element a sort would place at index k of s,
+// partially reordering s: quickselect with a middle pivot and a
+// branch-free Lomuto partition, since on a queue-sized set the
+// comparisons are unpredictable and a mispredicted branch per element
+// costs more than the swap. Copies of the pivot are counted and moved out
+// of the range, so ties cost no extra rounds.
+func selectNth(s []int64, k int) int64 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		s[mid], s[hi] = s[hi], s[mid]
+		p := s[hi]
+		i, eq := lo, 0
+		for j := lo; j < hi; j++ {
+			x := s[j]
+			s[j], s[i] = s[i], x
+			i += b2i(x < p)
+			eq += b2i(x == p)
+		}
+		s[i], s[hi] = p, s[i]
+		// Now s[lo:i] < p = s[i] ≤ s[i+1:hi+1], eq of which equal p.
+		switch {
+		case k < i:
+			hi = i - 1
+		case k <= i+eq:
+			return p
+		default:
+			lo = i + 1
+			if eq > 0 {
+				for j := lo; j <= hi; j++ {
+					x := s[j]
+					s[j], s[lo] = s[lo], x
+					lo += b2i(x == p)
+				}
+			}
+		}
+	}
+	return s[k]
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag
+// move, without a branch.
+func b2i(b bool) int {
+	if b {
 		return 1
 	}
 	return 0
@@ -230,39 +334,10 @@ func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped 
 	rec.Depth = len(t.cands)
 	rec.Dropped = dropped
 	rec.Chosen = DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: NoValue}
-	if t.vr != nil {
-		rec.Chosen.V = t.vr.RequestValue(r, now, t.head)
-	}
 	if ws, ok := st.Sched.(WindowStater); ok {
 		rec.Window = ws.Window()
 	}
-
-	// Slack distribution over the deadline-carrying candidates.
-	t.slacks = t.slacks[:0]
-	for _, c := range t.cands {
-		if c.Slack != NoDeadlineSlack {
-			t.slacks = append(t.slacks, c.Slack)
-		}
-	}
-	rec.Deadlined = len(t.slacks)
-	if n := len(t.slacks); n > 0 {
-		slices.Sort(t.slacks)
-		rec.SlackMin = t.slacks[0]
-		rec.SlackP50 = t.slacks[n/2]
-		rec.SlackMax = t.slacks[n-1]
-	}
-
-	// Rank the candidate set and retain the head of the queue.
-	if t.vr != nil {
-		slices.SortFunc(t.cands, candByV)
-		if n := len(t.cands); n > 0 {
-			rec.VSpread = t.cands[n-1].V - t.cands[0].V
-		}
-	} else {
-		slices.SortFunc(t.cands, candBySlack)
-	}
-	rec.K = min(len(t.cands), MaxTopK)
-	copy(rec.TopK[:], t.cands[:rec.K])
+	t.slacks = summarize(&rec, t.cands, t.byV, t.slacks)
 
 	// Ring store: append until capacity, then overwrite the oldest.
 	if len(t.recs) < t.cap {

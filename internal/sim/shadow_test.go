@@ -113,9 +113,9 @@ func TestShadowSSTFBeatsFCFSTravel(t *testing.T) {
 }
 
 // A §4.2 preset, the single-curve baseline and BUCKET-seek are
-// core.Schedulers like the cascade: the decision layer sees their values
-// and window, and a shadow over one counts into its own sink instead of
-// the process-wide one.
+// core.Schedulers like the cascade: the decision layer sees their queued
+// values and window, and a shadow over one counts into its own sink
+// instead of the process-wide one.
 func TestValuePresetsAreObservable(t *testing.T) {
 	single, err := core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832,
 		core.DispatcherConfig{Mode: core.FullyPreemptive})
@@ -128,6 +128,9 @@ func TestValuePresetsAreObservable(t *testing.T) {
 	}
 	for _, s := range []sched.Scheduler{core.EmulateFCFS(), core.EmulateEDF(), core.EmulateSSTF(),
 		core.EmulateCSCAN(3832), core.EmulateMultiQueue(8), single, bucket} {
+		if _, ok := s.(ValueWalker); !ok {
+			t.Errorf("%s is not a ValueWalker", s.Name())
+		}
 		if _, ok := s.(ValueRanker); !ok {
 			t.Errorf("%s is not a ValueRanker", s.Name())
 		}

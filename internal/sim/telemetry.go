@@ -2,7 +2,6 @@ package sim
 
 import (
 	"io"
-	"slices"
 	"strconv"
 
 	"sfcsched/internal/core"
@@ -36,8 +35,8 @@ type Telemetry struct {
 	Disk      []int32   // station ID
 	Depth     []int32   // queue depth (excluding the in-service request)
 	Busy      []float64 // completed-service utilization since the last row, [0,1]
-	VMin      []uint64  // min candidate value (0 when no ValueRanker or empty)
-	VMax      []uint64  // max candidate value
+	VMin      []uint64  // min queued value (0 when no ValueWalker or empty)
+	VMax      []uint64  // max queued value; both are the enqueue-time values the dispatcher sorts by
 	Deadlined []int32   // queued requests carrying a deadline
 	SlackMin  []int64   // slack distribution over the Deadlined requests, µs
 	SlackP50  []int64
@@ -49,10 +48,9 @@ type Telemetry struct {
 	m        *DecisionMetrics
 
 	// Queue-walk scratch, reused across rows.
-	visit      func(*core.Request)
-	vr         ValueRanker
+	visit      func(*core.Request, uint64)
+	noValue    func(*core.Request)
 	now        int64
-	head       int
 	vmin, vmax uint64
 	slacks     []int64
 }
@@ -64,20 +62,13 @@ func NewTelemetry(interval int64) *Telemetry {
 		interval = 1
 	}
 	t := &Telemetry{Interval: interval, m: DefaultDecisionMetrics}
-	t.visit = func(r *core.Request) {
-		if t.vr != nil {
-			v := t.vr.RequestValue(r, t.now, t.head)
-			if v < t.vmin {
-				t.vmin = v
-			}
-			if v > t.vmax {
-				t.vmax = v
-			}
-		}
+	t.visit = func(r *core.Request, v uint64) {
+		t.vmin, t.vmax = min(t.vmin, v), max(t.vmax, v)
 		if s := r.Slack(t.now); s != NoDeadlineSlack {
 			t.slacks = append(t.slacks, s)
 		}
 	}
+	t.noValue = func(r *core.Request) { t.visit(r, NoValue) }
 	return t
 }
 
@@ -157,20 +148,15 @@ func (tel *Telemetry) sampleStation(st *Station, t int64) {
 	tel.prevBusy[st.ID] = st.Col.ServiceTime
 
 	// Walk the queue for value spread and slack distribution.
-	tel.vr, _ = st.Sched.(ValueRanker)
-	tel.now, tel.head = t, st.head
-	tel.vmin, tel.vmax = ^uint64(0), 0
+	tel.now = t
+	tel.vmin, tel.vmax = NoValue, 0
 	tel.slacks = tel.slacks[:0]
-	st.Sched.Each(tel.visit)
+	values := eachValue(st.Sched, tel.visit, tel.noValue)
 	vmin, vmax := tel.vmin, tel.vmax
-	if tel.vr == nil || vmin > vmax { // no ranker, or empty queue
+	if !values || vmin > vmax { // no queued values, or empty queue
 		vmin, vmax = 0, 0
 	}
-	var smin, sp50, smax int64
-	if n := len(tel.slacks); n > 0 {
-		slices.Sort(tel.slacks)
-		smin, sp50, smax = tel.slacks[0], tel.slacks[n/2], tel.slacks[n-1]
-	}
+	smin, sp50, smax := slackSummary(tel.slacks)
 
 	tel.Time = append(tel.Time, t)
 	tel.Disk = append(tel.Disk, int32(st.ID))
