@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: all vet build test race cover bench bench-smoke perf
+.PHONY: all vet build test race cover bench bench-smoke perf goldens
 
 all: vet build test
 
@@ -16,6 +16,13 @@ build:
 
 test:
 	go test ./...
+
+# Regenerates every committed golden after an intended output change: the
+# experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables
+# quoting them, and the sim and cluster recordings. Review the diff.
+goldens:
+	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster \
+		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings' -update
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher) and the golden

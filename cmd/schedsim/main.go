@@ -44,7 +44,7 @@ func main() {
 
 // run is the whole command after flag parsing. Each constructor validates
 // its own inputs; run adds the name of the flag that fed it.
-func run(opt options) error {
+func run(opt options) (runErr error) {
 	if err := opt.validate(); err != nil {
 		return err
 	}
@@ -127,7 +127,7 @@ func run(opt options) error {
 		if err != nil {
 			return err
 		}
-		defer closeOut()
+		defer closeInto(&runErr, "-dispatch-trace", closeOut)
 		traceHook = sim.JSONLTrace(w)
 	}
 	var decisions *sim.DecisionTrace
@@ -136,7 +136,7 @@ func run(opt options) error {
 		if err != nil {
 			return err
 		}
-		defer closeOut()
+		defer closeInto(&runErr, "-decision-trace", closeOut)
 		decisions = sim.NewDecisionTrace(1024)
 		decisions.OnRecord = sim.DecisionJSONL(w)
 	}
@@ -236,9 +236,11 @@ func run(opt options) error {
 			return err
 		}
 		err = telemetry.WriteCSV(w)
-		closeOut()
+		if cerr := closeOut(); err == nil {
+			err = cerr
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("-telemetry: %w", err)
 		}
 	}
 	return nil
@@ -293,17 +295,33 @@ func printClusterReport(res *cluster.Result) {
 }
 
 // outWriter opens path for streaming output: "-" is stdout, anything else
-// a buffered file. The returned func flushes and closes.
-func outWriter(path string) (io.Writer, func(), error) {
+// a buffered file. The returned func flushes and closes, and reports the
+// first error of the stream: a bufio.Writer keeps the first write error,
+// so a trace hook that went silent after a failed write still fails here.
+func outWriter(path string) (io.Writer, func() error, error) {
 	if path == "-" {
-		return os.Stdout, func() {}, nil
+		return os.Stdout, func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	bw := bufio.NewWriter(f)
-	return bw, func() { bw.Flush(); f.Close() }, nil
+	return bw, func() error {
+		err := bw.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
+}
+
+// closeInto runs closeOut and, unless *err already holds an error, stores
+// its error there wrapped with the name of the flag that named the file.
+func closeInto(err *error, flag string, closeOut func() error) {
+	if cerr := closeOut(); cerr != nil && *err == nil {
+		*err = fmt.Errorf("%s: %w", flag, cerr)
+	}
 }
 
 // buildShadows constructs the counterfactual shadow schedulers of the

@@ -13,25 +13,26 @@ import (
 	"sfcsched/internal/workload"
 )
 
-// Ablations runs the design-choice experiments DESIGN.md §6 calls out and
-// prints one table per ablation. These are the same comparisons as the
-// Ablation* benchmarks, packaged for the CLI. The tables print in a fixed
-// order; workers bounds the parallel simulation cells within each
-// ablation (0 = GOMAXPROCS) and does not change any number printed.
-func Ablations(w io.Writer, seed uint64, workers int) error {
+// ablations runs the design-choice experiments DESIGN.md §6 calls out and
+// prints one table per ablation. The tables print in a fixed order;
+// p.Workers bounds the parallel simulation cells within each ablation (0 =
+// GOMAXPROCS) and does not change any number printed. The ablations run at
+// their own fixed sizes; p.Requests does not apply.
+func ablations(w io.Writer, p Params) ([]*Result, error) {
+	seed, workers := p.Seed, p.Workers
 	if err := ablationDeadlineMode(w, seed, workers); err != nil {
-		return err
+		return nil, err
 	}
 	if err := ablationSP(w, seed, workers); err != nil {
-		return err
+		return nil, err
 	}
 	if err := ablationER(w); err != nil {
-		return err
+		return nil, err
 	}
 	if err := ablationWindow(w, seed, workers); err != nil {
-		return err
+		return nil, err
 	}
-	return ablationCascadeVsSingle(w, seed, workers)
+	return nil, ablationCascadeVsSingle(w, seed, workers)
 }
 
 // ablationCascadeVsSingle compares the three-stage cascade against the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 
 	"sfcsched/internal/core"
@@ -12,72 +13,50 @@ import (
 	"sfcsched/internal/workload"
 )
 
-// CalibrateConfig drives the observe-predict-calibrate experiment of the
-// serving layer: one workload served live (emulated disk, dilated wall
-// clock) at a sweep of time-dilation factors, each run scored against the
-// simulator's prediction of the same trace.
-type CalibrateConfig struct {
-	Seed uint64
-	// Dilations lists the model-seconds-per-wall-second factors to sweep.
-	// Low factors sleep close to real time (accurate, slow); high factors
-	// compress hard and let timer granularity bleed into the scores —
-	// which is exactly the tradeoff the sweep exposes.
-	Dilations []float64
-	// Requests is the request count per point.
-	Requests int
-	// MeanInterarrival is the workload's mean arrival gap, µs.
-	MeanInterarrival int64
-	// Levels is the number of priority levels.
-	Levels int
-	// DeadlineMin/Max bound the relative deadlines, µs.
-	DeadlineMin int64
-	DeadlineMax int64
-	// InFlight bounds the live dispatcher's concurrent services (0 = 1,
-	// the single-arm semantics the simulator models).
-	InFlight int
-}
+// The observe-predict-calibrate experiment of the serving layer: one
+// workload served live (emulated disk, dilated wall clock) at a sweep of
+// time-dilation factors, each run scored against the simulator's
+// prediction of the same trace, on a moderately overloaded disk (4 ms
+// arrivals against ~15 ms services), where queue order dominates and
+// prediction quality is actually exercised.
+const (
+	calibrateInterarrival = 4_000
+	calibrateLevels       = 8
+	calibrateDeadlineMin  = 400_000
+	calibrateDeadlineMax  = 700_000
+	// calibrateInFlight bounds the live dispatcher's concurrent services:
+	// the single-arm semantics the simulator models.
+	calibrateInFlight = 1
+)
 
-// DefaultCalibrateConfig sweeps from near-faithful pacing (2×, where the
-// live path tracks the prediction essentially exactly) into aggressive
-// compression (1000×, where residual timer error times the dilation factor
-// visibly warps the queue) on a moderately overloaded disk (4 ms arrivals
-// against ~15 ms services), where queue order dominates and prediction
-// quality is actually exercised.
-func DefaultCalibrateConfig() CalibrateConfig {
-	return CalibrateConfig{
-		Seed:             1,
-		Dilations:        []float64{2, 25, 200, 1000},
-		Requests:         400,
-		MeanInterarrival: 4_000,
-		Levels:           8,
-		DeadlineMin:      400_000,
-		DeadlineMax:      700_000,
-		InFlight:         1,
-	}
-}
-
-// Calibrate sweeps the dilation factor and reports, per point, the
-// per-request latency MAPE, the dispatch-order Pearson correlation, the
-// head-travel delta and the wall cost of the run. Unlike every other
-// experiment in this package the numbers are wall-clock measurements:
-// re-runs jitter, and the CSV is intentionally excluded from the
-// determinism smokes.
-func Calibrate(cfg CalibrateConfig) (*Result, error) {
-	if len(cfg.Dilations) == 0 {
-		cfg.Dilations = DefaultCalibrateConfig().Dilations
+// calibrate sweeps the dilation factor — model seconds per wall second —
+// and reports, per point, the per-request latency MAPE, the dispatch-order
+// Pearson correlation, the head-travel delta and the wall cost of the run.
+// The default sweep runs from near-faithful pacing (2×, where the live
+// path tracks the prediction essentially exactly) into aggressive
+// compression (1000×, where residual timer error times the dilation
+// factor visibly warps the queue); p.Dilations overrides it. Unlike every
+// other experiment in this package the numbers are wall-clock
+// measurements: re-runs jitter, and the CSV is intentionally excluded from
+// the determinism smokes.
+func calibrate(_ io.Writer, p Params) ([]*Result, error) {
+	p = p.sized(400)
+	dilations := p.Dilations
+	if len(dilations) == 0 {
+		dilations = []float64{2, 25, 200, 1000}
 	}
 	model, err := xp32150()
 	if err != nil {
 		return nil, err
 	}
 	trace, err := workload.Open{
-		Seed:             cfg.Seed,
-		Count:            cfg.Requests,
-		MeanInterarrival: cfg.MeanInterarrival,
+		Seed:             p.Seed,
+		Count:            p.Requests,
+		MeanInterarrival: calibrateInterarrival,
 		Dims:             1,
-		Levels:           cfg.Levels,
-		DeadlineMin:      cfg.DeadlineMin,
-		DeadlineMax:      cfg.DeadlineMax,
+		Levels:           calibrateLevels,
+		DeadlineMin:      calibrateDeadlineMin,
+		DeadlineMax:      calibrateDeadlineMax,
 		Cylinders:        model.Cylinders,
 		SizeMin:          4 << 10,
 		SizeMax:          128 << 10,
@@ -86,8 +65,8 @@ func Calibrate(cfg CalibrateConfig) (*Result, error) {
 		return nil, err
 	}
 	ecfg := core.EncapsulatorConfig{
-		Levels:      cfg.Levels,
-		UseDeadline: true, DeadlineHorizon: cfg.DeadlineMax, DeadlineSpan: cfg.DeadlineMax, DeadlineSlack: true,
+		Levels:      calibrateLevels,
+		UseDeadline: true, DeadlineHorizon: calibrateDeadlineMax, DeadlineSpan: calibrateDeadlineMax, DeadlineSlack: true,
 		UseCylinder: true, R: 3, Cylinders: model.Cylinders,
 	}
 	// Fully-preemptive cascade on both sides, counting into a throwaway sink
@@ -106,27 +85,27 @@ func Calibrate(cfg CalibrateConfig) (*Result, error) {
 		Title:  "Simulator vs live serving path across time-dilation factors",
 		XLabel: "dilation (model s per wall s)",
 		YLabel: "prediction accuracy (per-series units)",
-		X:      make([]float64, len(cfg.Dilations)),
+		X:      make([]float64, len(dilations)),
 		Notes: []string{
 			fmt.Sprintf("%d requests, %d µs mean interarrival, in-flight %d; identical trace through sim.Run and the live dispatcher",
-				cfg.Requests, cfg.MeanInterarrival, max(1, cfg.InFlight)),
+				p.Requests, calibrateInterarrival, calibrateInFlight),
 			"mape-pct = per-request latency MAPE; order-r = Pearson on dispatch ranks; travel-delta-pct = 100*(live-sim)/sim head travel",
 			"wall-clock measurement: numbers jitter across runs and machines; excluded from the determinism smokes",
 		},
 	}
-	mape := make([]float64, len(cfg.Dilations))
-	orderR := make([]float64, len(cfg.Dilations))
-	travel := make([]float64, len(cfg.Dilations))
-	wallMs := make([]float64, len(cfg.Dilations))
+	mape := make([]float64, len(dilations))
+	orderR := make([]float64, len(dilations))
+	travel := make([]float64, len(dilations))
+	wallMs := make([]float64, len(dilations))
 	// Sequential on purpose: concurrent wall-clock runs would contend for
 	// cores and distort each other's timing.
-	for i, dil := range cfg.Dilations {
+	for i, dil := range dilations {
 		res.X[i] = dil
 		cal, err := serve.Calibrate(context.Background(), serve.CalibrationConfig{
 			NewScheduler: newScheduler,
 			Service:      disk.ServiceModel{Disk: model},
 			Dilation:     dil,
-			InFlight:     cfg.InFlight,
+			InFlight:     calibrateInFlight,
 		}, trace)
 		if err != nil {
 			return nil, err
@@ -150,7 +129,7 @@ func Calibrate(cfg CalibrateConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	return res, nil
+	return []*Result{res}, nil
 }
 
 // nanToZero maps an undefined score onto 0 for rendering.

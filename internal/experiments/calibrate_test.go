@@ -1,58 +1,49 @@
 package experiments
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestCalibrateReduced(t *testing.T) {
+// calibrateResult runs the calibrate row through Run with p.
+func calibrateResult(t *testing.T, p Params) *Result {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("wall-clock run")
 	}
-	cfg := DefaultCalibrateConfig()
-	cfg.Requests = 100
-	cfg.Dilations = []float64{60, 120}
-	res, err := Calibrate(cfg)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := Run(&buf, "calibrate", p, true); err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != "calibrate" || len(res.X) != 2 {
+	rs, err := parseCSV(buf.Bytes())
+	if err != nil || len(rs) != 1 {
+		t.Fatalf("calibrate rendered %d results (%v):\n%s", len(rs), err, buf.Bytes())
+	}
+	return rs[0]
+}
+
+func TestCalibrateReduced(t *testing.T) {
+	res := calibrateResult(t, Params{Seed: 1, Requests: 100, Dilations: []float64{60, 120}})
+	if res.ID != "calibrate" || !slices.Equal(res.X, []float64{60, 120}) {
 		t.Fatalf("unexpected result shape: %+v", res)
 	}
-	names := make([]string, 0, len(res.Series))
+	var names []string
 	for _, s := range res.Series {
-		if len(s.Y) != len(res.X) {
-			t.Errorf("series %s has %d points, want %d", s.Name, len(s.Y), len(res.X))
-		}
 		names = append(names, s.Name)
 	}
-	if got := strings.Join(names, ","); got != "mape-pct,order-r,travel-delta-pct,wall-ms" {
-		t.Errorf("series = %s", got)
-	}
+	expect(t, strings.Join(names, ",") == "mape-pct,order-r,travel-delta-pct,wall-ms", "series = %v", names)
 	for i := range res.X {
-		if r := res.Series[1].Y[i]; r < -1 || r > 1 {
-			t.Errorf("order-r[%d] = %v out of [-1,1]", i, r)
-		}
-		if w := res.Series[3].Y[i]; w <= 0 {
-			t.Errorf("wall-ms[%d] = %v, want positive", i, w)
-		}
+		r, w := res.Series[1].Y[i], res.Series[3].Y[i]
+		expect(t, r >= -1 && r <= 1, "order-r[%d] = %v out of [-1,1]", i, r)
+		expect(t, w > 0, "wall-ms[%d] = %v, want positive", i, w)
 	}
 }
 
+// The default sweep on a tiny trace: just proves the default
+// substitution path works end to end.
 func TestCalibrateEmptyDilationsUsesDefaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock run")
-	}
-	cfg := DefaultCalibrateConfig()
-	cfg.Requests = 40
-	cfg.Dilations = nil
-	// Keep the default sweep but on a tiny trace: just proves the default
-	// substitution path works end to end.
-	res, err := Calibrate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.X) != len(DefaultCalibrateConfig().Dilations) {
-		t.Errorf("empty Dilations should use the default sweep, got %v", res.X)
-	}
+	res := calibrateResult(t, Params{Seed: 1, Requests: 40})
+	expect(t, slices.Equal(res.X, []float64{2, 25, 200, 1000}), "empty Dilations should use the default sweep, got %v", res.X)
 }

@@ -2,54 +2,38 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"sfcsched/internal/cluster"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
 
-// ClusterConfig drives the fleet-level experiment: a cluster of identical
-// arrays behind every (router, admission) pairing, swept over offered
-// load under a skewed multi-tenant workload. The question is the paper's
-// scalability story one level up — when tenants are Zipf-skewed across
-// the block space, which routing policy keeps the stringent class inside
-// its SLO, and what does admission control buy the survivors?
-type ClusterConfig struct {
-	common
-	// Interarrivals lists the mean arrival gaps to sweep, µs (the x-axis
-	// renders as offered load in req/s across the whole cluster).
-	Interarrivals []int64
-	// Nodes and DisksPerNode shape the cluster.
-	Nodes        int
-	DisksPerNode int
-	// Tenants, TenantSkew and Classes shape the workload: Zipf-skewed
-	// tenants pinned to block zones, class = tenant mod Classes.
-	Tenants    int
-	TenantSkew float64
-	Classes    int
-	// AdmitRate and AdmitBurst parameterize the per-class token bucket
-	// (tokens/s and burst size) for the "token" admission series.
-	AdmitRate  int64
-	AdmitBurst int64
-}
+// The fleet-level parameters: a 4-node cluster of single-disk arrays
+// behind every (router, admission) pairing, swept over offered load under
+// a skewed multi-tenant workload. The question is the paper's scalability
+// story one level up — when tenants are Zipf-skewed across the block
+// space, which routing policy keeps the stringent class inside its SLO,
+// and what does admission control buy the survivors? Skew 1.3 over 8
+// tenants concentrates roughly half the traffic on two tenants' zones,
+// which is what separates load-blind from load-aware routing; class =
+// tenant mod clusterClasses.
+const (
+	clusterNodes        = 4
+	clusterDisksPerNode = 1
+	clusterTenants      = 8
+	clusterTenantSkew   = 1.3
+	clusterClasses      = 3
+	// The per-class token bucket of the "token" admission series: tokens/s
+	// and burst size.
+	clusterAdmitRate  = 150
+	clusterAdmitBurst = 30
+)
 
-// DefaultClusterConfig sweeps a 4-node cluster of single-disk arrays from
-// comfortable load into saturation. Skew 1.3 over 8 tenants concentrates
-// roughly half the traffic on two tenants' zones, which is what separates
-// load-blind from load-aware routing.
-func DefaultClusterConfig() ClusterConfig {
-	return ClusterConfig{
-		common:        common{Seed: 1, Requests: 4000},
-		Interarrivals: []int64{8_000, 5_000, 3_500, 2_500, 2_000},
-		Nodes:         4,
-		DisksPerNode:  1,
-		Tenants:       8,
-		TenantSkew:    1.3,
-		Classes:       3,
-		AdmitRate:     150,
-		AdmitBurst:    30,
-	}
-}
+// clusterInterarrivals are the mean arrival gaps swept, µs (the x-axis
+// renders as offered load in req/s across the whole cluster), from
+// comfortable load into saturation.
+var clusterInterarrivals = []int64{8_000, 5_000, 3_500, 2_500, 2_000}
 
 // clusterPolicies is the full routing × admission cross product swept per
 // load point; series are named router+admission.
@@ -62,26 +46,23 @@ var clusterPolicies = []struct{ router, admit string }{
 	{"affinity", "token"},
 }
 
-// Cluster sweeps offered load for every (router, admission) pairing and
-// reports three views of the same runs: the stringent class-0 loss rate,
-// class-0 mean completion latency of served requests, and the Jain
-// fairness index over
-// per-tenant goodput. Deterministic: the same config renders the same
-// CSV for any worker count.
-func Cluster(cfg ClusterConfig) (*Result, *Result, *Result, error) {
-	if len(cfg.Interarrivals) == 0 {
-		cfg.Interarrivals = DefaultClusterConfig().Interarrivals
-	}
+// clusterSweep sweeps offered load for every (router, admission) pairing
+// and reports three views of the same runs: the stringent class-0 loss
+// rate, class-0 mean completion latency of served requests, and the Jain
+// fairness index over per-tenant goodput. Deterministic: the same seed
+// renders the same CSV for any worker count.
+func clusterSweep(_ io.Writer, p Params) ([]*Result, error) {
+	p = p.sized(4000)
 	model, err := xp32150()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	x := loadAxis(cfg.Interarrivals)
+	x := loadAxis(clusterInterarrivals)
 	notes := []string{
 		fmt.Sprintf("%d nodes × %d disks, SCAN-EDF members; %d requests per point, %d tenants (zipf %.1f, zoned), %d classes",
-			cfg.Nodes, cfg.DisksPerNode, cfg.Requests, cfg.Tenants, cfg.TenantSkew, cfg.Classes),
+			clusterNodes, clusterDisksPerNode, p.Requests, clusterTenants, clusterTenantSkew, clusterClasses),
 		fmt.Sprintf("token admission: per-class bucket, %d tokens/s, burst %d; always = no admission control",
-			cfg.AdmitRate, cfg.AdmitBurst),
+			clusterAdmitRate, clusterAdmitBurst),
 		"class 0 is the most stringent SLO class; loss = admission + dispatch drops over arrivals",
 	}
 	loss := &Result{
@@ -111,12 +92,12 @@ func Cluster(cfg ClusterConfig) (*Result, *Result, *Result, error) {
 	for i, pol := range clusterPolicies {
 		names[i] = pol.router + "+" + pol.admit
 	}
-	return loss, lat, jain, sweep(cfg.Workers, names, func(x, s int) ([]float64, error) {
+	return []*Result{loss, lat, jain}, sweep(p.Workers, names, func(x, s int) ([]float64, error) {
 		pol := clusterPolicies[s]
 		ccfg := cluster.Config{
-			Nodes: cfg.Nodes, DisksPerNode: cfg.DisksPerNode, Disk: model,
+			Nodes: clusterNodes, DisksPerNode: clusterDisksPerNode, Disk: model,
 			NewScheduler: func(int, int) (sched.Scheduler, error) { return scanEDFPolicy.build() },
-			DropLate:     true, Seed: cfg.Seed, Classes: cfg.Classes,
+			DropLate:     true, Seed: p.Seed, Classes: clusterClasses,
 		}
 		// Routers and buckets are stateful: built fresh per cell so cells
 		// share nothing.
@@ -124,16 +105,16 @@ func Cluster(cfg ClusterConfig) (*Result, *Result, *Result, error) {
 		if ccfg.Router, err = cluster.NewRouter(pol.router); err != nil {
 			return nil, err
 		}
-		if ccfg.Admission, err = cluster.NewAdmitter(pol.admit, cfg.Classes, cfg.AdmitRate, cfg.AdmitBurst); err != nil {
+		if ccfg.Admission, err = cluster.NewAdmitter(pol.admit, clusterClasses, clusterAdmitRate, clusterAdmitBurst); err != nil {
 			return nil, err
 		}
 		trace, err := workload.Open{
-			Seed: cfg.Seed, Count: cfg.Requests, MeanInterarrival: cfg.Interarrivals[x],
+			Seed: p.Seed, Count: p.Requests, MeanInterarrival: clusterInterarrivals[x],
 			Dims: 1, Levels: 4,
 			DeadlineMin: 50_000, DeadlineMax: 800_000,
 			Cylinders: ccfg.MaxBlocks(), Size: 64 << 10,
-			Tenants: cfg.Tenants, TenantSkew: cfg.TenantSkew,
-			Classes: cfg.Classes, TenantZones: true,
+			Tenants: clusterTenants, TenantSkew: clusterTenantSkew,
+			Classes: clusterClasses, TenantZones: true,
 		}.Generate()
 		if err != nil {
 			return nil, err

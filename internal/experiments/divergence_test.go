@@ -1,58 +1,34 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"sfcsched/internal/core"
 )
 
-// smallDivergence shrinks the default sweep for fast shape and
-// determinism checks.
-func smallDivergence() DivergenceConfig {
-	cfg := DefaultDivergenceConfig()
-	cfg.Requests = 500
-	cfg.Interarrivals = []int64{24_000, 12_000, 7_000}
-	return cfg
-}
-
 func TestDivergenceShape(t *testing.T) {
-	disagree, travel, err := Divergence(smallDivergence())
-	if err != nil {
-		t.Fatal(err)
+	rs := goldenResults(t, "divergence")
+	disagree, travel := rs[0], rs[1]
+	for _, res := range rs {
+		expect(t, len(res.X) == len(divergenceInterarrivals) && len(res.Series) == len(divergenceShadows),
+			"%s: %d load points × %d shadows", res.Title, len(res.X), len(res.Series))
 	}
-	for _, res := range []*Result{disagree, travel} {
-		if len(res.X) != 3 {
-			t.Fatalf("%s: x-axis has %d points, want 3", res.Title, len(res.X))
+	// The load axis renders as offered rate, increasing.
+	expect(t, rising(disagree.X, 0), "load axis not increasing: %v", disagree.X)
+	w20 := series(t, disagree, "cascaded-w20")
+	for i, load := range disagree.X {
+		// Genuinely different policies disagree almost always, at every
+		// load; scan-edf would always seek less.
+		for _, name := range []string{"scan-edf", "fcfs"} {
+			y := series(t, disagree, name)[i]
+			expect(t, y >= 95 && y <= 100, "%s: disagreement %v%% at %v req/s, want 95-100", name, y, load)
 		}
-		if len(res.Series) != 3 {
-			t.Fatalf("%s: %d shadow series, want 3", res.Title, len(res.Series))
-		}
-		for _, s := range res.Series {
-			if len(s.Y) != len(res.X) {
-				t.Fatalf("%s: series %q has %d points, want %d", res.Title, s.Name, len(s.Y), len(res.X))
-			}
-		}
-	}
-	// The load axis must render as offered rate, increasing.
-	for i := 1; i < len(disagree.X); i++ {
-		if disagree.X[i] <= disagree.X[i-1] {
-			t.Fatalf("load axis not increasing: %v", disagree.X)
-		}
-	}
-	// Genuinely different policies must disagree under load; rates live in
-	// [0, 100].
-	last := len(disagree.X) - 1
-	for _, name := range []string{"scan-edf", "fcfs"} {
-		ys := series(t, disagree, name)
-		if ys[last] <= 0 {
-			t.Errorf("%s never disagreed with the primary at top load", name)
-		}
-		for i, y := range ys {
-			if y < 0 || y > 100 {
-				t.Errorf("%s: disagreement %v%% at point %d outside [0,100]", name, y, i)
-			}
-		}
+		expect(t, series(t, travel, "scan-edf")[i] < 0, "%v req/s: scan-edf travel delta not negative", load)
+		// The 4x wider window disagrees less as the queue deepens, at a
+		// head-travel cost inside ±1%.
+		expect(t, i == 0 || w20[i] < w20[i-1], "cascaded-w20 disagreement does not fall with load: %v", w20)
+		d := series(t, travel, "cascaded-w20")[i]
+		expect(t, d > -1 && d < 1, "cascaded-w20 travel delta %.2f%% at %v req/s, want inside ±1", d, load)
 	}
 }
 
@@ -60,51 +36,19 @@ func TestDivergenceShape(t *testing.T) {
 // window, not the primary's twin: it was once built at the primary's own
 // 5 %, so the published column measured the primary against itself.
 func TestDivergenceW20ShadowIsFourTimesWider(t *testing.T) {
-	cfg := smallDivergence()
-	primary, err := planeCascade(cfg.Levels, cfg.DeadlineMax, 0.05)
+	primary, err := divergencePrimary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadows := divergenceShadows(cfg.Levels, cfg.DeadlineMax)
-	w20, err := shadows[len(shadows)-1].build()
+	w20, err := divergenceShadows[len(divergenceShadows)-1].build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pw, sw := primary.(*core.Scheduler).Window(), w20.(*core.Scheduler).Window()
-	if pw == 0 || sw < 4*pw-4 || sw > 4*pw+4 {
-		t.Errorf("cascaded-w20 window %d, want 4x the primary's %d", sw, pw)
-	}
-	disagree, _, err := Divergence(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, y := range series(t, disagree, "cascaded-w20") {
-		if y == 0 {
-			t.Errorf("cascaded-w20 never disagrees with the primary at load point %d: still its twin", i)
-		}
+	expect(t, pw != 0 && sw >= 4*pw-4 && sw <= 4*pw+4, "cascaded-w20 window %d, want 4x the primary's %d", sw, pw)
+	for i, y := range series(t, goldenResults(t, "divergence")[0], "cascaded-w20") {
+		expect(t, y != 0, "cascaded-w20 never disagrees with the primary at load point %d: still its twin", i)
 	}
 }
 
-func divergenceCSV(t *testing.T, workers int) []byte {
-	t.Helper()
-	cfg := smallDivergence()
-	cfg.Workers = workers
-	disagree, travel, err := Divergence(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	disagree.RenderCSV(&buf)
-	travel.RenderCSV(&buf)
-	return buf.Bytes()
-}
-
-func TestDivergenceIdenticalAcrossWorkers(t *testing.T) {
-	want := divergenceCSV(t, 1)
-	for _, w := range []int{2, 8} {
-		if got := divergenceCSV(t, w); !bytes.Equal(got, want) {
-			t.Errorf("divergence CSV diverges at workers=%d:\nworkers=1:\n%s\nworkers=%d:\n%s",
-				w, want, w, got)
-		}
-	}
-}
+func TestDivergenceIdenticalAcrossWorkers(t *testing.T) { sameAtWorkers2(t, "divergence") }

@@ -1,14 +1,14 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5 Performance Analysis, §6 Practical Considerations):
 //
-//	Table 1  — disk model parameters           (Table1)
-//	Fig. 5   — priority inversion vs window    (Fig5)
-//	Fig. 6   — scalability vs dimensionality   (Fig6)
-//	Fig. 7   — fairness across dimensions      (Fig7)
-//	Fig. 8   — deadline/priority balance (f)   (Fig8)
-//	Fig. 9   — selectivity of deadline misses  (Fig9)
-//	Fig. 10  — seek optimization (R)           (Fig10)
-//	Fig. 11  — §6 aggregate weighted losses    (Fig11)
+//	Table 1  — disk model parameters           (table1)
+//	Fig. 5   — priority inversion vs window    (fig5)
+//	Fig. 6   — scalability vs dimensionality   (fig6)
+//	Fig. 7   — fairness across dimensions      (fig7)
+//	Fig. 8   — deadline/priority balance (f)   (fig8)
+//	Fig. 9   — selectivity of deadline misses  (fig9)
+//	Fig. 10  — seek optimization (R)           (fig10)
+//	Fig. 11  — §6 aggregate weighted losses    (fig11)
 //
 // Each experiment returns Results holding labeled series that
 // cmd/schedbench renders as text tables or CSV. Absolute values differ from
@@ -23,9 +23,13 @@
 // worker pool and transposed into series — so Workers means the same thing
 // in every experiment and never changes a byte of output. Registry
 // (registry.go) is the only list of experiments; schedbench's -exp help,
-// -exp all and the golden test range over it. Adding an experiment is one
-// function and one Registry row (plus testdata/<id>.csv, recorded with
-// schedbench -exp <id> -csv -requests 400).
+// -exp all and the golden test range over it.
+//
+// Every row has one size, its default, and that output is the evaluation:
+// testdata/<id>.csv holds it, EXPERIMENTS.md quotes it, and the shape tests
+// check the paper's claims against it. Adding an experiment is one function
+// and one Registry row; `make goldens` then records testdata/<id>.csv and
+// rewrites the EXPERIMENTS.md tables.
 package experiments
 
 import (

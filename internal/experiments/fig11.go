@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/metrics"
@@ -11,120 +12,105 @@ import (
 	"sfcsched/internal/workload"
 )
 
-// Fig11Config drives the §6 NewsByte5 non-linear-editing experiment: a
-// sweep over the number of concurrent editing streams, comparing FCFS and
-// four 2-D space-filling-curve schedulers over the (priority, deadline)
-// plane by the weighted aggregate-loss cost function.
-type Fig11Config struct {
-	Seed uint64
-	// Users lists the stream counts to sweep (paper: 68-91).
-	Users []int
-	// Duration is the simulated time per point, µs.
-	Duration int64
-	// BitRate is the per-stream media rate, bits/s. The paper quotes
-	// 1.5 Mbps MPEG-1 on the PanaViss RAID; a single simulated XP32150
-	// saturates near 60 req/s, so the default scales the rate to place
-	// 68-91 users across the same below-to-above capacity band (documented
-	// substitution, see DESIGN.md).
-	BitRate float64
-	// BlockSize is the file block size, bytes.
-	BlockSize int64
-	// Levels is the number of user priority levels (paper: 8).
-	Levels int
-	// DeadlineMin/Max bound the relative deadlines, µs (paper: 750-1500 ms).
-	DeadlineMin int64
-	DeadlineMax int64
-	// WriteFrac is the fraction of recording streams.
-	WriteFrac float64
-	// CostRatio is the highest:lowest loss-weight ratio (paper: 11).
-	CostRatio float64
-	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). The
-	// results are identical for every worker count; see internal/runner.
-	Workers int
-}
+// The §6 NewsByte5 non-linear-editing parameters: a sweep over the number
+// of concurrent editing streams, comparing FCFS and six 2-D
+// space-filling-curve schedulers over the (priority, deadline) plane by
+// the weighted aggregate-loss cost function.
+const (
+	// fig11Duration is the simulated time per point, µs.
+	fig11Duration = 40_000_000
+	// fig11BitRate is the per-stream media rate of the single-disk fig11,
+	// bits/s. The paper quotes 1.5 Mbps MPEG-1 on the PanaViss RAID; a
+	// single simulated XP32150 saturates near 60 req/s, so the rate is
+	// scaled to place 68-91 users across the same below-to-above capacity
+	// band (documented substitution, see DESIGN.md). fig11raid runs the
+	// paper's rate.
+	fig11BitRate   = 420_000.0
+	fig11BlockSize = 64 << 10
+	// fig11Levels is the number of user priority levels (paper: 8).
+	fig11Levels = 8
+	// The relative deadlines span 750-1500 ms, as in the paper; µs.
+	fig11DeadlineMin = 750_000
+	fig11DeadlineMax = 1_500_000
+	// fig11WriteFrac is the fraction of recording streams.
+	fig11WriteFrac = 0.2
+	// fig11CostRatio is the highest:lowest loss-weight ratio (paper: 11).
+	fig11CostRatio = 11.0
+)
 
-// DefaultFig11Config returns the §6 parameters with the documented
-// bit-rate substitution.
-func DefaultFig11Config() Fig11Config {
-	return Fig11Config{
-		Seed:        1,
-		Users:       []int{68, 72, 76, 80, 84, 88, 91},
-		Duration:    40_000_000,
-		BitRate:     420_000,
-		BlockSize:   64 << 10,
-		Levels:      8,
-		DeadlineMin: 750_000,
-		DeadlineMax: 1_500_000,
-		WriteFrac:   0.2,
-		CostRatio:   11,
+// fig11Users returns the swept stream counts: p.Users, or the paper's
+// 68-91.
+func fig11Users(p Params) []int {
+	if len(p.Users) > 0 {
+		return p.Users
 	}
+	return []int{68, 72, 76, 80, 84, 88, 91}
 }
 
-// fig11Algorithms builds the §6 schedulers. The 2-D curves map the
-// (priority, time-to-deadline) plane: Sweep-X puts priority on X so the
+// streamPolicy builds one §6 2-D curve scheduler. The 2-D grid is
+// (time-to-deadline, priority) at enqueue: a stationary square, so curves
+// like Hilbert and Peano serve the urgent-and-important corner first,
+// which is the §6 trade-off behavior. The horizon is the largest relative
+// deadline.
+func streamPolicy(name, curve string, priorityOnY bool) policy {
+	return policy{name, func() (sched.Scheduler, error) {
+		cv, err := sfc.New(curve, 2, fig11Levels)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewScheduler(curve,
+			core.EncapsulatorConfig{
+				Levels:      fig11Levels,
+				UseDeadline: true, Curve2: cv, Curve2PriorityOnY: priorityOnY,
+				DeadlineHorizon: fig11DeadlineMax, DeadlineSlack: true,
+			},
+			core.DispatcherConfig{Mode: core.NonPreemptive}, 0)
+	}}
+}
+
+// fig11Policies are the §6 schedulers. Sweep-X puts priority on X so the
 // sweep orders by deadline (EDF-like); Sweep-Y puts priority on Y so the
 // sweep orders by priority (multi-queue-like); Hilbert and Peano balance
 // both.
-func fig11Algorithms(cfg Fig11Config) []policy {
-	mk2d := func(name, curve string, priorityOnY bool) policy {
-		return policy{name, func() (sched.Scheduler, error) {
-			cv, err := sfc.New(curve, 2, uint32(cfg.Levels))
-			if err != nil {
-				return nil, err
-			}
-			// The 2-D grid is (time-to-deadline, priority) at enqueue: a
-			// stationary square, so curves like Hilbert and Peano serve the
-			// urgent-and-important corner first, which is the §6 trade-off
-			// behavior. The horizon is the largest relative deadline.
-			return core.NewScheduler(curve,
-				core.EncapsulatorConfig{
-					Levels:      cfg.Levels,
-					UseDeadline: true, Curve2: cv, Curve2PriorityOnY: priorityOnY,
-					DeadlineHorizon: cfg.DeadlineMax, DeadlineSlack: true,
-				},
-				core.DispatcherConfig{Mode: core.NonPreemptive}, 0)
-		}}
-	}
-	return []policy{
-		fcfsPolicy,
-		mk2d("sweep-x", "sweep", false),
-		mk2d("sweep-y", "sweep", true),
-		mk2d("hilbert", "hilbert", false),
-		mk2d("peano", "peano", false),
-		mk2d("diagonal", "diagonal", false),
-		// moore closes the Hilbert loop, removing the open curve's
-		// urgent-cell endpoint pathology (EXPERIMENTS.md).
-		mk2d("moore", "moore", false),
-	}
+var fig11Policies = []policy{
+	fcfsPolicy,
+	streamPolicy("sweep-x", "sweep", false),
+	streamPolicy("sweep-y", "sweep", true),
+	streamPolicy("hilbert", "hilbert", false),
+	streamPolicy("peano", "peano", false),
+	streamPolicy("diagonal", "diagonal", false),
+	// moore closes the Hilbert loop, removing the open curve's
+	// urgent-cell endpoint pathology (EXPERIMENTS.md).
+	streamPolicy("moore", "moore", false),
 }
 
-// usersAxis renders the swept stream counts as the x-axis.
-func (c Fig11Config) usersAxis() []float64 {
-	xs := make([]float64, len(c.Users))
-	for i, u := range c.Users {
+// fig11Axis renders the swept stream counts as the x-axis.
+func fig11Axis(users []int) []float64 {
+	xs := make([]float64, len(users))
+	for i, u := range users {
 		xs[i] = float64(u)
 	}
 	return xs
 }
 
-// traces generates one NewsByte5 workload per swept user count, at
+// fig11Traces generates one NewsByte5 workload per swept user count, at
 // bitRate over an address space of cylinders, up front; each is then
 // shared read-only by every cell of its sweep point.
-func (c Fig11Config) traces(bitRate float64, cylinders int) ([][]*core.Request, error) {
-	traces := make([][]*core.Request, len(c.Users))
-	for i, users := range c.Users {
+func fig11Traces(seed uint64, users []int, bitRate float64, cylinders int) ([][]*core.Request, error) {
+	traces := make([][]*core.Request, len(users))
+	for i, u := range users {
 		var err error
 		traces[i], err = workload.Streams{
-			Seed:        c.Seed,
-			Users:       users,
-			Duration:    c.Duration,
+			Seed:        seed,
+			Users:       u,
+			Duration:    fig11Duration,
 			BitRate:     bitRate,
-			BlockSize:   c.BlockSize,
-			Levels:      c.Levels,
-			DeadlineMin: c.DeadlineMin,
-			DeadlineMax: c.DeadlineMax,
+			BlockSize:   fig11BlockSize,
+			Levels:      fig11Levels,
+			DeadlineMin: fig11DeadlineMin,
+			DeadlineMax: fig11DeadlineMax,
 			Cylinders:   cylinders,
-			WriteFrac:   c.WriteFrac,
+			WriteFrac:   fig11WriteFrac,
 			Burst:       3,
 		}.Generate()
 		if err != nil {
@@ -134,44 +120,41 @@ func (c Fig11Config) traces(bitRate float64, cylinders int) ([][]*core.Request, 
 	return traces, nil
 }
 
-// Fig11 sweeps the number of concurrent editing streams and reports the
-// weighted aggregate loss of each scheduler.
-func Fig11(cfg Fig11Config) (*Result, error) {
-	if len(cfg.Users) == 0 {
-		cfg.Users = DefaultFig11Config().Users
-	}
+// fig11 sweeps the number of concurrent editing streams on one disk and
+// reports the weighted aggregate loss of each scheduler.
+func fig11(_ io.Writer, p Params) ([]*Result, error) {
 	m, err := xp32150()
 	if err != nil {
 		return nil, err
 	}
-	algs := fig11Algorithms(cfg)
-	weights := metrics.LinearWeights(cfg.Levels, cfg.CostRatio)
+	users := fig11Users(p)
+	weights := metrics.LinearWeights(fig11Levels, fig11CostRatio)
 	res := &Result{
 		ID:     "fig11",
 		Title:  "Aggregate weighted losses vs number of users (NewsByte5 workload)",
 		XLabel: "users",
-		YLabel: fmt.Sprintf("weighted loss cost (top:bottom weight %g:1)", cfg.CostRatio),
-		X:      cfg.usersAxis(),
+		YLabel: fmt.Sprintf("weighted loss cost (top:bottom weight %g:1)", fig11CostRatio),
+		X:      fig11Axis(users),
 		Notes: []string{
 			fmt.Sprintf("bitrate=%.0fkbps block=%dKB levels=%d deadlines=[%d,%d]ms writes=%.0f%% duration=%ds",
-				cfg.BitRate/1000, cfg.BlockSize>>10, cfg.Levels,
-				cfg.DeadlineMin/1000, cfg.DeadlineMax/1000, cfg.WriteFrac*100, cfg.Duration/1_000_000),
+				fig11BitRate/1000, fig11BlockSize>>10, fig11Levels,
+				fig11DeadlineMin/1000, fig11DeadlineMax/1000, fig11WriteFrac*100, fig11Duration/1_000_000),
 			"bitrate scaled from the paper's 1.5 Mbps so one simulated disk spans the same load band as the PanaViss RAID (see DESIGN.md)",
 		},
 	}
-	traces, err := cfg.traces(cfg.BitRate, m.Cylinders)
+	traces, err := fig11Traces(p.Seed, users, fig11BitRate, m.Cylinders)
 	if err != nil {
 		return nil, err
 	}
-	return res, sweep(cfg.Workers, policyNames(algs), func(x, s int) ([]float64, error) {
-		sc, err := algs[s].build()
+	return []*Result{res}, sweep(p.Workers, policyNames(fig11Policies), func(x, s int) ([]float64, error) {
+		sc, err := fig11Policies[s].build()
 		if err != nil {
 			return nil, err
 		}
 		var cost float64
 		err = runReused(sim.Config{
 			Disk: m, Scheduler: sc,
-			Options: sim.Options{DropLate: true, Dims: 1, Levels: cfg.Levels, Seed: cfg.Seed},
+			Options: sim.Options{DropLate: true, Dims: 1, Levels: fig11Levels, Seed: p.Seed},
 		}, traces[x], func(r *sim.Result) error {
 			cost, err = r.WeightedLossCost(0, weights)
 			return err

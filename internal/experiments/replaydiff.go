@@ -3,31 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
-
-// ReplayDiffConfig drives the record→replay regression experiment: every
-// multi-client scenario runs under every scheduler, its JSONL dispatch
-// trace is recorded, loaded back through workload.LoadReplay and
-// re-executed on a fresh scheduler, and the two recordings are compared
-// byte for byte. A non-zero divergence is a determinism regression — the
-// standing gate the CI cmp step holds between builds.
-type ReplayDiffConfig struct {
-	common
-	// Scenarios lists the multi-client scenarios to run (default: all of
-	// workload.Scenarios()).
-	Scenarios []string
-}
-
-// DefaultReplayDiffConfig runs every built-in scenario at a load that
-// produces both services and deadline drops.
-func DefaultReplayDiffConfig() ReplayDiffConfig {
-	return ReplayDiffConfig{common: common{Seed: 1, Requests: 3000}, Scenarios: workload.Scenarios()}
-}
 
 // replayDiffSchedulers lists the disciplines the round trip is checked
 // under: the cascaded scheduler (stateful SFC stages, the hardest case),
@@ -42,37 +24,41 @@ var replayDiffSchedulers = []policy{
 	fcfsPolicy,
 }
 
-// ReplayDiff runs the scenarios and reports two results over the scenario
-// axis: per-scheduler deadline-drop rates (the workload diversity the
-// scenarios exist to produce) and per-scheduler replay divergence, which
-// must be 0 everywhere — a recorded run replayed on the same build is
-// byte-identical. Deterministic: the same config renders the same CSV for
-// any worker count.
-func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
-	if len(cfg.Scenarios) == 0 {
-		cfg.Scenarios = workload.Scenarios()
-	}
+// replayDiff is the record→replay regression experiment: every built-in
+// multi-client scenario (workload.Scenarios) runs under every scheduler,
+// at a load that produces both services and deadline drops; its JSONL
+// dispatch trace is recorded, loaded back through workload.LoadReplay and
+// re-executed on a fresh scheduler, and the two recordings are compared
+// byte for byte. It reports two results over the scenario axis:
+// per-scheduler deadline-drop rates (the workload diversity the scenarios
+// exist to produce) and per-scheduler replay divergence, which must be 0
+// everywhere — a non-zero divergence is a determinism regression, the
+// standing gate the CI cmp step holds between builds. Deterministic: the
+// same seed renders the same CSV for any worker count.
+func replayDiff(_ io.Writer, p Params) ([]*Result, error) {
+	p = p.sized(3000)
 	model, err := xp32150()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Each scenario's trace is generated once, up front, and shared
 	// read-only by the cells of its sweep point.
-	x := make([]float64, len(cfg.Scenarios))
-	dims := make([]int, len(cfg.Scenarios))
-	traces := make([][]*core.Request, len(cfg.Scenarios))
-	notes := []string{fmt.Sprintf("%d requests per scenario; scenario axis:", cfg.Requests)}
-	for i, name := range cfg.Scenarios {
+	scenarios := workload.Scenarios()
+	x := make([]float64, len(scenarios))
+	dims := make([]int, len(scenarios))
+	traces := make([][]*core.Request, len(scenarios))
+	notes := []string{fmt.Sprintf("%d requests per scenario; scenario axis:", p.Requests)}
+	for i, name := range scenarios {
 		x[i] = float64(i)
 		notes = append(notes, fmt.Sprintf("  x=%d: %s", i, name))
-		spec, err := workload.ScenarioSpec(name, cfg.Seed, cfg.Requests, model.Cylinders)
+		spec, err := workload.ScenarioSpec(name, p.Seed, p.Requests, model.Cylinders)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		dims[i] = spec.Dims()
 		if traces[i], err = spec.Generate(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	drops := &Result{
@@ -93,7 +79,7 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 
 	// A cell records its scenario under its scheduler, replays the
 	// recording and compares the two byte for byte.
-	return drops, diverged, sweep(cfg.Workers, policyNames(replayDiffSchedulers), func(x, s int) ([]float64, error) {
+	return []*Result{drops, diverged}, sweep(p.Workers, policyNames(replayDiffSchedulers), func(x, s int) ([]float64, error) {
 		trace := traces[x]
 		var drop float64
 		record := func(reqs []*core.Request, buf *bytes.Buffer) error {
@@ -105,7 +91,7 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 				Disk: model, Scheduler: sc,
 				Options: sim.Options{
 					DropLate: true, Dims: dims[x], Levels: 8,
-					Seed: cfg.Seed, Trace: sim.JSONLTrace(buf),
+					Seed: p.Seed, Trace: sim.JSONLTrace(buf),
 				},
 			}, reqs, func(res *sim.Result) error {
 				drop = percent(float64(res.Dropped), float64(res.Served+res.Dropped))
@@ -122,7 +108,7 @@ func ReplayDiff(cfg ReplayDiffConfig) (*Result, *Result, error) {
 		}
 		if rec.Len() != len(trace) {
 			return nil, fmt.Errorf("replaydiff: %s/%s: replay reconstructed %d of %d requests",
-				cfg.Scenarios[x], replayDiffSchedulers[s].name, rec.Len(), len(trace))
+				scenarios[x], replayDiffSchedulers[s].name, rec.Len(), len(trace))
 		}
 		if err := record(rec.Generate(), &recB); err != nil {
 			return nil, err

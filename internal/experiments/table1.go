@@ -7,18 +7,17 @@ import (
 	"sfcsched/internal/disk"
 )
 
-// Table1 renders the disk model against the paper's Table 1, including the
+// table1 renders the disk model against the paper's Table 1, including the
 // quantities derived by the calibration (mean seek, capacity, media rate)
 // so a reader can confirm the model honours the published figures.
-func Table1(w io.Writer) error {
-	p := disk.QuantumXP32150Params()
-	m, err := disk.NewModel(p)
+func table1(w io.Writer, _ Params) ([]*Result, error) {
+	m, err := xp32150()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r5, err := disk.NewRAID5(5, 64<<10, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(w, "== table1: Disk Model (Quantum XP32150, PanaViss server) ==")
 	rows := [][]string{
@@ -39,5 +38,5 @@ func Table1(w io.Writer) error {
 	fmt.Fprintln(w, "   note: seek curve seek(d) = min + (max-min)*(d/Dmax)^gamma, gamma")
 	fmt.Fprintln(w, "   note: calibrated so the uniform-pair mean seek equals the paper's 8.5 ms")
 	fmt.Fprintln(w)
-	return nil
+	return nil, nil
 }
