@@ -29,9 +29,9 @@ type Config struct {
 	// Sched is the scheduling policy the dispatcher serves with — any
 	// sched.Scheduler, the contract the simulator consumes. Required. New
 	// puts it behind core.Lock (a *core.Locked is taken as is), and from
-	// then on the dispatcher owns it: the loop is the only consumer, any
-	// number of goroutines feed it through Submit, and the caller must not
-	// touch it again.
+	// then on the dispatcher owns it: its workers consume it one dispatch
+	// turn at a time, any number of goroutines feed it through Submit, and
+	// the caller must not touch it again.
 	Sched sched.Scheduler
 	// Backend executes dispatched requests. Required.
 	Backend Backend
@@ -85,7 +85,7 @@ type Record struct {
 	Abandoned bool
 }
 
-// Dispatcher is the real-clock serving loop: it pops requests from a
+// Dispatcher is the real-clock serving layer: it pops requests from a
 // locked scheduler in that scheduler's dispatch order and executes them
 // against a Backend, with a bounded number in flight. The zero value is
 // not usable; construct with New, then Start, Submit from any number of
@@ -99,17 +99,18 @@ type Dispatcher struct {
 	cancel  context.CancelFunc
 	started atomic.Bool
 	startMu sync.Mutex
-	stopped chan struct{} // closed when the dispatch loop exits
+	stopped chan struct{} // closed by the last worker to exit
 	stop    sync.Once
+	live    atomic.Int32 // workers not yet exited
 
-	// slots is the in-flight semaphore: the loop takes a slot before each
-	// dispatch, the worker returns it at completion.
-	slots chan struct{}
+	// turn serialises dispatch decisions: a worker holds it from Next to
+	// the head update, and while it waits for work.
+	turn sync.Mutex
 	// quota is the MaxQueue backpressure semaphore (nil when unbounded):
 	// Submit takes, completion/drop/rejection returns.
 	quota chan struct{}
-	// kick wakes the loop when new work or a completion changes what Next
-	// can see; capacity 1, senders never block.
+	// kick wakes the worker holding the turn when new work or a completion
+	// changes what Next can see; capacity 1, senders never block.
 	kick chan struct{}
 
 	// outstanding counts submitted-but-not-yet-finished requests (queued +
@@ -121,9 +122,7 @@ type Dispatcher struct {
 
 	head    atomic.Int64
 	travel  atomic.Int64
-	dispSeq int // loop-local dispatch sequence
-
-	workers sync.WaitGroup
+	dispSeq int // dispatch sequence, guarded by turn
 
 	recMu sync.Mutex
 	recs  []Record
@@ -158,11 +157,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		q:       core.Lock(cfg.Sched),
 		m:       m,
 		stopped: make(chan struct{}),
-		slots:   make(chan struct{}, cfg.InFlight),
 		kick:    make(chan struct{}, 1),
-	}
-	for i := 0; i < cfg.InFlight; i++ {
-		d.slots <- struct{}{}
 	}
 	if cfg.MaxQueue > 0 {
 		d.quota = make(chan struct{}, cfg.MaxQueue)
@@ -170,9 +165,9 @@ func New(cfg Config) (*Dispatcher, error) {
 	return d, nil
 }
 
-// Start launches the dispatch loop. The loop runs until Drain completes,
-// Stop is called, or ctx is canceled. Start is idempotent; it must precede
-// the first Submit.
+// Start launches InFlight workers. They run until Drain completes, Stop is
+// called, or ctx is canceled. Start is idempotent; it must precede the
+// first Submit.
 func (d *Dispatcher) Start(ctx context.Context) {
 	d.startMu.Lock()
 	defer d.startMu.Unlock()
@@ -181,7 +176,10 @@ func (d *Dispatcher) Start(ctx context.Context) {
 	}
 	d.ctx, d.cancel = context.WithCancel(ctx)
 	d.started.Store(true)
-	go d.loop()
+	d.live.Store(int32(d.cfg.InFlight))
+	for range d.cfg.InFlight {
+		go d.work()
+	}
 }
 
 // Head returns the current emulated head cylinder.
@@ -208,7 +206,7 @@ func (d *Dispatcher) Submit(ctx context.Context, r *core.Request) error {
 //
 // SubmitAt works before Start too — Preload stages a whole trace that way
 // so every value anchors on the initial head and sweep state — but a
-// pre-Start submission must not depend on the loop for progress: with a
+// pre-Start submission must not depend on the workers for progress: with a
 // MaxQueue smaller than the staged trace it would block on quota no
 // dispatch can ever free.
 func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) error {
@@ -263,7 +261,6 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 		d.Stop()
 		return ctx.Err()
 	}
-	d.workers.Wait()
 	d.m.Drains.Inc()
 	return nil
 }
@@ -272,15 +269,15 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 // backend services are canceled and recorded as abandoned, and requests
 // still queued are counted abandoned as well — also on a dispatcher that
 // was never started, whose staged work (Preload) would otherwise stay
-// outstanding forever. Stop blocks until the loop and all workers have
-// exited. Idempotent; a Start after Stop does nothing.
+// outstanding forever. Stop blocks until every worker has exited.
+// Idempotent; a Start after Stop does nothing.
 func (d *Dispatcher) Stop() {
 	d.stop.Do(func() {
 		d.q.Close()
 		d.startMu.Lock()
 		if !d.started.Load() {
 			// Never started: enter the stopped state directly, so there is
-			// no loop to wait for and none can start later and serve what
+			// no worker to wait for and none can start later and serve what
 			// is counted abandoned below.
 			d.ctx, d.cancel = context.WithCancel(context.Background())
 			close(d.stopped)
@@ -289,7 +286,6 @@ func (d *Dispatcher) Stop() {
 		d.startMu.Unlock()
 		d.cancel()
 		<-d.stopped
-		d.workers.Wait()
 		if n := d.q.Len(); n > 0 {
 			d.m.Abandoned.Add(uint64(n))
 			d.outstanding.Add(int64(-n))
@@ -310,7 +306,7 @@ func (d *Dispatcher) Records() []Record {
 	return out
 }
 
-// wake nudges the dispatch loop; never blocks.
+// wake nudges the worker waiting for work; never blocks.
 func (d *Dispatcher) wake() {
 	select {
 	case d.kick <- struct{}{}:
@@ -318,19 +314,16 @@ func (d *Dispatcher) wake() {
 	}
 }
 
-// loop is the single consumer of the scheduler: take a slot, pop the next
-// request, hand it to a worker. Runs until shutdown.
-func (d *Dispatcher) loop() {
-	defer close(d.stopped)
+// work is one of the InFlight workers: it pops and dispatches under the
+// turn, so each decision is made when a service slot frees and sees the
+// head of the one before, then serves inline. The last to exit closes stopped.
+func (d *Dispatcher) work() {
 	for {
-		select {
-		case <-d.ctx.Done():
-			return
-		case <-d.slots:
-		}
+		d.turn.Lock()
 		r, ok := d.take()
 		if !ok {
-			return
+			d.turn.Unlock()
+			break
 		}
 		now := d.cfg.Clock.Now()
 		head := d.Head()
@@ -350,17 +343,25 @@ func (d *Dispatcher) loop() {
 		d.dispSeq++
 		d.m.Dispatched.Inc()
 		d.m.InFlight.Add(1)
-		d.workers.Add(1)
-		go d.serveOne(r, head, target, seq, now)
+		d.turn.Unlock()
+		d.serveOne(r, head, target, seq, now)
+	}
+	if d.live.Add(-1) == 0 {
+		close(d.stopped)
 	}
 }
 
 // take pops the next dispatchable request, blocking until one is
 // available, shutdown begins, or — while draining — the dispatcher goes
-// quiescent. Expired requests are dropped here under DropLate without
-// consuming the held slot. The second return is false on shutdown.
+// quiescent; once canceled it pops nothing more. Expired requests are
+// dropped here under DropLate. The second return is false on shutdown.
 func (d *Dispatcher) take() (*core.Request, bool) {
 	for {
+		select {
+		case <-d.ctx.Done():
+			return nil, false
+		default:
+		}
 		now := d.cfg.Clock.Now()
 		if r := d.q.Next(now, d.Head()); r != nil {
 			if d.cfg.DropLate && r.Deadline > 0 && now > r.Deadline {
@@ -396,10 +397,9 @@ func (d *Dispatcher) drop(r *core.Request, now int64) {
 	d.finishOne()
 }
 
-// serveOne runs one backend service on its own goroutine and does the
+// serveOne runs one backend service on the calling worker and does the
 // completion accounting.
 func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt int64) {
-	defer d.workers.Done()
 	wallStart := time.Now()
 	comp, err := d.cfg.Backend.Serve(d.ctx, r, head)
 	d.m.WallService.Observe(uint64(time.Since(wallStart).Microseconds()))
@@ -421,8 +421,6 @@ func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt
 	d.record(rec)
 	d.m.InFlight.Add(-1)
 	d.finishOne()
-	d.slots <- struct{}{}
-	d.wake()
 }
 
 // finishOne retires one outstanding request: releases its backpressure

@@ -11,7 +11,7 @@ type Metrics struct {
 	Submitted obs.Counter
 	// Rejected counts submissions refused because the ingress was closed.
 	Rejected obs.Counter
-	// Dispatched counts requests the dispatch loop handed to the backend
+	// Dispatched counts requests the workers handed to the backend
 	// (plus drops: every dequeue is a dispatch decision).
 	Dispatched obs.Counter
 	// Completed counts services the backend finished successfully.

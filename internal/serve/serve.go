@@ -32,6 +32,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 )
@@ -48,8 +49,8 @@ type Clock struct {
 
 // NewClock starts a clock at model time 0 with the given dilation factor.
 func NewClock(dilation float64) (*Clock, error) {
-	if !(dilation > 0) {
-		return nil, fmt.Errorf("serve: dilation factor must be positive, got %v", dilation)
+	if !(dilation > 0) || math.IsInf(dilation, 1) {
+		return nil, fmt.Errorf("serve: dilation factor must be positive and finite, got %v", dilation)
 	}
 	return &Clock{start: time.Now(), dilation: dilation}, nil
 }
@@ -57,15 +58,28 @@ func NewClock(dilation float64) (*Clock, error) {
 // Dilation returns the model-seconds-per-wall-second factor.
 func (c *Clock) Dilation() float64 { return c.dilation }
 
-// Now returns the current model time in microseconds.
+// Now returns the current model time in microseconds. At extreme
+// dilations it saturates at math.MaxInt64 instead of wrapping.
 func (c *Clock) Now() int64 {
-	return int64(float64(time.Since(c.start).Microseconds()) * c.dilation)
+	return saturate(float64(time.Since(c.start).Microseconds()) * c.dilation)
 }
 
 // Wall converts a model duration (µs) into the wall-clock duration that
-// represents it under the dilation factor.
+// represents it under the dilation factor, saturating at the Duration range.
 func (c *Clock) Wall(modelMicros int64) time.Duration {
-	return time.Duration(float64(modelMicros) / c.dilation * float64(time.Microsecond))
+	return time.Duration(saturate(float64(modelMicros) / c.dilation * float64(time.Microsecond)))
+}
+
+// saturate converts f to int64, clamping to the int64 range: a float64 at
+// or beyond ±2^63 has no int64 value, and the conversion would wrap.
+func saturate(f float64) int64 {
+	switch {
+	case f >= math.MaxInt64:
+		return math.MaxInt64
+	case f <= math.MinInt64:
+		return math.MinInt64
+	}
+	return int64(f)
 }
 
 // SleepUntil blocks until the clock reads at least model time t, or ctx is

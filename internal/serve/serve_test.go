@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -9,9 +10,27 @@ import (
 )
 
 func TestNewClockValidation(t *testing.T) {
-	for _, d := range []float64{0, -1} {
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewClock(d); err == nil {
 			t.Errorf("NewClock(%v) accepted an invalid dilation", d)
+		}
+	}
+	// The finite extremes stay valid, and their model time saturates
+	// instead of wrapping negative.
+	for _, tc := range []struct {
+		dilation float64
+		want     int64 // Now() after 1 ms of wall time
+	}{
+		{1e-12, 0},
+		{1e300, math.MaxInt64},
+	} {
+		c, err := NewClock(tc.dilation)
+		if err != nil {
+			t.Fatalf("NewClock(%v): %v", tc.dilation, err)
+		}
+		time.Sleep(time.Millisecond)
+		if got := c.Now(); got != tc.want {
+			t.Errorf("dilation %v: Now() = %d, want %d", tc.dilation, got, tc.want)
 		}
 	}
 	c, err := NewClock(100)
@@ -33,6 +52,8 @@ func TestClockWallConversion(t *testing.T) {
 		{100, 1_000_000, 10 * time.Millisecond}, // compressed
 		{0.5, 1_000_000, 2 * time.Second},       // stretched
 		{100, 0, 0},
+		{1e-12, 1_000_000, math.MaxInt64},  // 10^21 ns saturates
+		{1e-12, -1_000_000, math.MinInt64}, // and so does its negative
 	}
 	for _, tc := range cases {
 		c, _ := NewClock(tc.dilation)
@@ -69,18 +90,26 @@ func TestClockSleepUntilPastReturnsImmediately(t *testing.T) {
 }
 
 func TestClockSleepCancel(t *testing.T) {
-	c, _ := NewClock(0.001) // 1 model µs costs 1 wall ms: a long sleep
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- c.SleepFor(ctx, 60_000_000) }()
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("canceled SleepFor returned nil")
+	for _, tc := range []struct {
+		dilation float64
+		model    int64
+	}{
+		{0.001, 60_000_000}, // 1 model µs costs 1 wall ms: a long sleep
+		{1e-12, 1_000_000},  // a wall time past the Duration range
+	} {
+		c, _ := NewClock(tc.dilation)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- c.SleepFor(ctx, tc.model) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("dilation %v: canceled SleepFor returned nil", tc.dilation)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("dilation %v: canceled SleepFor did not return", tc.dilation)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled SleepFor did not return")
+		cancel()
 	}
 }
 
