@@ -33,7 +33,7 @@ func TestCascadeWindowFractionWithCylinderStage(t *testing.T) {
 	s := MustScheduler("w", EncapsulatorConfig{
 		Levels: 8, UseCylinder: true, R: 4, Cylinders: 1000,
 	}, DispatcherConfig{Mode: ConditionallyPreemptive}, 0.1)
-	want := uint64(0.1 * float64(s.Encapsulator().MaxValue()))
+	want := uint64(0.1 * float64(s.v.(*Encapsulator).MaxValue()))
 	if got := s.Dispatcher().Window(); got != want {
 		t.Errorf("window = %d, want %d (10%% of one sweep cycle)", got, want)
 	}

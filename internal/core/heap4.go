@@ -47,6 +47,13 @@ func (h *Heap4[T, C]) Pop() T {
 	return top
 }
 
+// Reset empties the heap but keeps its capacity. The vacated slots are
+// zeroed, so they hold no references.
+func (h *Heap4[T, C]) Reset() {
+	clear(h.a)
+	h.a = h.a[:0]
+}
+
 // Append adds x without restoring heap order; callers must Build before the
 // next Peek/Push/Pop. Bulk loads Append n elements and Build once, which is
 // O(n) (Floyd) instead of n sift-ups.

@@ -73,7 +73,7 @@ func TestSchedulerMetrics(t *testing.T) {
 	s := MustScheduler("x", shardedTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
 	m := &Metrics{}
 	s.SetMetrics(m)
-	if s.Metrics() != m || s.Dispatcher().Metrics() != m {
+	if s.m != m || s.Dispatcher().Metrics() != m {
 		t.Fatal("SetMetrics must rewire both scheduler and dispatcher")
 	}
 

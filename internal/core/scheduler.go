@@ -83,13 +83,6 @@ func MustScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, 
 // Name returns the scheduler's display name.
 func (s *Scheduler) Name() string { return s.name }
 
-// Encapsulator exposes the value mapper (e.g. for window sizing); nil when
-// the scheduler was built over another Valuer.
-func (s *Scheduler) Encapsulator() *Encapsulator {
-	enc, _ := s.v.(*Encapsulator)
-	return enc
-}
-
 // Dispatcher exposes the queue machinery (e.g. for policy stats).
 func (s *Scheduler) Dispatcher() *Dispatcher { return s.disp }
 
@@ -100,9 +93,6 @@ func (s *Scheduler) SetMetrics(m *Metrics) {
 	s.m = m
 	s.disp.SetMetrics(m)
 }
-
-// Metrics returns the metrics sink the scheduler reports into.
-func (s *Scheduler) Metrics() *Metrics { return s.m }
 
 // observeHead advances the sweep timeline to the given head position.
 // Any movement counts as forward cyclic progress, which is exact while the

@@ -66,9 +66,6 @@ func NewSingleStage(curveName string, priorityDims, levels int, deadlineHorizon 
 	}, nil
 }
 
-// MaxValue returns the exclusive bound on Value results.
-func (s *SingleStage) MaxValue() uint64 { return s.curve.MaxIndex() }
-
 // Value maps the request onto the single curve. Not safe for concurrent
 // use.
 func (s *SingleStage) Value(r *Request, now int64, head int) uint64 {

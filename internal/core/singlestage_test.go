@@ -32,8 +32,8 @@ func TestSingleStageAxisLayout(t *testing.T) {
 	if near >= far {
 		t.Errorf("sweep single-stage should be cylinder-major: %d >= %d", near, far)
 	}
-	if near >= ss.MaxValue() || far >= ss.MaxValue() {
-		t.Error("values exceed MaxValue")
+	if near >= ss.curve.MaxIndex() || far >= ss.curve.MaxIndex() {
+		t.Error("values exceed the curve's index space")
 	}
 }
 

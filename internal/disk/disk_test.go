@@ -248,69 +248,3 @@ func TestRAID5Validation(t *testing.T) {
 		t.Error("expected error for nil model")
 	}
 }
-
-func TestSqrtSeekFromMax(t *testing.T) {
-	s, err := NewSqrtSeekFromMax(3832, 1500, 18000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Time(0, 1); got != 1500 {
-		t.Errorf("track-to-track = %d, want 1500", got)
-	}
-	if got := s.Max(); got < 17999 || got > 18000 {
-		t.Errorf("max = %d, want ~18000", got)
-	}
-	if s.Time(5, 5) != 0 {
-		t.Error("zero distance should cost nothing")
-	}
-	// The sqrt shape overshoots Table 1's 8.5 ms mean — the documented
-	// reason the default model uses the calibrated power curve instead.
-	if s.Mean() < 9000 {
-		t.Errorf("sqrt-from-max mean = %.0f, expected above 9 ms", s.Mean())
-	}
-}
-
-func TestSqrtSeekFromMean(t *testing.T) {
-	s, err := NewSqrtSeekFromMean(3832, 1500, 8500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Mean(); got < 8400 || got > 8600 {
-		t.Errorf("mean = %.0f, want ~8500", got)
-	}
-	if got := s.Time(0, 1); got != 1500 {
-		t.Errorf("track-to-track = %d, want 1500", got)
-	}
-	// ... at the cost of undershooting the 18 ms max.
-	if s.Max() >= 18000 {
-		t.Errorf("sqrt-from-mean max = %d, expected below 18 ms", s.Max())
-	}
-}
-
-func TestSqrtSeekValidation(t *testing.T) {
-	if _, err := NewSqrtSeekFromMax(1, 100, 200); err == nil {
-		t.Error("expected error for 1 cylinder")
-	}
-	if _, err := NewSqrtSeekFromMax(100, 200, 100); err == nil {
-		t.Error("expected error for max < track-to-track")
-	}
-	if _, err := NewSqrtSeekFromMean(100, 0, 100); err == nil {
-		t.Error("expected error for zero track-to-track")
-	}
-}
-
-func TestModelUseSqrtSeek(t *testing.T) {
-	m := xp()
-	s, _ := NewSqrtSeekFromMax(m.Cylinders, 1500, 18000)
-	m.UseSqrtSeek(s)
-	if got := m.SeekTime(0, 1); got != 1500 {
-		t.Errorf("swapped model track-to-track = %d, want 1500", got)
-	}
-	if got, want := m.SeekTime(100, 2100), s.Time(100, 2100); got != want {
-		t.Errorf("swapped model seek = %d, want %d", got, want)
-	}
-	// Zones and transfer are untouched.
-	if m.TransferTime(0, 64<<10) != xp().TransferTime(0, 64<<10) {
-		t.Error("transfer time changed by seek swap")
-	}
-}

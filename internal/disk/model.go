@@ -42,10 +42,9 @@ type Model struct {
 	zoneOfCyl []int16 // cylinder -> zone lookup
 
 	// seekByDist[d] is the seek time over d cylinders: the power curve
-	// tabulated at construction, or the paper's literal a + b*sqrt(d)
-	// model after UseSqrtSeek. SeekTime runs on every dispatch and the
+	// tabulated at construction. SeekTime runs on every dispatch and the
 	// curve has only Cylinders distinct arguments, so the table keeps
-	// math.Pow and math.Sqrt off that path.
+	// math.Pow off that path.
 	seekByDist []int64
 }
 
@@ -118,7 +117,9 @@ func NewModel(p Params) (*Model, error) {
 	m.gamma = calibrateGamma(p.MinSeek, p.MaxSeek, p.AvgSeek)
 	m.buildZones(p.ZoneCount, p.OuterSPT, p.InnerSPT)
 	m.seekByDist = make([]int64, m.Cylinders)
-	m.tabulateSeek(m.powerSeek)
+	for d := range m.seekByDist {
+		m.seekByDist[d] = m.powerSeek(d)
+	}
 	return m, nil
 }
 
@@ -194,13 +195,6 @@ func (m *Model) powerSeek(d int) int64 {
 	}
 	u := float64(d) / float64(m.Cylinders-1)
 	return m.MinSeek + int64(float64(m.MaxSeek-m.MinSeek)*math.Pow(u, m.gamma))
-}
-
-// tabulateSeek fills seekByDist from curve for every distance 0..C-1.
-func (m *Model) tabulateSeek(curve func(d int) int64) {
-	for d := range m.seekByDist {
-		m.seekByDist[d] = curve(d)
-	}
 }
 
 // SeekTime returns the head-movement time from cylinder from to cylinder

@@ -45,27 +45,6 @@ func TestSeekTableMatchesClosedForm(t *testing.T) {
 	checkSeekTable(t, m, "table 1", func(d int) int64 { return closedFormSeek(m, d) })
 }
 
-func TestSeekTableFollowsUseSqrtSeek(t *testing.T) {
-	m := xp()
-	fromMax, err := NewSqrtSeekFromMax(m.Cylinders, 1500, 18000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromMean, err := NewSqrtSeekFromMean(m.Cylinders, 1500, 8500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*SqrtSeek{fromMax, fromMean} {
-		m.UseSqrtSeek(s)
-		checkSeekTable(t, m, "sqrt", func(d int) int64 { return s.Time(0, d) })
-	}
-	m.UseSqrtSeek(nil)
-	checkSeekTable(t, m, "power curve restored", func(d int) int64 { return closedFormSeek(m, d) })
-	if !panics(func() { m.SeekTime(0, m.Cylinders) }) || !panics(func() { m.SeekTime(-1, 0) }) {
-		t.Error("SeekTime accepted an out-of-range cylinder after the curve swaps")
-	}
-}
-
 func FuzzSeekTableMatchesClosedForm(f *testing.F) {
 	f.Add(uint16(3832), uint32(1500), uint32(7000), uint32(9500))
 	f.Add(uint16(2), uint32(1), uint32(1), uint32(1))

@@ -85,12 +85,12 @@ func TestPlanValidate(t *testing.T) {
 
 func TestNewAppliesDefaults(t *testing.T) {
 	in := newQuiet(t, Plan{TransientRate: 0.1}, 100)
-	if p := in.Plan(); p.MaxRetries != DefaultMaxRetries || p.RetryBase != DefaultRetryBase {
+	if p := in.plan; p.MaxRetries != DefaultMaxRetries || p.RetryBase != DefaultRetryBase {
 		t.Errorf("defaults not applied: MaxRetries=%d RetryBase=%d", p.MaxRetries, p.RetryBase)
 	}
 	// Negative MaxRetries means "no retries at all".
 	in = newQuiet(t, Plan{TransientRate: 1, MaxRetries: -1}, 100)
-	if got := in.Plan().MaxRetries; got != 0 {
+	if got := in.plan.MaxRetries; got != 0 {
 		t.Errorf("MaxRetries -1 normalized to %d, want 0", got)
 	}
 	r := &core.Request{ID: 1}
@@ -230,24 +230,6 @@ func TestDiskFailureLifecycle(t *testing.T) {
 	s := in.Stats()
 	if s.FailedAt != 1_000 || s.RebuiltAt != 5_000 || s.LostInFlight != 1 {
 		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestDegradedWindow(t *testing.T) {
-	cases := []struct {
-		name     string
-		stats    Stats
-		makespan int64
-		want     int64
-	}{
-		{"never failed", Stats{}, 10_000, 0},
-		{"failed and rebuilt", Stats{FailedAt: 2_000, RebuiltAt: 7_000}, 10_000, 5_000},
-		{"failed, never rebuilt", Stats{FailedAt: 2_000}, 10_000, 8_000},
-	}
-	for _, tc := range cases {
-		if got := tc.stats.DegradedWindow(tc.makespan); got != tc.want {
-			t.Errorf("%s: DegradedWindow(%d) = %d, want %d", tc.name, tc.makespan, got, tc.want)
-		}
 	}
 }
 

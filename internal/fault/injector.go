@@ -42,22 +42,9 @@ type Stats struct {
 	// it failed.
 	LostInFlight uint64
 	// FailedAt and RebuiltAt are the disk-failure and rebuild-completion
-	// times, µs (0 = never). DegradedWindow derives from them.
+	// times, µs (0 = never).
 	FailedAt  int64
 	RebuiltAt int64
-}
-
-// DegradedWindow returns the duration the array ran degraded, µs: failure
-// to rebuild completion, or failure to end (makespan) when no rebuild
-// finished, or 0 if no disk ever failed.
-func (s Stats) DegradedWindow(makespan int64) int64 {
-	if s.FailedAt == 0 {
-		return 0
-	}
-	if s.RebuiltAt > s.FailedAt {
-		return s.RebuiltAt - s.FailedAt
-	}
-	return makespan - s.FailedAt
 }
 
 // badState is a BadRange plus its remap status.
@@ -122,9 +109,6 @@ func New(plan Plan, cylinders int) (*Injector, error) {
 	}
 	return in, nil
 }
-
-// Plan returns the (defaulted) plan the injector runs.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Down reports whether disk d is currently failed.
 func (in *Injector) Down(d int) bool {

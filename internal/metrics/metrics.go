@@ -1,8 +1,8 @@
 // Package metrics collects the evaluation quantities of the paper's §5-6:
-// per-dimension priority inversions (Figs. 5-7, 10a), deadline misses per
-// priority level and dimension (Figs. 8-10b), seek time (Fig. 10c),
-// fairness (stddev of per-dimension inversions, Fig. 7a) and the §6
-// weighted-loss cost function (Fig. 11).
+// per-dimension priority inversions (Figs. 5-7, 10a; Fig. 7a's fairness is
+// their standard deviation), deadline misses per priority level and
+// dimension (Figs. 8-10b), seek time (Fig. 10c) and the §6 weighted-loss
+// cost function (Fig. 11).
 package metrics
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/stats"
 )
 
 // Collector accumulates run metrics. Create one per simulation run.
@@ -47,9 +46,6 @@ type Collector struct {
 	SeekTime    int64 // total head-movement time, µs
 	ServiceTime int64 // total busy time, µs
 	Makespan    int64 // completion time of the run, µs
-	// WaitingTimes aggregates arrival-to-service-start waits of served
-	// requests, µs: running count, sum and extremes, no samples.
-	WaitingTimes stats.Summary
 }
 
 // NewCollector returns a collector for requests with the given number of
@@ -88,7 +84,6 @@ func (c *Collector) Reset() {
 	c.Arrived, c.Served, c.Dropped, c.Late = 0, 0, 0, 0
 	c.FaultAttempts, c.FaultDropped = 0, 0
 	c.SeekTime, c.ServiceTime, c.Makespan = 0, 0, 0
-	c.WaitingTimes.Reset()
 }
 
 // Dims returns the number of tracked priority dimensions.
@@ -162,12 +157,12 @@ func (c *Collector) OnDispatch(r *core.Request, pending func(func(*core.Request)
 	visitorPool.Put(v)
 }
 
-// OnServed records a completed service.
+// OnServed records a completed service. It reads neither r nor start; the
+// signature stays until bench/, which calls it, next changes.
 func (c *Collector) OnServed(r *core.Request, seek, service, start int64) {
 	c.Served++
 	c.SeekTime += seek
 	c.ServiceTime += service
-	c.WaitingTimes.Add(float64(start - r.Arrival))
 }
 
 // OnFaultAttempt records a service attempt that failed on an injected
@@ -214,40 +209,6 @@ func (c *Collector) TotalInversions() uint64 {
 
 // TotalMisses returns dropped plus late requests.
 func (c *Collector) TotalMisses() uint64 { return c.Dropped + c.Late }
-
-// MissRatio returns misses as a fraction of arrivals.
-func (c *Collector) MissRatio() float64 {
-	if c.Arrived == 0 {
-		return 0
-	}
-	return float64(c.TotalMisses()) / float64(c.Arrived)
-}
-
-// FairnessStdDev returns the standard deviation of the per-dimension
-// inversion counts — the paper's Fig. 7a fairness measure. Lower is fairer.
-func (c *Collector) FairnessStdDev() float64 {
-	vs := make([]float64, len(c.InversionsPerDim))
-	for i, v := range c.InversionsPerDim {
-		vs[i] = float64(v)
-	}
-	_, sd := stats.MeanStdDev(vs)
-	return sd
-}
-
-// FavoredDim returns the dimension with the fewest inversions and its
-// count — the paper's Fig. 7b "favored dimension".
-func (c *Collector) FavoredDim() (dim int, inversions uint64) {
-	if len(c.InversionsPerDim) == 0 {
-		return -1, 0
-	}
-	dim = 0
-	for k, v := range c.InversionsPerDim {
-		if v < c.InversionsPerDim[dim] {
-			dim = k
-		}
-	}
-	return dim, c.InversionsPerDim[dim]
-}
 
 // LinearWeights returns the §6 cost weights for the collector's levels:
 // decreasing linearly from ratio at level 0 (highest priority) to 1 at the

@@ -127,14 +127,6 @@ func (h *Histogram) Snapshot() [histBuckets]uint64 {
 	return s
 }
 
-// Quantile returns an upper bound on the q-quantile (0 <= q <= 1) of the
-// recorded distribution: the inclusive upper bound of the bucket containing
-// that rank. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) uint64 {
-	s := h.Snapshot()
-	return quantileOf(&s, q)
-}
-
 // Quantiles estimates several quantiles from one consistent bucket
 // snapshot, so p50/p95/p99 of a concurrently-written histogram come from
 // the same set of observations. Each estimate is the inclusive upper bound

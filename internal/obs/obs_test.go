@@ -84,7 +84,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 {
+	if h.Quantiles(0.5)[0] != 0 {
 		t.Fatalf("empty histogram quantile must be 0")
 	}
 	// 90 small values, 10 big ones: p50 lands in the small bucket, p99 in
@@ -95,10 +95,10 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(1000)
 	}
-	if q := h.Quantile(0.5); q != BucketBound(2) {
+	if q := h.Quantiles(0.5)[0]; q != BucketBound(2) {
 		t.Errorf("p50 = %d, want %d", q, BucketBound(2))
 	}
-	if q := h.Quantile(0.99); q != BucketBound(10) {
+	if q := h.Quantiles(0.99)[0]; q != BucketBound(10) {
 		t.Errorf("p99 = %d, want %d", q, BucketBound(10))
 	}
 	if m := h.Mean(); m != (90*3+10*1000)/100.0 {

@@ -113,8 +113,8 @@ func TestQuantileNearestRankBoundaries(t *testing.T) {
 					h.Observe(tc.obs[i])
 				}
 			}
-			if got, want := h.Quantile(tc.q), bucketCeil(tc.want); got != want {
-				t.Errorf("Quantile(%v) = %d, want bucket bound %d of nearest-rank value %d",
+			if got, want := h.Quantiles(tc.q)[0], bucketCeil(tc.want); got != want {
+				t.Errorf("Quantiles(%v) = %d, want bucket bound %d of nearest-rank value %d",
 					tc.q, got, want, tc.want)
 			}
 		})
@@ -138,8 +138,8 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	probes := []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1}
 	qs := h.Quantiles(probes...)
 	for i, p := range probes {
-		if single := h.Quantile(p); single != qs[i] {
-			t.Errorf("Quantiles(%v) = %d, Quantile = %d", p, qs[i], single)
+		if single := h.Quantiles(p)[0]; single != qs[i] {
+			t.Errorf("batched Quantiles(%v) = %d, probed alone = %d", p, qs[i], single)
 		}
 	}
 }
@@ -156,7 +156,7 @@ func TestQuantilesEmpty(t *testing.T) {
 func TestPrometheusQuantileExport(t *testing.T) {
 	reg := NewRegistry()
 	var h Histogram
-	reg.MustRegister("lat_us", "latency", &h)
+	mustRegister(t, reg, "lat_us", "latency", &h)
 	for v := uint64(1); v <= 100; v++ {
 		h.Observe(v)
 	}

@@ -56,13 +56,6 @@ func (r *Registry) Register(name, help string, v any) error {
 	return nil
 }
 
-// MustRegister is Register for static wiring.
-func (r *Registry) MustRegister(name, help string, v any) {
-	if err := r.Register(name, help, v); err != nil {
-		panic(err)
-	}
-}
-
 // Entry is one row of a metric set's registration table: the metric's
 // name below the set's prefix, its help string, and the metric.
 type Entry struct {

@@ -50,11 +50,11 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0)
 	h.Observe(5)
 	h.Observe(5)
-	r.MustRegister("events", "number of events", &c)
-	r.MustRegister("depth", "current depth", &g)
-	r.MustRegister("depth_hiwater", "", &m)
-	r.MustRegister("wait_us", "dispatch wait", &h)
-	r.MustRegister("ratio", "", func() float64 { return 0.5 })
+	mustRegister(t, r, "events", "number of events", &c)
+	mustRegister(t, r, "depth", "current depth", &g)
+	mustRegister(t, r, "depth_hiwater", "", &m)
+	mustRegister(t, r, "wait_us", "dispatch wait", &h)
+	mustRegister(t, r, "ratio", "", func() float64 { return 0.5 })
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -88,8 +88,8 @@ func TestHandlerAndSnapshot(t *testing.T) {
 	c.Add(3)
 	var h Histogram
 	h.Observe(9)
-	r.MustRegister("c", "", &c)
-	r.MustRegister("h", "", &h)
+	mustRegister(t, r, "c", "", &c)
+	mustRegister(t, r, "h", "", &h)
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -116,5 +116,12 @@ func TestHandlerAndSnapshot(t *testing.T) {
 	hm := back["h"].(map[string]any)
 	if hm["count"].(float64) != 1 || hm["sum"].(float64) != 9 {
 		t.Errorf("snapshot histogram = %v", hm)
+	}
+}
+
+func mustRegister(t *testing.T, r *Registry, name, help string, v any) {
+	t.Helper()
+	if err := r.Register(name, help, v); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,9 +30,6 @@ type CalibrationConfig struct {
 	Dilation float64
 	// InFlight bounds the live dispatcher's concurrent services (0 = 1).
 	InFlight int
-	// MaxQueue bounds the live dispatcher's backpressure quota (0 =
-	// unbounded; must be 0 or ≥ len(trace) with Preload).
-	MaxQueue int
 	// DropLate applies the §6 drop semantics on both sides.
 	DropLate bool
 	// Preload submits the whole trace before the dispatcher starts instead
@@ -155,14 +152,11 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	}
 	d, err := New(Config{
 		Sched: liveSched, Backend: backend, Clock: clock,
-		InFlight: cfg.InFlight, MaxQueue: cfg.MaxQueue, DropLate: cfg.DropLate,
+		InFlight: cfg.InFlight, DropLate: cfg.DropLate,
 		Metrics: cfg.Metrics, KeepRecords: true,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Preload && cfg.MaxQueue != 0 && cfg.MaxQueue < len(trace) {
-		return nil, fmt.Errorf("serve: preload of %d requests cannot fit a queue bound of %d", len(trace), cfg.MaxQueue)
 	}
 	wallStart := time.Now()
 	if cfg.Preload {

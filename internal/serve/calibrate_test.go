@@ -125,11 +125,6 @@ func TestCalibrateValidation(t *testing.T) {
 		t.Error("zero dilation accepted")
 	}
 	if _, err := Calibrate(context.Background(), CalibrationConfig{
-		NewScheduler: newFullyPreemptive, Service: sm, Dilation: 100, Preload: true, MaxQueue: 2,
-	}, trace); err == nil {
-		t.Error("preload larger than the queue bound accepted")
-	}
-	if _, err := Calibrate(context.Background(), CalibrationConfig{
 		NewScheduler: newFullyPreemptive, Service: disk.ServiceModel{}, Dilation: 100,
 	}, trace); err == nil {
 		t.Error("empty service model accepted")

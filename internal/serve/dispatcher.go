@@ -53,11 +53,8 @@ type Config struct {
 	// KeepRecords accumulates a Record per dispatch decision for later
 	// retrieval via Records — calibration runs need them; long-running
 	// servers should leave this off (the slice grows without bound) and
-	// use OnRecord or the metrics instead.
+	// use the metrics instead.
 	KeepRecords bool
-	// OnRecord, when non-nil, receives each Record as it is produced.
-	// Calls are serialized.
-	OnRecord func(Record)
 }
 
 // Record is the per-request outcome of one dispatch decision, the serving
@@ -187,9 +184,6 @@ func (d *Dispatcher) Head() int { return int(d.head.Load()) }
 
 // HeadTravel returns the cumulative emulated head movement, cylinders.
 func (d *Dispatcher) HeadTravel() int64 { return d.travel.Load() }
-
-// Outstanding returns the number of submitted-but-unfinished requests.
-func (d *Dispatcher) Outstanding() int { return int(d.outstanding.Load()) }
 
 // Submit enqueues r at the current model time. It blocks while the
 // MaxQueue backpressure bound is reached and returns ErrClosed once
@@ -433,15 +427,12 @@ func (d *Dispatcher) finishOne() {
 	d.wake()
 }
 
-// record appends/forwards one Record; calls to OnRecord are serialized.
+// record keeps rec when Config.KeepRecords is set.
 func (d *Dispatcher) record(rec Record) {
+	if !d.cfg.KeepRecords {
+		return
+	}
 	d.recMu.Lock()
-	if d.cfg.KeepRecords {
-		d.recs = append(d.recs, rec)
-	}
-	cb := d.cfg.OnRecord
-	if cb != nil {
-		cb(rec)
-	}
+	d.recs = append(d.recs, rec)
 	d.recMu.Unlock()
 }

@@ -111,9 +111,9 @@ func newTestDispatcher(t *testing.T, cfg Config) (*Dispatcher, *Metrics) {
 func checkLedger(t *testing.T, d *Dispatcher, m *Metrics) {
 	t.Helper()
 	sub, ended := m.Submitted.Load(), m.Completed.Load()+m.Dropped.Load()+m.Abandoned.Load()
-	if sub != ended || d.Outstanding() != 0 {
+	if sub != ended || d.outstanding.Load() != 0 {
 		t.Fatalf("ledger broken: submitted %d != completed %d + dropped %d + abandoned %d, outstanding %d",
-			sub, m.Completed.Load(), m.Dropped.Load(), m.Abandoned.Load(), d.Outstanding())
+			sub, m.Completed.Load(), m.Dropped.Load(), m.Abandoned.Load(), d.outstanding.Load())
 	}
 }
 
@@ -173,8 +173,8 @@ func TestDispatcherServesAllConcurrentSubmitters(t *testing.T) {
 	if got := m.InFlight.Load(); got != 0 {
 		t.Errorf("InFlight = %d after drain, want 0", got)
 	}
-	if d.Outstanding() != 0 {
-		t.Errorf("Outstanding = %d after drain, want 0", d.Outstanding())
+	if d.outstanding.Load() != 0 {
+		t.Errorf("Outstanding = %d after drain, want 0", d.outstanding.Load())
 	}
 	recs := d.Records()
 	if len(recs) != total {

@@ -55,9 +55,6 @@ func NewClock(dilation float64) (*Clock, error) {
 	return &Clock{start: time.Now(), dilation: dilation}, nil
 }
 
-// Dilation returns the model-seconds-per-wall-second factor.
-func (c *Clock) Dilation() float64 { return c.dilation }
-
 // Now returns the current model time in microseconds. At extreme
 // dilations it saturates at math.MaxInt64 instead of wrapping.
 func (c *Clock) Now() int64 {

@@ -37,8 +37,8 @@ func TestNewClockValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewClock(100): %v", err)
 	}
-	if c.Dilation() != 100 {
-		t.Fatalf("Dilation() = %v, want 100", c.Dilation())
+	if c.dilation != 100 {
+		t.Fatalf("dilation = %v, want 100", c.dilation)
 	}
 }
 

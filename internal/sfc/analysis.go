@@ -148,6 +148,3 @@ func (a *Analysis) PairInversionRate() float64 {
 	pairs := float64(a.Cells) * float64(a.Cells-1) / 2
 	return float64(a.TotalPairInversions()) / pairs / float64(len(a.PairInversionsPerDim))
 }
-
-// Continuous reports whether every step moves to a grid neighbor.
-func (a *Analysis) Continuous() bool { return a.Jumps == 0 }

@@ -19,14 +19,14 @@ func analyze(t *testing.T, name string, dims int, side uint32) *Analysis {
 func TestContinuousCurvesHaveNoJumps(t *testing.T) {
 	for _, name := range []string{"scan", "peano", "hilbert"} {
 		a := analyze(t, name, 3, 8)
-		if !a.Continuous() {
+		if a.Jumps != 0 {
 			t.Errorf("%s: %d jumps, want 0", name, a.Jumps)
 		}
 		if a.MeanStep != 1 || a.MaxStep != 1 {
 			t.Errorf("%s: step stats %v/%v, want 1/1", name, a.MeanStep, a.MaxStep)
 		}
 	}
-	if a := analyze(t, "spiral", 2, 9); !a.Continuous() {
+	if a := analyze(t, "spiral", 2, 9); a.Jumps != 0 {
 		t.Errorf("2-D spiral: %d jumps, want 0", a.Jumps)
 	}
 }
@@ -34,7 +34,7 @@ func TestContinuousCurvesHaveNoJumps(t *testing.T) {
 func TestDiscontinuousCurvesJump(t *testing.T) {
 	for _, name := range []string{"sweep", "cscan", "gray", "zorder"} {
 		a := analyze(t, name, 2, 8)
-		if a.Continuous() {
+		if a.Jumps == 0 {
 			t.Errorf("%s should have jumps", name)
 		}
 	}

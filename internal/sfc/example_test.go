@@ -41,7 +41,7 @@ func ExampleAnalyze() {
 		c := sfc.MustNew(name, 2, 8).(sfc.Inverter)
 		a, _ := sfc.Analyze(c)
 		fmt.Printf("%s: continuous=%v per-dim inversions=%v\n",
-			name, a.Continuous(), a.PairInversionsPerDim)
+			name, a.Jumps == 0, a.PairInversionsPerDim)
 	}
 	// Output:
 	// sweep: continuous=false per-dim inversions=[784 0]

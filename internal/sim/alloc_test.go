@@ -18,25 +18,34 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// A popped event's fn closure and station pointer must not stay reachable
-// through the heap slice's spare capacity (the same leak queue.removeAt
-// guards against): a retained timer closure can pin a whole station's
-// object graph across runs of a recycled engine.
+// A popped or reset event's fn closure and station pointer must not stay
+// reachable through the queue's spare capacity (the same leak
+// queue.removeAt guards against): a retained timer closure can pin a whole
+// station's object graph across runs of a recycled engine.
 func TestEventHeapPopZeroesSlot(t *testing.T) {
-	var h eventHeap
+	var h core.Heap4[event, eventCmp]
 	st := &Station{}
-	for i := 0; i < 8; i++ {
-		h.push(event{time: int64(i), seq: uint64(i), station: st, fn: func(int64) {}})
-	}
-	for len(h) > 0 {
-		h.pop()
-	}
-	spare := h[:cap(h)]
-	for i := range spare {
-		if spare[i].fn != nil || spare[i].station != nil {
-			t.Fatalf("heap slot %d retains pointers after pop: %+v", i, spare[i])
+	fill := func() {
+		for i := 0; i < 8; i++ {
+			h.Push(event{time: int64(i), seq: uint64(i), station: st, fn: func(int64) {}})
 		}
 	}
+	check := func(after string) {
+		spare := h.Slice()[:cap(h.Slice())]
+		for i := range spare {
+			if spare[i].fn != nil || spare[i].station != nil {
+				t.Fatalf("heap slot %d retains pointers after %s: %+v", i, after, spare[i])
+			}
+		}
+	}
+	fill()
+	for h.Len() > 0 {
+		h.Pop()
+	}
+	check("pop")
+	fill()
+	h.Reset()
+	check("reset")
 }
 
 func reuseBenchWorkload() workload.Open {
@@ -61,7 +70,7 @@ func TestRunReuseSteadyStateAllocs(t *testing.T) {
 		Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru,
 		Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8},
 	}
-	MustRun(cfg, trace) // warm: grows the event heap, collector, samples
+	MustRun(cfg, trace) // warm: grows the event heap and collector
 	allocs := testing.AllocsPerRun(10, func() {
 		if res := MustRun(cfg, trace); res.Arrived != 2000 {
 			t.Fatal("lost requests")
@@ -73,8 +82,8 @@ func TestRunReuseSteadyStateAllocs(t *testing.T) {
 }
 
 // A run through a recycled Reuse must replay the exact trajectory of a
-// fresh run — same collector (DeepEqual, including the waiting-time
-// samples), same head travel — even after the Reuse has served a
+// fresh run — same collector (DeepEqual), same head
+// travel — even after the Reuse has served a
 // different configuration in between. SampleRotation exercises the
 // reseeded RNG stream.
 func TestReuseMatchesFreshRun(t *testing.T) {

@@ -21,12 +21,6 @@ type ArrayConfig struct {
 	// NewScheduler builds the per-disk queue discipline. Required.
 	NewScheduler func(diskID int) (sched.Scheduler, error)
 
-	// OnFaulted fires when the planned disk failure (Options.Fault) takes
-	// effect; OnRebuilt when the background rebuild completes and the disk
-	// rejoins. Both run inline at the exact event time.
-	OnFaulted func(diskID int, now int64)
-	OnRebuilt func(diskID int, now int64)
-
 	Options
 }
 
@@ -344,9 +338,6 @@ func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {
 func (a *raid5) fail(now int64) {
 	k := a.cfg.Fault.FailDisk
 	a.eng.Faults.FailNow(now)
-	if a.cfg.OnFaulted != nil {
-		a.cfg.OnFaulted(k, now)
-	}
 	// Drain the dead disk's queue, re-routing every stranded op; the
 	// in-flight one (if any) is re-routed by its Lost completion.
 	st := a.eng.Stations[k]
@@ -368,9 +359,6 @@ func (a *raid5) issueRebuild(now int64) {
 	k := a.cfg.Fault.FailDisk
 	if a.rebuiltBlocks >= a.cfg.Fault.RebuildBlocks {
 		a.eng.Faults.MarkRebuilt(now)
-		if a.cfg.OnRebuilt != nil {
-			a.cfg.OnRebuilt(k, now)
-		}
 		return
 	}
 	ops := a.cfg.Array.RebuildStripe(int64(a.rebuiltBlocks), k)

@@ -114,10 +114,11 @@ func (s *Station) serviceTimeAt(cyl int, size int64, rng *stats.RNG) (int64, int
 const timerSeqBase = uint64(1) << 32
 
 // event is one pending engine event: a service completion (station set)
-// or a timer callback (fn set). The heap orders events by (time, seq):
+// or a timer callback (fn set). The queue orders events by (time, seq):
 // seq is a deterministic tie-break — completion events use the station
 // ID, timers a monotone counter above timerSeqBase — so identical
-// configurations replay identically.
+// configurations replay identically. The order is total, so the pop order
+// does not depend on the heap's shape.
 type event struct {
 	time    int64
 	seq     uint64
@@ -125,53 +126,10 @@ type event struct {
 	fn      func(now int64)
 }
 
-func (a event) before(b event) bool {
+type eventCmp struct{}
+
+func (eventCmp) Less(a, b *event) bool {
 	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
-}
-
-// eventHeap is a minimal binary min-heap of events ordered by before.
-type eventHeap []event
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	// Zero the vacated tail slot: a popped timer's fn closure and station
-	// pointer must not stay reachable through the slice's spare capacity
-	// until the slot happens to be overwritten (mirrors queue.removeAt).
-	s[last] = event{}
-	s = s[:last]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s) && s[l].before(s[min]) {
-			min = l
-		}
-		if r < len(s) && s[r].before(s[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }
 
 // Engine is the deterministic event-driven simulator core. Setup assembles
@@ -226,15 +184,12 @@ type Engine struct {
 	// the request is dropped and attributed to faults.
 	OnFaulted func(st *Station, r *core.Request, now int64)
 
-	events   eventHeap
+	events   core.Heap4[event, eventCmp]
 	now      int64
 	timerSeq uint64
 	rng      stats.RNG
 	shadows  []*Shadow
 }
-
-// Now returns the engine clock, µs.
-func (e *Engine) Now() int64 { return e.now }
 
 // Setup assembles a run on e — the one place sim.Run, sim.RunArray and
 // cluster.Run wire their engine. Everything a previous run left behind
@@ -248,14 +203,15 @@ func (e *Engine) Now() int64 { return e.now }
 // Setup validates what only the assembled topology can: every shadow and
 // every disk the fault plan names must be one of stations.
 func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
-	clear(e.events)
+	events := e.events
+	events.Reset()
 	*e = Engine{
 		Stations:  stations,
 		DropLate:  opts.DropLate,
 		Trace:     opts.Trace,
 		Decisions: opts.Decisions,
 		Telemetry: opts.Telemetry,
-		events:    e.events[:0],
+		events:    events,
 		shadows:   opts.Shadows,
 	}
 	e.rng.Seed(opts.Seed)
@@ -334,7 +290,7 @@ func (e *Engine) shadowReports() []ShadowReport {
 // before arrivals, in scheduling order.
 func (e *Engine) At(t int64, fn func(now int64)) {
 	e.timerSeq++
-	e.events.push(event{time: t, seq: timerSeqBase + e.timerSeq, fn: fn})
+	e.events.Push(event{time: t, seq: timerSeqBase + e.timerSeq, fn: fn})
 }
 
 // Run drives the engine until every event has fired and the trace is
@@ -354,8 +310,8 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 	i := 0 // next arrival index
 	for {
 		t := int64(-1)
-		if len(e.events) > 0 {
-			t = e.events[0].time
+		if e.events.Len() > 0 {
+			t = e.events.Peek().time
 		}
 		if i < len(trace) && (t < 0 || trace[i].Arrival < t) {
 			t = trace[i].Arrival
@@ -366,8 +322,8 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 		e.now = t
 		// Completions first, so freed stations (and any follow-up work the
 		// OnServed hook enqueues) can take this round's arrivals.
-		for len(e.events) > 0 && e.events[0].time == t {
-			ev := e.events.pop()
+		for e.events.Len() > 0 && e.events.Peek().time == t {
+			ev := e.events.Pop()
 			if ev.fn != nil {
 				ev.fn(t)
 				continue
@@ -470,7 +426,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 				e.OnLateStart(st, r, now)
 			}
 		}
-		e.events.push(event{time: now + svc, seq: uint64(st.ID), station: st})
+		e.events.Push(event{time: now + svc, seq: uint64(st.ID), station: st})
 	}
 	if st.IdleProbe && st.inSvc == nil && st.Sched.Len() == 0 {
 		st.Sched.Next(now, st.head)

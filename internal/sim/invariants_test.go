@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -45,9 +46,12 @@ func TestRunInvariants(t *testing.T) {
 	}.MustGenerate()
 	for name, mk := range invariantSchedulers() {
 		for _, drop := range []bool{false, true} {
+			negWait := false
 			res := MustRun(Config{
 				Disk: xp(), Scheduler: mk(),
-				Options: Options{DropLate: drop, Dims: 2, Levels: 8, Seed: 3},
+				Options: Options{DropLate: drop, Dims: 2, Levels: 8, Seed: 3, Trace: func(ev TraceEvent) {
+					negWait = negWait || ev.Now < ev.Request.Arrival
+				}},
 			}, trace)
 			if res.Arrived != uint64(len(trace)) {
 				t.Errorf("%s drop=%v: arrived %d != %d", name, drop, res.Arrived, len(trace))
@@ -65,7 +69,7 @@ func TestRunInvariants(t *testing.T) {
 			if res.SeekTime > res.ServiceTime {
 				t.Errorf("%s drop=%v: seek %d exceeds service %d", name, drop, res.SeekTime, res.ServiceTime)
 			}
-			if res.WaitingTimes.Min() < 0 {
+			if negWait {
 				t.Errorf("%s drop=%v: negative waiting time", name, drop)
 			}
 		}
@@ -115,10 +119,12 @@ func TestFIFOMatchesArrivalOrderWaits(t *testing.T) {
 		{ID: 2, Arrival: 10},
 		{ID: 3, Arrival: 20},
 	}
-	res := MustRun(Config{Scheduler: sched.NewFCFS(), FixedService: 1000}, trace)
-	// Waits: 0, 990, 1980.
-	if res.WaitingTimes.Min() != 0 || res.WaitingTimes.Max() != 1980 {
-		t.Errorf("waits = [%v, %v], want [0, 1980]", res.WaitingTimes.Min(), res.WaitingTimes.Max())
+	var waits []int64
+	MustRun(Config{Scheduler: sched.NewFCFS(), FixedService: 1000, Options: Options{Trace: func(ev TraceEvent) {
+		waits = append(waits, ev.Now-ev.Request.Arrival)
+	}}}, trace)
+	if !slices.Equal(waits, []int64{0, 990, 1980}) {
+		t.Errorf("waits = %v, want [0 990 1980]", waits)
 	}
 }
 

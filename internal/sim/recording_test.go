@@ -51,15 +51,17 @@ func recordArray(t *testing.T, mk func(int) (sched.Scheduler, error), plan *faul
 		Cylinders: int(array.MaxBlocks()), Size: array.BlockSize, WriteFrac: 0.3,
 	}.MustGenerate()
 	var buf bytes.Buffer
-	rebuilt := 0
 	res, err := RunArray(ArrayConfig{
 		Array: array, NewScheduler: mk,
-		OnRebuilt: func(int, int64) { rebuilt++ },
 		Options: Options{DropLate: true, Dims: 2, Levels: 8, Seed: 5,
 			SampleRotation: true, Fault: plan, Trace: JSONLTrace(&buf)},
 	}, logical)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rebuilt := 0 // the rebuild completes at most once per run
+	if res.Faults != nil && res.Faults.RebuiltAt > 0 {
+		rebuilt = 1
 	}
 	sum := arraySummary{
 		Served: res.Logical.Served, Dropped: res.Logical.Dropped, Makespan: res.Makespan,

@@ -138,7 +138,7 @@ func TestValuePresetsAreObservable(t *testing.T) {
 			t.Errorf("%s is not a WindowStater", s.Name())
 		}
 		NewShadow(s.Name(), s)
-		if m, ok := s.(interface{ Metrics() *core.Metrics }); !ok || m.Metrics() == core.DefaultMetrics {
+		if d, ok := s.(interface{ Dispatcher() *core.Dispatcher }); !ok || d.Dispatcher().Metrics() == core.DefaultMetrics {
 			t.Errorf("a shadow over %s counts into core.DefaultMetrics", s.Name())
 		}
 	}

@@ -90,14 +90,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// IntRange returns a uniform int in [lo, hi] inclusive. It panics if hi < lo.
-func (r *RNG) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("stats: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -65,19 +65,6 @@ func TestUint64nUniform(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	r := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(10, 20)
-		if v < 10 || v > 20 {
-			t.Fatalf("IntRange out of bounds: %d", v)
-		}
-	}
-	if got := r.IntRange(7, 7); got != 7 {
-		t.Errorf("degenerate range: got %d", got)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(9)
 	for i := 0; i < 10000; i++ {
@@ -157,31 +144,6 @@ func TestZipfZeroExponentUniform(t *testing.T) {
 		if math.Abs(float64(c)-draws/4) > 5*math.Sqrt(draws/4) {
 			t.Errorf("bucket %d: %d draws, want ~%d", k, c, draws/4)
 		}
-	}
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{4, 1, 3, 2, 5} {
-		s.Add(v)
-	}
-	if s.N() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Errorf("N=%d Sum=%v Mean=%v", s.N(), s.Sum(), s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min=%v Max=%v", s.Min(), s.Max())
-	}
-	s.Reset()
-	s.Add(-2)
-	if s.N() != 1 || s.Sum() != -2 || s.Min() != -2 || s.Max() != -2 {
-		t.Errorf("after Reset and one Add: N=%d Sum=%v Min=%v Max=%v", s.N(), s.Sum(), s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Error("empty summary should report zeros")
 	}
 }
 

@@ -68,9 +68,6 @@ type Client struct {
 	// Poisson).
 	Process ArrivalProcess
 	Shape   float64
-	// Start offsets the client's arrival clock, µs (a cohort that joins
-	// late).
-	Start int64
 	// Burst issues this many requests back-to-back per arrival epoch
 	// (values < 1 mean 1).
 	Burst int
@@ -95,11 +92,8 @@ type Client struct {
 	ZoneLo     int
 	ZoneHi     int
 	Sequential bool
-	// Size is the transfer size; SizeMin/SizeMax, when both positive,
-	// scale it with the mean priority level as in Open.
-	Size    int64
-	SizeMin int64
-	SizeMax int64
+	// Size is the transfer size.
+	Size int64
 	// WriteFrac is the fraction of writes; ValueLevels assigns uniform
 	// application values in [1, ValueLevels] when positive.
 	WriteFrac   float64
@@ -128,9 +122,6 @@ func (c Client) validate(i, dims int) error {
 	}
 	if c.DeadlineMax < c.DeadlineMin {
 		return fmt.Errorf("workload: client %d (%s): DeadlineMax < DeadlineMin", i, c.Name)
-	}
-	if c.Start < 0 {
-		return fmt.Errorf("workload: client %d (%s): Start must be non-negative", i, c.Name)
 	}
 	if c.ZoneLo != 0 || c.ZoneHi != 0 {
 		if c.ZoneHi <= c.ZoneLo || c.ZoneLo < 0 || c.ZoneHi > c.Cylinders {
@@ -247,7 +238,7 @@ func (c Client) generate(rng *stats.RNG, fill func(i int) *core.Request) {
 	}
 	lo, hi := c.zone()
 	seq := lo // sequential walk position
-	now := c.Start
+	var now int64
 	for i := 0; i < c.Count; i++ {
 		if i%burst == 0 {
 			now += c.gap(rng, now)
@@ -265,13 +256,6 @@ func (c Client) generate(rng *stats.RNG, fill func(i int) *core.Request) {
 			if span := c.DeadlineMax - c.DeadlineMin; span > 0 {
 				r.Deadline += int64(rng.Uint64n(uint64(span) + 1))
 			}
-		}
-		if c.SizeMin > 0 && c.SizeMax >= c.SizeMin && c.Dims > 0 && c.Levels > 1 {
-			var sum int64
-			for _, l := range r.Priorities {
-				sum += int64(l)
-			}
-			r.Size = c.SizeMin + (c.SizeMax-c.SizeMin)*sum/int64(c.Dims*(c.Levels-1))
 		}
 		if hi > lo {
 			if c.Sequential {

@@ -21,11 +21,11 @@ func specVariants() []Spec {
 			DeadlineMin: 100_000, DeadlineMax: 300_000, Cylinders: 3832,
 			Size: 64 << 10, WriteFrac: 0.3, ValueLevels: 5,
 		}}},
-		// Gamma bursts with rate windows, Zipf levels, size scaling.
+		// Gamma bursts with rate windows, Zipf levels.
 		{Seed: 2, Clients: []Client{{
 			Name: "bursty", Count: 400, MeanInterarrival: 20_000,
 			Process: GammaArrivals, Shape: 0.5, Burst: 4, Dims: 2, Levels: 8,
-			Dist: Zipf, Cylinders: 1000, SizeMin: 4 << 10, SizeMax: 256 << 10,
+			Dist: Zipf, Cylinders: 1000, Size: 16 << 10,
 			Windows: []Window{{From: 1_000_000, To: 3_000_000, Factor: 6}},
 		}}},
 		// Weibull pacing, sequential walk in a zone, normal levels, no deadlines.
@@ -35,10 +35,10 @@ func specVariants() []Spec {
 			Cylinders: 2048, ZoneLo: 1024, ZoneHi: 2048, Sequential: true,
 			Size: 128 << 10, Tenant: 2, Class: 2,
 		}}},
-		// Dimensionless requests with a late start.
+		// Dimensionless requests.
 		{Seed: 4, Clients: []Client{{
 			Name: "flat", Count: 200, MeanInterarrival: 5_000, Dims: 0, Levels: 1,
-			Start: 2_000_000, DeadlineMin: 50_000, DeadlineMax: 50_000,
+			DeadlineMin: 50_000, DeadlineMax: 50_000,
 		}}},
 		// Three heterogeneous cohorts merged.
 		{Seed: 5, Clients: []Client{
@@ -155,7 +155,6 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"bad-process", func(c *Client) { c.Process = arrivalProcessCount }, "arrival process"},
 		{"bad-levels", func(c *Client) { c.Levels = 0 }, "priority shape"},
 		{"bad-deadline", func(c *Client) { c.DeadlineMin = 10; c.DeadlineMax = 5 }, "DeadlineMax"},
-		{"bad-start", func(c *Client) { c.Start = -1 }, "Start"},
 		{"bad-zone", func(c *Client) { c.ZoneLo = 50; c.ZoneHi = 200 }, "zone"},
 		{"bad-window", func(c *Client) { c.Windows = []Window{{From: 5, To: 5, Factor: 2}} }, "window"},
 		{"bad-factor", func(c *Client) { c.Windows = []Window{{From: 0, To: 5, Factor: 0}} }, "window"},
