@@ -4,9 +4,10 @@
 
 all: vet build test
 
-# Statement-coverage floor over ./internal/..., measured before PR 5
-# landed. Raise it when coverage rises; never lower it to merge.
-COVER_FLOOR := 91.4
+# Statement-coverage floor over ./internal/...: the measured total
+# (93.4%) rounded down to a multiple of 0.5. Raise it when coverage rises;
+# never lower it to merge.
+COVER_FLOOR := 93.0
 
 vet:
 	go vet ./...

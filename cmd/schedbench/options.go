@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sfcsched/internal/experiments"
+	"sfcsched/internal/serve"
 )
 
 // options collects every schedbench flag so the flag surface can be
@@ -60,8 +61,8 @@ func (o *options) validate() error {
 	if o.serve && o.exp != "all" {
 		return fmt.Errorf("-serve and -exp are mutually exclusive: serving replaces the experiment run")
 	}
-	if !(o.dilation > 0) {
-		return fmt.Errorf("-dilation must be positive, got %v", o.dilation)
+	if _, err := serve.NewClock(o.dilation); err != nil {
+		return fmt.Errorf("-dilation: %w", err)
 	}
 	if o.inflight < 1 {
 		return fmt.Errorf("-inflight must be at least 1, got %d", o.inflight)
@@ -112,8 +113,8 @@ func (o *options) parseDilations() ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad -dilations entry %q: %v", f, err)
 		}
-		if !(v > 0) {
-			return nil, fmt.Errorf("-dilations entries must be positive, got %v", v)
+		if _, err := serve.NewClock(v); err != nil {
+			return nil, fmt.Errorf("-dilations: %w", err)
 		}
 		out = append(out, v)
 	}

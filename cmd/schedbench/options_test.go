@@ -40,14 +40,16 @@ func TestOptionsRejects(t *testing.T) {
 		{"negative requests", []string{"-requests", "-5"}, "-requests"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers"},
 		{"serve with exp", []string{"-serve", "-exp", "fig5"}, "mutually exclusive"},
-		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation"},
-		{"negative dilation", []string{"-dilation", "-3"}, "-dilation"},
+		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation: serve: dilation factor must be positive"},
+		{"negative dilation", []string{"-dilation", "-3"}, "-dilation: serve: dilation factor must be positive"},
+		{"infinite dilation", []string{"-serve", "-dilation", "+Inf"}, "-dilation: serve: dilation factor must be positive and finite"},
 		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"negative serve-for", []string{"-serve", "-serve-for", "-1s"}, "-serve-for"},
 		{"serve-for without serve", []string{"-serve-for", "2s"}, "requires -serve"},
 		{"dilations with serve", []string{"-serve", "-dilations", "10,20"}, "-dilations"},
 		{"malformed dilations", []string{"-dilations", "10,abc"}, "bad -dilations"},
-		{"nonpositive dilations", []string{"-dilations", "10,0"}, "positive"},
+		{"nonpositive dilations", []string{"-dilations", "10,0"}, "-dilations: serve: dilation factor must be positive"},
+		{"infinite dilations entry", []string{"-exp", "calibrate", "-dilations", "10,Inf"}, "-dilations: serve: dilation factor must be positive and finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

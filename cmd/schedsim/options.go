@@ -77,7 +77,7 @@ type options struct {
 
 // register binds every option to fs with its default.
 func (o *options) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, fcfs, sstf, scan, cscan, edf, scan-edf, fd-scan, scan-rt, ssedo, ssedv, multi-queue, bucket, kamel, or all")
+	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, fcfs, sstf, scan, cscan, edf, scan-edf, fd-scan, scan-rt, ssedo, ssedv, multi-queue, bucket, kamel, or all (bucket ranks by Request.Value, which no generated workload sets, so it dispatches exactly as edf)")
 	fs.StringVar(&o.curve, "curve", "hilbert", "cascaded: SFC1 curve")
 	fs.Float64Var(&o.f, "f", 1, "cascaded: SFC2 balance factor")
 	fs.IntVar(&o.r, "r", 3, "cascaded: SFC3 partitions (0 disables the seek stage)")

@@ -107,7 +107,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 const module = "sfcsched"
 
 // exportIndex maps each exported object declared under internal/ to its
-// guard name ("internal/sim.SortByArrival", "internal/serve.Config.OnRecord")
+// guard name ("internal/sim.SortByArrival", "internal/serve.Config.InFlight")
 // and records which of them real code uses.
 type exportIndex struct {
 	idents, members map[types.Object]string
@@ -127,7 +127,7 @@ func (x *exportIndex) unused(declared map[types.Object]string, allow map[string]
 				continue
 			}
 		case *types.Var:
-			if typ := id[:strings.LastIndex(id, ".")]; allow[typ] != "" {
+			if typ := id[:strings.LastIndex(id, ".")]; obj.IsField() && allow[typ] != "" {
 				id = typ
 			}
 		}

@@ -233,6 +233,20 @@ func TestDiskFailureLifecycle(t *testing.T) {
 	}
 }
 
+// The degraded window, failure to rebuild completion, is reported through
+// the degraded_window_us gauge once the rebuild completes.
+func TestDegradedWindow(t *testing.T) {
+	in := newQuiet(t, Plan{FailDisk: 1, FailAt: 2_000, Rebuild: true, RebuildBlocks: 10}, 100)
+	in.FailNow(2_000)
+	if got := in.m.DegradedWindowUs.Load(); got != 0 {
+		t.Errorf("degraded window %d before the rebuild completed, want 0", got)
+	}
+	in.MarkRebuilt(7_000)
+	if got := in.m.DegradedWindowUs.Load(); got != 5_000 {
+		t.Errorf("degraded window %d, want 5000", got)
+	}
+}
+
 func TestProbabilisticTransientsDeterministic(t *testing.T) {
 	run := func() []Verdict {
 		in := newQuiet(t, Plan{Seed: 42, TransientRate: 0.3, MaxRetries: 1}, 100)

@@ -174,7 +174,7 @@ func TestDispatcherServesAllConcurrentSubmitters(t *testing.T) {
 		t.Errorf("InFlight = %d after drain, want 0", got)
 	}
 	if d.outstanding.Load() != 0 {
-		t.Errorf("Outstanding = %d after drain, want 0", d.outstanding.Load())
+		t.Errorf("outstanding = %d after drain, want 0", d.outstanding.Load())
 	}
 	recs := d.Records()
 	if len(recs) != total {

@@ -2,10 +2,9 @@ package sim
 
 import "sfcsched/internal/metrics"
 
-// Reuse holds the per-run state of Run — the metrics collector (and its
-// waiting-time sample buffer), the Station, and the Engine with its event
-// heap and rotational-latency RNG — and recycles it across successive
-// runs. Every Run goes through one: without Config.Reuse it is a
+// Reuse holds the per-run state of Run — the metrics collector, the
+// Station, and the Engine with its event heap and rotational-latency RNG —
+// and recycles it across successive runs. Every Run goes through one: without Config.Reuse it is a
 // throw-away, so the fresh path is the recycled path on an empty Reuse. A
 // sweep that runs thousands of simulations through one Reuse performs a
 // small run-constant number of allocations per run instead of re-growing
