@@ -20,10 +20,11 @@ test:
 
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables
-# quoting them, and the sim and cluster recordings. Review the diff.
+# quoting them, the sim and cluster recordings, and schedsim's -sched all
+# reports. Review the diff.
 goldens:
-	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster \
-		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings' -update
+	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster ./cmd/schedsim \
+		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden' -update
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher) and the golden

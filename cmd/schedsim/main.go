@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"sfcsched/internal/cluster"
 	"sfcsched/internal/core"
@@ -118,8 +117,7 @@ func run(opt options) (runErr error) {
 
 	names := []string{opt.sched}
 	if opt.sched == "all" {
-		names = []string{"cascaded", "fcfs", "sstf", "scan", "cscan", "edf", "scan-edf",
-			"fd-scan", "scan-rt", "ssedo", "ssedv", "multi-queue", "bucket", "kamel"}
+		names = append([]string{"cascaded"}, sched.PolicyNames()...)
 	}
 	var traceHook func(sim.TraceEvent)
 	if opt.dispatchOut != "" {
@@ -327,15 +325,8 @@ func closeInto(err *error, flag string, closeOut func() error) {
 // buildShadows constructs the counterfactual shadow schedulers of the
 // -shadow flag, fresh per run (shadows are single-use).
 func buildShadows(opt options, m *disk.Model) ([]*sim.Shadow, error) {
-	if opt.shadowList == "" {
-		return nil, nil
-	}
 	var shadows []*sim.Shadow
-	for _, name := range strings.Split(opt.shadowList, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
+	for _, name := range opt.shadowNames() {
 		s, err := opt.build(name, m)
 		if err != nil {
 			return nil, fmt.Errorf("-shadow %s: %w", name, err)
@@ -381,56 +372,18 @@ func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector
 	fmt.Printf(" %8d %8d", hits, fdrop)
 }
 
-// build constructs the named scheduler. Every path goes through it — the
+// build constructs the named scheduler: any name but cascaded from sched's
+// policy table, the cascade from the cascaded flags translated into the
+// three-stage encapsulator configuration. Every path goes through it — the
 // simulated runs, the shadows, and both sides of a -serve calibration — so
 // a flag means the same policy wherever it applies.
 func (opt options) build(name string, m *disk.Model) (sched.Scheduler, error) {
-	est := m.ServiceTime
-	switch name {
-	case "cascaded":
-		cfg, err := opt.cascadedConfig(m)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScheduler("cascaded", cfg,
-			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, opt.window)
-	case "fcfs":
-		return sched.NewFCFS(), nil
-	case "sstf":
-		return sched.NewSSTF(), nil
-	case "scan":
-		return sched.NewSCAN(), nil
-	case "cscan":
-		return sched.NewCSCAN(), nil
-	case "edf":
-		return sched.NewEDF(), nil
-	case "scan-edf":
-		return sched.NewSCANEDF(50_000), nil
-	case "fd-scan":
-		return sched.NewFDSCAN(est), nil
-	case "scan-rt":
-		return sched.NewSCANRT(est), nil
-	case "ssedo":
-		return sched.NewSSEDO(0, 0), nil
-	case "ssedv":
-		return sched.NewSSEDV(0, 0), nil
-	case "multi-queue":
-		return sched.NewMultiQueue(opt.levels), nil
-	case "bucket":
-		return sched.NewBUCKET(), nil
-	case "kamel":
-		return sched.NewKamel(est), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
+	if name != "cascaded" {
+		return sched.NewPolicy(name, m.ServiceTime, opt.levels)
 	}
-}
-
-// cascadedConfig translates the cascaded flags into the three-stage
-// encapsulator configuration.
-func (opt options) cascadedConfig(m *disk.Model) (core.EncapsulatorConfig, error) {
 	cv, err := sfc.New(opt.curve, opt.dims, uint32(opt.levels))
 	if err != nil {
-		return core.EncapsulatorConfig{}, err
+		return nil, err
 	}
 	cfg := core.EncapsulatorConfig{Curve1: cv, Levels: opt.levels}
 	if horizon := opt.deadlineMax.Microseconds(); horizon > 0 {
@@ -445,5 +398,6 @@ func (opt options) cascadedConfig(m *disk.Model) (core.EncapsulatorConfig, error
 		cfg.R = opt.r
 		cfg.Cylinders = m.Cylinders
 	}
-	return cfg, nil
+	return core.NewScheduler("cascaded", cfg,
+		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, opt.window)
 }

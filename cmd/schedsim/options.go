@@ -3,10 +3,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"sfcsched/internal/cluster"
 	"sfcsched/internal/fault"
+	"sfcsched/internal/sched"
 	"sfcsched/internal/serve"
 )
 
@@ -77,7 +80,7 @@ type options struct {
 
 // register binds every option to fs with its default.
 func (o *options) register(fs *flag.FlagSet) {
-	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, fcfs, sstf, scan, cscan, edf, scan-edf, fd-scan, scan-rt, ssedo, ssedv, multi-queue, bucket, kamel, or all (bucket ranks by Request.Value, which no generated workload sets, so it dispatches exactly as edf)")
+	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, "+strings.Join(sched.PolicyNames(), ", ")+", or all (bucket ranks by Request.Value, which no generated workload sets, so it dispatches exactly as edf)")
 	fs.StringVar(&o.curve, "curve", "hilbert", "cascaded: SFC1 curve")
 	fs.Float64Var(&o.f, "f", 1, "cascaded: SFC2 balance factor")
 	fs.IntVar(&o.r, "r", 3, "cascaded: SFC3 partitions (0 disables the seek stage)")
@@ -146,6 +149,16 @@ func (o *options) validate() error {
 		}
 		if o.deadlineMin < 0 {
 			return fmt.Errorf("-deadline-min must not be negative, got %v", o.deadlineMin)
+		}
+	}
+	if o.sched != "all" {
+		if err := knownScheduler(o.sched); err != nil {
+			return fmt.Errorf("-sched: %w", err)
+		}
+	}
+	for _, name := range o.shadowNames() {
+		if err := knownScheduler(name); err != nil {
+			return fmt.Errorf("-shadow: %w", err)
 		}
 	}
 	if o.shadowList != "" && o.arrayDisks > 0 {
@@ -232,6 +245,26 @@ func (o *options) validate() error {
 		return fmt.Errorf("fault flags: %w", err)
 	}
 	return nil
+}
+
+// knownScheduler rejects a name build does not know: the cascade or a row
+// of sched's policy table.
+func knownScheduler(name string) error {
+	if name == "cascaded" || slices.Contains(sched.PolicyNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown scheduler %q (known: cascaded, %s)", name, strings.Join(sched.PolicyNames(), ", "))
+}
+
+// shadowNames splits -shadow into its trimmed, non-empty entries.
+func (o *options) shadowNames() []string {
+	var names []string
+	for _, name := range strings.Split(o.shadowList, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // faultPlan translates the fault flags into a plan. With no fault source

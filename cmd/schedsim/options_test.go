@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sfcsched/internal/sched"
 )
 
 // parse runs args through a fresh FlagSet and returns the options with
@@ -96,6 +98,18 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 	}
 }
 
+// An unknown policy name is a flag error, caught before the disk model or
+// the trace is built, and the message lists every name build knows.
+func TestValidateRejectsUnknownSchedulers(t *testing.T) {
+	known := "(known: cascaded, " + strings.Join(sched.PolicyNames(), ", ") + ")"
+	for _, args := range [][]string{{"-sched", "bogus"}, {"-serve", "-sched", "bogus"}, {"-shadow", "scan-edf, bogus"}} {
+		want := args[len(args)-2] + `: unknown scheduler "bogus" ` + known
+		if err := parse(t, args...).validate(); err == nil || err.Error() != want {
+			t.Errorf("validate(%v) = %v, want %s", args, err, want)
+		}
+	}
+}
+
 func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 	cases := [][]string{
 		nil, // all defaults
@@ -114,6 +128,7 @@ func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 		{"-serve", "-curve", "zorder", "-r", "0", "-deadline-min", "0"},
 		{"-serve", "-sched", "scan"},
 		{"-serve", "-sched", "cascaded", "-window", "0.9"},
+		{"-shadow", " cascaded,kamel, "},
 	}
 	for _, args := range cases {
 		if err := parse(t, args...).validate(); err != nil {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,4 +28,49 @@ func TestOutputWriteFailureFailsTheRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.txt from the code")
+
+// The -sched all report is every policy over one trace; these goldens pin
+// it byte for byte. -update rewrites them, only for an intended change.
+func TestSchedAllGolden(t *testing.T) {
+	for file, args := range map[string][]string{
+		"sched-all.txt":       {"-sched", "all", "-requests", "3000"},
+		"sched-all-mixed.txt": {"-sched", "all", "-spec", "mixed"},
+	} {
+		got := stdout(t, args...)
+		path := filepath.Join("testdata", file)
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("schedsim %v differs from %s (%v):\n%s", args, path, err, got)
+		}
+	}
+}
+
+// stdout runs schedsim with args and returns what it printed; "-" output
+// flags print there too.
+func stdout(t *testing.T, args ...string) []byte {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = out
+	err = run(*parse(t, args...))
+	os.Stdout = saved
+	out.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return printed
 }

@@ -21,6 +21,19 @@ import (
 )
 
 func main() {
+	fmt.Printf("%-14s %10s %10s %14s %18s\n",
+		"scheduler", "finished", "missed", "inversions", "tier-0 inversions")
+	for _, res := range compare() {
+		fmt.Printf("%-14s %10d %10d %14d %18d\n",
+			res.Scheduler, res.Served, res.TotalMisses(), res.TotalInversions(), res.InversionsPerDim[0])
+	}
+	fmt.Println("\nthe cascaded scheduler suffers less than half of EDF's priority")
+	fmt.Println("inversions and fewer than FCFS, just by dropping the SFC3 stage from")
+	fmt.Println("the configuration; the price is deadlines: it misses more than either")
+}
+
+// compare runs the cascade, EDF and FCFS, in that order, over one batch.
+func compare() []*sim.Result {
 	const (
 		dims   = 2 // job tier, user class
 		levels = 4
@@ -52,8 +65,7 @@ func main() {
 		},
 		core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 
-	fmt.Printf("%-14s %10s %10s %14s %18s\n",
-		"scheduler", "finished", "missed", "inversions", "tier-0 inversions")
+	var results []*sim.Result
 	for _, s := range []sched.Scheduler{cascaded, sched.NewEDF(), sched.NewFCFS()} {
 		res, err := sim.Run(sim.Config{
 			Scheduler:    s,
@@ -63,10 +75,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%-14s %10d %10d %14d %18d\n",
-			s.Name(), res.Served, res.TotalMisses(), res.TotalInversions(), res.InversionsPerDim[0])
+		results = append(results, res)
 	}
-	fmt.Println("\nthe cascaded scheduler misses almost as few deadlines as EDF while")
-	fmt.Println("suffering far fewer priority inversions — without any code changes,")
-	fmt.Println("just by dropping the SFC3 stage from the configuration")
+	return results
 }

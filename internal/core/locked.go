@@ -105,7 +105,7 @@ func (l *Locked) Close() {
 //
 // The three spellings the frozen bench/ compiles against (serve-live and the
 // core.sharded.* layer loops), kept as a shim over Locked so the benchmark
-// need not be edited by the PR whose result it judges. ROADMAP item 1(c)
+// need not be edited by the change whose result it judges. The benchmark thaw
 // rewrites those loops against an interface and deletes this block. No
 // non-test code outside bench/ may use it.
 

@@ -33,8 +33,8 @@ var divergenceInterarrivals = []int64{24_000, 16_000, 12_000, 9_000, 7_000}
 // and the cascaded scheduler itself with a 4x wider blocking window (the
 // knob §5.1 sweeps).
 var divergenceShadows = []policy{
-	scanEDFPolicy,
-	fcfsPolicy,
+	baseline("scan-edf"),
+	baseline("fcfs"),
 	{"cascaded-w20", func() (sched.Scheduler, error) {
 		return planeCascade(divergenceLevels, divergenceDeadlineMax, 0.20)
 	}},

@@ -52,9 +52,9 @@ func faultPlan(seed uint64, rate float64) *fault.Plan {
 // over the (deadline, priority) plane plus three baselines.
 var faultPolicies = []policy{
 	{"cascaded", func() (sched.Scheduler, error) { return planeCascade(faultLevels, faultDeadlineMax, 0.02) }},
-	scanEDFPolicy,
-	{"edf", func() (sched.Scheduler, error) { return sched.NewEDF(), nil }},
-	{"cscan", func() (sched.Scheduler, error) { return sched.NewCSCAN(), nil }},
+	baseline("scan-edf"),
+	baseline("edf"),
+	baseline("cscan"),
 }
 
 // faultSweep sweeps the transient-fault rate over the degraded RAID-5

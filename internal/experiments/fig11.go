@@ -73,7 +73,7 @@ func streamPolicy(name, curve string, priorityOnY bool) policy {
 // sweep orders by priority (multi-queue-like); Hilbert and Peano balance
 // both.
 var fig11Policies = []policy{
-	fcfsPolicy,
+	baseline("fcfs"),
 	streamPolicy("sweep-x", "sweep", false),
 	streamPolicy("sweep-y", "sweep", true),
 	streamPolicy("hilbert", "hilbert", false),

@@ -20,8 +20,8 @@ var replayDiffSchedulers = []policy{
 			core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
 			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.05)
 	}},
-	scanEDFPolicy,
-	fcfsPolicy,
+	baseline("scan-edf"),
+	baseline("fcfs"),
 }
 
 // replayDiff is the record→replay regression experiment: every built-in

@@ -61,11 +61,12 @@ func policyNames(ps []policy) []string {
 	return names
 }
 
-// The baselines several experiments compare against.
-var (
-	fcfsPolicy    = policy{"fcfs", func() (sched.Scheduler, error) { return sched.NewFCFS(), nil }}
-	scanEDFPolicy = policy{"scan-edf", func() (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil }}
-)
+// baseline is the named row of sched's policy table. The rows the
+// experiments compare against read neither the estimator nor the level
+// count.
+func baseline(name string) policy {
+	return policy{name, func() (sched.Scheduler, error) { return sched.NewPolicy(name, nil, 0) }}
+}
 
 // planeCascade builds the cascaded scheduler of the faultsweep and
 // divergence experiments: hilbert over the (deadline, priority) plane,

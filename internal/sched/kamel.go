@@ -27,7 +27,7 @@ func NewKamel(est Estimator) *Kamel {
 }
 
 // Name implements Scheduler.
-func (s *Kamel) Name() string { return "kamel-ddmp" }
+func (s *Kamel) Name() string { return "kamel" }
 
 // Len implements Scheduler.
 func (s *Kamel) Len() int { return len(s.active) + len(s.parked) }

@@ -8,8 +8,8 @@ import (
 	"sfcsched/internal/stats"
 )
 
-// allSchedulers builds one instance of every scheduler in the package,
-// including the §4.3 extensions and the Cascaded-SFC scheduler itself.
+// allSchedulers builds one instance of every scheduler in the package:
+// the policy table, the §4.3 extensions and the Cascaded-SFC scheduler.
 func allSchedulers(t *testing.T) map[string]Scheduler {
 	t.Helper()
 	est := testEstimator()
@@ -30,25 +30,16 @@ func allSchedulers(t *testing.T) map[string]Scheduler {
 		UseDeadline: true, F: 1, DeadlineHorizon: 1 << 40, DeadlineSpan: 700_000,
 		UseCylinder: true, R: 3, Cylinders: 3832,
 	}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true, ER: true}, 0.05)
-	return map[string]Scheduler{
-		"fcfs":        NewFCFS(),
-		"sstf":        NewSSTF(),
-		"scan":        NewSCAN(),
-		"cscan":       NewCSCAN(),
-		"edf":         NewEDF(),
-		"scan-edf":    NewSCANEDF(50_000),
-		"fd-scan":     NewFDSCAN(est),
-		"scan-rt":     NewSCANRT(est),
-		"ssedo":       NewSSEDO(0, 0),
-		"ssedv":       NewSSEDV(0, 0),
-		"multi-queue": NewMultiQueue(8),
-		"bucket":      NewBUCKET(),
-		"kamel":       NewKamel(est),
+	all := map[string]Scheduler{
 		"kamel-multi": km,
 		"mq-multi":    mqm,
 		"bucket-seek": bs,
 		"cascaded":    cascaded,
 	}
+	for _, p := range Policies {
+		all[p.Name] = p.New(est, 8)
+	}
+	return all
 }
 
 // TestAllSchedulersConserveRequests drives every scheduler with random
@@ -84,7 +75,7 @@ func TestAllSchedulersConserveRequests(t *testing.T) {
 					t.Fatalf("%s: request %d never added", name, r.ID)
 				}
 				got[r.ID] = true
-				head = clamp(r.Cylinder, 3832)
+				head = min(max(r.Cylinder, 0), 3831)
 			}
 			if want := len(added) - len(got); s.Len() != want {
 				t.Fatalf("%s: Len = %d, want %d at step %d", name, s.Len(), want, step)
@@ -100,16 +91,6 @@ func TestAllSchedulersConserveRequests(t *testing.T) {
 			t.Errorf("%s: added %d, dispatched %d", name, len(added), len(got))
 		}
 	}
-}
-
-func clamp(c, n int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= n {
-		return n - 1
-	}
-	return c
 }
 
 // TestAllSchedulersEachMatchesLen: Each must visit exactly Len requests,

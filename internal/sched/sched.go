@@ -6,7 +6,7 @@
 //
 // All schedulers share the Scheduler interface, which core.Scheduler (the
 // Cascaded-SFC scheduler) also satisfies, so the simulator can drive any of
-// them interchangeably.
+// them interchangeably. Policies (policy.go) lists the thirteen by name.
 package sched
 
 import (

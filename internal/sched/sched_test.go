@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -11,22 +12,6 @@ import (
 // baselines so the simulator can drive either.
 var _ Scheduler = (*core.Scheduler)(nil)
 
-var allConstructors = []func() Scheduler{
-	func() Scheduler { return NewFCFS() },
-	func() Scheduler { return NewSSTF() },
-	func() Scheduler { return NewSCAN() },
-	func() Scheduler { return NewCSCAN() },
-	func() Scheduler { return NewEDF() },
-	func() Scheduler { return NewSCANEDF(50_000) },
-	func() Scheduler { return NewFDSCAN(testEstimator()) },
-	func() Scheduler { return NewSCANRT(testEstimator()) },
-	func() Scheduler { return NewSSEDO(0, 0) },
-	func() Scheduler { return NewSSEDV(0, 0) },
-	func() Scheduler { return NewMultiQueue(8) },
-	func() Scheduler { return NewBUCKET() },
-	func() Scheduler { return NewKamel(testEstimator()) },
-}
-
 func testEstimator() Estimator {
 	m := disk.MustModel(disk.QuantumXP32150Params())
 	return m.ServiceTime
@@ -36,47 +21,21 @@ func rq(id uint64, cyl int, deadline int64) *core.Request {
 	return &core.Request{ID: id, Cylinder: cyl, Deadline: deadline, Size: 64 << 10}
 }
 
+// TestAllSchedulersBasicContract: every row of the policy table builds,
+// through NewPolicy, a scheduler that carries the row's name, no two rows
+// share a name, and a fresh scheduler dispatches nothing. An unknown name
+// is an error that lists the known ones. ConserveRequests and
+// EachMatchesLen (property_test.go) drive the same rows with traffic.
 func TestAllSchedulersBasicContract(t *testing.T) {
-	for _, mk := range allConstructors {
-		s := mk()
-		if s.Name() == "" {
-			t.Errorf("%T: empty name", s)
+	seen := map[string]bool{}
+	for _, p := range Policies {
+		if s, err := NewPolicy(p.Name, testEstimator(), 8); seen[p.Name] || err != nil || s.Name() != p.Name || s.Next(0, 0) != nil {
+			t.Errorf("row %q: repeated %v, NewPolicy = %v, %v", p.Name, seen[p.Name], s, err)
 		}
-		if s.Next(0, 0) != nil {
-			t.Errorf("%s: Next on empty queue should be nil", s.Name())
-		}
-		reqs := []*core.Request{
-			{ID: 1, Cylinder: 100, Deadline: 500_000, Priorities: []int{2}, Value: 3},
-			{ID: 2, Cylinder: 2000, Deadline: 300_000, Priorities: []int{0}, Value: 9},
-			{ID: 3, Cylinder: 700, Deadline: 900_000, Priorities: []int{5}, Value: 1},
-		}
-		for _, r := range reqs {
-			s.Add(r, 0, 0)
-		}
-		if s.Len() != 3 {
-			t.Errorf("%s: Len = %d, want 3", s.Name(), s.Len())
-		}
-		seen := map[uint64]bool{}
-		s.Each(func(r *core.Request) { seen[r.ID] = true })
-		if len(seen) != 3 {
-			t.Errorf("%s: Each visited %d, want 3", s.Name(), len(seen))
-		}
-		got := map[uint64]bool{}
-		head := 0
-		for i := 0; i < 3; i++ {
-			r := s.Next(int64(i)*10_000, head)
-			if r == nil {
-				t.Fatalf("%s: Next returned nil with %d queued", s.Name(), s.Len())
-			}
-			got[r.ID] = true
-			head = r.Cylinder
-		}
-		if len(got) != 3 || s.Len() != 0 {
-			t.Errorf("%s: dispatched %d distinct, Len now %d", s.Name(), len(got), s.Len())
-		}
-		if s.Next(0, head) != nil {
-			t.Errorf("%s: drained queue should return nil", s.Name())
-		}
+		seen[p.Name] = true
+	}
+	if _, err := NewPolicy("bogus", nil, 8); err == nil || !strings.Contains(err.Error(), strings.Join(PolicyNames(), ", ")) {
+		t.Errorf("NewPolicy(bogus) error %v does not list the known names", err)
 	}
 }
 

@@ -228,36 +228,20 @@ func submitConcurrently(t *testing.T, d *Dispatcher, producers, perProducer int)
 }
 
 // servedPolicies is every policy the serving layer can be handed: the
-// cascade under each dispatcher discipline of §3 and the thirteen
-// baselines. Each entry builds a fresh scheduler per call.
-type policy struct {
-	name string
-	new  func() sched.Scheduler
-}
-
-func servedPolicies() []policy {
-	est := disk.MustModel(disk.QuantumXP32150Params()).ServiceTime
+// cascade under each dispatcher discipline of §3, whose constructors
+// ignore their arguments, then every row of sched.Policies.
+func servedPolicies() []sched.Policy {
 	cond := core.ConditionallyPreemptive
-	return []policy{
-		{"cascaded-full", func() sched.Scheduler { return fullyPreemptive() }},
-		{"cascaded-nonpreemptive", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: core.NonPreemptive}, 0) }},
-		{"cascaded-window", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: cond}, 0.02) }},
-		{"cascaded-sp", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: cond, SP: true}, 0.02) }},
-		{"cascaded-sp-er", func() sched.Scheduler { return cascade(core.DispatcherConfig{Mode: cond, SP: true, ER: true}, 0.02) }},
-		{"fcfs", func() sched.Scheduler { return sched.NewFCFS() }},
-		{"sstf", func() sched.Scheduler { return sched.NewSSTF() }},
-		{"scan", func() sched.Scheduler { return sched.NewSCAN() }},
-		{"cscan", func() sched.Scheduler { return sched.NewCSCAN() }},
-		{"edf", func() sched.Scheduler { return sched.NewEDF() }},
-		{"scan-edf", func() sched.Scheduler { return sched.NewSCANEDF(50_000) }},
-		{"fd-scan", func() sched.Scheduler { return sched.NewFDSCAN(est) }},
-		{"scan-rt", func() sched.Scheduler { return sched.NewSCANRT(est) }},
-		{"ssedo", func() sched.Scheduler { return sched.NewSSEDO(0, 0) }},
-		{"ssedv", func() sched.Scheduler { return sched.NewSSEDV(0, 0) }},
-		{"multi-queue", func() sched.Scheduler { return sched.NewMultiQueue(8) }},
-		{"bucket", func() sched.Scheduler { return sched.NewBUCKET() }},
-		{"kamel", func() sched.Scheduler { return sched.NewKamel(est) }},
+	cascaded := func(name string, dcfg core.DispatcherConfig, w float64) sched.Policy {
+		return sched.Policy{Name: name, New: func(sched.Estimator, int) sched.Scheduler { return cascade(dcfg, w) }}
 	}
+	return append([]sched.Policy{
+		{Name: "cascaded-full", New: func(sched.Estimator, int) sched.Scheduler { return fullyPreemptive() }},
+		cascaded("cascaded-nonpreemptive", core.DispatcherConfig{Mode: core.NonPreemptive}, 0),
+		cascaded("cascaded-window", core.DispatcherConfig{Mode: cond}, 0.02),
+		cascaded("cascaded-sp", core.DispatcherConfig{Mode: cond, SP: true}, 0.02),
+		cascaded("cascaded-sp-er", core.DispatcherConfig{Mode: cond, SP: true, ER: true}, 0.02),
+	}, sched.Policies...)
 }
 
 // TestDispatcherExactSimOrder is the acceptance-criteria pin: on a
@@ -278,14 +262,14 @@ func TestDispatcherExactSimOrder(t *testing.T) {
 			trace := zeroArrivalTrace(96)
 			var simOrder []uint64
 			if _, err := sim.Run(sim.Config{
-				Disk: model, Scheduler: pol.new(),
+				Disk: model, Scheduler: pol.New(model.ServiceTime, 8),
 				Options: sim.Options{Trace: func(ev sim.TraceEvent) {
 					if !ev.Dropped {
 						simOrder = append(simOrder, ev.Request.ID)
 					}
 				}},
 			}, trace); err != nil {
-				t.Fatalf("%s: sim.Run: %v", pol.name, err)
+				t.Fatalf("%s: sim.Run: %v", pol.Name, err)
 			}
 
 			clock, _ := NewClock(50_000)
@@ -293,23 +277,23 @@ func TestDispatcherExactSimOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, _ := newTestDispatcher(t, Config{Sched: pol.new(), Backend: be, Clock: clock, InFlight: inflight})
+			d, _ := newTestDispatcher(t, Config{Sched: pol.New(model.ServiceTime, 8), Backend: be, Clock: clock, InFlight: inflight})
 			if err := Preload(context.Background(), d, trace); err != nil {
-				t.Fatalf("%s: Preload: %v", pol.name, err)
+				t.Fatalf("%s: Preload: %v", pol.Name, err)
 			}
 			d.Start(context.Background())
 			if err := d.Drain(context.Background()); err != nil {
-				t.Fatalf("%s: Drain: %v", pol.name, err)
+				t.Fatalf("%s: Drain: %v", pol.Name, err)
 			}
 
 			recs := d.Records()
 			if len(recs) != len(simOrder) {
-				t.Fatalf("%s inflight %d: live served %d, sim served %d", pol.name, inflight, len(recs), len(simOrder))
+				t.Fatalf("%s inflight %d: live served %d, sim served %d", pol.Name, inflight, len(recs), len(simOrder))
 			}
 			for i, rec := range recs {
 				if rec.ID != simOrder[i] {
 					t.Fatalf("%s inflight %d: dispatch order diverges at %d: live %d, sim %d",
-						pol.name, inflight, i, rec.ID, simOrder[i])
+						pol.Name, inflight, i, rec.ID, simOrder[i])
 				}
 			}
 		}

@@ -12,9 +12,10 @@ import (
 // per-dispatch capture of the context the scheduler decided in — the
 // candidate set it chose from, the chosen request, the deadline-slack
 // distribution across the queue, the head position and (for the
-// Cascaded-SFC scheduler) the blocking-window state. ROADMAP item 4's
-// knob tuner and the counterfactual shadow schedulers (shadow.go) both
-// consume this record stream.
+// Cascaded-SFC scheduler) the blocking-window state. The record stream
+// feeds the -decision-trace JSONL writer and the decision metrics; the
+// counterfactual shadow schedulers (shadow.go) are scored at the same
+// decision points.
 //
 // Cost contract: with Options.Decisions nil the engine's dispatch path is
 // untouched (no captures, no allocations — pinned by the alloc gates).

@@ -208,12 +208,12 @@ func fuzzArrayRun(t *testing.T, m *disk.Model, seed uint64, count int, rateB, fa
 // guarantee under fuzzing: a run with shadow schedulers, a decision trace
 // and telemetry attached must replay the byte-identical TraceEvent stream,
 // collector and head travel of a bare run, for any workload, drop mode and
-// shadow combination.
+// pair of shadows from the policy table.
 func FuzzShadowGoldenIdentity(f *testing.F) {
 	f.Add(uint64(1), uint16(100), false, byte(0))
-	f.Add(uint64(7), uint16(200), true, byte(1))
-	f.Add(uint64(13), uint16(300), true, byte(2))
-	f.Add(uint64(42), uint16(50), false, byte(3))
+	f.Add(uint64(7), uint16(200), true, byte(4))
+	f.Add(uint64(13), uint16(300), true, byte(5))
+	f.Add(uint64(42), uint16(50), false, byte(9))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, drop bool, shadowSel byte) {
 		m := disk.MustModel(disk.QuantumXP32150Params())
 		trace := workload.Open{
@@ -221,12 +221,7 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 			Dims: 2, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 400_000,
 			Cylinders: m.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
 		}.MustGenerate()
-		mkShadow := [](func() sched.Scheduler){
-			func() sched.Scheduler { return sched.NewSCANEDF(50_000) },
-			func() sched.Scheduler { return sched.NewFCFS() },
-			func() sched.Scheduler { return sched.NewSSTF() },
-			func() sched.Scheduler { return sched.NewEDF() },
-		}
+		shadow := func(i int) sched.Scheduler { return sched.Policies[i%len(sched.Policies)].New(m.ServiceTime, 8) }
 		run := func(attach bool) ([]flatEvent, *Result) {
 			var events []flatEvent
 			cfg := Config{Disk: m, Scheduler: sched.NewCSCAN(),
@@ -238,8 +233,8 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 				cfg.Decisions = dt
 				cfg.Telemetry = NewTelemetry(40_000)
 				cfg.Telemetry.SetMetrics(&DecisionMetrics{})
-				a := NewShadow("a", mkShadow[int(shadowSel)%len(mkShadow)]())
-				b := NewShadow("b", mkShadow[int(shadowSel+1)%len(mkShadow)]())
+				a := NewShadow("a", shadow(int(shadowSel)))
+				b := NewShadow("b", shadow(int(shadowSel)+1))
 				a.SetMetrics(&DecisionMetrics{})
 				b.SetMetrics(&DecisionMetrics{})
 				cfg.Shadows = []*Shadow{a, b}

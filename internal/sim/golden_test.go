@@ -17,23 +17,10 @@ import (
 )
 
 // goldenSchedulers builds every queue discipline the simulator can drive:
-// the 13 baselines plus the Cascaded-SFC scheduler.
+// the policy table's baselines plus the Cascaded-SFC scheduler with its
+// SFC3 stage off and on.
 func goldenSchedulers(m *disk.Model) map[string]func() sched.Scheduler {
-	est := m.ServiceTime
-	return map[string]func() sched.Scheduler{
-		"fcfs":        func() sched.Scheduler { return sched.NewFCFS() },
-		"sstf":        func() sched.Scheduler { return sched.NewSSTF() },
-		"scan":        func() sched.Scheduler { return sched.NewSCAN() },
-		"cscan":       func() sched.Scheduler { return sched.NewCSCAN() },
-		"edf":         func() sched.Scheduler { return sched.NewEDF() },
-		"scan-edf":    func() sched.Scheduler { return sched.NewSCANEDF(50_000) },
-		"fd-scan":     func() sched.Scheduler { return sched.NewFDSCAN(est) },
-		"scan-rt":     func() sched.Scheduler { return sched.NewSCANRT(est) },
-		"ssedo":       func() sched.Scheduler { return sched.NewSSEDO(0, 0) },
-		"ssedv":       func() sched.Scheduler { return sched.NewSSEDV(0, 0) },
-		"multi-queue": func() sched.Scheduler { return sched.NewMultiQueue(8) },
-		"bucket":      func() sched.Scheduler { return sched.NewBUCKET() },
-		"kamel":       func() sched.Scheduler { return sched.NewKamel(est) },
+	return withPolicies(m, map[string]func() sched.Scheduler{
 		"cascaded": func() sched.Scheduler {
 			return core.MustScheduler("cascaded",
 				core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
@@ -52,7 +39,16 @@ func goldenSchedulers(m *disk.Model) map[string]func() sched.Scheduler {
 				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true},
 				0.05)
 		},
+	})
+}
+
+// withPolicies adds a constructor for every row of sched.Policies to
+// cascades, estimating service times with m.
+func withPolicies(m *disk.Model, cascades map[string]func() sched.Scheduler) map[string]func() sched.Scheduler {
+	for _, p := range sched.Policies {
+		cascades[p.Name] = func() sched.Scheduler { return p.New(m.ServiceTime, 8) }
 	}
+	return cascades
 }
 
 // dispatcherStats digs the internal dispatcher counters out of a cascaded

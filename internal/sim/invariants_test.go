@@ -11,19 +11,9 @@ import (
 )
 
 // invariantSchedulers builds the policies exercised by the cross-cutting
-// invariant tests.
+// invariant tests: the policy table and a Peano-curve cascade.
 func invariantSchedulers() map[string]func() sched.Scheduler {
-	est := xp().ServiceTime
-	return map[string]func() sched.Scheduler{
-		"fcfs":     func() sched.Scheduler { return sched.NewFCFS() },
-		"sstf":     func() sched.Scheduler { return sched.NewSSTF() },
-		"scan":     func() sched.Scheduler { return sched.NewSCAN() },
-		"cscan":    func() sched.Scheduler { return sched.NewCSCAN() },
-		"edf":      func() sched.Scheduler { return sched.NewEDF() },
-		"scan-edf": func() sched.Scheduler { return sched.NewSCANEDF(50_000) },
-		"fd-scan":  func() sched.Scheduler { return sched.NewFDSCAN(est) },
-		"scan-rt":  func() sched.Scheduler { return sched.NewSCANRT(est) },
-		"kamel":    func() sched.Scheduler { return sched.NewKamel(est) },
+	return withPolicies(xp(), map[string]func() sched.Scheduler{
 		"cascaded": func() sched.Scheduler {
 			return core.MustScheduler("cascaded", core.EncapsulatorConfig{
 				Curve1: sfc.MustNew("peano", 2, 9), Levels: 8,
@@ -32,12 +22,13 @@ func invariantSchedulers() map[string]func() sched.Scheduler {
 				UseCylinder: true, R: 3, Cylinders: 3832,
 			}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
 		},
-	}
+	})
 }
 
 // TestRunInvariants checks, for every scheduler under both drop modes:
-// request conservation, non-negative times, busy time within makespan,
-// and seek accounted within service.
+// request conservation (nothing dropped without DropLate), non-negative
+// waits, a busy time within (0, makespan], and seek accounted within
+// service.
 func TestRunInvariants(t *testing.T) {
 	trace := workload.Open{
 		Seed: 3, Count: 1500, MeanInterarrival: 12_000,
@@ -63,8 +54,8 @@ func TestRunInvariants(t *testing.T) {
 			if !drop && res.Dropped != 0 {
 				t.Errorf("%s: dropped %d without DropLate", name, res.Dropped)
 			}
-			if res.ServiceTime > res.Makespan {
-				t.Errorf("%s drop=%v: busy %d exceeds makespan %d", name, drop, res.ServiceTime, res.Makespan)
+			if res.ServiceTime <= 0 || res.ServiceTime > res.Makespan {
+				t.Errorf("%s drop=%v: busy %d outside (0, makespan %d]", name, drop, res.ServiceTime, res.Makespan)
 			}
 			if res.SeekTime > res.ServiceTime {
 				t.Errorf("%s drop=%v: seek %d exceeds service %d", name, drop, res.SeekTime, res.ServiceTime)

@@ -19,34 +19,12 @@ func smallTrace() []*core.Request {
 	}.MustGenerate()
 }
 
-func TestRunServesEverythingFCFS(t *testing.T) {
-	trace := smallTrace()
-	res := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS()}, trace)
-	if res.Arrived != uint64(len(trace)) {
-		t.Errorf("arrived = %d, want %d", res.Arrived, len(trace))
-	}
-	if res.Served != uint64(len(trace)) {
-		t.Errorf("served = %d, want %d (no dropping configured)", res.Served, len(trace))
-	}
-	if res.Makespan <= 0 || res.ServiceTime <= 0 {
-		t.Error("makespan/service time not recorded")
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	trace := smallTrace()
 	a := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF(), Options: Options{Seed: 3}}, trace)
 	b := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF(), Options: Options{Seed: 3}}, smallTrace())
 	if a.Makespan != b.Makespan || a.SeekTime != b.SeekTime || a.TotalInversions() != b.TotalInversions() {
 		t.Error("identical runs diverged")
-	}
-}
-
-func TestFCFSHasNoDropUnlessConfigured(t *testing.T) {
-	trace := smallTrace()
-	res := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Options: Options{DropLate: true}}, trace)
-	if res.Served+res.Dropped != uint64(len(trace)) {
-		t.Errorf("served %d + dropped %d != %d", res.Served, res.Dropped, len(trace))
 	}
 }
 
@@ -156,18 +134,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Scheduler: sched.NewFCFS()}, nil); err == nil {
 		t.Error("expected error without disk or fixed service")
-	}
-}
-
-func TestCascadedSchedulerRunsInSim(t *testing.T) {
-	trace := smallTrace()
-	cs := core.MustScheduler("cascaded",
-		core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 400_000},
-		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true},
-		0.05)
-	res := MustRun(Config{Disk: xp(), Scheduler: cs, Options: Options{DropLate: true}}, trace)
-	if res.Served+res.Dropped != uint64(len(trace)) {
-		t.Errorf("cascaded run lost requests: %d + %d != %d", res.Served, res.Dropped, len(trace))
 	}
 }
 
