@@ -27,11 +27,13 @@ goldens:
 		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden' -update
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
-# (core.Locked, obs counters, the serve dispatcher) and the golden
-# differential suite; the second line is the shutdown/ingress soak.
+# (core.Locked, obs counters, the serve dispatcher, sfc's shared curve
+# tables) and the golden differential suite; the last two lines are the
+# shutdown/ingress soak and the concurrent table-publishing soak.
 race:
 	go test -race ./internal/...
 	go test -race -count=20 ./internal/serve ./internal/core -run 'Dispatcher|Locked|Sharded|Scrape'
+	go test -race -count=20 ./internal/sfc -run TestAccelerateConcurrently
 
 # Mirrors the CI coverage job: fail when total statement coverage over the
 # internal packages drops below the floor.

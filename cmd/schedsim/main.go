@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"sfcsched/internal/cluster"
 	"sfcsched/internal/core"
@@ -111,13 +112,22 @@ func run(opt options) (runErr error) {
 		}
 	}
 
-	if opt.serve {
-		return runServeCalib(os.Stdout, opt, m, trace)
-	}
-
 	names := []string{opt.sched}
 	if opt.sched == "all" {
 		names = append([]string{"cascaded"}, sched.PolicyNames()...)
+	}
+	// The cascade is the one scheduler whose flags build can still reject
+	// (-curve, -dims, -f, -window), and -replay or -spec fix the dims only
+	// above. Build it once now, so a bad value fails before anything is
+	// printed; its curve table is then shared with every later build.
+	if slices.Contains(names, "cascaded") || slices.Contains(opt.shadowNames(), "cascaded") {
+		if _, err := opt.build("cascaded", m); err != nil {
+			return err
+		}
+	}
+
+	if opt.serve {
+		return runServeCalib(os.Stdout, opt, m, trace)
 	}
 	var traceHook func(sim.TraceEvent)
 	if opt.dispatchOut != "" {

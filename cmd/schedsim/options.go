@@ -11,6 +11,7 @@ import (
 	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/serve"
+	"sfcsched/internal/sfc"
 )
 
 // options collects every schedsim flag so the flag surface can be
@@ -81,7 +82,7 @@ type options struct {
 // register binds every option to fs with its default.
 func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, "+strings.Join(sched.PolicyNames(), ", ")+", or all (bucket ranks by Request.Value, which no generated workload sets, so it dispatches exactly as edf)")
-	fs.StringVar(&o.curve, "curve", "hilbert", "cascaded: SFC1 curve")
+	fs.StringVar(&o.curve, "curve", "hilbert", "cascaded: SFC1 curve: "+strings.Join(sfc.Names(), ", "))
 	fs.Float64Var(&o.f, "f", 1, "cascaded: SFC2 balance factor")
 	fs.IntVar(&o.r, "r", 3, "cascaded: SFC3 partitions (0 disables the seek stage)")
 	fs.Float64Var(&o.window, "window", 0.02, "cascaded: blocking window as a fraction of the value space")

@@ -52,9 +52,54 @@ func TestSchedAllGolden(t *testing.T) {
 	}
 }
 
+// A flag value the cascade cannot be built with fails the run (exit 1)
+// before the report header or any row is printed, including when the
+// cascade is one of -sched all or a shadow.
+func TestBadCascadeFlagsPrintNothing(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-curve", "bogus"}, `sfc: unknown curve "bogus"`},
+		{[]string{"-curve", "moore"}, "sfc: moore curve is 2-dimensional, got 3 dims"},
+		{[]string{"-window", "2"}, "core: window fraction 2 outside [0,1]"},
+		{[]string{"-window", "-1"}, "core: window fraction -1 outside [0,1]"},
+		{[]string{"-f", "-1"}, "core: F must be >= 0, got -1"},
+		{[]string{"-dims", "40"}, "sfc: dims*bits = 120 exceeds 64"},
+		{[]string{"-sched", "all", "-curve", "bogus"}, `sfc: unknown curve "bogus"`},
+		{[]string{"-sched", "fcfs", "-shadow", "cascaded", "-f", "-1"}, "core: F must be >= 0, got -1"},
+		{[]string{"-spec", "mixed", "-window", "2"}, "core: window fraction 2 outside [0,1]"},
+	} {
+		args := append([]string{"-sched", "cascaded", "-requests", "200"}, tc.args...)
+		printed, err := capture(t, args...)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("schedsim %v: error %v, want %q", args, err, tc.wantErr)
+		}
+		if len(printed) != 0 {
+			t.Errorf("schedsim %v printed before failing:\n%s", args, printed)
+		}
+	}
+	// The check runs after the workload has fixed the dims: the mixed
+	// scenario's two dimensions take the 2-D Moore curve whatever -dims says.
+	if printed := stdout(t, "-spec", "mixed", "-requests", "200", "-dims", "40", "-curve", "moore"); len(printed) == 0 {
+		t.Error("-spec mixed -dims 40 -curve moore printed nothing")
+	}
+}
+
 // stdout runs schedsim with args and returns what it printed; "-" output
 // flags print there too.
 func stdout(t *testing.T, args ...string) []byte {
+	t.Helper()
+	printed, err := capture(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return printed
+}
+
+// capture runs schedsim with args and returns what it printed and the
+// error that makes main exit 1.
+func capture(t *testing.T, args ...string) ([]byte, error) {
 	t.Helper()
 	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
@@ -62,15 +107,12 @@ func stdout(t *testing.T, args ...string) []byte {
 	}
 	saved := os.Stdout
 	os.Stdout = out
-	err = run(*parse(t, args...))
+	runErr := run(*parse(t, args...))
 	os.Stdout = saved
 	out.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	printed, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return printed
+	return printed, runErr
 }

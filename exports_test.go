@@ -30,7 +30,6 @@ var testOnlyExports = map[string]string{
 	"internal/sched.NewBUCKETSeek":       "extended baseline no flag reaches",
 	"internal/sched.NewKamelMulti":       "extended baseline no flag reaches",
 	"internal/sched.NewMultiQueueMulti":  "extended baseline no flag reaches",
-	"internal/sfc.Names":                 "tests only",
 	"internal/sim.MustRun":               "test helper",
 	"internal/sim.SortByArrival":         "tests only",
 	"internal/sim.ValueRanker":           "bench-pinned (bench/decor.go)",

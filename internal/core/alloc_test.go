@@ -174,3 +174,32 @@ func TestAddBatchSteadyStateNoAllocs(t *testing.T) {
 		t.Errorf("AddBatch cycle allocates %v per batch in steady state", allocs)
 	}
 }
+
+// A cascade built over a grid the process has built before takes its
+// SFC1 table from sfc.Accelerate's shared set. The benchmark's cascade
+// config, rebuilt, allocates its curve, encapsulator and queue, but not the
+// 512-cell Hilbert table with its builder's odometer and scratch: 7
+// allocations, where a table build adds 3.
+func TestRebuiltCascadeSharesItsTable(t *testing.T) {
+	skipUnderRace(t)
+	rebuildCascade()
+	if allocs := testing.AllocsPerRun(100, rebuildCascade); allocs > 7 {
+		t.Errorf("rebuilding the benchmark's cascade allocates %v times, want <= 7", allocs)
+	}
+}
+
+// BenchmarkRebuildCascade is the fixed cost of a sweep cell's scheduler:
+// the benchmark's cascade over a grid built before.
+func BenchmarkRebuildCascade(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rebuildCascade()
+	}
+}
+
+// rebuildCascade builds the benchmark's cascade: Hilbert 3 × 8, f = 1,
+// R = 3, conditionally preemptive at a 5 % window with SP and ER.
+func rebuildCascade() {
+	MustScheduler("cascaded", shardedTestConfig(),
+		DispatcherConfig{Mode: ConditionallyPreemptive, SP: true, ER: true, Expansion: 2}, 0.05)
+}

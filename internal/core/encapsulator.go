@@ -100,7 +100,9 @@ type EncapsulatorConfig struct {
 // The value computation is allocation-free: the working memory (curve
 // points and scratch words) is sized once at construction, small SFC1
 // grids are served from a precomputed lookup table (sfc.Accelerate), and
-// all axis rescaling is exact 128-bit integer arithmetic.
+// all axis rescaling is exact 128-bit integer arithmetic. The table is
+// built once per grid per process and shared, read-only, by every
+// encapsulator over that grid, so constructing one fills no table.
 type Encapsulator struct {
 	cfg EncapsulatorConfig
 

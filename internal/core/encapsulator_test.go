@@ -308,9 +308,11 @@ func TestEncapsulatorValidation(t *testing.T) {
 
 // TestUsedEncapsulatorIsCollectedAtNextGC: the runtime keeps a used
 // sync.Pool reachable for two collections, so a pool embedded in the
-// encapsulator (or one whose New closes over it) pins the encapsulator and
-// its curve tables that long — in a sweep that builds one per cell, several
-// thousand tables at once. One collection must be enough.
+// encapsulator (or one whose New closes over it) pins the encapsulator
+// that long — in a sweep that builds one per cell, several thousand at
+// once. Curve tables are shared by design (sfc.Accelerate keeps one per
+// grid for the process), but the encapsulator itself holds per-instance
+// scratch and must still go at the first collection.
 func TestUsedEncapsulatorIsCollectedAtNextGC(t *testing.T) {
 	collected := make(chan struct{})
 	func() {

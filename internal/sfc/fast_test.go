@@ -2,6 +2,8 @@ package sfc
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -130,6 +132,111 @@ func TestAccelerate(t *testing.T) {
 	}
 }
 
+// Two equal curves, constructed separately, accelerate onto one table,
+// which equals a fresh NewLUT's; each LUT keeps its own curve for Name and
+// Bijective.
+func TestAccelerateSharesTables(t *testing.T) {
+	for _, c := range lutCases(t) {
+		twin, err := New(c.Name(), c.Dims(), c.Side())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := Accelerate(c).(*LUT), Accelerate(twin).(*LUT)
+		if &a.tab[0] != &b.tab[0] {
+			t.Errorf("%s(%dd,%d): equal curves got separate tables", c.Name(), c.Dims(), c.Side())
+		}
+		if a.base != c || b.base != twin {
+			t.Errorf("%s(%dd,%d): a shared LUT does not wrap its caller's curve", c.Name(), c.Dims(), c.Side())
+		}
+		ref, err := NewLUT(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.tab, ref.tab) {
+			t.Errorf("%s(%dd,%d): shared table differs from NewLUT's", c.Name(), c.Dims(), c.Side())
+		}
+	}
+}
+
+// reversed is a curve from outside the package that claims a registry
+// curve's Name, Dims and Side but runs the other way.
+type reversed struct{ Curve }
+
+func (r reversed) Index(p Point) uint64 { return r.MaxIndex() - 1 - r.Curve.Index(p) }
+
+func (r reversed) IndexFast(p Point, scratch []uint32) uint64 {
+	return r.MaxIndex() - 1 - r.Curve.IndexFast(p, scratch)
+}
+
+// Only the package's own curve types share tables: a table keyed by name
+// alone would hand reversed the Hilbert order.
+func TestAccelerateKeepsForeignCurvesPrivate(t *testing.T) {
+	hil := MustNew("hilbert", 3, 8)
+	shared := Accelerate(hil).(*LUT)
+	rev := reversed{hil}
+	for i := 0; i < 2; i++ {
+		l := Accelerate(rev).(*LUT)
+		if &l.tab[0] == &shared.tab[0] {
+			t.Fatal("a foreign curve named hilbert got the shared Hilbert table")
+		}
+		eachCell(rev, nil, func(p Point) {
+			if got, want := l.Index(p), rev.Index(p); got != want {
+				t.Fatalf("reversed LUT.Index(%v) = %d, want %d", p, got, want)
+			}
+		})
+	}
+}
+
+// Goroutines that accelerate the same fresh grids at once all end up on
+// one table per grid, equal to NewLUT's. The race soak runs it twenty
+// times under -race.
+func TestAccelerateConcurrently(t *testing.T) {
+	cases := lutCases(t)
+	tables.Lock()
+	tables.m = map[lutKey][]uint64{} // every grid is built in this test
+	tables.Unlock()
+	const workers = 8
+	got := make([][]*LUT, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range cases {
+				twin, err := New(c.Name(), c.Dims(), c.Side())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], Accelerate(twin).(*LUT))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, c := range cases {
+		ref, err := NewLUT(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range got {
+			if l := got[w][i]; &l.tab[0] != &got[0][i].tab[0] || !slices.Equal(l.tab, ref.tab) {
+				t.Errorf("%s(%dd,%d): worker %d's table is not the one shared table", c.Name(), c.Dims(), c.Side(), w)
+			}
+		}
+	}
+}
+
+// lutCases is fastCases within MaxLUTCells: the curves Accelerate tables.
+func lutCases(t testing.TB) []Curve {
+	var cs []Curve
+	for _, c := range fastCases(t) {
+		if cells, _ := pow(uint64(c.Side()), c.Dims()); cells <= MaxLUTCells {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
 func FuzzIndexFastEquivalence(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint16(0))
 	f.Add(uint16(13), uint16(200), uint16(31))
@@ -153,11 +260,7 @@ func FuzzIndexFastEquivalence(f *testing.F) {
 // cell, which made construction the fixed cost of every sweep cell.
 // TestLUTMatchesIndex holds the tables equal to the checked Index.
 func TestNewLUTConstructionAllocs(t *testing.T) {
-	for _, c := range fastCases(t) {
-		c := c
-		if cells, _ := pow(uint64(c.Side()), c.Dims()); cells > MaxLUTCells {
-			continue
-		}
+	for _, c := range lutCases(t) {
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, err := NewLUT(c); err != nil {
 				t.Fatal(err)

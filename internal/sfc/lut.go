@@ -1,6 +1,9 @@
 package sfc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // MaxLUTCells bounds the grids NewLUT accepts: 2^16 cells keep the table
 // inside 512 KiB, small enough to live in L2 for the hot 2-D/3-D SFC1
@@ -17,6 +20,10 @@ const MaxLUTCells = 1 << 16
 // dropped in anywhere the base curve is accepted. It intentionally does NOT
 // implement Inverter even when the base curve does: callers that need the
 // inverse should keep a reference to the base curve.
+//
+// The table is read-only once built. LUTs from Accelerate share it with
+// every other LUT over the same grid, so nothing may write it, and a LUT
+// is safe for concurrent use.
 type LUT struct {
 	grid
 	base Curve
@@ -76,12 +83,60 @@ func (l *LUT) IndexFast(p Point, _ []uint32) uint64 {
 
 // Accelerate returns a LUT over c when its grid fits MaxLUTCells, and c
 // itself otherwise. Already-accelerated curves pass through unchanged.
+//
+// The table of one of this package's curves is a pure function of the
+// curve's type, Dims and Side, so the first Accelerate of a grid builds it
+// with NewLUT and every later one in the process wraps c around that same
+// table: a fresh scheduler pays one map lookup, not one IndexFast per cell.
+// Tables are never evicted. Any other Curve implementation gets a private
+// table, since its Name may equal a registry curve's while its order
+// differs.
 func Accelerate(c Curve) Curve {
 	if _, ok := c.(*LUT); ok {
 		return c
 	}
-	if l, err := NewLUT(c); err == nil {
-		return l
+	key, shared := tableKey(c)
+	if shared {
+		// One lock over lookup and build: the first caller of a grid
+		// builds its table, and callers that race it wait for that table.
+		// c is one of this package's curves, so no caller code runs
+		// under the lock.
+		tables.Lock()
+		defer tables.Unlock()
+		if tab, ok := tables.m[key]; ok {
+			return &LUT{grid{c.Dims(), c.Side(), c.MaxIndex()}, c, tab}
+		}
 	}
-	return c
+	l, err := NewLUT(c)
+	if err != nil {
+		return c
+	}
+	if shared {
+		tables.m[key] = l.tab
+	}
+	return l
+}
+
+// lutKey names a shared table: the curve's registry name stands for its
+// concrete type, which tableKey has checked is this package's.
+type lutKey struct {
+	name string
+	dims int
+	side uint32
+}
+
+// tables holds every shared table built in this process.
+var tables = struct {
+	sync.Mutex
+	m map[lutKey][]uint64
+}{m: map[lutKey][]uint64{}}
+
+// tableKey reports the shared-table key of c, and false unless c is one of
+// the package's own curves, whose order its type, Dims and Side fix.
+func tableKey(c Curve) (lutKey, bool) {
+	switch c.(type) {
+	case *Sweep, *Scan, *CScan, *Peano, *Gray, *Hilbert, *Moore, *ZOrder, *Spiral, *Diagonal:
+		return lutKey{c.Name(), c.Dims(), c.Side()}, true
+	}
+	return lutKey{}, false
 }
