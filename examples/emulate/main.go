@@ -15,7 +15,19 @@ import (
 	"sfcsched/internal/workload"
 )
 
-func main() {
+// comparison is one preset and its reference implementation, each drained
+// over the same trace.
+type comparison struct {
+	name     string
+	emu, ref []*core.Request
+	// levels compares the dispatched priority levels instead of the
+	// requests: inside a level the two implementations break ties
+	// differently by design.
+	levels bool
+}
+
+// compare drains three presets and their references over one trace.
+func compare() []comparison {
 	model := disk.MustModel(disk.QuantumXP32150Params())
 	trace := workload.Open{
 		Seed:             5,
@@ -28,70 +40,62 @@ func main() {
 		Cylinders:        model.Cylinders,
 		Size:             64 << 10,
 	}.MustGenerate()
-
-	// EDF: the insertion criterion is the absolute deadline.
-	check("EDF", trace, core.EmulateEDF(), sched.NewEDF())
-
-	// Multi-queue: the criterion is the priority level. The emulation is
-	// FIFO inside a level where the reference scans, so the comparison is
-	// of level sequences rather than exact IDs.
-	checkLevels("multi-queue", trace, core.EmulateMultiQueue(8), sched.NewMultiQueue(8))
-
-	// C-SCAN: the criterion is the cyclic distance ahead of the head on
-	// the sweep timeline — the SFC3 stage at R = 1, one pure scan.
-	check("C-SCAN", trace, core.EmulateCSCAN(model.Cylinders), sched.NewCSCAN())
+	return []comparison{
+		// EDF: the insertion criterion is the absolute deadline.
+		{name: "EDF", emu: drainAll(trace, core.EmulateEDF()), ref: drainAll(trace, sched.NewEDF())},
+		// Multi-queue: the criterion is the priority level. The emulation
+		// is FIFO inside a level where the reference scans.
+		{name: "multi-queue", emu: drainAll(trace, core.EmulateMultiQueue(8)), ref: drainAll(trace, sched.NewMultiQueue(8)), levels: true},
+		// C-SCAN: the criterion is the cyclic distance ahead of the head on
+		// the sweep timeline — the SFC3 stage at R = 1, one pure scan.
+		{name: "C-SCAN", emu: drainAll(trace, core.EmulateCSCAN(model.Cylinders)), ref: drainAll(trace, sched.NewCSCAN())},
+	}
 }
 
-// drainAll enqueues the whole trace, then drains, returning dispatch IDs.
-func drainAll(trace []*core.Request, s sched.Scheduler) []uint64 {
+func main() {
+	for _, c := range compare() {
+		fmt.Printf("%-12s emulation vs reference: %s\n", c.name, c.verdict())
+	}
+}
+
+// drainAll enqueues the whole trace, then drains, returning the dispatch
+// order.
+func drainAll(trace []*core.Request, s sched.Scheduler) []*core.Request {
 	head := 0
 	for _, r := range trace {
 		s.Add(r, r.Arrival, head)
 	}
 	now := trace[len(trace)-1].Arrival
-	var ids []uint64
+	var order []*core.Request
 	for r := s.Next(now, head); r != nil; r = s.Next(now, head) {
-		ids = append(ids, r.ID)
+		order = append(order, r)
 		head = r.Cylinder
 	}
-	return ids
+	return order
 }
 
-func check(name string, trace []*core.Request, emu, ref sched.Scheduler) {
-	a := drainAll(trace, emu)
-	b := drainAll(trace, ref)
-	mismatches := 0
-	for i := range a {
-		if a[i] != b[i] {
+// verdict counts the positions where the two orders dispatch a different
+// request (a different level when c.levels is set).
+func (c comparison) verdict() string {
+	key := func(r *core.Request) int {
+		if c.levels {
+			return r.Priorities[0]
+		}
+		return int(r.ID)
+	}
+	mismatches := max(len(c.emu), len(c.ref)) - min(len(c.emu), len(c.ref))
+	for i := range min(len(c.emu), len(c.ref)) {
+		if key(c.emu[i]) != key(c.ref[i]) {
 			mismatches++
 		}
 	}
-	verdict := "exact match"
-	if mismatches > 0 {
-		verdict = fmt.Sprintf("%d/%d positions differ (tie-break order)", mismatches, len(a))
+	switch {
+	case mismatches > 0 && c.levels:
+		return fmt.Sprintf("%d/%d level positions differ", mismatches, len(c.ref))
+	case mismatches > 0:
+		return fmt.Sprintf("%d/%d positions differ (tie-break order)", mismatches, len(c.ref))
+	case c.levels:
+		return "level sequence matches exactly"
 	}
-	fmt.Printf("%-12s emulation vs reference: %s\n", name, verdict)
-}
-
-// checkLevels compares the sequence of priority levels dispatched, which
-// is the multi-queue invariant (inside a level the two implementations
-// break ties differently by design).
-func checkLevels(name string, trace []*core.Request, emu, ref sched.Scheduler) {
-	byID := map[uint64]int{}
-	for _, r := range trace {
-		byID[r.ID] = r.Priorities[0]
-	}
-	a := drainAll(trace, emu)
-	b := drainAll(trace, ref)
-	mismatches := 0
-	for i := range a {
-		if byID[a[i]] != byID[b[i]] {
-			mismatches++
-		}
-	}
-	verdict := "level sequence matches exactly"
-	if mismatches > 0 {
-		verdict = fmt.Sprintf("%d/%d level positions differ", mismatches, len(a))
-	}
-	fmt.Printf("%-12s emulation vs reference: %s\n", name, verdict)
+	return "exact match"
 }

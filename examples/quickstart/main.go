@@ -44,6 +44,10 @@ func main() {
 		},
 		0.05, // blocking window: 5% of the characterization-value space
 	)
+	// Count this scheduler's policy events on their own, not in the
+	// process-wide core.DefaultMetrics; install before the first Add.
+	events := new(core.Metrics)
+	scheduler.SetMetrics(events)
 
 	requests := []*core.Request{
 		{ID: 1, Priorities: []int{5, 5}, Deadline: 900_000, Cylinder: 3000, Size: 64 << 10},
@@ -65,7 +69,6 @@ func main() {
 		head = r.Cylinder
 	}
 
-	stats := scheduler.Dispatcher().Stats()
 	fmt.Printf("\npolicy events: %d preemptions, %d promotions, %d batch swaps\n",
-		stats.Preemptions, stats.Promotions, stats.Swaps)
+		events.Preemptions.Load(), events.Promotions.Load(), events.Swaps.Load())
 }

@@ -81,13 +81,6 @@ func (entryCmp) Less(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
-// DispatchStats counts dispatcher policy events.
-type DispatchStats struct {
-	Preemptions uint64 // arrivals that jumped into the serving queue
-	Promotions  uint64 // SP promotions from q' into q
-	Swaps       uint64 // q/q' batch swaps
-}
-
 // Dispatcher drains requests in characterization-value order under the
 // configured preemption policy. It is not safe for concurrent use; put the
 // Scheduler that owns it behind Lock for a concurrent front-end.
@@ -99,8 +92,7 @@ type Dispatcher struct {
 	hasCur bool
 	w      uint64 // current window (ER may expand it)
 	seq    uint64
-	gen    uint32 // serving-queue epoch; see entry.gen
-	stats  DispatchStats
+	gen    uint32   // serving-queue epoch; see entry.gen
 	m      *Metrics // never nil; DefaultMetrics unless overridden
 }
 
@@ -131,9 +123,6 @@ func MustDispatcher(cfg DispatcherConfig) *Dispatcher {
 
 // Window returns the current blocking window (ER may have expanded it).
 func (d *Dispatcher) Window() uint64 { return d.w }
-
-// Stats returns the policy-event counters so far.
-func (d *Dispatcher) Stats() DispatchStats { return d.stats }
 
 // SetMetrics redirects the dispatcher's observability counters to m
 // (per-instance instead of the process-wide DefaultMetrics). Must be called
@@ -213,7 +202,6 @@ func (d *Dispatcher) clearsWindow(v, ref uint64) bool {
 
 // notePreemption applies the ER expansion and counts the event.
 func (d *Dispatcher) notePreemption() {
-	d.stats.Preemptions++
 	d.m.Preemptions.Inc()
 	if d.cfg.ER {
 		d.expandWindow()
@@ -243,7 +231,6 @@ func (d *Dispatcher) Next() *Request {
 			return nil
 		}
 		d.q.SwapWith(&d.qw)
-		d.stats.Swaps++
 		d.m.Swaps.Inc()
 		// A swapped-in batch is the new serving set; none of its members
 		// preempted anything. Advancing the epoch retires any stale
@@ -273,7 +260,6 @@ func (d *Dispatcher) promote() {
 		e := d.qw.Pop()
 		e.preempter = true
 		e.gen = d.gen
-		d.stats.Promotions++
 		d.m.Promotions.Inc()
 		if d.cfg.ER {
 			// A promotion expands the window like a preemption but is not

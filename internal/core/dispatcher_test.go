@@ -4,6 +4,14 @@ import (
 	"testing"
 )
 
+// counted is MustDispatcher with the dispatcher's own Metrics, so a test
+// reads only its own policy events.
+func counted(cfg DispatcherConfig) *Dispatcher {
+	d := MustDispatcher(cfg)
+	d.SetMetrics(&Metrics{})
+	return d
+}
+
 // add enqueues a bare request with value v and returns it.
 func add(d *Dispatcher, id uint64, v uint64) *Request {
 	r := &Request{ID: id}
@@ -53,7 +61,7 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestNonPreemptiveBatches(t *testing.T) {
-	d := MustDispatcher(DispatcherConfig{Mode: NonPreemptive})
+	d := counted(DispatcherConfig{Mode: NonPreemptive})
 	add(d, 1, 50)
 	add(d, 2, 40)
 	// Start the batch.
@@ -68,13 +76,13 @@ func TestNonPreemptiveBatches(t *testing.T) {
 	if r := d.Next(); r.ID != 3 {
 		t.Fatalf("third dispatch = %d, want 3", r.ID)
 	}
-	if d.Stats().Swaps < 2 {
-		t.Errorf("swaps = %d, want >= 2", d.Stats().Swaps)
+	if d.m.Swaps.Load() < 2 {
+		t.Errorf("swaps = %d, want >= 2", d.m.Swaps.Load())
 	}
 }
 
 func TestConditionalWindowBlocks(t *testing.T) {
-	d := MustDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 20})
+	d := counted(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 20})
 	add(d, 1, 50)
 	if d.Next().ID != 1 {
 		t.Fatal("expected request 1")
@@ -88,8 +96,8 @@ func TestConditionalWindowBlocks(t *testing.T) {
 	if got := drain(d); !eq(got, []uint64{2, 4}) {
 		t.Errorf("remaining order = %v", got)
 	}
-	if d.Stats().Preemptions != 1 {
-		t.Errorf("preemptions = %d, want 1", d.Stats().Preemptions)
+	if d.m.Preemptions.Load() != 1 {
+		t.Errorf("preemptions = %d, want 1", d.m.Preemptions.Load())
 	}
 }
 
@@ -97,7 +105,7 @@ func TestConditionalWindowBlocks(t *testing.T) {
 // requests T1..T7 under the conditionally-preemptive scheduler with SP must
 // be served in the order T1, T2, T5, T6, T3, T7, T4.
 func TestPaperFigure4(t *testing.T) {
-	d := MustDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 20, SP: true})
+	d := counted(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 20, SP: true})
 	vals := map[uint64]uint64{1: 55, 2: 40, 3: 45, 4: 90, 5: 5, 6: 22, 7: 30}
 
 	d.Add(&Request{ID: 1}, vals[1])
@@ -119,13 +127,13 @@ func TestPaperFigure4(t *testing.T) {
 	if got := drain(d); !eq(got, want) {
 		t.Errorf("remaining order = %v, want %v", got, want)
 	}
-	if d.Stats().Promotions != 2 {
-		t.Errorf("promotions = %d, want 2 (T6 and T7)", d.Stats().Promotions)
+	if d.m.Promotions.Load() != 2 {
+		t.Errorf("promotions = %d, want 2 (T6 and T7)", d.m.Promotions.Load())
 	}
 }
 
 func TestSPDisabledNoPromotion(t *testing.T) {
-	d := MustDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 20})
+	d := counted(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 20})
 	add(d, 1, 55)
 	d.Next()
 	add(d, 2, 40)
@@ -136,8 +144,8 @@ func TestSPDisabledNoPromotion(t *testing.T) {
 	if r := d.Next(); r.ID != 3 {
 		t.Fatalf("want 3, got %d", r.ID)
 	}
-	if d.Stats().Promotions != 0 {
-		t.Errorf("promotions = %d, want 0 without SP", d.Stats().Promotions)
+	if d.m.Promotions.Load() != 0 {
+		t.Errorf("promotions = %d, want 0 without SP", d.m.Promotions.Load())
 	}
 }
 
@@ -152,7 +160,7 @@ func TestWindowZeroIsFullyPreemptive(t *testing.T) {
 }
 
 func TestHugeWindowIsNonPreemptive(t *testing.T) {
-	d := MustDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 1 << 62})
+	d := counted(DispatcherConfig{Mode: ConditionallyPreemptive, Window: 1 << 62})
 	add(d, 1, 50)
 	d.Next()
 	add(d, 2, 1)
@@ -160,8 +168,8 @@ func TestHugeWindowIsNonPreemptive(t *testing.T) {
 	if got := drain(d); !eq(got, []uint64{2, 3}) {
 		t.Errorf("order = %v (still value order within the next batch)", got)
 	}
-	if d.Stats().Preemptions != 0 {
-		t.Errorf("preemptions = %d, want 0 with huge window", d.Stats().Preemptions)
+	if d.m.Preemptions.Load() != 0 {
+		t.Errorf("preemptions = %d, want 0 with huge window", d.m.Preemptions.Load())
 	}
 }
 
@@ -332,7 +340,7 @@ func TestSchedulerEndToEnd(t *testing.T) {
 func TestSchedulerWindowFraction(t *testing.T) {
 	s := MustScheduler("w", EncapsulatorConfig{Levels: 100},
 		DispatcherConfig{Mode: ConditionallyPreemptive}, 0.1)
-	if got := s.Dispatcher().Window(); got != 10 {
+	if got := s.disp.Window(); got != 10 {
 		t.Errorf("window = %d, want 10 (10%% of 100)", got)
 	}
 	if _, err := NewScheduler("bad", EncapsulatorConfig{Levels: 8},

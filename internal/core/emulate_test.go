@@ -124,7 +124,4 @@ func TestFuncSchedulerContract(t *testing.T) {
 	if n != 2 {
 		t.Errorf("Each visited %d", n)
 	}
-	if s.Dispatcher() == nil {
-		t.Error("Dispatcher accessor broken")
-	}
 }

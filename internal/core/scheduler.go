@@ -83,9 +83,6 @@ func MustScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, 
 // Name returns the scheduler's display name.
 func (s *Scheduler) Name() string { return s.name }
 
-// Dispatcher exposes the queue machinery (e.g. for policy stats).
-func (s *Scheduler) Dispatcher() *Dispatcher { return s.disp }
-
 // SetMetrics redirects the scheduler's (and its dispatcher's) observability
 // counters to m instead of the process-wide DefaultMetrics. Must be called
 // before the first Add; m must not be nil.

@@ -234,15 +234,17 @@ func ablationWindow(w io.Writer, seed uint64, workers int) error {
 		if err != nil {
 			return nil, err
 		}
+		// Cells run in parallel: each counts its policy events privately.
+		m := new(core.Metrics)
+		s.SetMetrics(m)
 		var row []string
 		err = runReused(sim.Config{
 			Scheduler: s, FixedService: 24_000,
 			Options: sim.Options{Dims: 4, Levels: 16, Seed: seed},
 		}, trace, func(res *sim.Result) error {
-			st := s.Dispatcher().Stats()
 			row = []string{
 				fmt.Sprintf("%.0f%%", fracs[i]*100),
-				fmt.Sprintf("%d", st.Preemptions+st.Promotions),
+				fmt.Sprintf("%d", m.Preemptions.Load()+m.Promotions.Load()),
 				fmt.Sprintf("%d", res.TotalInversions()),
 			}
 			return nil

@@ -325,10 +325,9 @@ func (d *Dispatcher) work() {
 		if n := d.cfg.Backend.Cylinders(); n > 0 { // 0: no geometry to clamp onto
 			target = min(max(target, 0), n-1)
 		}
-		// Single-disk HeadAtDispatch semantics: the head is en route to the
-		// target for the whole service window, so submissions arriving
-		// mid-service anchor their values on the position being seeked to —
-		// exactly what the simulator's stations expose to the scheduler.
+		// The head is en route to the target for the whole service window,
+		// so submissions arriving mid-service anchor their values on the
+		// position being seeked to — the head model of every sim.Station.
 		d.head.Store(int64(target))
 		dist := max(target-head, head-target)
 		d.travel.Add(int64(dist))

@@ -126,9 +126,6 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 			return nil, fmt.Errorf("sim: disk %d scheduler: %w", d, err)
 		}
 		res.PerDisk[d] = metrics.NewCollector(dims, levels)
-		// No HeadAtDispatch: the array models the head position at rest,
-		// schedulers see the last completed cylinder until the next
-		// completion.
 		stations[d] = &Station{Sched: s, Disk: cfg.Array.Model, Col: res.PerDisk[d]}
 	}
 	a := &raid5{cfg: cfg, res: res, byPhys: make(map[*core.Request]*logicalState)}

@@ -479,6 +479,8 @@ func TestDecisionValuesAreQueuedValues(t *testing.T) {
 // request, at enqueue: no observer recomputes it.
 func TestObservedRunValueAtOncePerAdd(t *testing.T) {
 	s, rv := recordedCascade(t, core.ConditionallyPreemptive)
+	m := new(core.Metrics)
+	s.SetMetrics(m)
 	dt := NewDecisionTrace(1024)
 	dt.SetMetrics(&DecisionMetrics{})
 	tel := NewTelemetry(50_000)
@@ -488,7 +490,7 @@ func TestObservedRunValueAtOncePerAdd(t *testing.T) {
 	res := MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{
 		DropLate: true, Trace: JSONLTrace(io.Discard), Decisions: dt, Telemetry: tel, Shadows: []*Shadow{sh},
 	}}, decisionWorkload(1))
-	adds := s.Dispatcher().Metrics().Adds.Load()
+	adds := m.Adds.Load()
 	if adds != uint64(res.Arrived) || dt.Total() == 0 || tel.Rows() == 0 || res.Shadows[0].Decisions == 0 {
 		t.Fatalf("observers idle or requests missing: adds %d of %d arrived, decisions %d, telemetry rows %d, shadow decisions %d",
 			adds, res.Arrived, dt.Total(), tel.Rows(), res.Shadows[0].Decisions)

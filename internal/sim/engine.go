@@ -24,6 +24,15 @@ import (
 // service time) plus the queue discipline feeding it. Service is
 // non-interruptible — a dispatched request occupies the station until its
 // completion event fires.
+//
+// Every station is a disk with one head model, the one serve.Dispatcher
+// also uses. The head moves to the (clamped, possibly remapped) target the
+// moment a service starts, so requests added during the service window see
+// the position the head is en route to. A station that drains to idle with
+// an empty queue probes its scheduler once more (a Next that returns nil),
+// so stateful schedulers observe the empty point: the Cascaded-SFC
+// dispatcher clears its current-serving value and sweep-tracking stages
+// see the resting head.
 type Station struct {
 	// ID is the station index, assigned by Engine.Setup; it doubles as
 	// TraceEvent.DiskID and as the deterministic tie-break for same-time
@@ -42,26 +51,8 @@ type Station struct {
 	// FixedService, when positive, overrides the disk model with a
 	// constant service time (pure queueing experiments).
 	FixedService int64
-	// SampleRotation draws rotational latency from the engine RNG instead
-	// of charging the deterministic average. Engine.Setup copies it from
-	// Options.
-	SampleRotation bool
-	// HeadAtDispatch moves the head to the target cylinder the moment a
-	// service starts, so arrivals during the service window observe the
-	// position the head is en route to (the single-disk semantics). When
-	// false the head stays at its previous resting position until the
-	// completion event fires (the array semantics).
-	HeadAtDispatch bool
-	// IdleProbe calls Next once more when the station drains to idle with
-	// an empty queue, letting stateful schedulers observe the empty point:
-	// the Dispatcher clears its current-serving value (so later arrivals
-	// cannot "preempt" a stale blocking window) and sweep-tracking stages
-	// observe the resting head. Single-disk semantics; the array loop has
-	// never probed.
-	IdleProbe bool
 
 	head       int
-	target     int
 	headTravel int64
 	inSvc      *core.Request
 	svcStart   int64
@@ -93,18 +84,19 @@ func (s *Station) Enqueue(r *core.Request, now int64) {
 }
 
 // serviceTimeAt returns (seekTime, totalServiceTime) for a service of
-// size bytes at the (already clamped, possibly remapped) cylinder cyl.
+// size bytes at the (already clamped, possibly remapped) cylinder cyl,
+// drawing the rotational latency from rng when sampleRotation is set.
 // The computation lives in disk.ServiceModel — the same code path the
 // real-clock backends of internal/serve charge — so simulated and served
 // requests can never disagree on what a service costs. Exactly one RNG
 // draw happens per sampled-rotation service, in dispatch order, which
 // keeps runs reproducible.
-func (s *Station) serviceTimeAt(cyl int, size int64, rng *stats.RNG) (int64, int64) {
+func (s *Station) serviceTimeAt(cyl int, size int64, sampleRotation bool, rng *stats.RNG) (int64, int64) {
 	m := disk.ServiceModel{
 		Disk:           s.Disk,
 		TransferOnly:   s.TransferOnly,
 		FixedService:   s.FixedService,
-		SampleRotation: s.SampleRotation,
+		SampleRotation: sampleRotation,
 	}
 	return m.Times(s.head, cyl, size, rng)
 }
@@ -189,16 +181,19 @@ type Engine struct {
 	timerSeq uint64
 	rng      stats.RNG
 	shadows  []*Shadow
+	// sampleRotation draws each service's rotational latency from RNG
+	// instead of charging the deterministic average (Options).
+	sampleRotation bool
 }
 
 // Setup assembles a run on e — the one place sim.Run, sim.RunArray and
 // cluster.Run wire their engine. Everything a previous run left behind
 // (events, clock, hooks, injector) is discarded; only the event heap's
 // capacity is kept, so a recycled engine (sim.Reuse) pushes into the
-// memory earlier runs grew. Stations get their index as ID, opts'
-// SampleRotation and the shadows that target them; the RNG is reseeded to
-// the exact stats.NewRNG(opts.Seed) stream. failable says whether the
-// topology can lose a whole disk (Fault.FailAt): only arrays re-route.
+// memory earlier runs grew. Stations get their index as ID and the shadows
+// that target them; the RNG is reseeded to the exact
+// stats.NewRNG(opts.Seed) stream. failable says whether the topology can
+// lose a whole disk (Fault.FailAt): only arrays re-route.
 //
 // Setup validates what only the assembled topology can: every shadow and
 // every disk the fault plan names must be one of stations.
@@ -206,19 +201,20 @@ func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 	events := e.events
 	events.Reset()
 	*e = Engine{
-		Stations:  stations,
-		DropLate:  opts.DropLate,
-		Trace:     opts.Trace,
-		Decisions: opts.Decisions,
-		Telemetry: opts.Telemetry,
-		events:    events,
-		shadows:   opts.Shadows,
+		Stations:       stations,
+		DropLate:       opts.DropLate,
+		Trace:          opts.Trace,
+		Decisions:      opts.Decisions,
+		Telemetry:      opts.Telemetry,
+		events:         events,
+		shadows:        opts.Shadows,
+		sampleRotation: opts.SampleRotation,
 	}
 	e.rng.Seed(opts.Seed)
 	e.RNG = &e.rng
 	n := len(stations)
 	for i, st := range stations {
-		st.ID, st.SampleRotation, st.shadows = i, opts.SampleRotation, nil
+		st.ID, st.shadows = i, nil
 	}
 	for _, sh := range opts.Shadows {
 		if sh.Station < 0 || sh.Station >= n {
@@ -397,7 +393,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 				target = e.Faults.Redirect(st.ID, target)
 			}
 		}
-		seek, svc := st.serviceTimeAt(target, r.Size, e.RNG)
+		seek, svc := st.serviceTimeAt(target, r.Size, e.sampleRotation, e.RNG)
 		if st.Disk != nil {
 			st.headTravel += int64(max(target-st.head, st.head-target))
 		}
@@ -410,13 +406,10 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		for _, sh := range st.shadows {
 			sh.observe(r, now)
 		}
-		st.inSvc, st.target = r, target
+		// The head is en route to (then at) the clamped target, so
+		// arrivals during the service window observe a valid cylinder.
+		st.inSvc, st.head = r, target
 		st.svcStart, st.svcSeek, st.svcTime = now, seek, svc
-		if st.HeadAtDispatch {
-			// The head is en route to (then at) the clamped target, so
-			// arrivals during the service window observe a valid cylinder.
-			st.head = target
-		}
 		// A deadline is met when service starts in time (the convention of
 		// SCAN-EDF and §6's "serviced prior to the deadline"). Without
 		// DropLate, expired requests are still serviced but counted late.
@@ -428,7 +421,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		}
 		e.events.Push(event{time: now + svc, seq: uint64(st.ID), station: st})
 	}
-	if st.IdleProbe && st.inSvc == nil && st.Sched.Len() == 0 {
+	if st.inSvc == nil && st.Sched.Len() == 0 {
 		st.Sched.Next(now, st.head)
 	}
 }
@@ -441,11 +434,8 @@ func (e *Engine) dispatch(st *Station, now int64) {
 func (e *Engine) complete(st *Station, now int64) {
 	r := st.inSvc
 	st.inSvc = nil
-	if !st.HeadAtDispatch {
-		st.head = st.target
-	}
 	if e.Faults != nil {
-		verdict, delay := e.Faults.Outcome(st.ID, st.target, r, now)
+		verdict, delay := e.Faults.Outcome(st.ID, st.head, r, now)
 		if verdict != fault.OK {
 			e.faulted(st, r, verdict, delay, now)
 			return

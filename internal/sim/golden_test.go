@@ -51,15 +51,16 @@ func withPolicies(m *disk.Model, cascades map[string]func() sched.Scheduler) map
 	return cascades
 }
 
-// dispatcherStats digs the internal dispatcher counters out of a cascaded
-// scheduler; the engine must reproduce even these (preemptions, promotions,
-// swaps depend on the exact Add/Next call sequence, nil probes included).
-func dispatcherStats(s sched.Scheduler) (core.DispatchStats, bool) {
-	cs, ok := s.(*core.Scheduler)
-	if !ok {
-		return core.DispatchStats{}, false
+// policyEvents gives a Cascaded-SFC scheduler counters of its own and
+// returns a reader of its policy events (preemptions, promotions, swaps);
+// the engine must reproduce even these, which depend on the exact Add/Next
+// call sequence, nil probes included. Other schedulers read zero.
+func policyEvents(s sched.Scheduler) func() [3]uint64 {
+	m := new(core.Metrics)
+	if cs, ok := s.(*core.Scheduler); ok {
+		cs.SetMetrics(m)
 	}
-	return cs.Dispatcher().Stats(), true
+	return func() [3]uint64 { return [3]uint64{m.Preemptions.Load(), m.Promotions.Load(), m.Swaps.Load()} }
 }
 
 // goldenTrace fuzzes an arrival-sorted trace with in-range cylinders (the
@@ -117,6 +118,7 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 					var wantEvents, gotEvents []flatEvent
 					wantCfg := sc.cfg
 					wantCfg.Scheduler = mk()
+					wantPolicy := policyEvents(wantCfg.Scheduler)
 					wantCfg.Seed = seed
 					wantCfg.Trace = func(ev TraceEvent) { wantEvents = append(wantEvents, flatten(ev)) }
 					want, err := legacyRun(wantCfg, smallTraceCopy(trace))
@@ -126,6 +128,7 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 
 					gotCfg := sc.cfg
 					gotCfg.Scheduler = mk()
+					gotPolicy := policyEvents(gotCfg.Scheduler)
 					gotCfg.Seed = seed
 					gotCfg.Trace = func(ev TraceEvent) { gotEvents = append(gotEvents, flatten(ev)) }
 					got, err := Run(gotCfg, smallTraceCopy(trace))
@@ -142,11 +145,8 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 					if got.Scheduler != want.Scheduler {
 						t.Errorf("scheduler name = %q, legacy %q", got.Scheduler, want.Scheduler)
 					}
-					if wantStats, ok := dispatcherStats(wantCfg.Scheduler); ok {
-						gotStats, _ := dispatcherStats(gotCfg.Scheduler)
-						if gotStats != wantStats {
-							t.Errorf("dispatcher stats diverged:\n got %+v\nwant %+v", gotStats, wantStats)
-						}
+					if got, want := gotPolicy(), wantPolicy(); got != want {
+						t.Errorf("preemptions, promotions, swaps = %v, legacy %v", got, want)
 					}
 					if !reflect.DeepEqual(gotEvents, wantEvents) {
 						t.Errorf("trace stream diverged: %d events vs legacy %d", len(gotEvents), len(wantEvents))

@@ -138,7 +138,9 @@ func TestValuePresetsAreObservable(t *testing.T) {
 			t.Errorf("%s is not a WindowStater", s.Name())
 		}
 		NewShadow(s.Name(), s)
-		if d, ok := s.(interface{ Dispatcher() *core.Dispatcher }); !ok || d.Dispatcher().Metrics() == core.DefaultMetrics {
+		before := core.DefaultMetrics.Adds.Load()
+		s.Add(&core.Request{ID: 1, Priorities: []int{0, 0}, Deadline: 1000, Cylinder: 5}, 0, 0)
+		if core.DefaultMetrics.Adds.Load() != before {
 			t.Errorf("a shadow over %s counts into core.DefaultMetrics", s.Name())
 		}
 	}

@@ -123,13 +123,11 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	col := ru.collector(InferShape(cfg.Dims, cfg.Levels, trace))
 	st, eng := &ru.st, &ru.eng
 	*st = Station{
-		Sched:          cfg.Scheduler,
-		Disk:           cfg.Disk,
-		Col:            col,
-		TransferOnly:   cfg.TransferOnly,
-		FixedService:   cfg.FixedService,
-		HeadAtDispatch: true,
-		IdleProbe:      true,
+		Sched:        cfg.Scheduler,
+		Disk:         cfg.Disk,
+		Col:          col,
+		TransferOnly: cfg.TransferOnly,
+		FixedService: cfg.FixedService,
 	}
 	ru.stations[0] = st
 	if err := eng.Setup(cfg.Options, ru.stations[:], false); err != nil {
@@ -137,8 +135,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	}
 	col.Makespan = eng.Run(trace, func(r *core.Request, _ int64) {
 		col.OnArrival(r)
-		// Arrivals carry their true timestamps even when they land during
-		// a service window; the head is en route to (then at) the target.
 		st.Enqueue(r, r.Arrival)
 	})
 	return &Result{

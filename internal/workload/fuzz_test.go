@@ -141,13 +141,11 @@ func replayRows(t *testing.T, data []byte) []core.Request {
 		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
 			continue
 		}
-		var ln replayLine
+		var ln replayRequest
 		if err := json.Unmarshal(raw, &ln); err != nil {
 			t.Fatalf("LoadReplay accepted a line encoding/json rejects: %v", err)
 		}
-		rows = append(rows, core.Request{ID: ln.ID, Cylinder: ln.Cylinder, Arrival: ln.Arrival,
-			Deadline: ln.Deadline, Priorities: ln.Prio, Size: ln.Size, Write: ln.Write,
-			Value: ln.Value, Tenant: ln.Tenant, Class: ln.Class})
+		rows = append(rows, core.Request(ln))
 	}
 	return rows
 }

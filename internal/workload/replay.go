@@ -33,22 +33,23 @@ type Replay struct {
 	dims int
 }
 
-// replayLine is the subset of the sim.JSONLTrace line format needed to
-// reconstruct the dispatched request. Decision fields (now, wait, head,
-// seek, service, dropped, faulted, queue) are ignored: they belong to the
-// recorded run, not the workload, and are re-derived by re-simulating.
-type replayLine struct {
-	Disk     int    `json:"disk"`
-	ID       uint64 `json:"id"`
-	Cylinder int    `json:"cyl"`
-	Arrival  int64  `json:"arrival"`
-	Deadline int64  `json:"deadline"`
-	Prio     []int  `json:"prio"`
-	Size     int64  `json:"size"`
-	Write    bool   `json:"write"`
-	Value    int    `json:"value"`
-	Tenant   int    `json:"tenant"`
-	Class    int    `json:"class"`
+// replayRequest is core.Request with the field names of the
+// sim.JSONLTrace line format: a line decodes into it and converts to a
+// core.Request, so the two cannot drift apart. Decision fields (now, wait,
+// head, seek, service, dropped, faulted, queue) are ignored: they belong
+// to the recorded run, not the workload, and are re-derived by
+// re-simulating.
+type replayRequest struct {
+	ID         uint64 `json:"id"`
+	Priorities []int  `json:"prio"`
+	Deadline   int64  `json:"deadline"`
+	Cylinder   int    `json:"cyl"`
+	Size       int64  `json:"size"`
+	Arrival    int64  `json:"arrival"`
+	Write      bool   `json:"write"`
+	Value      int    `json:"value"`
+	Tenant     int    `json:"tenant"`
+	Class      int    `json:"class"`
 }
 
 // LoadReplay reads a recorded trace from r. The format is sniffed from the
@@ -65,10 +66,15 @@ func LoadReplay(r io.Reader) (*Replay, error) {
 			br.Discard(1)
 			continue
 		}
+		read := ReadCSV
 		if b[0] == '{' {
-			return loadReplayJSONL(br)
+			read = readReplayJSONL
 		}
-		return loadReplayCSV(br)
+		trace, err := read(br)
+		if err != nil {
+			return nil, err
+		}
+		return newReplay(trace)
 	}
 }
 
@@ -82,102 +88,64 @@ func LoadReplayFile(path string) (*Replay, error) {
 	return LoadReplay(f)
 }
 
-func loadReplayJSONL(br *bufio.Reader) (*Replay, error) {
-	sc := bufio.NewScanner(br)
+// readReplayJSONL decodes the request of every non-blank line.
+func readReplayJSONL(r io.Reader) ([]*core.Request, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var lines []replayLine
-	first := make(map[uint64]int) // ID -> index into lines
+	var trace []*core.Request
 	for n := 1; sc.Scan(); n++ {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		var ln replayLine
+		var ln struct {
+			Disk int `json:"disk"`
+			replayRequest
+		}
 		if err := json.Unmarshal(raw, &ln); err != nil {
 			return nil, fmt.Errorf("workload: replay line %d: %w", n, err)
 		}
 		if ln.Disk != 0 {
 			return nil, fmt.Errorf("workload: replay line %d: disk %d — array traces record physical per-disk operations, not the logical request stream, and cannot be replayed", n, ln.Disk)
 		}
-		if i, ok := first[ln.ID]; ok {
-			// A fault retry: the same request logged again on a later
-			// attempt. The request fields are identical; keep the first.
-			if !reflect.DeepEqual(ln, lines[i]) {
-				return nil, fmt.Errorf("workload: replay line %d: request %d differs from its earlier line", n, ln.ID)
-			}
-			continue
-		}
-		first[ln.ID] = len(lines)
-		lines = append(lines, ln)
+		r := core.Request(ln.replayRequest)
+		trace = append(trace, &r)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workload: reading replay trace: %w", err)
 	}
-	dims := 0
-	for i := range lines {
-		if d := len(lines[i].Prio); d > 0 {
-			if dims == 0 {
-				dims = d
-			} else if d != dims {
-				return nil, fmt.Errorf("workload: replay trace mixes priority dimensionalities %d and %d", dims, d)
-			}
-		}
-	}
-	p := &Replay{
-		reqs: make([]core.Request, len(lines)),
-		prio: make([]int, len(lines)*dims),
-		dims: dims,
-	}
-	for i, ln := range lines {
-		r := &p.reqs[i]
-		r.ID = ln.ID
-		r.Cylinder = ln.Cylinder
-		r.Arrival = ln.Arrival
-		r.Deadline = ln.Deadline
-		r.Size = ln.Size
-		r.Write = ln.Write
-		r.Value = ln.Value
-		r.Tenant = ln.Tenant
-		r.Class = ln.Class
-		if dims > 0 {
-			v := p.prio[i*dims : (i+1)*dims : (i+1)*dims]
-			copy(v, ln.Prio)
-			r.Priorities = v
-		}
-	}
-	p.sortCanonical()
-	return p, nil
+	return trace, nil
 }
 
-func loadReplayCSV(br *bufio.Reader) (*Replay, error) {
-	trace, err := ReadCSV(br)
-	if err != nil {
-		return nil, err
-	}
-	dims := 0
-	if len(trace) > 0 {
-		dims = len(trace[0].Priorities)
-	}
-	p := &Replay{
-		reqs: make([]core.Request, 0, len(trace)),
-		prio: make([]int, 0, len(trace)*dims),
-		dims: dims,
-	}
+// newReplay builds the canonical copy of a decoded trace, either format:
+// it keeps the first record of each request ID (a fault retry logs the
+// same request again; a repeat that contradicts it is an error), packs
+// the priority vectors into one slab (a request without one reads as
+// level 0 in every dimension) and restores generator order.
+func newReplay(trace []*core.Request) (*Replay, error) {
+	p := &Replay{reqs: make([]core.Request, 0, len(trace))}
 	first := make(map[uint64]int) // ID -> index into p.reqs
 	for n, r := range trace {
 		if i, ok := first[r.ID]; ok {
 			if !reflect.DeepEqual(*r, p.reqs[i]) {
-				return nil, fmt.Errorf("workload: replay row %d: request %d differs from its earlier row", n+1, r.ID)
+				return nil, fmt.Errorf("workload: replay record %d: request %d differs from its earlier record", n+1, r.ID)
 			}
 			continue
+		}
+		if d := len(r.Priorities); d > 0 {
+			if p.dims == 0 {
+				p.dims = d
+			} else if d != p.dims {
+				return nil, fmt.Errorf("workload: replay trace mixes priority dimensionalities %d and %d", p.dims, d)
+			}
 		}
 		first[r.ID] = len(p.reqs)
 		p.reqs = append(p.reqs, *r)
 	}
-	p.prio = p.prio[:len(p.reqs)*dims]
-	for i := range p.reqs {
-		if dims > 0 {
-			v := p.prio[i*dims : (i+1)*dims : (i+1)*dims]
+	if p.dims > 0 {
+		p.prio = make([]int, len(p.reqs)*p.dims)
+		for i := range p.reqs {
+			v := p.prio[i*p.dims : (i+1)*p.dims : (i+1)*p.dims]
 			copy(v, p.reqs[i].Priorities)
 			p.reqs[i].Priorities = v
 		}
