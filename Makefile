@@ -21,10 +21,10 @@ test:
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables
 # quoting them, the sim and cluster recordings, and schedsim's -sched all
-# reports. Review the diff.
+# reports and observer streams. Review the diff.
 goldens:
 	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster ./cmd/schedsim \
-		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden' -update
+		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden|TestObserverStreamsGolden' -update
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher, sfc's shared curve

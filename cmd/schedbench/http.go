@@ -26,12 +26,23 @@ var publishOnce sync.Once
 // suite under /debug/pprof/.
 func newObsMux() *http.ServeMux {
 	reg := obs.NewRegistry()
-	core.DefaultMetrics.MustRegister(reg, "sfcsched")
-	fault.DefaultMetrics.MustRegister(reg, "sfcsched_fault")
-	sim.DefaultDecisionMetrics.MustRegister(reg, "sfcsched_decision")
-	cluster.DefaultMetrics.MustRegister(reg, "sfcsched_cluster")
-	serve.DefaultMetrics.MustRegister(reg, "sfcsched_serve")
-	serve.DefaultCalibMetrics.MustRegister(reg, "sfcsched_calib")
+	// The prefixes are fixed and distinct, so an error is a programming
+	// mistake.
+	for _, m := range []struct {
+		prefix   string
+		register func(*obs.Registry, string) error
+	}{
+		{"sfcsched", core.DefaultMetrics.Register},
+		{"sfcsched_fault", fault.DefaultMetrics.Register},
+		{"sfcsched_decision", sim.DefaultDecisionMetrics.Register},
+		{"sfcsched_cluster", cluster.DefaultMetrics.Register},
+		{"sfcsched_serve", serve.DefaultMetrics.Register},
+		{"sfcsched_calib", serve.DefaultCalibMetrics.Register},
+	} {
+		if err := m.register(reg, m.prefix); err != nil {
+			panic(err)
+		}
+	}
 	publishOnce.Do(func() { reg.PublishExpvar("sfcsched") })
 
 	mux := http.NewServeMux()

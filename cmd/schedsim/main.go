@@ -145,12 +145,18 @@ func run(opt options) (runErr error) {
 			return err
 		}
 		defer closeInto(&runErr, "-decision-trace", closeOut)
-		decisions = sim.NewDecisionTrace(1024)
+		decisions = sim.NewDecisionTrace(0)
 		decisions.OnRecord = sim.DecisionJSONL(w)
 	}
 	var telemetry *sim.Telemetry
 	if opt.telemetryOut != "" {
+		w, closeOut, err := outWriter(opt.telemetryOut)
+		if err != nil {
+			return err
+		}
+		defer closeInto(&runErr, "-telemetry", closeOut)
 		telemetry = sim.NewTelemetry(opt.telemetryInterval.Microseconds())
+		telemetry.OnRow = sim.TelemetryCSV(w)
 	}
 	plan := opt.faultPlan()
 	if plan.Zero() {
@@ -237,19 +243,6 @@ func run(opt options) (runErr error) {
 		printFaultCols(plan, res.Faults, []*metrics.Collector{res.Collector})
 		fmt.Println()
 		printShadowReports(res)
-	}
-	if telemetry != nil {
-		w, closeOut, err := outWriter(opt.telemetryOut)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteCSV(w)
-		if cerr := closeOut(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("-telemetry: %w", err)
-		}
 	}
 	return nil
 }

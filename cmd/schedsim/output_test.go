@@ -116,3 +116,74 @@ func capture(t *testing.T, args ...string) ([]byte, error) {
 	}
 	return printed, runErr
 }
+
+// The observer streams are pinned byte for byte with the report they ride
+// along: a single-disk cascade with a shadow and all three streams, a
+// faulty RAID-5 array with decisions and telemetry, and a 3×2 cluster with
+// telemetry. Each run writes its streams to files named by the flag;
+// -update rewrites testdata/observers-<run>.*, only for an intended change.
+// A decision record is about 600 bytes, so the runs that trace decisions
+// are short.
+func TestObserverStreamsGolden(t *testing.T) {
+	streams := map[string]string{
+		"-dispatch-trace": "dispatch.jsonl",
+		"-decision-trace": "decisions.jsonl",
+		"-telemetry":      "telemetry.csv",
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		flags []string
+	}{
+		{"single", []string{"-sched", "cascaded", "-shadow", "edf", "-requests", "60"},
+			[]string{"-dispatch-trace", "-decision-trace", "-telemetry"}},
+		{"array", []string{"-array", "5", "-write-frac", "0.3", "-fault-rate", "0.01", "-sched", "cascaded", "-requests", "60"},
+			[]string{"-decision-trace", "-telemetry"}},
+		{"cluster", []string{"-cluster", "3", "-cluster-disks", "2", "-sched", "scan-edf", "-requests", "300"},
+			[]string{"-telemetry"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := tc.args
+			files := map[string]string{"txt": filepath.Join(dir, "stdout")}
+			for _, f := range tc.flags {
+				files[streams[f]] = filepath.Join(dir, streams[f])
+				args = append(args, f, files[streams[f]])
+			}
+			if err := os.WriteFile(files["txt"], stdout(t, args...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for ext, path := range files {
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden := filepath.Join("testdata", "observers-"+tc.name+"."+ext)
+				if *update {
+					if err := os.WriteFile(golden, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("schedsim %v: %s differs from %s at line %d", args, ext, golden, firstDiffLine(got, want))
+				}
+			}
+		})
+	}
+}
+
+// firstDiffLine returns the 1-based number of the first line where a and b
+// differ.
+func firstDiffLine(a, b []byte) int {
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := range min(len(la), len(lb)) {
+		if !bytes.Equal(la[i], lb[i]) {
+			return i + 1
+		}
+	}
+	return min(len(la), len(lb)) + 1
+}

@@ -59,7 +59,6 @@ var testOnlyMembers = map[string]string{
 	"internal/fault.Event":                        "element type of Plan.Scripted",
 	"internal/fault.BadRange":                     "element type of Plan.Bad",
 	"internal/serve.CalibrationConfig.Preload":    "pinned by TestCalibrateExactOrderPreloaded",
-	"internal/sim.DecisionTrace.Records":          "pinned by the decision-record known-answer tests",
 	"internal/serve.CalibrationConfig.Metrics":    "per-run metrics sink",
 	"internal/serve.CalibrationConfig.Calib":      "per-run metrics sink",
 	"internal/workload.Open.Dist":                 "priority skew for ROADMAP items 6 and 7",

@@ -362,7 +362,9 @@ func TestClusterMetrics(t *testing.T) {
 	// The aggregate registers cleanly under a prefix, and double
 	// registration (duplicate names) is rejected.
 	reg := obs.NewRegistry()
-	m.MustRegister(reg, "cluster_test")
+	if err := m.Register(reg, "cluster_test"); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Register(reg, "cluster_test"); err == nil {
 		t.Error("duplicate metric registration accepted")
 	}

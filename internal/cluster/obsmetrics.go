@@ -47,10 +47,3 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "node_depth_max", Help: "high-water backlog of the routed node", V: &m.NodeDepthMax},
 	})
 }
-
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

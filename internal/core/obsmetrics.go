@@ -67,13 +67,6 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 	})
 }
 
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}
-
 // noteDispatch records a dispatch and its queueing delay at time now.
 func (m *Metrics) noteDispatch(r *Request, now int64) {
 	m.Dispatches.Inc()

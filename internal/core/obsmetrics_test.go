@@ -131,7 +131,9 @@ func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
 	m := &Metrics{}
 	s.SetMetrics(m)
 	reg := obs.NewRegistry()
-	m.MustRegister(reg, "race")
+	if err := m.Register(reg, "race"); err != nil {
+		t.Fatal(err)
+	}
 
 	const producers, perProducer = 4, 500
 	var wg sync.WaitGroup

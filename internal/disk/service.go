@@ -7,8 +7,8 @@ import (
 )
 
 // ServiceModel is the service-time policy layered over a Model: the three
-// knobs every topology shares (charge transfer only, override with a fixed
-// constant, sample or average the rotational latency) folded into one value
+// knobs every topology shares (override with a fixed constant, sample or
+// average the rotational latency) folded into one value
 // so the simulator's stations and the real-clock serving backends of
 // internal/serve compute service times through exactly one code path.
 //
@@ -17,9 +17,6 @@ import (
 type ServiceModel struct {
 	// Disk models seek/rotation/transfer times. Nil requires FixedService.
 	Disk *Model
-	// TransferOnly charges only media transfer time (the §5.1-5.2
-	// assumption that "the transfer time dominates the seek time").
-	TransferOnly bool
 	// FixedService, when positive, overrides the disk model with a
 	// constant service time (pure queueing experiments).
 	FixedService int64
@@ -54,9 +51,6 @@ func (m ServiceModel) Cylinders() int {
 func (m ServiceModel) Times(head, cyl int, size int64, rng *stats.RNG) (int64, int64) {
 	if m.FixedService > 0 {
 		return 0, m.FixedService
-	}
-	if m.TransferOnly {
-		return 0, m.Disk.TransferTime(cyl, size)
 	}
 	seek := m.Disk.SeekTime(head, cyl)
 	rot := m.Disk.AvgRotationalLatency()

@@ -45,11 +45,6 @@ func TestServiceModelPolicies(t *testing.T) {
 	if seek, total := fixed.Times(0, 3000, 64<<10, nil); seek != 0 || total != 777 {
 		t.Errorf("FixedService without disk: got (%d,%d), want (0,777)", seek, total)
 	}
-
-	xfer := ServiceModel{Disk: m, TransferOnly: true}
-	if seek, total := xfer.Times(0, 3000, 64<<10, nil); seek != 0 || total != m.TransferTime(3000, 64<<10) {
-		t.Errorf("TransferOnly: got (%d,%d), want (0,%d)", seek, total, m.TransferTime(3000, 64<<10))
-	}
 }
 
 // TestServiceModelSampledRotation checks the RNG contract: exactly one

@@ -292,8 +292,11 @@ func TestMetricsRegister(t *testing.T) {
 	// prefix twice must collide.
 	m := &Metrics{}
 	reg := obs.NewRegistry()
-	m.MustRegister(reg, "a")
-	m.MustRegister(reg, "b")
+	for _, prefix := range []string{"a", "b"} {
+		if err := m.Register(reg, prefix); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := m.Register(reg, "a"); err == nil {
 		t.Error("re-registering the same prefix did not error")
 	}

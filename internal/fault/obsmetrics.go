@@ -57,10 +57,3 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "degraded_window_us", Help: "duration of the last degraded window, microseconds", V: &m.DegradedWindowUs},
 	})
 }
-
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

@@ -114,7 +114,6 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	simRank := 0
 	res, err := sim.Run(sim.Config{
 		Disk:         cfg.Service.Disk,
-		TransferOnly: cfg.Service.TransferOnly,
 		FixedService: cfg.Service.FixedService,
 		Scheduler:    simSched,
 		Options: sim.Options{

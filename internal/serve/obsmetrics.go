@@ -63,13 +63,6 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 	})
 }
 
-// MustRegister is Register for static wiring.
-func (m *Metrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}
-
 // CalibMetrics exposes the latest calibration scores under the
 // sfcsched_calib_* prefix. Scores are float ratios stored in gauges as
 // parts per million (the obs gauges are integral): 1_000_000 ppm = a MAPE
@@ -106,11 +99,4 @@ func (m *CalibMetrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "order_pearson_ppm", Help: "last run's dispatch-order Pearson r, ppm (1e6 = 1.0)", V: &m.OrderPearsonPpm},
 		{Name: "head_travel_delta_ppm", Help: "last run's (live-sim)/sim head-travel delta, ppm", V: &m.HeadTravelDeltaPpm},
 	})
-}
-
-// MustRegister is Register for static wiring.
-func (m *CalibMetrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
 }

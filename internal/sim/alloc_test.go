@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -134,11 +135,11 @@ func TestRunObservabilityDisabledAllocs(t *testing.T) {
 }
 
 // With decision tracing and telemetry enabled, steady-state allocations
-// stay run-constant: the ring is pre-filled after warmup, the candidate
-// and slack scratch have grown to the deepest queue, and the telemetry
-// columns are recycled by Reset — so captures cost no per-decision
-// allocations, on the slack-ranked walk (C-SCAN) and on the queued-value
-// walk (the cascade) alike.
+// stay run-constant: both observers build each record or row in one
+// scratch value and keep none, and after warmup the candidate and slack
+// scratch have grown to the deepest queue — so captures cost no
+// per-decision allocations, on the slack-ranked walk (C-SCAN) and on the
+// queued-value walk (the cascade) alike.
 func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
@@ -150,7 +151,7 @@ func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	for _, s := range []sched.Scheduler{sched.NewCSCAN(), benchCascade(t, enc, enc, core.ConditionallyPreemptive)} {
 		t.Run(s.Name(), func(t *testing.T) {
 			var ru Reuse
-			dt := NewDecisionTrace(512)
+			dt := NewDecisionTrace(0)
 			dt.SetMetrics(&DecisionMetrics{})
 			tel := NewTelemetry(50_000)
 			tel.SetMetrics(&DecisionMetrics{})
@@ -159,7 +160,7 @@ func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 				Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8,
 					Decisions: dt, Telemetry: tel},
 			}
-			MustRun(cfg, trace) // warm: fills the ring, grows scratch and columns
+			MustRun(cfg, trace) // warm: grows the candidate and slack scratch
 			tel.Reset()
 			MustRun(cfg, trace)
 			allocs := testing.AllocsPerRun(10, func() {
@@ -170,5 +171,40 @@ func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 				t.Errorf("Run with decision trace + telemetry allocates %v per run, want <= 32", allocs)
 			}
 		})
+	}
+}
+
+// Observers stream and forget: a run with a fresh decision trace and
+// sampler attached (no hooks) allocates only their run-constant scratch
+// on top of the bare run, however long the run is. A retained record or
+// sampled row would grow this with the run; a trace that honoured its
+// capacity argument would hold 1024 records of about 400 bytes.
+func TestObserversRetainNothing(t *testing.T) {
+	skipUnderRace(t)
+	for _, n := range []int{2000, 20000} {
+		w := reuseBenchWorkload()
+		w.Count = n
+		var arena workload.Arena
+		trace := w.MustGenerateArena(&arena)
+		var ru Reuse
+		alloc := func(opts Options) int64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			MustRun(Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru, Options: opts}, trace)
+			runtime.ReadMemStats(&after)
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		bare := Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8}
+		alloc(bare) // warm the Reuse
+		base := alloc(bare)
+		observed := bare
+		observed.Decisions = NewDecisionTrace(1024)
+		observed.Decisions.SetMetrics(&DecisionMetrics{})
+		observed.Telemetry = NewTelemetry(50_000)
+		observed.Telemetry.SetMetrics(&DecisionMetrics{})
+		if extra := alloc(observed) - base; extra > 64<<10 {
+			t.Errorf("%d requests: observers allocate %d bytes over the bare run's %d, want <= %d",
+				n, extra, base, 64<<10)
+		}
 	}
 }

@@ -167,7 +167,7 @@ func (a *raid5) arrive(lr *core.Request, now int64) {
 		ops = array.DegradedRead(block, fd)
 		if len(ops) > 1 {
 			a.res.Reconstructions++
-			a.eng.Faults.Metrics().ReconstructReads.Add(uint64(len(ops)))
+			a.eng.faults.Metrics().ReconstructReads.Add(uint64(len(ops)))
 		}
 	} else {
 		ops = array.Read(block)
@@ -232,7 +232,7 @@ func (a *raid5) enqueue(st *logicalState, ops []disk.PhysOp, now int64) {
 			continue
 		}
 		a.res.Reconstructions++
-		a.eng.Faults.Metrics().ReconstructReads.Add(uint64(disks - 1))
+		a.eng.faults.Metrics().ReconstructReads.Add(uint64(disks - 1))
 		st.pending += disks - 2
 		if len(st.writeOps) > 0 {
 			st.readsLeft += disks - 2
@@ -334,7 +334,7 @@ func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {
 // fail is the planned whole-disk failure, fired by the FailAt timer.
 func (a *raid5) fail(now int64) {
 	k := a.cfg.Fault.FailDisk
-	a.eng.Faults.FailNow(now)
+	a.eng.faults.FailNow(now)
 	// Drain the dead disk's queue, re-routing every stranded op; the
 	// in-flight one (if any) is re-routed by its Lost completion.
 	st := a.eng.Stations[k]
@@ -355,7 +355,7 @@ func (a *raid5) fail(now int64) {
 func (a *raid5) issueRebuild(now int64) {
 	k := a.cfg.Fault.FailDisk
 	if a.rebuiltBlocks >= a.cfg.Fault.RebuildBlocks {
-		a.eng.Faults.MarkRebuilt(now)
+		a.eng.faults.MarkRebuilt(now)
 		return
 	}
 	ops := a.cfg.Array.RebuildStripe(int64(a.rebuiltBlocks), k)
@@ -369,7 +369,7 @@ func (a *raid5) issueRebuild(now int64) {
 		a.eng.Stations[op.Disk].Enqueue(pr, now)
 		a.res.PerDiskOps[op.Disk]++
 		a.res.RebuildReads++
-		a.eng.Faults.Metrics().RebuildReads.Inc()
+		a.eng.faults.Metrics().RebuildReads.Inc()
 	}
 }
 
@@ -379,7 +379,7 @@ func (a *raid5) rebuildOpDone(now int64) {
 		return
 	}
 	a.rebuiltBlocks++
-	a.eng.Faults.Metrics().RebuildProgress.Set(int64(a.rebuiltBlocks))
+	a.eng.faults.Metrics().RebuildProgress.Set(int64(a.rebuiltBlocks))
 	if a.cfg.Fault.RebuildInterval > 0 {
 		a.eng.At(now+a.cfg.Fault.RebuildInterval, a.issueRebuild)
 	} else {
@@ -389,10 +389,10 @@ func (a *raid5) rebuildOpDone(now int64) {
 
 // downDisk returns the currently failed disk, if any.
 func (a *raid5) downDisk() (int, bool) {
-	if a.eng.Faults == nil {
+	if a.eng.faults == nil {
 		return 0, false
 	}
-	return a.eng.Faults.DownDisk()
+	return a.eng.faults.DownDisk()
 }
 
 // blockOf returns the logical block number of a request; array workloads

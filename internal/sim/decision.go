@@ -19,10 +19,11 @@ import (
 //
 // Cost contract: with Options.Decisions nil the engine's dispatch path is
 // untouched (no captures, no allocations — pinned by the alloc gates).
-// With tracing enabled, records land in a fixed-capacity ring and every
-// per-decision buffer (candidate scratch, slack scratch, JSONL buffer) is
-// reused, so steady-state capture performs no per-decision allocations
-// once the scratch has grown to the deepest queue observed. A decision
+// With tracing enabled, each record is built in one scratch record, handed
+// to the OnRecord hook and forgotten; every per-decision buffer (candidate
+// scratch, slack scratch, JSONL buffer) is reused, so capture retains
+// nothing and performs no per-decision allocations once the scratch has
+// grown to the deepest queue observed. A decision
 // costs one queue walk and one pass over its candidates: values are read
 // as queued (ValueWalker), never recomputed, and nothing is sorted.
 
@@ -134,18 +135,18 @@ type DecisionRecord struct {
 	TopK [MaxTopK]DecisionCandidate
 }
 
-// DecisionTrace captures decision records into a fixed-capacity ring.
-// Install one via Options.Decisions; it is not safe for concurrent use
-// across simultaneous runs (one per run, like a collector).
+// DecisionTrace captures one record per dispatch decision and streams it
+// to OnRecord; it keeps none. Install one via Options.Decisions; it is not
+// safe for concurrent use across simultaneous runs (one per run, like a
+// collector).
 type DecisionTrace struct {
 	// OnRecord, when non-nil, receives every record as it is captured.
-	// The pointer aliases the ring slot and is overwritten after capacity
-	// more decisions: hooks must copy what they retain. DecisionJSONL
+	// The pointer aliases the trace's scratch record and is overwritten by
+	// the next decision: hooks must copy what they retain. DecisionJSONL
 	// adapts an io.Writer into a streaming hook.
 	OnRecord func(*DecisionRecord)
 
-	cap   int
-	recs  []DecisionRecord
+	rec   DecisionRecord
 	total uint64
 	m     *DecisionMetrics
 
@@ -159,15 +160,11 @@ type DecisionTrace struct {
 	head    int
 }
 
-// NewDecisionTrace returns a trace retaining the last capacity decision
-// records (capacity < 1 is raised to 1). Records beyond the capacity
-// overwrite the oldest; Total still counts them and OnRecord still sees
-// them.
+// NewDecisionTrace returns a trace with no hook. capacity is unused: the
+// trace retains no records. It stays because the benchmark passes one,
+// until the benchmark is next revised.
 func NewDecisionTrace(capacity int) *DecisionTrace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	t := &DecisionTrace{cap: capacity, m: DefaultDecisionMetrics}
+	t := &DecisionTrace{m: DefaultDecisionMetrics}
 	t.visit = func(r *core.Request, v uint64) {
 		t.cands = append(t.cands, DecisionCandidate{
 			ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(t.now), V: v,
@@ -182,24 +179,8 @@ func NewDecisionTrace(capacity int) *DecisionTrace {
 func (t *DecisionTrace) SetMetrics(m *DecisionMetrics) { t.m = m }
 
 // Total returns the number of decisions captured over the trace's
-// lifetime (across ring wraps).
+// lifetime.
 func (t *DecisionTrace) Total() uint64 { return t.total }
-
-// Len returns the number of records currently retained (≤ capacity).
-func (t *DecisionTrace) Len() int { return len(t.recs) }
-
-// Records returns the retained records in chronological order, copied out
-// of the ring.
-func (t *DecisionTrace) Records() []DecisionRecord {
-	out := make([]DecisionRecord, 0, len(t.recs))
-	if t.total > uint64(t.cap) {
-		start := int(t.total % uint64(t.cap))
-		out = append(out, t.recs[start:]...)
-		out = append(out, t.recs[:start]...)
-		return out
-	}
-	return append(out, t.recs...)
-}
 
 // snapshot walks the station's queue into the candidate scratch before the
 // scheduler is asked to decide. The walk is read-only.
@@ -324,29 +305,24 @@ func b2i(b bool) int {
 	return 0
 }
 
-// commit turns the pending snapshot plus the scheduler's choice into a
-// record. Called once per decision, for serves and deadline drops alike.
+// commit turns the pending snapshot plus the scheduler's choice into the
+// scratch record and hands it to OnRecord. Called once per decision, for
+// serves and deadline drops alike.
 func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped bool) {
-	var rec DecisionRecord
-	rec.Seq = t.total
-	rec.Now = now
-	rec.DiskID = st.ID
-	rec.Head = t.head
-	rec.Depth = len(t.cands)
-	rec.Dropped = dropped
-	rec.Chosen = DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: NoValue}
+	rec := &t.rec
+	*rec = DecisionRecord{
+		Seq:     t.total,
+		Now:     now,
+		DiskID:  st.ID,
+		Head:    t.head,
+		Depth:   len(t.cands),
+		Dropped: dropped,
+		Chosen:  DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: NoValue},
+	}
 	if ws, ok := st.Sched.(WindowStater); ok {
 		rec.Window = ws.Window()
 	}
-	t.slacks = summarize(&rec, t.cands, t.byV, t.slacks)
-
-	// Ring store: append until capacity, then overwrite the oldest.
-	if len(t.recs) < t.cap {
-		t.recs = append(t.recs, rec)
-	} else {
-		t.recs[t.total%uint64(t.cap)] = rec
-	}
-	stored := &t.recs[t.total%uint64(t.cap)]
+	t.slacks = summarize(rec, t.cands, t.byV, t.slacks)
 	t.total++
 
 	t.m.Decisions.Inc()
@@ -362,7 +338,7 @@ func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped 
 		}
 	}
 	if t.OnRecord != nil {
-		t.OnRecord(stored)
+		t.OnRecord(rec)
 	}
 }
 

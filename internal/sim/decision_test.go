@@ -34,9 +34,17 @@ func cascadedScheduler() sched.Scheduler {
 		0.05)
 }
 
+// recordsOf makes dt keep a copy of every record it captures.
+func recordsOf(dt *DecisionTrace) *[]DecisionRecord {
+	recs := new([]DecisionRecord)
+	dt.OnRecord = func(rec *DecisionRecord) { *recs = append(*recs, *rec) }
+	return recs
+}
+
 func TestDecisionTraceCapturesDecisions(t *testing.T) {
-	dt := NewDecisionTrace(10_000)
+	dt := NewDecisionTrace(0)
 	dt.SetMetrics(&DecisionMetrics{})
+	recs := recordsOf(dt)
 	res := MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
 		Options: Options{DropLate: true, Decisions: dt},
@@ -48,8 +56,11 @@ func TestDecisionTraceCapturesDecisions(t *testing.T) {
 	if got, want := dt.Total(), res.Served+res.Dropped; got != want {
 		t.Errorf("decisions captured = %d, want served+dropped = %d", got, want)
 	}
+	if uint64(len(*recs)) != dt.Total() {
+		t.Fatalf("hook saw %d records, trace counted %d", len(*recs), dt.Total())
+	}
 	sawWindow, sawMultiCandidate := false, false
-	for i, rec := range dt.Records() {
+	for i, rec := range *recs {
 		if rec.Seq != uint64(i) {
 			t.Fatalf("record %d has Seq %d, want dense sequence", i, rec.Seq)
 		}
@@ -88,42 +99,17 @@ func TestDecisionTraceCapturesDecisions(t *testing.T) {
 	}
 }
 
-func TestDecisionTraceRingWrap(t *testing.T) {
-	dt := NewDecisionTrace(16)
-	dt.SetMetrics(&DecisionMetrics{})
-	MustRun(Config{
-		Disk: xp(), Scheduler: sched.NewCSCAN(),
-		Options: Options{DropLate: true, Decisions: dt},
-	}, decisionWorkload(2))
-
-	if dt.Total() <= 16 {
-		t.Fatalf("run produced only %d decisions; wrap not exercised", dt.Total())
-	}
-	if dt.Len() != 16 {
-		t.Fatalf("ring holds %d records, want capacity 16", dt.Len())
-	}
-	recs := dt.Records()
-	if want := dt.Total() - 1; recs[len(recs)-1].Seq != want {
-		t.Errorf("last retained Seq = %d, want %d", recs[len(recs)-1].Seq, want)
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Seq != recs[i-1].Seq+1 {
-			t.Fatalf("retained records not chronological at %d: %d then %d",
-				i, recs[i-1].Seq, recs[i].Seq)
-		}
-	}
-}
-
 // Non-value schedulers still produce records: candidates rank by (Slack,
 // ID) and values read NoValue.
 func TestDecisionTraceNonValueScheduler(t *testing.T) {
-	dt := NewDecisionTrace(1 << 16)
+	dt := NewDecisionTrace(0)
 	dt.SetMetrics(&DecisionMetrics{})
+	recs := recordsOf(dt)
 	MustRun(Config{
 		Disk: xp(), Scheduler: sched.NewFCFS(),
 		Options: Options{DropLate: true, Decisions: dt},
 	}, decisionWorkload(3))
-	for i, rec := range dt.Records() {
+	for i, rec := range *recs {
 		if rec.Chosen.V != NoValue || rec.VSpread != 0 {
 			t.Fatalf("record %d: FCFS exposes no values, got V=%d spread=%d",
 				i, rec.Chosen.V, rec.VSpread)
@@ -141,7 +127,7 @@ func TestDecisionTraceNonValueScheduler(t *testing.T) {
 func TestDecisionJSONL(t *testing.T) {
 	run := func() (*bytes.Buffer, uint64) {
 		var buf bytes.Buffer
-		dt := NewDecisionTrace(64)
+		dt := NewDecisionTrace(0)
 		dt.SetMetrics(&DecisionMetrics{})
 		dt.OnRecord = DecisionJSONL(&buf)
 		MustRun(Config{
@@ -184,7 +170,7 @@ func TestDecisionJSONL(t *testing.T) {
 // Decision metrics must flow to the configured sink, not the global one.
 func TestDecisionMetricsSink(t *testing.T) {
 	var m DecisionMetrics
-	dt := NewDecisionTrace(8)
+	dt := NewDecisionTrace(0)
 	dt.SetMetrics(&m)
 	MustRun(Config{
 		Disk: xp(), Scheduler: sched.NewCSCAN(),
@@ -213,7 +199,7 @@ func TestDecisionTraceDoesNotPerturb(t *testing.T) {
 		return events, res
 	}
 	evPlain, resPlain := run(nil)
-	dt := NewDecisionTrace(128)
+	dt := NewDecisionTrace(0)
 	dt.SetMetrics(&DecisionMetrics{})
 	evTraced, resTraced := run(dt)
 	if !reflect.DeepEqual(evPlain, evTraced) {
@@ -440,12 +426,13 @@ func TestDecisionValuesAreQueuedValues(t *testing.T) {
 	for _, mode := range []core.PreemptMode{core.FullyPreemptive, core.ConditionallyPreemptive, core.NonPreemptive} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s, rv := recordedCascade(t, mode)
-			dt := NewDecisionTrace(1 << 16)
+			dt := NewDecisionTrace(0)
 			dt.SetMetrics(&DecisionMetrics{})
+			captured := recordsOf(dt)
 			MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{DropLate: true, Decisions: dt}}, decisionWorkload(1))
 
 			var recs, wrongV, multi, misranked int
-			for _, rec := range dt.Records() {
+			for _, rec := range *captured {
 				recs++
 				bad := rec.Chosen.V != rv.queued[rec.Chosen.ID]
 				for _, c := range rec.TopK[:rec.K] {
@@ -481,7 +468,7 @@ func TestObservedRunValueAtOncePerAdd(t *testing.T) {
 	s, rv := recordedCascade(t, core.ConditionallyPreemptive)
 	m := new(core.Metrics)
 	s.SetMetrics(m)
-	dt := NewDecisionTrace(1024)
+	dt := NewDecisionTrace(0)
 	dt.SetMetrics(&DecisionMetrics{})
 	tel := NewTelemetry(50_000)
 	tel.SetMetrics(&DecisionMetrics{})

@@ -45,9 +45,6 @@ type Station struct {
 	// Col accumulates this station's physical metrics (dispatch inversions,
 	// served/dropped/late counts, seek and service time). Required.
 	Col *metrics.Collector
-	// TransferOnly charges only media transfer time (the §5.1-5.2
-	// assumption that "the transfer time dominates the seek time").
-	TransferOnly bool
 	// FixedService, when positive, overrides the disk model with a
 	// constant service time (pure queueing experiments).
 	FixedService int64
@@ -94,7 +91,6 @@ func (s *Station) Enqueue(r *core.Request, now int64) {
 func (s *Station) serviceTimeAt(cyl int, size int64, sampleRotation bool, rng *stats.RNG) (int64, int64) {
 	m := disk.ServiceModel{
 		Disk:           s.Disk,
-		TransferOnly:   s.TransferOnly,
 		FixedService:   s.FixedService,
 		SampleRotation: sampleRotation,
 	}
@@ -133,33 +129,6 @@ type Engine struct {
 	// event time idle stations dispatch in index order, which fixes the
 	// RNG draw order and makes runs reproducible.
 	Stations []*Station
-	// DropLate drops requests whose deadline has passed at dispatch time
-	// (the §6 semantics). When false, expired requests are still serviced
-	// and counted late.
-	DropLate bool
-	// RNG is the single rotational-latency stream shared by all stations.
-	RNG *stats.RNG
-	// Trace, when non-nil, receives one TraceEvent per dispatch decision
-	// (served or dropped) on any station, with DiskID set to the station
-	// ID. The hook runs inline; a slow sink slows the run, not the clock.
-	Trace func(TraceEvent)
-	// Faults, when non-nil, injects the deterministic fault plan: every
-	// service completion is ruled on (OK/Retry/Exhausted/Lost), retried
-	// requests re-enter their scheduler after a backoff timer, and
-	// dispatches follow sector remaps. The injector draws from its own
-	// RNG stream, so a nil (or zero-plan) injector leaves runs
-	// byte-identical.
-	Faults *fault.Injector
-	// Decisions, when non-nil, captures a DecisionRecord per dispatch
-	// decision: the candidate set is snapshotted (read-only) just before
-	// the scheduler's Next and committed with the choice. Nil costs
-	// nothing on the dispatch path.
-	Decisions *DecisionTrace
-	// Telemetry, when non-nil, samples per-station queue/utilization
-	// state at fixed sim-time intervals. Sampling happens inside the run
-	// loop at event times — it schedules no events of its own, so it can
-	// never perturb the simulation.
-	Telemetry *Telemetry
 
 	// OnServed fires when a station completes a service; OnDropped when a
 	// station drops an expired request; OnLateStart when a service starts
@@ -176,14 +145,19 @@ type Engine struct {
 	// the request is dropped and attributed to faults.
 	OnFaulted func(st *Station, r *core.Request, now int64)
 
+	// opts is the run's configuration as Setup received it: the drop
+	// policy, the rotation sampling and the observers (Trace, Decisions,
+	// Telemetry, Shadows) are read from it directly.
+	opts Options
+	// faults is the injector built from opts.Fault; nil when the plan is
+	// nil or zero. It draws from its own RNG stream, so a run without
+	// one is byte-identical to a run with a zero plan.
+	faults   *fault.Injector
 	events   core.Heap4[event, eventCmp]
 	now      int64
 	timerSeq uint64
-	rng      stats.RNG
-	shadows  []*Shadow
-	// sampleRotation draws each service's rotational latency from RNG
-	// instead of charging the deterministic average (Options).
-	sampleRotation bool
+	// rng is the single rotational-latency stream shared by all stations.
+	rng stats.RNG
 }
 
 // Setup assembles a run on e — the one place sim.Run, sim.RunArray and
@@ -200,18 +174,8 @@ type Engine struct {
 func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 	events := e.events
 	events.Reset()
-	*e = Engine{
-		Stations:       stations,
-		DropLate:       opts.DropLate,
-		Trace:          opts.Trace,
-		Decisions:      opts.Decisions,
-		Telemetry:      opts.Telemetry,
-		events:         events,
-		shadows:        opts.Shadows,
-		sampleRotation: opts.SampleRotation,
-	}
+	*e = Engine{Stations: stations, opts: opts, events: events}
 	e.rng.Seed(opts.Seed)
-	e.RNG = &e.rng
 	n := len(stations)
 	for i, st := range stations {
 		st.ID, st.shadows = i, nil
@@ -254,28 +218,28 @@ func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 		cyls = stations[0].Disk.Cylinders
 	}
 	var err error
-	e.Faults, err = fault.New(*plan, cyls)
+	e.faults, err = fault.New(*plan, cyls)
 	return err
 }
 
 // faultStats snapshots the injector's counters; nil when the run had no
 // (or a zero) fault plan.
 func (e *Engine) faultStats() *fault.Stats {
-	if e.Faults == nil {
+	if e.faults == nil {
 		return nil
 	}
-	fs := e.Faults.Stats()
+	fs := e.faults.Stats()
 	return &fs
 }
 
 // shadowReports returns one divergence report per attached shadow, in
 // Options.Shadows order; nil when the run had none.
 func (e *Engine) shadowReports() []ShadowReport {
-	if len(e.shadows) == 0 {
+	if len(e.opts.Shadows) == 0 {
 		return nil
 	}
-	reports := make([]ShadowReport, len(e.shadows))
-	for i, sh := range e.shadows {
+	reports := make([]ShadowReport, len(e.opts.Shadows))
+	for i, sh := range e.opts.Shadows {
 		reports[i] = sh.Report()
 	}
 	return reports
@@ -333,12 +297,12 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 		for _, st := range e.Stations {
 			e.dispatch(st, t)
 		}
-		if e.Telemetry != nil {
-			e.Telemetry.sample(e, t)
+		if tel := e.opts.Telemetry; tel != nil {
+			tel.sample(e, t)
 		}
 	}
-	if e.Telemetry != nil {
-		e.Telemetry.closeRun(e, e.now)
+	if tel := e.opts.Telemetry; tel != nil {
+		tel.closeRun(e, e.now)
 	}
 	return e.now
 }
@@ -347,38 +311,38 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 // dropping expired requests first under DropLate. This is the single
 // drop/late/service-time/metrics code path of the package.
 func (e *Engine) dispatch(st *Station, now int64) {
-	if e.Faults != nil && e.Faults.Down(st.ID) {
+	if e.faults != nil && e.faults.Down(st.ID) {
 		// A failed disk serves nothing; the array layer drains and
 		// re-routes its queue at failure time.
 		return
 	}
 	for st.inSvc == nil && st.Sched.Len() > 0 {
-		if e.Decisions != nil {
+		if e.opts.Decisions != nil {
 			// Snapshot the candidate set before the scheduler decides; the
 			// walk is read-only, so the decision itself is unperturbed.
-			e.Decisions.snapshot(st, now)
+			e.opts.Decisions.snapshot(st, now)
 		}
 		r := st.Sched.Next(now, st.head)
 		if r == nil {
 			return
 		}
-		if e.DropLate && r.Deadline > 0 && now > r.Deadline {
+		if e.opts.DropLate && r.Deadline > 0 && now > r.Deadline {
 			// Dropped requests never occupy the station, so serving others
 			// "ahead" of them costs nothing: they must not contribute to
 			// the §5.1 inversion counts. OnDispatch therefore runs only
 			// after the expiry check.
 			st.Col.OnDropped(r)
-			if e.Faults != nil && e.Faults.Attempted(r) {
+			if e.faults != nil && e.faults.Attempted(r) {
 				// The deadline expired while the request sat out a retry
 				// backoff: a drop attributable to faults, not load.
 				st.Col.OnFaultDropped()
-				e.Faults.Forget(r)
+				e.faults.Forget(r)
 			}
-			if e.Trace != nil {
-				e.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Dropped: true, QueueLen: st.Sched.Len()})
+			if e.opts.Trace != nil {
+				e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Dropped: true, QueueLen: st.Sched.Len()})
 			}
-			if e.Decisions != nil {
-				e.Decisions.commit(st, r, now, true)
+			if e.opts.Decisions != nil {
+				e.opts.Decisions.commit(st, r, now, true)
 			}
 			if e.OnDropped != nil {
 				e.OnDropped(st, r, now)
@@ -389,19 +353,19 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		target := r.Cylinder
 		if st.Disk != nil {
 			target = min(max(target, 0), st.Disk.Cylinders-1)
-			if e.Faults != nil {
-				target = e.Faults.Redirect(st.ID, target)
+			if e.faults != nil {
+				target = e.faults.Redirect(st.ID, target)
 			}
 		}
-		seek, svc := st.serviceTimeAt(target, r.Size, e.sampleRotation, e.RNG)
+		seek, svc := st.serviceTimeAt(target, r.Size, e.opts.SampleRotation, &e.rng)
 		if st.Disk != nil {
 			st.headTravel += int64(max(target-st.head, st.head-target))
 		}
-		if e.Trace != nil {
-			e.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head, Seek: seek, Service: svc, QueueLen: st.Sched.Len()})
+		if e.opts.Trace != nil {
+			e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head, Seek: seek, Service: svc, QueueLen: st.Sched.Len()})
 		}
-		if e.Decisions != nil {
-			e.Decisions.commit(st, r, now, false)
+		if e.opts.Decisions != nil {
+			e.opts.Decisions.commit(st, r, now, false)
 		}
 		for _, sh := range st.shadows {
 			sh.observe(r, now)
@@ -434,8 +398,8 @@ func (e *Engine) dispatch(st *Station, now int64) {
 func (e *Engine) complete(st *Station, now int64) {
 	r := st.inSvc
 	st.inSvc = nil
-	if e.Faults != nil {
-		verdict, delay := e.Faults.Outcome(st.ID, st.head, r, now)
+	if e.faults != nil {
+		verdict, delay := e.faults.Outcome(st.ID, st.head, r, now)
 		if verdict != fault.OK {
 			e.faulted(st, r, verdict, delay, now)
 			return
@@ -450,14 +414,14 @@ func (e *Engine) complete(st *Station, now int64) {
 // faulted handles a non-OK verdict on the completed service of r.
 func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, delay, now int64) {
 	st.Col.OnFaultAttempt(st.svcSeek, st.svcTime)
-	if e.Trace != nil {
-		e.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head,
+	if e.opts.Trace != nil {
+		e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head,
 			Faulted: true, Dropped: verdict == fault.Exhausted, QueueLen: st.Sched.Len()})
 	}
 	switch verdict {
 	case fault.Retry:
 		e.At(now+delay, func(t int64) {
-			if e.Faults.Down(st.ID) {
+			if e.faults.Down(st.ID) {
 				// The disk died during the backoff; the retry has nowhere
 				// to land.
 				e.lose(st, r, t)
@@ -480,7 +444,7 @@ func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, de
 // re-route it through reconstruction); without a handler it is dropped
 // and attributed to faults.
 func (e *Engine) lose(st *Station, r *core.Request, now int64) {
-	e.Faults.Forget(r)
+	e.faults.Forget(r)
 	if e.OnFaulted != nil {
 		e.OnFaulted(st, r, now)
 		return

@@ -228,7 +228,7 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 				Options: Options{DropLate: drop, Seed: seed, SampleRotation: true,
 					Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }}}
 			if attach {
-				dt := NewDecisionTrace(128)
+				dt := NewDecisionTrace(0)
 				dt.SetMetrics(&DecisionMetrics{})
 				cfg.Decisions = dt
 				cfg.Telemetry = NewTelemetry(40_000)

@@ -105,7 +105,11 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 	}{
 		{"disk", Config{Disk: m}},
 		{"disk-drop", Config{Disk: m, Options: Options{DropLate: true}}},
-		{"transfer-only", Config{TransferOnly: true, Disk: m, Options: Options{DropLate: true}}},
+		// §5.1-5.2's "the transfer time dominates the seek time": a disk
+		// station (clamped head, head travel) charged a seek-free,
+		// transfer-sized constant. The diskless fixed-service scenario
+		// below does not cross the clamp.
+		{"transfer-only", Config{Disk: m, FixedService: m.TransferTime(0, 64<<10), Options: Options{DropLate: true}}},
 		{"fixed-service", Config{FixedService: 12_000, Options: Options{DropLate: true}}},
 		{"sampled-rotation", Config{Disk: m, Options: Options{DropLate: true, SampleRotation: true}}},
 	}

@@ -111,9 +111,6 @@ func legacyServiceTime(cfg Config, head int, r *core.Request, rng *stats.RNG) (i
 		return 0, cfg.FixedService
 	}
 	cyl := min(max(r.Cylinder, 0), cfg.Disk.Cylinders-1)
-	if cfg.TransferOnly {
-		return 0, cfg.Disk.TransferTime(cyl, r.Size)
-	}
 	seek := cfg.Disk.SeekTime(min(max(head, 0), cfg.Disk.Cylinders-1), cyl)
 	rot := cfg.Disk.AvgRotationalLatency()
 	if cfg.SampleRotation {

@@ -50,10 +50,3 @@ func (m *DecisionMetrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "telemetry_samples", Help: "telemetry rows recorded", V: &m.TelemetrySamples},
 	})
 }
-
-// MustRegister is Register for static wiring.
-func (m *DecisionMetrics) MustRegister(reg *obs.Registry, prefix string) {
-	if err := m.Register(reg, prefix); err != nil {
-		panic(err)
-	}
-}

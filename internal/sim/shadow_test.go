@@ -23,7 +23,7 @@ func TestShadowsDoNotPerturb(t *testing.T) {
 				Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }},
 		}
 		if attach {
-			dt := NewDecisionTrace(256)
+			dt := NewDecisionTrace(0)
 			dt.SetMetrics(&DecisionMetrics{})
 			cfg.Decisions = dt
 			cfg.Telemetry = NewTelemetry(50_000)
@@ -145,8 +145,9 @@ func TestValuePresetsAreObservable(t *testing.T) {
 		}
 	}
 
-	dt := NewDecisionTrace(1 << 16)
+	dt := NewDecisionTrace(0)
 	dt.SetMetrics(&DecisionMetrics{})
+	recs := recordsOf(dt)
 	MustRun(Config{
 		Disk: xp(), Scheduler: core.EmulateEDF(),
 		Options: Options{DropLate: true, Decisions: dt},
@@ -154,7 +155,7 @@ func TestValuePresetsAreObservable(t *testing.T) {
 	if dt.Total() == 0 {
 		t.Fatal("no decisions captured")
 	}
-	for i, rec := range dt.Records() {
+	for i, rec := range *recs {
 		if rec.Chosen.V == NoValue {
 			t.Fatalf("record %d: emulated EDF orders by value, chosen V missing", i)
 		}

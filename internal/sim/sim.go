@@ -54,12 +54,15 @@ type Options struct {
 	Fault *fault.Plan
 	// Decisions, when non-nil, captures one DecisionRecord per dispatch
 	// decision (candidate set, chosen request, slack distribution, window
-	// state) into the trace's ring. Nil costs nothing.
+	// state) and hands it to the trace's OnRecord hook; DecisionJSONL
+	// adapts an io.Writer into one. Nothing is retained. Nil costs
+	// nothing.
 	Decisions *DecisionTrace
 	// Telemetry, when non-nil, samples per-station queue depth,
 	// utilization, value spread and slack distribution at the sampler's
-	// interval. Sampling is non-perturbing: the simulated trajectory is
-	// identical with or without it.
+	// interval and hands each row to its OnRow hook; TelemetryCSV adapts
+	// an io.Writer into one. Sampling is non-perturbing: the simulated
+	// trajectory is identical with or without it.
 	Telemetry *Telemetry
 	// Shadows attaches counterfactual schedulers that observe the same
 	// arrival stream and record what they would have dispatched, without
@@ -75,9 +78,6 @@ type Config struct {
 	Disk *disk.Model
 	// Scheduler is the queue discipline under test. Required.
 	Scheduler sched.Scheduler
-	// TransferOnly charges only media transfer time (the §5.1-5.2
-	// assumption that "the transfer time dominates the seek time").
-	TransferOnly bool
 	// FixedService, when positive, overrides the disk model with a
 	// constant service time (useful for pure queueing experiments).
 	FixedService int64
@@ -126,7 +126,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		Sched:        cfg.Scheduler,
 		Disk:         cfg.Disk,
 		Col:          col,
-		TransferOnly: cfg.TransferOnly,
 		FixedService: cfg.FixedService,
 	}
 	ru.stations[0] = st

@@ -76,17 +76,6 @@ func TestDropLateSemantics(t *testing.T) {
 	}
 }
 
-func TestTransferOnlyIgnoresSeek(t *testing.T) {
-	trace := smallTrace()
-	res := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), TransferOnly: true}, trace)
-	if res.SeekTime != 0 {
-		t.Errorf("transfer-only run recorded seek time %d", res.SeekTime)
-	}
-	if res.ServiceTime == 0 {
-		t.Error("transfer-only run should still accumulate service time")
-	}
-}
-
 func TestFixedServiceNeedsNoDisk(t *testing.T) {
 	trace := []*core.Request{
 		{ID: 1, Arrival: 0},

@@ -7,10 +7,10 @@ import (
 	"sfcsched/internal/core"
 )
 
-// Telemetry samples per-station state at fixed sim-time intervals into a
-// compact columnar buffer: queue depth, completed-service utilization,
-// characterization-value spread and the deadline-slack distribution of
-// the queued requests. Install one via Options.Telemetry.
+// Telemetry samples per-station state at fixed sim-time intervals: queue
+// depth, completed-service utilization, characterization-value spread and
+// the deadline-slack distribution of the queued requests. Each sampled row
+// goes to OnRow and is forgotten. Install one via Options.Telemetry.
 //
 // Sampling is driven from inside the engine's run loop: after each event
 // round, if the clock has crossed the next interval boundary, one row per
@@ -23,25 +23,19 @@ import (
 // interval is covered and per-station utilization sums span the whole
 // run; only an entirely empty run produces no rows.
 //
-// All columns have one entry per row; row i describes station Disk[i] at
-// time Time[i]. Scratch buffers are reused, so steady-state sampling
-// allocates only for column growth.
+// Rows are built in one scratch row and scratch buffers are reused, so
+// sampling retains nothing and allocates nothing in steady state.
 type Telemetry struct {
 	// Interval is the sampling period, µs. Set by NewTelemetry.
 	Interval int64
+	// OnRow, when non-nil, receives every sampled row. The pointer aliases
+	// the sampler's scratch row and is overwritten by the next row: hooks
+	// must copy what they retain. TelemetryCSV adapts an io.Writer into a
+	// streaming hook.
+	OnRow func(*TelemetryRow)
 
-	// Columns, one entry per sampled row.
-	Time      []int64   // sim time of the row, µs
-	Disk      []int32   // station ID
-	Depth     []int32   // queue depth (excluding the in-service request)
-	Busy      []float64 // completed-service utilization since the last row, [0,1]
-	VMin      []uint64  // min queued value (0 when no ValueWalker or empty)
-	VMax      []uint64  // max queued value; both are the enqueue-time values the dispatcher sorts by
-	Deadlined []int32   // queued requests carrying a deadline
-	SlackMin  []int64   // slack distribution over the Deadlined requests, µs
-	SlackP50  []int64
-	SlackMax  []int64
-
+	row      TelemetryRow
+	rows     int
 	next     int64
 	prevTime int64
 	prevBusy []int64
@@ -55,8 +49,22 @@ type Telemetry struct {
 	slacks     []int64
 }
 
-// NewTelemetry returns a sampler with the given period (µs); interval < 1
-// is raised to 1.
+// TelemetryRow is one sampled station state.
+type TelemetryRow struct {
+	Time      int64   // sim time of the row, µs
+	Disk      int     // station ID
+	Depth     int     // queue depth (excluding the in-service request)
+	Busy      float64 // completed-service utilization since the last row, [0,1]
+	VMin      uint64  // min queued value (0 when no ValueWalker or empty)
+	VMax      uint64  // max queued value; both are the enqueue-time values the dispatcher sorts by
+	Deadlined int     // queued requests carrying a deadline
+	SlackMin  int64   // slack distribution over the Deadlined requests, µs
+	SlackP50  int64
+	SlackMax  int64
+}
+
+// NewTelemetry returns a sampler with the given period (µs) and no hook;
+// interval < 1 is raised to 1.
 func NewTelemetry(interval int64) *Telemetry {
 	if interval < 1 {
 		interval = 1
@@ -76,22 +84,13 @@ func NewTelemetry(interval int64) *Telemetry {
 // process-wide DefaultDecisionMetrics. Call before the run starts.
 func (tel *Telemetry) SetMetrics(m *DecisionMetrics) { tel.m = m }
 
-// Rows returns the number of sampled rows.
-func (tel *Telemetry) Rows() int { return len(tel.Time) }
+// Rows returns the number of rows sampled since the last Reset.
+func (tel *Telemetry) Rows() int { return tel.rows }
 
-// Reset clears the sampled rows and sampling state, keeping column
-// capacity, so one sampler can serve successive runs in a sweep.
+// Reset clears the row count and sampling state, so one sampler can serve
+// successive runs in a sweep.
 func (tel *Telemetry) Reset() {
-	tel.Time = tel.Time[:0]
-	tel.Disk = tel.Disk[:0]
-	tel.Depth = tel.Depth[:0]
-	tel.Busy = tel.Busy[:0]
-	tel.VMin = tel.VMin[:0]
-	tel.VMax = tel.VMax[:0]
-	tel.Deadlined = tel.Deadlined[:0]
-	tel.SlackMin = tel.SlackMin[:0]
-	tel.SlackP50 = tel.SlackP50[:0]
-	tel.SlackMax = tel.SlackMax[:0]
+	tel.rows = 0
 	tel.next = 0
 	tel.prevTime = 0
 	for i := range tel.prevBusy {
@@ -120,15 +119,10 @@ func (tel *Telemetry) sample(e *Engine, t int64) {
 // ended exactly on a sampled row, or when the run was empty, so rows are
 // never duplicated.
 func (tel *Telemetry) closeRun(e *Engine, t int64) {
-	if t <= tel.prevTime {
-		return
+	if t > tel.prevTime {
+		tel.next = t
+		tel.sample(e, t)
 	}
-	for _, st := range e.Stations {
-		tel.sampleStation(st, t)
-	}
-	tel.prevTime = t
-	tel.next = (t/tel.Interval + 1) * tel.Interval
-	tel.m.TelemetrySamples.Add(uint64(len(e.Stations)))
 }
 
 func (tel *Telemetry) sampleStation(st *Station, t int64) {
@@ -158,54 +152,56 @@ func (tel *Telemetry) sampleStation(st *Station, t int64) {
 	}
 	smin, sp50, smax := slackSummary(tel.slacks)
 
-	tel.Time = append(tel.Time, t)
-	tel.Disk = append(tel.Disk, int32(st.ID))
-	tel.Depth = append(tel.Depth, int32(st.Sched.Len()))
-	tel.Busy = append(tel.Busy, busy)
-	tel.VMin = append(tel.VMin, vmin)
-	tel.VMax = append(tel.VMax, vmax)
-	tel.Deadlined = append(tel.Deadlined, int32(len(tel.slacks)))
-	tel.SlackMin = append(tel.SlackMin, smin)
-	tel.SlackP50 = append(tel.SlackP50, sp50)
-	tel.SlackMax = append(tel.SlackMax, smax)
+	tel.row = TelemetryRow{
+		Time: t, Disk: st.ID, Depth: st.Sched.Len(), Busy: busy,
+		VMin: vmin, VMax: vmax, Deadlined: len(tel.slacks),
+		SlackMin: smin, SlackP50: sp50, SlackMax: smax,
+	}
+	tel.rows++
+	if tel.OnRow != nil {
+		tel.OnRow(&tel.row)
+	}
 }
 
-// telemetryHeader is the CSV column order of WriteCSV.
+// telemetryHeader is the CSV column order of TelemetryCSV.
 const telemetryHeader = "time_us,disk,depth,busy,v_min,v_max,deadlined,slack_min,slack_p50,slack_max\n"
 
-// WriteCSV writes the sampled rows as CSV with a header line. Output is
-// deterministic for a deterministic run.
-func (tel *Telemetry) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, telemetryHeader); err != nil {
-		return err
-	}
+// TelemetryCSV writes the CSV header line to w and adapts w into an OnRow
+// hook writing one line per row, into a buffer reused across rows (zero
+// allocations per row once grown). The first write error silences the
+// hook for the rest of the run.
+func TelemetryCSV(w io.Writer) func(*TelemetryRow) {
+	_, err := io.WriteString(w, telemetryHeader)
+	failed := err != nil
 	var buf []byte
-	for i := range tel.Time {
+	return func(row *TelemetryRow) {
+		if failed {
+			return
+		}
 		b := buf[:0]
-		b = strconv.AppendInt(b, tel.Time[i], 10)
+		b = strconv.AppendInt(b, row.Time, 10)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(tel.Disk[i]), 10)
+		b = strconv.AppendInt(b, int64(row.Disk), 10)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(tel.Depth[i]), 10)
+		b = strconv.AppendInt(b, int64(row.Depth), 10)
 		b = append(b, ',')
-		b = strconv.AppendFloat(b, tel.Busy[i], 'f', 4, 64)
+		b = strconv.AppendFloat(b, row.Busy, 'f', 4, 64)
 		b = append(b, ',')
-		b = strconv.AppendUint(b, tel.VMin[i], 10)
+		b = strconv.AppendUint(b, row.VMin, 10)
 		b = append(b, ',')
-		b = strconv.AppendUint(b, tel.VMax[i], 10)
+		b = strconv.AppendUint(b, row.VMax, 10)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(tel.Deadlined[i]), 10)
+		b = strconv.AppendInt(b, int64(row.Deadlined), 10)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, tel.SlackMin[i], 10)
+		b = strconv.AppendInt(b, row.SlackMin, 10)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, tel.SlackP50[i], 10)
+		b = strconv.AppendInt(b, row.SlackP50, 10)
 		b = append(b, ',')
-		b = strconv.AppendInt(b, tel.SlackMax[i], 10)
+		b = strconv.AppendInt(b, row.SlackMax, 10)
 		b = append(b, '\n')
 		buf = b
 		if _, err := w.Write(b); err != nil {
-			return err
+			failed = true
 		}
 	}
-	return nil
 }

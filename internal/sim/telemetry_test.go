@@ -8,52 +8,65 @@ import (
 	"sfcsched/internal/sched"
 )
 
-func runTelemetry(t *testing.T, seed uint64) *Telemetry {
+// rowsOf makes tel keep a copy of every row it samples.
+func rowsOf(tel *Telemetry) *[]TelemetryRow {
+	rows := new([]TelemetryRow)
+	tel.OnRow = func(row *TelemetryRow) { *rows = append(*rows, *row) }
+	return rows
+}
+
+// runTelemetry runs the cascade on the decision workload of seed with a
+// sampler streaming its CSV into the returned buffer.
+func runTelemetry(t *testing.T, seed uint64) *bytes.Buffer {
 	t.Helper()
+	var buf bytes.Buffer
 	tel := NewTelemetry(50_000)
 	tel.SetMetrics(&DecisionMetrics{})
+	tel.OnRow = TelemetryCSV(&buf)
 	MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
 		Options: Options{DropLate: true, Telemetry: tel},
 	}, decisionWorkload(seed))
-	return tel
+	return &buf
 }
 
 func TestTelemetrySampling(t *testing.T) {
-	tel := runTelemetry(t, 20)
-	if tel.Rows() == 0 {
+	tel := NewTelemetry(50_000)
+	tel.SetMetrics(&DecisionMetrics{})
+	got := rowsOf(tel)
+	MustRun(Config{
+		Disk: xp(), Scheduler: cascadedScheduler(),
+		Options: Options{DropLate: true, Telemetry: tel},
+	}, decisionWorkload(20))
+	rows := *got
+	if len(rows) == 0 {
 		t.Fatal("no telemetry rows sampled")
 	}
-	for i := 0; i < tel.Rows(); i++ {
-		if i > 0 && tel.Time[i] < tel.Time[i-1] {
-			t.Fatalf("row %d: time %d before previous %d", i, tel.Time[i], tel.Time[i-1])
+	if tel.Rows() != len(rows) {
+		t.Fatalf("Rows() = %d, hook saw %d", tel.Rows(), len(rows))
+	}
+	sawBusy, sawDepth := false, false
+	for i, row := range rows {
+		if i > 0 && row.Time < rows[i-1].Time {
+			t.Fatalf("row %d: time %d before previous %d", i, row.Time, rows[i-1].Time)
 		}
 		// The final row closes the run at the completion time and may
 		// share the last sampled row's interval; every other boundary
 		// lands at most one row per interval.
-		if i > 0 && i < tel.Rows()-1 && tel.Time[i]/tel.Interval == tel.Time[i-1]/tel.Interval {
-			t.Fatalf("row %d: two rows in one interval (%d, %d)", i, tel.Time[i-1], tel.Time[i])
+		if i > 0 && i < len(rows)-1 && row.Time/tel.Interval == rows[i-1].Time/tel.Interval {
+			t.Fatalf("row %d: two rows in one interval (%d, %d)", i, rows[i-1].Time, row.Time)
 		}
-		if b := tel.Busy[i]; b < 0 || b > 1 {
-			t.Fatalf("row %d: utilization %v outside [0,1]", i, b)
+		if row.Busy < 0 || row.Busy > 1 {
+			t.Fatalf("row %d: utilization %v outside [0,1]", i, row.Busy)
 		}
-		if tel.Depth[i] < 0 || tel.VMin[i] > tel.VMax[i] {
-			t.Fatalf("row %d: malformed depth/value columns", i)
+		if row.Depth < 0 || row.VMin > row.VMax {
+			t.Fatalf("row %d: malformed depth/value fields", i)
 		}
-		if tel.Deadlined[i] > 0 {
-			if tel.SlackP50[i] < tel.SlackMin[i] || tel.SlackP50[i] > tel.SlackMax[i] {
-				t.Fatalf("row %d: slack p50 outside [min, max]", i)
-			}
+		if row.Deadlined > 0 && (row.SlackP50 < row.SlackMin || row.SlackP50 > row.SlackMax) {
+			t.Fatalf("row %d: slack p50 outside [min, max]", i)
 		}
-	}
-	sawBusy, sawDepth := false, false
-	for i := 0; i < tel.Rows(); i++ {
-		if tel.Busy[i] > 0 {
-			sawBusy = true
-		}
-		if tel.Depth[i] > 0 {
-			sawDepth = true
-		}
+		sawBusy = sawBusy || row.Busy > 0
+		sawDepth = sawDepth || row.Depth > 0
 	}
 	if !sawBusy || !sawDepth {
 		t.Errorf("telemetry never saw activity (busy seen: %v, depth seen: %v)", sawBusy, sawDepth)
@@ -68,25 +81,26 @@ func TestTelemetrySampling(t *testing.T) {
 func TestTelemetryClosingRow(t *testing.T) {
 	tel := NewTelemetry(50_000)
 	tel.SetMetrics(&DecisionMetrics{})
+	got := rowsOf(tel)
 	res := MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
 		Options: Options{DropLate: true, Telemetry: tel},
 	}, decisionWorkload(20))
-	if tel.Rows() == 0 {
+	rows := *got
+	if len(rows) == 0 {
 		t.Fatal("no telemetry rows sampled")
 	}
-	last := tel.Rows() - 1
-	if tel.Time[last] != res.Makespan {
-		t.Fatalf("last row at %d µs, want run makespan %d µs", tel.Time[last], res.Makespan)
+	if last := rows[len(rows)-1]; last.Time != res.Makespan {
+		t.Fatalf("last row at %d µs, want run makespan %d µs", last.Time, res.Makespan)
 	}
 	// Utilization rows now tile the full run. Σ busy·dt can undercount
 	// (service credited at completion clamps to 1.0 within one row) but
 	// never overcount, and with the tail covered it must land close.
 	var covered float64
 	prev := int64(0)
-	for i := 0; i < tel.Rows(); i++ {
-		covered += tel.Busy[i] * float64(tel.Time[i]-prev)
-		prev = tel.Time[i]
+	for _, row := range rows {
+		covered += row.Busy * float64(row.Time-prev)
+		prev = row.Time
 	}
 	want := float64(res.ServiceTime)
 	if covered > want+1 || covered < 0.85*want {
@@ -108,19 +122,16 @@ func TestTelemetryEmptyRunNoRows(t *testing.T) {
 }
 
 func TestTelemetryCSVDeterministic(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := runTelemetry(t, 21).WriteCSV(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := runTelemetry(t, 21).WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
+	a, b := runTelemetry(t, 21), runTelemetry(t, 21)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("telemetry CSV not byte-identical across identical runs")
 	}
 	lines := strings.Split(strings.TrimRight(a.String(), "\n"), "\n")
 	if lines[0] != strings.TrimRight(telemetryHeader, "\n") {
 		t.Errorf("CSV header = %q", lines[0])
+	}
+	if len(lines) < 2 {
+		t.Fatal("telemetry CSV has no rows")
 	}
 	wantCols := strings.Count(telemetryHeader, ",") + 1
 	for i, line := range lines {
@@ -130,42 +141,42 @@ func TestTelemetryCSVDeterministic(t *testing.T) {
 	}
 }
 
-// Reset must clear rows and sampling state so one sampler serves a sweep.
+// Reset must clear the row count and sampling state so one sampler serves
+// a sweep.
 func TestTelemetryReset(t *testing.T) {
-	tel := runTelemetry(t, 23)
-	var first bytes.Buffer
-	if err := tel.WriteCSV(&first); err != nil {
-		t.Fatal(err)
+	tel := NewTelemetry(50_000)
+	tel.SetMetrics(&DecisionMetrics{})
+	run := func() *bytes.Buffer {
+		var buf bytes.Buffer
+		tel.OnRow = TelemetryCSV(&buf)
+		MustRun(Config{
+			Disk: xp(), Scheduler: cascadedScheduler(),
+			Options: Options{DropLate: true, Telemetry: tel},
+		}, decisionWorkload(23))
+		return &buf
 	}
+	first := run()
 	tel.Reset()
 	if tel.Rows() != 0 {
 		t.Fatalf("rows after Reset = %d", tel.Rows())
 	}
-	MustRun(Config{
-		Disk: xp(), Scheduler: cascadedScheduler(),
-		Options: Options{DropLate: true, Telemetry: tel},
-	}, decisionWorkload(23))
-	var second bytes.Buffer
-	if err := tel.WriteCSV(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+	if second := run(); !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Error("reset sampler diverged from fresh sampler on the identical run")
 	}
 }
 
-// Telemetry with a non-value scheduler records zero value columns.
+// Telemetry with a non-value scheduler records zero value fields.
 func TestTelemetryNonValueScheduler(t *testing.T) {
 	tel := NewTelemetry(50_000)
 	tel.SetMetrics(&DecisionMetrics{})
+	rows := rowsOf(tel)
 	MustRun(Config{
 		Disk: xp(), Scheduler: sched.NewFCFS(),
 		Options: Options{Telemetry: tel},
 	}, decisionWorkload(24))
-	for i := 0; i < tel.Rows(); i++ {
-		if tel.VMin[i] != 0 || tel.VMax[i] != 0 {
-			t.Fatalf("row %d: FCFS exposes no values, got v_min=%d v_max=%d",
-				i, tel.VMin[i], tel.VMax[i])
+	for i, row := range *rows {
+		if row.VMin != 0 || row.VMax != 0 {
+			t.Fatalf("row %d: FCFS exposes no values, got v_min=%d v_max=%d", i, row.VMin, row.VMax)
 		}
 	}
 }
