@@ -25,7 +25,6 @@ func testConfig(t testing.TB, nodes, dpn int) Config {
 		Nodes: nodes, DisksPerNode: dpn, Disk: testDisk(t),
 		NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
 		DropLate:     true,
-		Seed:         7,
 		Metrics:      &Metrics{},
 	}
 }
@@ -124,7 +123,6 @@ func TestClusterDeterministic(t *testing.T) {
 	run := func() *Result {
 		cfg := testConfig(t, 3, 2)
 		cfg.Router = &RoundRobin{}
-		cfg.SampleRotation = true
 		return MustRun(cfg, testTrace(t, cfg, 5, 2000, 3000, 1.0))
 	}
 	a, b := run(), run()

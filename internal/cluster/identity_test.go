@@ -44,14 +44,14 @@ func TestSingleNodeClusterIsSimRun(t *testing.T) {
 				}
 				var single, clustered bytes.Buffer
 				want, err := sim.Run(sim.Config{Disk: m, Scheduler: p.New(m.ServiceTime, 8),
-					Options: sim.Options{Seed: 7, DropLate: drop, SampleRotation: true, Dims: 3, Levels: 8,
+					Options: sim.Options{DropLate: drop, Dims: 3, Levels: 8,
 						Trace: sim.JSONLTrace(&single)}}, trace())
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := Run(Config{Nodes: 1, DisksPerNode: 1, Disk: m,
 					NewScheduler: func(int, int) (sched.Scheduler, error) { return p.New(m.ServiceTime, 8), nil },
-					Seed:         7, DropLate: drop, SampleRotation: true, Dims: 3, Levels: 8,
+					DropLate:     drop, Dims: 3, Levels: 8,
 					Trace: sim.JSONLTrace(&clustered), Metrics: &Metrics{}}, trace())
 				if err != nil {
 					t.Fatal(err)

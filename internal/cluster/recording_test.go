@@ -30,7 +30,6 @@ func TestGoldenRecordings(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Admission = tb
-	cfg.SampleRotation = true
 	var buf bytes.Buffer
 	cfg.Trace = sim.JSONLTrace(&buf)
 	// Dims, Levels and Classes stay zero: the recording also pins shape

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"sfcsched/internal/stats"
 )
 
 func xp() *Model { return MustModel(QuantumXP32150Params()) }
@@ -122,17 +120,12 @@ func TestAvgTransferRatePlausible(t *testing.T) {
 	}
 }
 
+// Every service is charged the average rotational latency: half a
+// revolution, 4 166 µs at the Table 1 disk's 7 200 rpm.
 func TestRotationalLatencyBounded(t *testing.T) {
 	m := xp()
-	rng := stats.NewRNG(1)
-	for i := 0; i < 1000; i++ {
-		l := m.RotationalLatency(rng)
-		if l < 0 || l >= m.RevolutionTime() {
-			t.Fatalf("latency %d outside [0,%d)", l, m.RevolutionTime())
-		}
-	}
-	if m.AvgRotationalLatency() != m.RevolutionTime()/2 {
-		t.Error("average latency should be half a revolution")
+	if got := m.AvgRotationalLatency(); got != m.RevolutionTime()/2 || got != 4_166 {
+		t.Errorf("average latency %d µs, want half of a %d µs revolution", got, m.RevolutionTime())
 	}
 }
 

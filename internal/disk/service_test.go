@@ -1,10 +1,6 @@
 package disk
 
-import (
-	"testing"
-
-	"sfcsched/internal/stats"
-)
+import "testing"
 
 // TestServiceModelMatchesModel pins ServiceModel.Times to the Model
 // primitives it composes: the golden differential suites in internal/sim
@@ -44,35 +40,6 @@ func TestServiceModelPolicies(t *testing.T) {
 	fixed.Disk = nil
 	if seek, total := fixed.Times(0, 3000, 64<<10, nil); seek != 0 || total != 777 {
 		t.Errorf("FixedService without disk: got (%d,%d), want (0,777)", seek, total)
-	}
-}
-
-// TestServiceModelSampledRotation checks the RNG contract: exactly one
-// draw per sampled call, and a nil RNG falls back to the deterministic
-// average (the real-clock serving path has no simulation RNG stream).
-func TestServiceModelSampledRotation(t *testing.T) {
-	m := MustModel(QuantumXP32150Params())
-	sm := ServiceModel{Disk: m, SampleRotation: true}
-
-	a := stats.NewRNG(7)
-	b := stats.NewRNG(7)
-	_, gotTotal := sm.Times(10, 2000, 64<<10, a)
-	wantRot := b.Uint64() // RotationalLatency consumes exactly one draw
-	_ = wantRot
-	if a.Uint64() != b.Uint64() {
-		t.Error("sampled call consumed more than one RNG draw")
-	}
-	seek := m.SeekTime(10, 2000)
-	lo := seek + m.TransferTime(2000, 64<<10)
-	hi := lo + m.RevolutionTime()
-	if gotTotal < lo || gotTotal >= hi {
-		t.Errorf("sampled total %d outside [%d,%d)", gotTotal, lo, hi)
-	}
-
-	_, avgTotal := sm.Times(10, 2000, 64<<10, nil)
-	want := seek + m.AvgRotationalLatency() + m.TransferTime(2000, 64<<10)
-	if avgTotal != want {
-		t.Errorf("nil RNG: got %d, want deterministic average %d", avgTotal, want)
 	}
 }
 

@@ -31,8 +31,6 @@ func TestPlanZero(t *testing.T) {
 		{"empty plan", &Plan{}, true},
 		{"seed and retry policy only", &Plan{Seed: 7, MaxRetries: 5, RetryBase: 100}, true},
 		{"transient rate", &Plan{TransientRate: 0.1}, false},
-		{"scripted event", &Plan{Scripted: []Event{{Time: 1, Disk: 0, Cylinder: -1}}}, false},
-		{"bad range", &Plan{Bad: []BadRange{{Disk: 0, From: 1, To: 2}}}, false},
 		{"disk failure", &Plan{FailDisk: 1, FailAt: 5}, false},
 	}
 	for _, tc := range cases {
@@ -51,18 +49,12 @@ func TestPlanValidate(t *testing.T) {
 		{"zero plan", Plan{}, ""},
 		{"full valid plan", Plan{
 			TransientRate: 0.5,
-			Scripted:      []Event{{Time: 10, Disk: 1, Cylinder: -1}},
-			Bad:           []BadRange{{Disk: 0, From: 5, To: 5}},
 			FailDisk:      2, FailAt: 100,
 			Rebuild: true, RebuildBlocks: 4, RebuildInterval: 50,
 		}, ""},
 		{"rate above one", Plan{TransientRate: 1.5}, "TransientRate"},
 		{"rate negative", Plan{TransientRate: -0.1}, "TransientRate"},
 		{"negative retry base", Plan{RetryBase: -1}, "RetryBase"},
-		{"scripted negative disk", Plan{Scripted: []Event{{Disk: -1}}}, "Scripted[0]"},
-		{"scripted negative time", Plan{Scripted: []Event{{Time: -5}}}, "Scripted[0]"},
-		{"bad negative disk", Plan{Bad: []BadRange{{Disk: -1, From: 0, To: 1}}}, "Bad[0]"},
-		{"bad inverted range", Plan{Bad: []BadRange{{Disk: 0, From: 9, To: 3}}}, "Bad[0]"},
 		{"negative fail time", Plan{FailAt: -1}, "FailAt"},
 		{"fail time without disk", Plan{FailDisk: -1, FailAt: 10}, "FailDisk"},
 		{"rebuild without failure", Plan{Rebuild: true, RebuildBlocks: 4}, "Rebuild"},
@@ -97,11 +89,6 @@ func TestNewAppliesDefaults(t *testing.T) {
 	if v, _ := in.Outcome(0, 10, r, 0); v != Exhausted {
 		t.Errorf("no-retry plan ruled %v on a guaranteed fault, want Exhausted", v)
 	}
-	// A zero-cylinder geometry still yields a legal spare cylinder.
-	in = newQuiet(t, Plan{Bad: []BadRange{{Disk: 0, From: 0, To: 0}}}, 0)
-	if in.remapCyl != 0 {
-		t.Errorf("remapCyl = %d for 0 cylinders, want 0", in.remapCyl)
-	}
 	if _, err := New(Plan{TransientRate: 2, Metrics: &Metrics{}}, 100); err == nil {
 		t.Error("New accepted an invalid plan")
 	}
@@ -133,66 +120,17 @@ func TestBackoffDoublesPerAttempt(t *testing.T) {
 }
 
 func TestOKClearsAttempts(t *testing.T) {
-	in := newQuiet(t, Plan{Scripted: []Event{{Time: 0, Disk: 0, Cylinder: -1}}}, 100)
+	// Seed 3's first two draws are 0.13 and 0.72: one fault, then none.
+	in := newQuiet(t, Plan{Seed: 3, TransientRate: 0.5}, 100)
 	r := &core.Request{ID: 1}
 	if v, _ := in.Outcome(0, 10, r, 5); v != Retry {
-		t.Fatal("scripted event did not fire")
+		t.Fatal("first completion did not fault")
 	}
 	if v, _ := in.Outcome(0, 10, r, 6); v != OK {
-		t.Fatal("second completion not OK after the one-shot script")
+		t.Fatal("second completion not OK")
 	}
 	if in.Attempted(r) {
 		t.Error("attempt bookkeeping survived an OK completion")
-	}
-}
-
-func TestScriptedEventMatchesCylinderAndTime(t *testing.T) {
-	in := newQuiet(t, Plan{Scripted: []Event{{Time: 100, Disk: 1, Cylinder: 42}}}, 100)
-	r := &core.Request{ID: 1}
-	if v, _ := in.Outcome(1, 42, r, 50); v != OK {
-		t.Error("event fired before its time")
-	}
-	if v, _ := in.Outcome(0, 42, r, 150); v != OK {
-		t.Error("event fired on the wrong disk")
-	}
-	if v, _ := in.Outcome(1, 41, r, 150); v != OK {
-		t.Error("event fired on the wrong cylinder")
-	}
-	if v, _ := in.Outcome(1, 42, r, 150); v != Retry {
-		t.Error("event did not fire on its exact match")
-	}
-	if v, _ := in.Outcome(1, 42, &core.Request{ID: 2}, 200); v != OK {
-		t.Error("one-shot event fired twice")
-	}
-}
-
-func TestBadRangeRemapAndRedirect(t *testing.T) {
-	in := newQuiet(t, Plan{Bad: []BadRange{{Disk: 0, From: 100, To: 200}}}, 1_000)
-	// Before the first hit, dispatches are not redirected.
-	if got := in.Redirect(0, 150); got != 150 {
-		t.Errorf("Redirect before remap = %d, want 150", got)
-	}
-	r := &core.Request{ID: 1}
-	if v, delay := in.Outcome(0, 150, r, 10); v != Retry || delay != 0 {
-		t.Fatalf("bad-range hit ruled (%v, %d), want (Retry, 0)", v, delay)
-	}
-	// After the remap, the whole range redirects to the spare cylinder and
-	// completions there succeed.
-	if got := in.Redirect(0, 199); got != 999 {
-		t.Errorf("Redirect after remap = %d, want 999", got)
-	}
-	if got := in.Redirect(0, 99); got != 99 {
-		t.Errorf("Redirect outside the range = %d, want 99", got)
-	}
-	if got := in.Redirect(1, 150); got != 150 {
-		t.Errorf("Redirect on another disk = %d, want 150", got)
-	}
-	if v, _ := in.Outcome(0, 999, r, 20); v != OK {
-		t.Error("completion at the spare cylinder did not succeed")
-	}
-	s := in.Stats()
-	if s.BadSectorHits != 1 || s.Remaps != 1 || s.RemapHits != 1 {
-		t.Errorf("stats = %+v, want 1 hit, 1 remap, 1 remap hit", s)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
@@ -69,7 +70,7 @@ func TestRunReuseSteadyStateAllocs(t *testing.T) {
 	var ru Reuse
 	cfg := Config{
 		Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru,
-		Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8},
+		Options: Options{DropLate: true, Dims: 3, Levels: 8},
 	}
 	MustRun(cfg, trace) // warm: grows the event heap and collector
 	allocs := testing.AllocsPerRun(10, func() {
@@ -85,19 +86,21 @@ func TestRunReuseSteadyStateAllocs(t *testing.T) {
 // A run through a recycled Reuse must replay the exact trajectory of a
 // fresh run — same collector (DeepEqual), same head
 // travel — even after the Reuse has served a
-// different configuration in between. SampleRotation exercises the
-// reseeded RNG stream.
+// different configuration in between. The fault plan exercises the
+// injector and its RNG stream, rebuilt by every run.
 func TestReuseMatchesFreshRun(t *testing.T) {
 	var arena workload.Arena
 	trace := reuseBenchWorkload().MustGenerateArena(&arena)
-	opts := Options{DropLate: true, Seed: 7, Dims: 3, Levels: 8, SampleRotation: true}
+	opts := Options{DropLate: true, Dims: 3, Levels: 8,
+		Fault: &fault.Plan{Seed: 7, TransientRate: 0.05, Metrics: &fault.Metrics{}}}
 	fresh := MustRun(Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: opts}, trace)
 
 	var ru Reuse
-	// Dirty the Reuse with a different shape, seed, and scheduler first.
+	// Dirty the Reuse with a different shape, fault plan and scheduler first.
 	other := workload.Open{Seed: 2, Count: 500, MeanInterarrival: 8_000, Dims: 1, Levels: 4, Cylinders: 3832, Size: 4 << 10}.MustGenerate()
 	MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Reuse: &ru,
-		Options: Options{Seed: 99, Dims: 1, Levels: 4, SampleRotation: true}}, other)
+		Options: Options{Dims: 1, Levels: 4,
+			Fault: &fault.Plan{Seed: 99, TransientRate: 0.2, Metrics: &fault.Metrics{}}}}, other)
 
 	// First pass swaps the collector shape in; second pass exercises the
 	// reset-and-recycle path that parallel sweeps live on.
@@ -124,7 +127,7 @@ func TestRunObservabilityDisabledAllocs(t *testing.T) {
 	var ru Reuse
 	cfg := Config{
 		Disk: xp(), Scheduler: sched.NewCSCAN(), Reuse: &ru,
-		Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8,
+		Options: Options{DropLate: true, Dims: 3, Levels: 8,
 			Decisions: nil, Telemetry: nil, Shadows: nil},
 	}
 	MustRun(cfg, trace)
@@ -157,7 +160,7 @@ func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 			tel.SetMetrics(&DecisionMetrics{})
 			cfg := Config{
 				Disk: xp(), Scheduler: s, Reuse: &ru,
-				Options: Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8,
+				Options: Options{DropLate: true, Dims: 3, Levels: 8,
 					Decisions: dt, Telemetry: tel},
 			}
 			MustRun(cfg, trace) // warm: grows the candidate and slack scratch
@@ -194,7 +197,7 @@ func TestObserversRetainNothing(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			return int64(after.TotalAlloc - before.TotalAlloc)
 		}
-		bare := Options{DropLate: true, Seed: 1, Dims: 3, Levels: 8}
+		bare := Options{DropLate: true, Dims: 3, Levels: 8}
 		alloc(bare) // warm the Reuse
 		base := alloc(bare)
 		observed := bare

@@ -192,7 +192,7 @@ func TestDecisionTraceDoesNotPerturb(t *testing.T) {
 		var events []flatEvent
 		res := MustRun(Config{
 			Disk: xp(), Scheduler: cascadedScheduler(),
-			Options: Options{DropLate: true, SampleRotation: true, Seed: 9,
+			Options: Options{DropLate: true,
 				Decisions: dt,
 				Trace:     func(ev TraceEvent) { events = append(events, flatten(ev)) }},
 		}, smallTraceCopy(trace))

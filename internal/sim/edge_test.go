@@ -8,27 +8,6 @@ import (
 	"sfcsched/internal/workload"
 )
 
-func TestSampledRotationStillDeterministic(t *testing.T) {
-	trace := smallTrace()
-	run := func() *Result {
-		return MustRun(Config{
-			Disk: xp(), Scheduler: sched.NewSSTF(),
-			Options: Options{Seed: 11, SampleRotation: true},
-		}, smallTraceCopy(trace))
-	}
-	a, b := run(), run()
-	if a.Makespan != b.Makespan || a.ServiceTime != b.ServiceTime {
-		t.Error("sampled-rotation runs with equal seeds diverged")
-	}
-	c := MustRun(Config{
-		Disk: xp(), Scheduler: sched.NewSSTF(),
-		Options: Options{Seed: 12, SampleRotation: true},
-	}, smallTraceCopy(trace))
-	if c.ServiceTime == a.ServiceTime {
-		t.Error("different seeds should sample different latencies")
-	}
-}
-
 // smallTraceCopy clones a trace so scheduler runs cannot alias requests.
 func smallTraceCopy(trace []*core.Request) []*core.Request {
 	out := make([]*core.Request, len(trace))
@@ -37,18 +16,6 @@ func smallTraceCopy(trace []*core.Request) []*core.Request {
 		out[i] = &c
 	}
 	return out
-}
-
-func TestSampledRotationWithinBounds(t *testing.T) {
-	trace := smallTrace()
-	avg := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Options: Options{Seed: 1}}, smallTraceCopy(trace))
-	smp := MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Options: Options{Seed: 1, SampleRotation: true}}, smallTraceCopy(trace))
-	// Sampled rotational latencies average out near the half-revolution
-	// the deterministic mode charges.
-	ratio := float64(smp.ServiceTime) / float64(avg.ServiceTime)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("sampled/averaged service ratio = %.3f, want ~1", ratio)
-	}
 }
 
 func TestOutOfRangeCylindersClamped(t *testing.T) {

@@ -1,7 +1,7 @@
 package sim
 
 // Fault-injection tests: zero-fault byte-identity, transient retry and
-// exhaustion semantics, bad-sector remap, fault-attributed drops, and the
+// exhaustion semantics, fault-attributed drops, and the
 // degraded-mode RAID-5 acceptance scenario (fail disk k mid-run, serve
 // its reads by reconstruction, rebuild in the background through the
 // foreground schedulers, and return to non-degraded service afterwards).
@@ -37,10 +37,10 @@ func TestZeroFaultPlanByteIdenticalSingle(t *testing.T) {
 	baseEvents, baseRes := run(nil)
 	for name, plan := range map[string]*fault.Plan{
 		"zero-plan": {Seed: 99, Metrics: quietMetrics()},
-		// A plan that can never fire (its one event is scripted past the
-		// end of the run): the injector is installed and rules on every
-		// completion, yet must not perturb a single byte.
-		"armed-but-silent": {Seed: 99, Scripted: []fault.Event{{Time: 1 << 60, Disk: 0, Cylinder: -1}}, Metrics: quietMetrics()},
+		// A plan whose rate is below the RNG's resolution, so it never
+		// fires: the injector is installed and draws on every completion,
+		// yet must not perturb a single byte.
+		"armed-but-silent": {Seed: 99, TransientRate: 1e-300, Metrics: quietMetrics()},
 	} {
 		events, res := run(plan)
 		if !reflect.DeepEqual(events, baseEvents) {
@@ -76,7 +76,7 @@ func TestZeroFaultPlanByteIdenticalArray(t *testing.T) {
 		return events, res
 	}
 	baseEvents, baseRes := run(nil)
-	events, res := run(&fault.Plan{Seed: 4, Scripted: []fault.Event{{Time: 1 << 60, Disk: 4, Cylinder: -1}}, Metrics: quietMetrics()})
+	events, res := run(&fault.Plan{Seed: 4, TransientRate: 1e-300, Metrics: quietMetrics()})
 	if !reflect.DeepEqual(events, baseEvents) {
 		t.Error("armed-but-silent plan: array trace stream diverged")
 	}
@@ -85,13 +85,16 @@ func TestZeroFaultPlanByteIdenticalArray(t *testing.T) {
 	}
 }
 
-func TestScriptedTransientRetriesThenServes(t *testing.T) {
+// onceFaulty is a plan whose first completion faults and whose second
+// does not: seed 3's first two draws are 0.13 and 0.72.
+func onceFaulty(retryBase int64) *fault.Plan {
+	return &fault.Plan{Seed: 3, TransientRate: 0.5, RetryBase: retryBase, Metrics: quietMetrics()}
+}
+
+func TestTransientRetriesThenServes(t *testing.T) {
 	trace := []*core.Request{{ID: 1, Arrival: 0, Cylinder: 100, Size: 4 << 10}}
 	res, err := Run(Config{FixedService: 10_000, Scheduler: sched.NewFCFS(),
-		Options: Options{Fault: &fault.Plan{
-			Scripted:  []fault.Event{{Time: 0, Disk: 0, Cylinder: -1}},
-			RetryBase: 1_000, Metrics: quietMetrics(),
-		}}}, trace)
+		Options: Options{Fault: onceFaulty(1_000)}}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +146,7 @@ func TestTransientRetryExhausted(t *testing.T) {
 func TestDeadlineExpiresDuringBackoff(t *testing.T) {
 	trace := []*core.Request{{ID: 1, Arrival: 0, Cylinder: 5, Size: 4 << 10, Deadline: 15_000}}
 	res, err := Run(Config{FixedService: 10_000, Scheduler: sched.NewFCFS(),
-		Options: Options{DropLate: true, Fault: &fault.Plan{
-			Scripted:  []fault.Event{{Time: 0, Disk: 0, Cylinder: -1}},
-			RetryBase: 10_000, Metrics: quietMetrics(),
-		}}}, trace)
+		Options: Options{DropLate: true, Fault: onceFaulty(10_000)}}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,45 +155,6 @@ func TestDeadlineExpiresDuringBackoff(t *testing.T) {
 	if res.Served != 0 || res.Dropped != 1 || res.FaultDropped != 1 {
 		t.Fatalf("served=%d dropped=%d faultDropped=%d, want 0/1/1",
 			res.Served, res.Dropped, res.FaultDropped)
-	}
-}
-
-func TestBadSectorRemap(t *testing.T) {
-	m := xp()
-	trace := []*core.Request{
-		{ID: 1, Arrival: 0, Cylinder: 150, Size: 4 << 10},
-		{ID: 2, Arrival: 500_000, Cylinder: 160, Size: 4 << 10},
-	}
-	var heads []int
-	res, err := Run(Config{Disk: m, Scheduler: sched.NewFCFS(),
-		Options: Options{
-			Trace: func(ev TraceEvent) {
-				if !ev.Faulted {
-					heads = append(heads, ev.Head)
-				}
-			},
-			Fault: &fault.Plan{
-				Bad: []fault.BadRange{{Disk: 0, From: 100, To: 200}}, Metrics: quietMetrics(),
-			}}}, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Served != 2 {
-		t.Fatalf("served = %d, want 2", res.Served)
-	}
-	fs := res.Faults
-	if fs.BadSectorHits != 1 || fs.Remaps != 1 {
-		t.Errorf("fault stats = %+v, want 1 bad-sector hit remapping 1 range", fs)
-	}
-	// Request 1's retry and request 2 both redirect into the spare area.
-	if fs.RemapHits != 2 {
-		t.Errorf("RemapHits = %d, want 2", fs.RemapHits)
-	}
-	// After the remapped retry the head sits on the spare (innermost)
-	// cylinder, where request 2 finds it.
-	last := heads[len(heads)-1]
-	if last != m.Cylinders-1 {
-		t.Errorf("head before final dispatch = %d, want spare cylinder %d", last, m.Cylinders-1)
 	}
 }
 

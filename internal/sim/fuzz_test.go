@@ -25,9 +25,9 @@ import (
 )
 
 // fuzzPlan derives a fault plan from the fuzz arguments. rateB scales the
-// transient rate in [0, 0.31]; failB arms bad sectors (bit 0), a scripted
-// event (bit 1) and — on arrays — a mid-run disk failure with rebuild
-// (bit 2).
+// transient rate in [0, 0.31]; failB abandons a request on its first fault
+// (bit 0), stretches the backoff past most deadlines (bit 1) and — on
+// arrays — arms a mid-run disk failure with rebuild (bit 2).
 func fuzzPlan(seed uint64, rateB, failB byte, array bool) *fault.Plan {
 	plan := &fault.Plan{
 		Seed:          seed ^ 0x9e3779b97f4a7c15,
@@ -36,10 +36,10 @@ func fuzzPlan(seed uint64, rateB, failB byte, array bool) *fault.Plan {
 		Metrics:       &fault.Metrics{},
 	}
 	if failB&1 != 0 {
-		plan.Bad = []fault.BadRange{{Disk: 0, From: 500, To: 900}}
+		plan.MaxRetries = -1
 	}
 	if failB&2 != 0 {
-		plan.Scripted = []fault.Event{{Time: 200_000, Disk: 0, Cylinder: -1}}
+		plan.RetryBase = 150_000
 	}
 	if array && failB&4 != 0 {
 		plan.FailDisk = int(failB) % 5
@@ -73,7 +73,7 @@ func FuzzEngineDeterminism(f *testing.F) {
 		run := func() ([]flatEvent, *Result) {
 			var events []flatEvent
 			res, err := Run(Config{Disk: m, Scheduler: sched.NewSCANEDF(50_000),
-				Options: Options{DropLate: drop, Seed: seed, SampleRotation: true,
+				Options: Options{DropLate: drop,
 					Fault: plan,
 					Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }}},
 				smallTraceCopy(trace))
@@ -104,7 +104,7 @@ func FuzzEngineDeterminism(f *testing.F) {
 		record := func(reqs []*core.Request) *bytes.Buffer {
 			var buf bytes.Buffer
 			if _, err := Run(Config{Disk: m, Scheduler: sched.NewSCANEDF(50_000),
-				Options: Options{DropLate: drop, Seed: seed, SampleRotation: true,
+				Options: Options{DropLate: drop,
 					Fault: plan, Trace: JSONLTrace(&buf)}}, reqs); err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func FuzzEngineDeterminism(f *testing.F) {
 			var events []flatEvent
 			var ru Reuse
 			res, err := Run(Config{Disk: m, Scheduler: sched.NewSCANEDF(50_000), Reuse: &ru,
-				Options: Options{DropLate: drop, Seed: seed, SampleRotation: true,
+				Options: Options{DropLate: drop,
 					Fault: plan,
 					Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }}},
 				smallTraceCopy(trace))
@@ -177,7 +177,7 @@ func fuzzArrayRun(t *testing.T, m *disk.Model, seed uint64, count int, rateB, fa
 	run := func() ([]flatEvent, *ArrayResult) {
 		var events []flatEvent
 		res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
-			Options: Options{DropLate: drop, Seed: seed, Fault: plan,
+			Options: Options{DropLate: drop, Fault: plan,
 				Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }}},
 			smallTraceCopy(trace))
 		if err != nil {
@@ -225,7 +225,7 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 		run := func(attach bool) ([]flatEvent, *Result) {
 			var events []flatEvent
 			cfg := Config{Disk: m, Scheduler: sched.NewCSCAN(),
-				Options: Options{DropLate: drop, Seed: seed, SampleRotation: true,
+				Options: Options{DropLate: drop,
 					Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }}}
 			if attach {
 				dt := NewDecisionTrace(0)

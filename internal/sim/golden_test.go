@@ -111,7 +111,6 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 		// below does not cross the clamp.
 		{"transfer-only", Config{Disk: m, FixedService: m.TransferTime(0, 64<<10), Options: Options{DropLate: true}}},
 		{"fixed-service", Config{FixedService: 12_000, Options: Options{DropLate: true}}},
-		{"sampled-rotation", Config{Disk: m, Options: Options{DropLate: true, SampleRotation: true}}},
 	}
 	for name, mk := range goldenSchedulers(m) {
 		for _, sc := range scenarios {
@@ -123,7 +122,6 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 					wantCfg := sc.cfg
 					wantCfg.Scheduler = mk()
 					wantPolicy := policyEvents(wantCfg.Scheduler)
-					wantCfg.Seed = seed
 					wantCfg.Trace = func(ev TraceEvent) { wantEvents = append(wantEvents, flatten(ev)) }
 					want, err := legacyRun(wantCfg, smallTraceCopy(trace))
 					if err != nil {
@@ -133,7 +131,6 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 					gotCfg := sc.cfg
 					gotCfg.Scheduler = mk()
 					gotPolicy := policyEvents(gotCfg.Scheduler)
-					gotCfg.Seed = seed
 					gotCfg.Trace = func(ev TraceEvent) { gotEvents = append(gotEvents, flatten(ev)) }
 					got, err := Run(gotCfg, smallTraceCopy(trace))
 					if err != nil {
@@ -202,7 +199,6 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 	}{
 		{"plain", Options{Dims: 1, Levels: 8}},
 		{"drop", Options{DropLate: true, Dims: 1, Levels: 8}},
-		{"sampled-drop", Options{DropLate: true, SampleRotation: true, Dims: 1, Levels: 8, Seed: 5}},
 	}
 	for name, mk := range factories {
 		for _, sc := range scenarios {

@@ -40,7 +40,7 @@ func TestRunInvariants(t *testing.T) {
 			negWait := false
 			res := MustRun(Config{
 				Disk: xp(), Scheduler: mk(),
-				Options: Options{DropLate: drop, Dims: 2, Levels: 8, Seed: 3, Trace: func(ev TraceEvent) {
+				Options: Options{DropLate: drop, Dims: 2, Levels: 8, Trace: func(ev TraceEvent) {
 					negWait = negWait || ev.Now < ev.Request.Arrival
 				}},
 			}, trace)
@@ -76,7 +76,7 @@ func TestWorkConservation(t *testing.T) {
 		Seed: 4, Count: 800, MeanInterarrival: 1_000,
 		Dims: 1, Levels: 8, Cylinders: 3832, Size: 64 << 10,
 	}.MustGenerate()
-	res := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF(), Options: Options{Seed: 4}}, trace)
+	res := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF()}, trace)
 	idle := res.Makespan - res.ServiceTime
 	if idle > trace[0].Arrival+1000 {
 		t.Errorf("disk idled %d us with a saturating queue", idle)
@@ -129,7 +129,7 @@ func TestCascadedFullStackAgainstBaselines(t *testing.T) {
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 256 << 10,
 	}.MustGenerate()
 	run := func(s sched.Scheduler, drop bool) *Result {
-		return MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{DropLate: drop, Dims: 3, Levels: 8, Seed: 5}}, trace)
+		return MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{DropLate: drop, Dims: 3, Levels: 8}}, trace)
 	}
 	cascaded := run(invariantSchedulers()["cascaded"](), true)
 	fcfs := run(sched.NewFCFS(), true)

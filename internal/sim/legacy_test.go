@@ -6,6 +6,8 @@ package sim
 // results are the contract: the unified Engine must reproduce these
 // metrics exactly on randomized traces. Do not "fix" or modernize this
 // code — its job is to stay byte-for-byte faithful to the deleted loops.
+// The one cut is sampled rotation, which the engine no longer offers: both
+// loops charge the average rotational latency, as the engine does.
 
 import (
 	"fmt"
@@ -14,7 +16,6 @@ import (
 	"sfcsched/internal/disk"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/stats"
 )
 
 // legacyRun is the pre-engine sim.Run.
@@ -45,8 +46,6 @@ func legacyRun(cfg Config, trace []*core.Request) (*Result, error) {
 	}
 	col := metrics.NewCollector(dims, levels)
 	res := &Result{Collector: col, Scheduler: cfg.Scheduler.Name()}
-	rng := stats.NewRNG(cfg.Seed)
-
 	s := cfg.Scheduler
 	now := int64(0)
 	head := 0
@@ -79,7 +78,7 @@ func legacyRun(cfg Config, trace []*core.Request) (*Result, error) {
 			continue
 		}
 		col.OnDispatch(r, s.Each)
-		seek, svc := legacyServiceTime(cfg, head, r, rng)
+		seek, svc := legacyServiceTime(cfg, head, r)
 		start := now
 		if cfg.Disk != nil {
 			res.HeadTravel += int64(max(r.Cylinder-head, head-r.Cylinder))
@@ -106,17 +105,13 @@ func legacyRun(cfg Config, trace []*core.Request) (*Result, error) {
 }
 
 // legacyServiceTime is the pre-engine Config.serviceTime.
-func legacyServiceTime(cfg Config, head int, r *core.Request, rng *stats.RNG) (int64, int64) {
+func legacyServiceTime(cfg Config, head int, r *core.Request) (int64, int64) {
 	if cfg.FixedService > 0 {
 		return 0, cfg.FixedService
 	}
 	cyl := min(max(r.Cylinder, 0), cfg.Disk.Cylinders-1)
 	seek := cfg.Disk.SeekTime(min(max(head, 0), cfg.Disk.Cylinders-1), cyl)
-	rot := cfg.Disk.AvgRotationalLatency()
-	if cfg.SampleRotation {
-		rot = cfg.Disk.RotationalLatency(rng)
-	}
-	return seek, seek + rot + cfg.Disk.TransferTime(cyl, r.Size)
+	return seek, seek + cfg.Disk.AvgRotationalLatency() + cfg.Disk.TransferTime(cyl, r.Size)
 }
 
 // legacyTargetCylinder is the pre-engine targetCylinder.
@@ -168,7 +163,6 @@ func legacyRunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, err
 		Logical:    metrics.NewCollector(cfg.Dims, cfg.Levels),
 		PerDiskOps: make([]uint64, cfg.Array.Disks),
 	}
-	rng := stats.NewRNG(cfg.Seed)
 	byPhys := make(map[*core.Request]*legacyPhysReq)
 	var nextPhysID uint64
 
@@ -239,11 +233,7 @@ func legacyRunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, err
 					continue
 				}
 				seek := model.SeekTime(ds.head, r.Cylinder)
-				rot := model.AvgRotationalLatency()
-				if cfg.SampleRotation {
-					rot = model.RotationalLatency(rng)
-				}
-				svc := seek + rot + model.TransferTime(r.Cylinder, r.Size)
+				svc := seek + model.AvgRotationalLatency() + model.TransferTime(r.Cylinder, r.Size)
 				if r.Deadline > 0 && now > r.Deadline {
 					pr.parent.missed = true
 				}

@@ -95,7 +95,7 @@ func TestWindowLimitsInFullRuns(t *testing.T) {
 func fullRunStream(t *testing.T, m *disk.Model, mk func() sched.Scheduler, interarrival int64, drop bool, on *disk.RAID5) []flatEvent {
 	t.Helper()
 	var evs []flatEvent
-	opts := Options{DropLate: drop, Dims: 3, Levels: 8, Seed: 7,
+	opts := Options{DropLate: drop, Dims: 3, Levels: 8,
 		Trace: func(ev TraceEvent) { evs = append(evs, flatten(ev)) }}
 	w := workload.Open{Seed: 7, Count: 2000, MeanInterarrival: interarrival,
 		Dims: 3, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,

@@ -35,9 +35,31 @@ type arraySummary struct {
 	Reconstructions  uint64
 	AbsorbedWrites   uint64
 	RebuildReads     uint64
-	Faults           *fault.Stats
+	Faults           *faultSummary
 	FaultDrops       []uint64
 	RebuiltCallbacks int
+}
+
+// faultSummary is the part of fault.Stats a recording pins.
+type faultSummary struct {
+	Transients, Retries, Exhausted, LostInFlight uint64
+	FailedAt, RebuiltAt                          int64
+}
+
+func summarizeFaults(fs *fault.Stats) *faultSummary {
+	if fs == nil {
+		return nil
+	}
+	return &faultSummary{fs.Transients, fs.Retries, fs.Exhausted, fs.LostInFlight, fs.FailedAt, fs.RebuiltAt}
+}
+
+// shadowSummary is the part of a ShadowReport a recording pins.
+type shadowSummary struct {
+	Name                                string
+	Decisions, Agreements, Drops, Empty uint64
+	HeadTravel, SlackDelta              int64
+	SlackSamples                        uint64
+	QueueLeft                           int
 }
 
 // recordArray runs the 5-disk recording workload under plan and returns
@@ -53,8 +75,7 @@ func recordArray(t *testing.T, mk func(int) (sched.Scheduler, error), plan *faul
 	var buf bytes.Buffer
 	res, err := RunArray(ArrayConfig{
 		Array: array, NewScheduler: mk,
-		Options: Options{DropLate: true, Dims: 2, Levels: 8, Seed: 5,
-			SampleRotation: true, Fault: plan, Trace: JSONLTrace(&buf)},
+		Options: Options{DropLate: true, Dims: 2, Levels: 8, Fault: plan, Trace: JSONLTrace(&buf)},
 	}, logical)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +88,7 @@ func recordArray(t *testing.T, mk func(int) (sched.Scheduler, error), plan *faul
 		Served: res.Logical.Served, Dropped: res.Logical.Dropped, Makespan: res.Makespan,
 		PerDiskOps: res.PerDiskOps, Reconstructions: res.Reconstructions,
 		AbsorbedWrites: res.AbsorbedWrites, RebuildReads: res.RebuildReads,
-		Faults: res.Faults, RebuiltCallbacks: rebuilt,
+		Faults: summarizeFaults(res.Faults), RebuiltCallbacks: rebuilt,
 	}
 	for _, c := range res.PerDisk {
 		sum.FaultDrops = append(sum.FaultDrops, c.FaultDropped)
@@ -128,30 +149,33 @@ func TestGoldenRecordings(t *testing.T) {
 		sh2.SetMetrics(&DecisionMetrics{})
 		var buf bytes.Buffer
 		res, err := Run(Config{Disk: m, Scheduler: sched.NewSCAN(),
-			Options: Options{DropLate: true, Seed: 2, SampleRotation: true,
+			Options: Options{DropLate: true,
 				Shadows: []*Shadow{sh1, sh2}, Trace: JSONLTrace(&buf),
 				Fault: &fault.Plan{
-					Scripted: []fault.Event{
-						{Time: 100_000, Disk: 0, Cylinder: -1},
-						{Time: 900_000, Disk: 0, Cylinder: -1},
-					},
-					Bad:       []fault.BadRange{{Disk: 0, From: 1_000, To: 1_600}},
+					Seed: 2, TransientRate: 0.15, MaxRetries: 1,
 					RetryBase: 2_000, Metrics: quietMetrics(),
 				}}}, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Faults.Transients != 2 || res.Faults.Remaps != 1 || res.Faults.RemapHits == 0 {
-			t.Fatalf("recording lost coverage: faults=%+v", *res.Faults)
+		// Worth keeping while a fault is retried, one exhausts its retry
+		// budget and another request expires during its backoff.
+		if fs := res.Faults; fs.Retries == 0 || fs.Exhausted == 0 || res.FaultDropped <= fs.Exhausted {
+			t.Fatalf("recording lost coverage: faults=%+v fault drops=%d", *fs, res.FaultDropped)
+		}
+		var shadows []shadowSummary
+		for _, r := range res.Shadows {
+			shadows = append(shadows, shadowSummary{r.Name, r.Decisions, r.Agreements, r.Drops, r.Empty,
+				r.HeadTravel, r.SlackDelta, r.SlackSamples, r.QueueLeft})
 		}
 		got := appendSummary(t, &buf, struct {
 			Served, Dropped uint64
 			Makespan        int64
 			HeadTravel      int64
 			Inversions      uint64
-			Faults          *fault.Stats
-			Shadows         []ShadowReport
-		}{res.Served, res.Dropped, res.Makespan, res.HeadTravel, res.TotalInversions(), res.Faults, res.Shadows})
+			Faults          *faultSummary
+			Shadows         []shadowSummary
+		}{res.Served, res.Dropped, res.Makespan, res.HeadTravel, res.TotalInversions(), summarizeFaults(res.Faults), shadows})
 		checkRecording(t, "single-faults-shadows", got)
 	})
 }

@@ -65,18 +65,9 @@ func TestSetupValidation(t *testing.T) {
 		{"negative shadow station", func(int) Options { return Options{Shadows: shadowAt(-1)} },
 			"targets station", "targets station"},
 		{"reused shadow", func(int) Options { return Options{Shadows: usedShadow()} }, "single-use", "single-use"},
-		{"scripted fault on the last disk", func(n int) Options {
-			return Options{Fault: plan(fault.Plan{Scripted: []fault.Event{{Disk: n - 1, Cylinder: -1}}})}
-		}, "", ""},
-		{"scripted fault past the last disk", func(n int) Options {
-			return Options{Fault: plan(fault.Plan{Scripted: []fault.Event{{Disk: 0, Cylinder: -1}, {Disk: n, Cylinder: -1}}})}
-		}, "Scripted[1] names disk", "Scripted[1] names disk"},
-		{"bad range past the last disk", func(n int) Options {
-			return Options{Fault: plan(fault.Plan{Bad: []fault.BadRange{{Disk: n + 3, From: 1, To: 2}}})}
-		}, "Bad[0] names disk", "Bad[0] names disk"},
 		{"negative fault disk", func(int) Options {
-			return Options{Fault: plan(fault.Plan{Bad: []fault.BadRange{{Disk: -1, From: 1, To: 2}}})}
-		}, "negative disk", "negative disk"},
+			return Options{Fault: plan(fault.Plan{FailDisk: -1, FailAt: 1})}
+		}, "requires an array run", "FailDisk -1 outside array of 5 disks"},
 		{"disk failure", func(n int) Options {
 			return Options{Fault: plan(fault.Plan{FailDisk: n - 1, FailAt: 1})}
 		}, "requires an array run", ""},

@@ -19,7 +19,7 @@ func TestShadowsDoNotPerturb(t *testing.T) {
 		var events []flatEvent
 		cfg := Config{
 			Disk: xp(), Scheduler: cascadedScheduler(),
-			Options: Options{DropLate: true, SampleRotation: true, Seed: 3,
+			Options: Options{DropLate: true,
 				Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }},
 		}
 		if attach {

@@ -21,8 +21,8 @@ func smallTrace() []*core.Request {
 
 func TestRunDeterministic(t *testing.T) {
 	trace := smallTrace()
-	a := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF(), Options: Options{Seed: 3}}, trace)
-	b := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF(), Options: Options{Seed: 3}}, smallTrace())
+	a := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF()}, trace)
+	b := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF()}, smallTrace())
 	if a.Makespan != b.Makespan || a.SeekTime != b.SeekTime || a.TotalInversions() != b.TotalInversions() {
 		t.Error("identical runs diverged")
 	}
