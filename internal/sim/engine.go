@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
@@ -170,7 +171,9 @@ type Engine struct {
 // lose a whole disk (Fault.FailAt): only arrays re-route.
 //
 // Setup validates what only the assembled topology can: every shadow and
-// every disk the fault plan names must be one of stations.
+// every disk the fault plan names must be one of stations. It binds the
+// shadows only once the whole run is valid, so a rejected run leaves them
+// unspent.
 func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 	events := e.events
 	events.Reset()
@@ -180,46 +183,50 @@ func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 	for i, st := range stations {
 		st.ID, st.shadows = i, nil
 	}
-	for _, sh := range opts.Shadows {
+	for i, sh := range opts.Shadows {
 		if sh.Station < 0 || sh.Station >= n {
 			return fmt.Errorf("sim: shadow %q targets station %d, outside the run's %d", sh.name, sh.Station, n)
 		}
-		if sh.used {
+		if sh.used || slices.Contains(opts.Shadows[:i], sh) {
 			return fmt.Errorf("sim: shadow %q already rode a run; shadows are single-use", sh.name)
 		}
+	}
+	if plan := opts.Fault; !plan.Zero() {
+		if plan.FailAt > 0 && !failable {
+			return fmt.Errorf("sim: whole-disk failure requires an array run")
+		}
+		if plan.FailAt > 0 && (plan.FailDisk < 0 || plan.FailDisk >= n) {
+			return fmt.Errorf("sim: FailDisk %d outside array of %d disks", plan.FailDisk, n)
+		}
+		// An index past the last station never matches a completion: the
+		// plan would pass by injecting nothing. (Negative disks fail
+		// plan.Validate.)
+		for i, ev := range plan.Scripted {
+			if ev.Disk >= n {
+				return fmt.Errorf("sim: fault plan Scripted[%d] names disk %d, outside the run's %d", i, ev.Disk, n)
+			}
+		}
+		for i, b := range plan.Bad {
+			if b.Disk >= n {
+				return fmt.Errorf("sim: fault plan Bad[%d] names disk %d, outside the run's %d", i, b.Disk, n)
+			}
+		}
+		cyls := 0
+		if n > 0 && stations[0].Disk != nil {
+			cyls = stations[0].Disk.Cylinders
+		}
+		var err error
+		if e.faults, err = fault.New(*plan, cyls); err != nil {
+			return err
+		}
+	}
+	// Bind last: a run Setup rejects must not spend its shadows.
+	for _, sh := range opts.Shadows {
 		st := stations[sh.Station]
 		sh.bind(st, opts.DropLate)
 		st.shadows = append(st.shadows, sh)
 	}
-	plan := opts.Fault
-	if plan.Zero() {
-		return nil
-	}
-	if plan.FailAt > 0 && !failable {
-		return fmt.Errorf("sim: whole-disk failure requires an array run")
-	}
-	if plan.FailAt > 0 && (plan.FailDisk < 0 || plan.FailDisk >= n) {
-		return fmt.Errorf("sim: FailDisk %d outside array of %d disks", plan.FailDisk, n)
-	}
-	// An index past the last station never matches a completion: the plan
-	// would pass by injecting nothing. (Negative disks fail plan.Validate.)
-	for i, ev := range plan.Scripted {
-		if ev.Disk >= n {
-			return fmt.Errorf("sim: fault plan Scripted[%d] names disk %d, outside the run's %d", i, ev.Disk, n)
-		}
-	}
-	for i, b := range plan.Bad {
-		if b.Disk >= n {
-			return fmt.Errorf("sim: fault plan Bad[%d] names disk %d, outside the run's %d", i, b.Disk, n)
-		}
-	}
-	cyls := 0
-	if n > 0 && stations[0].Disk != nil {
-		cyls = stations[0].Disk.Cylinders
-	}
-	var err error
-	e.faults, err = fault.New(*plan, cyls)
-	return err
+	return nil
 }
 
 // faultStats snapshots the injector's counters; nil when the run had no

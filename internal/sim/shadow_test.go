@@ -6,6 +6,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
 )
 
@@ -170,6 +171,34 @@ func TestShadowSingleUse(t *testing.T) {
 	if _, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(),
 		Options: Options{Shadows: []*Shadow{sh}}}, trace); err == nil {
 		t.Fatal("reusing a shadow across runs must error")
+	}
+	twice := NewShadow("fcfs", sched.NewFCFS())
+	if _, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(),
+		Options: Options{Shadows: []*Shadow{twice, twice}}}, trace); err == nil {
+		t.Fatal("a shadow listed twice in one run must error")
+	}
+}
+
+// A run that Setup rejects never starts, so it must leave its shadows
+// unspent: the next run with the same shadows rides them.
+func TestRejectedRunLeavesShadowsUnused(t *testing.T) {
+	trace := decisionWorkload(16)
+	sh := NewShadow("fcfs", sched.NewFCFS())
+	sh.SetMetrics(&DecisionMetrics{})
+	cfg := Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: Options{
+		Shadows: []*Shadow{sh},
+		Fault:   &fault.Plan{FailDisk: 0, FailAt: 1_000, Metrics: quietMetrics()},
+	}}
+	if _, err := Run(cfg, smallTraceCopy(trace)); err == nil {
+		t.Fatal("single-disk run accepted a whole-disk failure")
+	}
+	cfg.Fault = nil
+	res, err := Run(cfg, smallTraceCopy(trace))
+	if err != nil {
+		t.Fatalf("shadow spent by a run that never started: %v", err)
+	}
+	if res.Shadows[0].Decisions == 0 {
+		t.Error("shadow observed no decisions")
 	}
 }
 
