@@ -164,7 +164,7 @@ func run(opt options) (runErr error) {
 	}
 	opts := sim.Options{
 		DropLate: opt.drop,
-		Dims:     opt.dims, Levels: opt.levels, Seed: opt.seed,
+		Dims:     opt.dims, Levels: opt.levels,
 		Trace:     traceHook,
 		Fault:     plan,
 		Decisions: decisions,
@@ -258,7 +258,6 @@ func runCluster(opt options, m *disk.Model, name string, trace []*core.Request,
 			return opt.build(name, m)
 		},
 		Classes:  opt.classes,
-		Seed:     opt.seed,
 		DropLate: opt.drop,
 		Dims:     opt.dims, Levels: opt.levels,
 		Trace: traceHook, Telemetry: telemetry,
@@ -359,7 +358,7 @@ func printShadowReports(res *sim.Result) {
 }
 
 // printFaultCols appends the fault columns of one result row: total fault
-// hits (transient + bad-sector + lost in flight) and fault-attributed
+// hits (transient + lost in flight) and fault-attributed
 // drops summed over the physical collectors.
 func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector) {
 	if plan == nil {
@@ -367,7 +366,7 @@ func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector
 	}
 	var hits, fdrop uint64
 	if fs != nil {
-		hits = fs.Transients + fs.BadSectorHits + fs.LostInFlight
+		hits = fs.Transients + fs.LostInFlight
 	}
 	for _, c := range cols {
 		fdrop += c.FaultDropped

@@ -70,7 +70,7 @@ func compare() []*sim.Result {
 		res, err := sim.Run(sim.Config{
 			Scheduler:    s,
 			FixedService: 9_000,
-			Options:      sim.Options{DropLate: true, Dims: dims, Levels: levels, Seed: 21},
+			Options:      sim.Options{DropLate: true, Dims: dims, Levels: levels},
 		}, trace)
 		if err != nil {
 			panic(err)

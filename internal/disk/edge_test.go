@@ -7,9 +7,9 @@ import (
 
 // Table-driven boundary tests for the geometry maths: first/last cylinder,
 // zone seams, zero-size transfers, and RAID-5 stripe edges. These are the
-// coordinates the fault injector leans on (bad-sector remap redirects to
-// Cylinders-1; rebuild walks per-disk blocks from 0), so the boundaries
-// must hold exactly.
+// coordinates the simulator leans on (out-of-range cylinders clamp to
+// 0 and Cylinders-1; rebuild walks per-disk blocks from 0), so the
+// boundaries must hold exactly.
 
 func TestSeekTimeEdges(t *testing.T) {
 	m := MustModel(QuantumXP32150Params())

@@ -1,6 +1,6 @@
 // Package disk models the storage substrate of the paper's evaluation: the
 // Quantum XP32150 drive of Table 1 (zoned geometry, square-root-calibrated
-// seek curve, rotational latency) and the PanaViss RAID-5 layout
+// seek curve, average rotational latency) and the PanaViss RAID-5 layout
 // (4 data + 1 parity disks with 64 KB file blocks).
 //
 // All times are in microseconds (int64), the simulator's clock unit.
@@ -9,8 +9,6 @@ package disk
 import (
 	"fmt"
 	"math"
-
-	"sfcsched/internal/stats"
 )
 
 // Zone describes one recording zone: a contiguous cylinder range with a
@@ -216,12 +214,6 @@ func (m *Model) RevolutionTime() int64 {
 
 // AvgRotationalLatency returns half a revolution, the expected latency.
 func (m *Model) AvgRotationalLatency() int64 { return m.RevolutionTime() / 2 }
-
-// RotationalLatency samples a uniform rotational latency in
-// [0, RevolutionTime()).
-func (m *Model) RotationalLatency(rng *stats.RNG) int64 {
-	return int64(rng.Uint64n(uint64(m.RevolutionTime())))
-}
 
 // TrackCapacity returns the bytes held by one track of cylinder cyl.
 func (m *Model) TrackCapacity(cyl int) int64 {

@@ -6,10 +6,9 @@ import (
 	"sfcsched/internal/stats"
 )
 
-// ServiceModel is the service-time policy layered over a Model: the three
-// knobs every topology shares (override with a fixed constant, sample or
-// average the rotational latency) folded into one value
-// so the simulator's stations and the real-clock serving backends of
+// ServiceModel is the service-time policy layered over a Model — the disk's
+// seek, average rotational latency and transfer, or a fixed constant — so
+// the simulator's stations and the real-clock serving backends of
 // internal/serve compute service times through exactly one code path.
 //
 // The zero value is invalid; Disk must be set unless FixedService is
@@ -20,11 +19,6 @@ type ServiceModel struct {
 	// FixedService, when positive, overrides the disk model with a
 	// constant service time (pure queueing experiments).
 	FixedService int64
-	// SampleRotation draws the rotational latency from the caller's RNG
-	// instead of charging the deterministic average. Ignored when the
-	// caller passes a nil RNG (real-clock backends have no simulation RNG
-	// stream and always charge the average).
-	SampleRotation bool
 }
 
 // Validate reports whether the model can compute a service time at all.
@@ -46,16 +40,13 @@ func (m ServiceModel) Cylinders() int {
 
 // Times returns (seekTime, totalServiceTime) for a service of size bytes
 // at cylinder cyl with the head at cylinder head, both in microseconds.
-// Exactly one RNG draw happens per sampled-rotation call (and none
-// otherwise), which keeps simulation runs reproducible draw for draw.
-func (m ServiceModel) Times(head, cyl int, size int64, rng *stats.RNG) (int64, int64) {
+// Every service is charged the average rotational latency. The rng
+// argument is unused; it stays until the frozen benchmark, which passes
+// nil, is next changed.
+func (m ServiceModel) Times(head, cyl int, size int64, _ *stats.RNG) (int64, int64) {
 	if m.FixedService > 0 {
 		return 0, m.FixedService
 	}
 	seek := m.Disk.SeekTime(head, cyl)
-	rot := m.Disk.AvgRotationalLatency()
-	if m.SampleRotation && rng != nil {
-		rot = m.Disk.RotationalLatency(rng)
-	}
-	return seek, seek + rot + m.Disk.TransferTime(cyl, size)
+	return seek, seek + m.Disk.AvgRotationalLatency() + m.Disk.TransferTime(cyl, size)
 }

@@ -74,7 +74,7 @@ func ablationCascadeVsSingle(w io.Writer, seed uint64, workers int) error {
 		var row []string
 		err := runReused(sim.Config{
 			Disk: m, Scheduler: scheds[i],
-			Options: sim.Options{DropLate: true, Dims: 2, Levels: 8, Seed: seed},
+			Options: sim.Options{DropLate: true, Dims: 2, Levels: 8},
 		}, trace, func(res *sim.Result) error {
 			row = []string{
 				scheds[i].Name(),
@@ -118,7 +118,7 @@ func ablationDeadlineMode(w io.Writer, seed uint64, workers int) error {
 			return 0, err
 		}
 		var m uint64
-		err = runReused(sim.Config{Scheduler: s, FixedService: 24_000, Options: sim.Options{DropLate: true, Seed: seed}},
+		err = runReused(sim.Config{Scheduler: s, FixedService: 24_000, Options: sim.Options{DropLate: true}},
 			trace, func(res *sim.Result) error {
 				m = res.TotalMisses()
 				return nil
@@ -161,7 +161,7 @@ func ablationSP(w io.Writer, seed uint64, workers int) error {
 		var v uint64
 		err = runReused(sim.Config{
 			Scheduler: s, FixedService: 24_000,
-			Options: sim.Options{Dims: 4, Levels: 16, Seed: seed},
+			Options: sim.Options{Dims: 4, Levels: 16},
 		}, trace, func(res *sim.Result) error {
 			v = res.TotalInversions()
 			return nil
@@ -240,7 +240,7 @@ func ablationWindow(w io.Writer, seed uint64, workers int) error {
 		var row []string
 		err = runReused(sim.Config{
 			Scheduler: s, FixedService: 24_000,
-			Options: sim.Options{Dims: 4, Levels: 16, Seed: seed},
+			Options: sim.Options{Dims: 4, Levels: 16},
 		}, trace, func(res *sim.Result) error {
 			row = []string{
 				fmt.Sprintf("%.0f%%", fracs[i]*100),

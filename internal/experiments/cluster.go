@@ -97,7 +97,7 @@ func clusterSweep(_ io.Writer, p Params) ([]*Result, error) {
 		ccfg := cluster.Config{
 			Nodes: clusterNodes, DisksPerNode: clusterDisksPerNode, Disk: model,
 			NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewPolicy("scan-edf", nil, 0) },
-			DropLate:     true, Seed: p.Seed, Classes: clusterClasses,
+			DropLate:     true, Classes: clusterClasses,
 		}
 		// Routers and buckets are stateful: built fresh per cell so cells
 		// share nothing.

@@ -113,7 +113,7 @@ func divergence(_ io.Writer, p Params) ([]*Result, error) {
 			Disk: model, Scheduler: primary,
 			Options: sim.Options{
 				DropLate: true, Dims: 1, Levels: divergenceLevels,
-				Seed: p.Seed, Shadows: shs,
+				Shadows: shs,
 			},
 		}, trace, func(res *sim.Result) error {
 			for j, rep := range res.Shadows {

@@ -126,7 +126,7 @@ func faultSweep(_ io.Writer, p Params) ([]*Result, error) {
 			NewScheduler: func(int) (sched.Scheduler, error) { return faultPolicies[s].build() },
 			Options: sim.Options{
 				DropLate: true, Dims: 1, Levels: faultLevels,
-				Seed: p.Seed, Fault: plans[x],
+				Fault: plans[x],
 			},
 		}, trace)
 		if err != nil {

@@ -154,7 +154,7 @@ func fig11(_ io.Writer, p Params) ([]*Result, error) {
 		var cost float64
 		err = runReused(sim.Config{
 			Disk: m, Scheduler: sc,
-			Options: sim.Options{DropLate: true, Dims: 1, Levels: fig11Levels, Seed: p.Seed},
+			Options: sim.Options{DropLate: true, Dims: 1, Levels: fig11Levels},
 		}, traces[x], func(r *sim.Result) error {
 			cost, err = r.WeightedLossCost(0, weights)
 			return err

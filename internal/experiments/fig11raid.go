@@ -50,7 +50,7 @@ func fig11RAID(_ io.Writer, p Params) ([]*Result, error) {
 		ar, err := sim.RunArray(sim.ArrayConfig{
 			Array:        array,
 			NewScheduler: func(int) (sched.Scheduler, error) { return fig11Policies[s].build() },
-			Options:      sim.Options{DropLate: true, Dims: 1, Levels: fig11Levels, Seed: p.Seed},
+			Options:      sim.Options{DropLate: true, Dims: 1, Levels: fig11Levels},
 		}, traces[x])
 		if err != nil {
 			return nil, err

@@ -91,7 +91,7 @@ func replayDiff(_ io.Writer, p Params) ([]*Result, error) {
 				Disk: model, Scheduler: sc,
 				Options: sim.Options{
 					DropLate: true, Dims: dims[x], Levels: 8,
-					Seed: p.Seed, Trace: sim.JSONLTrace(buf),
+					Trace: sim.JSONLTrace(buf),
 				},
 			}, reqs, func(res *sim.Result) error {
 				drop = percent(float64(res.Dropped), float64(res.Served+res.Dropped))

@@ -50,7 +50,7 @@ func (c stage1) simConfig(s sched.Scheduler) sim.Config {
 	return sim.Config{
 		Scheduler:    s,
 		FixedService: stage1Service,
-		Options:      sim.Options{Dims: c.dims, Levels: stage1Levels, Seed: c.Seed},
+		Options:      sim.Options{Dims: c.dims, Levels: stage1Levels},
 	}
 }
 

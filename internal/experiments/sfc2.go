@@ -53,7 +53,7 @@ func (c stage2) simConfig(s sched.Scheduler) sim.Config {
 	return sim.Config{
 		Scheduler:    s,
 		FixedService: c.service,
-		Options:      sim.Options{DropLate: true, Dims: stage2Dims, Levels: stage2Levels, Seed: c.Seed},
+		Options:      sim.Options{DropLate: true, Dims: stage2Dims, Levels: stage2Levels},
 	}
 }
 

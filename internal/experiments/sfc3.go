@@ -55,7 +55,7 @@ func (c stage3) simConfig(m *disk.Model, s sched.Scheduler) sim.Config {
 	return sim.Config{
 		Disk:      m,
 		Scheduler: s,
-		Options:   sim.Options{DropLate: true, Dims: stage3Dims, Levels: stage3Levels, Seed: c.Seed},
+		Options:   sim.Options{DropLate: true, Dims: stage3Dims, Levels: stage3Levels},
 	}
 }
 

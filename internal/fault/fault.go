@@ -1,12 +1,11 @@
 // Package fault defines deterministic, seed-driven fault plans and the
 // injector that executes them against the simulation engine: transient
-// read errors (per-op probability or scripted events), latent bad-sector
-// ranges with remap-on-first-touch, and whole-disk failure at a planned
-// time. Recovery policies — bounded retry with exponential backoff,
-// sector remap to a spare area, degraded-mode RAID-5 reconstruction and
-// background rebuild — live in the sim package; this package only decides
-// *what* fails *when*, from its own RNG stream, so a zero-fault plan
-// leaves the engine byte-identical to a run without one.
+// read errors at a per-service probability, and whole-disk failure at a
+// planned time. Recovery policies — bounded retry with exponential
+// backoff, degraded-mode RAID-5 reconstruction and background rebuild —
+// live in the sim package; this package only decides *what* fails
+// *when*, from its own RNG stream, so a zero-fault plan leaves the engine
+// byte-identical to a run without one.
 package fault
 
 import "fmt"
@@ -20,38 +19,16 @@ const (
 	DefaultRetryBase = 5_000
 )
 
-// Event is one scripted transient fault: the first service completion on
-// Disk at or after Time (matching Cylinder, or any cylinder when
-// Cylinder < 0) fails once.
-type Event struct {
-	Time     int64
-	Disk     int
-	Cylinder int
-}
-
-// BadRange is a latent bad-sector stretch: the first service touching a
-// cylinder in [From, To] on Disk fails and the range is remapped to the
-// spare area; later dispatches into the range are redirected there.
-type BadRange struct {
-	Disk     int
-	From, To int
-}
-
 // Plan is a deterministic fault schedule. The zero Plan injects nothing.
 // Plans are pure data: the same Plan (and engine configuration) always
 // replays the same faults.
 type Plan struct {
 	// Seed drives the injector's private RNG stream for probabilistic
-	// transients. It is independent of the engine's rotational-latency
-	// stream, so enabling faults never perturbs fault-free draws.
+	// transients.
 	Seed uint64
 	// TransientRate is the per-service-completion probability of a
 	// transient read error, in [0, 1].
 	TransientRate float64
-	// Scripted lists deterministic one-shot transient faults.
-	Scripted []Event
-	// Bad lists latent bad-sector ranges.
-	Bad []BadRange
 
 	// MaxRetries bounds retries per request before it is abandoned
 	// (0 means DefaultMaxRetries; use a negative value for no retries).
@@ -78,8 +55,7 @@ type Plan struct {
 
 // Zero reports whether the plan injects no faults at all.
 func (p *Plan) Zero() bool {
-	return p == nil ||
-		(p.TransientRate == 0 && len(p.Scripted) == 0 && len(p.Bad) == 0 && p.FailAt == 0)
+	return p == nil || (p.TransientRate == 0 && p.FailAt == 0)
 }
 
 // Validate checks the plan for internal consistency.
@@ -89,22 +65,6 @@ func (p *Plan) Validate() error {
 	}
 	if p.RetryBase < 0 {
 		return fmt.Errorf("fault: negative RetryBase %d", p.RetryBase)
-	}
-	for i, ev := range p.Scripted {
-		if ev.Disk < 0 {
-			return fmt.Errorf("fault: Scripted[%d] negative disk %d", i, ev.Disk)
-		}
-		if ev.Time < 0 {
-			return fmt.Errorf("fault: Scripted[%d] negative time %d", i, ev.Time)
-		}
-	}
-	for i, b := range p.Bad {
-		if b.Disk < 0 {
-			return fmt.Errorf("fault: Bad[%d] negative disk %d", i, b.Disk)
-		}
-		if b.From < 0 || b.To < b.From {
-			return fmt.Errorf("fault: Bad[%d] invalid range [%d,%d]", i, b.From, b.To)
-		}
 	}
 	if p.FailAt < 0 {
 		return fmt.Errorf("fault: negative FailAt %d", p.FailAt)

@@ -24,20 +24,13 @@ const (
 
 // Stats is a snapshot of everything the injector did during a run.
 type Stats struct {
-	// Transients counts injected transient faults (probabilistic and
-	// scripted), including the failing attempt that exhausts a request.
+	// Transients counts injected transient faults, including the failing
+	// attempt that exhausts a request.
 	Transients uint64
-	// BadSectorHits counts services that touched a not-yet-remapped bad
-	// range (each hit remaps its range and retries the request).
-	BadSectorHits uint64
-	// Retries counts re-enqueues issued (transient backoff + remap).
+	// Retries counts re-enqueues issued after a transient fault.
 	Retries uint64
 	// Exhausted counts requests abandoned after MaxRetries.
 	Exhausted uint64
-	// Remaps counts bad ranges remapped to the spare area.
-	Remaps uint64
-	// RemapHits counts dispatches redirected into the spare area.
-	RemapHits uint64
 	// LostInFlight counts services that were in flight on the disk when
 	// it failed.
 	LostInFlight uint64
@@ -47,36 +40,20 @@ type Stats struct {
 	RebuiltAt int64
 }
 
-// badState is a BadRange plus its remap status.
-type badState struct {
-	BadRange
-	remapped bool
-}
-
-// scriptState is a scripted Event plus its one-shot status.
-type scriptState struct {
-	Event
-	done bool
-}
-
 // Injector executes a Plan against a run. It is created per run (New) and
 // is not safe for concurrent use — the engine is single-threaded.
 type Injector struct {
 	plan     Plan
 	rng      *stats.RNG
-	remapCyl int
 	attempts map[*core.Request]int
-	scripted []scriptState
-	bad      []badState
 	down     bool
 	stats    Stats
 	m        *Metrics
 }
 
-// New builds the injector for plan on a disk (or array of identical
-// disks) with the given cylinder count. The spare area all remapped
-// ranges redirect to is the innermost cylinder (cylinders-1).
-func New(plan Plan, cylinders int) (*Injector, error) {
+// New builds the injector for plan. The cylinders argument is unused; it
+// stays until the frozen benchmark, which passes it, is next changed.
+func New(plan Plan, _ int) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,21 +68,11 @@ func New(plan Plan, cylinders int) (*Injector, error) {
 	in := &Injector{
 		plan:     plan,
 		rng:      stats.NewRNG(plan.Seed),
-		remapCyl: cylinders - 1,
 		attempts: make(map[*core.Request]int),
 		m:        plan.Metrics,
 	}
-	if in.remapCyl < 0 {
-		in.remapCyl = 0
-	}
 	if in.m == nil {
 		in.m = DefaultMetrics
-	}
-	for _, ev := range plan.Scripted {
-		in.scripted = append(in.scripted, scriptState{Event: ev})
-	}
-	for _, b := range plan.Bad {
-		in.bad = append(in.bad, badState{BadRange: b})
 	}
 	return in, nil
 }
@@ -139,62 +106,22 @@ func (in *Injector) MarkRebuilt(now int64) {
 	in.m.DegradedWindowUs.Set(now - in.stats.FailedAt)
 }
 
-// Redirect returns the effective cylinder for a dispatch of cyl on disk
-// d, following any sector remap into the spare area.
-func (in *Injector) Redirect(d, cyl int) int {
-	for i := range in.bad {
-		b := &in.bad[i]
-		if b.remapped && b.Disk == d && cyl >= b.From && cyl <= b.To {
-			in.stats.RemapHits++
-			in.m.RemapHits.Inc()
-			return in.remapCyl
-		}
-	}
-	return cyl
-}
-
-// Outcome rules on the service of r that just completed on disk d at
-// (post-redirect) cylinder cyl. For Retry verdicts the second return
-// value is the backoff delay in µs before the request re-enters its
-// scheduler; it is 0 for sector remaps, which retry immediately at the
-// remapped location.
+// Outcome rules on the service of r that just completed on disk d. For
+// Retry verdicts the second return value is the backoff delay in µs
+// before the request re-enters its scheduler. The cyl and now arguments
+// are unused; they stay until the frozen benchmark, which passes them, is
+// next changed.
 //
-// The decision order is deterministic: disk-down check, then bad-sector
-// ranges, then scripted events, and only then — when nothing else fired —
-// a single RNG draw for the probabilistic transient. One draw at most per
-// completion, in completion order, keeps replays byte-identical.
-func (in *Injector) Outcome(d, cyl int, r *core.Request, now int64) (Verdict, int64) {
+// A completion on a failed disk is Lost; otherwise a single RNG draw
+// decides the transient. One draw at most per completion, in completion
+// order, keeps replays byte-identical.
+func (in *Injector) Outcome(d, _ int, r *core.Request, _ int64) (Verdict, int64) {
 	if in.Down(d) {
 		in.stats.LostInFlight++
 		delete(in.attempts, r)
 		return Lost, 0
 	}
-	for i := range in.bad {
-		b := &in.bad[i]
-		if !b.remapped && b.Disk == d && cyl >= b.From && cyl <= b.To {
-			b.remapped = true
-			in.stats.BadSectorHits++
-			in.stats.Remaps++
-			in.stats.Retries++
-			in.m.BadSectorHits.Inc()
-			in.m.Remaps.Inc()
-			in.m.Retries.Inc()
-			return Retry, 0
-		}
-	}
-	faulted := false
-	for i := range in.scripted {
-		ev := &in.scripted[i]
-		if !ev.done && ev.Disk == d && now >= ev.Time && (ev.Cylinder < 0 || ev.Cylinder == cyl) {
-			ev.done = true
-			faulted = true
-			break
-		}
-	}
-	if !faulted && in.plan.TransientRate > 0 && in.rng.Float64() < in.plan.TransientRate {
-		faulted = true
-	}
-	if !faulted {
+	if in.plan.TransientRate == 0 || in.rng.Float64() >= in.plan.TransientRate {
 		delete(in.attempts, r)
 		return OK, 0
 	}

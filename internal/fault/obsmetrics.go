@@ -8,16 +8,10 @@ import "sfcsched/internal/obs"
 type Metrics struct {
 	// Transients counts injected transient read errors.
 	Transients obs.Counter
-	// Retries counts request re-enqueues (backoff retries + remap retries).
+	// Retries counts request re-enqueues after a transient error.
 	Retries obs.Counter
 	// Exhausted counts requests abandoned after the retry budget.
 	Exhausted obs.Counter
-	// BadSectorHits counts first touches of latent bad ranges.
-	BadSectorHits obs.Counter
-	// Remaps counts bad ranges remapped to the spare area.
-	Remaps obs.Counter
-	// RemapHits counts dispatches redirected into the spare area.
-	RemapHits obs.Counter
 	// DiskFailures counts whole-disk failures.
 	DiskFailures obs.Counter
 	// ReconstructReads counts survivor reads issued to serve degraded
@@ -46,9 +40,6 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "transients", Help: "injected transient read errors", V: &m.Transients},
 		{Name: "retries", Help: "fault-induced request re-enqueues", V: &m.Retries},
 		{Name: "exhausted", Help: "requests abandoned after the retry budget", V: &m.Exhausted},
-		{Name: "bad_sector_hits", Help: "first touches of latent bad ranges", V: &m.BadSectorHits},
-		{Name: "remaps", Help: "bad ranges remapped to the spare area", V: &m.Remaps},
-		{Name: "remap_hits", Help: "dispatches redirected to the spare area", V: &m.RemapHits},
 		{Name: "disk_failures", Help: "whole-disk failures", V: &m.DiskFailures},
 		{Name: "reconstruct_reads", Help: "survivor reads serving degraded reads", V: &m.ReconstructReads},
 		{Name: "rebuild_reads", Help: "survivor reads issued by the rebuild", V: &m.RebuildReads},

@@ -33,10 +33,8 @@ type Backend interface {
 // EmulatedDisk is a Backend that charges the analytical disk model
 // (disk.ServiceModel — the same code path the simulator's stations use) by
 // sleeping the dilated wall-clock equivalent of each service. Rotational
-// latency is always the deterministic average: a wall-clock run has real
-// jitter of its own, and keeping the model side deterministic is what lets
-// Calibrate attribute any divergence to the serving path rather than to
-// RNG draw-order differences.
+// latency is the deterministic average, as in the simulator, so Calibrate
+// can attribute any divergence to the serving path.
 type EmulatedDisk struct {
 	model disk.ServiceModel
 	clock *Clock

@@ -98,7 +98,6 @@ type simRec struct {
 // ID, and scores the simulator's predictive accuracy. The scores land in the
 // returned Calibration and in the sfcsched_calib_* metrics.
 func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request) (*Calibration, error) {
-	cfg.Service.SampleRotation = false
 	if cfg.NewScheduler == nil {
 		return nil, fmt.Errorf("serve: calibration requires a scheduler factory")
 	}

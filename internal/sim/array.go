@@ -56,9 +56,6 @@ type ArrayResult struct {
 	// RebuildReads counts survivor reads issued by the background rebuild
 	// through the foreground schedulers.
 	RebuildReads uint64
-	// Shadows holds one divergence report per attached shadow, in
-	// Options.Shadows order; empty when the run had none.
-	Shadows []ShadowReport
 }
 
 // logicalState tracks one in-flight logical request.
@@ -133,7 +130,7 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 		return nil, err
 	}
 	a.eng.OnServed, a.eng.OnDropped = a.onServed, a.onDropped
-	a.eng.OnLateStart, a.eng.OnFaulted = a.onLateStart, a.reroute
+	a.eng.OnLateStart, a.eng.onFaulted = a.onLateStart, a.reroute
 	if cfg.Fault != nil && cfg.Fault.FailAt > 0 {
 		a.eng.At(cfg.Fault.FailAt, a.fail)
 	}
@@ -142,7 +139,7 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 		res.SeekTime += c.SeekTime
 		res.BusyTime += c.ServiceTime
 	}
-	res.Faults, res.Shadows = a.eng.faultStats(), a.eng.shadowReports()
+	res.Faults = a.eng.faultStats()
 	return res, nil
 }
 
@@ -311,7 +308,7 @@ func (a *raid5) onLateStart(_ *Station, r *core.Request, _ int64) {
 	a.byPhys[r].missed = true
 }
 
-// reroute (the OnFaulted hook) re-issues a physical op stranded on the
+// reroute (the onFaulted hook) re-issues a physical op stranded on the
 // failed disk — queued at failure time, in flight, or returning from a
 // retry backoff — through the degraded path.
 func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {

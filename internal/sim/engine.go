@@ -9,7 +9,6 @@ import (
 	"sfcsched/internal/fault"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/stats"
 )
 
 // This file is the unified event-driven engine behind every topology: Run
@@ -27,11 +26,11 @@ import (
 // completion event fires.
 //
 // Every station is a disk with one head model, the one serve.Dispatcher
-// also uses. The head moves to the (clamped, possibly remapped) target the
-// moment a service starts, so requests added during the service window see
-// the position the head is en route to. A station that drains to idle with
-// an empty queue probes its scheduler once more (a Next that returns nil),
-// so stateful schedulers observe the empty point: the Cascaded-SFC
+// also uses. The head moves to the (clamped) target the moment a service
+// starts, so requests added during the service window see the position
+// the head is en route to. A station that drains to idle with an empty
+// queue probes its scheduler once more (a Next that returns nil), so
+// stateful schedulers observe the empty point: the Cascaded-SFC
 // dispatcher clears its current-serving value and sweep-tracking stages
 // see the resting head.
 type Station struct {
@@ -82,20 +81,12 @@ func (s *Station) Enqueue(r *core.Request, now int64) {
 }
 
 // serviceTimeAt returns (seekTime, totalServiceTime) for a service of
-// size bytes at the (already clamped, possibly remapped) cylinder cyl,
-// drawing the rotational latency from rng when sampleRotation is set.
-// The computation lives in disk.ServiceModel — the same code path the
-// real-clock backends of internal/serve charge — so simulated and served
-// requests can never disagree on what a service costs. Exactly one RNG
-// draw happens per sampled-rotation service, in dispatch order, which
-// keeps runs reproducible.
-func (s *Station) serviceTimeAt(cyl int, size int64, sampleRotation bool, rng *stats.RNG) (int64, int64) {
-	m := disk.ServiceModel{
-		Disk:           s.Disk,
-		FixedService:   s.FixedService,
-		SampleRotation: sampleRotation,
-	}
-	return m.Times(s.head, cyl, size, rng)
+// size bytes at the (already clamped) cylinder cyl. The computation lives
+// in disk.ServiceModel — the same code path the real-clock backends of
+// internal/serve charge — so simulated and served requests can never
+// disagree on what a service costs.
+func (s *Station) serviceTimeAt(cyl int, size int64) (int64, int64) {
+	return disk.ServiceModel{Disk: s.Disk, FixedService: s.FixedService}.Times(s.head, cyl, size, nil)
 }
 
 // timerSeqBase offsets timer-event sequence numbers above every station
@@ -127,8 +118,8 @@ func (eventCmp) Less(a, b *event) bool {
 // delivery callback that routes each arriving request onto a station.
 type Engine struct {
 	// Stations are the service points, indexed by Station.ID. At each
-	// event time idle stations dispatch in index order, which fixes the
-	// RNG draw order and makes runs reproducible.
+	// event time idle stations dispatch in index order, which makes runs
+	// reproducible.
 	Stations []*Station
 
 	// OnServed fires when a station completes a service; OnDropped when a
@@ -140,15 +131,15 @@ type Engine struct {
 	OnServed    func(st *Station, r *core.Request, now int64)
 	OnDropped   func(st *Station, r *core.Request, now int64)
 	OnLateStart func(st *Station, r *core.Request, now int64)
-	// OnFaulted fires when a request is lost to a failed disk (in flight
+	// onFaulted fires when a request is lost to a failed disk (in flight
 	// at failure time, or its retry timer landed on the dead station).
-	// Array runs re-route it through reconstruction; without a handler
-	// the request is dropped and attributed to faults.
-	OnFaulted func(st *Station, r *core.Request, now int64)
+	// Only arrays can lose a disk, and RunArray re-routes the request
+	// through reconstruction.
+	onFaulted func(st *Station, r *core.Request, now int64)
 
 	// opts is the run's configuration as Setup received it: the drop
-	// policy, the rotation sampling and the observers (Trace, Decisions,
-	// Telemetry, Shadows) are read from it directly.
+	// policy and the observers (Trace, Decisions, Telemetry, Shadows) are
+	// read from it directly.
 	opts Options
 	// faults is the injector built from opts.Fault; nil when the plan is
 	// nil or zero. It draws from its own RNG stream, so a run without
@@ -157,35 +148,31 @@ type Engine struct {
 	events   core.Heap4[event, eventCmp]
 	now      int64
 	timerSeq uint64
-	// rng is the single rotational-latency stream shared by all stations.
-	rng stats.RNG
 }
 
 // Setup assembles a run on e — the one place sim.Run, sim.RunArray and
 // cluster.Run wire their engine. Everything a previous run left behind
 // (events, clock, hooks, injector) is discarded; only the event heap's
 // capacity is kept, so a recycled engine (sim.Reuse) pushes into the
-// memory earlier runs grew. Stations get their index as ID and the shadows
-// that target them; the RNG is reseeded to the exact
-// stats.NewRNG(opts.Seed) stream. failable says whether the topology can
-// lose a whole disk (Fault.FailAt): only arrays re-route.
+// memory earlier runs grew. Stations get their index as ID, and the one
+// station of a single-station run gets the shadows. failable says whether
+// the topology can lose a whole disk (Fault.FailAt): only arrays re-route.
 //
-// Setup validates what only the assembled topology can: every shadow and
-// every disk the fault plan names must be one of stations. It binds the
-// shadows only once the whole run is valid, so a rejected run leaves them
-// unspent.
+// Setup validates what only the assembled topology can: shadows ride
+// single-station runs only, and the disk a failure names must be one of
+// stations. It binds the shadows only once the whole run is valid, so a
+// rejected run leaves them unspent.
 func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 	events := e.events
 	events.Reset()
 	*e = Engine{Stations: stations, opts: opts, events: events}
-	e.rng.Seed(opts.Seed)
 	n := len(stations)
 	for i, st := range stations {
 		st.ID, st.shadows = i, nil
 	}
 	for i, sh := range opts.Shadows {
-		if sh.Station < 0 || sh.Station >= n {
-			return fmt.Errorf("sim: shadow %q targets station %d, outside the run's %d", sh.name, sh.Station, n)
+		if n != 1 {
+			return fmt.Errorf("sim: shadow %q needs a single-station run, this one has %d", sh.name, n)
 		}
 		if sh.used || slices.Contains(opts.Shadows[:i], sh) {
 			return fmt.Errorf("sim: shadow %q already rode a run; shadows are single-use", sh.name)
@@ -198,33 +185,17 @@ func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 		if plan.FailAt > 0 && (plan.FailDisk < 0 || plan.FailDisk >= n) {
 			return fmt.Errorf("sim: FailDisk %d outside array of %d disks", plan.FailDisk, n)
 		}
-		// An index past the last station never matches a completion: the
-		// plan would pass by injecting nothing. (Negative disks fail
-		// plan.Validate.)
-		for i, ev := range plan.Scripted {
-			if ev.Disk >= n {
-				return fmt.Errorf("sim: fault plan Scripted[%d] names disk %d, outside the run's %d", i, ev.Disk, n)
-			}
-		}
-		for i, b := range plan.Bad {
-			if b.Disk >= n {
-				return fmt.Errorf("sim: fault plan Bad[%d] names disk %d, outside the run's %d", i, b.Disk, n)
-			}
-		}
-		cyls := 0
-		if n > 0 && stations[0].Disk != nil {
-			cyls = stations[0].Disk.Cylinders
-		}
 		var err error
-		if e.faults, err = fault.New(*plan, cyls); err != nil {
+		if e.faults, err = fault.New(*plan, 0); err != nil {
 			return err
 		}
 	}
 	// Bind last: a run Setup rejects must not spend its shadows.
 	for _, sh := range opts.Shadows {
-		st := stations[sh.Station]
-		sh.bind(st, opts.DropLate)
-		st.shadows = append(st.shadows, sh)
+		sh.bind(stations[0], opts.DropLate)
+	}
+	if len(opts.Shadows) > 0 {
+		stations[0].shadows = opts.Shadows
 	}
 	return nil
 }
@@ -271,8 +242,8 @@ func (e *Engine) At(t int64, fn func(now int64)) {
 // time; at each time all completion events fire first in (time, seq)
 // order, then timers in scheduling order, then arrivals in trace order,
 // then idle stations dispatch in station-index order. Identical
-// configurations therefore replay identically, including the RNG draw
-// sequence.
+// configurations therefore replay identically, including the fault
+// injector's draw sequence.
 func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now int64)) int64 {
 	i := 0 // next arrival index
 	for {
@@ -360,11 +331,8 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		target := r.Cylinder
 		if st.Disk != nil {
 			target = min(max(target, 0), st.Disk.Cylinders-1)
-			if e.faults != nil {
-				target = e.faults.Redirect(st.ID, target)
-			}
 		}
-		seek, svc := st.serviceTimeAt(target, r.Size, e.opts.SampleRotation, &e.rng)
+		seek, svc := st.serviceTimeAt(target, r.Size)
 		if st.Disk != nil {
 			st.headTravel += int64(max(target-st.head, st.head-target))
 		}
@@ -447,18 +415,9 @@ func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, de
 	}
 }
 
-// lose hands a request stranded on a failed disk to OnFaulted (arrays
-// re-route it through reconstruction); without a handler it is dropped
-// and attributed to faults.
+// lose hands a request stranded on a failed disk to onFaulted, which
+// re-routes it through reconstruction.
 func (e *Engine) lose(st *Station, r *core.Request, now int64) {
 	e.faults.Forget(r)
-	if e.OnFaulted != nil {
-		e.OnFaulted(st, r, now)
-		return
-	}
-	st.Col.OnDropped(r)
-	st.Col.OnFaultDropped()
-	if e.OnDropped != nil {
-		e.OnDropped(st, r, now)
-	}
+	e.onFaulted(st, r, now)
 }

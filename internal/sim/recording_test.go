@@ -35,31 +35,9 @@ type arraySummary struct {
 	Reconstructions  uint64
 	AbsorbedWrites   uint64
 	RebuildReads     uint64
-	Faults           *faultSummary
+	Faults           *fault.Stats
 	FaultDrops       []uint64
 	RebuiltCallbacks int
-}
-
-// faultSummary is the part of fault.Stats a recording pins.
-type faultSummary struct {
-	Transients, Retries, Exhausted, LostInFlight uint64
-	FailedAt, RebuiltAt                          int64
-}
-
-func summarizeFaults(fs *fault.Stats) *faultSummary {
-	if fs == nil {
-		return nil
-	}
-	return &faultSummary{fs.Transients, fs.Retries, fs.Exhausted, fs.LostInFlight, fs.FailedAt, fs.RebuiltAt}
-}
-
-// shadowSummary is the part of a ShadowReport a recording pins.
-type shadowSummary struct {
-	Name                                string
-	Decisions, Agreements, Drops, Empty uint64
-	HeadTravel, SlackDelta              int64
-	SlackSamples                        uint64
-	QueueLeft                           int
 }
 
 // recordArray runs the 5-disk recording workload under plan and returns
@@ -88,7 +66,7 @@ func recordArray(t *testing.T, mk func(int) (sched.Scheduler, error), plan *faul
 		Served: res.Logical.Served, Dropped: res.Logical.Dropped, Makespan: res.Makespan,
 		PerDiskOps: res.PerDiskOps, Reconstructions: res.Reconstructions,
 		AbsorbedWrites: res.AbsorbedWrites, RebuildReads: res.RebuildReads,
-		Faults: summarizeFaults(res.Faults), RebuiltCallbacks: rebuilt,
+		Faults: res.Faults, RebuiltCallbacks: rebuilt,
 	}
 	for _, c := range res.PerDisk {
 		sum.FaultDrops = append(sum.FaultDrops, c.FaultDropped)
@@ -163,19 +141,14 @@ func TestGoldenRecordings(t *testing.T) {
 		if fs := res.Faults; fs.Retries == 0 || fs.Exhausted == 0 || res.FaultDropped <= fs.Exhausted {
 			t.Fatalf("recording lost coverage: faults=%+v fault drops=%d", *fs, res.FaultDropped)
 		}
-		var shadows []shadowSummary
-		for _, r := range res.Shadows {
-			shadows = append(shadows, shadowSummary{r.Name, r.Decisions, r.Agreements, r.Drops, r.Empty,
-				r.HeadTravel, r.SlackDelta, r.SlackSamples, r.QueueLeft})
-		}
 		got := appendSummary(t, &buf, struct {
 			Served, Dropped uint64
 			Makespan        int64
 			HeadTravel      int64
 			Inversions      uint64
-			Faults          *faultSummary
-			Shadows         []shadowSummary
-		}{res.Served, res.Dropped, res.Makespan, res.HeadTravel, res.TotalInversions(), summarizeFaults(res.Faults), shadows})
+			Faults          *fault.Stats
+			Shadows         []ShadowReport
+		}{res.Served, res.Dropped, res.Makespan, res.HeadTravel, res.TotalInversions(), res.Faults, res.Shadows})
 		checkRecording(t, "single-faults-shadows", got)
 	})
 }

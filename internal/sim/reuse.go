@@ -3,8 +3,8 @@ package sim
 import "sfcsched/internal/metrics"
 
 // Reuse holds the per-run state of Run — the metrics collector, the
-// Station, and the Engine with its event heap and rotational-latency RNG —
-// and recycles it across successive runs. Every Run goes through one: without Config.Reuse it is a
+// Station, and the Engine with its event heap — and recycles it across
+// successive runs. Every Run goes through one: without Config.Reuse it is a
 // throw-away, so the fresh path is the recycled path on an empty Reuse. A
 // sweep that runs thousands of simulations through one Reuse performs a
 // small run-constant number of allocations per run instead of re-growing
@@ -19,8 +19,8 @@ import "sfcsched/internal/metrics"
 // Read (or copy) the metrics you need before starting the next run.
 //
 // Trajectory identity: a reused run is byte-identical to a fresh one —
-// the collector is zeroed, the engine clock and heap restart empty, and
-// the RNG is reseeded to the exact NewRNG stream. The scheduler is still
+// the collector is zeroed, and the engine clock and heap restart empty.
+// The scheduler is still
 // the caller's: pass a fresh (or fully drained, state-free) scheduler per
 // run when comparing trajectories.
 type Reuse struct {

@@ -10,9 +10,9 @@ import (
 	"sfcsched/internal/sched"
 )
 
-// Engine.Setup is the one place a run is validated, so the same Options
-// must be accepted or rejected — with the same words — whichever entry
-// point assembles it: sim.Run (1 station), sim.RunArray (5 stations,
+// Engine.Setup is the one place a run is validated, so every entry point
+// accepts or rejects the same Options with the same words, as far as its
+// topology allows: sim.Run (1 station), sim.RunArray (5 stations,
 // failable) and the call cluster.Run makes (N stations, not failable).
 func TestSetupValidation(t *testing.T) {
 	array := testArray(t)
@@ -37,51 +37,43 @@ func TestSetupValidation(t *testing.T) {
 			return new(Engine).Setup(o, stations, false)
 		}},
 	}
-	shadowAt := func(station int) []*Shadow {
-		sh := NewShadow("fcfs", sched.NewFCFS())
-		sh.Station = station
-		return []*Shadow{sh}
-	}
+	shadow := func() []*Shadow { return []*Shadow{NewShadow("fcfs", sched.NewFCFS())} }
 	usedShadow := func() []*Shadow {
-		sh := NewShadow("fcfs", sched.NewFCFS())
+		sh := shadow()
 		MustRun(Config{FixedService: 1_000, Scheduler: sched.NewFCFS(),
-			Options: Options{Shadows: []*Shadow{sh}}}, []*core.Request{{ID: 1}})
-		return []*Shadow{sh}
+			Options: Options{Shadows: sh}}, []*core.Request{{ID: 1}})
+		return sh
 	}
 	plan := func(p fault.Plan) *fault.Plan {
 		p.Metrics = quietMetrics()
 		return &p
 	}
-	// want is the error substring on the two topologies that cannot lose
-	// a disk, wantArray on the one that can; "" means the run is accepted.
+	// want holds the error substring per entry (run, array, cluster); ""
+	// means the run is accepted. Shadows ride one station only, and only
+	// the array can lose a disk.
 	cases := []struct {
-		name            string
-		opts            func(n int) Options
-		want, wantArray string
+		name string
+		opts func(n int) Options
+		want [3]string
 	}{
-		{"last station's shadow", func(n int) Options { return Options{Shadows: shadowAt(n - 1)} }, "", ""},
-		{"shadow past the last station", func(n int) Options { return Options{Shadows: shadowAt(n)} },
-			"targets station", "targets station"},
-		{"negative shadow station", func(int) Options { return Options{Shadows: shadowAt(-1)} },
-			"targets station", "targets station"},
-		{"reused shadow", func(int) Options { return Options{Shadows: usedShadow()} }, "single-use", "single-use"},
+		{"shadow", func(int) Options { return Options{Shadows: shadow()} },
+			[3]string{"", "needs a single-station run", "needs a single-station run"}},
+		{"reused shadow", func(int) Options { return Options{Shadows: usedShadow()} },
+			[3]string{"single-use", "needs a single-station run", "needs a single-station run"}},
 		{"negative fault disk", func(int) Options {
 			return Options{Fault: plan(fault.Plan{FailDisk: -1, FailAt: 1})}
-		}, "requires an array run", "FailDisk -1 outside array of 5 disks"},
+		}, [3]string{"requires an array run", "FailDisk -1 outside array of 5 disks", "requires an array run"}},
 		{"disk failure", func(n int) Options {
 			return Options{Fault: plan(fault.Plan{FailDisk: n - 1, FailAt: 1})}
-		}, "requires an array run", ""},
+		}, [3]string{"requires an array run", "", "requires an array run"}},
 		{"failed disk past the last disk", func(n int) Options {
 			return Options{Fault: plan(fault.Plan{FailDisk: n, FailAt: 1})}
-		}, "requires an array run", "FailDisk 5 outside array of 5 disks"},
+		}, [3]string{"requires an array run", "FailDisk 5 outside array of 5 disks", "requires an array run"}},
 	}
-	for _, e := range entries {
+	for i, e := range entries {
 		for _, c := range cases {
 			t.Run(e.name+"/"+c.name, func(t *testing.T) {
-				want := c.want
-				if e.name == "array" {
-					want = c.wantArray
-				}
+				want := c.want[i]
 				err := e.run(c.opts(e.stations))
 				switch {
 				case want == "" && err != nil:

@@ -10,10 +10,12 @@ import (
 // (including fault retries) and is asked, at every primary service
 // dispatch, what it would have dispatched — tracking its own hypothetical
 // head position, head travel, drop count and deadline-slack deltas. It
-// never enqueues events, never touches the engine RNG, never moves the
+// never enqueues events, never touches the fault injector, never moves the
 // real head and never writes to the primary collectors, so a run with
 // shadows attached is byte-identical to one without (pinned by
-// TestShadowsDoNotPerturb and the golden-identity fuzz target).
+// TestShadowsDoNotPerturb and the golden-identity fuzz target). Shadows
+// ride single-station runs (sim.Run) only; Engine.Setup rejects them on
+// arrays and clusters.
 //
 // Divergence semantics: the shadow maintains its own queue on the shared
 // arrival stream. When the primary dispatches, the shadow pops its own
@@ -25,10 +27,6 @@ import (
 // re-simulation with re-timed completions — for that, run the policy as
 // the primary.
 type Shadow struct {
-	// Station is the station index the shadow attaches to; leave 0 for
-	// single-disk runs.
-	Station int
-
 	name      string
 	sched     sched.Scheduler
 	dropLate  bool
@@ -72,7 +70,7 @@ func (sh *Shadow) SetMetrics(m *DecisionMetrics) { sh.m = m }
 // Name returns the shadow's display name.
 func (sh *Shadow) Name() string { return sh.name }
 
-// bind attaches the shadow to its station at run start. A Shadow is
+// bind attaches the shadow to the run's one station at run start. A Shadow is
 // single-use: its scheduler and divergence state carry one run's history.
 func (sh *Shadow) bind(st *Station, dropLate bool) {
 	sh.used = true
@@ -126,9 +124,8 @@ func (sh *Shadow) observe(primary *core.Request, now int64) {
 
 // ShadowReport is the divergence summary of one shadow after a run.
 type ShadowReport struct {
-	// Name is the shadow's display name; Station the station it rode.
-	Name    string
-	Station int
+	// Name is the shadow's display name.
+	Name string
 	// Decisions counts primary service dispatches the shadow observed.
 	Decisions uint64
 	// Agreements counts decisions where the shadow chose the same request
@@ -166,7 +163,6 @@ func (r ShadowReport) DisagreementRate() float64 {
 func (sh *Shadow) Report() ShadowReport {
 	return ShadowReport{
 		Name:         sh.name,
-		Station:      sh.Station,
 		Decisions:    sh.decisions,
 		Agreements:   sh.agreements,
 		Drops:        sh.drops,

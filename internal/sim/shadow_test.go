@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -202,60 +203,26 @@ func TestRejectedRunLeavesShadowsUnused(t *testing.T) {
 	}
 }
 
-func TestShadowStationValidation(t *testing.T) {
-	sh := NewShadow("fcfs", sched.NewFCFS())
-	sh.Station = 1
-	if _, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(),
-		Options: Options{Shadows: []*Shadow{sh}}}, decisionWorkload(14)); err == nil {
-		t.Fatal("single-disk run must reject a shadow targeting station 1")
-	}
-}
-
-// Array runs attach shadows per station and leave the run unperturbed.
+// Shadows ride single-station runs only: an array run rejects them before
+// it starts, so they stay unspent for a single-disk run.
 func TestArrayShadows(t *testing.T) {
-	m := xp()
-	array, err := disk.NewRAID5(5, 64<<10, m)
+	array, err := disk.NewRAID5(5, 64<<10, xp())
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := goldenArrayTrace(15, array)
-	run := func(shadows []*Shadow) ([]flatEvent, *ArrayResult) {
-		var events []flatEvent
-		res, err := RunArray(ArrayConfig{
-			Array: array, NewScheduler: fcfsPerDisk,
-			Options: Options{DropLate: true, Dims: 1, Levels: 8, Shadows: shadows,
-				Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }},
-		}, smallTraceCopy(trace))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return events, res
+	sh := NewShadow("fcfs", sched.NewFCFS())
+	sh.SetMetrics(&DecisionMetrics{})
+	_, err = RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
+		Options: Options{Dims: 1, Levels: 8, Shadows: []*Shadow{sh}}}, goldenArrayTrace(15, array))
+	if err == nil || !strings.Contains(err.Error(), "needs a single-station run") {
+		t.Fatalf("array run with a shadow: err = %v, want a single-station error", err)
 	}
-	evPlain, resPlain := run(nil)
-	sh0 := NewShadow("fcfs-twin", sched.NewFCFS())
-	sh0.SetMetrics(&DecisionMetrics{})
-	sh2 := NewShadow("sstf", sched.NewSSTF())
-	sh2.SetMetrics(&DecisionMetrics{})
-	sh2.Station = 2
-	evShadowed, resShadowed := run([]*Shadow{sh0, sh2})
-	if !reflect.DeepEqual(evPlain, evShadowed) {
-		t.Error("array TraceEvent stream diverged with shadows attached")
+	res, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(),
+		Options: Options{Shadows: []*Shadow{sh}}}, decisionWorkload(14))
+	if err != nil {
+		t.Fatalf("shadow spent by the rejected array run: %v", err)
 	}
-	if !reflect.DeepEqual(resPlain.Logical, resShadowed.Logical) {
-		t.Error("array logical collector diverged with shadows attached")
-	}
-	if resShadowed.Shadows[0].Decisions == 0 || resShadowed.Shadows[1].Decisions == 0 {
-		t.Errorf("array shadows observed no decisions: %+v", resShadowed.Shadows)
-	}
-	if rep := resShadowed.Shadows[0]; rep.Agreements != rep.Decisions {
-		t.Errorf("identical-policy array shadow agreed on %d of %d", rep.Agreements, rep.Decisions)
-	}
-
-	outOfRange := NewShadow("bad", sched.NewFCFS())
-	outOfRange.Station = 99
-	if _, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
-		Options: Options{Dims: 1, Levels: 8, Shadows: []*Shadow{outOfRange}}},
-		smallTraceCopy(trace)); err == nil {
-		t.Fatal("array run must reject a shadow station outside the array")
+	if res.Shadows[0].Decisions == 0 {
+		t.Error("shadow observed no decisions")
 	}
 }

@@ -25,7 +25,9 @@ import (
 // Options is the configuration core shared by Config and ArrayConfig: the
 // knobs that mean the same thing on every topology.
 type Options struct {
-	// Seed drives the rotational-latency sampling.
+	// Seed is unused: every service is charged the average rotational
+	// latency, so a run draws nothing. It stays until the frozen
+	// benchmark, which sets it, is next changed.
 	Seed uint64
 	// DropLate drops requests whose deadline has passed at dispatch time
 	// (the §6 semantics: a request not serviced prior to its deadline is
@@ -37,9 +39,6 @@ type Options struct {
 	// and the highest level present.
 	Dims   int
 	Levels int
-	// SampleRotation draws rotational latency uniformly instead of using
-	// the average. Averaged runs are deterministic given the trace.
-	SampleRotation bool
 	// Trace, when non-nil, receives one TraceEvent per dispatch decision
 	// (served or dropped) — the debugging stream behind policy-bug hunts.
 	// On array runs every physical dispatch is reported with its DiskID.
@@ -47,9 +46,8 @@ type Options struct {
 	// the simulation; a slow sink slows the run, not the modeled clock.
 	Trace func(TraceEvent)
 	// Fault, when non-nil and non-zero, injects the deterministic fault
-	// plan (transient errors with bounded retry, bad-sector remap, and —
-	// on arrays — whole-disk failure with degraded reads and optional
-	// rebuild). A nil or zero plan leaves the run byte-identical to one
+	// plan (transient errors with bounded retry and — on arrays —
+	// whole-disk failure with degraded reads and optional rebuild). A nil or zero plan leaves the run byte-identical to one
 	// without fault support.
 	Fault *fault.Plan
 	// Decisions, when non-nil, captures one DecisionRecord per dispatch
@@ -66,9 +64,9 @@ type Options struct {
 	Telemetry *Telemetry
 	// Shadows attaches counterfactual schedulers that observe the same
 	// arrival stream and record what they would have dispatched, without
-	// perturbing the run. Each Shadow is single-use and attaches to the
-	// station of its Station index (0 on single-disk runs). Reports land
-	// in Result.Shadows in the same order.
+	// perturbing the run. Each Shadow is single-use and rides a
+	// single-station run (sim.Run); Setup rejects shadows on arrays and
+	// clusters. Reports land in Result.Shadows in the same order.
 	Shadows []*Shadow
 }
 
@@ -82,8 +80,8 @@ type Config struct {
 	// constant service time (useful for pure queueing experiments).
 	FixedService int64
 
-	// Reuse, when non-nil, recycles the collector, station, event heap and
-	// RNG of previous runs through the same Reuse instead of allocating
+	// Reuse, when non-nil, recycles the collector, station and event heap
+	// of previous runs through the same Reuse instead of allocating
 	// fresh ones — see Reuse for the ownership and concurrency rules. The
 	// simulated trajectory is identical either way.
 	Reuse *Reuse
