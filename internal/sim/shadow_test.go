@@ -183,24 +183,15 @@ func TestShadowSingleUse(t *testing.T) {
 // A run that Setup rejects never starts, so it must leave its shadows
 // unspent: the next run with the same shadows rides them.
 func TestRejectedRunLeavesShadowsUnused(t *testing.T) {
-	trace := decisionWorkload(16)
 	sh := NewShadow("fcfs", sched.NewFCFS())
 	sh.SetMetrics(&DecisionMetrics{})
-	cfg := Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: Options{
+	if _, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: Options{
 		Shadows: []*Shadow{sh},
 		Fault:   &fault.Plan{FailDisk: 0, FailAt: 1_000, Metrics: quietMetrics()},
-	}}
-	if _, err := Run(cfg, smallTraceCopy(trace)); err == nil {
+	}}, decisionWorkload(16)); err == nil {
 		t.Fatal("single-disk run accepted a whole-disk failure")
 	}
-	cfg.Fault = nil
-	res, err := Run(cfg, smallTraceCopy(trace))
-	if err != nil {
-		t.Fatalf("shadow spent by a run that never started: %v", err)
-	}
-	if res.Shadows[0].Decisions == 0 {
-		t.Error("shadow observed no decisions")
-	}
+	requireUnspent(t, sh)
 }
 
 // Shadows ride single-station runs only: an array run rejects them before
@@ -217,10 +208,16 @@ func TestArrayShadows(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "needs a single-station run") {
 		t.Fatalf("array run with a shadow: err = %v, want a single-station error", err)
 	}
+	requireUnspent(t, sh)
+}
+
+// requireUnspent fails unless sh can still ride a single-disk run.
+func requireUnspent(t *testing.T, sh *Shadow) {
+	t.Helper()
 	res, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(),
 		Options: Options{Shadows: []*Shadow{sh}}}, decisionWorkload(14))
 	if err != nil {
-		t.Fatalf("shadow spent by the rejected array run: %v", err)
+		t.Fatalf("shadow spent by a run that never started: %v", err)
 	}
 	if res.Shadows[0].Decisions == 0 {
 		t.Error("shadow observed no decisions")
