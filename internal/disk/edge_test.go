@@ -178,12 +178,10 @@ func TestRAID5DegradedOpShapes(t *testing.T) {
 	s, d, cyl := r.Layout(block)
 	p := r.ParityDisk(s)
 
-	// Survivor read is untouched by an unrelated failure.
-	if got, want := r.DegradedRead(block, 0), r.Read(block); !reflect.DeepEqual(got, want) {
-		t.Errorf("DegradedRead survivor path = %+v, want %+v", got, want)
-	}
-	// Reading the failed disk's block fans out to every survivor.
-	recon := r.DegradedRead(block, d)
+	// Reconstructing the failed disk's block reads the same cylinder of
+	// every survivor, once each.
+	_, _, db := r.locate(block)
+	recon := r.RebuildStripe(db, d)
 	if len(recon) != r.Disks-1 {
 		t.Fatalf("reconstruction read produced %d ops, want %d", len(recon), r.Disks-1)
 	}

@@ -110,18 +110,6 @@ func (r *RAID5) Write(block int64) []PhysOp {
 	}
 }
 
-// DegradedRead maps a logical block read with disk failed down. A block
-// on a surviving disk reads normally; a block on the failed disk is
-// reconstructed from the same stripe row of every survivor (data units
-// XOR parity), one read per surviving disk.
-func (r *RAID5) DegradedRead(block int64, failed int) []PhysOp {
-	_, d, db := r.locate(block)
-	if d != failed {
-		return []PhysOp{{Disk: d, Cylinder: r.CylinderOf(db), Size: r.BlockSize}}
-	}
-	return r.RebuildStripe(db, failed)
-}
-
 // DegradedWrite maps a logical block write with disk failed down. With
 // the data disk lost the new parity is computed from the other data
 // units (N-2 reads) and written; the data itself is absorbed — it is

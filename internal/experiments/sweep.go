@@ -100,7 +100,7 @@ func loadAxis(interarrivals []int64) []float64 {
 }
 
 // reusePool hands sweep cells recycled per-run simulator state (event
-// heap, collector, RNG — see sim.Reuse). Pooling instead of one Reuse per
+// heap, collector, station — see sim.Reuse). Pooling instead of one Reuse per
 // cell keeps the working set at one Reuse per live worker while letting
 // any cell run on any worker.
 var reusePool = sync.Pool{New: func() any { return new(sim.Reuse) }}

@@ -53,12 +53,8 @@ func priorityOf(r *core.Request) int {
 // Add implements Scheduler.
 func (s *Kamel) Add(r *core.Request, now int64, head int) {
 	for ev := 0; ; ev++ {
-		pos := scanInsertPos(s.active, r, head)
-		cand := make([]*core.Request, 0, len(s.active)+1)
-		cand = append(cand, s.active[:pos]...)
-		cand = append(cand, r)
-		cand = append(cand, s.active[pos:]...)
-		if s.feasible(cand, now, head) || ev >= s.MaxEvictions || len(s.active) == 0 {
+		cand := scanInsert(s.active, r, head)
+		if feasible(s.est, cand, now, head) || ev >= s.MaxEvictions || len(s.active) == 0 {
 			s.active = cand
 			return
 		}
@@ -73,40 +69,6 @@ func (s *Kamel) Add(r *core.Request, now int64, head int) {
 		s.active = append(s.active[:low], s.active[low+1:]...)
 		s.parked = append(s.parked, victim)
 	}
-}
-
-// scanInsertPos returns the insertion index keeping reqs in upward-sweep
-// order (cyclic distance ahead of the head).
-func scanInsertPos(reqs []*core.Request, r *core.Request, head int) int {
-	key := func(c int) int {
-		d := c - head
-		if d < 0 {
-			d += 1 << 30
-		}
-		return d
-	}
-	k := key(r.Cylinder)
-	for i, q := range reqs {
-		if key(q.Cylinder) > k {
-			return i
-		}
-	}
-	return len(reqs)
-}
-
-// feasible simulates serving reqs in order from (now, head) and reports
-// whether every deadline is met at service start.
-func (s *Kamel) feasible(reqs []*core.Request, now int64, head int) bool {
-	t := now
-	h := head
-	for _, r := range reqs {
-		if t > effDeadline(r) {
-			return false
-		}
-		t += s.est(h, r.Cylinder, r.Size)
-		h = r.Cylinder
-	}
-	return true
 }
 
 // Next implements Scheduler.

@@ -30,28 +30,47 @@ func (s *SCANRT) Each(visit func(*core.Request)) {
 
 // Add implements Scheduler.
 func (s *SCANRT) Add(r *core.Request, now int64, head int) {
-	pos := scanInsertPos(s.reqs, r, head)
-	cand := make([]*core.Request, 0, len(s.reqs)+1)
-	cand = append(cand, s.reqs[:pos]...)
-	cand = append(cand, r)
-	cand = append(cand, s.reqs[pos:]...)
-	if s.feasible(cand, now, head) {
+	if cand := scanInsert(s.reqs, r, head); feasible(s.est, cand, now, head) {
 		s.reqs = cand
 		return
 	}
 	s.reqs = append(s.reqs, r)
 }
 
-// feasible simulates serving reqs in order from (now, head) and reports
-// whether every deadline is met at service start.
-func (s *SCANRT) feasible(reqs []*core.Request, now int64, head int) bool {
+// scanInsert returns a new queue: reqs with r inserted at its position in
+// upward-sweep order (cyclic distance ahead of the head).
+func scanInsert(reqs []*core.Request, r *core.Request, head int) []*core.Request {
+	key := func(c int) int {
+		d := c - head
+		if d < 0 {
+			d += 1 << 30
+		}
+		return d
+	}
+	k := key(r.Cylinder)
+	pos := len(reqs)
+	for i, q := range reqs {
+		if key(q.Cylinder) > k {
+			pos = i
+			break
+		}
+	}
+	cand := make([]*core.Request, 0, len(reqs)+1)
+	cand = append(cand, reqs[:pos]...)
+	cand = append(cand, r)
+	return append(cand, reqs[pos:]...)
+}
+
+// feasible simulates serving reqs in order from (now, head) with est and
+// reports whether every deadline is met at service start.
+func feasible(est Estimator, reqs []*core.Request, now int64, head int) bool {
 	t := now
 	h := head
 	for _, r := range reqs {
 		if t > effDeadline(r) {
 			return false
 		}
-		t += s.est(h, r.Cylinder, r.Size)
+		t += est(h, r.Cylinder, r.Size)
 		h = r.Cylinder
 	}
 	return true

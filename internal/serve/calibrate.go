@@ -22,9 +22,9 @@ type CalibrationConfig struct {
 	// twice and must return a fresh, identically configured scheduler each
 	// time. Required.
 	NewScheduler func() (sched.Scheduler, error)
-	// Service is the service-time model both sides charge. Rotational
-	// sampling is forced off: calibration needs both sides deterministic
-	// so every divergence is attributable to the serving path.
+	// Service is the service-time model both sides charge. It is
+	// deterministic (rotation is the average latency), so every divergence
+	// is attributable to the serving path.
 	Service disk.ServiceModel
 	// Dilation is the live clock's model-seconds-per-wall-second factor.
 	Dilation float64

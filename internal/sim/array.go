@@ -46,8 +46,9 @@ type ArrayResult struct {
 	// had no (or a zero) fault plan. The degraded-operation counters
 	// below are only nonzero with a planned disk failure.
 	Faults *fault.Stats
-	// Reconstructions counts logical reads of the failed disk served by
-	// reconstruction from the surviving disks while it was down.
+	// Reconstructions counts reads of the failed disk served by
+	// reconstruction from the surviving disks while it was down, once per
+	// reconstructed read (a logical read's or a read-modify-write's).
 	Reconstructions uint64
 	// AbsorbedWrites counts physical writes to the failed disk that were
 	// absorbed (the data is recoverable from parity and rewritten by the
@@ -58,24 +59,22 @@ type ArrayResult struct {
 	RebuildReads uint64
 }
 
-// logicalState tracks one in-flight logical request.
+// logicalState tracks one in-flight logical request, or the background
+// rebuild's current stripe row (req nil). A request runs in phases: its
+// reads first, then the deferred writes of a read-modify-write.
 type logicalState struct {
-	req      *core.Request
-	pending  int  // physical ops still outstanding
-	missed   bool // any op dropped or started late
-	finished bool // logical completion already recorded
-	// writeOps holds the deferred write phase of a read-modify-write;
-	// enqueued when the read phase drains.
-	writeOps  []disk.PhysOp
-	readsLeft int
+	req    *core.Request
+	ops    int  // physical ops of the current phase still in the engine
+	missed bool // any op dropped or started late
+	// writes is the deferred write phase, issued when the reads drain
+	// unless one of them missed.
+	writes []disk.PhysOp
 }
 
 // raid5 is the logical bookkeeping of one RunArray; its methods are the
 // engine hooks. Every physical request in flight maps to its logical
-// request in byPhys, and the background rebuild's reads map to the
-// sentinel &a.rebuild there — so each hook does one lookup, rebuild
-// traffic needs no second map, and no hook is ever wrapped around
-// another.
+// state in byPhys — the rebuild's reads to the rebuild row — so each hook
+// does one lookup and no hook is ever wrapped around another.
 type raid5 struct {
 	cfg ArrayConfig
 	eng Engine
@@ -86,10 +85,9 @@ type raid5 struct {
 
 	// Rebuild pump: one stripe row at a time, its survivor reads competing
 	// in the same per-disk scheduler queues as foreground requests.
-	rebuild        logicalState
-	nextRebuildID  uint64
-	rebuildPending int
-	rebuiltBlocks  int
+	rebuild       logicalState
+	nextRebuildID uint64
+	rebuiltBlocks int
 }
 
 // RunArray simulates the logical trace (sorted by arrival) on the array:
@@ -100,11 +98,12 @@ type raid5 struct {
 //
 // With a fault plan carrying a whole-disk failure, the run degrades at
 // FailAt: queued and in-flight operations of the failed disk are
-// re-routed (reads reconstruct from the surviving N-1 disks via the
-// PhysOp fan-out, writes are absorbed), later arrivals map through
-// DegradedRead/DegradedWrite, and the optional background rebuild pushes
-// its reconstruction reads through the same per-disk schedulers as
-// foreground requests, so rebuild-vs-QoS interference is measurable.
+// re-routed, later writes map through DegradedWrite, and every physical
+// op issued for the failed disk degrades on the way out: a read is
+// reconstructed from the surviving N-1 disks, a write is absorbed. The
+// optional background rebuild pushes its reconstruction reads through the
+// same per-disk schedulers as foreground requests, so rebuild-vs-QoS
+// interference is measurable.
 func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 	if cfg.Array == nil || cfg.NewScheduler == nil {
 		return nil, fmt.Errorf("sim: ArrayConfig needs Array and NewScheduler")
@@ -143,165 +142,122 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 	return res, nil
 }
 
-// arrive maps an arriving logical request onto its physical operations.
+// arrive maps an arriving logical request onto its physical operations
+// and issues the read phase.
 func (a *raid5) arrive(lr *core.Request, now int64) {
 	array := a.cfg.Array
 	a.res.Logical.OnArrival(lr)
-	st := &logicalState{req: lr}
 	block := blockOf(lr)
 	var ops []disk.PhysOp
-	fd, down := a.downDisk()
-	if lr.Write {
-		if down {
-			ops = array.DegradedWrite(block, fd)
-			if s, d, _ := array.Layout(block); fd == d || fd == array.ParityDisk(s) {
-				a.res.AbsorbedWrites++
-			}
-		} else {
-			ops = array.Write(block)
-		}
-	} else if down {
-		ops = array.DegradedRead(block, fd)
-		if len(ops) > 1 {
-			a.res.Reconstructions++
-			a.eng.faults.Metrics().ReconstructReads.Add(uint64(len(ops)))
-		}
-	} else {
+	switch fd, down := a.downDisk(); {
+	case !lr.Write:
 		ops = array.Read(block)
+	case down:
+		ops = array.DegradedWrite(block, fd)
+		if s, d, _ := array.Layout(block); fd == d || fd == array.ParityDisk(s) {
+			a.res.AbsorbedWrites++
+		}
+	default:
+		ops = array.Write(block)
 	}
-	var phase1 []disk.PhysOp
+	// The mappings list every read before the first write.
+	n := 0
+	for n < len(ops) && !ops[n].Write {
+		n++
+	}
+	a.issue(&logicalState{req: lr, writes: ops[n:]}, ops[:n], now)
+}
+
+// issue sends one phase's physical ops to the stations. It is the one
+// place an op meets the failed disk: a write there is absorbed
+// (recoverable from parity, rewritten by the rebuild), a read is
+// reconstructed from the same cylinder of every survivor.
+func (a *raid5) issue(st *logicalState, ops []disk.PhysOp, now int64) {
+	fd, down := a.downDisk()
 	for _, op := range ops {
-		if op.Write {
-			st.writeOps = append(st.writeOps, op)
-		} else {
-			phase1 = append(phase1, op)
+		switch {
+		case !down || op.Disk != fd:
+			a.createPhys(st, op, now)
+		case op.Write:
+			a.res.AbsorbedWrites++
+		default:
+			a.res.Reconstructions++
+			a.eng.faults.Metrics().ReconstructReads.Add(uint64(a.cfg.Array.Disks - 1))
+			for d := range a.cfg.Array.Disks {
+				if d != fd {
+					a.createPhys(st, disk.PhysOp{Disk: d, Cylinder: op.Cylinder, Size: op.Size}, now)
+				}
+			}
 		}
 	}
-	st.readsLeft = len(phase1)
-	st.pending = len(phase1) + len(st.writeOps)
-	if len(phase1) == 0 && len(st.writeOps) > 0 {
-		// Degraded write with the data disk's read phase absent
-		// (parity-only update): no reads gate the write phase.
-		w := st.writeOps
-		st.writeOps = nil
-		a.enqueue(st, w, now)
-	} else {
-		a.enqueue(st, phase1, now)
-	}
-	if st.pending == 0 {
-		a.finish(st, now)
-	}
+	a.advance(st, now)
 }
 
 func (a *raid5) createPhys(st *logicalState, op disk.PhysOp, now int64) {
-	a.nextPhysID++
-	pr := &core.Request{
-		ID:         a.nextPhysID,
-		Priorities: st.req.Priorities,
-		Deadline:   st.req.Deadline,
-		Cylinder:   op.Cylinder,
-		Size:       op.Size,
-		Arrival:    now,
-		Write:      op.Write,
-		Value:      st.req.Value,
+	pr := &core.Request{Cylinder: op.Cylinder, Size: op.Size, Arrival: now, Write: op.Write}
+	if lr := st.req; lr != nil {
+		a.nextPhysID++
+		pr.ID, pr.Priorities, pr.Deadline, pr.Value = a.nextPhysID, lr.Priorities, lr.Deadline, lr.Value
+	} else {
+		// Rebuild reads carry no deadline and no priorities: they are
+		// background traffic contending purely on the disk layer.
+		a.nextRebuildID++
+		pr.ID = 1<<63 | a.nextRebuildID
+		a.res.RebuildReads++
+		a.eng.faults.Metrics().RebuildReads.Inc()
 	}
+	st.ops++
 	a.byPhys[pr] = st
 	a.eng.Stations[op.Disk].Enqueue(pr, now)
 	a.res.PerDiskOps[op.Disk]++
 }
 
-// enqueue issues physical ops, transparently degrading any op that
-// targets the failed disk: writes are absorbed (recoverable from
-// parity), reads fan out into same-cylinder reconstruction reads on
-// every survivor. Callers account pending as one completion per op;
-// enqueue adjusts it for absorbed and fanned-out ops.
-func (a *raid5) enqueue(st *logicalState, ops []disk.PhysOp, now int64) {
-	disks := a.cfg.Array.Disks
-	fd, down := a.downDisk()
-	for _, op := range ops {
-		if !down || op.Disk != fd {
-			a.createPhys(st, op, now)
-			continue
-		}
-		if op.Write {
-			a.res.AbsorbedWrites++
-			st.pending--
-			continue
-		}
-		a.res.Reconstructions++
-		a.eng.faults.Metrics().ReconstructReads.Add(uint64(disks - 1))
-		st.pending += disks - 2
-		if len(st.writeOps) > 0 {
-			st.readsLeft += disks - 2
-		}
-		for d := 0; d < disks; d++ {
-			if d != fd {
-				a.createPhys(st, disk.PhysOp{Disk: d, Cylinder: op.Cylinder, Size: op.Size}, now)
-			}
-		}
-	}
-}
-
-func (a *raid5) finish(st *logicalState, now int64) {
-	if st.finished {
+// advance moves st on once its current phase has drained: the deferred
+// writes go out unless a read missed, otherwise st completes. A finished
+// rebuild row starts the next one.
+func (a *raid5) advance(st *logicalState, now int64) {
+	if st.ops > 0 {
 		return
 	}
-	st.finished = true
-	if st.missed {
+	if w := st.writes; len(w) > 0 && !st.missed {
+		st.writes = nil
+		a.issue(st, w, now)
+		return
+	}
+	switch {
+	case st.req == nil:
+		a.rebuiltBlocks++
+		a.eng.faults.Metrics().RebuildProgress.Set(int64(a.rebuiltBlocks))
+		if a.cfg.Fault.RebuildInterval > 0 {
+			a.eng.At(now+a.cfg.Fault.RebuildInterval, a.issueRebuild)
+		} else {
+			a.issueRebuild(now)
+		}
+	case st.missed:
 		a.res.Logical.OnDropped(st.req)
-	} else {
+	default:
 		a.res.Logical.OnServed(st.req, 0, 0, now)
 	}
 }
 
-// opDone accounts one completed, dropped or absorbed physical op and
-// fires the deferred write phase or the logical completion when due.
-func (a *raid5) opDone(st *logicalState, now int64, wasRead bool) {
-	st.pending--
-	if wasRead && len(st.writeOps) > 0 {
-		st.readsLeft--
-		if st.readsLeft == 0 {
-			ops := st.writeOps
-			st.writeOps = nil
-			if st.missed {
-				// The read phase failed; the write phase is abandoned.
-				st.pending -= len(ops)
-			} else {
-				a.enqueue(st, ops, now) // pending already counts them
-			}
-		}
-	}
-	if st.pending == 0 {
-		a.finish(st, now)
-	}
-}
-
 // take resolves a physical request leaving the engine (served, dropped
-// or stranded) to its logical state and forgets it. A rebuild read
-// resolves to nil after advancing the pump: rebuild traffic bypasses the
-// logical bookkeeping, and a read abandoned by the retry budget or
-// stranded on the dead disk must not stall its stripe row.
-func (a *raid5) take(r *core.Request, now int64) *logicalState {
+// or stranded) to its logical state, forgets it and retires it from the
+// current phase's count.
+func (a *raid5) take(r *core.Request) *logicalState {
 	st := a.byPhys[r]
 	delete(a.byPhys, r)
-	if st == &a.rebuild {
-		a.rebuildOpDone(now)
-		return nil
-	}
+	st.ops--
 	return st
 }
 
 func (a *raid5) onServed(_ *Station, r *core.Request, now int64) {
-	if st := a.take(r, now); st != nil {
-		a.opDone(st, now, !r.Write)
-	}
+	a.advance(a.take(r), now)
 }
 
 func (a *raid5) onDropped(_ *Station, r *core.Request, now int64) {
-	if st := a.take(r, now); st != nil {
-		st.missed = true
-		a.opDone(st, now, !r.Write)
-	}
+	st := a.take(r)
+	st.missed = true
+	a.advance(st, now)
 }
 
 func (a *raid5) onLateStart(_ *Station, r *core.Request, _ int64) {
@@ -312,20 +268,7 @@ func (a *raid5) onLateStart(_ *Station, r *core.Request, _ int64) {
 // failed disk — queued at failure time, in flight, or returning from a
 // retry backoff — through the degraded path.
 func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {
-	st := a.take(pr, now)
-	if st == nil {
-		return
-	}
-	wasRead := !pr.Write
-	// An absorbed write completes the op; a read fans out into survivor
-	// reads that replace it (pending gains the fan-out and loses the
-	// original).
-	st.pending++
-	if wasRead && len(st.writeOps) > 0 {
-		st.readsLeft++
-	}
-	a.enqueue(st, []disk.PhysOp{{Disk: a.cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}}, now)
-	a.opDone(st, now, wasRead)
+	a.issue(a.take(pr), []disk.PhysOp{{Disk: a.cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}}, now)
 }
 
 // fail is the planned whole-disk failure, fired by the FailAt timer.
@@ -348,40 +291,15 @@ func (a *raid5) fail(now int64) {
 }
 
 // issueRebuild issues the survivor reads of the next stripe row, or
-// returns the disk to service when the last row is done.
+// returns the disk to service when the last row is done. A row's read
+// abandoned by the retry budget still retires, so it never stalls the
+// rebuild.
 func (a *raid5) issueRebuild(now int64) {
-	k := a.cfg.Fault.FailDisk
 	if a.rebuiltBlocks >= a.cfg.Fault.RebuildBlocks {
 		a.eng.faults.MarkRebuilt(now)
 		return
 	}
-	ops := a.cfg.Array.RebuildStripe(int64(a.rebuiltBlocks), k)
-	a.rebuildPending = len(ops)
-	for _, op := range ops {
-		a.nextRebuildID++
-		// Rebuild reads carry no deadline and no priorities: they are
-		// background traffic contending purely on the disk layer.
-		pr := &core.Request{ID: 1<<63 | a.nextRebuildID, Cylinder: op.Cylinder, Size: op.Size, Arrival: now}
-		a.byPhys[pr] = &a.rebuild
-		a.eng.Stations[op.Disk].Enqueue(pr, now)
-		a.res.PerDiskOps[op.Disk]++
-		a.res.RebuildReads++
-		a.eng.faults.Metrics().RebuildReads.Inc()
-	}
-}
-
-func (a *raid5) rebuildOpDone(now int64) {
-	a.rebuildPending--
-	if a.rebuildPending > 0 {
-		return
-	}
-	a.rebuiltBlocks++
-	a.eng.faults.Metrics().RebuildProgress.Set(int64(a.rebuiltBlocks))
-	if a.cfg.Fault.RebuildInterval > 0 {
-		a.eng.At(now+a.cfg.Fault.RebuildInterval, a.issueRebuild)
-	} else {
-		a.issueRebuild(now)
-	}
+	a.issue(&a.rebuild, a.cfg.Array.RebuildStripe(int64(a.rebuiltBlocks), a.cfg.Fault.FailDisk), now)
 }
 
 // downDisk returns the currently failed disk, if any.

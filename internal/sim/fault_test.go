@@ -396,3 +396,87 @@ func TestFailureReroutesQueuedAndInFlight(t *testing.T) {
 		t.Errorf("LostInFlight = %d, want 1", res.Faults.LostInFlight)
 	}
 }
+
+// TestDegradedReadOpShapes checks what a read costs while disk k is down:
+// a block on a survivor stays one op on its own disk; a block on k is
+// reconstructed by one same-cylinder read on every survivor, counted once
+// in Reconstructions and Disks-1 times in ReconstructReads.
+func TestDegradedReadOpShapes(t *testing.T) {
+	array := testArray(t)
+	const k = 2
+	for _, tc := range []struct {
+		name   string
+		onDisk int
+		recon  uint64
+	}{
+		{"survivor", 0, 0},
+		{"failed", k, 1},
+	} {
+		block := blocksOnDisk(array, tc.onDisk, 0, 1)[0]
+		trace := []*core.Request{{ID: 1, Arrival: 200_000, Cylinder: int(block), Size: 64 << 10}}
+		m := quietMetrics()
+		var events []TraceEvent
+		res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
+			Options: Options{Fault: &fault.Plan{FailDisk: k, FailAt: 100_000, Metrics: m},
+				Trace: func(ev TraceEvent) { events = append(events, ev) }}}, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Logical.Served != 1 {
+			t.Errorf("%s: Logical.Served = %d, want 1", tc.name, res.Logical.Served)
+		}
+		if res.Reconstructions != tc.recon {
+			t.Errorf("%s: Reconstructions = %d, want %d", tc.name, res.Reconstructions, tc.recon)
+		}
+		if got, want := m.ReconstructReads.Load(), tc.recon*uint64(array.Disks-1); got != want {
+			t.Errorf("%s: ReconstructReads = %d, want %d", tc.name, got, want)
+		}
+		_, d, cyl := array.Layout(block)
+		want := []int{d}
+		if tc.recon > 0 {
+			want = nil
+			for dd := range array.Disks {
+				if dd != k {
+					want = append(want, dd)
+				}
+			}
+		}
+		var disks []int
+		for _, ev := range events {
+			disks = append(disks, ev.DiskID)
+			if ev.Request.Cylinder != cyl || ev.Request.Write {
+				t.Errorf("%s: op %+v, want a read of cylinder %d", tc.name, *ev.Request, cyl)
+			}
+		}
+		if !reflect.DeepEqual(disks, want) {
+			t.Errorf("%s: ops on disks %v, want %v", tc.name, disks, want)
+		}
+	}
+}
+
+// TestRebuildSurvivesAbandonedReads runs a rebuild whose reads the retry
+// budget abandons (no retries, frequent transients): an abandoned read
+// still retires from its stripe row, so every row is read once and the
+// disk returns to service, with and without a pause between rows.
+func TestRebuildSurvivesAbandonedReads(t *testing.T) {
+	array := testArray(t)
+	for _, interval := range []int64{0, 10_000} {
+		plan := &fault.Plan{Seed: 5, TransientRate: 0.4, MaxRetries: -1,
+			FailDisk: 1, FailAt: 100_000, Rebuild: true, RebuildBlocks: 40, RebuildInterval: interval,
+			Metrics: quietMetrics()}
+		res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk, Options: Options{Fault: plan}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := res.Faults
+		if fs.Exhausted == 0 {
+			t.Fatalf("interval %d: no rebuild read was abandoned — retune the test", interval)
+		}
+		if fs.RebuiltAt <= 0 {
+			t.Errorf("interval %d: rebuild never completed (%d reads abandoned)", interval, fs.Exhausted)
+		}
+		if want := uint64(plan.RebuildBlocks * (array.Disks - 1)); res.RebuildReads != want {
+			t.Errorf("interval %d: RebuildReads = %d, want %d", interval, res.RebuildReads, want)
+		}
+	}
+}
