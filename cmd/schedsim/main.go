@@ -7,7 +7,8 @@
 //	schedsim -sched cascaded -curve hilbert -f 1 -r 3 -window 0.02
 //	schedsim -sched edf -requests 8000 -interarrival 10ms
 //	schedsim -sched all                  # every scheduler over the same trace
-//	schedsim -replay open.csv -sched all # replay a tracegen CSV file
+//	schedsim -spec streams -emit-trace s.csv # §6 stream mix, saved as CSV
+//	schedsim -replay s.csv -sched all        # replay a CSV or JSONL trace
 //	schedsim -sched cascaded -dispatch-trace run.jsonl  # JSONL dispatch log
 //	schedsim -sched all -fault-rate 0.01                # transient faults
 //	schedsim -array 5 -fail-disk 2 -rebuild             # degraded RAID-5
@@ -67,49 +68,9 @@ func run(opt options) (runErr error) {
 		// over every member disk.
 		cylinders = opt.clusterNodes * opt.clusterDisks * m.Cylinders
 	}
-	var trace []*core.Request
-	if opt.replayFile != "" {
-		rec, err := workload.LoadReplayFile(opt.replayFile)
-		if err != nil {
-			return fmt.Errorf("-replay: %w", err)
-		}
-		trace = rec.Generate()
-		// Schedulers must be built with the recorded dimensionality so a
-		// same-build replay reproduces the recording byte for byte.
-		opt.dims = rec.Dims()
-	} else if opt.specName != "" {
-		spec, err := workload.ScenarioSpec(opt.specName, opt.seed, opt.requests, cylinders)
-		if err != nil {
-			return fmt.Errorf("-spec: %w", err)
-		}
-		trace, err = spec.Generate()
-		if err != nil {
-			return fmt.Errorf("-spec: %w", err)
-		}
-		// The scenarios fix their own priority shape.
-		opt.dims = spec.Dims()
-		opt.levels = 8
-	} else {
-		trace, err = workload.Open{
-			Seed:             opt.seed,
-			Count:            opt.requests,
-			MeanInterarrival: opt.interarrival.Microseconds(),
-			Dims:             opt.dims,
-			Levels:           opt.levels,
-			DeadlineMin:      opt.deadlineMin.Microseconds(),
-			DeadlineMax:      opt.deadlineMax.Microseconds(),
-			Cylinders:        cylinders,
-			SizeMin:          opt.sizeMin,
-			SizeMax:          opt.sizeMax,
-			WriteFrac:        opt.writeFrac,
-			Tenants:          opt.tenants,
-			TenantSkew:       opt.tenantSkew,
-			TenantZones:      opt.tenantZones,
-			Classes:          opt.classes,
-		}.Generate()
-		if err != nil {
-			return fmt.Errorf("workload flags: %w", err)
-		}
+	trace, err := opt.trace(cylinders)
+	if err != nil {
+		return err
 	}
 
 	names := []string{opt.sched}
@@ -126,6 +87,19 @@ func run(opt options) (runErr error) {
 		}
 	}
 
+	if opt.emitOut != "" {
+		w, closeOut, err := outWriter(opt.emitOut)
+		if err != nil {
+			return err
+		}
+		err = workload.WriteCSV(w, trace, opt.dims)
+		if cerr := closeOut(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("-emit-trace: %w", err)
+		}
+	}
 	if opt.serve {
 		return runServeCalib(os.Stdout, opt, m, trace)
 	}

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"sfcsched/internal/cluster"
+	"sfcsched/internal/core"
 	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/serve"
 	"sfcsched/internal/sfc"
+	"sfcsched/internal/workload"
 )
 
 // options collects every schedsim flag so the flag surface can be
@@ -34,6 +36,7 @@ type options struct {
 	drop         bool
 	replayFile   string
 	specName     string
+	emitOut      string
 	dispatchOut  string
 	arrayDisks   int
 	blockSize    int64
@@ -96,8 +99,9 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Int64Var(&o.sizeMin, "size-min", 4<<10, "transfer size of the highest priority, bytes")
 	fs.Int64Var(&o.sizeMax, "size-max", 256<<10, "transfer size of the lowest priority, bytes")
 	fs.BoolVar(&o.drop, "drop", true, "drop requests whose deadline passed before service")
-	fs.StringVar(&o.replayFile, "replay", "", "re-execute a recorded trace (a -dispatch-trace JSONL or a tracegen CSV) instead of generating a workload; pass the recording run's scheduler flags for a byte-identical replay")
-	fs.StringVar(&o.specName, "spec", "", "generate a built-in multi-client scenario instead of the open Poisson workload: steady, flash, diurnal, mixed")
+	fs.StringVar(&o.replayFile, "replay", "", "re-execute a recorded trace (a -dispatch-trace JSONL or an -emit-trace CSV) instead of generating a workload; pass the recording run's scheduler flags for a byte-identical replay")
+	fs.StringVar(&o.specName, "spec", "", "generate a built-in workload instead of the open Poisson one: a multi-client scenario ("+strings.Join(workload.Scenarios(), ", ")+") or streams, the §6 NewsByte5 stream mix")
+	fs.StringVar(&o.emitOut, "emit-trace", "", "write the run's workload as a request CSV to this file (- for stdout), then run as usual")
 	fs.StringVar(&o.dispatchOut, "dispatch-trace", "", "write a JSONL stream of dispatch decisions to this file (- for stdout)")
 	fs.StringVar(&o.decisionOut, "decision-trace", "", "write a JSONL stream of per-dispatch decision records (candidate set, slack distribution, window) to this file (- for stdout)")
 	fs.StringVar(&o.shadowList, "shadow", "", "comma-separated shadow schedulers to ride the run counterfactually (e.g. scan-edf,fcfs); reports divergence after the run")
@@ -105,7 +109,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.DurationVar(&o.telemetryInterval, "telemetry-interval", 50*time.Millisecond, "sim-time sampling period for -telemetry")
 	fs.IntVar(&o.arrayDisks, "array", 0, "simulate a RAID-5 array with this many disks (0 = single disk)")
 	fs.Int64Var(&o.blockSize, "block", 64<<10, "array: logical block size, bytes")
-	fs.Float64Var(&o.writeFrac, "write-frac", 0, "array: fraction of logical writes (read-modify-write)")
+	fs.Float64Var(&o.writeFrac, "write-frac", 0, "fraction of generated writes (open workload and -spec streams; on an array each is a read-modify-write)")
 
 	fs.IntVar(&o.clusterNodes, "cluster", 0, "simulate a storage cluster with this many arrays (0 = single disk / -array)")
 	fs.IntVar(&o.clusterDisks, "cluster-disks", 1, "cluster: striped member disks per array")
@@ -246,6 +250,70 @@ func (o *options) validate() error {
 		return fmt.Errorf("fault flags: %w", err)
 	}
 	return nil
+}
+
+// trace builds the run's workload over cylinders addressable blocks from
+// the source the flags name: a replayed recording, the §6 stream mix, a
+// scenario or the open Poisson workload. It fixes o.dims (and, for a
+// scenario, o.levels) to the workload's priority shape, which the
+// schedulers are built with and -emit-trace writes.
+func (o *options) trace(cylinders int) ([]*core.Request, error) {
+	switch {
+	case o.replayFile != "":
+		rec, err := workload.LoadReplayFile(o.replayFile)
+		if err != nil {
+			return nil, fmt.Errorf("-replay: %w", err)
+		}
+		// A same-build replay reproduces the recording byte for byte only
+		// with the recorded dimensionality.
+		o.dims = rec.Dims()
+		return rec.Generate(), nil
+	case o.specName == "streams":
+		o.dims = 1
+		trace, err := workload.Streams{
+			Seed: o.seed, Users: 80, Duration: 40_000_000, BitRate: 420_000,
+			BlockSize: 64 << 10, Burst: 3, Levels: o.levels, Cylinders: cylinders,
+			DeadlineMin: o.deadlineMin.Microseconds(), DeadlineMax: o.deadlineMax.Microseconds(),
+			WriteFrac: o.writeFrac,
+		}.Generate()
+		if err != nil {
+			return nil, fmt.Errorf("-spec: %w", err)
+		}
+		return trace, nil
+	case o.specName != "":
+		spec, err := workload.ScenarioSpec(o.specName, o.seed, o.requests, cylinders)
+		if err != nil {
+			return nil, fmt.Errorf("-spec: %w", err)
+		}
+		// The scenarios fix their own priority shape.
+		o.dims, o.levels = spec.Dims(), 8
+		trace, err := spec.Generate()
+		if err != nil {
+			return nil, fmt.Errorf("-spec: %w", err)
+		}
+		return trace, nil
+	}
+	trace, err := workload.Open{
+		Seed:             o.seed,
+		Count:            o.requests,
+		MeanInterarrival: o.interarrival.Microseconds(),
+		Dims:             o.dims,
+		Levels:           o.levels,
+		DeadlineMin:      o.deadlineMin.Microseconds(),
+		DeadlineMax:      o.deadlineMax.Microseconds(),
+		Cylinders:        cylinders,
+		SizeMin:          o.sizeMin,
+		SizeMax:          o.sizeMax,
+		WriteFrac:        o.writeFrac,
+		Tenants:          o.tenants,
+		TenantSkew:       o.tenantSkew,
+		TenantZones:      o.tenantZones,
+		Classes:          o.classes,
+	}.Generate()
+	if err != nil {
+		return nil, fmt.Errorf("workload flags: %w", err)
+	}
+	return trace, nil
 }
 
 // knownScheduler rejects a name build does not know: the cascade or a row

@@ -12,12 +12,13 @@ import (
 // A stream that cannot be written must fail the run. Each observer hook
 // stops writing after its first error so it never perturbs the simulation,
 // which leaves the file's flush and close as the only place the failure
-// can surface; /dev/full rejects every write with ENOSPC.
+// can surface; /dev/full rejects every write with ENOSPC. -emit-trace
+// writes before the run and must fail it too.
 func TestOutputWriteFailureFailsTheRun(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	for _, flag := range []string{"-dispatch-trace", "-decision-trace", "-telemetry"} {
+	for _, flag := range []string{"-dispatch-trace", "-decision-trace", "-telemetry", "-emit-trace"} {
 		t.Run(flag, func(t *testing.T) {
 			err := run(*parse(t, "-requests", "300", flag, "/dev/full"))
 			if err == nil {

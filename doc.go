@@ -17,7 +17,7 @@
 //   - internal/sim, internal/workload, internal/metrics — the evaluation
 //     substrate;
 //   - internal/experiments — one runner per paper table and figure;
-//   - cmd/schedbench, cmd/schedsim, cmd/sfcviz, cmd/tracegen — tools;
+//   - cmd/schedbench, cmd/schedsim, cmd/sfcviz, cmd/tracediff — tools;
 //   - examples/ — four runnable scenarios.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and

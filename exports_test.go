@@ -31,7 +31,6 @@ var testOnlyExports = map[string]string{
 	"internal/sched.NewKamelMulti":       "extended baseline no flag reaches",
 	"internal/sched.NewMultiQueueMulti":  "extended baseline no flag reaches",
 	"internal/sim.MustRun":               "test helper",
-	"internal/sim.SortByArrival":         "tests only",
 	"internal/sim.ValueRanker":           "bench-pinned (bench/decor.go)",
 	"internal/workload.MustScenarioSpec": "test helper",
 	"internal/workload.Uniform":          "tests only",
@@ -101,7 +100,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 const module = "sfcsched"
 
 // exportIndex maps each exported object declared under internal/ to its
-// guard name ("internal/sim.SortByArrival", "internal/serve.Config.InFlight")
+// guard name ("internal/sim.MustRun", "internal/serve.Config.InFlight")
 // and records which of them real code uses.
 type exportIndex struct {
 	idents, members map[types.Object]string

@@ -23,7 +23,7 @@ type Registry struct {
 // metricVar is one registered metric with its help string.
 type metricVar struct {
 	help string
-	v    any // *Counter, *Gauge, *MaxGauge, *Histogram, or func() float64
+	v    any // *Counter, *Gauge, *MaxGauge or *Histogram
 }
 
 // metricName constrains registered names to the Prometheus charset.
@@ -35,15 +35,14 @@ func NewRegistry() *Registry {
 }
 
 // Register adds metric v under name. v must be a *Counter, *Gauge,
-// *MaxGauge, *Histogram, or a func() float64 (sampled at export time).
-// Registering a duplicate or malformed name, or an unsupported type, is an
-// error.
+// *MaxGauge or *Histogram. Registering a duplicate or malformed name, or
+// an unsupported type, is an error.
 func (r *Registry) Register(name, help string, v any) error {
 	if !metricName.MatchString(name) {
 		return fmt.Errorf("obs: invalid metric name %q", name)
 	}
 	switch v.(type) {
-	case *Counter, *Gauge, *MaxGauge, *Histogram, func() float64:
+	case *Counter, *Gauge, *MaxGauge, *Histogram:
 	default:
 		return fmt.Errorf("obs: unsupported metric type %T for %q", v, name)
 	}
@@ -175,11 +174,6 @@ func writeProm(w io.Writer, name string, mv metricVar) error {
 				return err
 			}
 		}
-	case func() float64:
-		header(name, "gauge")
-		if err == nil {
-			_, err = fmt.Fprintf(w, "%s %v\n", name, v())
-		}
 	}
 	return err
 }
@@ -194,8 +188,8 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // Snapshot returns the current value of every metric as a plain map:
-// counters and gauges as integers, funcs as floats, histograms as
-// {count, sum, mean, p50, p95, p99}.
+// counters and gauges as integers, histograms as {count, sum, mean, p50,
+// p95, p99}.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -218,8 +212,6 @@ func (r *Registry) Snapshot() map[string]any {
 				"p95":   qs[1],
 				"p99":   qs[2],
 			}
-		case func() float64:
-			out[name] = v()
 		}
 	}
 	return out

@@ -21,9 +21,6 @@ func TestRegisterValidation(t *testing.T) {
 	if err := r.Register("bad_type", "", 42); err == nil {
 		t.Error("unsupported type accepted")
 	}
-	if err := r.Register("fn", "", func() float64 { return 1.5 }); err != nil {
-		t.Errorf("func metric rejected: %v", err)
-	}
 	// RegisterAll prefixes every row and stops at the first bad one.
 	err := r.RegisterAll("set", []Entry{
 		{Name: "a", Help: "first", V: &Counter{}},
@@ -33,8 +30,8 @@ func TestRegisterValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "set_bad name") {
 		t.Errorf("RegisterAll error = %v, want the malformed set_bad name", err)
 	}
-	if names := strings.Join(r.names(), " "); names != "fn ok_name set_a" {
-		t.Errorf("registered names = %q, want fn ok_name set_a", names)
+	if names := strings.Join(r.names(), " "); names != "ok_name set_a" {
+		t.Errorf("registered names = %q, want ok_name set_a", names)
 	}
 }
 
@@ -54,7 +51,6 @@ func TestWritePrometheus(t *testing.T) {
 	mustRegister(t, r, "depth", "current depth", &g)
 	mustRegister(t, r, "depth_hiwater", "", &m)
 	mustRegister(t, r, "wait_us", "dispatch wait", &h)
-	mustRegister(t, r, "ratio", "", func() float64 { return 0.5 })
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -74,7 +70,6 @@ func TestWritePrometheus(t *testing.T) {
 		`wait_us_bucket{le="+Inf"} 3`,
 		"wait_us_sum 10",
 		"wait_us_count 3",
-		"ratio 0.5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)

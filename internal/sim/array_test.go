@@ -197,19 +197,3 @@ var errTest = &testError{}
 type testError struct{}
 
 func (*testError) Error() string { return "test error" }
-
-func TestSortByArrival(t *testing.T) {
-	trace := []*core.Request{
-		{ID: 1, Arrival: 30},
-		{ID: 2, Arrival: 10},
-		{ID: 3, Arrival: 10},
-		{ID: 4, Arrival: 20},
-	}
-	SortByArrival(trace)
-	want := []uint64{2, 3, 4, 1} // stable for equal arrivals
-	for i, id := range want {
-		if trace[i].ID != id {
-			t.Fatalf("position %d: got %d, want %d", i, trace[i].ID, id)
-		}
-	}
-}

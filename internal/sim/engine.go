@@ -234,9 +234,10 @@ func (e *Engine) At(t int64, fn func(now int64)) {
 // Run drives the engine until every event has fired and the trace is
 // exhausted, returning the completion time of the run (the makespan).
 //
-// The trace must be sorted by arrival time (see SortByArrival). deliver is
-// called once per request at its arrival time and must route it onto a
-// station (Station.Enqueue) after any per-arrival accounting.
+// The trace must be sorted by arrival time, as every workload generator
+// and replay returns it. deliver is called once per request at its arrival
+// time and must route it onto a station (Station.Enqueue) after any
+// per-arrival accounting.
 //
 // Determinism rules: the clock advances to the earliest pending event
 // time; at each time all completion events fire first in (time, seq)

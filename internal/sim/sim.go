@@ -13,7 +13,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
@@ -173,12 +172,4 @@ func InferShape(dims, levels int, trace []*core.Request) (int, int) {
 		levels = top + 1
 	}
 	return dims, levels
-}
-
-// SortByArrival orders a trace in place by arrival time (stable), the
-// precondition of Run and RunArray.
-func SortByArrival(trace []*core.Request) {
-	sort.SliceStable(trace, func(i, j int) bool {
-		return trace[i].Arrival < trace[j].Arrival
-	})
 }

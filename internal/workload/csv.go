@@ -10,7 +10,8 @@ import (
 )
 
 // WriteCSV serializes a trace with dims priority columns. The format is
-// the exchange format of cmd/tracegen:
+// what schedsim -emit-trace writes and -replay reads back; it carries no
+// tenant or class tags:
 //
 //	id,arrival_us,deadline_us,cylinder,size,write,value,priority_0,...
 //
