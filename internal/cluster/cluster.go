@@ -200,8 +200,10 @@ func (r *Result) Jain() float64 {
 }
 
 // Run simulates trace (sorted by arrival time) on the cluster. The trace
-// is read-only: physical ops are per-request copies carrying the mapped
-// member cylinder, so one generated trace can back any number of cells.
+// is read-only: physical ops are copies carrying the mapped member
+// cylinder, so one generated trace can back any number of cells. The
+// copies are recycled: one returns to a free list when it is served or
+// dropped, so a warm run allocates nothing per request.
 func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -262,6 +264,7 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	// The cluster's run is assembled where every topology's is; its own
 	// fields are the subset of sim.Options it supports.
 	var eng sim.Engine
+	var free []*core.Request
 	if err := eng.Setup(sim.Options{
 		DropLate: cfg.DropLate, Trace: cfg.Trace, Telemetry: cfg.Telemetry,
 	}, stations, false); err != nil {
@@ -280,11 +283,13 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		res.Tenants[r.Tenant].Served++
 		m.Served.Inc()
 		m.LatencyUS.Observe(uint64(lat))
+		free = append(free, r)
 	}
 	eng.OnDropped = func(st *sim.Station, r *core.Request, now int64) {
 		res.PerClass[r.Class].DispatchDropped++
 		res.PerNode[st.ID/dpn].Dropped++
 		m.DispatchDropped.Inc()
+		free = append(free, r)
 	}
 	eng.OnLateStart = func(st *sim.Station, r *core.Request, now int64) {
 		res.PerClass[r.Class].Late++
@@ -313,7 +318,13 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 
 		block := min(max(r.Cylinder, 0), cfg.MaxBlocks()-1) % blocksPerNode
 		st := stations[n*dpn+block%dpn]
-		phys := &core.Request{
+		var phys *core.Request
+		if k := len(free); k > 0 {
+			phys, free = free[k-1], free[:k-1]
+		} else {
+			phys = new(core.Request)
+		}
+		*phys = core.Request{
 			ID: r.ID, Priorities: r.Priorities, Deadline: r.Deadline,
 			Cylinder: block / dpn, Size: r.Size, Arrival: r.Arrival,
 			Write: r.Write, Value: r.Value,

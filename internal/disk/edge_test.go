@@ -221,7 +221,7 @@ func TestRAID5DegradedOpShapes(t *testing.T) {
 	}
 
 	// Unrelated disk down: the normal read-modify-write.
-	if got, want := r.DegradedWrite(block, 0), r.Write(block); !reflect.DeepEqual(got, want) {
+	if got, want := r.DegradedWrite(block, 0), r.Write(block); !reflect.DeepEqual(got, want[:]) {
 		t.Errorf("unrelated-failure degraded write = %+v, want %+v", got, want)
 	}
 }

@@ -89,20 +89,20 @@ func (r *RAID5) Layout(block int64) (stripe int64, dataDisk, cylinder int) {
 }
 
 // Read maps a logical block read to physical operations: a single-disk
-// read.
-func (r *RAID5) Read(block int64) []PhysOp {
+// read. The fixed-size result is a value, so mapping allocates nothing.
+func (r *RAID5) Read(block int64) [1]PhysOp {
 	_, d, db := r.locate(block)
-	return []PhysOp{{Disk: d, Cylinder: r.CylinderOf(db), Size: r.BlockSize}}
+	return [1]PhysOp{{Disk: d, Cylinder: r.CylinderOf(db), Size: r.BlockSize}}
 }
 
 // Write maps a logical block write to its read-modify-write sequence: read
 // old data, read old parity, write new data, write new parity — two
-// operations on each of two disks.
-func (r *RAID5) Write(block int64) []PhysOp {
+// operations on each of two disks. Like Read, it returns a value.
+func (r *RAID5) Write(block int64) [4]PhysOp {
 	s, d, db := r.locate(block)
 	cyl := r.CylinderOf(db)
 	p := r.ParityDisk(s)
-	return []PhysOp{
+	return [4]PhysOp{
 		{Disk: d, Cylinder: cyl, Size: r.BlockSize},
 		{Disk: p, Cylinder: cyl, Size: r.BlockSize},
 		{Disk: d, Cylinder: cyl, Size: r.BlockSize, Write: true},
@@ -133,7 +133,8 @@ func (r *RAID5) DegradedWrite(block int64, failed int) []PhysOp {
 	case p:
 		return []PhysOp{{Disk: d, Cylinder: cyl, Size: r.BlockSize, Write: true}}
 	default:
-		return r.Write(block)
+		ops := r.Write(block)
+		return ops[:]
 	}
 }
 

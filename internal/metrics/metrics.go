@@ -57,16 +57,20 @@ func NewCollector(dims, levels int) *Collector {
 	if levels < 1 {
 		levels = 1
 	}
+	// Every counter row is a capped window of one backing array, and both
+	// row tables share one slice: three allocations whatever the shape.
+	counts := make([]uint64, dims*(1+2*levels))
+	rows := make([][]uint64, 2*dims)
 	c := &Collector{
 		dims:                dims,
 		levels:              levels,
-		InversionsPerDim:    make([]uint64, dims),
-		MissesPerDimLevel:   make([][]uint64, dims),
-		RequestsPerDimLevel: make([][]uint64, dims),
+		InversionsPerDim:    counts[:dims:dims],
+		MissesPerDimLevel:   rows[:dims:dims],
+		RequestsPerDimLevel: rows[dims:],
 	}
-	for k := 0; k < dims; k++ {
-		c.MissesPerDimLevel[k] = make([]uint64, levels)
-		c.RequestsPerDimLevel[k] = make([]uint64, levels)
+	for i := range rows {
+		off := dims + i*levels
+		rows[i] = counts[off : off+levels : off+levels]
 	}
 	return c
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
@@ -209,5 +211,78 @@ func TestObserversRetainNothing(t *testing.T) {
 			t.Errorf("%d requests: observers allocate %d bytes over the bare run's %d, want <= %d",
 				n, extra, base, 64<<10)
 		}
+	}
+}
+
+// arrayStreamsTrace is a §6 editing mix on array, users streams with a
+// fifth of them writing, cut to n logical requests.
+func arrayStreamsTrace(t testing.TB, array *disk.RAID5, users, n int) []*core.Request {
+	t.Helper()
+	perSec := float64(users) * 1_500_000 / float64(array.BlockSize*8)
+	trace := workload.Streams{
+		Seed: 5, Users: users, Duration: int64(float64(n)/perSec*1.1e6) + 2_000_000,
+		BitRate: 1_500_000, BlockSize: array.BlockSize, Levels: 8,
+		DeadlineMin: 750_000, DeadlineMax: 1_500_000,
+		Cylinders: int(array.MaxBlocks() / 4), WriteFrac: 0.2, Burst: 3,
+	}.MustGenerate()
+	if len(trace) < n {
+		t.Fatalf("streams gave %d requests, want >= %d", len(trace), n)
+	}
+	return trace[:n]
+}
+
+// arrayRunAllocs returns the allocations of one warm SCAN-EDF RunArray of
+// n logical requests from users streams, with opts fresh per run from mk.
+func arrayRunAllocs(t *testing.T, users, n int, mk func() Options) float64 {
+	t.Helper()
+	array := testArray(t)
+	trace := arrayStreamsTrace(t, array, users, n)
+	return testing.AllocsPerRun(5, func() {
+		cfg := ArrayConfig{Array: array, Options: mk(),
+			NewScheduler: func(int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil }}
+		res, err := RunArray(cfg, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Logical.Arrived != uint64(n) {
+			t.Fatalf("array run saw %d arrivals, want %d", res.Logical.Arrived, n)
+		}
+	})
+}
+
+// RunArray recycles its logical states and physical requests, so a run
+// allocates a constant number of times however long its trace is. The
+// free lists grow to the run's peak number of requests in flight, so the
+// counts are compared at n and 2n logical requests past the point where
+// that peak is reached, within a few map and slice growth steps. Before
+// the free lists every logical request cost about 3.6 allocations.
+func TestRunArrayAllocsConstantInTraceLength(t *testing.T) {
+	skipUnderRace(t)
+	for _, tc := range []struct {
+		name     string
+		users, n int
+		opts     func() Options
+	}{
+		{"healthy", 80, 4000, func() Options { return Options{DropLate: true, Dims: 1, Levels: 8} }},
+		// Transients with a one-retry budget, and a disk failure with an
+		// op in flight and a rebuild that completes early in both runs:
+		// the retry, exhausted and re-route paths recycle too. A lighter
+		// mix, so the degraded array keeps up and the rebuild finishes.
+		{"faults", 30, 2000, func() Options {
+			return Options{DropLate: true, Dims: 1, Levels: 8, Fault: &fault.Plan{
+				Seed: 3, TransientRate: 0.05, MaxRetries: 1,
+				FailDisk: 2, FailAt: 100_000, Rebuild: true, RebuildBlocks: 20,
+				Metrics: quietMetrics(),
+			}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			short, long := arrayRunAllocs(t, tc.users, tc.n, tc.opts), arrayRunAllocs(t, tc.users, 2*tc.n, tc.opts)
+			t.Logf("allocs per run: %v at %d logical requests, %v at %d", short, tc.n, long, 2*tc.n)
+			if math.Abs(long-short) > 8 {
+				t.Errorf("RunArray allocates %v at %d logical requests and %v at %d, want within 8",
+					short, tc.n, long, 2*tc.n)
+			}
+		})
 	}
 }

@@ -69,6 +69,9 @@ type logicalState struct {
 	// writes is the deferred write phase, issued when the reads drain
 	// unless one of them missed.
 	writes []disk.PhysOp
+	// mapped holds a healthy array's Read or Write mapping, so both
+	// phases of the request point into the state itself.
+	mapped [4]disk.PhysOp
 }
 
 // raid5 is the logical bookkeeping of one RunArray; its methods are the
@@ -82,6 +85,12 @@ type raid5 struct {
 
 	byPhys     map[*core.Request]*logicalState
 	nextPhysID uint64
+	// Free lists, so a warm run allocates nothing per request: a logical
+	// state returns to states when its request completes or misses, a
+	// physical request to reqs when it leaves the engine for good (take).
+	// The rebuild row is never recycled.
+	states []*logicalState
+	reqs   []*core.Request
 
 	// Rebuild pump: one stripe row at a time, its survivor reads competing
 	// in the same per-disk scheduler queues as foreground requests.
@@ -148,24 +157,29 @@ func (a *raid5) arrive(lr *core.Request, now int64) {
 	array := a.cfg.Array
 	a.res.Logical.OnArrival(lr)
 	block := blockOf(lr)
+	st := popFree(&a.states)
+	*st = logicalState{req: lr}
 	var ops []disk.PhysOp
 	switch fd, down := a.downDisk(); {
 	case !lr.Write:
-		ops = array.Read(block)
+		st.mapped[0] = array.Read(block)[0]
+		ops = st.mapped[:1]
 	case down:
 		ops = array.DegradedWrite(block, fd)
 		if s, d, _ := array.Layout(block); fd == d || fd == array.ParityDisk(s) {
 			a.res.AbsorbedWrites++
 		}
 	default:
-		ops = array.Write(block)
+		st.mapped = array.Write(block)
+		ops = st.mapped[:]
 	}
 	// The mappings list every read before the first write.
 	n := 0
 	for n < len(ops) && !ops[n].Write {
 		n++
 	}
-	a.issue(&logicalState{req: lr, writes: ops[n:]}, ops[:n], now)
+	st.writes = ops[n:]
+	a.issue(st, ops[:n], now)
 }
 
 // issue sends one phase's physical ops to the stations. It is the one
@@ -194,7 +208,8 @@ func (a *raid5) issue(st *logicalState, ops []disk.PhysOp, now int64) {
 }
 
 func (a *raid5) createPhys(st *logicalState, op disk.PhysOp, now int64) {
-	pr := &core.Request{Cylinder: op.Cylinder, Size: op.Size, Arrival: now, Write: op.Write}
+	pr := popFree(&a.reqs)
+	*pr = core.Request{Cylinder: op.Cylinder, Size: op.Size, Arrival: now, Write: op.Write}
 	if lr := st.req; lr != nil {
 		a.nextPhysID++
 		pr.ID, pr.Priorities, pr.Deadline, pr.Value = a.nextPhysID, lr.Priorities, lr.Deadline, lr.Value
@@ -213,8 +228,8 @@ func (a *raid5) createPhys(st *logicalState, op disk.PhysOp, now int64) {
 }
 
 // advance moves st on once its current phase has drained: the deferred
-// writes go out unless a read missed, otherwise st completes. A finished
-// rebuild row starts the next one.
+// writes go out unless a read missed, otherwise st completes and returns
+// to the free list. A finished rebuild row starts the next one.
 func (a *raid5) advance(st *logicalState, now int64) {
 	if st.ops > 0 {
 		return
@@ -233,20 +248,26 @@ func (a *raid5) advance(st *logicalState, now int64) {
 		} else {
 			a.issueRebuild(now)
 		}
+		return
 	case st.missed:
 		a.res.Logical.OnDropped(st.req)
 	default:
 		a.res.Logical.OnServed(st.req, 0, 0, now)
 	}
+	a.states = append(a.states, st)
 }
 
-// take resolves a physical request leaving the engine (served, dropped
-// or stranded) to its logical state, forgets it and retires it from the
-// current phase's count.
+// take resolves a physical request leaving the engine for good (served,
+// dropped, abandoned by the retry budget or re-routed) to its logical
+// state, forgets it, retires it from the current phase's count and
+// recycles it: the caller must not read r afterwards. Every such exit
+// forgets r's retry bookkeeping first, so the fault injector never
+// tracks a recycled pointer.
 func (a *raid5) take(r *core.Request) *logicalState {
 	st := a.byPhys[r]
 	delete(a.byPhys, r)
 	st.ops--
+	a.reqs = append(a.reqs, r)
 	return st
 }
 
@@ -268,22 +289,24 @@ func (a *raid5) onLateStart(_ *Station, r *core.Request, _ int64) {
 // failed disk — queued at failure time, in flight, or returning from a
 // retry backoff — through the degraded path.
 func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {
-	a.issue(a.take(pr), []disk.PhysOp{{Disk: a.cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}}, now)
+	op := [1]disk.PhysOp{{Disk: a.cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}}
+	a.issue(a.take(pr), op[:], now)
 }
 
 // fail is the planned whole-disk failure, fired by the FailAt timer.
 func (a *raid5) fail(now int64) {
 	k := a.cfg.Fault.FailDisk
 	a.eng.faults.FailNow(now)
-	// Drain the dead disk's queue, re-routing every stranded op; the
-	// in-flight one (if any) is re-routed by its Lost completion.
+	// Drain the dead disk's queue, re-routing every stranded op (a
+	// retried one's bookkeeping forgotten first); the in-flight one (if
+	// any) is re-routed by its Lost completion.
 	st := a.eng.Stations[k]
 	for st.Sched.Len() > 0 {
 		pr := st.Sched.Next(now, st.Head())
 		if pr == nil {
 			break
 		}
-		a.reroute(st, pr, now)
+		a.eng.lose(st, pr, now)
 	}
 	if a.cfg.Fault.Rebuild {
 		a.issueRebuild(now)

@@ -148,6 +148,8 @@ type Engine struct {
 	events   core.Heap4[event, eventCmp]
 	now      int64
 	timerSeq uint64
+	// retries is the free list of fault retry timers.
+	retries []*retryTimer
 }
 
 // Setup assembles a run on e — the one place sim.Run, sim.RunArray and
@@ -396,15 +398,7 @@ func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, de
 	}
 	switch verdict {
 	case fault.Retry:
-		e.At(now+delay, func(t int64) {
-			if e.faults.Down(st.ID) {
-				// The disk died during the backoff; the retry has nowhere
-				// to land.
-				e.lose(st, r, t)
-				return
-			}
-			st.Enqueue(r, t)
-		})
+		e.retryAt(now+delay, st, r)
 	case fault.Exhausted:
 		st.Col.OnDropped(r)
 		st.Col.OnFaultDropped()
@@ -414,6 +408,52 @@ func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, de
 	case fault.Lost:
 		e.lose(st, r, now)
 	}
+}
+
+// retryTimer is a fault retry sitting out its backoff. Its fire method
+// value is bound once, when the timer is first made, so a timer taken
+// from the engine's free list re-arms without allocating.
+type retryTimer struct {
+	e    *Engine
+	st   *Station
+	r    *core.Request
+	fire func(now int64)
+}
+
+// retryAt re-enqueues r on st at time t.
+func (e *Engine) retryAt(t int64, st *Station, r *core.Request) {
+	rt := popFree(&e.retries)
+	if rt.fire == nil {
+		rt.e, rt.fire = e, rt.run
+	}
+	rt.st, rt.r = st, r
+	e.At(t, rt.fire)
+}
+
+// run fires the retry and returns its timer to the free list.
+func (rt *retryTimer) run(now int64) {
+	e, st, r := rt.e, rt.st, rt.r
+	rt.st, rt.r = nil, nil
+	e.retries = append(e.retries, rt)
+	if e.faults.Down(st.ID) {
+		// The disk died during the backoff; the retry has nowhere to land.
+		e.lose(st, r, now)
+		return
+	}
+	st.Enqueue(r, now)
+}
+
+// popFree takes a recycled value off free, or allocates one when the list
+// is empty. The value keeps its old contents; the caller overwrites what
+// it needs.
+func popFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return v
 }
 
 // lose hands a request stranded on a failed disk to onFaulted, which

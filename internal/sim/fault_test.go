@@ -199,6 +199,13 @@ type degradedEvent struct {
 	Service  int64
 }
 
+// flattenDegraded copies a dispatch's degradedEvent fields inside the
+// trace hook: array runs recycle the physical request behind
+// ev.Request once it leaves the engine.
+func flattenDegraded(ev TraceEvent) degradedEvent {
+	return degradedEvent{ev.Now, ev.DiskID, ev.Request.Cylinder, ev.Head, ev.Seek, ev.Service}
+}
+
 // TestDegradedModeCorrectness is the acceptance scenario: disk k fails
 // mid-run; every subsequent read of a block on disk k is served by
 // reconstruction from the surviving disks (no dispatch ever lands on
@@ -257,10 +264,10 @@ func TestDegradedModeCorrectness(t *testing.T) {
 		Rebuild: true, RebuildBlocks: 30, RebuildInterval: 10_000,
 		Metrics: quietMetrics(),
 	}
-	var events []TraceEvent
+	var events []degradedEvent
 	cfg := ArrayConfig{
 		Array: array, NewScheduler: fcfsPerDisk,
-		Options: Options{Fault: plan, Trace: func(ev TraceEvent) { events = append(events, ev) }},
+		Options: Options{Fault: plan, Trace: func(ev TraceEvent) { events = append(events, flattenDegraded(ev)) }},
 	}
 	res, err := RunArray(cfg, trace)
 	if err != nil {
@@ -313,18 +320,18 @@ func TestDegradedModeCorrectness(t *testing.T) {
 	// Post-rebuild identity: the probe dispatches must match the
 	// non-degraded run on the same trace exactly (the head resets pin
 	// every disk to the same cylinder in both runs first).
-	probes := func(evs []TraceEvent) []degradedEvent {
+	probes := func(evs []degradedEvent) []degradedEvent {
 		var out []degradedEvent
 		for _, ev := range evs {
 			if ev.Now >= probeStart {
-				out = append(out, degradedEvent{ev.Now, ev.DiskID, ev.Request.Cylinder, ev.Head, ev.Seek, ev.Service})
+				out = append(out, ev)
 			}
 		}
 		return out
 	}
-	var goldenEvents []TraceEvent
+	var goldenEvents []degradedEvent
 	goldenCfg := ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
-		Options: Options{Trace: func(ev TraceEvent) { goldenEvents = append(goldenEvents, ev) }}}
+		Options: Options{Trace: func(ev TraceEvent) { goldenEvents = append(goldenEvents, flattenDegraded(ev)) }}}
 	if _, err := RunArray(goldenCfg, smallTraceCopy(trace)); err != nil {
 		t.Fatal(err)
 	}
@@ -415,10 +422,16 @@ func TestDegradedReadOpShapes(t *testing.T) {
 		block := blocksOnDisk(array, tc.onDisk, 0, 1)[0]
 		trace := []*core.Request{{ID: 1, Arrival: 200_000, Cylinder: int(block), Size: 64 << 10}}
 		m := quietMetrics()
-		var events []TraceEvent
+		// The hook copies the physical op: array runs recycle it once it
+		// leaves the engine.
+		type opEvent struct {
+			DiskID  int
+			Request core.Request
+		}
+		var events []opEvent
 		res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
 			Options: Options{Fault: &fault.Plan{FailDisk: k, FailAt: 100_000, Metrics: m},
-				Trace: func(ev TraceEvent) { events = append(events, ev) }}}, trace)
+				Trace: func(ev TraceEvent) { events = append(events, opEvent{ev.DiskID, *ev.Request}) }}}, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +458,7 @@ func TestDegradedReadOpShapes(t *testing.T) {
 		for _, ev := range events {
 			disks = append(disks, ev.DiskID)
 			if ev.Request.Cylinder != cyl || ev.Request.Write {
-				t.Errorf("%s: op %+v, want a read of cylinder %d", tc.name, *ev.Request, cyl)
+				t.Errorf("%s: op %+v, want a read of cylinder %d", tc.name, ev.Request, cyl)
 			}
 		}
 		if !reflect.DeepEqual(disks, want) {
@@ -478,5 +491,52 @@ func TestRebuildSurvivesAbandonedReads(t *testing.T) {
 		if want := uint64(plan.RebuildBlocks * (array.Disks - 1)); res.RebuildReads != want {
 			t.Errorf("interval %d: RebuildReads = %d, want %d", interval, res.RebuildReads, want)
 		}
+	}
+}
+
+// TestRetryBookkeepingFollowsTheRequest pins the fault attribution of an
+// array run to physical request IDs, not to the memory behind them: the
+// run recycles a physical request once it leaves the engine, and a retry
+// count left behind for one (say by the failure drain) would shorten a
+// later op's retry budget or mark its deadline drop as a fault drop. A
+// loaded FCFS array with frequent transients and a failure mid-run drains
+// retried ops from the dead disk's queue.
+func TestRetryBookkeepingFollowsTheRequest(t *testing.T) {
+	array := testArray(t)
+	plan := &fault.Plan{Seed: 4, TransientRate: 0.2, MaxRetries: 2,
+		FailDisk: 1, FailAt: 3_000_000, Rebuild: true, RebuildBlocks: 30, RebuildInterval: 20_000,
+		Metrics: quietMetrics()}
+	faults := map[uint64]int{} // faulted attempts per physical request ID
+	var exhausted, faultDrops uint64
+	res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
+		Options: Options{DropLate: true, Dims: 1, Levels: 8, Fault: plan,
+			Trace: func(ev TraceEvent) {
+				id := ev.Request.ID
+				switch {
+				case ev.Faulted:
+					faults[id]++
+					if ev.Dropped {
+						exhausted++
+						faultDrops++
+						if faults[id] != plan.MaxRetries+1 {
+							t.Errorf("op %d abandoned after %d faulted attempts, want %d", id, faults[id], plan.MaxRetries+1)
+						}
+					}
+				case ev.Dropped && faults[id] > 0:
+					faultDrops++
+				}
+			}}}, arrayStreamsTrace(t, array, 80, 6000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exhausted == 0 || res.Faults.FailedAt == 0 {
+		t.Fatalf("no op was abandoned or no disk failed — retune the test: %+v", *res.Faults)
+	}
+	var got uint64
+	for _, c := range res.PerDisk {
+		got += c.FaultDropped
+	}
+	if got != faultDrops {
+		t.Errorf("collectors count %d fault drops, the dispatch stream %d", got, faultDrops)
 	}
 }

@@ -286,7 +286,8 @@ func legacyRunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, err
 				}
 				st.readsLeft = len(phase1)
 			} else {
-				phase1 = cfg.Array.Read(blockOf(lr))
+				read := cfg.Array.Read(blockOf(lr))
+				phase1 = read[:]
 			}
 			st.pending = len(phase1) + len(st.writeOps)
 			enqueue(st, phase1, now)

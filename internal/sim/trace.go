@@ -19,7 +19,8 @@ type TraceEvent struct {
 	// the physical operation, not the logical block request).
 	DiskID int
 	// Request is the dispatched request. Hooks must not retain or mutate
-	// it; copy what they need.
+	// it; copy what they need. On array and cluster runs it is a recycled
+	// physical op, reused for a later op once it leaves the engine.
 	Request *core.Request
 	// Head is the head cylinder at dispatch (services only).
 	Head int
