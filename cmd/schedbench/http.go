@@ -8,41 +8,19 @@ import (
 	"net/http/pprof"
 	"sync"
 
-	"sfcsched/internal/cluster"
-	"sfcsched/internal/core"
-	"sfcsched/internal/fault"
 	"sfcsched/internal/obs"
-	"sfcsched/internal/serve"
-	"sfcsched/internal/sim"
 )
 
 // publishOnce guards the process-global expvar namespace: expvar.Publish
 // panics on duplicates, and tests build more than one mux.
 var publishOnce sync.Once
 
-// newObsMux builds the observability endpoint: /metrics (Prometheus text
-// format over the process-wide core.DefaultMetrics aggregate), /debug/vars
+// newObsMux builds the observability endpoint over reg: /metrics
+// (Prometheus text format of the sinks registered in reg), /debug/vars
 // (expvar, including the same snapshot under "sfcsched"), and the pprof
-// suite under /debug/pprof/.
-func newObsMux() *http.ServeMux {
-	reg := obs.NewRegistry()
-	// The prefixes are fixed and distinct, so an error is a programming
-	// mistake.
-	for _, m := range []struct {
-		prefix   string
-		register func(*obs.Registry, string) error
-	}{
-		{"sfcsched", core.DefaultMetrics.Register},
-		{"sfcsched_fault", fault.DefaultMetrics.Register},
-		{"sfcsched_decision", sim.DefaultDecisionMetrics.Register},
-		{"sfcsched_cluster", cluster.DefaultMetrics.Register},
-		{"sfcsched_serve", serve.DefaultMetrics.Register},
-		{"sfcsched_calib", serve.DefaultCalibMetrics.Register},
-	} {
-		if err := m.register(reg, m.prefix); err != nil {
-			panic(err)
-		}
-	}
+// suite under /debug/pprof/. A run registers only the sinks it owns: a
+// -serve run its scheduler's and dispatcher's, an experiment none.
+func newObsMux(reg *obs.Registry) *http.ServeMux {
 	publishOnce.Do(func() { reg.PublishExpvar("sfcsched") })
 
 	mux := http.NewServeMux()
@@ -56,14 +34,15 @@ func newObsMux() *http.ServeMux {
 	return mux
 }
 
-// serveObs starts the observability server on addr and returns the bound
-// listener (so ":0" is usable). The server runs until the process exits.
-func serveObs(addr string) (net.Listener, error) {
+// serveObs starts the observability server over reg on addr and returns
+// the bound listener (so ":0" is usable). The server runs until the process
+// exits.
+func serveObs(addr string, reg *obs.Registry) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("schedbench: -http listen: %w", err)
 	}
-	srv := &http.Server{Handler: newObsMux()}
+	srv := &http.Server{Handler: newObsMux(reg)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln, nil
 }

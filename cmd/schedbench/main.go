@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"sfcsched/internal/experiments"
+	"sfcsched/internal/obs"
 )
 
 func main() {
@@ -34,8 +35,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	reg := obs.NewRegistry()
 	if o.httpAddr != "" {
-		ln, err := serveObs(o.httpAddr)
+		ln, err := serveObs(o.httpAddr, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(1)
@@ -48,7 +50,7 @@ func main() {
 	}
 
 	if o.serve {
-		if err := runServe(os.Stdout, &o); err != nil {
+		if err := runServe(os.Stdout, &o, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "schedbench: serve: %v\n", err)
 			os.Exit(1)
 		}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sfcsched/internal/obs"
 )
 
 // testOptions returns an options value with the flag defaults, tweaked by
@@ -98,7 +100,7 @@ func TestRunServeOnePass(t *testing.T) {
 		o.requests = 60
 		o.dilation = 5_000 // compress hard; accuracy is not under test here
 	})
-	if err := runServe(&buf, o); err != nil {
+	if err := runServe(&buf, o, obs.NewRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -121,7 +123,7 @@ func TestRunServeRepeats(t *testing.T) {
 		o.dilation = 10_000
 		o.serveFor = 300 * time.Millisecond
 	})
-	if err := runServe(&buf, o); err != nil {
+	if err := runServe(&buf, o, obs.NewRegistry()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -8,6 +8,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/obs"
 	"sfcsched/internal/serve"
 	"sfcsched/internal/workload"
 )
@@ -16,9 +17,11 @@ import (
 // generates the calibrate experiment's open workload and serves it live
 // through the real-clock dispatcher against the emulated Quantum disk,
 // repeating the trace (with shifted arrivals) until -serve-for elapses.
-// All counts flow through serve.DefaultMetrics, so with -http a scrape of
-// /metrics shows sfcsched_serve_* advancing while the run is in flight.
-func runServe(out io.Writer, o *options) error {
+// The run owns its scheduler's core.Metrics and its dispatcher's
+// serve.Metrics and registers both in reg, so with -http a scrape of
+// /metrics shows sfcsched_* and sfcsched_serve_* advancing while the run is
+// in flight.
+func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 	model, err := disk.NewModel(disk.QuantumXP32150Params())
 	if err != nil {
 		return err
@@ -52,6 +55,14 @@ func runServe(out io.Writer, o *options) error {
 	if err != nil {
 		return err
 	}
+	schedMetrics, m := new(core.Metrics), new(serve.Metrics)
+	if err := schedMetrics.Register(reg, "sfcsched"); err != nil {
+		return err
+	}
+	if err := m.Register(reg, "sfcsched_serve"); err != nil {
+		return err
+	}
+	sched.SetMetrics(schedMetrics)
 	clock, err := serve.NewClock(o.dilation)
 	if err != nil {
 		return err
@@ -70,12 +81,12 @@ func runServe(out io.Writer, o *options) error {
 		// whole run and Drain would stall on the backlog. Backpressure
 		// throttles the feed instead and bounds the drain tail.
 		MaxQueue: 2 * count,
+		Metrics:  m,
 	})
 	if err != nil {
 		return err
 	}
 
-	before := snapshotServe()
 	feedCtx := context.Background()
 	cancel := context.CancelFunc(func() {})
 	if o.serveFor > 0 {
@@ -123,36 +134,11 @@ feed:
 	}
 	wall := time.Since(wallStart)
 
-	after := snapshotServe()
 	fmt.Fprintf(out, "serve: %d cycles, submitted %d served %d dropped %d rejected %d abandoned %d, backpressure waits %d\n",
-		cycles,
-		after.submitted-before.submitted,
-		after.completed-before.completed,
-		after.dropped-before.dropped,
-		after.rejected-before.rejected,
-		after.abandoned-before.abandoned,
-		after.backpressure-before.backpressure)
+		cycles, m.Submitted.Load(), m.Completed.Load(), m.Dropped.Load(),
+		m.Rejected.Load(), m.Abandoned.Load(), m.BackpressureWaits.Load())
 	fmt.Fprintf(out, "serve: %v wall for %v model time, head travel %d cylinders, final head %d\n",
 		wall.Round(time.Millisecond), (time.Duration(clock.Now()) * time.Microsecond).Round(time.Millisecond),
 		d.HeadTravel(), d.Head())
 	return nil
-}
-
-// serveCounts is a snapshot of the serve.DefaultMetrics counters, so the
-// printed summary reports this run's deltas even when earlier runs in the
-// same process already advanced the process-global aggregate.
-type serveCounts struct {
-	submitted, completed, dropped, rejected, abandoned, backpressure uint64
-}
-
-func snapshotServe() serveCounts {
-	m := serve.DefaultMetrics
-	return serveCounts{
-		submitted:    m.Submitted.Load(),
-		completed:    m.Completed.Load(),
-		dropped:      m.Dropped.Load(),
-		rejected:     m.Rejected.Load(),
-		abandoned:    m.Abandoned.Load(),
-		backpressure: m.BackpressureWaits.Load(),
-	}
 }

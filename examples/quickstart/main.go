@@ -44,8 +44,8 @@ func main() {
 		},
 		0.05, // blocking window: 5% of the characterization-value space
 	)
-	// Count this scheduler's policy events on their own, not in the
-	// process-wide core.DefaultMetrics; install before the first Add.
+	// A scheduler counts its policy events only into a sink its owner
+	// installs; install before the first Add.
 	events := new(core.Metrics)
 	scheduler.SetMetrics(events)
 

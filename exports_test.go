@@ -56,7 +56,6 @@ var testOnlyMembers = map[string]string{
 	"internal/workload.Streams.MustGenerateArena": "test helper",
 	"internal/serve.CalibrationConfig.Preload":    "pinned by TestCalibrateExactOrderPreloaded",
 	"internal/serve.CalibrationConfig.Metrics":    "per-run metrics sink",
-	"internal/serve.CalibrationConfig.Calib":      "per-run metrics sink",
 	"internal/workload.Open.Dist":                 "priority skew for ROADMAP items 6 and 7",
 	"internal/workload.Client.Dist":               "priority skew for ROADMAP items 6 and 7",
 	"internal/workload.Open.ValueLevels":          "application values for bucket",

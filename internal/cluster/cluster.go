@@ -73,7 +73,7 @@ type Config struct {
 	Trace func(sim.TraceEvent)
 	// Telemetry, when non-nil, samples every member station.
 	Telemetry *sim.Telemetry
-	// Metrics overrides the process-wide DefaultMetrics aggregate.
+	// Metrics is the sink the run counts into; nil counts nothing.
 	Metrics *Metrics
 }
 
@@ -217,9 +217,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		admit = AlwaysAdmit{}
 	}
 	m := cfg.Metrics
-	if m == nil {
-		m = DefaultMetrics
-	}
 	dims, levels := sim.InferShape(cfg.Dims, cfg.Levels, trace)
 	classes, maxTenant := inferLedgers(cfg.Classes, trace)
 
@@ -281,19 +278,25 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		cs.LatencySum += lat
 		res.PerNode[st.ID/dpn].Served++
 		res.Tenants[r.Tenant].Served++
-		m.Served.Inc()
-		m.LatencyUS.Observe(uint64(lat))
+		if m != nil {
+			m.Served.Inc()
+			m.LatencyUS.Observe(uint64(lat))
+		}
 		free = append(free, r)
 	}
 	eng.OnDropped = func(st *sim.Station, r *core.Request, now int64) {
 		res.PerClass[r.Class].DispatchDropped++
 		res.PerNode[st.ID/dpn].Dropped++
-		m.DispatchDropped.Inc()
+		if m != nil {
+			m.DispatchDropped.Inc()
+		}
 		free = append(free, r)
 	}
 	eng.OnLateStart = func(st *sim.Station, r *core.Request, now int64) {
 		res.PerClass[r.Class].Late++
-		m.LateStarts.Inc()
+		if m != nil {
+			m.LateStarts.Inc()
+		}
 	}
 
 	res.Makespan = eng.Run(trace, func(r *core.Request, now int64) {
@@ -303,18 +306,24 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		tenant := min(max(r.Tenant, 0), len(res.Tenants)-1)
 		ten := &res.Tenants[tenant]
 		ten.Arrived++
-		m.Arrivals.Inc()
+		if m != nil {
+			m.Arrivals.Inc()
+		}
 		if !admit.Admit(class, now) {
 			cs.AdmitDropped++
-			m.AdmitDropped.Inc()
+			if m != nil {
+				m.AdmitDropped.Inc()
+			}
 			return
 		}
 		cs.Admitted++
 		ten.Admitted++
 		n := min(max(router.Route(r, nodes, now), 0), cfg.Nodes-1)
 		res.PerNode[n].Routed++
-		m.Routed.Inc()
-		m.NodeDepthMax.Observe(int64(nodes[n].Depth()))
+		if m != nil {
+			m.Routed.Inc()
+			m.NodeDepthMax.Observe(int64(nodes[n].Depth()))
+		}
 
 		block := min(max(r.Cylinder, 0), cfg.MaxBlocks()-1) % blocksPerNode
 		st := stations[n*dpn+block%dpn]

@@ -5,7 +5,6 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
-	"sfcsched/internal/obs"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
@@ -25,7 +24,6 @@ func testConfig(t testing.TB, nodes, dpn int) Config {
 		Nodes: nodes, DisksPerNode: dpn, Disk: testDisk(t),
 		NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
 		DropLate:     true,
-		Metrics:      &Metrics{},
 	}
 }
 
@@ -355,16 +353,6 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	if served > 0 && m.NodeDepthMax.Load() < 0 {
 		t.Error("node depth high-water never observed")
-	}
-
-	// The aggregate registers cleanly under a prefix, and double
-	// registration (duplicate names) is rejected.
-	reg := obs.NewRegistry()
-	if err := m.Register(reg, "cluster_test"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(reg, "cluster_test"); err == nil {
-		t.Error("duplicate metric registration accepted")
 	}
 
 	// LossRate ties out against the raw ledger; a class with no arrivals

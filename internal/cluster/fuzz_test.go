@@ -64,7 +64,6 @@ func FuzzClusterDeterminism(f *testing.F) {
 				Nodes: 3, DisksPerNode: 2, Disk: testDisk(t),
 				NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
 				DropLate:     drop,
-				Metrics:      &Metrics{},
 			}
 			var err error
 			if cfg.Router, err = NewRouter(rname); err != nil {

@@ -52,7 +52,7 @@ func TestSingleNodeClusterIsSimRun(t *testing.T) {
 				got, err := Run(Config{Nodes: 1, DisksPerNode: 1, Disk: m,
 					NewScheduler: func(int, int) (sched.Scheduler, error) { return p.New(m.ServiceTime, 8), nil },
 					DropLate:     drop, Dims: 3, Levels: 8,
-					Trace: sim.JSONLTrace(&clustered), Metrics: &Metrics{}}, trace())
+					Trace: sim.JSONLTrace(&clustered)}, trace())
 				if err != nil {
 					t.Fatal(err)
 				}

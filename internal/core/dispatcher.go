@@ -93,7 +93,7 @@ type Dispatcher struct {
 	w      uint64 // current window (ER may expand it)
 	seq    uint64
 	gen    uint32   // serving-queue epoch; see entry.gen
-	m      *Metrics // never nil; DefaultMetrics unless overridden
+	m      *Metrics // nil: count nothing
 }
 
 // NewDispatcher returns a dispatcher for cfg.
@@ -109,7 +109,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 			return nil, fmt.Errorf("core: ER expansion must be > 1, got %v", cfg.Expansion)
 		}
 	}
-	return &Dispatcher{cfg: cfg, w: cfg.Window, m: DefaultMetrics}, nil
+	return &Dispatcher{cfg: cfg, w: cfg.Window}, nil
 }
 
 // MustDispatcher is NewDispatcher for static configurations.
@@ -124,12 +124,13 @@ func MustDispatcher(cfg DispatcherConfig) *Dispatcher {
 // Window returns the current blocking window (ER may have expanded it).
 func (d *Dispatcher) Window() uint64 { return d.w }
 
-// SetMetrics redirects the dispatcher's observability counters to m
-// (per-instance instead of the process-wide DefaultMetrics). Must be called
-// before the first Add; m must not be nil.
+// SetMetrics installs m as the sink of the dispatcher's observability
+// counters; nil (the default) counts nothing. Must be called before the
+// first Add.
 func (d *Dispatcher) SetMetrics(m *Metrics) { d.m = m }
 
-// Metrics returns the metrics sink the dispatcher reports into.
+// Metrics returns the sink the dispatcher reports into, or nil when none
+// is installed.
 func (d *Dispatcher) Metrics() *Metrics { return d.m }
 
 // Len returns the number of queued (not yet dispatched) requests.
@@ -139,7 +140,6 @@ func (d *Dispatcher) Len() int { return d.q.Len() + d.qw.Len() }
 func (d *Dispatcher) Add(r *Request, v uint64) {
 	e := entry{v: v, seq: d.seq, req: r}
 	d.seq++
-	d.m.Adds.Inc()
 	switch d.cfg.Mode {
 	case FullyPreemptive:
 		d.q.Push(e)
@@ -155,7 +155,10 @@ func (d *Dispatcher) Add(r *Request, v uint64) {
 			d.qw.Push(e)
 		}
 	}
-	d.m.QueueDepthHiWater.Observe(int64(d.q.Len() + d.qw.Len()))
+	if m := d.m; m != nil {
+		m.Adds.Inc()
+		m.QueueDepthHiWater.Observe(int64(d.q.Len() + d.qw.Len()))
+	}
 }
 
 // AddBatch enqueues rs[i] with value vs[i] for every i, preserving Add's
@@ -190,8 +193,10 @@ func (d *Dispatcher) AddBatch(rs []*Request, vs []uint64) {
 		d.seq++
 	}
 	target.Build()
-	d.m.Adds.Add(uint64(len(rs)))
-	d.m.QueueDepthHiWater.Observe(int64(d.q.Len() + d.qw.Len()))
+	if m := d.m; m != nil {
+		m.Adds.Add(uint64(len(rs)))
+		m.QueueDepthHiWater.Observe(int64(d.q.Len() + d.qw.Len()))
+	}
 }
 
 // clearsWindow reports whether value v is significantly higher priority
@@ -202,7 +207,9 @@ func (d *Dispatcher) clearsWindow(v, ref uint64) bool {
 
 // notePreemption applies the ER expansion and counts the event.
 func (d *Dispatcher) notePreemption() {
-	d.m.Preemptions.Inc()
+	if d.m != nil {
+		d.m.Preemptions.Inc()
+	}
 	if d.cfg.ER {
 		d.expandWindow()
 	}
@@ -219,7 +226,9 @@ func (d *Dispatcher) expandWindow() {
 		nw = d.w + 1
 	}
 	d.w = nw
-	d.m.WindowExpansions.Inc()
+	if d.m != nil {
+		d.m.WindowExpansions.Inc()
+	}
 }
 
 // Next dispatches the highest-priority request, or nil when empty. The
@@ -231,7 +240,9 @@ func (d *Dispatcher) Next() *Request {
 			return nil
 		}
 		d.q.SwapWith(&d.qw)
-		d.m.Swaps.Inc()
+		if d.m != nil {
+			d.m.Swaps.Inc()
+		}
 		// A swapped-in batch is the new serving set; none of its members
 		// preempted anything. Advancing the epoch retires any stale
 		// preempter marks without touching the batch.
@@ -242,7 +253,7 @@ func (d *Dispatcher) Next() *Request {
 	}
 	e := d.q.Pop()
 	if d.cfg.ER && !(e.preempter && e.gen == d.gen) {
-		if d.w != d.cfg.Window {
+		if d.w != d.cfg.Window && d.m != nil {
 			d.m.WindowResets.Inc()
 		}
 		d.w = d.cfg.Window
@@ -260,7 +271,9 @@ func (d *Dispatcher) promote() {
 		e := d.qw.Pop()
 		e.preempter = true
 		e.gen = d.gen
-		d.m.Promotions.Inc()
+		if d.m != nil {
+			d.m.Promotions.Inc()
+		}
 		if d.cfg.ER {
 			// A promotion expands the window like a preemption but is not
 			// double counted as an arrival preemption.

@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// counted is MustDispatcher with the dispatcher's own Metrics, so a test
-// reads only its own policy events.
+// counted is MustDispatcher with a Metrics sink installed, so a test can
+// read its policy events.
 func counted(cfg DispatcherConfig) *Dispatcher {
 	d := MustDispatcher(cfg)
 	d.SetMetrics(&Metrics{})

@@ -122,9 +122,9 @@ func NewShardedScheduler(name string, ecfg EncapsulatorConfig, _ int) (*ShardedS
 	return Lock(s), nil
 }
 
-// SetMetrics redirects the wrapped scheduler's counters to m when it has
-// redirectable core metrics (Scheduler); a no-op for any other scheduler.
-// Must be called before the first Add.
+// SetMetrics installs m as the wrapped scheduler's sink when it takes one
+// (Scheduler); a no-op for any other scheduler. Must be called before the
+// first Add.
 func (l *Locked) SetMetrics(m *Metrics) {
 	if s, ok := l.q.(interface{ SetMetrics(*Metrics) }); ok {
 		s.SetMetrics(m)

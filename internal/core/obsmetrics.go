@@ -10,11 +10,10 @@ import (
 // atomic instructions, so the Add/Next zero-allocation gates hold with
 // instrumentation enabled.
 //
-// By default every Dispatcher and Scheduler (bare or behind a Locked) reports
-// into the process-wide DefaultMetrics aggregate, which needs no wiring: a
-// binary can register it once (see Metrics.Register) and observe all
-// scheduler activity in the process. Tests and multi-scheduler servers that
-// need per-instance counts install their own instance with SetMetrics.
+// A Dispatcher or Scheduler counts only into the sink its owner installs
+// with SetMetrics; with none it counts nothing, at the cost of one nil
+// check per counting site. The owner registers the sink it installed (see
+// Metrics.Register) when it wants the counts scraped.
 type Metrics struct {
 	// Adds counts requests enqueued (Add and AddBatch items).
 	Adds obs.Counter
@@ -44,10 +43,6 @@ type Metrics struct {
 	// clock units (microseconds throughout this repo).
 	DispatchWait obs.Histogram
 }
-
-// DefaultMetrics is the process-wide aggregate every scheduler reports into
-// unless overridden with SetMetrics.
-var DefaultMetrics = &Metrics{}
 
 // Register registers every field of m under prefix (e.g. "sfcsched") in
 // reg. Metric names follow Prometheus conventions; counters gain a _total

@@ -33,8 +33,6 @@ type Scheduler struct {
 	lastHead  int
 
 	vbuf []uint64 // reusable AddBatch value buffer
-
-	m *Metrics // never nil; shared with disp
 }
 
 // NewScheduler builds the full scheduler. If dcfg.Window is zero and
@@ -68,7 +66,7 @@ func NewValueScheduler(name string, v Valuer, cylinders int, dcfg DispatcherConf
 	if err != nil {
 		return nil, err
 	}
-	return &Scheduler{v: v, disp: disp, name: name, cylinders: cylinders, m: disp.Metrics()}, nil
+	return &Scheduler{v: v, disp: disp, name: name, cylinders: cylinders}, nil
 }
 
 // MustScheduler is NewScheduler for static configurations.
@@ -83,13 +81,10 @@ func MustScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, 
 // Name returns the scheduler's display name.
 func (s *Scheduler) Name() string { return s.name }
 
-// SetMetrics redirects the scheduler's (and its dispatcher's) observability
-// counters to m instead of the process-wide DefaultMetrics. Must be called
-// before the first Add; m must not be nil.
-func (s *Scheduler) SetMetrics(m *Metrics) {
-	s.m = m
-	s.disp.SetMetrics(m)
-}
+// SetMetrics installs m as the sink of the scheduler's (and its
+// dispatcher's) observability counters; nil (the default) counts nothing.
+// Must be called before the first Add.
+func (s *Scheduler) SetMetrics(m *Metrics) { s.disp.SetMetrics(m) }
 
 // observeHead advances the sweep timeline to the given head position.
 // Any movement counts as forward cyclic progress, which is exact while the
@@ -102,7 +97,9 @@ func (s *Scheduler) observeHead(head int) {
 	head = min(max(head, 0), c-1)
 	s.progress += uint64((head - s.lastHead + c) % c)
 	s.lastHead = head
-	s.m.SweepProgress.Set(int64(s.progress))
+	if m := s.disp.Metrics(); m != nil {
+		m.SweepProgress.Set(int64(s.progress))
+	}
 }
 
 // Add enqueues r, computing its characterization value at time now with
@@ -135,8 +132,8 @@ func (s *Scheduler) AddBatch(rs []*Request, now int64, head int) {
 func (s *Scheduler) Next(now int64, head int) *Request {
 	s.observeHead(head)
 	r := s.disp.Next()
-	if r != nil {
-		s.m.noteDispatch(r, now)
+	if m := s.disp.Metrics(); r != nil && m != nil {
+		m.noteDispatch(r, now)
 	}
 	return r
 }

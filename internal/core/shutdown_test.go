@@ -125,7 +125,6 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 // TestShardedTryAddAfterCloseRejects pins the quiescent-state semantics.
 func TestShardedTryAddAfterCloseRejects(t *testing.T) {
 	s := mustLocked(shutdownConfig())
-	s.SetMetrics(&Metrics{})
 	r := &Request{ID: 1, Priorities: []int{0}, Cylinder: 10}
 	if !s.TryAdd(r, 0, 0) {
 		t.Fatal("open scheduler rejected a request")
@@ -154,9 +153,7 @@ func TestShardedTryAddAfterCloseRejects(t *testing.T) {
 // would have dispatched it.
 func TestShardedDrainOrder(t *testing.T) {
 	s := mustLocked(shutdownConfig())
-	s.SetMetrics(&Metrics{})
 	ref := mustLocked(shutdownConfig())
-	ref.SetMetrics(&Metrics{})
 	for i := 1; i <= 64; i++ {
 		r := &Request{
 			ID:         uint64(i),

@@ -234,7 +234,7 @@ func ablationWindow(w io.Writer, seed uint64, workers int) error {
 		if err != nil {
 			return nil, err
 		}
-		// Cells run in parallel: each counts its policy events privately.
+		// Each cell owns the sink it reads its policy events from.
 		m := new(core.Metrics)
 		s.SetMetrics(m)
 		var row []string

@@ -69,15 +69,9 @@ func calibrate(_ io.Writer, p Params) ([]*Result, error) {
 		UseDeadline: true, DeadlineHorizon: calibrateDeadlineMax, DeadlineSpan: calibrateDeadlineMax, DeadlineSlack: true,
 		UseCylinder: true, R: 3, Cylinders: model.Cylinders,
 	}
-	// Fully-preemptive cascade on both sides, counting into a throwaway sink
-	// so a calibration never moves the process-wide scheduler metrics.
+	// Fully-preemptive cascade on both sides.
 	newScheduler := func() (sched.Scheduler, error) {
-		s, err := core.NewScheduler("calibrate", ecfg, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-		if err != nil {
-			return nil, err
-		}
-		s.SetMetrics(&core.Metrics{})
-		return s, nil
+		return core.NewScheduler("calibrate", ecfg, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 	}
 
 	res := &Result{

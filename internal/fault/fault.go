@@ -49,7 +49,8 @@ type Plan struct {
 	RebuildBlocks   int
 	RebuildInterval int64
 
-	// Metrics overrides the process-wide DefaultMetrics sink.
+	// Metrics is the sink the injector and the run layered on it count
+	// into; nil counts nothing.
 	Metrics *Metrics
 }
 

@@ -5,14 +5,10 @@ import (
 	"testing"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/obs"
 )
 
-func newQuiet(t *testing.T, plan Plan, cylinders int) *Injector {
+func newInjector(t *testing.T, plan Plan, cylinders int) *Injector {
 	t.Helper()
-	if plan.Metrics == nil {
-		plan.Metrics = &Metrics{}
-	}
 	in, err := New(plan, cylinders)
 	if err != nil {
 		t.Fatal(err)
@@ -76,12 +72,12 @@ func TestPlanValidate(t *testing.T) {
 }
 
 func TestNewAppliesDefaults(t *testing.T) {
-	in := newQuiet(t, Plan{TransientRate: 0.1}, 100)
+	in := newInjector(t, Plan{TransientRate: 0.1}, 100)
 	if p := in.plan; p.MaxRetries != DefaultMaxRetries || p.RetryBase != DefaultRetryBase {
 		t.Errorf("defaults not applied: MaxRetries=%d RetryBase=%d", p.MaxRetries, p.RetryBase)
 	}
 	// Negative MaxRetries means "no retries at all".
-	in = newQuiet(t, Plan{TransientRate: 1, MaxRetries: -1}, 100)
+	in = newInjector(t, Plan{TransientRate: 1, MaxRetries: -1}, 100)
 	if got := in.plan.MaxRetries; got != 0 {
 		t.Errorf("MaxRetries -1 normalized to %d, want 0", got)
 	}
@@ -89,13 +85,13 @@ func TestNewAppliesDefaults(t *testing.T) {
 	if v, _ := in.Outcome(0, 10, r, 0); v != Exhausted {
 		t.Errorf("no-retry plan ruled %v on a guaranteed fault, want Exhausted", v)
 	}
-	if _, err := New(Plan{TransientRate: 2, Metrics: &Metrics{}}, 100); err == nil {
+	if _, err := New(Plan{TransientRate: 2}, 100); err == nil {
 		t.Error("New accepted an invalid plan")
 	}
 }
 
 func TestBackoffDoublesPerAttempt(t *testing.T) {
-	in := newQuiet(t, Plan{TransientRate: 1, MaxRetries: 4, RetryBase: 1_000}, 100)
+	in := newInjector(t, Plan{TransientRate: 1, MaxRetries: 4, RetryBase: 1_000}, 100)
 	r := &core.Request{ID: 1}
 	want := []int64{1_000, 2_000, 4_000, 8_000}
 	for i, w := range want {
@@ -121,7 +117,7 @@ func TestBackoffDoublesPerAttempt(t *testing.T) {
 
 func TestOKClearsAttempts(t *testing.T) {
 	// Seed 3's first two draws are 0.13 and 0.72: one fault, then none.
-	in := newQuiet(t, Plan{Seed: 3, TransientRate: 0.5}, 100)
+	in := newInjector(t, Plan{Seed: 3, TransientRate: 0.5}, 100)
 	r := &core.Request{ID: 1}
 	if v, _ := in.Outcome(0, 10, r, 5); v != Retry {
 		t.Fatal("first completion did not fault")
@@ -135,7 +131,7 @@ func TestOKClearsAttempts(t *testing.T) {
 }
 
 func TestDiskFailureLifecycle(t *testing.T) {
-	in := newQuiet(t, Plan{FailDisk: 2, FailAt: 1_000}, 100)
+	in := newInjector(t, Plan{FailDisk: 2, FailAt: 1_000}, 100)
 	if in.Down(2) {
 		t.Fatal("disk down before FailNow")
 	}
@@ -174,20 +170,20 @@ func TestDiskFailureLifecycle(t *testing.T) {
 // The degraded window, failure to rebuild completion, is reported through
 // the degraded_window_us gauge once the rebuild completes.
 func TestDegradedWindow(t *testing.T) {
-	in := newQuiet(t, Plan{FailDisk: 1, FailAt: 2_000, Rebuild: true, RebuildBlocks: 10}, 100)
+	in := newInjector(t, Plan{FailDisk: 1, FailAt: 2_000, Rebuild: true, RebuildBlocks: 10, Metrics: &Metrics{}}, 100)
 	in.FailNow(2_000)
-	if got := in.m.DegradedWindowUs.Load(); got != 0 {
+	if got := in.Metrics().DegradedWindowUs.Load(); got != 0 {
 		t.Errorf("degraded window %d before the rebuild completed, want 0", got)
 	}
 	in.MarkRebuilt(7_000)
-	if got := in.m.DegradedWindowUs.Load(); got != 5_000 {
+	if got := in.Metrics().DegradedWindowUs.Load(); got != 5_000 {
 		t.Errorf("degraded window %d, want 5000", got)
 	}
 }
 
 func TestProbabilisticTransientsDeterministic(t *testing.T) {
 	run := func() []Verdict {
-		in := newQuiet(t, Plan{Seed: 42, TransientRate: 0.3, MaxRetries: 1}, 100)
+		in := newInjector(t, Plan{Seed: 42, TransientRate: 0.3, MaxRetries: 1}, 100)
 		var out []Verdict
 		for i := 0; i < 200; i++ {
 			r := &core.Request{ID: uint64(i)}
@@ -213,7 +209,7 @@ func TestProbabilisticTransientsDeterministic(t *testing.T) {
 }
 
 func TestForgetDropsBookkeeping(t *testing.T) {
-	in := newQuiet(t, Plan{TransientRate: 1, MaxRetries: 3}, 100)
+	in := newInjector(t, Plan{TransientRate: 1, MaxRetries: 3}, 100)
 	r := &core.Request{ID: 1}
 	if v, _ := in.Outcome(0, 10, r, 0); v != Retry {
 		t.Fatal("guaranteed fault did not retry")
@@ -221,21 +217,5 @@ func TestForgetDropsBookkeeping(t *testing.T) {
 	in.Forget(r)
 	if in.Attempted(r) {
 		t.Error("Attempted(r) true after Forget")
-	}
-}
-
-func TestMetricsRegister(t *testing.T) {
-	// Register must cover every field; a second registration under a
-	// different prefix proves the names are prefix-scoped, and the same
-	// prefix twice must collide.
-	m := &Metrics{}
-	reg := obs.NewRegistry()
-	for _, prefix := range []string{"a", "b"} {
-		if err := m.Register(reg, prefix); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Register(reg, "a"); err == nil {
-		t.Error("re-registering the same prefix did not error")
 	}
 }

@@ -48,7 +48,6 @@ type Injector struct {
 	attempts map[*core.Request]int
 	down     bool
 	stats    Stats
-	m        *Metrics
 }
 
 // New builds the injector for plan. The cylinders argument is unused; it
@@ -65,16 +64,11 @@ func New(plan Plan, _ int) (*Injector, error) {
 	if plan.RetryBase == 0 {
 		plan.RetryBase = DefaultRetryBase
 	}
-	in := &Injector{
+	return &Injector{
 		plan:     plan,
 		rng:      stats.NewRNG(plan.Seed),
 		attempts: make(map[*core.Request]int),
-		m:        plan.Metrics,
-	}
-	if in.m == nil {
-		in.m = DefaultMetrics
-	}
-	return in, nil
+	}, nil
 }
 
 // Down reports whether disk d is currently failed.
@@ -94,16 +88,20 @@ func (in *Injector) DownDisk() (int, bool) {
 func (in *Injector) FailNow(now int64) {
 	in.down = true
 	in.stats.FailedAt = now
-	in.m.DiskFailures.Inc()
-	in.m.Degraded.Set(1)
+	if m := in.plan.Metrics; m != nil {
+		m.DiskFailures.Inc()
+		m.Degraded.Set(1)
+	}
 }
 
 // MarkRebuilt returns the failed disk to service at time now.
 func (in *Injector) MarkRebuilt(now int64) {
 	in.down = false
 	in.stats.RebuiltAt = now
-	in.m.Degraded.Set(0)
-	in.m.DegradedWindowUs.Set(now - in.stats.FailedAt)
+	if m := in.plan.Metrics; m != nil {
+		m.Degraded.Set(0)
+		m.DegradedWindowUs.Set(now - in.stats.FailedAt)
+	}
 }
 
 // Outcome rules on the service of r that just completed on disk d. For
@@ -126,17 +124,24 @@ func (in *Injector) Outcome(d, _ int, r *core.Request, _ int64) (Verdict, int64)
 		return OK, 0
 	}
 	in.stats.Transients++
-	in.m.Transients.Inc()
+	m := in.plan.Metrics
+	if m != nil {
+		m.Transients.Inc()
+	}
 	a := in.attempts[r] + 1
 	if a > in.plan.MaxRetries {
 		delete(in.attempts, r)
 		in.stats.Exhausted++
-		in.m.Exhausted.Inc()
+		if m != nil {
+			m.Exhausted.Inc()
+		}
 		return Exhausted, 0
 	}
 	in.attempts[r] = a
 	in.stats.Retries++
-	in.m.Retries.Inc()
+	if m != nil {
+		m.Retries.Inc()
+	}
 	return Retry, in.plan.RetryBase << (a - 1)
 }
 
@@ -155,5 +160,5 @@ func (in *Injector) Forget(r *core.Request) { delete(in.attempts, r) }
 func (in *Injector) Stats() Stats { return in.stats }
 
 // Metrics returns the obs sink this injector (and the run layered on it)
-// reports into.
-func (in *Injector) Metrics() *Metrics { return in.m }
+// reports into, or nil when the plan installs none.
+func (in *Injector) Metrics() *Metrics { return in.plan.Metrics }

@@ -38,11 +38,8 @@ type CalibrationConfig struct {
 	// the simulator's (see Preload); a trace with spread arrivals would
 	// desynchronize the two sides' enqueue points.
 	Preload bool
-	// Metrics overrides the live dispatcher's sink (default
-	// DefaultMetrics); Calib overrides the score sink (default
-	// DefaultCalibMetrics).
+	// Metrics is the live dispatcher's sink; nil counts nothing.
 	Metrics *Metrics
-	Calib   *CalibMetrics
 }
 
 // Calibration is the scored outcome of one run: how well the simulator
@@ -96,7 +93,7 @@ type simRec struct {
 // through a live dispatcher, each with a scheduler from cfg.NewScheduler and
 // the same service-time configuration, aligns the per-request records by
 // ID, and scores the simulator's predictive accuracy. The scores land in the
-// returned Calibration and in the sfcsched_calib_* metrics.
+// returned Calibration.
 func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request) (*Calibration, error) {
 	if cfg.NewScheduler == nil {
 		return nil, fmt.Errorf("serve: calibration requires a scheduler factory")
@@ -213,24 +210,5 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	cal.LatencyMAPE = stats.MAPE(pred, actual)
 	cal.OrderPearson = stats.Pearson(simRanks, liveRanks)
 	cal.OrderExact = exact && cal.SimServed == cal.LiveServed && cal.Aligned == cal.SimServed && cal.Aligned > 0
-
-	cm := cfg.Calib
-	if cm == nil {
-		cm = DefaultCalibMetrics
-	}
-	cm.Runs.Inc()
-	cm.AlignedRequests.Add(uint64(cal.Aligned))
-	cm.LatencyMAPEPpm.Set(ratioPpm(cal.LatencyMAPE/100, -1))
-	cm.OrderPearsonPpm.Set(ratioPpm(cal.OrderPearson, -2_000_000))
-	cm.HeadTravelDeltaPpm.Set(ratioPpm(cal.HeadTravelDelta(), 0))
 	return cal, nil
-}
-
-// ratioPpm scales a float ratio into a parts-per-million gauge value,
-// substituting sentinel for NaN (the obs gauges are integral).
-func ratioPpm(v float64, sentinel int64) int64 {
-	if math.IsNaN(v) {
-		return sentinel
-	}
-	return int64(math.Round(v * 1e6))
 }

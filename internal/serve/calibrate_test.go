@@ -67,13 +67,11 @@ func TestCalibrateReplay(t *testing.T) {
 		DeadlineMin: 400_000, DeadlineMax: 700_000,
 		Cylinders: 3832, Size: 65536,
 	}.MustGenerate()
-	cm := &CalibMetrics{}
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
 		NewScheduler: newFullyPreemptive,
 		Service:      disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
 		Dilation:     50,
 		InFlight:     1,
-		Calib:        cm,
 	}, trace)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -93,15 +91,6 @@ func TestCalibrateReplay(t *testing.T) {
 	}
 	if cal.Wall <= 0 {
 		t.Errorf("Wall = %v, want positive", cal.Wall)
-	}
-	if cm.Runs.Load() != 1 {
-		t.Errorf("calib Runs = %d, want 1", cm.Runs.Load())
-	}
-	if got := int(cm.AlignedRequests.Load()); got != cal.Aligned {
-		t.Errorf("calib AlignedRequests = %d, want %d", got, cal.Aligned)
-	}
-	if cm.OrderPearsonPpm.Load() < 500_000 {
-		t.Errorf("OrderPearsonPpm = %d, want >= 500000", cm.OrderPearsonPpm.Load())
 	}
 }
 

@@ -48,7 +48,7 @@ type Config struct {
 	// DropLate discards requests whose deadline has passed at dispatch
 	// time, mirroring the simulator's §6 semantics.
 	DropLate bool
-	// Metrics overrides the process-wide DefaultMetrics sink.
+	// Metrics is the sink the dispatcher counts into; nil counts nothing.
 	Metrics *Metrics
 	// KeepRecords accumulates a Record per dispatch decision for later
 	// retrieval via Records — calibration runs need them; long-running
@@ -145,14 +145,10 @@ func New(cfg Config) (*Dispatcher, error) {
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("serve: queue bound must be >= 0, got %d", cfg.MaxQueue)
 	}
-	m := cfg.Metrics
-	if m == nil {
-		m = DefaultMetrics
-	}
 	d := &Dispatcher{
 		cfg:     cfg,
 		q:       core.Lock(cfg.Sched),
-		m:       m,
+		m:       cfg.Metrics,
 		stopped: make(chan struct{}),
 		kick:    make(chan struct{}, 1),
 	}
@@ -214,7 +210,9 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 		select {
 		case d.quota <- struct{}{}:
 		default:
-			d.m.BackpressureWaits.Inc()
+			if d.m != nil {
+				d.m.BackpressureWaits.Inc()
+			}
 			select {
 			case d.quota <- struct{}{}:
 			case <-ctx.Done():
@@ -228,11 +226,15 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 		if d.quota != nil {
 			<-d.quota
 		}
-		d.m.Rejected.Inc()
+		if d.m != nil {
+			d.m.Rejected.Inc()
+		}
 		return ErrClosed
 	}
 	d.outstanding.Add(1)
-	d.m.Submitted.Inc()
+	if d.m != nil {
+		d.m.Submitted.Inc()
+	}
 	d.wake()
 	return nil
 }
@@ -255,7 +257,9 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 		d.Stop()
 		return ctx.Err()
 	}
-	d.m.Drains.Inc()
+	if d.m != nil {
+		d.m.Drains.Inc()
+	}
 	return nil
 }
 
@@ -281,7 +285,9 @@ func (d *Dispatcher) Stop() {
 		d.cancel()
 		<-d.stopped
 		if n := d.q.Len(); n > 0 {
-			d.m.Abandoned.Add(uint64(n))
+			if d.m != nil {
+				d.m.Abandoned.Add(uint64(n))
+			}
 			d.outstanding.Add(int64(-n))
 		}
 	})
@@ -331,11 +337,13 @@ func (d *Dispatcher) work() {
 		d.head.Store(int64(target))
 		dist := max(target-head, head-target)
 		d.travel.Add(int64(dist))
-		d.m.HeadTravelCylinders.Add(uint64(dist))
+		if m := d.m; m != nil {
+			m.HeadTravelCylinders.Add(uint64(dist))
+			m.Dispatched.Inc()
+			m.InFlight.Add(1)
+		}
 		seq := d.dispSeq
 		d.dispSeq++
-		d.m.Dispatched.Inc()
-		d.m.InFlight.Add(1)
 		d.turn.Unlock()
 		d.serveOne(r, head, target, seq, now)
 	}
@@ -381,8 +389,10 @@ func (d *Dispatcher) take() (*core.Request, bool) {
 func (d *Dispatcher) drop(r *core.Request, now int64) {
 	seq := d.dispSeq
 	d.dispSeq++
-	d.m.Dispatched.Inc()
-	d.m.Dropped.Inc()
+	if m := d.m; m != nil {
+		m.Dispatched.Inc()
+		m.Dropped.Inc()
+	}
 	d.record(Record{
 		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: now,
 		Head: d.Head(), Target: d.Head(), Dropped: true,
@@ -395,7 +405,7 @@ func (d *Dispatcher) drop(r *core.Request, now int64) {
 func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt int64) {
 	wallStart := time.Now()
 	comp, err := d.cfg.Backend.Serve(d.ctx, r, head)
-	d.m.WallService.Observe(uint64(time.Since(wallStart).Microseconds()))
+	wall := time.Since(wallStart)
 	done := d.cfg.Clock.Now()
 	rec := Record{
 		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: dispatchAt, Done: done,
@@ -404,15 +414,20 @@ func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt
 	if err != nil {
 		rec.Abandoned = true
 		rec.Done = 0
-		d.m.Abandoned.Inc()
-	} else {
-		d.m.Completed.Inc()
-		if lat := done - r.Arrival; lat >= 0 {
-			d.m.ModelLatency.Observe(uint64(lat))
+	}
+	if m := d.m; m != nil {
+		m.WallService.Observe(uint64(wall.Microseconds()))
+		if err != nil {
+			m.Abandoned.Inc()
+		} else {
+			m.Completed.Inc()
+			if lat := done - r.Arrival; lat >= 0 {
+				m.ModelLatency.Observe(uint64(lat))
+			}
 		}
+		m.InFlight.Add(-1)
 	}
 	d.record(rec)
-	d.m.InFlight.Add(-1)
 	d.finishOne()
 }
 

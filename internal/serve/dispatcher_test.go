@@ -24,12 +24,9 @@ func serveConfig() core.EncapsulatorConfig {
 	}
 }
 
-// cascade builds the cascaded scheduler under the given dispatcher policy,
-// counting into a throwaway sink.
+// cascade builds the cascaded scheduler under the given dispatcher policy.
 func cascade(dcfg core.DispatcherConfig, windowFrac float64) *core.Scheduler {
-	s := core.MustScheduler("", serveConfig(), dcfg, windowFrac)
-	s.SetMetrics(&core.Metrics{})
-	return s
+	return core.MustScheduler("", serveConfig(), dcfg, windowFrac)
 }
 
 // fullyPreemptive is the policy the serving tests default to: pure v_c
@@ -489,7 +486,9 @@ func TestDispatcherInFlightBound(t *testing.T) {
 
 // TestDispatcherNoPerRequestAllocs pins that a warm Submit → Backend.Serve
 // round trip on a started dispatcher allocates nothing: the workers are
-// started once, so no request pays for a goroutine or a closure.
+// started once, so no request pays for a goroutine or a closure. The
+// dispatcher and its scheduler both count into sinks, so the gate covers
+// the instrumented path.
 func TestDispatcherNoPerRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -499,8 +498,11 @@ func TestDispatcherNoPerRequestAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := fullyPreemptive()
+	s.SetMetrics(&core.Metrics{})
+	m := &Metrics{}
 	d, err := New(Config{
-		Sched: fullyPreemptive(), Clock: clock, Metrics: &Metrics{},
+		Sched: s, Clock: clock, Metrics: m,
 		Backend: backendFunc(func(context.Context, *core.Request) error {
 			done <- struct{}{}
 			return nil
@@ -527,6 +529,9 @@ func TestDispatcherNoPerRequestAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, roundTrip); n != 0 {
 		t.Fatalf("%v allocations per round trip, want 0", n)
+	}
+	if m.Submitted.Load() == 0 || m.Dispatched.Load() == 0 {
+		t.Errorf("instrumentation recorded nothing: submitted=%d dispatched=%d", m.Submitted.Load(), m.Dispatched.Load())
 	}
 }
 

@@ -3,9 +3,9 @@ package serve
 import "sfcsched/internal/obs"
 
 // Metrics aggregates the serving layer's observability counters, exported
-// under the sfcsched_serve_* prefix. Every Dispatcher reports into
-// DefaultMetrics unless Config.Metrics overrides it, mirroring the
-// core.Metrics wiring.
+// under the sfcsched_serve_* prefix. A Dispatcher counts only into the sink
+// its Config installs, mirroring the core.Metrics wiring; with none it
+// counts nothing.
 type Metrics struct {
 	// Submitted counts requests accepted into the scheduler by Submit.
 	Submitted obs.Counter
@@ -40,10 +40,6 @@ type Metrics struct {
 	WallService obs.Histogram
 }
 
-// DefaultMetrics is the process-wide aggregate every Dispatcher reports
-// into unless overridden via Config.Metrics.
-var DefaultMetrics = &Metrics{}
-
 // Register registers every field of m under prefix (conventionally
 // "sfcsched_serve") in reg.
 func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
@@ -60,43 +56,5 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "inflight", Help: "services currently running on the backend", V: &m.InFlight},
 		{Name: "model_latency_us", Help: "arrival-to-completion time on the model clock, microseconds", V: &m.ModelLatency},
 		{Name: "wall_service_us", Help: "wall-clock time per backend service, microseconds", V: &m.WallService},
-	})
-}
-
-// CalibMetrics exposes the latest calibration scores under the
-// sfcsched_calib_* prefix. Scores are float ratios stored in gauges as
-// parts per million (the obs gauges are integral): 1_000_000 ppm = a MAPE
-// of 100% or a correlation of 1.0.
-type CalibMetrics struct {
-	// Runs counts completed calibration runs.
-	Runs obs.Counter
-	// AlignedRequests counts requests matched between the simulated and
-	// live records across all runs.
-	AlignedRequests obs.Counter
-	// LatencyMAPEPpm is the last run's per-request latency MAPE, ppm
-	// (1e6 = 100%). -1 when the score was undefined.
-	LatencyMAPEPpm obs.Gauge
-	// OrderPearsonPpm is the last run's Pearson correlation between
-	// simulated and live dispatch ranks, ppm (1e6 = r of 1.0). -2e6 when
-	// the score was undefined.
-	OrderPearsonPpm obs.Gauge
-	// HeadTravelDeltaPpm is the last run's live-vs-sim head-travel
-	// difference relative to sim, ppm.
-	HeadTravelDeltaPpm obs.Gauge
-}
-
-// DefaultCalibMetrics is the process-wide aggregate Calibrate reports into
-// unless overridden via CalibrationConfig.CalibMetrics.
-var DefaultCalibMetrics = &CalibMetrics{}
-
-// Register registers every field of m under prefix (conventionally
-// "sfcsched_calib") in reg.
-func (m *CalibMetrics) Register(reg *obs.Registry, prefix string) error {
-	return reg.RegisterAll(prefix, []obs.Entry{
-		{Name: "runs", Help: "completed calibration runs", V: &m.Runs},
-		{Name: "aligned_requests", Help: "requests matched between sim and live records", V: &m.AlignedRequests},
-		{Name: "latency_mape_ppm", Help: "last run's per-request latency MAPE, ppm (1e6 = 100%)", V: &m.LatencyMAPEPpm},
-		{Name: "order_pearson_ppm", Help: "last run's dispatch-order Pearson r, ppm (1e6 = 1.0)", V: &m.OrderPearsonPpm},
-		{Name: "head_travel_delta_ppm", Help: "last run's (live-sim)/sim head-travel delta, ppm", V: &m.HeadTravelDeltaPpm},
 	})
 }

@@ -94,7 +94,7 @@ func TestReuseMatchesFreshRun(t *testing.T) {
 	var arena workload.Arena
 	trace := reuseBenchWorkload().MustGenerateArena(&arena)
 	opts := Options{DropLate: true, Dims: 3, Levels: 8,
-		Fault: &fault.Plan{Seed: 7, TransientRate: 0.05, Metrics: &fault.Metrics{}}}
+		Fault: &fault.Plan{Seed: 7, TransientRate: 0.05}}
 	fresh := MustRun(Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: opts}, trace)
 
 	var ru Reuse
@@ -102,7 +102,7 @@ func TestReuseMatchesFreshRun(t *testing.T) {
 	other := workload.Open{Seed: 2, Count: 500, MeanInterarrival: 8_000, Dims: 1, Levels: 4, Cylinders: 3832, Size: 4 << 10}.MustGenerate()
 	MustRun(Config{Disk: xp(), Scheduler: sched.NewFCFS(), Reuse: &ru,
 		Options: Options{Dims: 1, Levels: 4,
-			Fault: &fault.Plan{Seed: 99, TransientRate: 0.2, Metrics: &fault.Metrics{}}}}, other)
+			Fault: &fault.Plan{Seed: 99, TransientRate: 0.2}}}, other)
 
 	// First pass swaps the collector shape in; second pass exercises the
 	// reset-and-recycle path that parallel sweeps live on.
@@ -144,7 +144,8 @@ func TestRunObservabilityDisabledAllocs(t *testing.T) {
 // scratch value and keep none, and after warmup the candidate and slack
 // scratch have grown to the deepest queue — so captures cost no
 // per-decision allocations, on the slack-ranked walk (C-SCAN) and on the
-// queued-value walk (the cascade) alike.
+// queued-value walk (the cascade) alike. Every observer and the cascade
+// count into a sink, so the gate covers the instrumented path.
 func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
@@ -153,7 +154,9 @@ func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []sched.Scheduler{sched.NewCSCAN(), benchCascade(t, enc, enc, core.ConditionallyPreemptive)} {
+	cascade := benchCascade(t, enc, enc, core.ConditionallyPreemptive)
+	cascade.SetMetrics(&core.Metrics{})
+	for _, s := range []sched.Scheduler{sched.NewCSCAN(), cascade} {
 		t.Run(s.Name(), func(t *testing.T) {
 			var ru Reuse
 			dt := NewDecisionTrace(0)
@@ -272,7 +275,7 @@ func TestRunArrayAllocsConstantInTraceLength(t *testing.T) {
 			return Options{DropLate: true, Dims: 1, Levels: 8, Fault: &fault.Plan{
 				Seed: 3, TransientRate: 0.05, MaxRetries: 1,
 				FailDisk: 2, FailAt: 100_000, Rebuild: true, RebuildBlocks: 20,
-				Metrics: quietMetrics(),
+				Metrics: &fault.Metrics{},
 			}}
 		}},
 	} {

@@ -164,7 +164,7 @@ type DecisionTrace struct {
 // trace retains no records. It stays because the benchmark passes one,
 // until the benchmark is next revised.
 func NewDecisionTrace(capacity int) *DecisionTrace {
-	t := &DecisionTrace{m: DefaultDecisionMetrics}
+	t := &DecisionTrace{}
 	t.visit = func(r *core.Request, v uint64) {
 		t.cands = append(t.cands, DecisionCandidate{
 			ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(t.now), V: v,
@@ -174,8 +174,8 @@ func NewDecisionTrace(capacity int) *DecisionTrace {
 	return t
 }
 
-// SetMetrics redirects the trace's observability counters to m instead of
-// the process-wide DefaultDecisionMetrics. Call before the run starts.
+// SetMetrics installs m as the sink of the trace's observability counters;
+// nil (the default) counts nothing. Call before the run starts.
 func (t *DecisionTrace) SetMetrics(m *DecisionMetrics) { t.m = m }
 
 // Total returns the number of decisions captured over the trace's
@@ -325,16 +325,14 @@ func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped 
 	t.slacks = summarize(rec, t.cands, t.byV, t.slacks)
 	t.total++
 
-	t.m.Decisions.Inc()
-	if dropped {
-		t.m.Drops.Inc()
-	}
-	t.m.CandidateDepth.Observe(uint64(rec.Depth))
-	if r.Deadline > 0 {
-		if s := rec.Chosen.Slack; s > 0 {
-			t.m.ChoiceSlack.Observe(uint64(s))
-		} else {
-			t.m.ChoiceSlack.Observe(0)
+	if m := t.m; m != nil {
+		m.Decisions.Inc()
+		if dropped {
+			m.Drops.Inc()
+		}
+		m.CandidateDepth.Observe(uint64(rec.Depth))
+		if r.Deadline > 0 {
+			m.ChoiceSlack.Observe(uint64(max(rec.Chosen.Slack, 0)))
 		}
 	}
 	if t.OnRecord != nil {

@@ -43,7 +43,6 @@ func recordsOf(dt *DecisionTrace) *[]DecisionRecord {
 
 func TestDecisionTraceCapturesDecisions(t *testing.T) {
 	dt := NewDecisionTrace(0)
-	dt.SetMetrics(&DecisionMetrics{})
 	recs := recordsOf(dt)
 	res := MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
@@ -103,7 +102,6 @@ func TestDecisionTraceCapturesDecisions(t *testing.T) {
 // ID) and values read NoValue.
 func TestDecisionTraceNonValueScheduler(t *testing.T) {
 	dt := NewDecisionTrace(0)
-	dt.SetMetrics(&DecisionMetrics{})
 	recs := recordsOf(dt)
 	MustRun(Config{
 		Disk: xp(), Scheduler: sched.NewFCFS(),
@@ -128,7 +126,6 @@ func TestDecisionJSONL(t *testing.T) {
 	run := func() (*bytes.Buffer, uint64) {
 		var buf bytes.Buffer
 		dt := NewDecisionTrace(0)
-		dt.SetMetrics(&DecisionMetrics{})
 		dt.OnRecord = DecisionJSONL(&buf)
 		MustRun(Config{
 			Disk: xp(), Scheduler: cascadedScheduler(),
@@ -200,7 +197,6 @@ func TestDecisionTraceDoesNotPerturb(t *testing.T) {
 	}
 	evPlain, resPlain := run(nil)
 	dt := NewDecisionTrace(0)
-	dt.SetMetrics(&DecisionMetrics{})
 	evTraced, resTraced := run(dt)
 	if !reflect.DeepEqual(evPlain, evTraced) {
 		t.Error("TraceEvent stream diverged with a decision trace attached")
@@ -371,8 +367,7 @@ func benchCascadeConfig(t *testing.T, dims int, horizon int64) core.Encapsulator
 
 // benchCascade puts v, a criterion over enc, in front of the benchmark's
 // dispatcher for mode: the conditionally preemptive one has a window of
-// 5 % of enc's value space with SP and ER (e = 2). Counters go to a
-// private sink.
+// 5 % of enc's value space with SP and ER (e = 2).
 func benchCascade(t *testing.T, enc *core.Encapsulator, v core.Valuer, mode core.PreemptMode) *core.Scheduler {
 	t.Helper()
 	dcfg := core.DispatcherConfig{Mode: mode}
@@ -384,7 +379,6 @@ func benchCascade(t *testing.T, enc *core.Encapsulator, v core.Valuer, mode core
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetMetrics(&core.Metrics{})
 	return s
 }
 
@@ -427,7 +421,6 @@ func TestDecisionValuesAreQueuedValues(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			s, rv := recordedCascade(t, mode)
 			dt := NewDecisionTrace(0)
-			dt.SetMetrics(&DecisionMetrics{})
 			captured := recordsOf(dt)
 			MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{DropLate: true, Decisions: dt}}, decisionWorkload(1))
 
@@ -469,11 +462,8 @@ func TestObservedRunValueAtOncePerAdd(t *testing.T) {
 	m := new(core.Metrics)
 	s.SetMetrics(m)
 	dt := NewDecisionTrace(0)
-	dt.SetMetrics(&DecisionMetrics{})
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	sh := NewShadow("edf", sched.NewEDF())
-	sh.SetMetrics(&DecisionMetrics{})
 	res := MustRun(Config{Disk: xp(), Scheduler: s, Options: Options{
 		DropLate: true, Trace: JSONLTrace(io.Discard), Decisions: dt, Telemetry: tel, Shadows: []*Shadow{sh},
 	}}, decisionWorkload(1))

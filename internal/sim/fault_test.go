@@ -16,10 +16,6 @@ import (
 	"sfcsched/internal/sched"
 )
 
-// quietMetrics gives each test plan its own obs sink so parallel tests
-// never race on fault.DefaultMetrics.
-func quietMetrics() *fault.Metrics { return &fault.Metrics{} }
-
 func TestZeroFaultPlanByteIdenticalSingle(t *testing.T) {
 	m := xp()
 	trace := goldenTrace(3, m)
@@ -36,11 +32,11 @@ func TestZeroFaultPlanByteIdenticalSingle(t *testing.T) {
 	}
 	baseEvents, baseRes := run(nil)
 	for name, plan := range map[string]*fault.Plan{
-		"zero-plan": {Seed: 99, Metrics: quietMetrics()},
+		"zero-plan": {Seed: 99},
 		// A plan whose rate is below the RNG's resolution, so it never
 		// fires: the injector is installed and draws on every completion,
 		// yet must not perturb a single byte.
-		"armed-but-silent": {Seed: 99, TransientRate: 1e-300, Metrics: quietMetrics()},
+		"armed-but-silent": {Seed: 99, TransientRate: 1e-300},
 	} {
 		events, res := run(plan)
 		if !reflect.DeepEqual(events, baseEvents) {
@@ -76,7 +72,7 @@ func TestZeroFaultPlanByteIdenticalArray(t *testing.T) {
 		return events, res
 	}
 	baseEvents, baseRes := run(nil)
-	events, res := run(&fault.Plan{Seed: 4, TransientRate: 1e-300, Metrics: quietMetrics()})
+	events, res := run(&fault.Plan{Seed: 4, TransientRate: 1e-300})
 	if !reflect.DeepEqual(events, baseEvents) {
 		t.Error("armed-but-silent plan: array trace stream diverged")
 	}
@@ -88,7 +84,7 @@ func TestZeroFaultPlanByteIdenticalArray(t *testing.T) {
 // onceFaulty is a plan whose first completion faults and whose second
 // does not: seed 3's first two draws are 0.13 and 0.72.
 func onceFaulty(retryBase int64) *fault.Plan {
-	return &fault.Plan{Seed: 3, TransientRate: 0.5, RetryBase: retryBase, Metrics: quietMetrics()}
+	return &fault.Plan{Seed: 3, TransientRate: 0.5, RetryBase: retryBase}
 }
 
 func TestTransientRetriesThenServes(t *testing.T) {
@@ -121,7 +117,7 @@ func TestTransientRetryExhausted(t *testing.T) {
 	trace := []*core.Request{{ID: 1, Arrival: 0, Cylinder: 5, Size: 4 << 10}}
 	res, err := Run(Config{FixedService: 10_000, Scheduler: sched.NewFCFS(),
 		Options: Options{Fault: &fault.Plan{
-			TransientRate: 1, MaxRetries: 2, RetryBase: 1_000, Metrics: quietMetrics(),
+			TransientRate: 1, MaxRetries: 2, RetryBase: 1_000,
 		}}}, trace)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +165,7 @@ func TestRunRejectsDiskFailureWithoutArray(t *testing.T) {
 func TestArrayRejectsFailDiskOutOfRange(t *testing.T) {
 	array := testArray(t)
 	_, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
-		Options: Options{Fault: &fault.Plan{FailDisk: 7, FailAt: 1, Metrics: quietMetrics()}}}, nil)
+		Options: Options{Fault: &fault.Plan{FailDisk: 7, FailAt: 1}}}, nil)
 	if err == nil {
 		t.Fatal("expected error: FailDisk outside the array")
 	}
@@ -262,7 +258,6 @@ func TestDegradedModeCorrectness(t *testing.T) {
 	plan := &fault.Plan{
 		FailDisk: k, FailAt: failAt,
 		Rebuild: true, RebuildBlocks: 30, RebuildInterval: 10_000,
-		Metrics: quietMetrics(),
 	}
 	var events []degradedEvent
 	cfg := ArrayConfig{
@@ -356,7 +351,7 @@ func TestDegradedWritesAbsorbed(t *testing.T) {
 	// Write to a block whose data disk is down, after the failure.
 	trace = append(trace, &core.Request{ID: 1, Arrival: 200_000, Cylinder: int(kBlocks[0]), Size: 64 << 10, Write: true})
 	res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
-		Options: Options{Fault: &fault.Plan{FailDisk: k, FailAt: 100_000, Metrics: quietMetrics()}}}, trace)
+		Options: Options{Fault: &fault.Plan{FailDisk: k, FailAt: 100_000}}}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +384,7 @@ func TestFailureReroutesQueuedAndInFlight(t *testing.T) {
 		trace = append(trace, &core.Request{ID: uint64(i + 1), Arrival: int64(i) * 100, Cylinder: int(b), Size: 64 << 10})
 	}
 	res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
-		Options: Options{Fault: &fault.Plan{FailDisk: k, FailAt: 5_000, Metrics: quietMetrics()}}}, trace)
+		Options: Options{Fault: &fault.Plan{FailDisk: k, FailAt: 5_000}}}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +416,7 @@ func TestDegradedReadOpShapes(t *testing.T) {
 	} {
 		block := blocksOnDisk(array, tc.onDisk, 0, 1)[0]
 		trace := []*core.Request{{ID: 1, Arrival: 200_000, Cylinder: int(block), Size: 64 << 10}}
-		m := quietMetrics()
+		m := &fault.Metrics{}
 		// The hook copies the physical op: array runs recycle it once it
 		// leaves the engine.
 		type opEvent struct {
@@ -475,8 +470,7 @@ func TestRebuildSurvivesAbandonedReads(t *testing.T) {
 	array := testArray(t)
 	for _, interval := range []int64{0, 10_000} {
 		plan := &fault.Plan{Seed: 5, TransientRate: 0.4, MaxRetries: -1,
-			FailDisk: 1, FailAt: 100_000, Rebuild: true, RebuildBlocks: 40, RebuildInterval: interval,
-			Metrics: quietMetrics()}
+			FailDisk: 1, FailAt: 100_000, Rebuild: true, RebuildBlocks: 40, RebuildInterval: interval}
 		res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk, Options: Options{Fault: plan}}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -504,8 +498,7 @@ func TestRebuildSurvivesAbandonedReads(t *testing.T) {
 func TestRetryBookkeepingFollowsTheRequest(t *testing.T) {
 	array := testArray(t)
 	plan := &fault.Plan{Seed: 4, TransientRate: 0.2, MaxRetries: 2,
-		FailDisk: 1, FailAt: 3_000_000, Rebuild: true, RebuildBlocks: 30, RebuildInterval: 20_000,
-		Metrics: quietMetrics()}
+		FailDisk: 1, FailAt: 3_000_000, Rebuild: true, RebuildBlocks: 30, RebuildInterval: 20_000}
 	faults := map[uint64]int{} // faulted attempts per physical request ID
 	var exhausted, faultDrops uint64
 	res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,

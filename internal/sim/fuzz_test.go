@@ -33,7 +33,6 @@ func fuzzPlan(seed uint64, rateB, failB byte, array bool) *fault.Plan {
 		Seed:          seed ^ 0x9e3779b97f4a7c15,
 		TransientRate: float64(rateB%32) / 100,
 		RetryBase:     2_000,
-		Metrics:       &fault.Metrics{},
 	}
 	if failB&1 != 0 {
 		plan.MaxRetries = -1
@@ -229,14 +228,10 @@ func FuzzShadowGoldenIdentity(f *testing.F) {
 					Trace: func(ev TraceEvent) { events = append(events, flatten(ev)) }}}
 			if attach {
 				dt := NewDecisionTrace(0)
-				dt.SetMetrics(&DecisionMetrics{})
 				cfg.Decisions = dt
 				cfg.Telemetry = NewTelemetry(40_000)
-				cfg.Telemetry.SetMetrics(&DecisionMetrics{})
 				a := NewShadow("a", shadow(int(shadowSel)))
 				b := NewShadow("b", shadow(int(shadowSel)+1))
-				a.SetMetrics(&DecisionMetrics{})
-				b.SetMetrics(&DecisionMetrics{})
 				cfg.Shadows = []*Shadow{a, b}
 			}
 			res, err := Run(cfg, smallTraceCopy(trace))

@@ -4,9 +4,10 @@ import "sfcsched/internal/obs"
 
 // DecisionMetrics aggregates the decision-observability counters of the
 // package: decision-trace captures, shadow-scheduler divergence and
-// telemetry sampling activity. It mirrors core.Metrics: atomic fields, a
-// process-wide default, per-instance override via the owning object
-// (DecisionTrace.SetMetrics, Shadow.SetMetrics, Telemetry.SetMetrics).
+// telemetry sampling activity. It mirrors core.Metrics: atomic fields,
+// counted only into the sink the owning object installs
+// (DecisionTrace.SetMetrics, Shadow.SetMetrics, Telemetry.SetMetrics);
+// with none installed an observer counts nothing.
 //
 // Nothing here is touched while decision tracing, shadows and telemetry
 // are all disabled, so the zero-overhead guarantee of the plain simulation
@@ -31,22 +32,4 @@ type DecisionMetrics struct {
 	// TelemetrySamples counts telemetry rows recorded (one per station per
 	// sampling boundary).
 	TelemetrySamples obs.Counter
-}
-
-// DefaultDecisionMetrics is the process-wide aggregate every DecisionTrace,
-// Shadow and Telemetry reports into unless overridden.
-var DefaultDecisionMetrics = &DecisionMetrics{}
-
-// Register registers every field of m under prefix (e.g.
-// "sfcsched_decision") in reg.
-func (m *DecisionMetrics) Register(reg *obs.Registry, prefix string) error {
-	return reg.RegisterAll(prefix, []obs.Entry{
-		{Name: "decisions", Help: "dispatch decisions captured by decision tracing", V: &m.Decisions},
-		{Name: "drops", Help: "captured decisions that were deadline drops", V: &m.Drops},
-		{Name: "candidate_depth", Help: "candidate-set size at decision time", V: &m.CandidateDepth},
-		{Name: "choice_slack_us", Help: "deadline slack of the chosen request at dispatch, microseconds", V: &m.ChoiceSlack},
-		{Name: "shadow_decisions", Help: "primary dispatches observed by shadow schedulers", V: &m.ShadowDecisions},
-		{Name: "shadow_disagreements", Help: "shadow choices that differed from the primary", V: &m.ShadowDisagreements},
-		{Name: "telemetry_samples", Help: "telemetry rows recorded", V: &m.TelemetrySamples},
-	})
 }

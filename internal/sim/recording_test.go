@@ -92,7 +92,6 @@ func TestGoldenRecordings(t *testing.T) {
 			Seed: 8, TransientRate: 0.04, RetryBase: 2_000,
 			FailDisk: 2, FailAt: 500_000,
 			Rebuild: true, RebuildBlocks: 12, RebuildInterval: 4_000,
-			Metrics: quietMetrics(),
 		})
 		// The recording is only worth keeping while it crosses every
 		// degraded path.
@@ -107,7 +106,6 @@ func TestGoldenRecordings(t *testing.T) {
 		got, res := recordArray(t, fcfsPerDisk, &fault.Plan{
 			FailDisk: 0, FailAt: 300_000,
 			Rebuild: true, RebuildBlocks: 20, RebuildInterval: 0,
-			Metrics: quietMetrics(),
 		})
 		if res.RebuildReads != 20*4 || res.Faults.RebuiltAt == 0 {
 			t.Fatalf("recording lost coverage: rebuild reads=%d faults=%+v", res.RebuildReads, *res.Faults)
@@ -123,15 +121,13 @@ func TestGoldenRecordings(t *testing.T) {
 		}.MustGenerate()
 		sh1 := NewShadow("edf", sched.NewEDF())
 		sh2 := NewShadow("fcfs", sched.NewFCFS())
-		sh1.SetMetrics(&DecisionMetrics{})
-		sh2.SetMetrics(&DecisionMetrics{})
 		var buf bytes.Buffer
 		res, err := Run(Config{Disk: m, Scheduler: sched.NewSCAN(),
 			Options: Options{DropLate: true,
 				Shadows: []*Shadow{sh1, sh2}, Trace: JSONLTrace(&buf),
 				Fault: &fault.Plan{
 					Seed: 2, TransientRate: 0.15, MaxRetries: 1,
-					RetryBase: 2_000, Metrics: quietMetrics(),
+					RetryBase: 2_000,
 				}}}, trace)
 		if err != nil {
 			t.Fatal(err)

@@ -44,10 +44,6 @@ func TestSetupValidation(t *testing.T) {
 			Options: Options{Shadows: sh}}, []*core.Request{{ID: 1}})
 		return sh
 	}
-	plan := func(p fault.Plan) *fault.Plan {
-		p.Metrics = quietMetrics()
-		return &p
-	}
 	// want holds the error substring per entry (run, array, cluster); ""
 	// means the run is accepted. Shadows ride one station only, and only
 	// the array can lose a disk.
@@ -61,13 +57,13 @@ func TestSetupValidation(t *testing.T) {
 		{"reused shadow", func(int) Options { return Options{Shadows: usedShadow()} },
 			[3]string{"single-use", "needs a single-station run", "needs a single-station run"}},
 		{"negative fault disk", func(int) Options {
-			return Options{Fault: plan(fault.Plan{FailDisk: -1, FailAt: 1})}
+			return Options{Fault: &fault.Plan{FailDisk: -1, FailAt: 1}}
 		}, [3]string{"requires an array run", "FailDisk -1 outside array of 5 disks", "requires an array run"}},
 		{"disk failure", func(n int) Options {
-			return Options{Fault: plan(fault.Plan{FailDisk: n - 1, FailAt: 1})}
+			return Options{Fault: &fault.Plan{FailDisk: n - 1, FailAt: 1}}
 		}, [3]string{"requires an array run", "", "requires an array run"}},
 		{"failed disk past the last disk", func(n int) Options {
-			return Options{Fault: plan(fault.Plan{FailDisk: n, FailAt: 1})}
+			return Options{Fault: &fault.Plan{FailDisk: n, FailAt: 1}}
 		}, [3]string{"requires an array run", "FailDisk 5 outside array of 5 disks", "requires an array run"}},
 	}
 	for i, e := range entries {

@@ -45,26 +45,14 @@ type Shadow struct {
 	m    *DecisionMetrics
 }
 
-// metricsRedirector is implemented by schedulers whose observability
-// counters can be pointed away from the process-wide defaults
-// (core.Scheduler). Shadows redirect theirs to a throwaway sink so
-// counterfactual activity never pollutes the primary metrics.
-type metricsRedirector interface {
-	SetMetrics(*core.Metrics)
-}
-
 // NewShadow wraps s as a counterfactual shadow named name. The scheduler
-// must be fresh (empty queue) and is owned by the shadow for one run; its
-// core metrics, when redirectable, are pointed at a throwaway sink.
+// must be fresh (empty queue) and is owned by the shadow for one run.
 func NewShadow(name string, s sched.Scheduler) *Shadow {
-	if mr, ok := s.(metricsRedirector); ok {
-		mr.SetMetrics(&core.Metrics{})
-	}
-	return &Shadow{name: name, sched: s, m: DefaultDecisionMetrics}
+	return &Shadow{name: name, sched: s}
 }
 
-// SetMetrics redirects the shadow's decision counters to m instead of the
-// process-wide DefaultDecisionMetrics. Call before the run starts.
+// SetMetrics installs m as the sink of the shadow's decision counters; nil
+// (the default) counts nothing. Call before the run starts.
 func (sh *Shadow) SetMetrics(m *DecisionMetrics) { sh.m = m }
 
 // Name returns the shadow's display name.
@@ -92,7 +80,9 @@ func (sh *Shadow) add(r *core.Request, now int64) {
 // accounts divergence against the primary's choice.
 func (sh *Shadow) observe(primary *core.Request, now int64) {
 	sh.decisions++
-	sh.m.ShadowDecisions.Inc()
+	if sh.m != nil {
+		sh.m.ShadowDecisions.Inc()
+	}
 	for {
 		r := sh.sched.Next(now, sh.head)
 		if r == nil {
@@ -105,7 +95,7 @@ func (sh *Shadow) observe(primary *core.Request, now int64) {
 		}
 		if r == primary {
 			sh.agreements++
-		} else {
+		} else if sh.m != nil {
 			sh.m.ShadowDisagreements.Inc()
 		}
 		target := r.Cylinder

@@ -26,14 +26,10 @@ func TestShadowsDoNotPerturb(t *testing.T) {
 		}
 		if attach {
 			dt := NewDecisionTrace(0)
-			dt.SetMetrics(&DecisionMetrics{})
 			cfg.Decisions = dt
 			cfg.Telemetry = NewTelemetry(50_000)
-			cfg.Telemetry.SetMetrics(&DecisionMetrics{})
 			sh1 := NewShadow("scan-edf", sched.NewSCANEDF(50_000))
 			sh2 := NewShadow("fcfs", sched.NewFCFS())
-			sh1.SetMetrics(&DecisionMetrics{})
-			sh2.SetMetrics(&DecisionMetrics{})
 			cfg.Shadows = []*Shadow{sh1, sh2}
 		}
 		return events, MustRun(cfg, smallTraceCopy(trace))
@@ -116,8 +112,7 @@ func TestShadowSSTFBeatsFCFSTravel(t *testing.T) {
 
 // A §4.2 preset, the single-curve baseline and BUCKET-seek are
 // core.Schedulers like the cascade: the decision layer sees their queued
-// values and window, and a shadow over one counts into its own sink
-// instead of the process-wide one.
+// values and window.
 func TestValuePresetsAreObservable(t *testing.T) {
 	single, err := core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832,
 		core.DispatcherConfig{Mode: core.FullyPreemptive})
@@ -139,16 +134,9 @@ func TestValuePresetsAreObservable(t *testing.T) {
 		if _, ok := s.(WindowStater); !ok {
 			t.Errorf("%s is not a WindowStater", s.Name())
 		}
-		NewShadow(s.Name(), s)
-		before := core.DefaultMetrics.Adds.Load()
-		s.Add(&core.Request{ID: 1, Priorities: []int{0, 0}, Deadline: 1000, Cylinder: 5}, 0, 0)
-		if core.DefaultMetrics.Adds.Load() != before {
-			t.Errorf("a shadow over %s counts into core.DefaultMetrics", s.Name())
-		}
 	}
 
 	dt := NewDecisionTrace(0)
-	dt.SetMetrics(&DecisionMetrics{})
 	recs := recordsOf(dt)
 	MustRun(Config{
 		Disk: xp(), Scheduler: core.EmulateEDF(),
@@ -184,10 +172,9 @@ func TestShadowSingleUse(t *testing.T) {
 // unspent: the next run with the same shadows rides them.
 func TestRejectedRunLeavesShadowsUnused(t *testing.T) {
 	sh := NewShadow("fcfs", sched.NewFCFS())
-	sh.SetMetrics(&DecisionMetrics{})
 	if _, err := Run(Config{Disk: xp(), Scheduler: sched.NewCSCAN(), Options: Options{
 		Shadows: []*Shadow{sh},
-		Fault:   &fault.Plan{FailDisk: 0, FailAt: 1_000, Metrics: quietMetrics()},
+		Fault:   &fault.Plan{FailDisk: 0, FailAt: 1_000},
 	}}, decisionWorkload(16)); err == nil {
 		t.Fatal("single-disk run accepted a whole-disk failure")
 	}
@@ -202,7 +189,6 @@ func TestArrayShadows(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := NewShadow("fcfs", sched.NewFCFS())
-	sh.SetMetrics(&DecisionMetrics{})
 	_, err = RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk,
 		Options: Options{Dims: 1, Levels: 8, Shadows: []*Shadow{sh}}}, goldenArrayTrace(15, array))
 	if err == nil || !strings.Contains(err.Error(), "needs a single-station run") {

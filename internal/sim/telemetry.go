@@ -69,7 +69,7 @@ func NewTelemetry(interval int64) *Telemetry {
 	if interval < 1 {
 		interval = 1
 	}
-	t := &Telemetry{Interval: interval, m: DefaultDecisionMetrics}
+	t := &Telemetry{Interval: interval}
 	t.visit = func(r *core.Request, v uint64) {
 		t.vmin, t.vmax = min(t.vmin, v), max(t.vmax, v)
 		if s := r.Slack(t.now); s != NoDeadlineSlack {
@@ -80,8 +80,8 @@ func NewTelemetry(interval int64) *Telemetry {
 	return t
 }
 
-// SetMetrics redirects the sampler's counters to m instead of the
-// process-wide DefaultDecisionMetrics. Call before the run starts.
+// SetMetrics installs m as the sink of the sampler's counters; nil (the
+// default) counts nothing. Call before the run starts.
 func (tel *Telemetry) SetMetrics(m *DecisionMetrics) { tel.m = m }
 
 // Rows returns the number of rows sampled since the last Reset.
@@ -110,7 +110,9 @@ func (tel *Telemetry) sample(e *Engine, t int64) {
 	}
 	tel.prevTime = t
 	tel.next = (t/tel.Interval + 1) * tel.Interval
-	tel.m.TelemetrySamples.Add(uint64(len(e.Stations)))
+	if tel.m != nil {
+		tel.m.TelemetrySamples.Add(uint64(len(e.Stations)))
+	}
 }
 
 // closeRun records the final partial interval: one closing row per

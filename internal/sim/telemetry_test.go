@@ -21,7 +21,6 @@ func runTelemetry(t *testing.T, seed uint64) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	tel.OnRow = TelemetryCSV(&buf)
 	MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
@@ -32,7 +31,6 @@ func runTelemetry(t *testing.T, seed uint64) *bytes.Buffer {
 
 func TestTelemetrySampling(t *testing.T) {
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	got := rowsOf(tel)
 	MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
@@ -80,7 +78,6 @@ func TestTelemetrySampling(t *testing.T) {
 // interval boundary an event happened to cross and the tail was lost.
 func TestTelemetryClosingRow(t *testing.T) {
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	got := rowsOf(tel)
 	res := MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
@@ -111,7 +108,6 @@ func TestTelemetryClosingRow(t *testing.T) {
 // An empty run produces no closing rows.
 func TestTelemetryEmptyRunNoRows(t *testing.T) {
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	MustRun(Config{
 		Disk: xp(), Scheduler: cascadedScheduler(),
 		Options: Options{Telemetry: tel},
@@ -145,7 +141,6 @@ func TestTelemetryCSVDeterministic(t *testing.T) {
 // a sweep.
 func TestTelemetryReset(t *testing.T) {
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	run := func() *bytes.Buffer {
 		var buf bytes.Buffer
 		tel.OnRow = TelemetryCSV(&buf)
@@ -168,7 +163,6 @@ func TestTelemetryReset(t *testing.T) {
 // Telemetry with a non-value scheduler records zero value fields.
 func TestTelemetryNonValueScheduler(t *testing.T) {
 	tel := NewTelemetry(50_000)
-	tel.SetMetrics(&DecisionMetrics{})
 	rows := rowsOf(tel)
 	MustRun(Config{
 		Disk: xp(), Scheduler: sched.NewFCFS(),
