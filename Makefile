@@ -32,7 +32,7 @@ goldens:
 # shutdown/ingress soak and the concurrent table-publishing soak.
 race:
 	go test -race ./internal/...
-	go test -race -count=20 ./internal/serve ./internal/core -run 'Dispatcher|Locked|Sharded|Scrape'
+	go test -race -count=20 ./internal/serve ./internal/core ./internal/obs -run 'Dispatcher|Locked|Sharded|Scrape'
 	go test -race -count=20 ./internal/sfc -run TestAccelerateConcurrently
 
 # Mirrors the CI coverage job: fail when total statement coverage over the
@@ -50,7 +50,9 @@ cover:
 perf:
 	go run ./bench
 
-# Every go-test benchmark with allocation columns.
+# Every go-test benchmark with allocation columns, the two kernel benches
+# among them: BenchmarkDispatcherAddNext (internal/core) and
+# BenchmarkHilbertIndexFast (internal/sfc).
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
 

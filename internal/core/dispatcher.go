@@ -56,29 +56,15 @@ type DispatcherConfig struct {
 	Expansion float64
 }
 
-// entry is one queued request with its characterization value. Entries are
+// queued is the payload of one queued request. Its value v_c is the heap
+// Key and its arrival number the Seq, the FIFO tie-break. Entries are
 // stored by value inside the queue heaps: enqueueing boxes nothing.
-type entry struct {
-	v   uint64
-	seq uint64 // FIFO tie-break
+type queued struct {
 	req *Request
-	// gen stamps preempters with the serving-queue epoch they preempted
-	// into; a batch swap bumps the epoch, which retires every outstanding
-	// preempter mark in O(1) instead of clearing flags across the queue.
-	gen       uint32
-	preempter bool // entered q by preemption or promotion in epoch gen
-}
-
-// entryCmp orders entries by (v, seq). It is a zero-size Comparer so the
-// heap's sift comparisons compile to direct, inlinable code.
-type entryCmp struct{}
-
-// Less implements Comparer.
-func (entryCmp) Less(a, b *entry) bool {
-	if a.v != b.v {
-		return a.v < b.v
-	}
-	return a.seq < b.seq
+	// preempter marks a request that entered q by preemption or
+	// promotion. q and q' swap only when q is empty, so a mark never
+	// outlives the batch it preempted into.
+	preempter bool
 }
 
 // Dispatcher drains requests in characterization-value order under the
@@ -86,13 +72,12 @@ func (entryCmp) Less(a, b *entry) bool {
 // Scheduler that owns it behind Lock for a concurrent front-end.
 type Dispatcher struct {
 	cfg    DispatcherConfig
-	q      Heap4[entry, entryCmp] // serving queue
-	qw     Heap4[entry, entryCmp] // waiting queue q'
-	curV   uint64                 // value of the in-service request
+	q      Heap4[queued] // serving queue
+	qw     Heap4[queued] // waiting queue q'
+	curV   uint64        // value of the in-service request
 	hasCur bool
-	w      uint64 // current window (ER may expand it)
-	seq    uint64
-	gen    uint32   // serving-queue epoch; see entry.gen
+	w      uint64   // current window (ER may expand it)
+	seq    uint64   // arrival counter: the heaps' tie-break
 	m      *Metrics // nil: count nothing
 }
 
@@ -138,7 +123,7 @@ func (d *Dispatcher) Len() int { return d.q.Len() + d.qw.Len() }
 
 // Add enqueues r with characterization value v.
 func (d *Dispatcher) Add(r *Request, v uint64) {
-	e := entry{v: v, seq: d.seq, req: r}
+	e := HeapItem[queued]{Key: v, Seq: d.seq, Val: queued{req: r}}
 	d.seq++
 	switch d.cfg.Mode {
 	case FullyPreemptive:
@@ -147,8 +132,7 @@ func (d *Dispatcher) Add(r *Request, v uint64) {
 		d.qw.Push(e)
 	case ConditionallyPreemptive:
 		if d.hasCur && d.clearsWindow(v, d.curV) {
-			e.preempter = true
-			e.gen = d.gen
+			e.Val.preempter = true
 			d.notePreemption()
 			d.q.Push(e)
 		} else {
@@ -170,7 +154,7 @@ func (d *Dispatcher) AddBatch(rs []*Request, vs []uint64) {
 	if len(rs) != len(vs) {
 		panic(fmt.Sprintf("core: AddBatch length mismatch: %d requests, %d values", len(rs), len(vs)))
 	}
-	var target *Heap4[entry, entryCmp]
+	var target *Heap4[queued]
 	switch d.cfg.Mode {
 	case FullyPreemptive:
 		target = &d.q
@@ -189,7 +173,7 @@ func (d *Dispatcher) AddBatch(rs []*Request, vs []uint64) {
 		return
 	}
 	for i, r := range rs {
-		target.Append(entry{v: vs[i], seq: d.seq, req: r})
+		target.Append(HeapItem[queued]{Key: vs[i], Seq: d.seq, Val: queued{req: r}})
 		d.seq++
 	}
 	target.Build()
@@ -243,34 +227,29 @@ func (d *Dispatcher) Next() *Request {
 		if d.m != nil {
 			d.m.Swaps.Inc()
 		}
-		// A swapped-in batch is the new serving set; none of its members
-		// preempted anything. Advancing the epoch retires any stale
-		// preempter marks without touching the batch.
-		d.gen++
 	}
 	if d.cfg.Mode == ConditionallyPreemptive && d.cfg.SP && d.qw.Len() > 0 {
 		d.promote()
 	}
 	e := d.q.Pop()
-	if d.cfg.ER && !(e.preempter && e.gen == d.gen) {
+	if d.cfg.ER && !e.Val.preempter {
 		if d.w != d.cfg.Window && d.m != nil {
 			d.m.WindowResets.Inc()
 		}
 		d.w = d.cfg.Window
 	}
-	d.curV = e.v
+	d.curV = e.Key
 	d.hasCur = true
-	return e.req
+	return e.Val.req
 }
 
 // promote implements SP: any waiting request that clears the window
 // against the next serving-queue request joins the serving queue.
 func (d *Dispatcher) promote() {
-	next := d.q.Peek().v
-	for d.qw.Len() > 0 && d.clearsWindow(d.qw.Peek().v, next) {
+	next := d.q.Peek().Key
+	for d.qw.Len() > 0 && d.clearsWindow(d.qw.Peek().Key, next) {
 		e := d.qw.Pop()
-		e.preempter = true
-		e.gen = d.gen
+		e.Val.preempter = true
 		if d.m != nil {
 			d.m.Promotions.Inc()
 		}
@@ -280,7 +259,7 @@ func (d *Dispatcher) promote() {
 			d.expandWindow()
 		}
 		d.q.Push(e)
-		next = d.q.Peek().v
+		next = d.q.Peek().Key
 	}
 }
 
@@ -288,10 +267,10 @@ func (d *Dispatcher) promote() {
 // in-service one). Metrics use it to sample priority inversions.
 func (d *Dispatcher) Each(visit func(*Request)) {
 	for _, e := range d.q.Slice() {
-		visit(e.req)
+		visit(e.Val.req)
 	}
 	for _, e := range d.qw.Slice() {
-		visit(e.req)
+		visit(e.Val.req)
 	}
 }
 
@@ -299,9 +278,9 @@ func (d *Dispatcher) Each(visit func(*Request)) {
 // enqueued at: the value the dispatcher orders it by.
 func (d *Dispatcher) EachValue(visit func(*Request, uint64)) {
 	for _, e := range d.q.Slice() {
-		visit(e.req, e.v)
+		visit(e.Val.req, e.Key)
 	}
 	for _, e := range d.qw.Slice() {
-		visit(e.req, e.v)
+		visit(e.Val.req, e.Key)
 	}
 }

@@ -348,3 +348,41 @@ func TestSchedulerWindowFraction(t *testing.T) {
 		t.Error("expected error for fraction > 1")
 	}
 }
+
+// BenchmarkDispatcherAddNext times one Add and one Next over a standing
+// queue of 4096 requests, per preemption mode, with a metrics sink
+// installed: the dispatcher's share of a closed-loop scheduler cycle.
+func BenchmarkDispatcherAddNext(b *testing.B) {
+	const depth, valueSpace = 4096, 1 << 20
+	val := func(i int) uint64 { return uint64(i*2654435761) % valueSpace }
+	for _, v := range []struct {
+		name string
+		cfg  DispatcherConfig
+	}{
+		{"full", DispatcherConfig{Mode: FullyPreemptive}},
+		{"cond", DispatcherConfig{Mode: ConditionallyPreemptive, Window: valueSpace / 20, SP: true, ER: true}},
+		{"nonpre", DispatcherConfig{Mode: NonPreemptive}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			d := counted(v.cfg)
+			reqs := make([]Request, depth+1)
+			for i := range depth {
+				d.Add(&reqs[i], val(i))
+			}
+			free, k := &reqs[depth], depth
+			cycle := func() {
+				d.Add(free, val(k))
+				free = d.Next()
+				k++
+			}
+			for range 4 * depth { // both queues grow to their steady capacity
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				cycle()
+			}
+		})
+	}
+}

@@ -1,55 +1,61 @@
 package core
 
-// Comparer is a strict-weak ordering over T. Implementations should be
-// zero-size struct types: the comparator is then a type parameter rather
-// than a stored func value, so comparisons dispatch statically instead of
-// through a function pointer on every sift step.
-type Comparer[T any] interface {
-	Less(a, b *T) bool
+// HeapItem is one element of a Heap4: the payload Val ordered by (Key,
+// Seq), lower first. Seq breaks ties between equal keys.
+type HeapItem[T any] struct {
+	Key, Seq uint64
+	Val      T
 }
 
-// Heap4 is a non-interface generic 4-ary min-heap storing values of type
-// T. It replaces container/heap on the dispatch hot path: elements are
-// kept inline in one slice (no per-element boxing through `any`, no
-// pointer chasing during sifts), the wider fan-out halves the sift depth,
-// and the slice's spare capacity acts as a freelist, so steady-state
-// Push/Pop perform no heap allocation. The zero value (with a zero-size
-// comparator) is an empty heap ready for use.
-type Heap4[T any, C Comparer[T]] struct {
-	a   []T
-	cmp C
+// before is the heap order. It takes the two keys as plain integers, not a
+// method of the element type: Go compiles a generic body once per GC
+// shape and calls a type parameter's methods through a dictionary, so a
+// comparator supplied as a type parameter is an indirect call on every
+// sift step and never inlines. This one inlines into both sift loops.
+func before(k1, s1, k2, s2 uint64) bool {
+	return k1 < k2 || k1 == k2 && s1 < s2
+}
+
+// Heap4 is a non-interface generic 4-ary min-heap of HeapItem[T]. It
+// replaces container/heap on the dispatch hot path: elements are kept
+// inline in one slice (no per-element boxing through `any`, no pointer
+// chasing during sifts), the order reads the concrete Key and Seq fields
+// stored beside the payload, the wider fan-out halves the sift depth, a
+// sift moves a hole and writes the element once, and the slice's spare
+// capacity acts as a freelist, so steady-state Push/Pop perform no heap
+// allocation. The zero value is an empty heap ready for use.
+type Heap4[T any] struct {
+	a []HeapItem[T]
 }
 
 // Len returns the number of elements.
-func (h *Heap4[T, C]) Len() int { return len(h.a) }
+func (h *Heap4[T]) Len() int { return len(h.a) }
 
 // Peek returns a pointer to the minimum element; it is only valid until the
 // next mutation. It panics on an empty heap.
-func (h *Heap4[T, C]) Peek() *T { return &h.a[0] }
+func (h *Heap4[T]) Peek() *HeapItem[T] { return &h.a[0] }
 
 // Push inserts x.
-func (h *Heap4[T, C]) Push(x T) {
+func (h *Heap4[T]) Push(x HeapItem[T]) {
 	h.a = append(h.a, x)
-	h.siftUp(len(h.a) - 1)
+	h.siftUp(len(h.a)-1, x)
 }
 
 // Pop removes and returns the minimum element.
-func (h *Heap4[T, C]) Pop() T {
+func (h *Heap4[T]) Pop() HeapItem[T] {
 	n := len(h.a) - 1
-	top := h.a[0]
-	h.a[0] = h.a[n]
-	var zero T
-	h.a[n] = zero // release references held by the vacated slot
+	top, last := h.a[0], h.a[n]
+	h.a[n] = HeapItem[T]{} // release references held by the vacated slot
 	h.a = h.a[:n]
 	if n > 0 {
-		h.siftDown(0)
+		h.siftDown(0, last)
 	}
 	return top
 }
 
 // Reset empties the heap but keeps its capacity. The vacated slots are
 // zeroed, so they hold no references.
-func (h *Heap4[T, C]) Reset() {
+func (h *Heap4[T]) Reset() {
 	clear(h.a)
 	h.a = h.a[:0]
 }
@@ -57,56 +63,59 @@ func (h *Heap4[T, C]) Reset() {
 // Append adds x without restoring heap order; callers must Build before the
 // next Peek/Push/Pop. Bulk loads Append n elements and Build once, which is
 // O(n) (Floyd) instead of n sift-ups.
-func (h *Heap4[T, C]) Append(x T) { h.a = append(h.a, x) }
+func (h *Heap4[T]) Append(x HeapItem[T]) { h.a = append(h.a, x) }
 
 // Build restores heap order over the whole slice.
-func (h *Heap4[T, C]) Build() {
-	for i := (len(h.a) - 2) / 4; i >= 0; i-- {
-		h.siftDown(i)
+func (h *Heap4[T]) Build() {
+	// From the last parent, (n-2)/4, or -1 when n < 2.
+	for i := (len(h.a)+2)/4 - 1; i >= 0; i-- {
+		h.siftDown(i, h.a[i])
 	}
 }
 
 // Slice exposes the backing slice in heap (unspecified) order, for
-// iteration and in-place flag updates. Reordering entries through it breaks
-// the heap.
-func (h *Heap4[T, C]) Slice() []T { return h.a }
+// iteration. Changing a Key or Seq through it breaks the heap.
+func (h *Heap4[T]) Slice() []HeapItem[T] { return h.a }
 
-// SwapWith exchanges the contents of h and o. Both heaps must share the
-// same ordering; heap order is preserved.
-func (h *Heap4[T, C]) SwapWith(o *Heap4[T, C]) { h.a, o.a = o.a, h.a }
+// SwapWith exchanges the contents of h and o; heap order is preserved.
+func (h *Heap4[T]) SwapWith(o *Heap4[T]) { h.a, o.a = o.a, h.a }
 
-func (h *Heap4[T, C]) siftUp(i int) {
+// siftUp places x, whose slot is the hole at i, by moving the hole up past
+// every parent x precedes.
+func (h *Heap4[T]) siftUp(i int, x HeapItem[T]) {
+	a := h.a
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.cmp.Less(&h.a[i], &h.a[parent]) {
-			return
+		if !before(x.Key, x.Seq, a[parent].Key, a[parent].Seq) {
+			break
 		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
+		a[i] = a[parent]
 		i = parent
 	}
+	a[i] = x
 }
 
-func (h *Heap4[T, C]) siftDown(i int) {
-	n := len(h.a)
+// siftDown places x into the hole at i by moving the hole down past every
+// smallest child that precedes x.
+func (h *Heap4[T]) siftDown(i int, x HeapItem[T]) {
+	a := h.a
+	n := len(a)
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		min := first
-		for j := first + 1; j < last; j++ {
-			if h.cmp.Less(&h.a[j], &h.a[min]) {
-				min = j
+		c := first // the smallest child
+		for j := first + 1; j < min(first+4, n); j++ {
+			if before(a[j].Key, a[j].Seq, a[c].Key, a[c].Seq) {
+				c = j
 			}
 		}
-		if !h.cmp.Less(&h.a[min], &h.a[i]) {
-			return
+		if !before(a[c].Key, a[c].Seq, x.Key, x.Seq) {
+			break
 		}
-		h.a[i], h.a[min] = h.a[min], h.a[i]
-		i = min
+		a[i] = a[c]
+		i = c
 	}
+	a[i] = x
 }

@@ -5,34 +5,39 @@ import (
 	"testing"
 )
 
-// popAll drains h and returns the (v, seq) sequence.
-func popAll(h *Heap4[entry, entryCmp]) []entry {
-	out := make([]entry, 0, h.Len())
+// item is the element type the heap tests use.
+type item = HeapItem[queued]
+
+// popAll drains h and returns the (Key, Seq) sequence.
+func popAll(h *Heap4[queued]) []item {
+	out := make([]item, 0, h.Len())
 	for h.Len() > 0 {
 		out = append(out, h.Pop())
 	}
 	return out
 }
 
-func checkSorted(t *testing.T, es []entry) {
+// less is the heap order written out: by Key, then by Seq.
+func less(a, b item) bool { return a.Key < b.Key || a.Key == b.Key && a.Seq < b.Seq }
+
+func checkSorted(t *testing.T, es []item) {
 	t.Helper()
-	var cmp entryCmp
 	for i := 1; i < len(es); i++ {
-		if cmp.Less(&es[i], &es[i-1]) {
-			t.Fatalf("pop %d: (%d,%d) after (%d,%d)", i, es[i].v, es[i].seq, es[i-1].v, es[i-1].seq)
+		if less(es[i], es[i-1]) {
+			t.Fatalf("pop %d: (%d,%d) after (%d,%d)", i, es[i].Key, es[i].Seq, es[i-1].Key, es[i-1].Seq)
 		}
 	}
 }
 
 func TestHeap4SortsRandomInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var h Heap4[entry, entryCmp]
+	var h Heap4[queued]
 	const n = 2000
 	counts := map[uint64]int{}
 	for i := 0; i < n; i++ {
 		v := uint64(rng.Intn(300)) // few distinct values: exercise seq ties
 		counts[v]++
-		h.Push(entry{v: v, seq: uint64(i)})
+		h.Push(item{Key: v, Seq: uint64(i)})
 	}
 	out := popAll(&h)
 	if len(out) != n {
@@ -40,7 +45,7 @@ func TestHeap4SortsRandomInput(t *testing.T) {
 	}
 	checkSorted(t, out)
 	for _, e := range out {
-		counts[e.v]--
+		counts[e.Key]--
 	}
 	for v, c := range counts {
 		if c != 0 {
@@ -52,9 +57,9 @@ func TestHeap4SortsRandomInput(t *testing.T) {
 func TestHeap4BuildMatchesPush(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 2, 5, 63, 64, 65, 1000} {
-		var pushed, built Heap4[entry, entryCmp]
+		var pushed, built Heap4[queued]
 		for i := 0; i < n; i++ {
-			e := entry{v: uint64(rng.Intn(100)), seq: uint64(i)}
+			e := item{Key: uint64(rng.Intn(100)), Seq: uint64(i)}
 			pushed.Push(e)
 			built.Append(e)
 		}
@@ -73,12 +78,12 @@ func TestHeap4BuildMatchesPush(t *testing.T) {
 
 func TestHeap4MixedPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var h Heap4[entry, entryCmp]
+	var h Heap4[queued]
 	seq := uint64(0)
-	var drained []entry
+	var drained []item
 	for round := 0; round < 50; round++ {
 		for i := 0; i < rng.Intn(40); i++ {
-			h.Push(entry{v: uint64(rng.Intn(50)), seq: seq})
+			h.Push(item{Key: uint64(rng.Intn(50)), Seq: seq})
 			seq++
 		}
 		for i := rng.Intn(30); i > 0 && h.Len() > 0; i-- {
@@ -88,9 +93,8 @@ func TestHeap4MixedPushPop(t *testing.T) {
 		// so only check the invariant that Peek is the minimum.
 		if h.Len() > 0 {
 			min := *h.Peek()
-			var cmp entryCmp
-			for i := range h.Slice() {
-				if cmp.Less(&h.Slice()[i], &min) {
+			for _, e := range h.Slice() {
+				if less(e, min) {
 					t.Fatalf("round %d: Peek %+v not minimal", round, min)
 				}
 			}
@@ -99,27 +103,27 @@ func TestHeap4MixedPushPop(t *testing.T) {
 }
 
 func TestHeap4SwapWith(t *testing.T) {
-	var a, b Heap4[entry, entryCmp]
-	a.Push(entry{v: 1})
-	a.Push(entry{v: 2})
-	b.Push(entry{v: 7})
+	var a, b Heap4[queued]
+	a.Push(item{Key: 1})
+	a.Push(item{Key: 2})
+	b.Push(item{Key: 7})
 	a.SwapWith(&b)
 	if a.Len() != 1 || b.Len() != 2 {
 		t.Fatalf("lens after swap: %d, %d", a.Len(), b.Len())
 	}
-	if a.Peek().v != 7 || b.Peek().v != 1 {
-		t.Fatalf("mins after swap: %d, %d", a.Peek().v, b.Peek().v)
+	if a.Peek().Key != 7 || b.Peek().Key != 1 {
+		t.Fatalf("mins after swap: %d, %d", a.Peek().Key, b.Peek().Key)
 	}
 }
 
 func TestHeap4PopReleasesSlot(t *testing.T) {
-	var h Heap4[entry, entryCmp]
+	var h Heap4[queued]
 	r := &Request{ID: 9}
-	h.Push(entry{v: 1, req: r})
-	h.Push(entry{v: 2, req: r})
+	h.Push(item{Key: 1, Val: queued{req: r}})
+	h.Push(item{Key: 2, Val: queued{req: r}})
 	h.Pop()
 	// The vacated tail slot must not pin the request pointer.
-	if tail := h.a[:cap(h.a)][h.Len()]; tail.req != nil {
+	if tail := h.a[:cap(h.a)][h.Len()]; tail.Val.req != nil {
 		t.Error("popped slot still references the request")
 	}
 }

@@ -88,13 +88,17 @@ func (s *Scheduler) SetMetrics(m *Metrics) { s.disp.SetMetrics(m) }
 
 // observeHead advances the sweep timeline to the given head position.
 // Any movement counts as forward cyclic progress, which is exact while the
-// scheduler itself drives the head in sweep order.
+// scheduler itself drives the head in sweep order. A head that has not
+// moved changes nothing, so it costs no gauge store.
 func (s *Scheduler) observeHead(head int) {
 	c := s.cylinders
 	if c <= 0 {
 		return
 	}
 	head = min(max(head, 0), c-1)
+	if head == s.lastHead {
+		return
+	}
 	s.progress += uint64((head - s.lastHead + c) % c)
 	s.lastHead = head
 	if m := s.disp.Metrics(); m != nil {

@@ -80,8 +80,10 @@ const histBuckets = 65
 
 // Histogram is a log2-bucketed distribution of non-negative integer
 // observations (latencies in microseconds, queue lengths, ...). Observe is
-// allocation-free and wait-free: one Add per bucket, count and sum. The
-// zero value is ready to use.
+// allocation-free and wait-free: one Add to the bucket and one to the sum.
+// There is no separate count: Count sums the buckets, so a count and the
+// buckets read from one Snapshot always agree. The zero value is ready to
+// use.
 //
 // Bucket k counts observations v with bits.Len64(v) == k, i.e. bucket 0 is
 // v == 0 and bucket k >= 1 spans [2^(k-1), 2^k). Powers of two keep the
@@ -89,7 +91,6 @@ const histBuckets = 65
 // quantile-estimation error by 2x — the resolution operational latency
 // monitoring actually uses.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
@@ -97,19 +98,24 @@ type Histogram struct {
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Mean returns the average observed value, or 0 before any observation.
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -125,6 +131,18 @@ func (h *Histogram) Snapshot() [histBuckets]uint64 {
 		s[i] = h.buckets[i].Load()
 	}
 	return s
+}
+
+// frozen copies h bucket by bucket into a histogram no writer touches, so
+// its Count, Sum and Quantiles all describe one set of observations. The
+// exporters read a live histogram through it.
+func (h *Histogram) frozen() *Histogram {
+	f := new(Histogram)
+	for i := range h.buckets {
+		f.buckets[i].Store(h.buckets[i].Load())
+	}
+	f.sum.Store(h.sum.Load())
+	return f
 }
 
 // Quantiles estimates several quantiles from one consistent bucket

@@ -145,6 +145,7 @@ func writeProm(w io.Writer, name string, mv metricVar) error {
 		if err != nil {
 			return err
 		}
+		v = v.frozen() // _count must equal the +Inf bucket
 		s := v.Snapshot()
 		var cum uint64
 		for k, c := range s {
@@ -203,6 +204,7 @@ func (r *Registry) Snapshot() map[string]any {
 		case *MaxGauge:
 			out[name] = v.Load()
 		case *Histogram:
+			v = v.frozen() // count and quantiles from one set of observations
 			qs := v.Quantiles(0.50, 0.95, 0.99)
 			out[name] = map[string]any{
 				"count": v.Count(),

@@ -3,7 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -111,6 +113,55 @@ func TestHandlerAndSnapshot(t *testing.T) {
 	hm := back["h"].(map[string]any)
 	if hm["count"].(float64) != 1 || hm["sum"].(float64) != 9 {
 		t.Errorf("snapshot histogram = %v", hm)
+	}
+}
+
+// A histogram's _count must equal its le="+Inf" bucket in every scrape,
+// also while writers observe: the exposition format requires it, so both
+// have to come from one snapshot of the buckets.
+func TestScrapeCountMatchesInfBucket(t *testing.T) {
+	r := NewRegistry()
+	var h Histogram
+	mustRegister(t, r, "wait_us", "", &h)
+	inf := regexp.MustCompile(`wait_us_bucket\{le="\+Inf"\} (\d+)\n`)
+	count := regexp.MustCompile(`wait_us_count (\d+)\n`)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := uint64(w); ; v++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for range 64 {
+					h.Observe(v & 1023)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var b strings.Builder
+	for i := range 500 {
+		b.Reset()
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		bucket, total := inf.FindStringSubmatch(out), count.FindStringSubmatch(out)
+		if bucket == nil || total == nil {
+			t.Fatalf("scrape %d lacks the +Inf bucket or the count:\n%s", i, out)
+		}
+		if bucket[1] != total[1] {
+			t.Fatalf("scrape %d: wait_us_count %s, le=\"+Inf\" bucket %s", i, total[1], bucket[1])
+		}
 	}
 }
 

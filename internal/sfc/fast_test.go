@@ -245,12 +245,27 @@ func FuzzIndexFastEquivalence(f *testing.F) {
 	moo := MustNew("moore", 2, 64)
 	curves := []Curve{hil, pea, moo}
 	scratch := make([]uint32, 8)
+	// Hilbert.Index calls IndexFast, so the Hilbert kernel is also held to
+	// the branchy reference, in 3 and in 12 dimensions.
+	hil12 := MustNew("hilbert", 12, 16)
+	p12 := make(Point, 12)
 	f.Fuzz(func(t *testing.T, a, b, c uint16) {
 		for _, cv := range curves {
 			p := Point{uint32(a) % cv.Side(), uint32(b) % cv.Side(), uint32(c) % cv.Side()}[:cv.Dims()]
 			if got, want := cv.IndexFast(p, scratch), cv.Index(p); got != want {
 				t.Fatalf("%s: IndexFast(%v) = %d, Index = %d", cv.Name(), p, got, want)
 			}
+		}
+		p := Point{uint32(a) % 256, uint32(b) % 256, uint32(c) % 256}
+		if got, want := hil.IndexFast(p, scratch), hilbertRef(p, 8); got != want {
+			t.Fatalf("hilbert: IndexFast(%v) = %d, reference %d", p, got, want)
+		}
+		bits := uint64(a) | uint64(b)<<16 | uint64(c)<<32 // one nibble per coordinate
+		for i := range p12 {
+			p12[i] = uint32(bits >> (4 * i) & 15)
+		}
+		if got, want := hil12.IndexFast(p12, nil), hilbertRef(p12, 4); got != want {
+			t.Fatalf("hilbert 12d: IndexFast(%v) = %d, reference %d", p12, got, want)
 		}
 	})
 }

@@ -40,12 +40,16 @@ func (c *Hilbert) IndexFast(p Point, scratch []uint32) uint64 {
 		x[i] = p[c.dims-1-i]
 	}
 	axesToTranspose(x, c.bits)
-	// Interleave the transposed words into the scalar index.
+	// Interleave the transposed words into the scalar index: bit plane b
+	// is digit b of the index in base 2^dims, X[0] its top bit. Each plane
+	// is gathered on its own dependency chain.
 	var idx uint64
-	for b := c.bits - 1; b >= 0; b-- {
-		for i := 0; i < c.dims; i++ {
-			idx = idx<<1 | uint64(x[i]>>b&1)
+	for b := 0; b < c.bits; b++ {
+		var plane uint64
+		for _, w := range x {
+			plane = plane<<1 | uint64(w>>b&1)
 		}
+		idx |= plane << (b * c.dims)
 	}
 	return idx
 }
@@ -73,34 +77,36 @@ func (c *Hilbert) Point(idx uint64, dst Point) Point {
 }
 
 // axesToTranspose converts grid coordinates (in transpose layout) into the
-// transposed Hilbert index in place. Skilling 2004, figure 2.
+// transposed Hilbert index in place. Skilling 2004, figure 2, without its
+// branches: where bit b of X[i] is set, the inverse undo inverts the low
+// bits of X[0], else it exchanges them with X[i]'s. Which one happens
+// depends on the coordinates and mispredicts often, so a mask made from
+// that bit selects between the two.
 func axesToTranspose(x []uint32, bits int) {
 	n := len(x)
-	m := uint32(1) << (bits - 1)
-	// Inverse undo.
-	for q := m; q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
+	// Inverse undo. For i == 0 the exchange is a no-op.
+	x0 := x[0]
+	for b := bits - 1; b > 0; b-- {
+		low := uint32(1)<<b - 1
+		x0 ^= low & -(x0 >> b & 1)
+		for i := 1; i < n; i++ {
+			xi := x[i]
+			invert := -(xi >> b & 1) // all ones where bit b is set
+			t := (x0 ^ xi) & low &^ invert
+			x0 ^= t | low&invert
+			x[i] = xi ^ t
 		}
 	}
+	x[0] = x0
 	// Gray encode.
 	for i := 1; i < n; i++ {
 		x[i] ^= x[i-1]
 	}
 	var t uint32
-	for q := m; q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
+	for b := bits - 1; b > 0; b-- {
+		t ^= (uint32(1)<<b - 1) & -(x[n-1] >> b & 1)
 	}
-	for i := 0; i < n; i++ {
+	for i := range x {
 		x[i] ^= t
 	}
 }

@@ -27,17 +27,17 @@ func skipUnderRace(t *testing.T) {
 // queue.removeAt guards against): a retained timer closure can pin a whole
 // station's object graph across runs of a recycled engine.
 func TestEventHeapPopZeroesSlot(t *testing.T) {
-	var h core.Heap4[event, eventCmp]
+	var h core.Heap4[event]
 	st := &Station{}
 	fill := func() {
 		for i := 0; i < 8; i++ {
-			h.Push(event{time: int64(i), seq: uint64(i), station: st, fn: func(int64) {}})
+			h.Push(core.HeapItem[event]{Key: timeKey(int64(i)), Seq: uint64(i), Val: event{station: st, fn: func(int64) {}}})
 		}
 	}
 	check := func(after string) {
 		spare := h.Slice()[:cap(h.Slice())]
 		for i := range spare {
-			if spare[i].fn != nil || spare[i].station != nil {
+			if spare[i].Val.fn != nil || spare[i].Val.station != nil {
 				t.Fatalf("heap slot %d retains pointers after %s: %+v", i, after, spare[i])
 			}
 		}

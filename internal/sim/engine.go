@@ -94,23 +94,22 @@ func (s *Station) serviceTimeAt(cyl int, size int64) (int64, int64) {
 const timerSeqBase = uint64(1) << 32
 
 // event is one pending engine event: a service completion (station set)
-// or a timer callback (fn set). The queue orders events by (time, seq):
-// seq is a deterministic tie-break — completion events use the station
-// ID, timers a monotone counter above timerSeqBase — so identical
-// configurations replay identically. The order is total, so the pop order
-// does not depend on the heap's shape.
+// or a timer callback (fn set). The queue orders events by (time, seq),
+// the time as its key (timeKey): seq is a deterministic tie-break —
+// completion events use the station ID, timers a monotone counter above
+// timerSeqBase — so identical configurations replay identically. The
+// order is total, so the pop order does not depend on the heap's shape.
 type event struct {
-	time    int64
-	seq     uint64
 	station *Station
 	fn      func(now int64)
 }
 
-type eventCmp struct{}
+// timeKey maps an event time onto the heap's unsigned key, preserving
+// order: flipping the sign bit puts negative times below positive ones.
+func timeKey(t int64) uint64 { return uint64(t) ^ 1<<63 }
 
-func (eventCmp) Less(a, b *event) bool {
-	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
-}
+// keyTime inverts timeKey.
+func keyTime(k uint64) int64 { return int64(k ^ 1<<63) }
 
 // Engine is the deterministic event-driven simulator core. Setup assembles
 // a run from Options and the topology's stations; the topology then
@@ -145,7 +144,7 @@ type Engine struct {
 	// nil or zero. It draws from its own RNG stream, so a run without
 	// one is byte-identical to a run with a zero plan.
 	faults   *fault.Injector
-	events   core.Heap4[event, eventCmp]
+	events   core.Heap4[event]
 	now      int64
 	timerSeq uint64
 	// retries is the free list of fault retry timers.
@@ -230,7 +229,7 @@ func (e *Engine) shadowReports() []ShadowReport {
 // before arrivals, in scheduling order.
 func (e *Engine) At(t int64, fn func(now int64)) {
 	e.timerSeq++
-	e.events.Push(event{time: t, seq: timerSeqBase + e.timerSeq, fn: fn})
+	e.events.Push(core.HeapItem[event]{Key: timeKey(t), Seq: timerSeqBase + e.timerSeq, Val: event{fn: fn}})
 }
 
 // Run drives the engine until every event has fired and the trace is
@@ -252,7 +251,7 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 	for {
 		t := int64(-1)
 		if e.events.Len() > 0 {
-			t = e.events.Peek().time
+			t = keyTime(e.events.Peek().Key)
 		}
 		if i < len(trace) && (t < 0 || trace[i].Arrival < t) {
 			t = trace[i].Arrival
@@ -263,8 +262,8 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 		e.now = t
 		// Completions first, so freed stations (and any follow-up work the
 		// OnServed hook enqueues) can take this round's arrivals.
-		for e.events.Len() > 0 && e.events.Peek().time == t {
-			ev := e.events.Pop()
+		for k := timeKey(t); e.events.Len() > 0 && e.events.Peek().Key == k; {
+			ev := e.events.Pop().Val
 			if ev.fn != nil {
 				ev.fn(t)
 				continue
@@ -361,7 +360,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 				e.OnLateStart(st, r, now)
 			}
 		}
-		e.events.Push(event{time: now + svc, seq: uint64(st.ID), station: st})
+		e.events.Push(core.HeapItem[event]{Key: timeKey(now + svc), Seq: uint64(st.ID), Val: event{station: st}})
 	}
 	if st.inSvc == nil && st.Sched.Len() == 0 {
 		st.Sched.Next(now, st.head)
