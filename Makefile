@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: all vet build test race cover bench bench-smoke perf goldens
+.PHONY: all vet build test race cover bench bench-smoke perf goldens loc
 
 all: vet build test
 
@@ -59,3 +59,11 @@ bench:
 # One iteration of every benchmark: catches bit-rot without the cost.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
+
+# The line counts a simplification cites: Go lines under internal/, cmd/
+# and examples/ outside tests that are neither blank nor a // comment,
+# then every line of the test files there.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | \
+		awk '{ sub(/^[ \t]+/, "") } $$0 != "" && !/^\/\// { n++ } END { printf "code  %d\n", n }'
+	@find internal cmd examples -name '*_test.go' -print0 | xargs -0 cat | awk 'END { printf "tests %d\n", NR }'

@@ -45,6 +45,8 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"fault-rate negative", []string{"-fault-rate", "-0.5"}, "fault flags: fault: TransientRate -0.5 outside [0,1]"},
 		{"negative retries", []string{"-retries", "-1"}, "-retries"},
 		{"negative retry base", []string{"-retry-base", "-5ms"}, "fault flags: fault: negative RetryBase"},
+		{"fault-rate NaN", []string{"-fault-rate", "NaN"}, "fault flags: fault: TransientRate NaN outside [0,1]"},
+		{"retry backoff overflows", []string{"-fault-rate", "0.97", "-retries", "62", "-drop=false"}, "fault flags: fault: 62 retries"},
 		{"two-disk array", []string{"-array", "2"}, "-array: disk: RAID-5 needs at least 3 disks, got 2"},
 		{"negative array", []string{"-array", "-1"}, "-array: disk: RAID-5 needs at least 3 disks, got -1"},
 		{"array zero block size", []string{"-array", "5", "-block", "0"}, "-array: disk: invalid block size 0"},

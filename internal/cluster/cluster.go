@@ -24,8 +24,9 @@
 // Routing reads queue depths at the arrival instant, which the engine
 // orders deterministically; admission is exact integer token
 // arithmetic; stations dispatch in station-index order at each event
-// time. Identical configurations therefore replay byte-identically, including across runner.Map worker counts — pinned
-// by the cross-worker CSV tests and FuzzClusterDeterminism.
+// time. Identical configurations therefore replay byte-identically,
+// including across runner.Map worker counts — pinned by the cross-worker
+// CSV tests and FuzzClusterDeterminism.
 package cluster
 
 import (
@@ -138,7 +139,7 @@ func (c *ClassStats) LossRate() float64 {
 type NodeStats struct {
 	Node int
 	// Routed counts requests the router sent here; Served and Dropped
-	// their dispatch outcomes.
+	// their dispatch outcomes. All three sum the member disks' collectors.
 	Routed  uint64
 	Served  uint64
 	Dropped uint64
@@ -267,7 +268,7 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	}, stations, false); err != nil {
 		return nil, err
 	}
-	eng.OnServed = func(st *sim.Station, r *core.Request, now int64) {
+	eng.OnServed = func(_ *sim.Station, r *core.Request, now int64, late bool) {
 		cs := res.PerClass[r.Class]
 		cs.Served++
 		lat := now - r.Arrival
@@ -276,27 +277,25 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		}
 		cs.Latency.Observe(uint64(lat))
 		cs.LatencySum += lat
-		res.PerNode[st.ID/dpn].Served++
 		res.Tenants[r.Tenant].Served++
+		if late {
+			cs.Late++
+		}
 		if m != nil {
 			m.Served.Inc()
 			m.LatencyUS.Observe(uint64(lat))
+			if late {
+				m.LateStarts.Inc()
+			}
 		}
 		free = append(free, r)
 	}
-	eng.OnDropped = func(st *sim.Station, r *core.Request, now int64) {
+	eng.OnDropped = func(_ *sim.Station, r *core.Request, _ int64) {
 		res.PerClass[r.Class].DispatchDropped++
-		res.PerNode[st.ID/dpn].Dropped++
 		if m != nil {
 			m.DispatchDropped.Inc()
 		}
 		free = append(free, r)
-	}
-	eng.OnLateStart = func(st *sim.Station, r *core.Request, now int64) {
-		res.PerClass[r.Class].Late++
-		if m != nil {
-			m.LateStarts.Inc()
-		}
 	}
 
 	res.Makespan = eng.Run(trace, func(r *core.Request, now int64) {
@@ -319,7 +318,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		cs.Admitted++
 		ten.Admitted++
 		n := min(max(router.Route(r, nodes, now), 0), cfg.Nodes-1)
-		res.PerNode[n].Routed++
 		if m != nil {
 			m.Routed.Inc()
 			m.NodeDepthMax.Observe(int64(nodes[n].Depth()))
@@ -345,6 +343,9 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 
 	for i, st := range stations {
 		ns := &res.PerNode[i/dpn]
+		ns.Routed += st.Col.Arrived
+		ns.Served += st.Col.Served
+		ns.Dropped += st.Col.Dropped
 		ns.SeekTime += st.Col.SeekTime
 		ns.BusyTime += st.Col.ServiceTime
 		ns.HeadTravel += st.HeadTravel()

@@ -115,6 +115,48 @@ func TestClusterAccountingInvariants(t *testing.T) {
 	}
 }
 
+// Without DropLate every late start is served: the classes' Late, the
+// member collectors' Late and the LateStarts counter must agree, no class
+// can be late more often than it was served, and every node's row must
+// be its member disks' collector sums.
+func TestClusterLateAndNodeLedgers(t *testing.T) {
+	cfg := testConfig(t, 2, 2)
+	cfg.DropLate = false
+	cfg.Router = LeastLoaded{}
+	cfg.Metrics = &Metrics{}
+	res := MustRun(cfg, testTrace(t, cfg, 9, 3000, 1500, 1.2))
+
+	var classLate, diskLate uint64
+	for _, cs := range res.PerClass {
+		if cs.Late > cs.Served {
+			t.Errorf("class %d: %d late of %d served", cs.Class, cs.Late, cs.Served)
+		}
+		classLate += cs.Late
+	}
+	for _, col := range res.PerDisk {
+		diskLate += col.Late
+	}
+	if classLate == 0 || classLate != diskLate || classLate != cfg.Metrics.LateStarts.Load() {
+		t.Errorf("late starts: classes %d, disks %d, LateStarts %d; want equal and nonzero",
+			classLate, diskLate, cfg.Metrics.LateStarts.Load())
+	}
+
+	dpn := cfg.DisksPerNode
+	for n, ns := range res.PerNode {
+		want := NodeStats{Node: n, HeadTravel: ns.HeadTravel}
+		for _, col := range res.PerDisk[n*dpn : (n+1)*dpn] {
+			want.Routed += col.Arrived
+			want.Served += col.Served
+			want.Dropped += col.Dropped
+			want.SeekTime += col.SeekTime
+			want.BusyTime += col.ServiceTime
+		}
+		if ns != want {
+			t.Errorf("node %d: %+v, members sum to %+v", n, ns, want)
+		}
+	}
+}
+
 // Identical configurations must replay identically: scalar ledgers,
 // makespan and latency percentiles.
 func TestClusterDeterministic(t *testing.T) {

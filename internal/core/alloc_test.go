@@ -162,7 +162,7 @@ func TestAddBatchSteadyStateNoAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = &Request{ID: uint64(i), Priorities: []int{i % 8, 0, 0}, Deadline: 500_000, Cylinder: (i * 37) % 3832}
 	}
-	// One warm-up cycle sizes vbuf and the heap slice.
+	// One warm-up cycle sizes the heap slice.
 	s.AddBatch(batch, 0, 0)
 	for s.Next(0, 0) != nil {
 	}

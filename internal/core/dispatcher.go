@@ -145,44 +145,6 @@ func (d *Dispatcher) Add(r *Request, v uint64) {
 	}
 }
 
-// AddBatch enqueues rs[i] with value vs[i] for every i, preserving Add's
-// per-arrival semantics. In the fully- and non-preemptive modes an empty
-// target queue is bulk-loaded and heapified once (Floyd build) instead of
-// sifting each arrival up individually; the conditionally-preemptive mode
-// must evaluate the blocking window per arrival and degenerates to a loop.
-func (d *Dispatcher) AddBatch(rs []*Request, vs []uint64) {
-	if len(rs) != len(vs) {
-		panic(fmt.Sprintf("core: AddBatch length mismatch: %d requests, %d values", len(rs), len(vs)))
-	}
-	var target *Heap4[queued]
-	switch d.cfg.Mode {
-	case FullyPreemptive:
-		target = &d.q
-	case NonPreemptive:
-		target = &d.qw
-	default:
-		for i, r := range rs {
-			d.Add(r, vs[i])
-		}
-		return
-	}
-	if target.Len() > 0 {
-		for i, r := range rs {
-			d.Add(r, vs[i])
-		}
-		return
-	}
-	for i, r := range rs {
-		target.Append(HeapItem[queued]{Key: vs[i], Seq: d.seq, Val: queued{req: r}})
-		d.seq++
-	}
-	target.Build()
-	if m := d.m; m != nil {
-		m.Adds.Add(uint64(len(rs)))
-		m.QueueDepthHiWater.Observe(int64(d.q.Len() + d.qw.Len()))
-	}
-}
-
 // clearsWindow reports whether value v is significantly higher priority
 // than reference ref, i.e. v < ref - w without underflow.
 func (d *Dispatcher) clearsWindow(v, ref uint64) bool {

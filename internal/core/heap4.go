@@ -60,19 +60,6 @@ func (h *Heap4[T]) Reset() {
 	h.a = h.a[:0]
 }
 
-// Append adds x without restoring heap order; callers must Build before the
-// next Peek/Push/Pop. Bulk loads Append n elements and Build once, which is
-// O(n) (Floyd) instead of n sift-ups.
-func (h *Heap4[T]) Append(x HeapItem[T]) { h.a = append(h.a, x) }
-
-// Build restores heap order over the whole slice.
-func (h *Heap4[T]) Build() {
-	// From the last parent, (n-2)/4, or -1 when n < 2.
-	for i := (len(h.a)+2)/4 - 1; i >= 0; i-- {
-		h.siftDown(i, h.a[i])
-	}
-}
-
 // Slice exposes the backing slice in heap (unspecified) order, for
 // iteration. Changing a Key or Seq through it breaks the heap.
 func (h *Heap4[T]) Slice() []HeapItem[T] { return h.a }

@@ -54,28 +54,6 @@ func TestHeap4SortsRandomInput(t *testing.T) {
 	}
 }
 
-func TestHeap4BuildMatchesPush(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 2, 5, 63, 64, 65, 1000} {
-		var pushed, built Heap4[queued]
-		for i := 0; i < n; i++ {
-			e := item{Key: uint64(rng.Intn(100)), Seq: uint64(i)}
-			pushed.Push(e)
-			built.Append(e)
-		}
-		built.Build()
-		p, b := popAll(&pushed), popAll(&built)
-		if len(p) != len(b) {
-			t.Fatalf("n=%d: lengths differ: %d vs %d", n, len(p), len(b))
-		}
-		for i := range p {
-			if p[i] != b[i] {
-				t.Fatalf("n=%d: pop %d differs: %+v vs %+v", n, i, p[i], b[i])
-			}
-		}
-	}
-}
-
 func TestHeap4MixedPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var h Heap4[queued]

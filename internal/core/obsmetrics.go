@@ -15,7 +15,7 @@ import (
 // check per counting site. The owner registers the sink it installed (see
 // Metrics.Register) when it wants the counts scraped.
 type Metrics struct {
-	// Adds counts requests enqueued (Add and AddBatch items).
+	// Adds counts requests enqueued.
 	Adds obs.Counter
 	// Dispatches counts requests handed out by Next.
 	Dispatches obs.Counter

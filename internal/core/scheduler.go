@@ -31,8 +31,6 @@ type Scheduler struct {
 	cylinders int
 	progress  uint64
 	lastHead  int
-
-	vbuf []uint64 // reusable AddBatch value buffer
 }
 
 // NewScheduler builds the full scheduler. If dcfg.Window is zero and
@@ -113,23 +111,14 @@ func (s *Scheduler) Add(r *Request, now int64, head int) {
 	s.disp.Add(r, s.v.ValueAt(r, now, head, s.progress))
 }
 
-// AddBatch enqueues every request of rs at time now with the disk head at
-// cylinder head. Values are computed once into a reused buffer and handed
-// to the dispatcher's bulk insert, which heapifies an empty queue in one
-// O(n) pass instead of n sift-ups.
+// AddBatch enqueues every request of rs, in order, exactly as Add would.
+// Nothing outside tests calls it but the benchmark's ledger
+// (bench/layers.go), which stays frozen until the benchmark is next
+// revised.
 func (s *Scheduler) AddBatch(rs []*Request, now int64, head int) {
-	if len(rs) == 0 {
-		return
+	for _, r := range rs {
+		s.Add(r, now, head)
 	}
-	s.observeHead(head)
-	if cap(s.vbuf) < len(rs) {
-		s.vbuf = make([]uint64, len(rs))
-	}
-	vs := s.vbuf[:len(rs)]
-	for i, r := range rs {
-		vs[i] = s.v.ValueAt(r, now, head, s.progress)
-	}
-	s.disp.AddBatch(rs, vs)
 }
 
 // Next dispatches the next request, or nil when idle.

@@ -8,7 +8,10 @@
 // byte-identical to a run without one.
 package fault
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Defaults applied by New when the corresponding Plan field is zero.
 const (
@@ -59,13 +62,34 @@ func (p *Plan) Zero() bool {
 	return p == nil || (p.TransientRate == 0 && p.FailAt == 0)
 }
 
-// Validate checks the plan for internal consistency.
+// withDefaults returns the plan with DefaultMaxRetries and
+// DefaultRetryBase applied, and a negative MaxRetries read as none.
+func (p Plan) withDefaults() Plan {
+	if p.MaxRetries == 0 {
+		p.MaxRetries = DefaultMaxRetries
+	} else if p.MaxRetries < 0 {
+		p.MaxRetries = 0
+	}
+	if p.RetryBase == 0 {
+		p.RetryBase = DefaultRetryBase
+	}
+	return p
+}
+
+// Validate checks the plan for internal consistency. A request's backoffs
+// total RetryBase·(2^MaxRetries − 1) µs, with the defaults applied; that
+// must be a representable time.
 func (p *Plan) Validate() error {
-	if p.TransientRate < 0 || p.TransientRate > 1 {
+	if !(p.TransientRate >= 0 && p.TransientRate <= 1) {
 		return fmt.Errorf("fault: TransientRate %v outside [0,1]", p.TransientRate)
 	}
 	if p.RetryBase < 0 {
 		return fmt.Errorf("fault: negative RetryBase %d", p.RetryBase)
+	}
+	if d := p.withDefaults(); d.MaxRetries > 63 ||
+		d.MaxRetries > 0 && uint64(d.RetryBase) > math.MaxInt64/(1<<d.MaxRetries-1) {
+		return fmt.Errorf("fault: %d retries from a RetryBase of %d µs back off longer than an int64 time",
+			d.MaxRetries, d.RetryBase)
 	}
 	if p.FailAt < 0 {
 		return fmt.Errorf("fault: negative FailAt %d", p.FailAt)

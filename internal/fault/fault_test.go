@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +52,14 @@ func TestPlanValidate(t *testing.T) {
 		{"rate above one", Plan{TransientRate: 1.5}, "TransientRate"},
 		{"rate negative", Plan{TransientRate: -0.1}, "TransientRate"},
 		{"negative retry base", Plan{RetryBase: -1}, "RetryBase"},
+		{"rate NaN", Plan{TransientRate: math.NaN()}, "TransientRate"},
+		// Backoffs total RetryBase·(2^MaxRetries − 1) µs, defaults applied.
+		{"default base, 62 retries", Plan{MaxRetries: 62}, "RetryBase of 5000"},
+		{"backoff one past int64", Plan{MaxRetries: 62, RetryBase: 3}, "62 retries"},
+		{"backoff filling int64", Plan{MaxRetries: 62, RetryBase: 2}, ""},
+		{"63 unit backoffs", Plan{MaxRetries: 63, RetryBase: 1}, ""},
+		{"64 retries", Plan{MaxRetries: 64, RetryBase: 1}, "64 retries"},
+		{"no retries, any base", Plan{MaxRetries: -1, RetryBase: math.MaxInt64}, ""},
 		{"negative fail time", Plan{FailAt: -1}, "FailAt"},
 		{"fail time without disk", Plan{FailDisk: -1, FailAt: 10}, "FailDisk"},
 		{"rebuild without failure", Plan{Rebuild: true, RebuildBlocks: 4}, "Rebuild"},

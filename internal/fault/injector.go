@@ -56,16 +56,8 @@ func New(plan Plan, _ int) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	if plan.MaxRetries == 0 {
-		plan.MaxRetries = DefaultMaxRetries
-	} else if plan.MaxRetries < 0 {
-		plan.MaxRetries = 0
-	}
-	if plan.RetryBase == 0 {
-		plan.RetryBase = DefaultRetryBase
-	}
 	return &Injector{
-		plan:     plan,
+		plan:     plan.withDefaults(),
 		rng:      stats.NewRNG(plan.Seed),
 		attempts: make(map[*core.Request]int),
 	}, nil

@@ -31,7 +31,7 @@ type Collector struct {
 	Arrived uint64
 	Served  uint64
 	Dropped uint64 // deadline passed before service started
-	Late    uint64 // served, but finished after the deadline
+	Late    uint64 // served, but started after the deadline
 
 	// FaultAttempts counts service attempts that failed on an injected
 	// fault; their seek and busy time still accrue to SeekTime and

@@ -137,8 +137,7 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 	if err := a.eng.Setup(cfg.Options, stations, true); err != nil {
 		return nil, err
 	}
-	a.eng.OnServed, a.eng.OnDropped = a.onServed, a.onDropped
-	a.eng.OnLateStart, a.eng.onFaulted = a.onLateStart, a.reroute
+	a.eng.OnServed, a.eng.OnDropped, a.eng.onFaulted = a.onServed, a.onDropped, a.onFaulted
 	if cfg.Fault != nil && cfg.Fault.FailAt > 0 {
 		a.eng.At(cfg.Fault.FailAt, a.fail)
 	}
@@ -277,24 +276,29 @@ func (a *raid5) take(r *core.Request) *logicalState {
 	return st
 }
 
-func (a *raid5) onServed(_ *Station, r *core.Request, now int64) {
-	a.advance(a.take(r), now)
-}
-
-func (a *raid5) onDropped(_ *Station, r *core.Request, now int64) {
+// onServed retires r from its logical state; an op that started late
+// misses its request.
+func (a *raid5) onServed(_ *Station, r *core.Request, now int64, late bool) {
 	st := a.take(r)
-	st.missed = true
+	st.missed = st.missed || late
 	a.advance(st, now)
 }
 
-func (a *raid5) onLateStart(_ *Station, r *core.Request, _ int64) {
-	a.byPhys[r].missed = true
+// onDropped retires r like a late service: a drop misses its request.
+func (a *raid5) onDropped(st *Station, r *core.Request, now int64) {
+	a.onServed(st, r, now, true)
 }
 
-// reroute (the onFaulted hook) re-issues a physical op stranded on the
-// failed disk — queued at failure time, in flight, or returning from a
-// retry backoff — through the degraded path.
-func (a *raid5) reroute(_ *Station, pr *core.Request, now int64) {
+// onFaulted marks a late failed attempt's request missed, and re-issues
+// a physical op stranded on the failed disk — queued at failure time, in
+// flight, or returning from a retry backoff — through the degraded path.
+func (a *raid5) onFaulted(_ *Station, pr *core.Request, now int64, v fault.Verdict, late bool) {
+	if late {
+		a.byPhys[pr].missed = true
+	}
+	if v != fault.Lost {
+		return
+	}
 	op := [1]disk.PhysOp{{Disk: a.cfg.Fault.FailDisk, Cylinder: pr.Cylinder, Size: pr.Size, Write: pr.Write}}
 	a.issue(a.take(pr), op[:], now)
 }

@@ -5,6 +5,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
@@ -224,3 +225,75 @@ var errTest = &testError{}
 type testError struct{}
 
 func (*testError) Error() string { return "test error" }
+
+// lateWriteScenario is one logical write whose write phase straddles its
+// deadline: the parity write starts at once, in time, while the data
+// write queues behind three deadline-free reads on its disk and starts
+// late. It returns the trace, the data disk, and the data write's start
+// and completion in an unfaulted FCFS run (DropLate off, so deadlines
+// change nothing in the schedule).
+func lateWriteScenario(t *testing.T, array *disk.RAID5) (trace []*core.Request, dataDisk int, start, done int64) {
+	t.Helper()
+	const block = 7
+	_, dataDisk, _ = array.Layout(block)
+	trace = []*core.Request{{ID: 1, Cylinder: block, Size: array.BlockSize, Write: true}}
+	for b := int64(block + 1); len(trace) < 4; b++ {
+		if _, d, _ := array.Layout(b); d == dataDisk {
+			trace = append(trace, &core.Request{ID: uint64(len(trace) + 1), Cylinder: int(b), Size: array.BlockSize})
+		}
+	}
+	var parity int64
+	_, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk, Options: Options{Trace: func(ev TraceEvent) {
+		switch {
+		case !ev.Request.Write:
+		case ev.DiskID == dataDisk:
+			start, done = ev.Now, ev.Now+ev.Service
+		default:
+			parity = ev.Now
+		}
+	}}}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parity >= start {
+		t.Fatalf("parity write starts at %d, data write at %d: no deadline between them", parity, start)
+	}
+	trace[0].Deadline = (parity + start) / 2
+	return trace, dataDisk, start, done
+}
+
+// A logical request misses when any of its physical ops started past its
+// deadline, also an op that never completes: a late data write in flight
+// when its disk fails is lost and absorbed, a late attempt that faults is
+// stranded in its retry backoff by the failure. The parity write of the
+// same phase started in time, so only the stranded op's own late start
+// can mark the miss.
+func TestLateOpLostToFailureMissesItsRequest(t *testing.T) {
+	array := testArray(t)
+	trace, d, start, done := lateWriteScenario(t, array)
+	for _, tc := range []struct {
+		name string
+		plan fault.Plan
+		want fault.Stats // the path the data write took
+	}{
+		{"in flight", fault.Plan{FailDisk: d, FailAt: start + 1},
+			fault.Stats{LostInFlight: 1}},
+		// Seed 43 faults the seventh completion only: the data write's.
+		{"in backoff", fault.Plan{Seed: 43, TransientRate: 0.5, RetryBase: 1_000_000, FailDisk: d, FailAt: done + 1},
+			fault.Stats{Transients: 1, Retries: 1}},
+	} {
+		res, err := RunArray(ArrayConfig{Array: array, NewScheduler: fcfsPerDisk, Options: Options{Fault: &tc.plan}}, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.want.FailedAt = tc.plan.FailAt
+		if *res.Faults != tc.want || res.AbsorbedWrites != 1 {
+			t.Fatalf("%s: faults %+v, %d absorbed writes; want %+v and the late write absorbed",
+				tc.name, *res.Faults, res.AbsorbedWrites, tc.want)
+		}
+		if c := res.Logical; c.Served != 3 || c.Dropped != 1 {
+			t.Errorf("%s: %d served, %d missed; want the three reads served and the write missed",
+				tc.name, c.Served, c.Dropped)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"sfcsched/internal/core"
@@ -121,20 +122,23 @@ type Engine struct {
 	// reproducible.
 	Stations []*Station
 
-	// OnServed fires when a station completes a service; OnDropped when a
-	// station drops an expired request; OnLateStart when a service starts
-	// past its deadline without DropLate. Multi-stage topologies (RAID
-	// read-modify-write) layer their logical bookkeeping here — the hooks
-	// run inline at the exact event time, so follow-up work they enqueue
-	// participates in the same dispatch round.
-	OnServed    func(st *Station, r *core.Request, now int64)
-	OnDropped   func(st *Station, r *core.Request, now int64)
-	OnLateStart func(st *Station, r *core.Request, now int64)
-	// onFaulted fires when a request is lost to a failed disk (in flight
-	// at failure time, or its retry timer landed on the dead station).
-	// Only arrays can lose a disk, and RunArray re-routes the request
+	// OnServed fires when a station completes a service, late when that
+	// service started past the request's deadline (possible only without
+	// DropLate); OnDropped when a station drops an expired request.
+	// Multi-stage topologies (RAID read-modify-write) layer their logical
+	// bookkeeping here — the hooks run inline at the exact event time, so
+	// follow-up work they enqueue participates in the same dispatch round.
+	OnServed  func(st *Station, r *core.Request, now int64, late bool)
+	OnDropped func(st *Station, r *core.Request, now int64)
+	// onFaulted fires when a service attempt of r fails on an injected
+	// fault and r stays in the run: Retry (it re-enters st's queue after
+	// a backoff) or Lost (stranded on a failed disk). late says the failed
+	// attempt started past r's deadline, so every started attempt reports
+	// its lateness once, with its completion. A request lost while queued
+	// or in a retry backoff started nothing new and reports late false.
+	// Only arrays can lose a disk, and RunArray re-routes a lost request
 	// through reconstruction.
-	onFaulted func(st *Station, r *core.Request, now int64)
+	onFaulted func(st *Station, r *core.Request, now int64, v fault.Verdict, late bool)
 
 	// opts is the run's configuration as Setup received it: the drop
 	// policy and the observers (Trace, Decisions, Telemetry, Shadows) are
@@ -248,16 +252,13 @@ func (e *Engine) At(t int64, fn func(now int64)) {
 // injector's draw sequence.
 func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now int64)) int64 {
 	i := 0 // next arrival index
-	for {
-		t := int64(-1)
+	for e.events.Len() > 0 || i < len(trace) {
+		t := int64(math.MaxInt64)
 		if e.events.Len() > 0 {
 			t = keyTime(e.events.Peek().Key)
 		}
-		if i < len(trace) && (t < 0 || trace[i].Arrival < t) {
-			t = trace[i].Arrival
-		}
-		if t < 0 {
-			break // no pending events, no arrivals left
+		if i < len(trace) {
+			t = min(t, trace[i].Arrival)
 		}
 		e.now = t
 		// Completions first, so freed stations (and any follow-up work the
@@ -288,8 +289,8 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 }
 
 // dispatch starts service on st if it is idle and has pending work,
-// dropping expired requests first under DropLate. This is the single
-// drop/late/service-time/metrics code path of the package.
+// dropping expired requests first under DropLate. With complete it is
+// the single drop/late/service-time/metrics code path of the package.
 func (e *Engine) dispatch(st *Station, now int64) {
 	if e.faults != nil && e.faults.Down(st.ID) {
 		// A failed disk serves nothing; the array layer drains and
@@ -351,15 +352,6 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		// arrivals during the service window observe a valid cylinder.
 		st.inSvc, st.head = r, target
 		st.svcStart, st.svcSeek, st.svcTime = now, seek, svc
-		// A deadline is met when service starts in time (the convention of
-		// SCAN-EDF and §6's "serviced prior to the deadline"). Without
-		// DropLate, expired requests are still serviced but counted late.
-		if r.Deadline > 0 && now > r.Deadline {
-			st.Col.OnLate(r)
-			if e.OnLateStart != nil {
-				e.OnLateStart(st, r, now)
-			}
-		}
 		e.events.Push(core.HeapItem[event]{Key: timeKey(now + svc), Seq: uint64(st.ID), Val: event{station: st}})
 	}
 	if st.inSvc == nil && st.Sched.Len() == 0 {
@@ -375,37 +367,48 @@ func (e *Engine) dispatch(st *Station, now int64) {
 func (e *Engine) complete(st *Station, now int64) {
 	r := st.inSvc
 	st.inSvc = nil
+	// A deadline is met when service starts in time (the convention of
+	// SCAN-EDF and §6's "serviced prior to the deadline"). Without
+	// DropLate, expired requests are still serviced but counted late,
+	// once per attempt, as the attempt completes.
+	late := r.Deadline > 0 && st.svcStart > r.Deadline
+	if late {
+		st.Col.OnLate(r)
+	}
 	if e.faults != nil {
 		verdict, delay := e.faults.Outcome(st.ID, st.head, r, now)
 		if verdict != fault.OK {
-			e.faulted(st, r, verdict, delay, now)
+			e.faulted(st, r, verdict, delay, now, late)
 			return
 		}
 	}
 	st.Col.OnServed(r, st.svcSeek, st.svcTime, st.svcStart)
 	if e.OnServed != nil {
-		e.OnServed(st, r, now)
+		e.OnServed(st, r, now, late)
 	}
 }
 
-// faulted handles a non-OK verdict on the completed service of r.
-func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, delay, now int64) {
+// faulted handles a non-OK verdict on the completed service of r; late
+// says the attempt started past r's deadline.
+func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, delay, now int64, late bool) {
 	st.Col.OnFaultAttempt(st.svcSeek, st.svcTime)
 	if e.opts.Trace != nil {
 		e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head,
 			Faulted: true, Dropped: verdict == fault.Exhausted, QueueLen: st.Sched.Len()})
 	}
-	switch verdict {
-	case fault.Retry:
-		e.retryAt(now+delay, st, r)
-	case fault.Exhausted:
+	if verdict == fault.Exhausted {
 		st.Col.OnDropped(r)
 		st.Col.OnFaultDropped()
 		if e.OnDropped != nil {
 			e.OnDropped(st, r, now)
 		}
-	case fault.Lost:
-		e.lose(st, r, now)
+		return
+	}
+	if e.onFaulted != nil {
+		e.onFaulted(st, r, now, verdict, late)
+	}
+	if verdict == fault.Retry {
+		e.retryAt(now+delay, st, r)
 	}
 }
 
@@ -455,9 +458,9 @@ func popFree[T any](free *[]*T) *T {
 	return v
 }
 
-// lose hands a request stranded on a failed disk to onFaulted, which
-// re-routes it through reconstruction.
+// lose hands a request stranded on a failed disk while queued or in a
+// retry backoff to onFaulted, which re-routes it through reconstruction.
 func (e *Engine) lose(st *Station, r *core.Request, now int64) {
 	e.faults.Forget(r)
-	e.onFaulted(st, r, now)
+	e.onFaulted(st, r, now, fault.Lost, false)
 }

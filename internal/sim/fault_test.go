@@ -14,6 +14,7 @@ import (
 	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
+	"sfcsched/internal/workload"
 )
 
 func TestZeroFaultPlanByteIdenticalSingle(t *testing.T) {
@@ -151,6 +152,33 @@ func TestDeadlineExpiresDuringBackoff(t *testing.T) {
 	if res.Served != 0 || res.Dropped != 1 || res.FaultDropped != 1 {
 		t.Fatalf("served=%d dropped=%d faultDropped=%d, want 0/1/1",
 			res.Served, res.Dropped, res.FaultDropped)
+	}
+}
+
+// Every arrival ends served or dropped, whatever the clock reads: a run
+// whose trace starts before time zero and retries its transient faults
+// still runs to the last request.
+func TestEveryArrivalServedOrDropped(t *testing.T) {
+	trace := workload.Open{
+		Seed: 4, Count: 300, MeanInterarrival: 8_000, Dims: 1, Levels: 4, Cylinders: 3832, Size: 4 << 10,
+		DeadlineMin: 50_000, DeadlineMax: 200_000,
+	}.MustGenerate()
+	shift := -5 - trace[0].Arrival
+	for _, r := range trace {
+		r.Arrival += shift
+		r.Deadline += shift
+	}
+	for _, drop := range []bool{false, true} {
+		res, err := Run(Config{FixedService: 10_000, Scheduler: sched.NewEDF(), Options: Options{
+			DropLate: drop, Fault: &fault.Plan{Seed: 1, TransientRate: 0.5, MaxRetries: 10, RetryBase: 1_000},
+		}}, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := uint64(len(trace)); res.Arrived != n || res.Served+res.Dropped != n || res.Faults.Retries == 0 {
+			t.Errorf("DropLate %v: %d of %d arrived, %d served + %d dropped, %d retries",
+				drop, res.Arrived, n, res.Served, res.Dropped, res.Faults.Retries)
+		}
 	}
 }
 

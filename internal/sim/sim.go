@@ -46,8 +46,9 @@ type Options struct {
 	Trace func(TraceEvent)
 	// Fault, when non-nil and non-zero, injects the deterministic fault
 	// plan (transient errors with bounded retry and — on arrays —
-	// whole-disk failure with degraded reads and optional rebuild). A nil or zero plan leaves the run byte-identical to one
-	// without fault support.
+	// whole-disk failure with degraded reads and optional rebuild). A nil
+	// or zero plan leaves the run byte-identical to one without fault
+	// support.
 	Fault *fault.Plan
 	// Decisions, when non-nil, captures one DecisionRecord per dispatch
 	// decision (candidate set, chosen request, slack distribution, window

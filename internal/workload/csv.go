@@ -118,6 +118,9 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 		if req.Deadline, err = strconv.ParseInt(row[2], 10, 64); err != nil {
 			return nil, fmt.Errorf("workload: line %d deadline: %w", line, err)
 		}
+		if err := checkTimes(req); err != nil {
+			return nil, fmt.Errorf("workload: line %d: %w", line, err)
+		}
 		if req.Cylinder, err = strconv.Atoi(row[3]); err != nil {
 			return nil, fmt.Errorf("workload: line %d cylinder: %w", line, err)
 		}
@@ -150,4 +153,16 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 		trace = append(trace, req)
 	}
 	return trace, nil
+}
+
+// checkTimes rejects a negative arrival or deadline: a run's clock starts
+// at zero, and 0 is the only spelling of "no deadline".
+func checkTimes(r *core.Request) error {
+	if r.Arrival < 0 {
+		return fmt.Errorf("negative arrival %d", r.Arrival)
+	}
+	if r.Deadline < 0 {
+		return fmt.Errorf("negative deadline %d", r.Deadline)
+	}
+	return nil
 }

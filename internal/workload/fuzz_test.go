@@ -37,6 +37,11 @@ var decoderSeeds = []string{
 	"id,arrival_us\n1,2\n",
 	"id,arrival_us,deadline_us,cylinder,size,write,value\n\"1\",+2,-3,0,0,T,0\n",
 	"\ufeff" + csvHeader1,
+	// Times before zero, and a deadline below the "none" spelling 0.
+	csvHeader1 + "1,-5,0,7,4096,false,0,3\n2,1,0,9,8192,true,2,1\n",
+	csvHeader1 + "1,10,-1,7,4096,false,0,3\n",
+	`{"id":1,"arrival":-5}` + "\n" + `{"id":2,"arrival":1}` + "\n",
+	`{"id":1,"arrival":5,"deadline":-1}` + "\n",
 }
 
 func FuzzReadCSV(f *testing.F) {
@@ -62,6 +67,9 @@ func FuzzReadCSV(f *testing.F) {
 		for i, r := range trace {
 			if len(r.Priorities) != dims {
 				t.Fatalf("request %d has %d priorities under a %d-dimension header", i, len(r.Priorities), dims)
+			}
+			if r.Arrival < 0 || r.Deadline < 0 {
+				t.Fatalf("request %d accepted with arrival %d, deadline %d", i, r.Arrival, r.Deadline)
 			}
 		}
 		// Well-formed means the writer's own output decodes to the same trace.
@@ -98,6 +106,9 @@ func FuzzLoadReplay(f *testing.F) {
 			byID[r.ID] = r
 			if len(r.Priorities) != rep.Dims() {
 				t.Fatalf("request %d has %d priorities, Dims is %d", i, len(r.Priorities), rep.Dims())
+			}
+			if r.Arrival < 0 || r.Deadline < 0 {
+				t.Fatalf("request %d accepted with arrival %d, deadline %d", i, r.Arrival, r.Deadline)
 			}
 			if i > 0 {
 				p := trace[i-1]

@@ -109,6 +109,9 @@ func readReplayJSONL(r io.Reader) ([]*core.Request, error) {
 			return nil, fmt.Errorf("workload: replay line %d: disk %d — array traces record physical per-disk operations, not the logical request stream, and cannot be replayed", n, ln.Disk)
 		}
 		r := core.Request(ln.replayRequest)
+		if err := checkTimes(&r); err != nil {
+			return nil, fmt.Errorf("workload: replay line %d: %w", n, err)
+		}
 		trace = append(trace, &r)
 	}
 	if err := sc.Err(); err != nil {

@@ -109,6 +109,10 @@ func TestLoadReplayErrors(t *testing.T) {
 		{"contradicting-retry", `{"id":7,"cyl":10,"arrival":5}` + "\n" + `{"id":7,"cyl":99,"arrival":6}` + "\n", "request 7 differs"},
 		{"contradicting-csv-row", csvHeader1 + "1,10,500,7,4096,false,0,3\n1,20,0,8,512,true,0,2\n", "request 1 differs"},
 		{"wrong-header", "bogus,header\n1,2\n", "header"},
+		{"negative-csv-arrival", csvHeader1 + "1,-5,0,7,4096,false,0,3\n2,1,0,9,8192,true,2,1\n", "line 2: negative arrival -5"},
+		{"negative-csv-deadline", csvHeader1 + "1,10,0,7,4096,false,0,3\n2,20,-1,9,8192,true,2,1\n", "line 3: negative deadline -1"},
+		{"negative-jsonl-arrival", `{"id":1,"arrival":1}` + "\n" + `{"id":2,"arrival":-5}` + "\n", "line 2: negative arrival -5"},
+		{"negative-jsonl-deadline", `{"id":1,"arrival":5,"deadline":-1}` + "\n", "line 1: negative deadline -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
