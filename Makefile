@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: all vet build test race cover bench bench-smoke perf goldens loc
+.PHONY: all vet build test synctest race cover bench bench-smoke perf goldens loc
 
 all: vet build test
 
@@ -17,6 +17,12 @@ build:
 
 test:
 	go test ./...
+
+# The live dispatcher against sim.Run on a virtual clock
+# (internal/serve/synctest_test.go): every policy must calibrate exact.
+# The test needs the synctest experiment, which plain go test leaves off.
+synctest:
+	GOEXPERIMENT=synctest go test -count=1 -run TestLive ./internal/serve
 
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables

@@ -282,19 +282,12 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 			cs.Late++
 		}
 		if m != nil {
-			m.Served.Inc()
 			m.LatencyUS.Observe(uint64(lat))
-			if late {
-				m.LateStarts.Inc()
-			}
 		}
 		free = append(free, r)
 	}
 	eng.OnDropped = func(_ *sim.Station, r *core.Request, _ int64) {
 		res.PerClass[r.Class].DispatchDropped++
-		if m != nil {
-			m.DispatchDropped.Inc()
-		}
 		free = append(free, r)
 	}
 
@@ -305,21 +298,14 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		tenant := min(max(r.Tenant, 0), len(res.Tenants)-1)
 		ten := &res.Tenants[tenant]
 		ten.Arrived++
-		if m != nil {
-			m.Arrivals.Inc()
-		}
 		if !admit.Admit(class, now) {
 			cs.AdmitDropped++
-			if m != nil {
-				m.AdmitDropped.Inc()
-			}
 			return
 		}
 		cs.Admitted++
 		ten.Admitted++
 		n := min(max(router.Route(r, nodes, now), 0), cfg.Nodes-1)
 		if m != nil {
-			m.Routed.Inc()
 			m.NodeDepthMax.Observe(int64(nodes[n].Depth()))
 		}
 
@@ -349,6 +335,16 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		ns.SeekTime += st.Col.SeekTime
 		ns.BusyTime += st.Col.ServiceTime
 		ns.HeadTravel += st.HeadTravel()
+	}
+	if m != nil {
+		for _, cs := range res.PerClass {
+			m.Arrivals.Add(cs.Arrived)
+			m.AdmitDropped.Add(cs.AdmitDropped)
+			m.Routed.Add(cs.Admitted)
+			m.Served.Add(cs.Served)
+			m.DispatchDropped.Add(cs.DispatchDropped)
+			m.LateStarts.Add(cs.Late)
+		}
 	}
 	return res, nil
 }

@@ -52,8 +52,10 @@ func TestClusterAccountingInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Admission = tb
+	cfg.Metrics = &Metrics{}
 	trace := testTrace(t, cfg, 11, 4000, 2000, 1.2)
 	res := MustRun(cfg, trace)
+	checkMetricsAreClassSums(t, cfg.Metrics, res)
 
 	var arrived, admitted, admitDropped, served, dispatchDropped uint64
 	for _, cs := range res.PerClass {
@@ -115,16 +117,51 @@ func TestClusterAccountingInvariants(t *testing.T) {
 	}
 }
 
+// checkMetricsAreClassSums requires every counter of the run's sink to be
+// the sum its per-class ledger holds, and the latency histogram to have
+// one observation per served request.
+func checkMetricsAreClassSums(t *testing.T, m *Metrics, res *Result) {
+	t.Helper()
+	var want [6]uint64
+	for _, cs := range res.PerClass {
+		for i, v := range [6]uint64{cs.Arrived, cs.AdmitDropped, cs.Admitted, cs.Served, cs.DispatchDropped, cs.Late} {
+			want[i] += v
+		}
+	}
+	got := [6]uint64{m.Arrivals.Load(), m.AdmitDropped.Load(), m.Routed.Load(),
+		m.Served.Load(), m.DispatchDropped.Load(), m.LateStarts.Load()}
+	if got != want {
+		t.Errorf("Arrivals, AdmitDropped, Routed, Served, DispatchDropped, LateStarts = %v, classes sum to %v", got, want)
+	}
+	if m.LatencyUS.Count() != want[3] {
+		t.Errorf("%d latency observations for %d served", m.LatencyUS.Count(), want[3])
+	}
+}
+
 // Without DropLate every late start is served: the classes' Late, the
 // member collectors' Late and the LateStarts counter must agree, no class
-// can be late more often than it was served, and every node's row must
-// be its member disks' collector sums.
+// can be late more often than it was served, every node's row must be its
+// member disks' collector sums, and every counter of the sink its classes'
+// sum.
 func TestClusterLateAndNodeLedgers(t *testing.T) {
 	cfg := testConfig(t, 2, 2)
 	cfg.DropLate = false
 	cfg.Router = LeastLoaded{}
+	tb, err := NewTokenBucket(3, 300, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Admission = tb
 	cfg.Metrics = &Metrics{}
 	res := MustRun(cfg, testTrace(t, cfg, 9, 3000, 1500, 1.2))
+	checkMetricsAreClassSums(t, cfg.Metrics, res)
+	var rejected uint64
+	for _, cs := range res.PerClass {
+		rejected += cs.AdmitDropped
+	}
+	if rejected == 0 {
+		t.Error("the token bucket rejected nothing: the admission counters are untested")
+	}
 
 	var classLate, diskLate uint64
 	for _, cs := range res.PerClass {

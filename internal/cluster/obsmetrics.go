@@ -3,9 +3,11 @@ package cluster
 import "sfcsched/internal/obs"
 
 // Metrics aggregates the cluster-layer counters: admission outcomes,
-// routing activity and per-request completion latency. It mirrors
-// core.Metrics: atomic fields, counted only into the sink a run installs
-// (Config.Metrics).
+// routing activity and per-request completion latency, counted only into
+// the sink a run installs (Config.Metrics). Nothing registers or scrapes
+// it during a run (the type has no Register), so Run adds the six
+// counters once, from its per-class ledger, when it returns; the latency
+// histogram and the depth gauge still move per event.
 type Metrics struct {
 	// Arrivals counts requests offered to the cluster.
 	Arrivals obs.Counter

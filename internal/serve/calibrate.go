@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"sfcsched/internal/core"
@@ -32,12 +33,6 @@ type CalibrationConfig struct {
 	InFlight int
 	// DropLate applies the §6 drop semantics on both sides.
 	DropLate bool
-	// Preload submits the whole trace before the dispatcher starts instead
-	// of replaying arrivals on the clock. Meaningful for arrival-at-zero
-	// traces, where it makes the live dispatch order provably identical to
-	// the simulator's (see Preload); a trace with spread arrivals would
-	// desynchronize the two sides' enqueue points.
-	Preload bool
 	// Metrics is the live dispatcher's sink; nil counts nothing.
 	Metrics *Metrics
 }
@@ -153,18 +148,18 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	if err != nil {
 		return nil, err
 	}
+	// The engine's feed rule: every arrival at time t is delivered before
+	// the dispatch at t. The arrivals at time zero are therefore all queued
+	// before the first decision, and the rest are replayed on the clock.
 	wallStart := time.Now()
-	if cfg.Preload {
-		if err := Preload(ctx, d, trace); err != nil {
-			return nil, err
-		}
-		d.Start(ctx)
-	} else {
-		d.Start(ctx)
-		if err := Replay(ctx, d, trace); err != nil {
-			d.Stop()
-			return nil, err
-		}
+	atZero := sort.Search(len(trace), func(i int) bool { return trace[i].Arrival > 0 })
+	if err := Preload(ctx, d, trace[:atZero]); err != nil {
+		return nil, err
+	}
+	d.Start(ctx)
+	if err := Replay(ctx, d, trace[atZero:]); err != nil {
+		d.Stop()
+		return nil, err
 	}
 	if err := d.Drain(ctx); err != nil {
 		return nil, err

@@ -15,10 +15,11 @@ import (
 func newFullyPreemptive() (sched.Scheduler, error) { return fullyPreemptive(), nil }
 
 // TestCalibrateExactOrderPreloaded is the calibration half of the
-// exact-order acceptance pin: a preloaded arrival-at-zero trace must score
-// a perfect order correlation, full alignment, and identical head travel —
-// the live run made exactly the dispatch decisions the simulator
-// predicted, so every residual is timing.
+// exact-order acceptance pin: an arrival-at-zero trace, which Calibrate
+// preloads before the dispatcher starts, must score a perfect order
+// correlation, full alignment, and identical head travel — the live run
+// made exactly the dispatch decisions the simulator predicted, so every
+// residual is timing.
 func TestCalibrateExactOrderPreloaded(t *testing.T) {
 	trace := zeroArrivalTrace(96)
 	cal, err := Calibrate(context.Background(), CalibrationConfig{
@@ -26,7 +27,6 @@ func TestCalibrateExactOrderPreloaded(t *testing.T) {
 		Service:      disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
 		Dilation:     20_000,
 		InFlight:     1,
-		Preload:      true,
 	}, trace)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)

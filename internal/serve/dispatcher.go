@@ -11,6 +11,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/sched"
+	"sfcsched/internal/sim"
 )
 
 // Errors returned by the submission path.
@@ -100,8 +101,8 @@ type Dispatcher struct {
 	stop    sync.Once
 	live    atomic.Int32 // workers not yet exited
 
-	// turn serialises dispatch decisions: a worker holds it from Next to
-	// the head update, and while it waits for work.
+	// turn serialises dispatch decisions: a worker holds it from the
+	// decision to the head update, and while it waits for work.
 	turn sync.Mutex
 	// quota is the MaxQueue backpressure semaphore (nil when unbounded):
 	// Submit takes, completion/drop/rejection returns.
@@ -314,31 +315,25 @@ func (d *Dispatcher) wake() {
 	}
 }
 
-// work is one of the InFlight workers: it pops and dispatches under the
-// turn, so each decision is made when a service slot frees and sees the
-// head of the one before, then serves inline. The last to exit closes stopped.
+// work is one of the InFlight workers: it decides under the turn, so each
+// decision is made when a service slot frees and sees the head of the one
+// before, then serves inline. The last to exit closes stopped.
 func (d *Dispatcher) work() {
 	for {
 		d.turn.Lock()
-		r, ok := d.take()
-		if !ok {
+		r, target, travel, now := d.take()
+		if r == nil {
 			d.turn.Unlock()
 			break
-		}
-		now := d.cfg.Clock.Now()
-		head := d.Head()
-		target := r.Cylinder
-		if n := d.cfg.Backend.Cylinders(); n > 0 { // 0: no geometry to clamp onto
-			target = min(max(target, 0), n-1)
 		}
 		// The head is en route to the target for the whole service window,
 		// so submissions arriving mid-service anchor their values on the
 		// position being seeked to — the head model of every sim.Station.
+		head := d.Head()
 		d.head.Store(int64(target))
-		dist := max(target-head, head-target)
-		d.travel.Add(int64(dist))
+		d.travel.Add(travel)
 		if m := d.m; m != nil {
-			m.HeadTravelCylinders.Add(uint64(dist))
+			m.HeadTravelCylinders.Add(uint64(travel))
 			m.Dispatched.Inc()
 			m.InFlight.Add(1)
 		}
@@ -352,34 +347,35 @@ func (d *Dispatcher) work() {
 	}
 }
 
-// take pops the next dispatchable request, blocking until one is
-// available, shutdown begins, or — while draining — the dispatcher goes
-// quiescent; once canceled it pops nothing more. Expired requests are
-// dropped here under DropLate. The second return is false on shutdown.
-func (d *Dispatcher) take() (*core.Request, bool) {
+// take makes the next dispatch decision through sim.Pick — the simulator's
+// own step, so the live head and travel follow the simulator's rules —
+// blocking until it yields a request, shutdown begins, or — while
+// draining — the dispatcher goes quiescent; once canceled it decides
+// nothing more. Expired requests are dropped inside the decision under
+// DropLate. It returns Pick's request, target and travel with the model
+// time of the decision; a nil request means shutdown.
+func (d *Dispatcher) take() (r *core.Request, target int, travel, now int64) {
 	for {
 		select {
 		case <-d.ctx.Done():
-			return nil, false
+			return nil, 0, 0, 0
 		default:
 		}
-		now := d.cfg.Clock.Now()
-		if r := d.q.Next(now, d.Head()); r != nil {
-			if d.cfg.DropLate && r.Deadline > 0 && now > r.Deadline {
-				d.drop(r, now)
-				continue
-			}
-			return r, true
+		now = d.cfg.Clock.Now()
+		r, target, travel = sim.Pick(d.q, now, d.Head(), d.cfg.Backend.Cylinders(), d.cfg.DropLate,
+			func(r *core.Request) { d.drop(r, now) })
+		if r != nil {
+			return r, target, travel, now
 		}
 		// Workers decrement outstanding before kicking, so after consuming
 		// a kick this check never misses a finished request.
 		if d.draining.Load() && d.outstanding.Load() == 0 {
-			return nil, false
+			return nil, 0, 0, 0
 		}
 		select {
 		case <-d.kick:
 		case <-d.ctx.Done():
-			return nil, false
+			return nil, 0, 0, 0
 		}
 	}
 }

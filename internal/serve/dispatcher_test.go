@@ -700,3 +700,31 @@ func TestDispatcherHeadTracking(t *testing.T) {
 		t.Fatalf("Head = %d, want %d", d.Head(), head)
 	}
 }
+
+// A backend without geometry (Cylinders() == 0) moves the head to each raw
+// target for free, as a sim.Station with no disk model does: the decision
+// is sim.Pick on both sides, so neither counts travel.
+func TestDispatcherNoGeometryNoTravel(t *testing.T) {
+	d, m := newTestDispatcher(t, Config{InFlight: 1})
+	trace := []*core.Request{reqAt(1, 1000, 4096), reqAt(2, 3000, 4096), reqAt(3, 2000, 4096)}
+	if err := Preload(context.Background(), d, trace); err != nil {
+		t.Fatal(err)
+	}
+	d.Start(context.Background())
+	if err := d.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	recs := d.Records()
+	if len(recs) != len(trace) {
+		t.Fatalf("got %d records, want %d", len(recs), len(trace))
+	}
+	if got := d.HeadTravel(); got != 0 {
+		t.Errorf("HeadTravel = %d without geometry, want 0", got)
+	}
+	if got := m.HeadTravelCylinders.Load(); got != 0 {
+		t.Errorf("HeadTravelCylinders = %d without geometry, want 0", got)
+	}
+	if last := recs[len(recs)-1]; d.Head() != last.Target || last.Target != trace[last.ID-1].Cylinder {
+		t.Errorf("Head = %d, last target %d: the head must rest on the raw cylinder", d.Head(), last.Target)
+	}
+}

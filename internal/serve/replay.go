@@ -32,8 +32,10 @@ func Replay(ctx context.Context, d *Dispatcher, trace []*core.Request) error {
 // trace computes before its first dispatch — so the dispatch order of the
 // queued set is fully determined by the stored (value, sequence) pairs
 // and provably identical to the simulator's, independent of wall-clock
-// jitter or the in-flight bound. The exact-order calibration mode and its
-// test are built on this.
+// jitter or the in-flight bound. Calibrate stages a trace's arrivals at
+// time zero this way, before it starts the dispatcher and replays the
+// rest: the engine's own rule that every arrival at t is delivered before
+// the dispatch at t.
 //
 // The dispatcher must have MaxQueue ≥ len(trace) (or 0, unbounded) when
 // preloading before Start; see SubmitAt.

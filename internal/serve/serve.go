@@ -96,8 +96,10 @@ func (c *Clock) SleepFor(ctx context.Context, d int64) error {
 // 1000 Hz kernels, and the dilation factor multiplies that overshoot into
 // model time (1 ms wall at 200× is 200 ms of model error — enough to flip
 // deadline outcomes). Spinning the tail trades a bounded sliver of CPU for
-// tens-of-microseconds accuracy; ctx stays responsive throughout.
-const spinTail = 1500 * time.Microsecond
+// tens-of-microseconds accuracy; ctx stays responsive throughout. It is a
+// variable only so that a test on a virtual clock, where a timer fires
+// exactly on time, can turn the spin off.
+var spinTail = 1500 * time.Microsecond
 
 func (c *Clock) sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {

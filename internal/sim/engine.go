@@ -26,14 +26,11 @@ import (
 // non-interruptible — a dispatched request occupies the station until its
 // completion event fires.
 //
-// Every station is a disk with one head model, the one serve.Dispatcher
-// also uses. The head moves to the (clamped) target the moment a service
+// Every station decides through Pick, as serve.Dispatcher does, and has
+// its head model: the head moves to the target the moment a service
 // starts, so requests added during the service window see the position
-// the head is en route to. A station that drains to idle with an empty
-// queue probes its scheduler once more (a Next that returns nil), so
-// stateful schedulers observe the empty point: the Cascaded-SFC
-// dispatcher clears its current-serving value and sweep-tracking stages
-// see the resting head.
+// the head is en route to. An idle station asks Pick at every event time,
+// so a drained queue sees its empty point.
 type Station struct {
 	// ID is the station index, assigned by Engine.Setup; it doubles as
 	// TraceEvent.DiskID and as the deterministic tie-break for same-time
@@ -80,6 +77,9 @@ func (s *Station) Enqueue(r *core.Request, now int64) {
 		sh.add(r, now)
 	}
 }
+
+// cylinders is the geometry Pick clamps onto, 0 without a disk model.
+func (s *Station) cylinders() int { return disk.ServiceModel{Disk: s.Disk}.Cylinders() }
 
 // serviceTimeAt returns (seekTime, totalServiceTime) for a service of
 // size bytes at the (already clamped) cylinder cyl. The computation lives
@@ -288,74 +288,94 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 	return e.now
 }
 
-// dispatch starts service on st if it is idle and has pending work,
-// dropping expired requests first under DropLate. With complete it is
-// the single drop/late/service-time/metrics code path of the package.
+// Pick makes one dispatch decision, the step of §3 that every station,
+// every shadow and the live dispatcher share: it pops s's next request at
+// time now with the head at head, hands each one whose deadline has passed
+// to drop when dropLate is set, and returns the first it may serve with
+// the cylinder the head seeks to and the cylinders it travels. Only a
+// geometry (cylinders > 0) clamps the target and counts travel; without
+// one the head moves to the raw cylinder for free. A nil return is the
+// final Next through which a stateful scheduler sees its queue empty: the
+// Cascaded-SFC dispatcher clears its current-serving value and
+// sweep-tracking stages see the resting head.
+func Pick(s sched.Scheduler, now int64, head, cylinders int, dropLate bool, drop func(*core.Request)) (r *core.Request, target int, travel int64) {
+	for r = s.Next(now, head); r != nil && dropLate && r.Deadline > 0 && now > r.Deadline; r = s.Next(now, head) {
+		drop(r)
+	}
+	if r == nil {
+		return nil, head, 0
+	}
+	target = r.Cylinder
+	if cylinders > 0 {
+		target = min(max(target, 0), cylinders-1)
+		travel = int64(max(target-head, head-target))
+	}
+	return r, target, travel
+}
+
+// dispatch starts service on st if it is idle, dropping expired requests
+// first under DropLate. An idle station with nothing to serve still asks
+// Pick, whose last Next shows the scheduler its empty queue. With complete
+// it is the single drop/late/service-time/metrics code path of the package.
 func (e *Engine) dispatch(st *Station, now int64) {
-	if e.faults != nil && e.faults.Down(st.ID) {
+	if st.inSvc != nil || e.faults != nil && e.faults.Down(st.ID) {
 		// A failed disk serves nothing; the array layer drains and
 		// re-routes its queue at failure time.
 		return
 	}
-	for st.inSvc == nil && st.Sched.Len() > 0 {
-		if e.opts.Decisions != nil {
-			// Snapshot the candidate set before the scheduler decides; the
-			// walk is read-only, so the decision itself is unperturbed.
-			e.opts.Decisions.snapshot(st, now)
-		}
-		r := st.Sched.Next(now, st.head)
-		if r == nil {
-			return
-		}
-		if e.opts.DropLate && r.Deadline > 0 && now > r.Deadline {
-			// Dropped requests never occupy the station, so serving others
-			// "ahead" of them costs nothing: they must not contribute to
-			// the §5.1 inversion counts. OnDispatch therefore runs only
-			// after the expiry check.
-			st.Col.OnDropped(r)
-			if e.faults != nil && e.faults.Attempted(r) {
-				// The deadline expired while the request sat out a retry
-				// backoff: a drop attributable to faults, not load.
-				st.Col.OnFaultDropped()
-				e.faults.Forget(r)
-			}
-			if e.opts.Trace != nil {
-				e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Dropped: true, QueueLen: st.Sched.Len()})
-			}
-			if e.opts.Decisions != nil {
-				e.opts.Decisions.commit(st, r, now, true)
-			}
-			if e.OnDropped != nil {
-				e.OnDropped(st, r, now)
-			}
-			continue
-		}
-		st.Col.OnDispatch(r, st.Sched.Each)
-		target := r.Cylinder
-		if st.Disk != nil {
-			target = min(max(target, 0), st.Disk.Cylinders-1)
-		}
-		seek, svc := st.serviceTimeAt(target, r.Size)
-		if st.Disk != nil {
-			st.headTravel += int64(max(target-st.head, st.head-target))
-		}
-		if e.opts.Trace != nil {
-			e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head, Seek: seek, Service: svc, QueueLen: st.Sched.Len()})
-		}
-		if e.opts.Decisions != nil {
-			e.opts.Decisions.commit(st, r, now, false)
-		}
-		for _, sh := range st.shadows {
-			sh.observe(r, now)
-		}
-		// The head is en route to (then at) the clamped target, so
-		// arrivals during the service window observe a valid cylinder.
-		st.inSvc, st.head = r, target
-		st.svcStart, st.svcSeek, st.svcTime = now, seek, svc
-		e.events.Push(core.HeapItem[event]{Key: timeKey(now + svc), Seq: uint64(st.ID), Val: event{station: st}})
+	if e.opts.Decisions != nil {
+		// Snapshot the candidate set before the scheduler decides (drop
+		// takes a new one after each drop); the walk is read-only, so the
+		// decision itself is unperturbed.
+		e.opts.Decisions.snapshot(st, now)
 	}
-	if st.inSvc == nil && st.Sched.Len() == 0 {
-		st.Sched.Next(now, st.head)
+	r, target, travel := Pick(st.Sched, now, st.head, st.cylinders(), e.opts.DropLate,
+		func(r *core.Request) { e.drop(st, r, now) })
+	if r == nil {
+		return
+	}
+	st.Col.OnDispatch(r, st.Sched.Each)
+	seek, svc := st.serviceTimeAt(target, r.Size)
+	st.headTravel += travel
+	if e.opts.Trace != nil {
+		e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Head: st.head, Seek: seek, Service: svc, QueueLen: st.Sched.Len()})
+	}
+	if e.opts.Decisions != nil {
+		e.opts.Decisions.commit(st, r, now, false)
+	}
+	for _, sh := range st.shadows {
+		sh.observe(r, now)
+	}
+	// The head is en route to (then at) the clamped target, so
+	// arrivals during the service window observe a valid cylinder.
+	st.inSvc, st.head = r, target
+	st.svcStart, st.svcSeek, st.svcTime = now, seek, svc
+	e.events.Push(core.HeapItem[event]{Key: timeKey(now + svc), Seq: uint64(st.ID), Val: event{station: st}})
+}
+
+// drop discards r, expired at dispatch time under DropLate. Dropped
+// requests never occupy the station, so serving others "ahead" of them
+// costs nothing: they must not contribute to the §5.1 inversion counts,
+// and OnDispatch runs only for the request Pick returns.
+func (e *Engine) drop(st *Station, r *core.Request, now int64) {
+	st.Col.OnDropped(r)
+	if e.faults != nil && e.faults.Attempted(r) {
+		// The deadline expired while the request sat out a retry
+		// backoff: a drop attributable to faults, not load.
+		st.Col.OnFaultDropped()
+		e.faults.Forget(r)
+	}
+	if e.opts.Trace != nil {
+		e.opts.Trace(TraceEvent{Now: now, DiskID: st.ID, Request: r, Dropped: true, QueueLen: st.Sched.Len()})
+	}
+	if e.opts.Decisions != nil {
+		e.opts.Decisions.commit(st, r, now, true)
+	}
+	if e.OnDropped != nil {
+		e.OnDropped(st, r, now)
+	}
+	if e.opts.Decisions != nil {
+		e.opts.Decisions.snapshot(st, now)
 	}
 }
 

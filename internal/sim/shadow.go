@@ -63,10 +63,7 @@ func (sh *Shadow) Name() string { return sh.name }
 func (sh *Shadow) bind(st *Station, dropLate bool) {
 	sh.used = true
 	sh.dropLate = dropLate
-	sh.head = st.head
-	if st.Disk != nil {
-		sh.cylinders = st.Disk.Cylinders
-	}
+	sh.head, sh.cylinders = st.head, st.cylinders()
 }
 
 // add mirrors a primary enqueue into the shadow's queue, with the
@@ -76,39 +73,29 @@ func (sh *Shadow) add(r *core.Request, now int64) {
 }
 
 // observe is called when the primary station starts a service on primary:
-// the shadow pops its own choice, applies the same drop-late rule, and
-// accounts divergence against the primary's choice.
+// the shadow makes its own decision through Pick, under the same drop-late
+// rule and disk geometry, and accounts divergence against the primary's
+// choice.
 func (sh *Shadow) observe(primary *core.Request, now int64) {
 	sh.decisions++
 	if sh.m != nil {
 		sh.m.ShadowDecisions.Inc()
 	}
-	for {
-		r := sh.sched.Next(now, sh.head)
-		if r == nil {
-			sh.empty++
-			return
-		}
-		if sh.dropLate && r.Deadline > 0 && now > r.Deadline {
-			sh.drops++
-			continue
-		}
-		if r == primary {
-			sh.agreements++
-		} else if sh.m != nil {
-			sh.m.ShadowDisagreements.Inc()
-		}
-		target := r.Cylinder
-		if sh.cylinders > 0 {
-			target = min(max(target, 0), sh.cylinders-1)
-		}
-		sh.travel += int64(max(target-sh.head, sh.head-target))
-		sh.head = target
-		if r.Deadline > 0 && primary.Deadline > 0 {
-			sh.slackDelta += r.Deadline - primary.Deadline
-			sh.slackSamples++
-		}
+	r, target, travel := Pick(sh.sched, now, sh.head, sh.cylinders, sh.dropLate, func(*core.Request) { sh.drops++ })
+	if r == nil {
+		sh.empty++
 		return
+	}
+	if r == primary {
+		sh.agreements++
+	} else if sh.m != nil {
+		sh.m.ShadowDisagreements.Inc()
+	}
+	sh.head = target
+	sh.travel += travel
+	if r.Deadline > 0 && primary.Deadline > 0 {
+		sh.slackDelta += r.Deadline - primary.Deadline
+		sh.slackSamples++
 	}
 }
 

@@ -65,29 +65,39 @@ func TestShadowsDoNotPerturb(t *testing.T) {
 // A shadow running the primary's own policy must agree on every decision
 // and replay the primary's head travel exactly — the self-consistency
 // anchor for the divergence metrics. FCFS pops in strict arrival order,
-// so the counterfactual queue tracks the primary queue perfectly.
+// and C-SCAN reads only the head both sides share while they agree, so
+// each counterfactual queue tracks its primary perfectly. The
+// fixed-service station has no geometry, so both heads travel nothing:
+// the shadow decides through the station's own Pick.
 func TestShadowSelfAgreement(t *testing.T) {
-	trace := decisionWorkload(11)
-	sh := NewShadow("fcfs-twin", sched.NewFCFS())
-	res := MustRun(Config{
-		Disk: xp(), Scheduler: sched.NewFCFS(),
-		Options: Options{DropLate: true, Shadows: []*Shadow{sh}},
-	}, trace)
-	rep := res.Shadows[0]
-	if rep.Decisions == 0 {
-		t.Fatal("shadow observed no decisions")
-	}
-	if rep.Agreements != rep.Decisions {
-		t.Errorf("identical-policy shadow agreed on %d of %d decisions", rep.Agreements, rep.Decisions)
-	}
-	if rep.DisagreementRate() != 0 {
-		t.Errorf("identical-policy disagreement rate = %v, want 0", rep.DisagreementRate())
-	}
-	if rep.HeadTravel != res.HeadTravel {
-		t.Errorf("identical-policy shadow head travel %d, primary %d", rep.HeadTravel, res.HeadTravel)
-	}
-	if rep.QueueLeft != 0 {
-		t.Errorf("identical-policy shadow left %d requests queued", rep.QueueLeft)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		twin  sched.Scheduler
+		moves bool
+	}{
+		{"fcfs-disk", Config{Disk: xp(), Scheduler: sched.NewFCFS()}, sched.NewFCFS(), true},
+		{"cscan-fixed", Config{FixedService: 10_000, Scheduler: sched.NewCSCAN()}, sched.NewCSCAN(), false},
+	} {
+		sh := NewShadow(tc.name, tc.twin)
+		tc.cfg.Options = Options{DropLate: true, Shadows: []*Shadow{sh}}
+		res := MustRun(tc.cfg, decisionWorkload(11))
+		rep := res.Shadows[0]
+		if rep.Decisions == 0 {
+			t.Fatalf("%s: shadow observed no decisions", tc.name)
+		}
+		if rep.Agreements != rep.Decisions {
+			t.Errorf("%s: identical-policy shadow agreed on %d of %d decisions", tc.name, rep.Agreements, rep.Decisions)
+		}
+		if rep.DisagreementRate() != 0 {
+			t.Errorf("%s: identical-policy disagreement rate = %v, want 0", tc.name, rep.DisagreementRate())
+		}
+		if rep.HeadTravel != res.HeadTravel || (res.HeadTravel > 0) != tc.moves {
+			t.Errorf("%s: identical-policy shadow head travel %d, primary %d", tc.name, rep.HeadTravel, res.HeadTravel)
+		}
+		if rep.QueueLeft != 0 {
+			t.Errorf("%s: identical-policy shadow left %d requests queued", tc.name, rep.QueueLeft)
+		}
 	}
 }
 

@@ -44,11 +44,18 @@ func lindleySchedulers() map[string]func() sched.Scheduler {
 // reports whether the sorted service-start epochs equal the Lindley
 // recursion over the sorted arrivals, d_i = max(a_i, d_{i−1}+S): the
 // station is a work-conserving G/D/1 server, so which request a
-// discipline starts changes who waits, never when the server is busy.
+// discipline starts changes who waits, never when the server is busy. The
+// run must also end at d_n + S, and a Cascaded-SFC scheduler's own
+// dispatch-wait histogram must sum to Σd_i − Σa_i.
 func lindleyHolds(t *testing.T, s sched.Scheduler, trace []*core.Request, dropLate bool) (bool, string) {
 	t.Helper()
+	var m *core.Metrics
+	if cs, ok := s.(*core.Scheduler); ok {
+		m = &core.Metrics{}
+		cs.SetMetrics(m)
+	}
 	var starts []int64
-	_, err := Run(Config{FixedService: lindleyService, Scheduler: s, Options: Options{
+	res, err := Run(Config{FixedService: lindleyService, Scheduler: s, Options: Options{
 		DropLate: dropLate,
 		Trace: func(ev TraceEvent) {
 			if !ev.Dropped {
@@ -63,7 +70,7 @@ func lindleyHolds(t *testing.T, s sched.Scheduler, trace []*core.Request, dropLa
 		return false, fmt.Sprintf("%d of %d requests started", len(starts), len(trace))
 	}
 	slices.Sort(starts)
-	d := int64(0)
+	d, wait := int64(0), int64(0)
 	for i, r := range trace {
 		if i == 0 {
 			d = r.Arrival
@@ -73,6 +80,13 @@ func lindleyHolds(t *testing.T, s sched.Scheduler, trace []*core.Request, dropLa
 		if starts[i] != d {
 			return false, fmt.Sprintf("start %d at %d, recursion says %d", i, starts[i], d)
 		}
+		wait += d - r.Arrival
+	}
+	if res.Makespan != d+lindleyService {
+		return false, fmt.Sprintf("makespan %d, recursion says %d", res.Makespan, d+lindleyService)
+	}
+	if m != nil && m.DispatchWait.Sum() != uint64(wait) {
+		return false, fmt.Sprintf("dispatch waits sum to %d, recursion says %d", m.DispatchWait.Sum(), wait)
 	}
 	return true, ""
 }

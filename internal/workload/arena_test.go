@@ -143,6 +143,9 @@ func TestGenerateArenaSteadyStateAllocs(t *testing.T) {
 func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	trace := openVariants()[0].MustGenerate()
 	trace = append(trace, &core.Request{}) // zero row
+	for i, r := range trace[:len(trace)-1] {
+		r.Tenant, r.Class = i%5, i%3
+	}
 	dims := 3
 	var got bytes.Buffer
 	if err := WriteCSV(&got, trace, dims); err != nil {
@@ -150,7 +153,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	}
 	var want bytes.Buffer
 	cw := csv.NewWriter(&want)
-	header := []string{"id", "arrival_us", "deadline_us", "cylinder", "size", "write", "value"}
+	header := []string{"id", "arrival_us", "deadline_us", "cylinder", "size", "write", "value", "tenant", "class"}
 	for d := 0; d < dims; d++ {
 		header = append(header, fmt.Sprintf("priority_%d", d))
 	}
@@ -160,6 +163,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 			strconv.FormatUint(r.ID, 10), strconv.FormatInt(r.Arrival, 10),
 			strconv.FormatInt(r.Deadline, 10), strconv.Itoa(r.Cylinder),
 			strconv.FormatInt(r.Size, 10), strconv.FormatBool(r.Write), strconv.Itoa(r.Value),
+			strconv.Itoa(r.Tenant), strconv.Itoa(r.Class),
 		}
 		for d := 0; d < dims; d++ {
 			p := 0

@@ -10,10 +10,10 @@ import (
 )
 
 // WriteCSV serializes a trace with dims priority columns. The format is
-// what schedsim -emit-trace writes and -replay reads back; it carries no
-// tenant or class tags:
+// what schedsim -emit-trace writes and -replay reads back, cluster tags
+// included:
 //
-//	id,arrival_us,deadline_us,cylinder,size,write,value,priority_0,...
+//	id,arrival_us,deadline_us,cylinder,size,write,value,tenant,class,priority_0,...
 //
 // Rows are appended with strconv into one chunked buffer instead of going
 // through encoding/csv's per-record field slices — no field ever needs
@@ -23,7 +23,7 @@ import (
 func WriteCSV(w io.Writer, trace []*core.Request, dims int) error {
 	const chunk = 64 << 10
 	buf := make([]byte, 0, chunk)
-	buf = append(buf, "id,arrival_us,deadline_us,cylinder,size,write,value"...)
+	buf = append(buf, "id,arrival_us,deadline_us,cylinder,size,write,value,tenant,class"...)
 	for d := 0; d < dims; d++ {
 		buf = append(buf, ",priority_"...)
 		buf = strconv.AppendInt(buf, int64(d), 10)
@@ -43,6 +43,10 @@ func WriteCSV(w io.Writer, trace []*core.Request, dims int) error {
 		buf = strconv.AppendBool(buf, r.Write)
 		buf = append(buf, ',')
 		buf = strconv.AppendInt(buf, int64(r.Value), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(r.Tenant), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(r.Class), 10)
 		for d := 0; d < dims; d++ {
 			p := 0
 			if d < len(r.Priorities) {
@@ -70,7 +74,8 @@ func WriteCSV(w io.Writer, trace []*core.Request, dims int) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV. Priority dimensionality is
-// inferred from the header.
+// inferred from the header, which may also be the older one without the
+// tenant and class columns: its requests load untagged.
 //
 // Requests and their priority vectors are carved out of chunked slabs
 // (views into them, like Arena's) rather than allocated per row; the
@@ -82,9 +87,13 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: reading CSV header: %w", err)
 	}
-	const fixed = 7
+	fixed := 7
 	if len(header) < fixed || header[0] != "id" || header[1] != "arrival_us" {
 		return nil, fmt.Errorf("workload: unrecognized trace header %v", header)
+	}
+	tagged := len(header) >= 9 && header[7] == "tenant" && header[8] == "class"
+	if tagged {
+		fixed = 9
 	}
 	dims := len(header) - fixed
 	// Slab chunks are fixed-size and never grown in place, so pointers and
@@ -132,6 +141,14 @@ func ReadCSV(r io.Reader) ([]*core.Request, error) {
 		}
 		if req.Value, err = strconv.Atoi(row[6]); err != nil {
 			return nil, fmt.Errorf("workload: line %d value: %w", line, err)
+		}
+		if tagged {
+			if req.Tenant, err = strconv.Atoi(row[7]); err != nil {
+				return nil, fmt.Errorf("workload: line %d tenant: %w", line, err)
+			}
+			if req.Class, err = strconv.Atoi(row[8]); err != nil {
+				return nil, fmt.Errorf("workload: line %d class: %w", line, err)
+			}
 		}
 		if dims > 0 {
 			if len(prioSlab)+dims > cap(prioSlab) {

@@ -16,6 +16,10 @@ import (
 
 const csvHeader1 = "id,arrival_us,deadline_us,cylinder,size,write,value,priority_0\n"
 
+// csvTagged1 is the header WriteCSV writes: csvHeader1 with the tenant
+// and class columns.
+const csvTagged1 = "id,arrival_us,deadline_us,cylinder,size,write,value,tenant,class,priority_0\n"
+
 // decoderSeeds are malformed, truncated and mixed-dimensionality inputs in
 // both formats, next to one good file of each.
 var decoderSeeds = []string{
@@ -42,6 +46,12 @@ var decoderSeeds = []string{
 	csvHeader1 + "1,10,-1,7,4096,false,0,3\n",
 	`{"id":1,"arrival":-5}` + "\n" + `{"id":2,"arrival":1}` + "\n",
 	`{"id":1,"arrival":5,"deadline":-1}` + "\n",
+	// The tagged header, well formed and not, next to the untagged one.
+	csvTagged1 + "1,10,500,7,4096,false,0,3,2,5\n2,5,0,9,8192,true,2,0,1,1\n",
+	csvTagged1 + "1,10,500,7,4096,false,0,x,2,5\n",
+	csvTagged1 + "1,10,500,7,4096,false,0,3,2\n",
+	"id,arrival_us,deadline_us,cylinder,size,write,value,tenant,class\n1,10,500,7,4096,false,0,3,2\n",
+	"id,arrival_us,deadline_us,cylinder,size,write,value,tenant\n1,10,500,7,4096,false,0,3\n",
 }
 
 func FuzzReadCSV(f *testing.F) {
@@ -63,7 +73,11 @@ func FuzzReadCSV(f *testing.F) {
 		if len(trace) != len(recs)-1 {
 			t.Fatalf("%d data rows decoded to %d requests", len(recs)-1, len(trace))
 		}
-		dims := len(recs[0]) - 7
+		fixed := 7
+		if h := recs[0]; len(h) >= 9 && h[7] == "tenant" && h[8] == "class" {
+			fixed = 9
+		}
+		dims := len(recs[0]) - fixed
 		for i, r := range trace {
 			if len(r.Priorities) != dims {
 				t.Fatalf("request %d has %d priorities under a %d-dimension header", i, len(r.Priorities), dims)
