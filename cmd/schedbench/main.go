@@ -7,7 +7,6 @@
 //	schedbench -exp all                # run every experiment
 //	schedbench -exp fig5               # one experiment
 //	schedbench -exp fig10 -requests 8000 -seed 7
-//	schedbench -exp calibrate -dilations 10,50,250
 //	schedbench -serve -dilation 100 -serve-for 2s -http :9090
 //
 // Output is a text table per figure: the shared x-axis followed by one
@@ -74,9 +73,6 @@ func run(out io.Writer, id string, o *options) error {
 	p := experiments.Params{Seed: o.seed, Requests: o.requests, Workers: o.workers}
 	var err error
 	if p.Users, err = o.parseUsers(); err != nil {
-		return err
-	}
-	if p.Dilations, err = o.parseDilations(); err != nil {
 		return err
 	}
 	return experiments.Run(out, id, p, o.asCSV)

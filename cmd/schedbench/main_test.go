@@ -56,27 +56,6 @@ func TestRunEveryExperimentReduced(t *testing.T) {
 	}
 }
 
-func TestRunCalibrateReduced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock run")
-	}
-	var buf bytes.Buffer
-	if err := run(&buf, "calibrate", testOptions(func(o *options) {
-		o.requests = 120
-		o.dilations = "40,80"
-		o.asCSV = true
-	})); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# calibrate") || !strings.Contains(out, "mape-pct") {
-		t.Errorf("calibrate CSV output wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "\n40,") || !strings.Contains(out, "\n80,") {
-		t.Errorf("calibrate output missing sweep rows for -dilations override:\n%s", out)
-	}
-}
-
 func TestRunRejectsUnknown(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, "fig99", testOptions(nil)); err == nil {
@@ -84,9 +63,6 @@ func TestRunRejectsUnknown(t *testing.T) {
 	}
 	if err := run(&buf, "fig11", testOptions(func(o *options) { o.users = "abc" })); err == nil {
 		t.Error("expected error for malformed user list")
-	}
-	if err := run(&buf, "calibrate", testOptions(func(o *options) { o.dilations = "10,-2" })); err == nil {
-		t.Error("expected error for negative dilation in sweep")
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -23,13 +22,12 @@ type options struct {
 	workers  int
 	httpAddr string
 
-	// Serving layer (PR 9): serve the workload live on the wall clock
-	// instead of running experiments, and the calibrate sweep override.
-	serve     bool
-	dilation  float64
-	inflight  int
-	serveFor  time.Duration
-	dilations string
+	// Serving layer: serve the workload live on the wall clock instead of
+	// running experiments.
+	serve    bool
+	dilation float64
+	inflight int
+	serveFor time.Duration
 }
 
 // register binds every option to fs with its default.
@@ -46,7 +44,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.dilation, "dilation", 100, "serve: model seconds covered per wall-clock second")
 	fs.IntVar(&o.inflight, "inflight", 1, "serve: concurrent backend services (1 = single-arm semantics)")
 	fs.DurationVar(&o.serveFor, "serve-for", 0, "serve: repeat the workload until this wall-clock duration elapses (0 = one pass)")
-	fs.StringVar(&o.dilations, "dilations", "", "calibrate experiment: comma-separated dilation-factor sweep override (e.g. 10,50,250)")
 }
 
 // validate rejects inconsistent flag combinations with a specific error
@@ -73,14 +70,6 @@ func (o *options) validate() error {
 	if o.serveFor > 0 && !o.serve {
 		return fmt.Errorf("-serve-for requires -serve")
 	}
-	if o.dilations != "" {
-		if o.serve {
-			return fmt.Errorf("-dilations drives the calibrate experiment, not -serve (use -dilation)")
-		}
-		if _, err := o.parseDilations(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -97,26 +86,6 @@ func (o *options) parseUsers() ([]int, error) {
 			return nil, fmt.Errorf("bad user count %q: %v", f, err)
 		}
 		out = append(out, u)
-	}
-	return out, nil
-}
-
-// parseDilations parses the -dilations sweep list; empty means "use the
-// experiment default".
-func (o *options) parseDilations() ([]float64, error) {
-	if o.dilations == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(o.dilations, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -dilations entry %q: %v", f, err)
-		}
-		if _, err := serve.NewClock(v); err != nil {
-			return nil, fmt.Errorf("-dilations: %w", err)
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }

@@ -46,10 +46,6 @@ func TestOptionsRejects(t *testing.T) {
 		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"negative serve-for", []string{"-serve", "-serve-for", "-1s"}, "-serve-for"},
 		{"serve-for without serve", []string{"-serve-for", "2s"}, "requires -serve"},
-		{"dilations with serve", []string{"-serve", "-dilations", "10,20"}, "-dilations"},
-		{"malformed dilations", []string{"-dilations", "10,abc"}, "bad -dilations"},
-		{"nonpositive dilations", []string{"-dilations", "10,0"}, "-dilations: serve: dilation factor must be positive"},
-		{"infinite dilations entry", []string{"-exp", "calibrate", "-dilations", "10,Inf"}, "-dilations: serve: dilation factor must be positive and finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,7 +62,6 @@ func TestOptionsRejects(t *testing.T) {
 
 func TestOptionsAccepts(t *testing.T) {
 	cases := [][]string{
-		{"-exp", "calibrate", "-dilations", " 10 , 50 ,250"},
 		{"-serve", "-dilation", "0.5", "-inflight", "4"},
 		{"-serve", "-serve-for", "2s", "-http", ":0"},
 		{"-exp", "fig5", "-requests", "100", "-workers", "3", "-csv"},
@@ -75,32 +70,5 @@ func TestOptionsAccepts(t *testing.T) {
 		if _, err := parseBench(t, args...); err != nil {
 			t.Errorf("args %v should be accepted: %v", args, err)
 		}
-	}
-}
-
-func TestParseDilations(t *testing.T) {
-	o, err := parseBench(t, "-dilations", " 10 , 50 ,250")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.parseDilations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{10, 50, 250}
-	if len(got) != len(want) {
-		t.Fatalf("parseDilations = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseDilations = %v, want %v", got, want)
-		}
-	}
-	empty, err := parseBench(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dils, err := empty.parseDilations(); err != nil || dils != nil {
-		t.Errorf("empty -dilations should parse to nil, got %v, %v", dils, err)
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // runServe lifts the Cascaded-SFC scheduler onto the wall clock: it
-// generates the calibrate experiment's open workload and serves it live
-// through the real-clock dispatcher against the emulated Quantum disk,
+// generates a 1-d open workload that overloads the disk (4 ms arrivals
+// against ~15 ms services) and serves it live through the real-clock
+// dispatcher against the emulated Quantum disk,
 // repeating the trace (with shifted arrivals) until -serve-for elapses.
 // The run owns its scheduler's core.Metrics and its dispatcher's
 // serve.Metrics and registers both in reg, so with -http a scrape of
@@ -30,7 +31,7 @@ func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 	if count <= 0 {
 		count = 2000
 	}
-	const meanGap = 4_000 // µs; the calibrate experiment's arrival rate
+	const meanGap = 4_000 // µs
 	trace, err := workload.Open{
 		Seed:             o.seed,
 		Count:            count,

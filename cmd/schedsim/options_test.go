@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,6 +29,10 @@ func parse(t *testing.T, args ...string) *options {
 // that consumes it, so most rows assert on that owner's error under the
 // flag name run wraps it in.
 func TestValidateRejectsBadFlagCombinations(t *testing.T) {
+	headerOnly := filepath.Join(t.TempDir(), "empty.csv")
+	if err := os.WriteFile(headerOnly, []byte("id,arrival_us,deadline_us,cylinder,size,write,value,tenant,class,priority_0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		args    []string
@@ -84,6 +89,8 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"serve with dispatch trace", []string{"-serve", "-dispatch-trace", "-"}, "-dispatch-trace"},
 		{"replay with spec", []string{"-replay", "run.jsonl", "-spec", "mixed"}, "mutually exclusive"},
 		{"replay missing file", []string{"-replay", filepath.Join(t.TempDir(), "none.jsonl")}, "-replay: workload: opening replay trace"},
+		{"replay header-only csv", []string{"-replay", headerOnly}, "-replay: workload: replay source holds no requests"},
+		{"replay header-only csv under edf", []string{"-replay", headerOnly, "-sched", "edf"}, "-replay: workload: replay source holds no requests"},
 		{"unknown spec", []string{"-spec", "tsunami"}, "-spec: workload: unknown scenario"},
 		{"spec zero requests", []string{"-spec", "flash", "-requests", "0"}, "-spec: workload: scenario \"flash\" needs at least 4 requests"},
 	}

@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Admitter rules on each arriving request before routing: a rejected
 // request is counted as an admission drop for its class and never touches
@@ -34,6 +37,7 @@ const microToken = 1_000_000
 type TokenBucket struct {
 	rate  int64 // micro-tokens per µs == tokens per second
 	cap   int64 // micro-tokens
+	fill  int64 // µs after which an empty bucket is full: cap/rate + 1
 	level []int64
 	last  []int64
 }
@@ -47,9 +51,13 @@ func NewTokenBucket(classes int, ratePerSec, burst int64) (*TokenBucket, error) 
 	if ratePerSec < 1 || burst < 1 {
 		return nil, fmt.Errorf("cluster: token bucket rate and burst must be positive, got rate=%d burst=%d", ratePerSec, burst)
 	}
+	if burst > math.MaxInt64/microToken {
+		return nil, fmt.Errorf("cluster: token bucket burst must be at most %d, got %d", math.MaxInt64/microToken, burst)
+	}
 	tb := &TokenBucket{
 		rate:  ratePerSec,
 		cap:   burst * microToken,
+		fill:  burst*microToken/ratePerSec + 1,
 		level: make([]int64, classes),
 		last:  make([]int64, classes),
 	}
@@ -65,7 +73,9 @@ func (tb *TokenBucket) Name() string { return "token" }
 // Admit implements Admitter: refill the class's bucket for the time since
 // its last ruling, then spend one token if a whole one is available.
 // Refill is incremental integer arithmetic, so a token that completes
-// exactly at now is spendable at now and one µs earlier it is not.
+// exactly at now is spendable at now and one µs earlier it is not. A gap
+// of fill µs or more refills the bucket outright; a shorter one adds at
+// most cap, so the product cannot overflow.
 func (tb *TokenBucket) Admit(class int, now int64) bool {
 	if class < 0 {
 		class = 0
@@ -74,9 +84,9 @@ func (tb *TokenBucket) Admit(class int, now int64) bool {
 		class = len(tb.level) - 1
 	}
 	if dt := now - tb.last[class]; dt > 0 {
-		lvl := tb.level[class] + dt*tb.rate
-		if lvl > tb.cap || lvl < 0 { // cap, and guard dt·rate overflow
-			lvl = tb.cap
+		lvl := tb.cap
+		if dt < tb.fill && dt*tb.rate < tb.cap-tb.level[class] {
+			lvl = tb.level[class] + dt*tb.rate
 		}
 		tb.level[class] = lvl
 		tb.last[class] = now

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Boundary: a bucket drained to exactly zero must refuse the next
 // request at the same instant — exactly-empty is empty.
@@ -98,10 +101,47 @@ func TestTokenBucketValidation(t *testing.T) {
 	for i, c := range []struct {
 		classes     int
 		rate, burst int64
-	}{{0, 100, 10}, {1, 0, 10}, {1, 100, 0}, {-1, 100, 10}, {1, -5, 10}} {
+	}{{0, 100, 10}, {1, 0, 10}, {1, 100, 0}, {-1, 100, 10}, {1, -5, 10},
+		{1, 1, math.MaxInt64/microToken + 1}, {1, 1, 10_000_000_000_000}} {
 		if _, err := NewTokenBucket(c.classes, c.rate, c.burst); err == nil {
 			t.Errorf("case %d: NewTokenBucket(%d, %d, %d) accepted", i, c.classes, c.rate, c.burst)
 		}
+	}
+}
+
+// Burst and elapsed time come from outside (flags, replayed arrivals), so
+// neither may wrap the micro-token arithmetic: the largest burst
+// TestTokenBucketValidation lets through works, and any gap, however
+// long, refills the bucket.
+func TestTokenBucketOverflow(t *testing.T) {
+	tb, err := NewTokenBucket(1, math.MaxInt64/microToken, math.MaxInt64/microToken)
+	if err != nil {
+		t.Fatalf("the largest burst was refused: %v", err)
+	}
+	for _, now := range []int64{0, 1, 2, math.MaxInt64} {
+		if !tb.Admit(0, now) {
+			t.Errorf("largest bucket refused at %d", now)
+		}
+	}
+
+	tb, err = NewTokenBucket(1, 200, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if !tb.Admit(0, 0) {
+			t.Fatalf("full bucket refused admit %d", i)
+		}
+	}
+	// 200 tokens/s over this gap is 2^64 + 184 micro-tokens: wrapped, the
+	// refill read 184 and admitted nothing.
+	for i := 0; i < 50; i++ {
+		if !tb.Admit(0, 92233720368547759) {
+			t.Fatalf("a bucket idle for 2 900 years refused admit %d", i)
+		}
+	}
+	if tb.Admit(0, 92233720368547759) {
+		t.Error("refilled bucket admitted more than its burst")
 	}
 }
 

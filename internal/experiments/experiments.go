@@ -27,7 +27,10 @@
 //
 // Every row has one size, its default, and that output is the evaluation:
 // testdata/<id>.csv holds it, EXPERIMENTS.md quotes it, and the shape tests
-// check the paper's claims against it. Adding an experiment is one function
+// check the paper's claims against it. Every row is deterministic: the same
+// Params render the same bytes on any machine, so a wall-clock measurement
+// or a harness whose output must read all zeros is a test of the package
+// that owns the behaviour, not a row. Adding an experiment is one function
 // and one Registry row; `make goldens` then records testdata/<id>.csv and
 // rewrites the EXPERIMENTS.md tables.
 package experiments

@@ -17,8 +17,6 @@ type Params struct {
 	Workers int
 	// Users overrides the fig11/fig11raid stream counts.
 	Users []int
-	// Dilations overrides the calibrate sweep.
-	Dilations []float64
 }
 
 // sized returns p with Requests set to n, the experiment's default,
@@ -38,14 +36,13 @@ type Experiment struct {
 	Run func(w io.Writer, p Params) ([]*Result, error)
 }
 
-// Registry lists every experiment in paper order, then the sweeps later
-// PRs added: fig11raid is §6 on the full RAID-5 array at the paper's
+// Registry lists every experiment in paper order, then the sweeps added
+// since: fig11raid is §6 on the full RAID-5 array at the paper's
 // unscaled bit rate, faultsweep the robustness sweep over transient fault
 // rates on the degraded array, divergence the counterfactual
-// shadow-scheduler sweep, calibrate the sim-vs-live serving-path scoring
-// (wall-clock measurement — the one non-deterministic row), ablations the
-// design-choice tables of DESIGN.md §6. Adding an experiment is one
-// function and one row here.
+// shadow-scheduler sweep, cluster the routed multi-node sweep, ablations
+// the design-choice tables of DESIGN.md §6. Every row is deterministic.
+// Adding an experiment is one function and one row here.
 var Registry = []Experiment{
 	{"table1", table1},
 	{"fig5", fig5},
@@ -59,8 +56,6 @@ var Registry = []Experiment{
 	{"faultsweep", faultSweep},
 	{"divergence", divergence},
 	{"cluster", clusterSweep},
-	{"replaydiff", replayDiff},
-	{"calibrate", calibrate},
 	{"ablations", ablations},
 }
 

@@ -98,21 +98,15 @@ func parseCSV(data []byte) ([]*Result, error) {
 	return out, nil
 }
 
-// Every deterministic row must render the committed bytes at its defaults
-// — the one size the package evaluates at — for any worker count: the
-// parallel runner has to be invisible in the output. Under -race (CI
-// covers ./internal/...) the workers=8 pass also checks the cells'
-// share-nothing premise. calibrate measures wall clock and is the one row
-// left out. The workers=1 pass also renders the text tables that
+// Every row must render the committed bytes at its defaults — the one
+// size the package evaluates at — for any worker count: the parallel
+// runner has to be invisible in the output. Under -race (CI covers
+// ./internal/...) the workers=8 pass also checks the cells' share-nothing
+// premise. The workers=1 pass also renders the text tables that
 // EXPERIMENTS.md quotes; -update rewrites the goldens and those tables.
 func TestRegistryGoldenAndWorkerInvariant(t *testing.T) {
 	texts := map[string][]byte{}
-	rows := 0
 	for _, e := range Registry {
-		if e.ID == "calibrate" {
-			continue
-		}
-		rows++
 		t.Run(e.ID, func(t *testing.T) {
 			path := filepath.Join("testdata", e.ID+".csv")
 			csv, text := runRow(t, e, Params{Seed: 1, Workers: 1})
@@ -128,7 +122,7 @@ func TestRegistryGoldenAndWorkerInvariant(t *testing.T) {
 			expect(t, bytes.Equal(csv8, want), "workers=8 diverges from %s:\ngot:\n%s\nwant:\n%s", path, csv8, want)
 		})
 	}
-	checkDocTables(t, texts, len(texts) == rows)
+	checkDocTables(t, texts, len(texts) == len(Registry))
 }
 
 // docTable matches one registry row quoted in EXPERIMENTS.md: the row's
@@ -154,7 +148,7 @@ func checkDocTables(t *testing.T, texts map[string][]byte, all bool) {
 		text, ok := texts[id]
 		if !ok {
 			if all {
-				t.Errorf("EXPERIMENTS.md quotes %q, which is no deterministic registry row", id)
+				t.Errorf("EXPERIMENTS.md quotes %q, which is no registry row", id)
 			}
 			return block
 		}

@@ -120,4 +120,23 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 		r.Arrival = 0
 	}
 	liveIsSim(t, "cascaded/burst-at-zero", func() sched.Scheduler { return schedsimCascade(model) }, sm, true, burst)
+
+	// schedbench -serve's configuration, which overloads the disk: a 1-d
+	// trace at 4 ms against ~15 ms services, under the fully preemptive
+	// cascade with SFC3 at window 0.
+	overload := workload.Open{
+		Seed: 1, Count: 400, MeanInterarrival: 4_000,
+		Dims: 1, Levels: 8, DeadlineMin: 400_000, DeadlineMax: 700_000,
+		Cylinders: model.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
+	}.MustGenerate()
+	preemptive := func() sched.Scheduler {
+		return core.MustScheduler("cascaded", core.EncapsulatorConfig{
+			Levels:      8,
+			UseDeadline: true, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
+			UseCylinder: true, R: 3, Cylinders: model.Cylinders,
+		}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	}
+	for _, dropLate := range []bool{false, true} {
+		liveIsSim(t, fmt.Sprintf("cascaded/overload/drop=%v", dropLate), preemptive, sm, dropLate, overload)
+	}
 }

@@ -118,3 +118,75 @@ func TestLindleyRecursion(t *testing.T) {
 		t.Error("the law held in every DropLate run too: the check cannot fail")
 	}
 }
+
+// levelWaits runs trace on one station with constant service and returns
+// the served requests' waits summed per priority level (dimension 0).
+func levelWaits(t *testing.T, s sched.Scheduler, trace []*core.Request, dropLate bool) [8]int64 {
+	t.Helper()
+	var sums [8]int64
+	if _, err := Run(Config{FixedService: lindleyService, Scheduler: s, Options: Options{
+		DropLate: dropLate,
+		Trace: func(ev TraceEvent) {
+			if !ev.Dropped {
+				sums[ev.Request.Priorities[0]] += ev.Now - ev.Request.Arrival
+			}
+		},
+	}}, trace); err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// TestOrderWithinAClassIsFree checks the second exact law: under constant
+// service a work-conserving station starts at the same epochs whatever
+// the discipline (Lindley), so two policies that always start the most
+// urgent non-empty priority level start the same level at every epoch,
+// and each level's wait sum is the same however they order its members.
+// multi-queue scans within a level, while its emulation and the fully
+// preemptive cascade on priority alone serve a level FIFO through queues
+// of their own; at D = 1 all three must agree, level by level, exactly. With DropLate the order
+// within a level decides which members expire, and so which later ones
+// are still queued: the sums must part somewhere, the negative control.
+func TestOrderWithinAClassIsFree(t *testing.T) {
+	policies := []struct {
+		name string
+		mk   func() sched.Scheduler
+	}{
+		{"multi-queue", func() sched.Scheduler { return sched.NewMultiQueue(8) }},
+		{"multi-queue(emulated)", func() sched.Scheduler { return core.EmulateMultiQueue(8) }},
+		{"cascaded", func() sched.Scheduler {
+			return core.MustScheduler("cascaded", core.EncapsulatorConfig{Levels: 8},
+				core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+		}},
+	}
+	broken := 0
+	for _, rho := range []float64{0.30, 0.75, 0.95, 1.125} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			trace := workload.Open{
+				Seed: seed, Count: 3000, MeanInterarrival: int64(lindleyService / rho),
+				Dims: 1, Levels: 8, DeadlineMin: 50_000, DeadlineMax: 300_000,
+				Cylinders: 3832, Size: 64 << 10,
+			}.MustGenerate()
+			for _, dropLate := range []bool{false, true} {
+				want := levelWaits(t, policies[0].mk(), trace, dropLate)
+				parted := false
+				for _, p := range policies[1:] {
+					got := levelWaits(t, p.mk(), trace, dropLate)
+					if got == want {
+						continue
+					}
+					parted = true
+					if !dropLate {
+						t.Errorf("ρ=%v seed %d: %s waits per level %v, %s %v", rho, seed, p.name, got, policies[0].name, want)
+					}
+				}
+				if dropLate && parted {
+					broken++
+				}
+			}
+		}
+	}
+	if broken == 0 {
+		t.Error("the law held in every DropLate run too: the check cannot fail")
+	}
+}

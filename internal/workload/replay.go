@@ -74,6 +74,9 @@ func LoadReplay(r io.Reader) (*Replay, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(trace) == 0 {
+			return nil, fmt.Errorf("workload: replay source holds no requests")
+		}
 		return newReplay(trace)
 	}
 }
