@@ -1,31 +1,21 @@
 package main
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"sfcsched/internal/obs"
 )
 
-// publishOnce guards the process-global expvar namespace: expvar.Publish
-// panics on duplicates, and tests build more than one mux.
-var publishOnce sync.Once
-
 // newObsMux builds the observability endpoint over reg: /metrics
-// (Prometheus text format of the sinks registered in reg), /debug/vars
-// (expvar, including the same snapshot under "sfcsched"), and the pprof
+// (Prometheus text format of the sinks registered in reg) and the pprof
 // suite under /debug/pprof/. A run registers only the sinks it owns: a
 // -serve run its scheduler's and dispatcher's, an experiment none.
 func newObsMux(reg *obs.Registry) *http.ServeMux {
-	publishOnce.Do(func() { reg.PublishExpvar("sfcsched") })
-
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -65,14 +65,6 @@ func TestObsEndpoints(t *testing.T) {
 		t.Errorf("/metrics of an empty registry: status %d, body %q", code, body)
 	}
 
-	code, body = get(mux, "/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	if !strings.Contains(body, `"sfcsched"`) {
-		t.Errorf("/debug/vars missing sfcsched snapshot:\n%s", body)
-	}
-
 	code, body = get(mux, "/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ status %d", code)

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -38,7 +39,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.users, "users", "", "fig11 only: comma-separated user counts")
 	fs.BoolVar(&o.asCSV, "csv", false, "emit CSV instead of aligned tables")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers for sweep experiments (0 = GOMAXPROCS); output is identical for any value")
-	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics (Prometheus), /debug/vars (expvar) and /debug/pprof/ on this address, and stay alive after the work finishes (e.g. :9090)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics (Prometheus) and /debug/pprof/ on this address, and stay alive after the work finishes (e.g. :9090)")
 
 	fs.BoolVar(&o.serve, "serve", false, "serve the generated workload live through the real-clock dispatcher (emulated disk) instead of running experiments")
 	fs.Float64Var(&o.dilation, "dilation", 100, "serve: model seconds covered per wall-clock second")
@@ -70,6 +71,9 @@ func (o *options) validate() error {
 	if o.serveFor > 0 && !o.serve {
 		return fmt.Errorf("-serve-for requires -serve")
 	}
+	if _, err := o.parseUsers(); err != nil {
+		return fmt.Errorf("-users: %w", err)
+	}
 	return nil
 }
 
@@ -81,9 +85,9 @@ func (o *options) parseUsers() ([]int, error) {
 	}
 	var out []int
 	for _, f := range strings.Split(o.users, ",") {
-		var u int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &u); err != nil {
-			return nil, fmt.Errorf("bad user count %q: %v", f, err)
+		u, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || u < 1 {
+			return nil, fmt.Errorf("user count %q is not a positive integer", f)
 		}
 		out = append(out, u)
 	}

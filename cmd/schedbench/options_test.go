@@ -46,6 +46,10 @@ func TestOptionsRejects(t *testing.T) {
 		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"negative serve-for", []string{"-serve", "-serve-for", "-1s"}, "-serve-for"},
 		{"serve-for without serve", []string{"-serve-for", "2s"}, "requires -serve"},
+		{"users with trailing junk", []string{"-exp", "fig11", "-users", "68x,70"}, `-users: user count "68x" is not a positive integer`},
+		{"fractional users", []string{"-exp", "fig11", "-users", "68,70.5"}, `-users: user count "70.5" is not a positive integer`},
+		{"zero users", []string{"-exp", "fig11", "-users", "0"}, `-users: user count "0" is not a positive integer`},
+		{"empty users field", []string{"-exp", "fig11", "-users", "68,,70"}, `-users: user count "" is not a positive integer`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,6 +69,7 @@ func TestOptionsAccepts(t *testing.T) {
 		{"-serve", "-dilation", "0.5", "-inflight", "4"},
 		{"-serve", "-serve-for", "2s", "-http", ":0"},
 		{"-exp", "fig5", "-requests", "100", "-workers", "3", "-csv"},
+		{"-exp", "fig11", "-users", "68, 70"},
 	}
 	for _, args := range cases {
 		if _, err := parseBench(t, args...); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -177,6 +178,22 @@ func (o *options) validate() error {
 				return fmt.Errorf("%s needs a single scheduler, not -sched all (outputs would interleave)", flagName)
 			}
 		}
+	}
+	// Two streams written to one file would interleave or truncate each
+	// other.
+	writers := map[string]string{}
+	for _, out := range []struct{ flag, path string }{
+		{"-emit-trace", o.emitOut}, {"-dispatch-trace", o.dispatchOut},
+		{"-decision-trace", o.decisionOut}, {"-telemetry", o.telemetryOut},
+	} {
+		if out.path == "" {
+			continue
+		}
+		p := filepath.Clean(out.path)
+		if prev, dup := writers[p]; dup {
+			return fmt.Errorf("%s and %s both write to %s; give each stream its own file", prev, out.flag, out.path)
+		}
+		writers[p] = out.flag
 	}
 	if o.clusterNodes < 0 {
 		return fmt.Errorf("-cluster must not be negative, got %d", o.clusterNodes)

@@ -33,6 +33,8 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 	if err := os.WriteFile(headerOnly, []byte("id,arrival_us,deadline_us,cylinder,size,write,value,tenant,class,priority_0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Both spellings name one file.
+	same := filepath.Join(t.TempDir(), "same.jsonl")
 	cases := []struct {
 		name    string
 		args    []string
@@ -93,6 +95,9 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"replay header-only csv under edf", []string{"-replay", headerOnly, "-sched", "edf"}, "-replay: workload: replay source holds no requests"},
 		{"unknown spec", []string{"-spec", "tsunami"}, "-spec: workload: unknown scenario"},
 		{"spec zero requests", []string{"-spec", "flash", "-requests", "0"}, "-spec: workload: scenario \"flash\" needs at least 4 requests"},
+		{"two traces into one file", []string{"-sched", "cascaded", "-dispatch-trace", same, "-decision-trace", filepath.Dir(same) + "/./same.jsonl"},
+			"-dispatch-trace and -decision-trace both write to"},
+		{"workload and telemetry to stdout", []string{"-emit-trace", "-", "-telemetry", "-"}, "-emit-trace and -telemetry both write to -"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

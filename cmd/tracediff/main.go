@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 func main() {
@@ -56,37 +57,30 @@ func fatal(err error) {
 
 // diff streams both readers line by line and writes a report of the first
 // divergence to w: up to context preceding common lines, then the two
-// differing lines tagged with their source. It returns true when the
-// streams are byte-identical. A stream ending early is a divergence; the
-// longer side's next line is reported against "<end of trace>".
+// differing lines tagged with their source. Lines are compared with their
+// terminators, so it returns true only when the streams are byte-identical:
+// a "\r\n" against a "\n", or a missing final newline, is a divergence. A
+// stream ending early is a divergence; the longer side's next line is
+// reported against "<end of trace>".
 func diff(a, b io.Reader, w io.Writer, context int) (bool, error) {
-	sa := bufio.NewScanner(a)
-	sb := bufio.NewScanner(b)
-	sa.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	sb.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	ra, rb := bufio.NewReader(a), bufio.NewReader(b)
 	var recent []string // ring of the last `context` common lines
 	line := 0
 	for {
-		okA, okB := sa.Scan(), sb.Scan()
-		if err := sa.Err(); err != nil {
+		la, err := ra.ReadString('\n')
+		if err != nil && err != io.EOF {
 			return false, fmt.Errorf("reading first trace: %w", err)
 		}
-		if err := sb.Err(); err != nil {
+		lb, err := rb.ReadString('\n')
+		if err != nil && err != io.EOF {
 			return false, fmt.Errorf("reading second trace: %w", err)
 		}
-		if !okA && !okB {
+		if la == "" && lb == "" {
 			fmt.Fprintf(w, "traces identical (%d lines)\n", line)
 			return true, nil
 		}
 		line++
-		la, lb := "<end of trace>", "<end of trace>"
-		if okA {
-			la = sa.Text()
-		}
-		if okB {
-			lb = sb.Text()
-		}
-		if okA && okB && la == lb {
+		if la == lb {
 			if context > 0 {
 				if len(recent) == context {
 					recent = append(recent[:0], recent[1:]...)
@@ -97,9 +91,24 @@ func diff(a, b io.Reader, w io.Writer, context int) (bool, error) {
 		}
 		fmt.Fprintf(w, "traces diverge at line %d\n", line)
 		for i, l := range recent {
-			fmt.Fprintf(w, "  %6d   %s\n", line-len(recent)+i, l)
+			fmt.Fprintf(w, "  %6d   %s\n", line-len(recent)+i, show(l))
 		}
-		fmt.Fprintf(w, "a %6d - %s\nb %6d + %s\n", line, la, line, lb)
+		fmt.Fprintf(w, "a %6d - %s\nb %6d + %s\n", line, show(la), line, show(lb))
 		return false, nil
 	}
+}
+
+// show renders a line, read with its terminator, for the report: the "\n"
+// is dropped, a "\r" is spelled out, a last line without a newline says
+// so, and the missing line of the shorter trace reads "<end of trace>".
+func show(l string) string {
+	if l == "" {
+		return "<end of trace>"
+	}
+	body, nl := strings.CutSuffix(l, "\n")
+	body = strings.ReplaceAll(body, "\r", `\r`)
+	if !nl {
+		body += " <no newline at end>"
+	}
+	return body
 }

@@ -81,3 +81,35 @@ func TestDiffZeroContext(t *testing.T) {
 		t.Fatalf("context printed despite -context 0:\n%s", out)
 	}
 }
+
+// Lines compare with their terminators: a CRLF line and a last line without
+// a newline differ from their LF twins, and the report shows which.
+func TestDiffLineTerminators(t *testing.T) {
+	for _, tc := range []struct {
+		name, a, b string
+		line       string
+		la, lb     string
+	}{
+		{"crlf", "{\"a\":1}\n{\"b\":2}\n", "{\"a\":1}\r\n{\"b\":2}\n", "line 1",
+			"- {\"a\":1}\n", "+ {\"a\":1}\\r\n"},
+		{"no final newline", "{\"a\":1}\n{\"b\":2}\n", "{\"a\":1}\n{\"b\":2}", "line 2",
+			"- {\"b\":2}\n", "+ {\"b\":2} <no newline at end>\n"},
+		{"both", "{\"a\":1}\n{\"b\":2}\n", "{\"a\":1}\r\n{\"b\":2}", "line 1",
+			"- {\"a\":1}\n", "+ {\"a\":1}\\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			same, out := runDiff(t, tc.a, tc.b, 3)
+			if same {
+				t.Fatalf("traces that differ in their line ends reported identical:\n%s", out)
+			}
+			for _, want := range []string{"diverge at " + tc.line + "\n", tc.la, tc.lb} {
+				if !strings.Contains(out, want) {
+					t.Errorf("report lacks %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+	if same, out := runDiff(t, "x\r\ny", "x\r\ny", 3); !same || !strings.Contains(out, "identical (2 lines)") {
+		t.Errorf("identical CRLF traces without a final newline: same=%v\n%s", same, out)
+	}
+}

@@ -40,11 +40,11 @@ var testOnlyExports = map[string]string{
 // internal/ that real code never calls or never sets. An entry naming a
 // type covers all its fields. Same rule: entries may only be removed.
 var testOnlyMembers = map[string]string{
-	"internal/cluster.Config.Metrics":             "bench-pinned (bench/w_simfleet.go)",
+	"internal/cluster.Config.Metrics":             "bench-pinned (bench/w_simfleet.go); counts nothing",
 	"internal/cluster.Config.Seed":                "bench-pinned (bench/w_simfleet.go); unused",
 	"internal/core.Scheduler.AddBatch":            "bench-pinned (bench/layers.go)",
 	"internal/core.Scheduler.RequestValue":        "bench-pinned (bench/decor.go)",
-	"internal/fault.Plan.Metrics":                 "bench-pinned (bench/layers.go)",
+	"internal/fault.Plan.Metrics":                 "bench-pinned (bench/layers.go); counts nothing",
 	"internal/serve.Dispatcher.Submit":            "bench-pinned (bench/layers.go, bench/w_servelive.go)",
 	"internal/sim.DecisionTrace.Total":            "bench-pinned (bench/w_simobserved.go)",
 	"internal/sim.Options.Seed":                   "bench-pinned (bench/layers.go, bench/w_simfleet.go, bench/w_simobserved.go); unused",

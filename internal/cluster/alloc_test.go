@@ -26,7 +26,7 @@ func TestRunAllocsConstantInTraceLength(t *testing.T) {
 	base := Config{
 		Nodes: 4, DisksPerNode: 2, Disk: testDisk(t),
 		NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		DropLate:     true, Classes: 3, Metrics: &Metrics{},
+		DropLate:     true, Classes: 3,
 	}
 	const n = 4000
 	trace := workload.Open{

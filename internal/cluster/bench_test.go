@@ -15,7 +15,7 @@ func BenchmarkClusterDispatch(b *testing.B) {
 	base := Config{
 		Nodes: 4, DisksPerNode: 2, Disk: testDisk(b),
 		NewScheduler: func(int, int) (sched.Scheduler, error) { return sched.NewSCANEDF(50_000), nil },
-		DropLate:     true, Metrics: &Metrics{},
+		DropLate:     true,
 	}
 	trace := workload.Open{
 		Seed: 1, Count: 10_000, MeanInterarrival: 1500,

@@ -74,7 +74,7 @@ type Config struct {
 	Trace func(sim.TraceEvent)
 	// Telemetry, when non-nil, samples every member station.
 	Telemetry *sim.Telemetry
-	// Metrics is the sink the run counts into; nil counts nothing.
+	// Metrics is bench-pinned and counts nothing (see obsmetrics.go).
 	Metrics *Metrics
 }
 
@@ -217,7 +217,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	if admit == nil {
 		admit = AlwaysAdmit{}
 	}
-	m := cfg.Metrics
 	dims, levels := sim.InferShape(cfg.Dims, cfg.Levels, trace)
 	classes, maxTenant := inferLedgers(cfg.Classes, trace)
 
@@ -281,9 +280,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		if late {
 			cs.Late++
 		}
-		if m != nil {
-			m.LatencyUS.Observe(uint64(lat))
-		}
 		free = append(free, r)
 	}
 	eng.OnDropped = func(_ *sim.Station, r *core.Request, _ int64) {
@@ -305,9 +301,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		cs.Admitted++
 		ten.Admitted++
 		n := min(max(router.Route(r, nodes, now), 0), cfg.Nodes-1)
-		if m != nil {
-			m.NodeDepthMax.Observe(int64(nodes[n].Depth()))
-		}
 
 		block := min(max(r.Cylinder, 0), cfg.MaxBlocks()-1) % blocksPerNode
 		st := stations[n*dpn+block%dpn]
@@ -335,16 +328,6 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		ns.SeekTime += st.Col.SeekTime
 		ns.BusyTime += st.Col.ServiceTime
 		ns.HeadTravel += st.HeadTravel()
-	}
-	if m != nil {
-		for _, cs := range res.PerClass {
-			m.Arrivals.Add(cs.Arrived)
-			m.AdmitDropped.Add(cs.AdmitDropped)
-			m.Routed.Add(cs.Admitted)
-			m.Served.Add(cs.Served)
-			m.DispatchDropped.Add(cs.DispatchDropped)
-			m.LateStarts.Add(cs.Late)
-		}
 	}
 	return res, nil
 }

@@ -1,32 +1,13 @@
 package cluster
 
-import "sfcsched/internal/obs"
+// ---- bench-pinned block --------------------------------------------------
+//
+// The frozen bench/ installs a Metrics through Config.Metrics. Every number
+// the sink used to count is in Result (PerClass, PerNode), so the type is
+// kept field-less and Run ignores it. The benchmark thaw deletes this block
+// and the Config field. No non-test code outside bench/ may use it.
 
-// Metrics aggregates the cluster-layer counters: admission outcomes,
-// routing activity and per-request completion latency, counted only into
-// the sink a run installs (Config.Metrics). Nothing registers or scrapes
-// it during a run (the type has no Register), so Run adds the six
-// counters once, from its per-class ledger, when it returns; the latency
-// histogram and the depth gauge still move per event.
-type Metrics struct {
-	// Arrivals counts requests offered to the cluster.
-	Arrivals obs.Counter
-	// AdmitDropped counts requests rejected by admission control.
-	AdmitDropped obs.Counter
-	// Routed counts admitted requests handed to a node.
-	Routed obs.Counter
-	// Served counts completed services.
-	Served obs.Counter
-	// DispatchDropped counts requests dropped at dispatch time (deadline
-	// expired under DropLate).
-	DispatchDropped obs.Counter
-	// LateStarts counts services that started past their deadline
-	// (without DropLate).
-	LateStarts obs.Counter
-	// LatencyUS is the completion latency distribution of served
-	// requests (completion − arrival), µs.
-	LatencyUS obs.Histogram
-	// NodeDepthMax is the high-water backlog of the routed node observed
-	// at routing time.
-	NodeDepthMax obs.MaxGauge
-}
+// Metrics counts nothing.
+type Metrics struct{}
+
+// ---- end bench-pinned block ----------------------------------------------

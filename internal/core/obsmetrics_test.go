@@ -89,7 +89,7 @@ func TestSchedulerMetrics(t *testing.T) {
 		t.Errorf("DispatchWait count = %d, want 10", got)
 	}
 	// All 10 waits are 100-arrival in [91, 100]: mean must land there too.
-	if mean := m.DispatchWait.Mean(); mean < 91 || mean > 100 {
+	if mean := float64(m.DispatchWait.Sum()) / 10; mean < 91 || mean > 100 {
 		t.Errorf("DispatchWait mean = %v, want in [91, 100]", mean)
 	}
 	if m.QueueDepthHiWater.Load() != 10 {
@@ -177,8 +177,7 @@ func TestMetricsScrapeUnderConcurrentDispatch(t *testing.T) {
 	}
 }
 
-// TestMetricsRegister checks the full field set exports cleanly in both
-// formats.
+// TestMetricsRegister checks the full field set exports cleanly.
 func TestMetricsRegister(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := &Metrics{}
@@ -207,8 +206,7 @@ func TestMetricsRegister(t *testing.T) {
 			t.Errorf("prometheus output missing %q", want)
 		}
 	}
-	snap := reg.Snapshot()
-	if len(snap) != 10 {
-		t.Errorf("snapshot has %d metrics, want 10", len(snap))
+	if n := strings.Count(out, "# HELP "); n != 10 {
+		t.Errorf("prometheus output has %d metric families, want 10", n)
 	}
 }

@@ -52,8 +52,7 @@ type Plan struct {
 	RebuildBlocks   int
 	RebuildInterval int64
 
-	// Metrics is the sink the injector and the run layered on it count
-	// into; nil counts nothing.
+	// Metrics is bench-pinned and counts nothing (see obsmetrics.go).
 	Metrics *Metrics
 }
 

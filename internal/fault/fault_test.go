@@ -176,17 +176,17 @@ func TestDiskFailureLifecycle(t *testing.T) {
 	}
 }
 
-// The degraded window, failure to rebuild completion, is reported through
-// the degraded_window_us gauge once the rebuild completes.
+// The degraded window, failure to rebuild completion, is RebuiltAt −
+// FailedAt once the rebuild completes; before then RebuiltAt reads 0.
 func TestDegradedWindow(t *testing.T) {
-	in := newInjector(t, Plan{FailDisk: 1, FailAt: 2_000, Rebuild: true, RebuildBlocks: 10, Metrics: &Metrics{}}, 100)
+	in := newInjector(t, Plan{FailDisk: 1, FailAt: 2_000, Rebuild: true, RebuildBlocks: 10}, 100)
 	in.FailNow(2_000)
-	if got := in.Metrics().DegradedWindowUs.Load(); got != 0 {
-		t.Errorf("degraded window %d before the rebuild completed, want 0", got)
+	if s := in.Stats(); s.FailedAt != 2_000 || s.RebuiltAt != 0 {
+		t.Errorf("before the rebuild completed: FailedAt %d, RebuiltAt %d; want 2000, 0", s.FailedAt, s.RebuiltAt)
 	}
 	in.MarkRebuilt(7_000)
-	if got := in.Metrics().DegradedWindowUs.Load(); got != 5_000 {
-		t.Errorf("degraded window %d, want 5000", got)
+	if s := in.Stats(); s.RebuiltAt-s.FailedAt != 5_000 {
+		t.Errorf("degraded window %d, want 5000", s.RebuiltAt-s.FailedAt)
 	}
 }
 

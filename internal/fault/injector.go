@@ -80,20 +80,12 @@ func (in *Injector) DownDisk() (int, bool) {
 func (in *Injector) FailNow(now int64) {
 	in.down = true
 	in.stats.FailedAt = now
-	if m := in.plan.Metrics; m != nil {
-		m.DiskFailures.Inc()
-		m.Degraded.Set(1)
-	}
 }
 
 // MarkRebuilt returns the failed disk to service at time now.
 func (in *Injector) MarkRebuilt(now int64) {
 	in.down = false
 	in.stats.RebuiltAt = now
-	if m := in.plan.Metrics; m != nil {
-		m.Degraded.Set(0)
-		m.DegradedWindowUs.Set(now - in.stats.FailedAt)
-	}
 }
 
 // Outcome rules on the service of r that just completed on disk d. For
@@ -116,24 +108,14 @@ func (in *Injector) Outcome(d, _ int, r *core.Request, _ int64) (Verdict, int64)
 		return OK, 0
 	}
 	in.stats.Transients++
-	m := in.plan.Metrics
-	if m != nil {
-		m.Transients.Inc()
-	}
 	a := in.attempts[r] + 1
 	if a > in.plan.MaxRetries {
 		delete(in.attempts, r)
 		in.stats.Exhausted++
-		if m != nil {
-			m.Exhausted.Inc()
-		}
 		return Exhausted, 0
 	}
 	in.attempts[r] = a
 	in.stats.Retries++
-	if m != nil {
-		m.Retries.Inc()
-	}
 	return Retry, in.plan.RetryBase << (a - 1)
 }
 
@@ -150,7 +132,3 @@ func (in *Injector) Forget(r *core.Request) { delete(in.attempts, r) }
 
 // Stats returns a snapshot of the injector's counters.
 func (in *Injector) Stats() Stats { return in.stats }
-
-// Metrics returns the obs sink this injector (and the run layered on it)
-// reports into, or nil when the plan installs none.
-func (in *Injector) Metrics() *Metrics { return in.plan.Metrics }

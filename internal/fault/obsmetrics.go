@@ -1,30 +1,13 @@
 package fault
 
-import "sfcsched/internal/obs"
+// ---- bench-pinned block --------------------------------------------------
+//
+// The frozen bench/ installs a Metrics through Plan.Metrics. Every number
+// the sink used to count is in Stats or the run's ArrayResult, so the type
+// is kept field-less and the injector ignores it. The benchmark thaw deletes
+// this block and the Plan field. No non-test code outside bench/ may use it.
 
-// Metrics aggregates fault-injection observability counters, mirroring
-// core.Metrics: atomic fields, counted only into the sink a plan installs
-// (Plan.Metrics).
-type Metrics struct {
-	// Transients counts injected transient read errors.
-	Transients obs.Counter
-	// Retries counts request re-enqueues after a transient error.
-	Retries obs.Counter
-	// Exhausted counts requests abandoned after the retry budget.
-	Exhausted obs.Counter
-	// DiskFailures counts whole-disk failures.
-	DiskFailures obs.Counter
-	// ReconstructReads counts survivor reads issued to serve degraded
-	// reads of a failed disk.
-	ReconstructReads obs.Counter
-	// RebuildReads counts survivor reads issued by the background rebuild.
-	RebuildReads obs.Counter
+// Metrics counts nothing.
+type Metrics struct{}
 
-	// Degraded is 1 while a disk is down, 0 otherwise.
-	Degraded obs.Gauge
-	// RebuildProgress is the number of per-disk blocks rebuilt so far.
-	RebuildProgress obs.Gauge
-	// DegradedWindowUs is the duration of the last completed degraded
-	// window (failure to rebuild completion), µs.
-	DegradedWindowUs obs.Gauge
-}
+// ---- end bench-pinned block ----------------------------------------------

@@ -1,7 +1,6 @@
 // Package obs is the runtime observability layer: allocation-free atomic
 // counters, gauges and log-bucketed histograms for the scheduler hot paths,
-// plus a registry that exports snapshots in expvar and Prometheus text
-// format.
+// plus a registry that exports them in Prometheus text format.
 //
 // Design constraints, in order:
 //
@@ -112,15 +111,6 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the average observed value, or 0 before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
 
 // Snapshot copies the bucket counts. Index k corresponds to upper bound
 // BucketBound(k); the copy is per-bucket consistent with respect to

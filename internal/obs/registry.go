@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,10 +10,10 @@ import (
 	"sync"
 )
 
-// Registry is a named collection of metrics with snapshot exporters.
-// Registration is cheap but takes a lock; do it at construction time, not
-// on hot paths. Reading (WritePrometheus, Snapshot) may run concurrently
-// with metric writers.
+// Registry is a named collection of metrics with a Prometheus text
+// exporter. Registration is cheap but takes a lock; do it at construction
+// time, not on hot paths. WritePrometheus may run concurrently with metric
+// writers.
 type Registry struct {
 	mu   sync.RWMutex
 	vars map[string]metricVar
@@ -186,42 +185,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-// Snapshot returns the current value of every metric as a plain map:
-// counters and gauges as integers, histograms as {count, sum, mean, p50,
-// p95, p99}.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]any, len(r.vars))
-	for name, mv := range r.vars {
-		switch v := mv.v.(type) {
-		case *Counter:
-			out[name] = v.Load()
-		case *Gauge:
-			out[name] = v.Load()
-		case *MaxGauge:
-			out[name] = v.Load()
-		case *Histogram:
-			v = v.frozen() // count and quantiles from one set of observations
-			qs := v.Quantiles(0.50, 0.95, 0.99)
-			out[name] = map[string]any{
-				"count": v.Count(),
-				"sum":   v.Sum(),
-				"mean":  v.Mean(),
-				"p50":   qs[0],
-				"p95":   qs[1],
-				"p99":   qs[2],
-			}
-		}
-	}
-	return out
-}
-
-// PublishExpvar publishes the registry's Snapshot under the given expvar
-// name, so /debug/vars includes it. Panics (from expvar) if the name is
-// already published; call once per process per name.
-func (r *Registry) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

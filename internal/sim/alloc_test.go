@@ -144,8 +144,8 @@ func TestRunObservabilityDisabledAllocs(t *testing.T) {
 // scratch value and keep none, and after warmup the candidate and slack
 // scratch have grown to the deepest queue — so captures cost no
 // per-decision allocations, on the slack-ranked walk (C-SCAN) and on the
-// queued-value walk (the cascade) alike. Every observer and the cascade
-// count into a sink, so the gate covers the instrumented path.
+// queued-value walk (the cascade) alike. The cascade counts into a sink,
+// so the gate covers its instrumented path.
 func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 	skipUnderRace(t)
 	var arena workload.Arena
@@ -160,9 +160,7 @@ func TestRunObservabilityEnabledBoundedAllocs(t *testing.T) {
 		t.Run(s.Name(), func(t *testing.T) {
 			var ru Reuse
 			dt := NewDecisionTrace(0)
-			dt.SetMetrics(&DecisionMetrics{})
 			tel := NewTelemetry(50_000)
-			tel.SetMetrics(&DecisionMetrics{})
 			cfg := Config{
 				Disk: xp(), Scheduler: s, Reuse: &ru,
 				Options: Options{DropLate: true, Dims: 3, Levels: 8,
@@ -207,9 +205,7 @@ func TestObserversRetainNothing(t *testing.T) {
 		base := alloc(bare)
 		observed := bare
 		observed.Decisions = NewDecisionTrace(1024)
-		observed.Decisions.SetMetrics(&DecisionMetrics{})
 		observed.Telemetry = NewTelemetry(50_000)
-		observed.Telemetry.SetMetrics(&DecisionMetrics{})
 		if extra := alloc(observed) - base; extra > 64<<10 {
 			t.Errorf("%d requests: observers allocate %d bytes over the bare run's %d, want <= %d",
 				n, extra, base, 64<<10)
@@ -275,7 +271,6 @@ func TestRunArrayAllocsConstantInTraceLength(t *testing.T) {
 			return Options{DropLate: true, Dims: 1, Levels: 8, Fault: &fault.Plan{
 				Seed: 3, TransientRate: 0.05, MaxRetries: 1,
 				FailDisk: 2, FailAt: 100_000, Rebuild: true, RebuildBlocks: 20,
-				Metrics: &fault.Metrics{},
 			}}
 		}},
 	} {

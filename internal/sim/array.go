@@ -195,9 +195,6 @@ func (a *raid5) issue(st *logicalState, ops []disk.PhysOp, now int64) {
 			a.res.AbsorbedWrites++
 		default:
 			a.res.Reconstructions++
-			if m := a.eng.faults.Metrics(); m != nil {
-				m.ReconstructReads.Add(uint64(a.cfg.Array.Disks - 1))
-			}
 			for d := range a.cfg.Array.Disks {
 				if d != fd {
 					a.createPhys(st, disk.PhysOp{Disk: d, Cylinder: op.Cylinder, Size: op.Size}, now)
@@ -220,9 +217,6 @@ func (a *raid5) createPhys(st *logicalState, op disk.PhysOp, now int64) {
 		a.nextRebuildID++
 		pr.ID = 1<<63 | a.nextRebuildID
 		a.res.RebuildReads++
-		if m := a.eng.faults.Metrics(); m != nil {
-			m.RebuildReads.Inc()
-		}
 	}
 	st.ops++
 	a.byPhys[pr] = st
@@ -245,9 +239,6 @@ func (a *raid5) advance(st *logicalState, now int64) {
 	switch {
 	case st.req == nil:
 		a.rebuiltBlocks++
-		if m := a.eng.faults.Metrics(); m != nil {
-			m.RebuildProgress.Set(int64(a.rebuiltBlocks))
-		}
 		if a.cfg.Fault.RebuildInterval > 0 {
 			a.eng.At(now+a.cfg.Fault.RebuildInterval, a.issueRebuild)
 		} else {

@@ -13,7 +13,7 @@ import (
 // candidate set it chose from, the chosen request, the deadline-slack
 // distribution across the queue, the head position and (for the
 // Cascaded-SFC scheduler) the blocking-window state. The record stream
-// feeds the -decision-trace JSONL writer and the decision metrics; the
+// feeds the -decision-trace JSONL writer; the
 // counterfactual shadow schedulers (shadow.go) are scored at the same
 // decision points.
 //
@@ -148,7 +148,6 @@ type DecisionTrace struct {
 
 	rec   DecisionRecord
 	total uint64
-	m     *DecisionMetrics
 
 	// Per-snapshot scratch, reused across decisions.
 	cands   []DecisionCandidate
@@ -173,10 +172,6 @@ func NewDecisionTrace(capacity int) *DecisionTrace {
 	t.noValue = func(r *core.Request) { t.visit(r, NoValue) }
 	return t
 }
-
-// SetMetrics installs m as the sink of the trace's observability counters;
-// nil (the default) counts nothing. Call before the run starts.
-func (t *DecisionTrace) SetMetrics(m *DecisionMetrics) { t.m = m }
 
 // Total returns the number of decisions captured over the trace's
 // lifetime.
@@ -324,17 +319,6 @@ func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped 
 	}
 	t.slacks = summarize(rec, t.cands, t.byV, t.slacks)
 	t.total++
-
-	if m := t.m; m != nil {
-		m.Decisions.Inc()
-		if dropped {
-			m.Drops.Inc()
-		}
-		m.CandidateDepth.Observe(uint64(rec.Depth))
-		if r.Deadline > 0 {
-			m.ChoiceSlack.Observe(uint64(max(rec.Chosen.Slack, 0)))
-		}
-	}
 	if t.OnRecord != nil {
 		t.OnRecord(rec)
 	}

@@ -164,23 +164,6 @@ func TestDecisionJSONL(t *testing.T) {
 	}
 }
 
-// Decision metrics must flow to the configured sink, not the global one.
-func TestDecisionMetricsSink(t *testing.T) {
-	var m DecisionMetrics
-	dt := NewDecisionTrace(0)
-	dt.SetMetrics(&m)
-	MustRun(Config{
-		Disk: xp(), Scheduler: sched.NewCSCAN(),
-		Options: Options{DropLate: true, Decisions: dt},
-	}, decisionWorkload(5))
-	if got := m.Decisions.Load(); got != dt.Total() {
-		t.Errorf("metrics sink saw %d decisions, trace captured %d", got, dt.Total())
-	}
-	if m.CandidateDepth.Count() != dt.Total() {
-		t.Errorf("candidate depth observations = %d, want %d", m.CandidateDepth.Count(), dt.Total())
-	}
-}
-
 // A run with a decision trace attached must replay the exact trajectory of
 // a run without one: capture is read-only.
 func TestDecisionTraceDoesNotPerturb(t *testing.T) {

@@ -1,35 +1,24 @@
 package sim
 
-import "sfcsched/internal/obs"
-
-// DecisionMetrics aggregates the decision-observability counters of the
-// package: decision-trace captures, shadow-scheduler divergence and
-// telemetry sampling activity. It mirrors core.Metrics: atomic fields,
-// counted only into the sink the owning object installs
-// (DecisionTrace.SetMetrics, Shadow.SetMetrics, Telemetry.SetMetrics);
-// with none installed an observer counts nothing.
+// ---- bench-pinned block --------------------------------------------------
 //
-// Nothing here is touched while decision tracing, shadows and telemetry
-// are all disabled, so the zero-overhead guarantee of the plain simulation
-// path is unaffected.
-type DecisionMetrics struct {
-	// Decisions counts captured dispatch decisions (served or dropped).
-	Decisions obs.Counter
-	// Drops counts captured decisions that were deadline drops.
-	Drops obs.Counter
-	// CandidateDepth is the distribution of candidate-set sizes at
-	// decision time (the queue depth the dispatcher chose from).
-	CandidateDepth obs.Histogram
-	// ChoiceSlack is the distribution of the chosen request's deadline
-	// slack at dispatch, µs (negative slack clamps to 0; requests without
-	// deadlines are not recorded).
-	ChoiceSlack obs.Histogram
-	// ShadowDecisions counts primary dispatches observed by shadows.
-	ShadowDecisions obs.Counter
-	// ShadowDisagreements counts shadow decisions that picked a different
-	// request than the primary scheduler.
-	ShadowDisagreements obs.Counter
-	// TelemetrySamples counts telemetry rows recorded (one per station per
-	// sampling boundary).
-	TelemetrySamples obs.Counter
-}
+// The frozen bench/ installs a DecisionMetrics on its decision trace, shadows
+// and telemetry sampler. Every number the sink used to count is in
+// DecisionTrace.Total, the record stream, ShadowReport or Telemetry.Rows, so
+// the type is kept field-less and the three SetMetrics methods do nothing.
+// The benchmark thaw deletes this block. No non-test code outside bench/ may
+// use it.
+
+// DecisionMetrics counts nothing.
+type DecisionMetrics struct{}
+
+// SetMetrics does nothing.
+func (t *DecisionTrace) SetMetrics(*DecisionMetrics) {}
+
+// SetMetrics does nothing.
+func (sh *Shadow) SetMetrics(*DecisionMetrics) {}
+
+// SetMetrics does nothing.
+func (tel *Telemetry) SetMetrics(*DecisionMetrics) {}
+
+// ---- end bench-pinned block ----------------------------------------------

@@ -42,7 +42,6 @@ type Shadow struct {
 	slackSamples uint64
 
 	used bool
-	m    *DecisionMetrics
 }
 
 // NewShadow wraps s as a counterfactual shadow named name. The scheduler
@@ -50,10 +49,6 @@ type Shadow struct {
 func NewShadow(name string, s sched.Scheduler) *Shadow {
 	return &Shadow{name: name, sched: s}
 }
-
-// SetMetrics installs m as the sink of the shadow's decision counters; nil
-// (the default) counts nothing. Call before the run starts.
-func (sh *Shadow) SetMetrics(m *DecisionMetrics) { sh.m = m }
 
 // Name returns the shadow's display name.
 func (sh *Shadow) Name() string { return sh.name }
@@ -78,9 +73,6 @@ func (sh *Shadow) add(r *core.Request, now int64) {
 // choice.
 func (sh *Shadow) observe(primary *core.Request, now int64) {
 	sh.decisions++
-	if sh.m != nil {
-		sh.m.ShadowDecisions.Inc()
-	}
 	r, target, travel := Pick(sh.sched, now, sh.head, sh.cylinders, sh.dropLate, func(*core.Request) { sh.drops++ })
 	if r == nil {
 		sh.empty++
@@ -88,8 +80,6 @@ func (sh *Shadow) observe(primary *core.Request, now int64) {
 	}
 	if r == primary {
 		sh.agreements++
-	} else if sh.m != nil {
-		sh.m.ShadowDisagreements.Inc()
 	}
 	sh.head = target
 	sh.travel += travel

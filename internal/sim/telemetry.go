@@ -39,7 +39,6 @@ type Telemetry struct {
 	next     int64
 	prevTime int64
 	prevBusy []int64
-	m        *DecisionMetrics
 
 	// Queue-walk scratch, reused across rows.
 	visit      func(*core.Request, uint64)
@@ -80,10 +79,6 @@ func NewTelemetry(interval int64) *Telemetry {
 	return t
 }
 
-// SetMetrics installs m as the sink of the sampler's counters; nil (the
-// default) counts nothing. Call before the run starts.
-func (tel *Telemetry) SetMetrics(m *DecisionMetrics) { tel.m = m }
-
 // Rows returns the number of rows sampled since the last Reset.
 func (tel *Telemetry) Rows() int { return tel.rows }
 
@@ -110,9 +105,6 @@ func (tel *Telemetry) sample(e *Engine, t int64) {
 	}
 	tel.prevTime = t
 	tel.next = (t/tel.Interval + 1) * tel.Interval
-	if tel.m != nil {
-		tel.m.TelemetrySamples.Add(uint64(len(e.Stations)))
-	}
 }
 
 // closeRun records the final partial interval: one closing row per
