@@ -36,7 +36,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+strings.Join(experiments.All(), ", ")+", or all")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
 	fs.IntVar(&o.requests, "requests", 0, "override request count (0 = experiment default)")
-	fs.StringVar(&o.users, "users", "", "fig11 only: comma-separated user counts")
+	fs.StringVar(&o.users, "users", "", "fig11 and fig11raid only: comma-separated user counts")
 	fs.BoolVar(&o.asCSV, "csv", false, "emit CSV instead of aligned tables")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers for sweep experiments (0 = GOMAXPROCS); output is identical for any value")
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics (Prometheus) and /debug/pprof/ on this address, and stay alive after the work finishes (e.g. :9090)")
@@ -74,7 +74,24 @@ func (o *options) validate() error {
 	if _, err := o.parseUsers(); err != nil {
 		return fmt.Errorf("-users: %w", err)
 	}
+	if o.users != "" && (o.serve || !o.sweepsUsers()) {
+		return fmt.Errorf("-users sets the fig11 and fig11raid stream counts: -exp must name one of them or be all, without -serve")
+	}
 	return nil
+}
+
+// sweepsUsers reports whether -exp runs a row that reads -users: fig11,
+// fig11raid, or every row.
+func (o *options) sweepsUsers() bool {
+	if o.exp == "all" {
+		return true
+	}
+	for _, id := range strings.Split(o.exp, ",") {
+		if id = strings.TrimSpace(id); id == "fig11" || id == "fig11raid" {
+			return true
+		}
+	}
+	return false
 }
 
 // parseUsers parses the -users list; empty means "use the experiment

@@ -50,19 +50,27 @@ func (l *Locked) Name() string { return l.q.Name() }
 
 // Add enqueues r. On a closed ingress the request is rejected; callers that
 // must know (serving ingress paths) use TryAdd.
-func (l *Locked) Add(r *Request, now int64, head int) { l.TryAdd(r, now, head) }
+func (l *Locked) Add(r *Request, now int64, head int) {
+	l.TryAdd(r, now, func() int { return head })
+}
 
 // TryAdd enqueues r and reports whether the ingress accepted it. After
 // Close every TryAdd returns false and the request is not queued, so a
 // producer can account for (or re-route) it — requests are either visibly
 // rejected or dispatched exactly once, never silently lost.
-func (l *Locked) TryAdd(r *Request, now int64, head int) bool {
+//
+// head is called under the lock, so a producer racing a consumer that
+// moves the head between Next calls anchors r's value on a position no
+// older than the last one the scheduler observed: a head read before the
+// lock could lag two dispatches behind, and the sweep timeline would count
+// the step back as almost a whole forward cycle.
+func (l *Locked) TryAdd(r *Request, now int64, head func() int) bool {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return false
 	}
-	l.q.Add(r, now, head)
+	l.q.Add(r, now, head())
 	l.mu.Unlock()
 	return true
 }

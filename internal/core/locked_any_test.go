@@ -7,6 +7,9 @@ import (
 	"sfcsched/internal/sched"
 )
 
+// atZero is a head source parked at cylinder 0.
+func atZero() int { return 0 }
+
 // TestLockIdempotent pins the property that keeps a second mutex off every
 // path: locking a *Locked hands the same value back.
 func TestLockIdempotent(t *testing.T) {
@@ -26,13 +29,13 @@ func TestLockedAnySchedulerCloseRejects(t *testing.T) {
 	l := core.Lock(sched.NewFCFS())
 	l.SetMetrics(&core.Metrics{}) // no redirectable metrics underneath: a no-op
 	for id := uint64(1); id <= 3; id++ {
-		if !l.TryAdd(&core.Request{ID: id}, 0, 0) {
+		if !l.TryAdd(&core.Request{ID: id}, 0, atZero) {
 			t.Fatalf("open ingress rejected request %d", id)
 		}
 	}
 	l.Close()
 	l.Close() // idempotent
-	if l.TryAdd(&core.Request{ID: 4}, 0, 0) {
+	if l.TryAdd(&core.Request{ID: 4}, 0, atZero) {
 		t.Fatal("closed ingress accepted a request")
 	}
 	l.Add(&core.Request{ID: 5}, 0, 0)

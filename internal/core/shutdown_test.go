@@ -45,7 +45,8 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 					Deadline:   int64(id%700_000) + 1,
 					Cylinder:   int(id*37) % 3832,
 				}
-				if s.TryAdd(r, int64(i), int(id)%3832) {
+				head := int(id) % 3832
+				if s.TryAdd(r, int64(i), func() int { return head }) {
 					accepted.Store(id, true)
 				} else {
 					rejected.Add(1)
@@ -96,7 +97,7 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("scheduler still holds %d requests after the drain", s.Len())
 	}
-	if s.TryAdd(&Request{ID: 1 << 40, Priorities: []int{0}}, 0, 0) {
+	if s.TryAdd(&Request{ID: 1 << 40, Priorities: []int{0}}, 0, func() int { return 0 }) {
 		t.Fatal("scheduler not closed after Close")
 	}
 
@@ -122,16 +123,30 @@ func TestShardedCloseDrainNoLossNoDoubleDispatch(t *testing.T) {
 	}
 }
 
-// TestShardedTryAddAfterCloseRejects pins the quiescent-state semantics.
+// TestShardedTryAddAfterCloseRejects pins the quiescent-state semantics,
+// and that an accepted request reads its head under the ingress lock while
+// a rejected one does not read it at all.
 func TestShardedTryAddAfterCloseRejects(t *testing.T) {
 	s := mustLocked(shutdownConfig())
+	reads := 0
+	head := func() int {
+		reads++
+		if s.mu.TryLock() {
+			s.mu.Unlock()
+			t.Error("head read outside the ingress lock")
+		}
+		return 0
+	}
 	r := &Request{ID: 1, Priorities: []int{0}, Cylinder: 10}
-	if !s.TryAdd(r, 0, 0) {
+	if !s.TryAdd(r, 0, head) {
 		t.Fatal("open scheduler rejected a request")
 	}
 	s.Close()
-	if s.TryAdd(&Request{ID: 2, Priorities: []int{0}}, 0, 0) {
+	if s.TryAdd(&Request{ID: 2, Priorities: []int{0}}, 0, head) {
 		t.Fatal("closed scheduler accepted a request")
+	}
+	if reads != 1 {
+		t.Errorf("head read %d times, want once: by the accepted request only", reads)
 	}
 	// Add on a closed scheduler is a visible no-op, not a panic.
 	s.Add(&Request{ID: 3, Priorities: []int{0}}, 0, 0)

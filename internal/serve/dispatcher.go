@@ -223,7 +223,7 @@ func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) e
 			}
 		}
 	}
-	if !d.q.TryAdd(r, now, d.Head()) {
+	if !d.q.TryAdd(r, now, d.Head) {
 		if d.quota != nil {
 			<-d.quota
 		}
@@ -321,7 +321,7 @@ func (d *Dispatcher) wake() {
 func (d *Dispatcher) work() {
 	for {
 		d.turn.Lock()
-		r, target, travel, now := d.take()
+		r, target, travel, decided := d.take()
 		if r == nil {
 			d.turn.Unlock()
 			break
@@ -340,7 +340,7 @@ func (d *Dispatcher) work() {
 		seq := d.dispSeq
 		d.dispSeq++
 		d.turn.Unlock()
-		d.serveOne(r, head, target, seq, now)
+		d.serveOne(r, head, target, seq, decided)
 	}
 	if d.live.Add(-1) == 0 {
 		close(d.stopped)
@@ -352,20 +352,22 @@ func (d *Dispatcher) work() {
 // blocking until it yields a request, shutdown begins, or — while
 // draining — the dispatcher goes quiescent; once canceled it decides
 // nothing more. Expired requests are dropped inside the decision under
-// DropLate. It returns Pick's request, target and travel with the model
-// time of the decision; a nil request means shutdown.
-func (d *Dispatcher) take() (r *core.Request, target int, travel, now int64) {
+// DropLate. It returns Pick's request, target and travel with the clock
+// reading the decision's model time was taken from; a nil request means
+// shutdown.
+func (d *Dispatcher) take() (r *core.Request, target int, travel int64, decided time.Duration) {
 	for {
 		select {
 		case <-d.ctx.Done():
 			return nil, 0, 0, 0
 		default:
 		}
-		now = d.cfg.Clock.Now()
+		decided = d.cfg.Clock.elapsed()
+		now := d.cfg.Clock.model(decided)
 		r, target, travel = sim.Pick(d.q, now, d.Head(), d.cfg.Backend.Cylinders(), d.cfg.DropLate,
 			func(r *core.Request) { d.drop(r, now) })
 		if r != nil {
-			return r, target, travel, now
+			return r, target, travel, decided
 		}
 		// Workers decrement outstanding before kicking, so after consuming
 		// a kick this check never misses a finished request.
@@ -397,14 +399,16 @@ func (d *Dispatcher) drop(r *core.Request, now int64) {
 }
 
 // serveOne runs one backend service on the calling worker and does the
-// completion accounting.
-func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt int64) {
-	wallStart := time.Now()
+// completion accounting. decided is the clock reading take decided at; the
+// completion is the worker's only other read, so a served request costs
+// two clock reads, and the decision's model time, the completion's and the
+// wall time between them all come from those two.
+func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, decided time.Duration) {
 	comp, err := d.cfg.Backend.Serve(d.ctx, r, head)
-	wall := time.Since(wallStart)
-	done := d.cfg.Clock.Now()
+	ended := d.cfg.Clock.elapsed()
+	done := d.cfg.Clock.model(ended)
 	rec := Record{
-		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: dispatchAt, Done: done,
+		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: d.cfg.Clock.model(decided), Done: done,
 		Head: head, Target: target, Seek: comp.Seek, Service: comp.Service,
 	}
 	if err != nil {
@@ -412,7 +416,7 @@ func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, dispatchAt
 		rec.Done = 0
 	}
 	if m := d.m; m != nil {
-		m.WallService.Observe(uint64(wall.Microseconds()))
+		m.WallService.Observe(uint64((ended - decided).Microseconds()))
 		if err != nil {
 			m.Abandoned.Inc()
 		} else {

@@ -35,8 +35,11 @@ type Metrics struct {
 	// model clock, microseconds — directly comparable with the simulator's
 	// response times.
 	ModelLatency obs.Histogram
-	// WallService is the distribution of wall-clock time spent per backend
-	// service, microseconds: what the dilated sleep actually cost.
+	// WallService is the distribution of wall-clock time per served
+	// request, microseconds, from the clock reading its dispatch decision
+	// was made at to the backend's return: what the dilated sleep actually
+	// cost, plus the dispatch bookkeeping between the decision and the
+	// backend call.
 	WallService obs.Histogram
 }
 
@@ -55,6 +58,6 @@ func (m *Metrics) Register(reg *obs.Registry, prefix string) error {
 		{Name: "head_travel_cylinders", Help: "cumulative emulated head movement", V: &m.HeadTravelCylinders},
 		{Name: "inflight", Help: "services currently running on the backend", V: &m.InFlight},
 		{Name: "model_latency_us", Help: "arrival-to-completion time on the model clock, microseconds", V: &m.ModelLatency},
-		{Name: "wall_service_us", Help: "wall-clock time per backend service, microseconds", V: &m.WallService},
+		{Name: "wall_service_us", Help: "wall-clock time from dispatch decision to service completion, microseconds", V: &m.WallService},
 	})
 }

@@ -57,8 +57,16 @@ func NewClock(dilation float64) (*Clock, error) {
 
 // Now returns the current model time in microseconds. At extreme
 // dilations it saturates at math.MaxInt64 instead of wrapping.
-func (c *Clock) Now() int64 {
-	return saturate(float64(time.Since(c.start).Microseconds()) * c.dilation)
+func (c *Clock) Now() int64 { return c.model(c.elapsed()) }
+
+// elapsed is the clock's one read of the monotonic clock: the wall time
+// since the clock started. A caller that needs both a model time and a
+// wall duration takes one reading and derives both from it.
+func (c *Clock) elapsed() time.Duration { return time.Since(c.start) }
+
+// model converts an elapsed reading into model microseconds, as Now does.
+func (c *Clock) model(elapsed time.Duration) int64 {
+	return saturate(float64(elapsed.Microseconds()) * c.dilation)
 }
 
 // Wall converts a model duration (µs) into the wall-clock duration that

@@ -13,6 +13,7 @@ import (
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/obs"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/sfc"
 	"sfcsched/internal/workload"
@@ -138,5 +139,70 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 	}
 	for _, dropLate := range []bool{false, true} {
 		liveIsSim(t, fmt.Sprintf("cascaded/overload/drop=%v", dropLate), preemptive, sm, dropLate, overload)
+	}
+}
+
+// TestLiveAccountingOnVirtualClock pins the dispatcher's two timings where
+// a service takes exactly the backend's dilated sleep: the WallService
+// histogram must hold, sample for sample, each served record's
+// Clock.Wall(Service) — every sample is at least its sleep, so equal
+// buckets and an equal sum leave no sample off — and ModelLatency must sum
+// the records' Done − Arrival. Dilation 4 puts a conversion between the
+// model and the wall clock.
+func TestLiveAccountingOnVirtualClock(t *testing.T) {
+	defer func(spin time.Duration) { spinTail = spin }(spinTail)
+	spinTail = 0
+	model := disk.MustModel(disk.QuantumXP32150Params())
+	for _, sm := range []disk.ServiceModel{{Disk: model}, {FixedService: 10_000}} {
+		m := &Metrics{}
+		var clock *Clock
+		var recs []Record
+		var err error
+		inBubble(func() {
+			ctx := context.Background()
+			clock, err = NewClock(4)
+			if err != nil {
+				return
+			}
+			var be *EmulatedDisk
+			if be, err = NewEmulatedDisk(sm, clock); err != nil {
+				return
+			}
+			var d *Dispatcher
+			d, err = New(Config{Sched: schedsimCascade(model), Backend: be, Clock: clock, Metrics: m, KeepRecords: true})
+			if err != nil {
+				return
+			}
+			d.Start(ctx)
+			if err = Replay(ctx, d, liveTrace(13_000)); err != nil {
+				d.Stop()
+				return
+			}
+			err = d.Drain(ctx)
+			recs = d.Records()
+		})
+		if err != nil {
+			t.Fatalf("fixed service %d: %v", sm.FixedService, err)
+		}
+		var wall obs.Histogram
+		var latency uint64
+		for _, rec := range recs {
+			if rec.Dropped || rec.Abandoned {
+				t.Fatalf("fixed service %d: request %d dropped or abandoned on a clean run", sm.FixedService, rec.ID)
+			}
+			wall.Observe(uint64(clock.Wall(rec.Service).Microseconds()))
+			latency += uint64(rec.Done - rec.Arrival)
+		}
+		if n := m.Completed.Load(); n != uint64(len(recs)) || n != 400 {
+			t.Fatalf("fixed service %d: completed %d, %d records, want 400", sm.FixedService, n, len(recs))
+		}
+		if m.WallService.Snapshot() != wall.Snapshot() || m.WallService.Sum() != wall.Sum() {
+			t.Errorf("fixed service %d: WallService sums %d µs, the backend slept %d µs",
+				sm.FixedService, m.WallService.Sum(), wall.Sum())
+		}
+		if m.ModelLatency.Count() != uint64(len(recs)) || m.ModelLatency.Sum() != latency {
+			t.Errorf("fixed service %d: ModelLatency %d samples summing %d µs, records %d summing %d µs",
+				sm.FixedService, m.ModelLatency.Count(), m.ModelLatency.Sum(), len(recs), latency)
+		}
 	}
 }
