@@ -13,7 +13,7 @@
 //   - internal/core — the paper's contribution: the three-stage
 //     Encapsulator and the SP/ER dispatcher;
 //   - internal/disk — the Table 1 Quantum XP32150 model and RAID-5 layout;
-//   - internal/sched — thirteen baseline schedulers from the related work;
+//   - internal/sched — twelve baseline schedulers from the related work;
 //   - internal/sim, internal/workload, internal/metrics — the evaluation
 //     substrate;
 //   - internal/experiments — one runner per paper table and figure;

@@ -27,9 +27,6 @@ var testOnlyExports = map[string]string{
 	"internal/core.MustDispatcher":       "test helper",
 	"internal/core.MustEncapsulator":     "test helper",
 	"internal/core.NewShardedScheduler":  "bench-pinned shim (bench/layers.go, bench/w_servelive.go)",
-	"internal/sched.NewBUCKETSeek":       "extended baseline no flag reaches",
-	"internal/sched.NewKamelMulti":       "extended baseline no flag reaches",
-	"internal/sched.NewMultiQueueMulti":  "extended baseline no flag reaches",
 	"internal/sim.MustRun":               "test helper",
 	"internal/sim.ValueRanker":           "bench-pinned (bench/decor.go)",
 	"internal/workload.MustScenarioSpec": "test helper",
@@ -57,8 +54,6 @@ var testOnlyMembers = map[string]string{
 	"internal/serve.CalibrationConfig.Metrics":    "per-run metrics sink",
 	"internal/workload.Open.Dist":                 "priority skew for ROADMAP items 6 and 7",
 	"internal/workload.Client.Dist":               "priority skew for ROADMAP items 6 and 7",
-	"internal/workload.Open.ValueLevels":          "application values for bucket",
-	"internal/workload.Client.ValueLevels":        "application values for bucket",
 }
 
 // TestNoTestOnlyExports keeps the API of internal/ to what the commands,

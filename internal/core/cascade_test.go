@@ -22,8 +22,8 @@ func TestStage3NonDividingR(t *testing.T) {
 	}
 	// Values stay coherent: the highest priority in the furthest cylinder
 	// still computes, and partition precedence holds per sweep.
-	v0 := e.Value(&Request{Priorities: []int{0}, Cylinder: 99}, 0, 0)
-	v4 := e.Value(&Request{Priorities: []int{7}, Cylinder: 0}, 0, 0)
+	v0 := e.ValueAt(&Request{Priorities: []int{0}, Cylinder: 99}, 0, 0, 0)
+	v4 := e.ValueAt(&Request{Priorities: []int{7}, Cylinder: 0}, 0, 0, 0)
 	if v0 >= v4 {
 		t.Errorf("partition precedence broken: %d >= %d", v0, v4)
 	}
@@ -45,8 +45,8 @@ func TestShortPriorityVectorPadsWithHighest(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{
 		Curve1: sfc.MustNew("sweep", 3, 8), Levels: 8,
 	})
-	short := e.Value(&Request{Priorities: []int{3}}, 0, 0)
-	full := e.Value(&Request{Priorities: []int{3, 0, 0}}, 0, 0)
+	short := e.ValueAt(&Request{Priorities: []int{3}}, 0, 0, 0)
+	full := e.ValueAt(&Request{Priorities: []int{3, 0, 0}}, 0, 0, 0)
 	if short != full {
 		t.Errorf("short vector value %d != padded vector value %d", short, full)
 	}
@@ -60,7 +60,7 @@ func TestCurve1SideLargerThanLevels(t *testing.T) {
 	})
 	prev := uint64(0)
 	for l := 0; l < 8; l++ {
-		v := e.Value(&Request{Priorities: []int{l}}, 0, 0)
+		v := e.ValueAt(&Request{Priorities: []int{l}}, 0, 0, 0)
 		if l > 0 && v <= prev {
 			t.Fatalf("levels not strictly ordered at %d: %d <= %d", l, v, prev)
 		}

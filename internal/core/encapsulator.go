@@ -219,17 +219,13 @@ func MustEncapsulator(cfg EncapsulatorConfig) *Encapsulator {
 // stay within the span for co-queued requests.
 func (e *Encapsulator) MaxValue() uint64 { return e.max }
 
-// Value computes the characterization value v_c of r at time now with the
-// disk head at cylinder head. Lower values dispatch earlier.
-func (e *Encapsulator) Value(r *Request, now int64, head int) uint64 {
-	return e.ValueAt(r, now, head, 0)
-}
-
-// ValueAt is Value with an explicit scan-progress anchor: progress is the
-// cumulative number of cylinders the head has swept (cyclically) since the
-// scheduler started. Stage-3 coordinates computed at different times remain
-// comparable on this absolute sweep timeline; Scheduler tracks progress
-// automatically. With UseCylinder unset, progress is ignored.
+// ValueAt computes the characterization value v_c of r at time now with the
+// disk head at cylinder head. Lower values dispatch earlier. progress is the
+// scan-progress anchor: the cumulative number of cylinders the head has
+// swept (cyclically) since the scheduler started. Stage-3 coordinates
+// computed at different times remain comparable on this absolute sweep
+// timeline; Scheduler tracks progress automatically. With UseCylinder
+// unset, progress is ignored.
 func (e *Encapsulator) ValueAt(r *Request, now int64, head int, progress uint64) uint64 {
 	v := e.stage1(r)
 	if e.cfg.UseDeadline {

@@ -19,7 +19,7 @@ func req(priorities []int, deadline int64, cyl int) *Request {
 func TestStage1PassthroughWithoutCurve(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{Levels: 8})
 	for l := 0; l < 8; l++ {
-		if got := e.Value(req([]int{l}, 0, 0), 0, 0); got != uint64(l) {
+		if got := e.ValueAt(req([]int{l}, 0, 0), 0, 0, 0); got != uint64(l) {
 			t.Errorf("level %d -> %d", l, got)
 		}
 	}
@@ -30,13 +30,13 @@ func TestStage1PassthroughWithoutCurve(t *testing.T) {
 
 func TestStage1ClampsLevels(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{Levels: 8})
-	if got := e.Value(req([]int{99}, 0, 0), 0, 0); got != 7 {
+	if got := e.ValueAt(req([]int{99}, 0, 0), 0, 0, 0); got != 7 {
 		t.Errorf("overflow level -> %d, want 7", got)
 	}
-	if got := e.Value(req([]int{-3}, 0, 0), 0, 0); got != 0 {
+	if got := e.ValueAt(req([]int{-3}, 0, 0), 0, 0, 0); got != 0 {
 		t.Errorf("negative level -> %d, want 0", got)
 	}
-	if got := e.Value(req(nil, 0, 0), 0, 0); got != 0 {
+	if got := e.ValueAt(req(nil, 0, 0), 0, 0, 0); got != 0 {
 		t.Errorf("missing priorities -> %d, want 0", got)
 	}
 }
@@ -45,7 +45,7 @@ func TestStage1CurveBounds(t *testing.T) {
 	c := sfc.MustNew("hilbert", 3, 16)
 	e := MustEncapsulator(EncapsulatorConfig{Curve1: c, Levels: 16})
 	for _, p := range [][]int{{0, 0, 0}, {15, 15, 15}, {7, 3, 12}} {
-		v := e.Value(req(p, 0, 0), 0, 0)
+		v := e.ValueAt(req(p, 0, 0), 0, 0, 0)
 		if v >= e.MaxValue() {
 			t.Errorf("value %d >= MaxValue %d for %v", v, e.MaxValue(), p)
 		}
@@ -59,8 +59,8 @@ func TestStage1SweepIsLexicographic(t *testing.T) {
 	c := sfc.MustNew("sweep", 2, 16)
 	e := MustEncapsulator(EncapsulatorConfig{Curve1: c, Levels: 16})
 	// Dimension 1 is most significant: any difference there dominates.
-	lo := e.Value(req([]int{15, 0}, 0, 0), 0, 0)
-	hi := e.Value(req([]int{0, 1}, 0, 0), 0, 0)
+	lo := e.ValueAt(req([]int{15, 0}, 0, 0), 0, 0, 0)
+	hi := e.ValueAt(req([]int{0, 1}, 0, 0), 0, 0, 0)
 	if lo >= hi {
 		t.Errorf("sweep not lexicographic: %d >= %d", lo, hi)
 	}
@@ -72,14 +72,14 @@ func TestStage2PriorityMajorAtFZero(t *testing.T) {
 		DeadlineHorizon: 1_000_000,
 	})
 	// Priority dominates regardless of deadline.
-	urgent := e.Value(req([]int{3}, 1_000, 0), 0, 0)    // low priority, tight deadline
-	relaxed := e.Value(req([]int{2}, 900_000, 0), 0, 0) // higher priority, slack deadline
+	urgent := e.ValueAt(req([]int{3}, 1_000, 0), 0, 0, 0)    // low priority, tight deadline
+	relaxed := e.ValueAt(req([]int{2}, 900_000, 0), 0, 0, 0) // higher priority, slack deadline
 	if relaxed >= urgent {
 		t.Errorf("f=0 should order by priority: %d >= %d", relaxed, urgent)
 	}
 	// Equal priority: earlier deadline first.
-	a := e.Value(req([]int{3}, 1_000, 0), 0, 0)
-	b := e.Value(req([]int{3}, 900_000, 0), 0, 0)
+	a := e.ValueAt(req([]int{3}, 1_000, 0), 0, 0, 0)
+	b := e.ValueAt(req([]int{3}, 900_000, 0), 0, 0, 0)
 	if a >= b {
 		t.Errorf("tie should break by deadline: %d >= %d", a, b)
 	}
@@ -90,14 +90,14 @@ func TestStage2DeadlineMajorAtFInf(t *testing.T) {
 		Levels: 8, UseDeadline: true, F: math.Inf(1), Tie: TiePriority,
 		DeadlineHorizon: 1_000_000,
 	})
-	urgent := e.Value(req([]int{7}, 10_000, 0), 0, 0)
-	relaxed := e.Value(req([]int{0}, 900_000, 0), 0, 0)
+	urgent := e.ValueAt(req([]int{7}, 10_000, 0), 0, 0, 0)
+	relaxed := e.ValueAt(req([]int{0}, 900_000, 0), 0, 0, 0)
 	if urgent >= relaxed {
 		t.Errorf("f=inf should order by deadline: %d >= %d", urgent, relaxed)
 	}
 	// Equal slack: higher priority first.
-	a := e.Value(req([]int{1}, 500_000, 0), 0, 0)
-	b := e.Value(req([]int{6}, 500_000, 0), 0, 0)
+	a := e.ValueAt(req([]int{1}, 500_000, 0), 0, 0, 0)
+	b := e.ValueAt(req([]int{6}, 500_000, 0), 0, 0, 0)
 	if a >= b {
 		t.Errorf("tie should break by priority: %d >= %d", a, b)
 	}
@@ -112,7 +112,7 @@ func TestStage2BalanceMonotoneInF(t *testing.T) {
 		e := MustEncapsulator(EncapsulatorConfig{
 			Levels: 8, UseDeadline: true, F: f, DeadlineHorizon: 1_000_000,
 		})
-		return e.Value(tight, 0, 0) < e.Value(slack, 0, 0)
+		return e.ValueAt(tight, 0, 0, 0) < e.ValueAt(slack, 0, 0, 0)
 	}
 	if rank(0.01) {
 		t.Error("at tiny f, priority should dominate")
@@ -130,12 +130,12 @@ func TestStage2AbsoluteDeadlineIgnoresArrivalSkew(t *testing.T) {
 		Levels: 1, UseDeadline: true, F: 1, DeadlineHorizon: 1_000_000,
 	})
 	r := req([]int{0}, 600_000, 0)
-	if e.Value(r, 0, 0) != e.Value(r, 300_000, 0) {
+	if e.ValueAt(r, 0, 0, 0) != e.ValueAt(r, 300_000, 0, 0) {
 		t.Error("absolute mode should be time-invariant")
 	}
 	// An earlier absolute deadline always wins, whatever the arrival gap.
-	old := e.Value(req([]int{0}, 600_000, 0), 0, 0)
-	fresh := e.Value(req([]int{0}, 700_000, 0), 300_000, 0)
+	old := e.ValueAt(req([]int{0}, 600_000, 0), 0, 0, 0)
+	fresh := e.ValueAt(req([]int{0}, 700_000, 0), 300_000, 0, 0)
 	if old >= fresh {
 		t.Errorf("earlier deadline should order first: %d >= %d", old, fresh)
 	}
@@ -145,9 +145,9 @@ func TestStage2DeadlineClamping(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{
 		Levels: 1, UseDeadline: true, F: 1, DeadlineHorizon: 100_000,
 	})
-	distant := e.Value(req([]int{0}, 1<<40, 0), 0, 0)   // beyond horizon
-	horizon := e.Value(req([]int{0}, 100_000, 0), 0, 0) // exactly horizon
-	none := e.Value(req([]int{0}, 0, 0), 0, 0)          // no deadline
+	distant := e.ValueAt(req([]int{0}, 1<<40, 0), 0, 0, 0)   // beyond horizon
+	horizon := e.ValueAt(req([]int{0}, 100_000, 0), 0, 0, 0) // exactly horizon
+	none := e.ValueAt(req([]int{0}, 0, 0), 0, 0, 0)          // no deadline
 	if distant != horizon {
 		t.Error("deadline beyond horizon should clamp")
 	}
@@ -163,13 +163,13 @@ func TestStage2SlackMode(t *testing.T) {
 	})
 	// In slack mode the value shrinks as the deadline approaches.
 	r := req([]int{0}, 90_000, 0)
-	early := e.Value(r, 0, 0)
-	late := e.Value(r, 80_000, 0)
+	early := e.ValueAt(r, 0, 0, 0)
+	late := e.ValueAt(r, 80_000, 0, 0)
 	if late >= early {
 		t.Errorf("slack mode should grow more urgent over time: %d >= %d", late, early)
 	}
 	// Expired deadlines clamp to zero slack.
-	if got := e.Value(req([]int{0}, 1_000, 0), 50_000, 0); got != e.Value(req([]int{0}, 50_000, 0), 50_000, 0) {
+	if got := e.ValueAt(req([]int{0}, 1_000, 0), 50_000, 0, 0); got != e.ValueAt(req([]int{0}, 50_000, 0), 50_000, 0, 0) {
 		t.Errorf("expired deadline should clamp to zero slack, got %d", got)
 	}
 }
@@ -184,13 +184,13 @@ func TestStage2CurveSweepAxes(t *testing.T) {
 	x := MustEncapsulator(base)
 	urgentLow := req([]int{7}, 50_000, 0)
 	slackHigh := req([]int{0}, 900_000, 0)
-	if x.Value(urgentLow, 0, 0) >= x.Value(slackHigh, 0, 0) {
+	if x.ValueAt(urgentLow, 0, 0, 0) >= x.ValueAt(slackHigh, 0, 0, 0) {
 		t.Error("Sweep-X should behave like EDF")
 	}
 	baseY := base
 	baseY.Curve2PriorityOnY = true
 	y := MustEncapsulator(baseY)
-	if y.Value(slackHigh, 0, 0) >= y.Value(urgentLow, 0, 0) {
+	if y.ValueAt(slackHigh, 0, 0, 0) >= y.ValueAt(urgentLow, 0, 0, 0) {
 		t.Error("Sweep-Y should behave like multi-queue (priority major)")
 	}
 }
@@ -202,14 +202,14 @@ func TestStage3PureScanAtR1(t *testing.T) {
 	head := 300
 	// Cylinders ahead of the head order before cylinders behind it,
 	// regardless of priority.
-	ahead := e.Value(req([]int{7}, 0, 310), 0, head)
-	behind := e.Value(req([]int{0}, 0, 290), 0, head)
+	ahead := e.ValueAt(req([]int{7}, 0, 310), 0, head, 0)
+	behind := e.ValueAt(req([]int{0}, 0, 290), 0, head, 0)
 	if ahead >= behind {
 		t.Errorf("R=1 should order by scan position: %d >= %d", ahead, behind)
 	}
 	// Same cylinder: higher priority first.
-	hp := e.Value(req([]int{0}, 0, 500), 0, head)
-	lp := e.Value(req([]int{7}, 0, 500), 0, head)
+	hp := e.ValueAt(req([]int{0}, 0, 500), 0, head, 0)
+	lp := e.ValueAt(req([]int{7}, 0, 500), 0, head, 0)
 	if hp >= lp {
 		t.Errorf("same-cylinder tie should break by priority: %d >= %d", hp, lp)
 	}
@@ -219,8 +219,8 @@ func TestStage3PriorityMajorAtLargeR(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{
 		Levels: 8, UseCylinder: true, R: stage3Res, Cylinders: 1000,
 	})
-	hpFar := e.Value(req([]int{0}, 0, 999), 0, 0)
-	lpNear := e.Value(req([]int{7}, 0, 1), 0, 0)
+	hpFar := e.ValueAt(req([]int{0}, 0, 999), 0, 0, 0)
+	lpNear := e.ValueAt(req([]int{7}, 0, 1), 0, 0, 0)
 	if hpFar >= lpNear {
 		t.Errorf("large R should order by priority: %d >= %d", hpFar, lpNear)
 	}
@@ -231,8 +231,8 @@ func TestStage3PartitionLayout(t *testing.T) {
 		Levels: 8, UseCylinder: true, R: 4, Cylinders: 100,
 	})
 	// All partition-0 values precede all partition-1 values.
-	p0max := e.Value(req([]int{1}, 0, 99), 0, 0) // highest cylinder, partition 0
-	p1min := e.Value(req([]int{2}, 0, 0), 0, 0)  // lowest cylinder, partition 1
+	p0max := e.ValueAt(req([]int{1}, 0, 99), 0, 0, 0) // highest cylinder, partition 0
+	p1min := e.ValueAt(req([]int{2}, 0, 0), 0, 0, 0)  // lowest cylinder, partition 1
 	if p0max >= p1min {
 		t.Errorf("partition order violated: %d >= %d", p0max, p1min)
 	}
@@ -246,8 +246,8 @@ func TestStage3CylinderDistanceIsCyclic(t *testing.T) {
 		Levels: 1, UseCylinder: true, R: 1, Cylinders: 1000,
 	})
 	head := 900
-	wrap := e.Value(req([]int{0}, 0, 100), 0, head)   // 200 ahead after wrap
-	noWrap := e.Value(req([]int{0}, 0, 950), 0, head) // 50 ahead
+	wrap := e.ValueAt(req([]int{0}, 0, 100), 0, head, 0)   // 200 ahead after wrap
+	noWrap := e.ValueAt(req([]int{0}, 0, 950), 0, head, 0) // 50 ahead
 	if noWrap >= wrap {
 		t.Errorf("cyclic distance broken: %d >= %d", noWrap, wrap)
 	}
@@ -265,7 +265,7 @@ func TestFullCascadeInBounds(t *testing.T) {
 		req([]int{8, 2, 11}, 350_000, 1916),
 	}
 	for _, r := range reqs {
-		v := e.Value(r, 0, 1000)
+		v := e.ValueAt(r, 0, 1000, 0)
 		if v >= e.MaxValue() {
 			t.Errorf("v_c %d >= MaxValue %d", v, e.MaxValue())
 		}
@@ -317,7 +317,7 @@ func TestUsedEncapsulatorIsCollectedAtNextGC(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
 		e := MustEncapsulator(EncapsulatorConfig{Curve1: sfc.MustNew("hilbert", 3, 8), Levels: 8})
-		e.Value(req([]int{1, 2, 3}, 0, 0), 0, 0)
+		e.ValueAt(req([]int{1, 2, 3}, 0, 0), 0, 0, 0)
 		runtime.SetFinalizer(e, func(*Encapsulator) { close(collected) })
 	}()
 	runtime.GC()

@@ -74,7 +74,6 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 		core.EmulateCSCAN(3832),
 		core.EmulateMultiQueue(8),
 		must(core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832, full)),
-		must(sched.NewBUCKETSeek(8, 3, 3832)),
 	}
 	for _, s := range schedulers {
 		t.Run(s.Name(), func(t *testing.T) {
@@ -92,7 +91,7 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 			v.SetMetrics(m)
 			reqs := make([]*core.Request, 6)
 			for i := range reqs {
-				reqs[i] = &core.Request{ID: uint64(i + 1), Priorities: []int{i % 8, 0}, Deadline: int64(100_000 * (i + 1)), Cylinder: 500 * i, Value: i + 1}
+				reqs[i] = &core.Request{ID: uint64(i + 1), Priorities: []int{i % 8, 0}, Deadline: int64(100_000 * (i + 1)), Cylinder: 500 * i}
 			}
 			s.Add(reqs[0], 0, 100)
 			want := v.RequestValue(reqs[0], 0, 100)

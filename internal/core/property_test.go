@@ -178,7 +178,7 @@ func TestStage1MonotoneForSweep(t *testing.T) {
 		}
 		better := append([]int(nil), p...)
 		better[k]--
-		return e.Value(&Request{Priorities: better}, 0, 0) < e.Value(&Request{Priorities: p}, 0, 0)
+		return e.ValueAt(&Request{Priorities: better}, 0, 0, 0) < e.ValueAt(&Request{Priorities: p}, 0, 0, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -201,8 +201,8 @@ func TestStage2MonotoneInDeadline(t *testing.T) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			a := e.Value(&Request{Priorities: []int{int(lvl % 8)}, Deadline: lo + 1}, 0, 0)
-			b := e.Value(&Request{Priorities: []int{int(lvl % 8)}, Deadline: hi + 1}, 0, 0)
+			a := e.ValueAt(&Request{Priorities: []int{int(lvl % 8)}, Deadline: lo + 1}, 0, 0, 0)
+			b := e.ValueAt(&Request{Priorities: []int{int(lvl % 8)}, Deadline: hi + 1}, 0, 0, 0)
 			return a <= b
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -30,8 +30,9 @@ type Request struct {
 	Arrival int64
 	// Write marks write requests (used by the RAID-5 and §6 workloads).
 	Write bool
-	// Value is an optional application-assigned worth, used by value-based
-	// baselines (BUCKET, SSEDV). Higher is worth more.
+	// Value is an optional application-assigned worth (higher is worth
+	// more). No scheduler reads it; the CSV and JSONL trace formats carry
+	// it so a replayed trace keeps it.
 	Value int
 	// Tenant identifies the issuing tenant in multi-tenant cluster runs;
 	// single-disk and array workloads leave it 0.

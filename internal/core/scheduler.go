@@ -15,11 +15,10 @@ type Valuer interface {
 
 // Scheduler couples a Valuer with a Dispatcher: §4.2 in the type system.
 // Over an Encapsulator it is the complete Cascaded-SFC disk scheduler; over
-// a one-line criterion it is a classic (emulate.go), the single-curve
-// baseline (singlestage.go) or an extended one (sched.NewBUCKETSeek). It
-// satisfies the scheduler contract used by the simulator: values are
-// computed at enqueue time (including the SFC3 head-relative seek
-// dimension, as in the paper).
+// a one-line criterion it is a classic (emulate.go) or the single-curve
+// baseline (singlestage.go). It satisfies the scheduler contract used by
+// the simulator: values are computed at enqueue time (including the SFC3
+// head-relative seek dimension, as in the paper).
 type Scheduler struct {
 	v    Valuer
 	disp *Dispatcher

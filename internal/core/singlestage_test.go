@@ -97,7 +97,7 @@ func TestCascadeBeatsSingleStage(t *testing.T) {
 			for d2 := d1 + 30_000; d2 < 1_000_000; d2 += 90_000 {
 				urgent := &Request{Priorities: []int{lvl}, Deadline: d1}
 				relaxed := &Request{Priorities: []int{lvl}, Deadline: d2}
-				if cascade.Value(urgent, 0, 0) > cascade.Value(relaxed, 0, 0) {
+				if cascade.ValueAt(urgent, 0, 0, 0) > cascade.ValueAt(relaxed, 0, 0, 0) {
 					violationsCascade++
 				}
 				if ss.Value(urgent, 0, 0) > ss.Value(relaxed, 0, 0) {

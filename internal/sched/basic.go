@@ -80,11 +80,9 @@ func (s *SCAN) Next(now int64, head int) *core.Request {
 	if i := s.nearestAhead(head); i >= 0 {
 		return s.removeAt(i)
 	}
+	// Nothing lies ahead, so after the reversal every request does.
 	s.up = !s.up
-	if i := s.nearestAhead(head); i >= 0 {
-		return s.removeAt(i)
-	}
-	return s.removeAt(0) // unreachable with a non-empty queue
+	return s.removeAt(s.nearestAhead(head))
 }
 
 // nearestAhead returns the index of the closest request at or beyond the

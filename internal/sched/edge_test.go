@@ -64,9 +64,9 @@ func TestSCANRTHonorsQueueFrontOrder(t *testing.T) {
 
 func TestKamelMaxEvictionsBounds(t *testing.T) {
 	s := NewKamel(testEstimator())
-	s.MaxEvictions = 1
-	// Flood with tight deadlines: the eviction loop must terminate and
-	// conserve all requests even when feasibility is hopeless.
+	// Flood with tight deadlines: the eviction loop must stop at
+	// maxEvictions and conserve all requests even when feasibility is
+	// hopeless.
 	for i := 0; i < 40; i++ {
 		s.Add(&core.Request{
 			ID: uint64(i + 1), Cylinder: (i * 379) % 3832,
@@ -93,25 +93,5 @@ func TestFDSCANSingleRequest(t *testing.T) {
 	s.Add(rq(1, 2000, 0), 0, 0) // no deadline at all
 	if r := s.Next(0, 0); r == nil || r.ID != 1 {
 		t.Fatal("single deadline-less request must dispatch")
-	}
-}
-
-func TestBUCKETSeekWindowInteraction(t *testing.T) {
-	// BUCKETSeek's partitions defer whole value bands by sweeps; a
-	// same-band later-cylinder arrival during the sweep slots in ahead of
-	// lower bands.
-	s, err := NewBUCKETSeek(4, 4, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Add(&core.Request{ID: 1, Value: 1, Cylinder: 500}, 0, 0)
-	s.Add(&core.Request{ID: 2, Value: 4, Cylinder: 900}, 0, 0)
-	first := s.Next(0, 0)
-	if first.ID != 2 {
-		t.Fatalf("top band should lead, got %d", first.ID)
-	}
-	s.Add(&core.Request{ID: 3, Value: 4, Cylinder: 950}, 0, first.Cylinder)
-	if r := s.Next(0, first.Cylinder); r.ID != 3 {
-		t.Fatalf("same-band scan insertion should precede deferred bands, got %d", r.ID)
 	}
 }

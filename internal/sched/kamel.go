@@ -13,18 +13,13 @@ type Kamel struct {
 	active []*core.Request // scan-ordered, feasibility-protected
 	parked []*core.Request // sacrificed low-priority requests
 	est    Estimator
-	// MaxEvictions bounds the evict-and-retry loop per insertion.
-	MaxEvictions int
-	// Priority extracts the absolute priority level used to pick eviction
-	// victims (0 = highest). Defaults to the request's first priority
-	// dimension; the §4.3 extension replaces it with an SFC1 collapse.
-	Priority func(*core.Request) int
 }
 
+// maxEvictions bounds the evict-and-retry loop per insertion.
+const maxEvictions = 8
+
 // NewKamel returns the deadline-driven multi-priority scheduler.
-func NewKamel(est Estimator) *Kamel {
-	return &Kamel{est: est, MaxEvictions: 8, Priority: priorityOf}
-}
+func NewKamel(est Estimator) *Kamel { return &Kamel{est: est} }
 
 // Name implements Scheduler.
 func (s *Kamel) Name() string { return "kamel" }
@@ -54,14 +49,14 @@ func priorityOf(r *core.Request) int {
 func (s *Kamel) Add(r *core.Request, now int64, head int) {
 	for ev := 0; ; ev++ {
 		cand := scanInsert(s.active, r, head)
-		if feasible(s.est, cand, now, head) || ev >= s.MaxEvictions || len(s.active) == 0 {
+		if feasible(s.est, cand, now, head) || ev >= maxEvictions || len(s.active) == 0 {
 			s.active = cand
 			return
 		}
 		// Park the lowest-priority active request at the tail and retry.
 		low := 0
 		for i, q := range s.active {
-			if s.Priority(q) > s.Priority(s.active[low]) {
+			if priorityOf(q) > priorityOf(s.active[low]) {
 				low = i
 			}
 		}

@@ -30,7 +30,6 @@ var Policies = []Policy{
 	{"ssedo", func(Estimator, int) Scheduler { return NewSSEDO(0, 0) }},
 	{"ssedv", func(Estimator, int) Scheduler { return NewSSEDV(0, 0) }},
 	{"multi-queue", func(_ Estimator, levels int) Scheduler { return NewMultiQueue(levels) }},
-	{"bucket", func(Estimator, int) Scheduler { return NewBUCKET() }},
 	{"kamel", func(est Estimator, _ int) Scheduler { return NewKamel(est) }},
 }
 

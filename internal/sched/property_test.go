@@ -9,33 +9,15 @@ import (
 )
 
 // allSchedulers builds one instance of every scheduler in the package:
-// the policy table, the §4.3 extensions and the Cascaded-SFC scheduler.
-func allSchedulers(t *testing.T) map[string]Scheduler {
-	t.Helper()
+// the policy table and the Cascaded-SFC scheduler.
+func allSchedulers() map[string]Scheduler {
 	est := testEstimator()
-	km, err := NewKamelMulti(est, sfc.MustNew("hilbert", 2, 8), 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mqm, err := NewMultiQueueMulti(sfc.MustNew("peano", 2, 9), 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := NewBUCKETSeek(8, 3, 3832)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cascaded := core.MustScheduler("cascaded", core.EncapsulatorConfig{
 		Curve1: sfc.MustNew("hilbert", 2, 8), Levels: 8,
 		UseDeadline: true, F: 1, DeadlineHorizon: 1 << 40, DeadlineSpan: 700_000,
 		UseCylinder: true, R: 3, Cylinders: 3832,
 	}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true, ER: true}, 0.05)
-	all := map[string]Scheduler{
-		"kamel-multi": km,
-		"mq-multi":    mqm,
-		"bucket-seek": bs,
-		"cascaded":    cascaded,
-	}
+	all := map[string]Scheduler{"cascaded": cascaded}
 	for _, p := range Policies {
 		all[p.Name] = p.New(est, 8)
 	}
@@ -46,7 +28,7 @@ func allSchedulers(t *testing.T) map[string]Scheduler {
 // interleaved add/dispatch traffic and verifies no request is lost,
 // duplicated, or invented, and that Len never lies.
 func TestAllSchedulersConserveRequests(t *testing.T) {
-	for name, s := range allSchedulers(t) {
+	for name, s := range allSchedulers() {
 		rng := stats.NewRNG(1234)
 		added := map[uint64]bool{}
 		got := map[uint64]bool{}
@@ -64,7 +46,6 @@ func TestAllSchedulersConserveRequests(t *testing.T) {
 					Deadline:   now + int64(rng.Uint64n(700_000)) + 1,
 					Cylinder:   rng.Intn(3832),
 					Size:       16 << 10,
-					Value:      1 + rng.Intn(8),
 					Arrival:    now,
 				}, now, head)
 			} else if r := s.Next(now, head); r != nil {
@@ -96,12 +77,12 @@ func TestAllSchedulersConserveRequests(t *testing.T) {
 // TestAllSchedulersEachMatchesLen: Each must visit exactly Len requests,
 // each at most once.
 func TestAllSchedulersEachMatchesLen(t *testing.T) {
-	for name, s := range allSchedulers(t) {
+	for name, s := range allSchedulers() {
 		rng := stats.NewRNG(77)
 		for i := uint64(1); i <= 50; i++ {
 			s.Add(&core.Request{
 				ID: i, Priorities: []int{rng.Intn(8)}, Cylinder: rng.Intn(3832),
-				Deadline: int64(rng.Uint64n(1_000_000)) + 1, Value: 1 + rng.Intn(8),
+				Deadline: int64(rng.Uint64n(1_000_000)) + 1,
 			}, 0, 0)
 		}
 		s.Next(0, 0)
@@ -196,22 +177,6 @@ func TestMultiQueueNeverInvertsLevels(t *testing.T) {
 		}
 		prev = r.Priorities[0]
 		head = r.Cylinder
-	}
-}
-
-// TestBUCKETNeverInvertsValues on a static queue.
-func TestBUCKETNeverInvertsValues(t *testing.T) {
-	s := NewBUCKET()
-	rng := stats.NewRNG(12)
-	for i := uint64(1); i <= 100; i++ {
-		s.Add(&core.Request{ID: i, Value: rng.Intn(10), Deadline: int64(rng.Uint64n(1 << 20))}, 0, 0)
-	}
-	prev := 1 << 30
-	for r := s.Next(0, 0); r != nil; r = s.Next(0, 0) {
-		if r.Value > prev {
-			t.Fatalf("value order violated: %d after %d", r.Value, prev)
-		}
-		prev = r.Value
 	}
 }
 

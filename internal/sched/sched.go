@@ -1,12 +1,11 @@
 // Package sched implements the baseline disk schedulers the paper compares
 // against (and generalizes): FCFS, SSTF, SCAN, C-SCAN, EDF, SCAN-EDF,
-// FD-SCAN, SCAN-RT, SSEDO, SSEDV, the multi-queue priority scheduler, the
-// BUCKET value scheduler, and the deadline-driven multi-priority algorithm
-// of Kamel et al. (ICDE 2000).
+// FD-SCAN, SCAN-RT, SSEDO, SSEDV, the multi-queue priority scheduler, and
+// the deadline-driven multi-priority algorithm of Kamel et al. (ICDE 2000).
 //
 // All schedulers share the Scheduler interface, which core.Scheduler (the
 // Cascaded-SFC scheduler) also satisfies, so the simulator can drive any of
-// them interchangeably. Policies (policy.go) lists the thirteen by name.
+// them interchangeably. Policies (policy.go) lists the twelve by name.
 package sched
 
 import (

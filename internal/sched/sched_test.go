@@ -251,19 +251,6 @@ func TestMultiQueueClampsLevels(t *testing.T) {
 	}
 }
 
-func TestBUCKETServesHighestValueThenEDF(t *testing.T) {
-	s := NewBUCKET()
-	s.Add(&core.Request{ID: 1, Value: 1, Deadline: 100}, 0, 0)
-	s.Add(&core.Request{ID: 2, Value: 9, Deadline: 900}, 0, 0)
-	s.Add(&core.Request{ID: 3, Value: 9, Deadline: 300}, 0, 0)
-	want := []uint64{3, 2, 1}
-	for _, id := range want {
-		if r := s.Next(0, 0); r.ID != id {
-			t.Fatalf("want %d, got %d", id, r.ID)
-		}
-	}
-}
-
 func TestKamelEvictsLowestPriority(t *testing.T) {
 	s := NewKamel(testEstimator())
 	// A low-priority request sits in the queue; a tight high-priority

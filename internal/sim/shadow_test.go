@@ -120,21 +120,16 @@ func TestShadowSSTFBeatsFCFSTravel(t *testing.T) {
 	}
 }
 
-// A §4.2 preset, the single-curve baseline and BUCKET-seek are
-// core.Schedulers like the cascade: the decision layer sees their queued
-// values and window.
+// The §4.2 presets and the single-curve baseline are core.Schedulers like
+// the cascade: the decision layer sees their queued values and window.
 func TestValuePresetsAreObservable(t *testing.T) {
 	single, err := core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832,
 		core.DispatcherConfig{Mode: core.FullyPreemptive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bucket, err := sched.NewBUCKETSeek(8, 3, 3832)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range []sched.Scheduler{core.EmulateFCFS(), core.EmulateEDF(), core.EmulateSSTF(),
-		core.EmulateCSCAN(3832), core.EmulateMultiQueue(8), single, bucket} {
+		core.EmulateCSCAN(3832), core.EmulateMultiQueue(8), single} {
 		if _, ok := s.(ValueWalker); !ok {
 			t.Errorf("%s is not a ValueWalker", s.Name())
 		}

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -188,5 +190,105 @@ func TestOrderWithinAClassIsFree(t *testing.T) {
 	}
 	if broken == 0 {
 		t.Error("the law held in every DropLate run too: the check cannot fail")
+	}
+}
+
+// littleRun runs trace on one station with constant service and checks
+// the queue's counting law at every observer: each TraceEvent's QueueLen
+// and each telemetry row's Depth must equal the arrivals up to that
+// instant minus the decisions so far (served or dropped). It returns the
+// area under that step function, the served requests' summed waits and
+// the number of drops.
+func littleRun(t *testing.T, s sched.Scheduler, trace []*core.Request, dropLate bool) (area, served int64, dropped int, why string) {
+	t.Helper()
+	arrived := func(now int64) int {
+		return sort.Search(len(trace), func(i int) bool { return trace[i].Arrival > now })
+	}
+	var decisions []int64
+	tel := NewTelemetry(lindleyService / 2)
+	tel.OnRow = func(row *TelemetryRow) {
+		if want := arrived(row.Time) - len(decisions); row.Depth != want && why == "" {
+			why = fmt.Sprintf("telemetry at %d: depth %d, count says %d", row.Time, row.Depth, want)
+		}
+	}
+	if _, err := Run(Config{FixedService: lindleyService, Scheduler: s, Options: Options{
+		DropLate:  dropLate,
+		Telemetry: tel,
+		Trace: func(ev TraceEvent) {
+			decisions = append(decisions, ev.Now)
+			if want := arrived(ev.Now) - len(decisions); ev.QueueLen != want && why == "" {
+				why = fmt.Sprintf("decision %d at %d: queue %d, count says %d", len(decisions), ev.Now, ev.QueueLen, want)
+			}
+			if ev.Dropped {
+				dropped++
+			} else {
+				served += ev.Now - ev.Request.Arrival
+			}
+		},
+	}}, trace); err != nil {
+		t.Fatal(err)
+	}
+	if len(decisions) != len(trace) && why == "" {
+		why = fmt.Sprintf("%d decisions for %d requests: the run did not end empty", len(decisions), len(trace))
+	}
+	// Integrate N(t) = arrivals ≤ t − decisions ≤ t over the merged event
+	// times; it is 0 before the first arrival and after the last decision.
+	n, i, j, prev := 0, 0, 0, int64(0)
+	for i < len(trace) || j < len(decisions) {
+		now := int64(math.MaxInt64)
+		if i < len(trace) {
+			now = trace[i].Arrival
+		}
+		if j < len(decisions) {
+			now = min(now, decisions[j])
+		}
+		area += int64(n) * (now - prev)
+		for ; i < len(trace) && trace[i].Arrival == now; i++ {
+			n++
+		}
+		for ; j < len(decisions) && decisions[j] == now; j++ {
+			n--
+		}
+		prev = now
+	}
+	return area, served, dropped, why
+}
+
+// TestLittlesLaw checks the third exact law, Little's law for the queue
+// in its exact sample-path form: on a run that starts and ends empty, the
+// area under the queue-length step function equals the summed waits of
+// the requests it held. Without DropLate every request is served, so the
+// area equals the served waits. With DropLate the counts still agree, but
+// a dropped request waited too and is missing from the served sum: the
+// area must exceed it whenever a request was dropped, the negative
+// control.
+func TestLittlesLaw(t *testing.T) {
+	drops := 0
+	for name, mk := range lindleySchedulers() {
+		for _, rho := range []float64{0.30, 0.95, 1.125} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				trace := workload.Open{
+					Seed: seed, Count: 400, MeanInterarrival: int64(lindleyService / rho),
+					Dims: 2, Levels: 8, DeadlineMin: 50_000, DeadlineMax: 300_000,
+					Cylinders: 3832, Size: 64 << 10,
+				}.MustGenerate()
+				for _, dropLate := range []bool{false, true} {
+					area, served, dropped, why := littleRun(t, mk(), trace, dropLate)
+					if why != "" {
+						t.Errorf("%s ρ=%v seed %d DropLate=%v: %s", name, rho, seed, dropLate, why)
+					}
+					drops += dropped
+					switch {
+					case dropped == 0 && area != served:
+						t.Errorf("%s ρ=%v seed %d DropLate=%v: area %d, served waits %d", name, rho, seed, dropLate, area, served)
+					case dropped > 0 && area <= served:
+						t.Errorf("%s ρ=%v seed %d: %d dropped, yet area %d does not exceed served waits %d", name, rho, seed, dropped, area, served)
+					}
+				}
+			}
+		}
+	}
+	if drops == 0 {
+		t.Error("no DropLate run dropped a request: the control cannot fail")
 	}
 }

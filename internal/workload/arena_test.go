@@ -19,7 +19,7 @@ func openVariants() []Open {
 	return []Open{
 		{Seed: 1, Count: 500, MeanInterarrival: 10_000, Dims: 3, Levels: 8,
 			DeadlineMin: 100_000, DeadlineMax: 300_000, Cylinders: 3832,
-			Size: 64 << 10, WriteFrac: 0.3, ValueLevels: 5},
+			Size: 64 << 10, WriteFrac: 0.3},
 		{Seed: 2, Count: 300, MeanInterarrival: 25_000, Dims: 4, Levels: 16, Dist: Normal},
 		{Seed: 3, Count: 300, MeanInterarrival: 25_000, Dims: 2, Levels: 8, Dist: Zipf,
 			Cylinders: 100, SizeMin: 4 << 10, SizeMax: 256 << 10},
@@ -144,7 +144,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 	trace := openVariants()[0].MustGenerate()
 	trace = append(trace, &core.Request{}) // zero row
 	for i, r := range trace[:len(trace)-1] {
-		r.Tenant, r.Class = i%5, i%3
+		r.Tenant, r.Class, r.Value = i%5, i%3, 1+i%7
 	}
 	dims := 3
 	var got bytes.Buffer
@@ -185,10 +185,14 @@ func benchTrace100k(b *testing.B) []*core.Request {
 	trace, err := Open{
 		Seed: 1, Count: 100_000, MeanInterarrival: 1_000, Dims: 3, Levels: 8,
 		DeadlineMin: 100_000, DeadlineMax: 300_000, Cylinders: 3832,
-		Size: 64 << 10, WriteFrac: 0.2, ValueLevels: 4,
+		Size: 64 << 10, WriteFrac: 0.2,
 	}.Generate()
 	if err != nil {
 		b.Fatal(err)
+	}
+	// No generator assigns values; set them so the value column is live.
+	for i, r := range trace {
+		r.Value = 1 + i%4
 	}
 	return trace
 }

@@ -11,8 +11,13 @@ func TestCSVRoundTrip(t *testing.T) {
 		Seed: 9, Count: 200, MeanInterarrival: 10_000,
 		Dims: 3, Levels: 8, DeadlineMin: 100_000, DeadlineMax: 300_000,
 		Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 64 << 10,
-		WriteFrac: 0.3, ValueLevels: 5,
+		WriteFrac: 0.3,
 	}.MustGenerate()
+	// No generator assigns values: set them so dropping the value column
+	// fails the comparison below.
+	for i, r := range trace {
+		r.Value = 1 + i%5
+	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, trace, 3); err != nil {
 		t.Fatal(err)

@@ -94,10 +94,8 @@ type Client struct {
 	Sequential bool
 	// Size is the transfer size.
 	Size int64
-	// WriteFrac is the fraction of writes; ValueLevels assigns uniform
-	// application values in [1, ValueLevels] when positive.
-	WriteFrac   float64
-	ValueLevels int
+	// WriteFrac is the fraction of writes.
+	WriteFrac float64
 	// Tenant and Class tag every request of this cohort for the cluster
 	// layer's routing, admission, and per-class accounting.
 	Tenant int
@@ -270,9 +268,6 @@ func (c Client) generate(rng *stats.RNG, fill func(i int) *core.Request) {
 		}
 		if c.WriteFrac > 0 && rng.Float64() < c.WriteFrac {
 			r.Write = true
-		}
-		if c.ValueLevels > 0 {
-			r.Value = 1 + rng.Intn(c.ValueLevels)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func specVariants() []Spec {
 		{Seed: 1, Clients: []Client{{
 			Name: "steady", Count: 500, MeanInterarrival: 10_000, Dims: 3, Levels: 8,
 			DeadlineMin: 100_000, DeadlineMax: 300_000, Cylinders: 3832,
-			Size: 64 << 10, WriteFrac: 0.3, ValueLevels: 5,
+			Size: 64 << 10, WriteFrac: 0.3,
 		}}},
 		// Gamma bursts with rate windows, Zipf levels.
 		{Seed: 2, Clients: []Client{{

@@ -63,9 +63,6 @@ type Open struct {
 	SizeMax int64
 	// WriteFrac is the fraction of write requests.
 	WriteFrac float64
-	// ValueLevels, when positive, assigns a uniform application value in
-	// [1, ValueLevels] (for value-based baselines).
-	ValueLevels int
 	// Tenants, when positive, tags each request with a tenant drawn
 	// Zipf(TenantSkew) over [0, Tenants) from a private RNG stream, and an
 	// SLO class (tenant mod Classes). Zero leaves tenant tagging off and
@@ -173,9 +170,6 @@ func (w Open) genOne(i int, now *int64, rng *stats.RNG, zipf, tzipf *stats.Zipf,
 	}
 	if w.WriteFrac > 0 && rng.Float64() < w.WriteFrac {
 		r.Write = true
-	}
-	if w.ValueLevels > 0 {
-		r.Value = 1 + rng.Intn(w.ValueLevels)
 	}
 }
 
