@@ -26,11 +26,11 @@ synctest:
 
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables
-# quoting them, the sim and cluster recordings, and schedsim's -sched all
-# reports and observer streams. Review the diff.
+# quoting them, the sim and cluster recordings, schedsim's -sched all
+# reports and observer streams, and sfcviz's renderings. Review the diff.
 goldens:
-	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster ./cmd/schedsim \
-		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden|TestObserverStreamsGolden' -update
+	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster ./cmd/schedsim ./cmd/sfcviz \
+		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden|TestObserverStreamsGolden|TestOutputGolden' -update
 
 # Mirrors the CI race job: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher, sfc's shared curve

@@ -19,38 +19,43 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "sfcviz: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args and writes the rendering to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sfcviz", flag.ExitOnError)
 	var (
-		curve = flag.String("curve", "", "curve name (default: all paper curves)")
-		side  = flag.Uint("side", 8, "grid side (rounded up to the curve's natural grid)")
-		dims  = flag.Int("dims", 2, "dimensions (stats mode supports > 2)")
-		order = flag.Bool("order", false, "print the index of every cell instead of arrows")
-		stats = flag.Bool("stats", false, "print irregularity and locality statistics")
+		curve = fs.String("curve", "", "curve name (default: all paper curves)")
+		side  = fs.Uint("side", 8, "grid side (rounded up to the curve's natural grid)")
+		dims  = fs.Int("dims", 2, "dimensions (stats mode supports > 2)")
+		order = fs.Bool("order", false, "print the index of every cell instead of arrows")
+		stats = fs.Bool("stats", false, "print irregularity and locality statistics")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2, as flag.Parse does
 
 	names := sfc.PaperNames()
 	if *curve != "" {
 		names = []string{*curve}
 	}
 	if *stats {
-		if err := printStats(os.Stdout, names, *dims, uint32(*side)); err != nil {
-			fmt.Fprintf(os.Stderr, "sfcviz: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return printStats(w, names, *dims, uint32(*side))
 	}
 	for _, name := range names {
 		c, err := sfc.New(name, 2, uint32(*side))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sfcviz: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if *order {
-			printOrder(os.Stdout, c)
+			printOrder(w, c)
 		} else {
-			draw(os.Stdout, c)
+			draw(w, c)
 		}
 	}
+	return nil
 }
 
 // printStats tabulates each curve's analysis (the quantities behind the

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,5 +60,38 @@ func TestPrintStats(t *testing.T) {
 	}
 	if err := printStats(&buf, []string{"nope"}, 2, 8); err == nil {
 		t.Error("expected error for unknown curve")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.txt from the code")
+
+// TestOutputGolden pins every rendering mode byte for byte: the arrow
+// drawing, the order table, the curves with their own grid rounding, and
+// the statistics table in two to four dimensions. -update rewrites the
+// files, only for an intended change.
+func TestOutputGolden(t *testing.T) {
+	for file, args := range map[string][]string{
+		"draw.txt":               nil,
+		"order.txt":              {"-order"},
+		"side16.txt":             {"-side", "16"},
+		"moore-side16.txt":       {"-curve", "moore", "-side", "16"},
+		"spiral-side7.txt":       {"-curve", "spiral", "-side", "7"},
+		"stats.txt":              {"-stats"},
+		"stats-dims3.txt":        {"-stats", "-dims", "3"},
+		"stats-dims4-side16.txt": {"-stats", "-dims", "4", "-side", "16"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("sfcviz %v: %v", args, err)
+		}
+		path := filepath.Join("testdata", file)
+		if *update {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want, err := os.ReadFile(path); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("sfcviz %v differs from %s (%v):\n%s", args, path, err, buf.Bytes())
+		}
 	}
 }
