@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sfcsched/internal/core"
 	"sfcsched/internal/obs"
 )
 
@@ -108,5 +109,25 @@ func TestRunServeRepeats(t *testing.T) {
 	}
 	if !strings.Contains(out, "rejected 0 abandoned 0") {
 		t.Errorf("drain after feeding should lose nothing:\n%s", out)
+	}
+}
+
+// TestServeSchedulerHonorsDeadlines: two requests at one priority level
+// and one cylinder differ only in deadline, and the serve cascade must
+// dispatch the earlier one first whichever arrived first. With the
+// deadline stage at F = 0 and no tie-break both got one v_c and left in
+// arrival order.
+func TestServeSchedulerHonorsDeadlines(t *testing.T) {
+	s, err := serveScheduler(3832)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := &core.Request{ID: 1, Priorities: []int{3}, Deadline: 690_000, Cylinder: 1000}
+	early := &core.Request{ID: 2, Priorities: []int{3}, Deadline: 400_000, Cylinder: 1000}
+	s.Add(late, 0, 0)
+	s.Add(early, 0, 0)
+	if got := s.Next(0, 0); got != early {
+		t.Errorf("first dispatch is request %d (deadline %d), want %d (deadline %d)",
+			got.ID, got.Deadline, early.ID, early.Deadline)
 	}
 }

@@ -47,12 +47,7 @@ func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 	if err != nil {
 		return err
 	}
-	ecfg := core.EncapsulatorConfig{
-		Levels:      8,
-		UseDeadline: true, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-		UseCylinder: true, R: 3, Cylinders: model.Cylinders,
-	}
-	sched, err := core.NewScheduler("serve", ecfg, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	sched, err := serveScheduler(model.Cylinders)
 	if err != nil {
 		return err
 	}
@@ -142,4 +137,15 @@ feed:
 		wall.Round(time.Millisecond), (time.Duration(clock.Now()) * time.Microsecond).Round(time.Millisecond),
 		d.HeadTravel(), d.Head())
 	return nil
+}
+
+// serveScheduler is the fully preemptive cascade runServe serves with: 8
+// priority levels, a deadline stage weighed against them at F = 1
+// (schedsim's -f default), and the cylinder stage, with no window.
+func serveScheduler(cylinders int) (*core.Scheduler, error) {
+	return core.NewScheduler("serve", core.EncapsulatorConfig{
+		Levels:      8,
+		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
+		UseCylinder: true, R: 3, Cylinders: cylinders,
+	}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 }

@@ -68,12 +68,11 @@ func printStats(w io.Writer, names []string, dims int, side uint32) error {
 		if err != nil {
 			return err
 		}
-		inv, ok := c.(sfc.Inverter)
-		if !ok || !c.Bijective() {
+		if !c.Bijective() {
 			fmt.Fprintf(w, "%-9s order-only generalization (no inverse to walk)\n", name)
 			continue
 		}
-		a, err := sfc.Analyze(inv)
+		a, err := sfc.Analyze(c)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -100,24 +99,18 @@ func printOrder(w io.Writer, c sfc.Curve) {
 	fmt.Fprintln(w)
 }
 
-// draw renders the traversal as direction glyphs along the visiting order.
+// draw renders the traversal as direction glyphs along the visiting order;
+// a curve Walk refuses gets the order table instead.
 func draw(w io.Writer, c sfc.Curve) {
-	inv, ok := c.(sfc.Inverter)
-	if !ok {
-		printOrder(w, c)
-		return
-	}
-	fmt.Fprintf(w, "%s (%dx%d):\n", c.Name(), c.Side(), c.Side())
 	n := int(c.Side())
 	glyphs := make([][]rune, n)
 	for i := range glyphs {
 		glyphs[i] = []rune(strings.Repeat("·", n))
 	}
 	var prev sfc.Point
-	for idx := uint64(0); idx < c.MaxIndex(); idx++ {
-		p := inv.Point(idx, nil)
+	err := sfc.Walk(c, func(p sfc.Point) {
 		g := '●'
-		if idx > 0 {
+		if prev != nil {
 			dx := int(p[0]) - int(prev[0])
 			dy := int(p[1]) - int(prev[1])
 			switch {
@@ -134,8 +127,13 @@ func draw(w io.Writer, c sfc.Curve) {
 			}
 		}
 		glyphs[p[1]][p[0]] = g
-		prev = p.Clone()
+		prev = append(prev[:0], p...)
+	})
+	if err != nil {
+		printOrder(w, c)
+		return
 	}
+	fmt.Fprintf(w, "%s (%dx%d):\n", c.Name(), c.Side(), c.Side())
 	for y := n - 1; y >= 0; y-- {
 		fmt.Fprintln(w, "  "+string(glyphs[y]))
 	}

@@ -8,8 +8,8 @@
 // conditionally-preemptive priority queue. The module contains:
 //
 //   - internal/sfc — the space-filling-curve library (Sweep, Scan, C-Scan,
-//     Peano, Gray, Hilbert, Spiral, Diagonal, Z-order) in arbitrary
-//     dimensions;
+//     Peano, Gray, Hilbert, Spiral, Diagonal, Z-order, Moore) in arbitrary
+//     dimensions, each a forward map that sfc.Walk visits in curve order;
 //   - internal/core — the paper's contribution: the three-stage
 //     Encapsulator and the SP/ER dispatcher;
 //   - internal/disk — the Table 1 Quantum XP32150 model and RAID-5 layout;

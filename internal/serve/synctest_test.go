@@ -124,7 +124,7 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 
 	// schedbench -serve's configuration, which overloads the disk: a 1-d
 	// trace at 4 ms against ~15 ms services, under the fully preemptive
-	// cascade with SFC3 at window 0.
+	// cascade with its deadline stage at F = 1 and SFC3 at window 0.
 	overload := workload.Open{
 		Seed: 1, Count: 400, MeanInterarrival: 4_000,
 		Dims: 1, Levels: 8, DeadlineMin: 400_000, DeadlineMax: 700_000,
@@ -133,7 +133,7 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 	preemptive := func() sched.Scheduler {
 		return core.MustScheduler("cascaded", core.EncapsulatorConfig{
 			Levels:      8,
-			UseDeadline: true, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
+			UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
 			UseCylinder: true, R: 3, Cylinders: model.Cylinders,
 		}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 	}

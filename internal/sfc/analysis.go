@@ -34,23 +34,17 @@ type Analysis struct {
 const maxAnalysisCells = 1 << 22
 
 // Analyze walks the whole curve and tabulates its irregularity and step
-// statistics. The curve must be invertible (all bijective curves are) and
-// its grid must have at most 2^22 cells.
-func Analyze(c Inverter) (*Analysis, error) {
-	if !c.Bijective() {
-		return nil, fmt.Errorf("sfc: %s over %d dims is order-only and cannot be walked", c.Name(), c.Dims())
-	}
+// statistics. The curve must be bijective and its grid must have at most
+// 2^22 cells.
+func Analyze(c Curve) (*Analysis, error) {
 	n := c.MaxIndex()
-	if n > maxAnalysisCells {
+	if c.Bijective() && n > maxAnalysisCells { // Walk refuses order-only curves
 		return nil, fmt.Errorf("sfc: grid of %d cells exceeds analysis bound %d", n, maxAnalysisCells)
 	}
 	a := &Analysis{
 		Cells:                n,
 		IrregularityPerDim:   make([]uint64, c.Dims()),
 		PairInversionsPerDim: make([]uint64, c.Dims()),
-	}
-	if n == 0 {
-		return a, nil
 	}
 	// Per-dimension pair inversions via one Fenwick tree per dimension:
 	// walking the curve, each cell contributes the number of already-seen
@@ -59,14 +53,17 @@ func Analyze(c Inverter) (*Analysis, error) {
 	for k := range trees {
 		trees[k] = newFenwick(int(c.Side()))
 	}
-	prev := c.Point(0, nil).Clone()
-	for k, v := range prev {
-		a.PairInversionsPerDim[k] += trees[k].countGreater(v)
-		trees[k].add(v)
-	}
+	var prev Point
 	var totalStep uint64
-	for idx := uint64(1); idx < n; idx++ {
-		cur := c.Point(idx, nil)
+	err := Walk(c, func(cur Point) {
+		for k, v := range cur {
+			a.PairInversionsPerDim[k] += trees[k].countGreater(v)
+			trees[k].add(v)
+		}
+		if prev == nil {
+			prev = cur.Clone()
+			return
+		}
 		var step uint64
 		for k := range cur {
 			d := int64(cur[k]) - int64(prev[k])
@@ -75,8 +72,6 @@ func Analyze(c Inverter) (*Analysis, error) {
 				d = -d
 			}
 			step += uint64(d)
-			a.PairInversionsPerDim[k] += trees[k].countGreater(cur[k])
-			trees[k].add(cur[k])
 		}
 		if step > 1 {
 			a.Jumps++
@@ -86,8 +81,13 @@ func Analyze(c Inverter) (*Analysis, error) {
 		}
 		totalStep += step
 		copy(prev, cur)
+	})
+	if err != nil {
+		return nil, err
 	}
-	a.MeanStep = float64(totalStep) / float64(n-1)
+	if n > 1 {
+		a.MeanStep = float64(totalStep) / float64(n-1)
+	}
 	return a, nil
 }
 

@@ -4,12 +4,7 @@ import "testing"
 
 func analyze(t *testing.T, name string, dims int, side uint32) *Analysis {
 	t.Helper()
-	c := MustNew(name, dims, side)
-	inv, ok := c.(Inverter)
-	if !ok {
-		t.Fatalf("%s is not invertible", name)
-	}
-	a, err := Analyze(inv)
+	a, err := Analyze(MustNew(name, dims, side))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +87,13 @@ func TestPairInversionsZeroInMajorDimension(t *testing.T) {
 }
 
 func TestPairInversionsBruteForceAgreement(t *testing.T) {
-	c := MustNew("hilbert", 2, 8).(Inverter)
+	c := MustNew("hilbert", 2, 8)
 	a, err := Analyze(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Brute force on the small grid.
-	var pts []Point
-	for i := uint64(0); i < c.MaxIndex(); i++ {
-		pts = append(pts, c.Point(i, nil).Clone())
-	}
+	pts := walk(t, c)
 	want := make([]uint64, 2)
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
@@ -138,13 +130,26 @@ func TestHilbertIrregularityBalanced(t *testing.T) {
 }
 
 func TestAnalyzeBounds(t *testing.T) {
-	big := MustNew("hilbert", 4, 256).(Inverter)
-	if _, err := Analyze(big); err == nil {
+	if _, err := Analyze(MustNew("hilbert", 4, 256)); err == nil {
 		t.Error("expected error for oversized grid")
 	}
-	one := MustNew("sweep", 1, 1).(Inverter)
-	a, err := Analyze(one)
+	if _, err := Analyze(MustNew("spiral", 3, 5)); err == nil {
+		t.Error("expected error for an order-only curve")
+	}
+	a, err := Analyze(MustNew("sweep", 1, 1))
 	if err != nil || a.Cells != 1 || a.TotalIrregularity() != 0 {
 		t.Errorf("degenerate grid: %+v, err %v", a, err)
+	}
+}
+
+// TestAnalyzeOneCellTakesNoStep: a one-cell walk has no step to average,
+// so MeanStep reads 0 rather than 0/0.
+func TestAnalyzeOneCellTakesNoStep(t *testing.T) {
+	a, err := Analyze(MustNew("sweep", 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.MeanStep != 0 || a.MaxStep != 0 || a.Jumps != 0 {
+		t.Errorf("one-cell grid: MeanStep %v, MaxStep %d, Jumps %d, want 0, 0, 0", a.MeanStep, a.MaxStep, a.Jumps)
 	}
 }

@@ -6,12 +6,14 @@
 // multi-parameter disk scheduling to one-dimensional priority-queue
 // dispatch. The package provides the seven curves of the paper's Figure 1
 // (Sweep, Scan, C-Scan, Peano, Gray, Hilbert, Spiral) plus the Diagonal and
-// Z-order curves used by companion constructions.
+// Z-order curves used by companion constructions and Moore, the closed
+// Hilbert loop.
 //
-// All curves map points to uint64 order values via Index. Curves that are
-// true bijections onto [0, MaxIndex()) additionally implement Inverter and
-// report Bijective() == true; generalizations that only define a total
-// order (the d>2 Spiral and Diagonal) report false.
+// A curve is its forward map: Index takes a point to its uint64 order
+// value. Curves whose Index is a bijection onto [0, MaxIndex()) report
+// Bijective() == true, and Walk visits their cells in curve order;
+// generalizations that only define a total order (the d>2 Spiral and
+// Diagonal) report false.
 package sfc
 
 import (
@@ -61,16 +63,6 @@ type Curve interface {
 	ScratchLen() int
 }
 
-// Inverter is implemented by bijective curves that can also map an index
-// back to its grid cell.
-type Inverter interface {
-	Curve
-	// Point returns the cell at position idx along the curve. If dst is
-	// non-nil and has capacity Dims(), it is reused. It panics if
-	// idx >= MaxIndex().
-	Point(idx uint64, dst Point) Point
-}
-
 // grid is the header every curve embeds: the shape of its natural grid, the
 // exclusive bound on its Index results, and the Curve accessors that read
 // them. A curve whose IndexFast needs working memory declares its own
@@ -111,13 +103,6 @@ func checkPoint(p Point, dims int, side uint32) {
 		if c >= side {
 			panic(fmt.Sprintf("sfc: coordinate %d = %d out of range [0,%d)", i, c, side))
 		}
-	}
-}
-
-// checkIndex panics unless idx < max.
-func checkIndex(idx, max uint64) {
-	if idx >= max {
-		panic(fmt.Sprintf("sfc: index %d out of range [0,%d)", idx, max))
 	}
 }
 

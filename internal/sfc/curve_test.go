@@ -6,7 +6,7 @@ import (
 )
 
 // bijectiveConfigs enumerates grid shapes exercised by the generic
-// bijection and round-trip tests.
+// bijection test.
 type config struct {
 	name string
 	dims int
@@ -24,17 +24,24 @@ func bijectiveConfigs() []config {
 		{"zorder", 2, 8}, {"zorder", 3, 4},
 		{"spiral", 2, 5}, {"spiral", 2, 9},
 		{"diagonal", 2, 5}, {"diagonal", 2, 8},
+		// The grids the round-trip fuzz and quick tests sampled, now
+		// enumerated whole.
+		{"peano", 2, 243}, {"peano", 3, 27}, {"hilbert", 4, 16},
+		{"moore", 2, 64}, {"spiral", 2, 101}, {"diagonal", 2, 100},
 	}
 }
 
 // continuousConfigs lists the curves whose consecutive cells must be grid
-// neighbors (Manhattan distance exactly 1).
+// neighbors (Manhattan distance exactly 1). Moore's last cell must also
+// neighbor its first.
 func continuousConfigs() []config {
 	return []config{
 		{"scan", 2, 4}, {"scan", 2, 5}, {"scan", 3, 3}, {"scan", 3, 4}, {"scan", 4, 3},
 		{"peano", 2, 3}, {"peano", 2, 9}, {"peano", 2, 27}, {"peano", 3, 3}, {"peano", 3, 9}, {"peano", 4, 3},
 		{"hilbert", 2, 4}, {"hilbert", 2, 16}, {"hilbert", 2, 32}, {"hilbert", 3, 4}, {"hilbert", 3, 8}, {"hilbert", 4, 4},
 		{"spiral", 2, 5}, {"spiral", 2, 11},
+		{"peano", 2, 243}, {"peano", 3, 27}, {"hilbert", 4, 16},
+		{"moore", 2, 2}, {"moore", 2, 64}, {"spiral", 2, 101},
 	}
 }
 
@@ -88,46 +95,48 @@ func TestBijection(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	for _, cfg := range bijectiveConfigs() {
-		c, err := New(cfg.name, cfg.dims, cfg.side)
-		if err != nil {
-			t.Fatalf("New(%v): %v", cfg, err)
+func TestContinuity(t *testing.T) {
+	for _, cfg := range continuousConfigs() {
+		c := MustNew(cfg.name, cfg.dims, cfg.side)
+		cells := walk(t, c)
+		if cfg.name == "moore" {
+			cells = append(cells, cells[0]) // the closing step
 		}
-		inv, ok := c.(Inverter)
-		if !ok {
-			t.Fatalf("%s dims=%d: bijective curve must implement Inverter", cfg.name, cfg.dims)
-		}
-		var p Point
-		for idx := uint64(0); idx < c.MaxIndex(); idx++ {
-			p = inv.Point(idx, p)
-			if got := c.Index(p); got != idx {
-				t.Fatalf("%s dims=%d side=%d: Index(Point(%d)) = %d", cfg.name, cfg.dims, c.Side(), idx, got)
+		for idx := 1; idx < len(cells); idx++ {
+			if dist := manhattan(cells[idx-1], cells[idx]); dist != 1 {
+				t.Fatalf("%s dims=%d side=%d: cells %d->%d jump from %v to %v (distance %d)",
+					cfg.name, cfg.dims, c.Side(), idx-1, idx, cells[idx-1], cells[idx], dist)
 			}
 		}
 	}
 }
 
-func TestContinuity(t *testing.T) {
-	for _, cfg := range continuousConfigs() {
-		c := MustNew(cfg.name, cfg.dims, cfg.side)
-		inv := c.(Inverter)
-		prev := inv.Point(0, nil).Clone()
-		for idx := uint64(1); idx < c.MaxIndex(); idx++ {
-			cur := inv.Point(idx, nil)
-			dist := 0
-			for i := range cur {
-				d := int64(cur[i]) - int64(prev[i])
-				if d < 0 {
-					d = -d
-				}
-				dist += int(d)
-			}
-			if dist != 1 {
-				t.Fatalf("%s dims=%d side=%d: cells %d->%d jump from %v to %v (distance %d)",
-					cfg.name, cfg.dims, c.Side(), idx-1, idx, prev, cur, dist)
-			}
-			copy(prev, cur)
+// walk returns c's cells in curve order, checking that Walk hands them out
+// at their Index.
+func walk(t testing.TB, c Curve) []Point {
+	t.Helper()
+	var cells []Point
+	if err := Walk(c, func(p Point) {
+		if got := c.Index(p); got != uint64(len(cells)) {
+			t.Fatalf("%s: Walk visited %v at %d, Index %d", c.Name(), p, len(cells), got)
+		}
+		cells = append(cells, p.Clone())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(cells)) != c.MaxIndex() {
+		t.Fatalf("%s: Walk visited %d of %d cells", c.Name(), len(cells), c.MaxIndex())
+	}
+	return cells
+}
+
+// TestWalkRefuses: order-only curves have no positions to walk, and a grid
+// of more than 2^32 cells does not fit the uint32 ranks; both are refused
+// before any cell is visited.
+func TestWalkRefuses(t *testing.T) {
+	for _, c := range []Curve{MustNew("spiral", 3, 5), MustNew("diagonal", 3, 4), MustNew("hilbert", 3, 1<<16)} {
+		if err := Walk(c, func(Point) { t.Fatalf("%s: Walk visited a cell", c.Name()) }); err == nil {
+			t.Errorf("%s dims=%d side=%d: Walk accepted it", c.Name(), c.Dims(), c.Side())
 		}
 	}
 }
@@ -237,54 +246,17 @@ func TestSpiralRoundsUpToOdd(t *testing.T) {
 
 func TestGrayNeighborsDifferInOneBit(t *testing.T) {
 	c := MustNew("gray", 2, 8).(*Gray)
-	inv := Inverter(c)
-	prev := inv.Point(0, nil).Clone()
-	for idx := uint64(1); idx < c.MaxIndex(); idx++ {
-		cur := inv.Point(idx, nil)
-		diff := interleave(cur, c.bits) ^ interleave(prev, c.bits)
+	cells := walk(t, c)
+	for idx := 1; idx < len(cells); idx++ {
+		diff := interleave(cells[idx], c.bits) ^ interleave(cells[idx-1], c.bits)
 		if diff == 0 || diff&(diff-1) != 0 {
 			t.Fatalf("gray: cells %d and %d differ in bits %b", idx-1, idx, diff)
 		}
-		copy(prev, cur)
 	}
 }
 
 func TestGrayCodeRoundTrip(t *testing.T) {
-	f := func(n uint64) bool { return grayRank(grayCode(n)) == n }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHilbertQuickRoundTrip(t *testing.T) {
-	c := MustNew("hilbert", 4, 16).(*Hilbert)
-	f := func(raw [4]uint16) bool {
-		p := Point{uint32(raw[0] % 16), uint32(raw[1] % 16), uint32(raw[2] % 16), uint32(raw[3] % 16)}
-		got := c.Point(c.Index(p), nil)
-		for i := range p {
-			if got[i] != p[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPeanoQuickRoundTrip(t *testing.T) {
-	c := MustNew("peano", 3, 27).(*Peano)
-	f := func(raw [3]uint16) bool {
-		p := Point{uint32(raw[0] % 27), uint32(raw[1] % 27), uint32(raw[2] % 27)}
-		got := c.Point(c.Index(p), nil)
-		for i := range p {
-			if got[i] != p[i] {
-				return false
-			}
-		}
-		return true
-	}
+	f := func(n uint64) bool { return grayRank(n^n>>1) == n }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -415,16 +387,11 @@ func TestMooreBijectionAndContinuity(t *testing.T) {
 		if uint64(len(seen)) != c.MaxIndex() {
 			t.Fatalf("bits=%d: covered %d of %d", bits, len(seen), c.MaxIndex())
 		}
-		var prev Point
-		for idx := uint64(0); idx < c.MaxIndex(); idx++ {
-			cur := c.Point(idx, nil)
-			if got := c.Index(cur); got != idx {
-				t.Fatalf("bits=%d: round trip %d -> %v -> %d", bits, idx, cur, got)
+		cells := walk(t, c)
+		for idx := 1; idx < len(cells); idx++ {
+			if manhattan(cells[idx-1], cells[idx]) != 1 {
+				t.Fatalf("bits=%d: jump at %d: %v -> %v", bits, idx, cells[idx-1], cells[idx])
 			}
-			if idx > 0 && manhattan(prev, cur) != 1 {
-				t.Fatalf("bits=%d: jump at %d: %v -> %v", bits, idx, prev, cur)
-			}
-			prev = cur.Clone()
 		}
 	}
 }
@@ -432,16 +399,12 @@ func TestMooreBijectionAndContinuity(t *testing.T) {
 // TestMooreIsClosed: the defining property — the last cell is adjacent to
 // the first, unlike Hilbert.
 func TestMooreIsClosed(t *testing.T) {
-	c, _ := NewMoore(3)
-	first := c.Point(0, nil).Clone()
-	last := c.Point(c.MaxIndex()-1, nil)
-	if manhattan(first, last) != 1 {
-		t.Errorf("moore endpoints %v and %v not adjacent", first, last)
+	m := walk(t, MustNew("moore", 2, 8))
+	if manhattan(m[0], m[len(m)-1]) != 1 {
+		t.Errorf("moore endpoints %v and %v not adjacent", m[0], m[len(m)-1])
 	}
-	h := MustNew("hilbert", 2, 8).(Inverter)
-	hFirst := h.Point(0, nil).Clone()
-	hLast := h.Point(h.MaxIndex()-1, nil)
-	if manhattan(hFirst, hLast) == 1 {
+	h := walk(t, MustNew("hilbert", 2, 8))
+	if manhattan(h[0], h[len(h)-1]) == 1 {
 		t.Error("hilbert endpoints unexpectedly adjacent; moore would be redundant")
 	}
 }

@@ -7,10 +7,10 @@ import "fmt"
 // diagonal (the Cantor zigzag). Section 5.2 of the paper identifies the
 // balance factor f = 1 of the SFC2 stage with this curve.
 //
-// In two dimensions the order is an exact bijection with a computable
-// inverse. For dims > 2 the curve defines a total order (sum of coordinates
-// major, alternating lexicographic minor) but not a contiguous bijection,
-// so Bijective() reports false.
+// In two dimensions the order is an exact bijection. For dims > 2 the
+// curve defines a total order (sum of coordinates major, alternating
+// lexicographic minor) but not a contiguous bijection, so Bijective()
+// reports false.
 type Diagonal struct{ grid }
 
 // NewDiagonal returns a diagonal order over a (side)^dims grid.
@@ -97,37 +97,4 @@ func (c *Diagonal) index2(x, y int64) uint64 {
 		rank = diagLen(t, n) - 1 - rank
 	}
 	return uint64(before + rank)
-}
-
-// Point implements Inverter for the exact 2-D diagonal order.
-// It panics for dims != 2, where the order is order-only.
-func (c *Diagonal) Point(idx uint64, dst Point) Point {
-	if c.dims != 2 {
-		panic("sfc: diagonal inverse is only defined for 2 dimensions")
-	}
-	checkIndex(idx, c.max)
-	dst = ensure(dst, 2)
-	n := int64(c.side)
-	rest := int64(idx)
-	var t int64
-	for {
-		l := diagLen(t, n)
-		if rest < l {
-			break
-		}
-		rest -= l
-		t++
-	}
-	lo := int64(0)
-	if t-n+1 > lo {
-		lo = t - n + 1
-	}
-	rank := rest
-	if t&1 == 1 {
-		rank = diagLen(t, n) - 1 - rank
-	}
-	x := lo + rank
-	dst[0] = uint32(x)
-	dst[1] = uint32(t - x)
-	return dst
 }

@@ -10,9 +10,15 @@ import (
 // consecutive cells adjacent.
 func ExampleCurve() {
 	c := sfc.MustNew("hilbert", 2, 4)
-	inv := c.(sfc.Inverter)
-	for idx := uint64(0); idx < 8; idx++ {
-		fmt.Println(inv.Point(idx, nil))
+	visited := 0
+	err := sfc.Walk(c, func(p sfc.Point) {
+		if visited < 8 {
+			fmt.Println(p)
+		}
+		visited++
+	})
+	if err != nil {
+		fmt.Println(err)
 	}
 	// Output:
 	// [0 0]
@@ -38,8 +44,7 @@ func ExampleNew() {
 // inversions over the dimensions, sweep protects the last one completely.
 func ExampleAnalyze() {
 	for _, name := range []string{"sweep", "hilbert"} {
-		c := sfc.MustNew(name, 2, 8).(sfc.Inverter)
-		a, _ := sfc.Analyze(c)
+		a, _ := sfc.Analyze(sfc.MustNew(name, 2, 8))
 		fmt.Printf("%s: continuous=%v per-dim inversions=%v\n",
 			name, a.Jumps == 0, a.PairInversionsPerDim)
 	}

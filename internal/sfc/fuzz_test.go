@@ -3,9 +3,39 @@ package sfc
 import "testing"
 
 // Fuzz targets double as regression tests on their seed corpus and can be
-// driven with `go test -fuzz` for deeper exploration.
+// driven with `go test -fuzz` for deeper exploration. They cover grids too
+// large for TestBijection and TestContinuity to enumerate.
 
-func FuzzHilbertRoundTrip(f *testing.F) {
+// checkSuccessor fails unless Index(p) is below MaxIndex and, unless p is
+// the last cell, one grid neighbor of p holds index Index(p)+1: the
+// continuity of the curve, checked forward from one cell.
+func checkSuccessor(t *testing.T, c Curve, p Point) {
+	t.Helper()
+	idx := c.Index(p)
+	if idx >= c.MaxIndex() {
+		t.Fatalf("%s: Index(%v) = %d >= MaxIndex %d", c.Name(), p, idx, c.MaxIndex())
+	}
+	if idx == c.MaxIndex()-1 {
+		return
+	}
+	q := p.Clone()
+	for i := range q {
+		// p[i]-1 wraps past Side() at 0 and is skipped.
+		for _, v := range []uint32{p[i] - 1, p[i] + 1} {
+			if v >= c.Side() {
+				continue
+			}
+			q[i] = v
+			if c.Index(q) == idx+1 {
+				return
+			}
+		}
+		q[i] = p[i]
+	}
+	t.Fatalf("%s: no neighbor of %v (index %d) holds index %d", c.Name(), p, idx, idx+1)
+}
+
+func FuzzHilbertSuccessor(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint16(0))
 	f.Add(uint16(31), uint16(17), uint16(5))
 	f.Add(uint16(65535), uint16(1), uint16(32768))
@@ -14,80 +44,29 @@ func FuzzHilbertRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, a, b, d uint16) {
-		p := Point{uint32(a), uint32(b), uint32(d)}
-		got := c.Point(c.Index(p), nil)
+		checkSuccessor(t, c, Point{uint32(a), uint32(b), uint32(d)})
+	})
+}
+
+// FuzzPeanoSuccessor runs on fig6's largest grid: 12 dimensions of side 27.
+// Each coordinate is one 5-bit field of the input, reduced mod 27.
+func FuzzPeanoSuccessor(f *testing.F) {
+	var last uint64 // every coordinate 26: the curve's last cell
+	for i := 0; i < 12; i++ {
+		last |= 26 << (5 * i)
+	}
+	f.Add(uint64(0))
+	f.Add(uint64(0x0123456789abcdef))
+	f.Add(last)
+	c, err := NewPeano(12, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		p := make(Point, 12)
 		for i := range p {
-			if got[i] != p[i] {
-				t.Fatalf("round trip %v -> %v", p, got)
-			}
+			p[i] = uint32(bits>>(5*i)&31) % 27
 		}
-	})
-}
-
-func FuzzPeanoRoundTrip(f *testing.F) {
-	f.Add(uint16(0), uint16(0))
-	f.Add(uint16(242), uint16(170))
-	c, err := NewPeano(2, 5) // side 243
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, a, b uint16) {
-		p := Point{uint32(a) % c.Side(), uint32(b) % c.Side()}
-		got := c.Point(c.Index(p), nil)
-		if got[0] != p[0] || got[1] != p[1] {
-			t.Fatalf("round trip %v -> %v", p, got)
-		}
-	})
-}
-
-func FuzzMooreRoundTripAndAdjacency(f *testing.F) {
-	f.Add(uint32(0))
-	f.Add(uint32(1000))
-	c, err := NewMoore(6) // side 64
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, idx uint32) {
-		i := uint64(idx) % c.MaxIndex()
-		p := c.Point(i, nil)
-		if got := c.Index(p); got != i {
-			t.Fatalf("round trip %d -> %v -> %d", i, p, got)
-		}
-		next := c.Point((i+1)%c.MaxIndex(), nil)
-		if manhattan(p, next) != 1 {
-			t.Fatalf("cells %d and %d not adjacent (closed loop)", i, i+1)
-		}
-	})
-}
-
-func FuzzSpiralRoundTrip(f *testing.F) {
-	f.Add(uint32(0))
-	f.Add(uint32(120))
-	c, err := NewSpiral(2, 101)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, idx uint32) {
-		i := uint64(idx) % c.MaxIndex()
-		p := c.Point(i, nil)
-		if got := c.Index(p); got != i {
-			t.Fatalf("round trip %d -> %v -> %d", i, p, got)
-		}
-	})
-}
-
-func FuzzDiagonalRoundTrip(f *testing.F) {
-	f.Add(uint32(0))
-	f.Add(uint32(77))
-	c, err := NewDiagonal(2, 100)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, idx uint32) {
-		i := uint64(idx) % c.MaxIndex()
-		p := c.Point(i, nil)
-		if got := c.Index(p); got != i {
-			t.Fatalf("round trip %d -> %v -> %d", i, p, got)
-		}
+		checkSuccessor(t, c, p)
 	})
 }

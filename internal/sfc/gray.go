@@ -37,18 +37,8 @@ func (c *Gray) IndexFast(p Point, _ []uint32) uint64 {
 	return grayRank(interleave(p, c.bits))
 }
 
-// Point implements Inverter.
-func (c *Gray) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	deinterleave(grayCode(idx), c.bits, dst)
-	return dst
-}
-
-// grayCode returns the n-th reflected-binary Gray codeword.
-func grayCode(n uint64) uint64 { return n ^ n>>1 }
-
-// grayRank returns the rank of Gray codeword g (inverse of grayCode).
+// grayRank returns the rank of reflected-binary Gray codeword g: the n
+// with g == n ^ n>>1.
 func grayRank(g uint64) uint64 {
 	n := g
 	for shift := uint(1); shift < 64; shift <<= 1 {

@@ -57,25 +57,6 @@ func (c *Hilbert) IndexFast(p Point, scratch []uint32) uint64 {
 // ScratchLen implements Curve.
 func (c *Hilbert) ScratchLen() int { return c.dims }
 
-// Point implements Inverter.
-func (c *Hilbert) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	x := make([]uint32, c.dims)
-	// De-interleave the scalar index into the transpose layout.
-	for b := 0; b < c.bits; b++ {
-		for i := c.dims - 1; i >= 0; i-- {
-			x[i] |= uint32(idx&1) << b
-			idx >>= 1
-		}
-	}
-	transposeToAxes(x, c.bits)
-	for i := range x {
-		dst[c.dims-1-i] = x[i]
-	}
-	return dst
-}
-
 // axesToTranspose converts grid coordinates (in transpose layout) into the
 // transposed Hilbert index in place. Skilling 2004, figure 2, without its
 // branches: where bit b of X[i] is set, the inverse undo inverts the low
@@ -108,31 +89,5 @@ func axesToTranspose(x []uint32, bits int) {
 	}
 	for i := range x {
 		x[i] ^= t
-	}
-}
-
-// transposeToAxes converts a transposed Hilbert index into grid coordinates
-// in place. Skilling 2004, figure 2 (reverse direction).
-func transposeToAxes(x []uint32, bits int) {
-	n := len(x)
-	side := uint32(2) << (bits - 1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != side; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
 	}
 }

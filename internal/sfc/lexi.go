@@ -47,17 +47,6 @@ func (c *Sweep) IndexFast(p Point, _ []uint32) uint64 {
 	return idx
 }
 
-// Point implements Inverter.
-func (c *Sweep) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	for i := 0; i < c.dims; i++ {
-		dst[i] = uint32(idx % uint64(c.side))
-		idx /= uint64(c.side)
-	}
-	return dst
-}
-
 // Scan is the boustrophedon (serpentine) curve.
 type Scan struct{ grid }
 
@@ -100,26 +89,6 @@ func (c *Scan) IndexFast(p Point, _ []uint32) uint64 {
 	return idx
 }
 
-// Point implements Inverter.
-func (c *Scan) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	div := c.max
-	var sum uint64
-	for i := c.dims - 1; i >= 0; i-- {
-		div /= uint64(c.side)
-		adj := idx / div
-		idx %= div
-		v := adj
-		if sum&1 == 1 {
-			v = uint64(c.side) - 1 - adj
-		}
-		dst[i] = uint32(v)
-		sum += v
-	}
-	return dst
-}
-
 // CScan is the cyclic-scan curve: serpentine above the lowest dimension,
 // always-forward in the lowest dimension.
 type CScan struct{ grid }
@@ -158,32 +127,4 @@ func (c *CScan) IndexFast(p Point, _ []uint32) uint64 {
 		sum += d
 	}
 	return idx
-}
-
-// Point implements Inverter.
-func (c *CScan) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	div := c.max
-	var sum uint64
-	for i := c.dims - 1; i >= 0; i-- {
-		div /= uint64(c.side)
-		adj := idx / div
-		idx %= div
-		v := adj
-		if sum&1 == 1 && i != 0 {
-			v = uint64(c.side) - 1 - adj
-		}
-		dst[i] = uint32(v)
-		sum += v
-	}
-	return dst
-}
-
-// ensure returns dst if it has the right length, else a fresh Point.
-func ensure(dst Point, dims int) Point {
-	if len(dst) == dims {
-		return dst
-	}
-	return make(Point, dims)
 }

@@ -17,9 +17,7 @@ const MaxLUTCells = 1 << 16
 // Peano, Gray) on grids small enough for MaxLUTCells.
 //
 // LUT implements Curve with the base curve's name and bounds, so it can be
-// dropped in anywhere the base curve is accepted. It intentionally does NOT
-// implement Inverter even when the base curve does: callers that need the
-// inverse should keep a reference to the base curve.
+// dropped in anywhere the base curve is accepted.
 //
 // The table is read-only once built. LUTs from Accelerate share it with
 // every other LUT over the same grid, so nothing may write it, and a LUT
@@ -41,21 +39,7 @@ func NewLUT(c Curve) (*LUT, error) {
 		return nil, fmt.Errorf("sfc: %d-cell grid exceeds the %d-cell LUT limit", cells, MaxLUTCells)
 	}
 	l := &LUT{grid{c.Dims(), c.Side(), c.MaxIndex()}, c, make([]uint64, cells)}
-	// Enumerate cells in row-major (rank) order with an odometer. Its
-	// points are valid by construction, so the unchecked IndexFast over one
-	// scratch serves: the checked Index allocates working memory per call.
-	p := make(Point, l.dims)
-	scratch := make([]uint32, c.ScratchLen())
-	for rank := uint64(0); rank < cells; rank++ {
-		l.tab[rank] = c.IndexFast(p, scratch)
-		for i := 0; i < l.dims; i++ {
-			p[i]++
-			if p[i] < l.side {
-				break
-			}
-			p[i] = 0
-		}
-	}
+	eachIndex(c, cells, func(rank, idx uint64) { l.tab[rank] = idx })
 	return l, nil
 }
 

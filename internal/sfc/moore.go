@@ -40,15 +40,6 @@ func (c *Moore) Bijective() bool { return true }
 // half returns the sub-grid side.
 func (c *Moore) half() uint32 { return c.side / 2 }
 
-// subPoint handles the bits == 1 degenerate case, where each quadrant is a
-// single cell.
-func (c *Moore) subPoint(idx uint64) Point {
-	if c.sub == nil {
-		return Point{0, 0}
-	}
-	return c.sub.Point(idx, nil)
-}
-
 // Quadrant traversal. The sub-curve runs corner to corner along its left
 // edge, (0,0) to (0, half-1), so each quadrant holds a reflected copy
 // whose endpoints land on the junction corners: the left column is walked
@@ -90,25 +81,3 @@ func (c *Moore) IndexFast(p Point, scratch []uint32) uint64 {
 
 // ScratchLen implements Curve.
 func (c *Moore) ScratchLen() int { return 4 }
-
-// Point implements Inverter.
-func (c *Moore) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, 2)
-	m := c.half()
-	quarter := c.max / 4
-	q := idx / quarter
-	h := c.subPoint(idx % quarter)
-	hx, hy := h[0], h[1]
-	switch q {
-	case 0: // BL
-		dst[0], dst[1] = m-1-hx, hy
-	case 1: // TL
-		dst[0], dst[1] = m-1-hx, hy+m
-	case 2: // TR
-		dst[0], dst[1] = hx+m, m-1-hy+m
-	default: // BR
-		dst[0], dst[1] = hx+m, m-1-hy
-	}
-	return dst
-}

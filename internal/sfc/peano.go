@@ -85,38 +85,3 @@ func (c *Peano) IndexFast(p Point, scratch []uint32) uint64 {
 
 // ScratchLen implements Curve.
 func (c *Peano) ScratchLen() int { return c.dims }
-
-// Point implements Inverter.
-func (c *Peano) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	// Index digits base 3, most significant first.
-	n := c.dims * c.order
-	ts := make([]uint8, n)
-	for k := n - 1; k >= 0; k-- {
-		ts[k] = uint8(idx % 3)
-		idx /= 3
-	}
-	flips := make([]uint8, c.dims)
-	for i := range dst {
-		dst[i] = 0
-	}
-	k := 0
-	for j := 0; j < c.order; j++ {
-		for i := c.dims - 1; i >= 0; i-- {
-			t := ts[k]
-			k++
-			d := t
-			if flips[i]&1 == 1 {
-				d = 2 - t
-			}
-			dst[i] = dst[i]*3 + uint32(d)
-			for m := 0; m < c.dims; m++ {
-				if m != i {
-					flips[m] += t
-				}
-			}
-		}
-	}
-	return dst
-}

@@ -1,9 +1,6 @@
 package sfc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Spiral is the center-out spiral order. In two dimensions it is an exact
 // space-filling curve over an odd-sided grid: ring s (Chebyshev distance s
@@ -14,8 +11,7 @@ import (
 // For dims > 2 the spiral generalizes to an L-infinity shell order: cells
 // are sorted by Chebyshev distance from the grid center, ties broken
 // lexicographically. That generalization defines a total order but not a
-// bijection onto a contiguous index range, so Bijective() reports false and
-// the curve does not implement Inverter.
+// bijection onto a contiguous index range, so Bijective() reports false.
 type Spiral struct {
 	grid // side is odd for dims == 2
 }
@@ -110,42 +106,4 @@ func (c *Spiral) index2(p Point) uint64 {
 		rank = 6*s + (dx + s - 1)
 	}
 	return base + uint64(rank)
-}
-
-// Point implements Inverter for the exact 2-D spiral.
-// It panics for dims != 2, where the spiral is order-only.
-func (c *Spiral) Point(idx uint64, dst Point) Point {
-	if c.dims != 2 {
-		panic("sfc: spiral inverse is only defined for 2 dimensions")
-	}
-	checkIndex(idx, c.max)
-	dst = ensure(dst, 2)
-	center := int64(c.side-1) / 2
-	if idx == 0 {
-		dst[0], dst[1] = uint32(center), uint32(center)
-		return dst
-	}
-	// Ring s covers [(2s-1)^2, (2s+1)^2): s = ceil((sqrt(idx) + 1) / 2).
-	s := int64(math.Sqrt(float64(idx))+1) / 2
-	for uint64(2*s+1)*uint64(2*s+1) <= idx {
-		s++
-	}
-	for uint64(2*s-1)*uint64(2*s-1) > idx {
-		s--
-	}
-	rank := int64(idx - uint64(2*s-1)*uint64(2*s-1))
-	var dx, dy int64
-	switch {
-	case rank < 2*s: // right edge
-		dx, dy = s, rank-s+1
-	case rank < 4*s: // top edge
-		dx, dy = s-1-(rank-2*s), s
-	case rank < 6*s: // left edge
-		dx, dy = -s, s-1-(rank-4*s)
-	default: // bottom edge
-		dx, dy = rank-6*s-s+1, -s
-	}
-	dst[0] = uint32(dx + center)
-	dst[1] = uint32(dy + center)
-	return dst
 }

@@ -59,14 +59,6 @@ func (c *ZOrder) IndexFast(p Point, _ []uint32) uint64 {
 	return interleave(p, c.bits)
 }
 
-// Point implements Inverter.
-func (c *ZOrder) Point(idx uint64, dst Point) Point {
-	checkIndex(idx, c.max)
-	dst = ensure(dst, c.dims)
-	deinterleave(idx, c.bits, dst)
-	return dst
-}
-
 // interleave packs the bits of p into one word, most significant bit level
 // first; within a level, higher dimensions are more significant.
 func interleave(p Point, bits int) uint64 {
@@ -77,17 +69,4 @@ func interleave(p Point, bits int) uint64 {
 		}
 	}
 	return w
-}
-
-// deinterleave is the inverse of interleave.
-func deinterleave(w uint64, bits int, dst Point) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for b := 0; b < bits; b++ {
-		for i := 0; i < len(dst); i++ {
-			dst[i] |= uint32(w&1) << b
-			w >>= 1
-		}
-	}
 }
