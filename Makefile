@@ -19,10 +19,11 @@ test:
 	go test ./...
 
 # The live dispatcher against sim.Run on a virtual clock
-# (internal/serve/synctest_test.go): every policy must calibrate exact.
-# The test needs the synctest experiment, which plain go test leaves off.
+# (internal/serve/synctest_test.go): every policy must calibrate exact,
+# under the race detector. The test needs the synctest experiment, which
+# plain go test leaves off.
 synctest:
-	GOEXPERIMENT=synctest go test -count=1 -run TestLive ./internal/serve
+	GOEXPERIMENT=synctest go test -race -count=1 -run TestLive ./internal/serve
 
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables

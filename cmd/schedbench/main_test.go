@@ -13,7 +13,7 @@ import (
 // testOptions returns an options value with the flag defaults, tweaked by
 // fn.
 func testOptions(fn func(*options)) *options {
-	o := &options{exp: "all", seed: 1, dilation: 100, inflight: 1}
+	o := &options{exp: "all", seed: 1, dilation: 100}
 	if fn != nil {
 		fn(o)
 	}

@@ -27,7 +27,6 @@ type options struct {
 	// running experiments.
 	serve    bool
 	dilation float64
-	inflight int
 	serveFor time.Duration
 }
 
@@ -43,7 +42,6 @@ func (o *options) register(fs *flag.FlagSet) {
 
 	fs.BoolVar(&o.serve, "serve", false, "serve the generated workload live through the real-clock dispatcher (emulated disk) instead of running experiments")
 	fs.Float64Var(&o.dilation, "dilation", 100, "serve: model seconds covered per wall-clock second")
-	fs.IntVar(&o.inflight, "inflight", 1, "serve: concurrent backend services (1 = single-arm semantics)")
 	fs.DurationVar(&o.serveFor, "serve-for", 0, "serve: repeat the workload until this wall-clock duration elapses (0 = one pass)")
 }
 
@@ -61,9 +59,6 @@ func (o *options) validate() error {
 	}
 	if _, err := serve.NewClock(o.dilation); err != nil {
 		return fmt.Errorf("-dilation: %w", err)
-	}
-	if o.inflight < 1 {
-		return fmt.Errorf("-inflight must be at least 1, got %d", o.inflight)
 	}
 	if o.serveFor < 0 {
 		return fmt.Errorf("-serve-for must not be negative, got %v", o.serveFor)

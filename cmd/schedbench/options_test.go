@@ -26,7 +26,7 @@ func TestOptionsDefaultsValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults should validate: %v", err)
 	}
-	if o.exp != "all" || o.dilation != 100 || o.inflight != 1 {
+	if o.exp != "all" || o.dilation != 100 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 }
@@ -43,7 +43,6 @@ func TestOptionsRejects(t *testing.T) {
 		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation: serve: dilation factor must be positive"},
 		{"negative dilation", []string{"-dilation", "-3"}, "-dilation: serve: dilation factor must be positive"},
 		{"infinite dilation", []string{"-serve", "-dilation", "+Inf"}, "-dilation: serve: dilation factor must be positive and finite"},
-		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"negative serve-for", []string{"-serve", "-serve-for", "-1s"}, "-serve-for"},
 		{"serve-for without serve", []string{"-serve-for", "2s"}, "requires -serve"},
 		{"users with trailing junk", []string{"-exp", "fig11", "-users", "68x,70"}, `-users: user count "68x" is not a positive integer`},
@@ -69,7 +68,7 @@ func TestOptionsRejects(t *testing.T) {
 
 func TestOptionsAccepts(t *testing.T) {
 	cases := [][]string{
-		{"-serve", "-dilation", "0.5", "-inflight", "4"},
+		{"-serve", "-dilation", "0.5"},
 		{"-serve", "-serve-for", "2s", "-http", ":0"},
 		{"-exp", "fig5", "-requests", "100", "-workers", "3", "-csv"},
 		{"-exp", "fig11", "-users", "68, 70"},

@@ -16,8 +16,8 @@ import (
 // runServe lifts the Cascaded-SFC scheduler onto the wall clock: it
 // generates a 1-d open workload that overloads the disk (4 ms arrivals
 // against ~15 ms services) and serves it live through the real-clock
-// dispatcher against the emulated Quantum disk,
-// repeating the trace (with shifted arrivals) until -serve-for elapses.
+// dispatcher against the emulated Quantum disk, replaying the trace (with
+// shifted arrivals) until -serve-for elapses.
 // The run owns its scheduler's core.Metrics and its dispatcher's
 // serve.Metrics and registers both in reg, so with -http a scrape of
 // /metrics shows sfcsched_* and sfcsched_serve_* advancing while the run is
@@ -68,10 +68,9 @@ func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 		return err
 	}
 	d, err := serve.New(serve.Config{
-		Sched:    sched,
-		Backend:  backend,
-		Clock:    clock,
-		InFlight: o.inflight,
+		Sched:   sched,
+		Backend: backend,
+		Clock:   clock,
 		// The workload is deliberately overloaded (~15 ms mean service
 		// against 4 ms arrivals), so an unbounded queue would grow for the
 		// whole run and Drain would stall on the backlog. Backpressure
@@ -90,7 +89,7 @@ func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 	}
 	defer cancel()
 
-	fmt.Fprintf(out, "serve: %d requests/cycle, dilation %g, in-flight %d", count, o.dilation, o.inflight)
+	fmt.Fprintf(out, "serve: %d requests/cycle, dilation %g", count, o.dilation)
 	if o.serveFor > 0 {
 		fmt.Fprintf(out, ", repeating for %v wall", o.serveFor)
 	}
@@ -103,22 +102,20 @@ func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 	// and IDs stay unique.
 	period := trace[len(trace)-1].Arrival + meanGap
 	cycles := 0
-feed:
 	for cycle := 0; ; cycle++ {
 		offset := int64(cycle) * period
-		for _, r := range trace {
+		shifted := make([]*core.Request, len(trace))
+		for i, r := range trace {
 			rr := *r
 			rr.ID += uint64(cycle) * uint64(len(trace))
 			rr.Arrival += offset
 			if rr.Deadline > 0 {
 				rr.Deadline += offset
 			}
-			if err := clock.SleepUntil(feedCtx, rr.Arrival); err != nil {
-				break feed
-			}
-			if err := d.SubmitAt(feedCtx, &rr, rr.Arrival); err != nil {
-				break feed
-			}
+			shifted[i] = &rr
+		}
+		if err := serve.Replay(feedCtx, d, shifted); err != nil {
+			break
 		}
 		cycles++
 		if o.serveFor == 0 || feedCtx.Err() != nil {

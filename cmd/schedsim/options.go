@@ -68,7 +68,6 @@ type options struct {
 	// simulation predicted the serving path.
 	serve    bool
 	dilation float64
-	inflight int
 
 	// Fault injection (PR 5): transient errors on any topology, whole-disk
 	// failure and rebuild on arrays only.
@@ -125,7 +124,6 @@ func (o *options) register(fs *flag.FlagSet) {
 
 	fs.BoolVar(&o.serve, "serve", false, "calibrate the simulator against the live real-clock dispatcher on the same trace, both serving -sched")
 	fs.Float64Var(&o.dilation, "dilation", 100, "serve: model seconds covered per wall-clock second")
-	fs.IntVar(&o.inflight, "inflight", 1, "serve: concurrent backend services (1 = single-arm semantics)")
 
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "probability a completed dispatch hits a transient fault")
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault injector seed (independent of the workload seed)")
@@ -229,9 +227,6 @@ func (o *options) validate() error {
 	}
 	if _, err := serve.NewClock(o.dilation); err != nil {
 		return fmt.Errorf("-dilation: %w", err)
-	}
-	if o.inflight < 1 {
-		return fmt.Errorf("-inflight must be at least 1, got %d", o.inflight)
 	}
 	if o.serve {
 		if o.sched == "all" {

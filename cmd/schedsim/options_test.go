@@ -80,7 +80,6 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"zero classes", []string{"-classes", "0"}, "-classes"},
 		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation: serve: dilation factor must be positive"},
 		{"negative dilation", []string{"-dilation", "-5"}, "-dilation: serve: dilation factor must be positive"},
-		{"zero inflight", []string{"-inflight", "0"}, "-inflight"},
 		{"serve with all", []string{"-serve", "-sched", "all"}, "-sched all"},
 		{"serve with array", []string{"-serve", "-array", "5"}, "-array"},
 		{"serve with cluster", []string{"-serve", "-cluster", "4"}, "-cluster"},
@@ -138,7 +137,7 @@ func TestValidateAcceptsGoodFlagCombinations(t *testing.T) {
 		{"-cluster", "2", "-cluster-disks", "3", "-router", "affinity", "-telemetry", "t.csv"},
 		{"-tenants", "5", "-tenant-skew", "0"},
 		{"-serve"},
-		{"-serve", "-dilation", "0.5", "-inflight", "4", "-drop=false"},
+		{"-serve", "-dilation", "0.5", "-drop=false"},
 		{"-serve", "-curve", "zorder", "-r", "0", "-deadline-min", "0"},
 		{"-serve", "-sched", "scan"},
 		{"-serve", "-sched", "cascaded", "-window", "0.9"},

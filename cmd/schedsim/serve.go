@@ -24,14 +24,13 @@ func runServeCalib(out io.Writer, opt options, m *disk.Model, trace []*core.Requ
 		},
 		Service:  disk.ServiceModel{Disk: m},
 		Dilation: opt.dilation,
-		InFlight: opt.inflight,
 		DropLate: opt.drop,
 	}, trace)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "calibrate: %d requests, dilation %g, in-flight %d, drop=%v, sched %s\n",
-		len(trace), opt.dilation, opt.inflight, opt.drop, opt.sched)
+	fmt.Fprintf(out, "calibrate: %d requests, dilation %g, drop=%v, sched %s\n",
+		len(trace), opt.dilation, opt.drop, opt.sched)
 	fmt.Fprintf(out, "  %-5s %8s %8s %10s %12s %12s\n",
 		"side", "served", "dropped", "abandoned", "head-travel", "makespan(s)")
 	fmt.Fprintf(out, "  %-5s %8d %8d %10d %12d %12.2f\n",

@@ -51,7 +51,7 @@ func TestRunServeCalibReport(t *testing.T) {
 	start := time.Now()
 	out := serveCalib(t, "-serve", "-requests", "80", "-dilation", "200")
 	for _, want := range []string{
-		"calibrate: 80 requests, dilation 200, in-flight 1, drop=true",
+		"calibrate: 80 requests, dilation 200, drop=true",
 		"\n  sim ", "\n  live", "aligned ", "latency MAPE", "order r",
 	} {
 		if !strings.Contains(out, want) {

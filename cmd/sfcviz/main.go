@@ -69,7 +69,7 @@ func printStats(w io.Writer, names []string, dims int, side uint32) error {
 			return err
 		}
 		if !c.Bijective() {
-			fmt.Fprintf(w, "%-9s order-only generalization (no inverse to walk)\n", name)
+			fmt.Fprintf(w, "%-9s order-only generalization (its index is an order, not a position to walk)\n", name)
 			continue
 		}
 		a, err := sfc.Analyze(c)

@@ -42,6 +42,7 @@ var testOnlyMembers = map[string]string{
 	"internal/core.Scheduler.AddBatch":            "bench-pinned (bench/layers.go)",
 	"internal/core.Scheduler.RequestValue":        "bench-pinned (bench/decor.go)",
 	"internal/fault.Plan.Metrics":                 "bench-pinned (bench/layers.go); counts nothing",
+	"internal/serve.Config.InFlight":              "bench-pinned (bench/w_servelive.go)",
 	"internal/serve.Dispatcher.Submit":            "bench-pinned (bench/layers.go, bench/w_servelive.go)",
 	"internal/sim.DecisionTrace.Total":            "bench-pinned (bench/w_simobserved.go)",
 	"internal/sim.Options.Seed":                   "bench-pinned (bench/layers.go, bench/w_simfleet.go, bench/w_simobserved.go); unused",

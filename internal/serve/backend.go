@@ -20,8 +20,8 @@ type Completion struct {
 // Backend executes one request with the head at the given cylinder and
 // returns its cost. Serve blocks for however long the service takes on
 // this backend's clock and must return promptly (with ctx.Err) when ctx is
-// canceled. Serve is called concurrently up to the dispatcher's in-flight
-// bound.
+// canceled. The dispatcher serves one request at a time, so Serve is never
+// called concurrently.
 type Backend interface {
 	// Serve executes r with the head currently at cylinder head.
 	Serve(ctx context.Context, r *core.Request, head int) (Completion, error)

@@ -29,8 +29,6 @@ type CalibrationConfig struct {
 	Service disk.ServiceModel
 	// Dilation is the live clock's model-seconds-per-wall-second factor.
 	Dilation float64
-	// InFlight bounds the live dispatcher's concurrent services (0 = 1).
-	InFlight int
 	// DropLate applies the §6 drop semantics on both sides.
 	DropLate bool
 	// Metrics is the live dispatcher's sink; nil counts nothing.
@@ -142,8 +140,7 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	}
 	d, err := New(Config{
 		Sched: liveSched, Backend: backend, Clock: clock,
-		InFlight: cfg.InFlight, DropLate: cfg.DropLate,
-		Metrics: cfg.Metrics, KeepRecords: true,
+		DropLate: cfg.DropLate, Metrics: cfg.Metrics, KeepRecords: true,
 	})
 	if err != nil {
 		return nil, err

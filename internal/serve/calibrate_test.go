@@ -26,7 +26,6 @@ func TestCalibrateExactOrderPreloaded(t *testing.T) {
 		NewScheduler: newFullyPreemptive,
 		Service:      disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
 		Dilation:     20_000,
-		InFlight:     1,
 	}, trace)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -71,7 +70,6 @@ func TestCalibrateReplay(t *testing.T) {
 		NewScheduler: newFullyPreemptive,
 		Service:      disk.ServiceModel{Disk: disk.MustModel(disk.QuantumXP32150Params())},
 		Dilation:     50,
-		InFlight:     1,
 	}, trace)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)

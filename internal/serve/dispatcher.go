@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,17 +29,18 @@ type Config struct {
 	// Sched is the scheduling policy the dispatcher serves with — any
 	// sched.Scheduler, the contract the simulator consumes. Required. New
 	// puts it behind core.Lock (a *core.Locked is taken as is), and from
-	// then on the dispatcher owns it: its workers consume it one dispatch
-	// turn at a time, any number of goroutines feed it through Submit, and
-	// the caller must not touch it again.
+	// then on the dispatcher owns it: its worker consumes it one dispatch
+	// at a time, any number of goroutines feed it through Submit, and the
+	// caller must not touch it again.
 	Sched sched.Scheduler
 	// Backend executes dispatched requests. Required.
 	Backend Backend
 	// Clock is the dilated model clock submissions and dispatches are
 	// timestamped with. Required.
 	Clock *Clock
-	// InFlight bounds concurrently running backend services; 0 means 1
-	// (single-disk semantics — one arm, one service at a time).
+	// InFlight is bench-pinned (bench/w_servelive.go sets it): the
+	// dispatcher serves one request at a time, the paper's one arm, and New
+	// accepts only 0 or 1 here.
 	InFlight int
 	// MaxQueue bounds the number of submitted-but-incomplete requests;
 	// Submit blocks (backpressure) once the bound is reached. 0 means
@@ -63,9 +63,6 @@ type Config struct {
 type Record struct {
 	// ID is the request's ID.
 	ID uint64
-	// Seq is the dispatch-order index (0-based) across the run; drops
-	// consume a sequence number too, matching the simulator's trace.
-	Seq int
 	// Arrival is the request's nominal arrival time.
 	Arrival int64
 	// Dispatch is the model time the dispatch decision was made.
@@ -85,9 +82,9 @@ type Record struct {
 
 // Dispatcher is the real-clock serving layer: it pops requests from a
 // locked scheduler in that scheduler's dispatch order and executes them
-// against a Backend, with a bounded number in flight. The zero value is
-// not usable; construct with New, then Start, Submit from any number of
-// goroutines, and shut down with Drain (graceful) or Stop (immediate).
+// against a Backend, one service at a time. The zero value is not usable;
+// construct with New, then Start, Submit from any number of goroutines, and
+// shut down with Drain (graceful) or Stop (immediate).
 type Dispatcher struct {
 	cfg Config
 	q   *core.Locked // cfg.Sched behind the one ingress lock
@@ -97,18 +94,14 @@ type Dispatcher struct {
 	cancel  context.CancelFunc
 	started atomic.Bool
 	startMu sync.Mutex
-	stopped chan struct{} // closed by the last worker to exit
+	stopped chan struct{} // closed when the worker exits
 	stop    sync.Once
-	live    atomic.Int32 // workers not yet exited
 
-	// turn serialises dispatch decisions: a worker holds it from the
-	// decision to the head update, and while it waits for work.
-	turn sync.Mutex
 	// quota is the MaxQueue backpressure semaphore (nil when unbounded):
 	// Submit takes, completion/drop/rejection returns.
 	quota chan struct{}
-	// kick wakes the worker holding the turn when new work or a completion
-	// changes what Next can see; capacity 1, senders never block.
+	// kick wakes the worker when new work arrives or a drain begins;
+	// capacity 1, senders never block.
 	kick chan struct{}
 
 	// outstanding counts submitted-but-not-yet-finished requests (queued +
@@ -118,9 +111,8 @@ type Dispatcher struct {
 	outstanding atomic.Int64
 	draining    atomic.Bool
 
-	head    atomic.Int64
-	travel  atomic.Int64
-	dispSeq int // dispatch sequence, guarded by turn
+	head   atomic.Int64
+	travel atomic.Int64
 
 	recMu sync.Mutex
 	recs  []Record
@@ -137,11 +129,8 @@ func New(cfg Config) (*Dispatcher, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("serve: dispatcher requires a clock")
 	}
-	if cfg.InFlight < 0 {
-		return nil, fmt.Errorf("serve: in-flight bound must be >= 0, got %d", cfg.InFlight)
-	}
-	if cfg.InFlight == 0 {
-		cfg.InFlight = 1
+	if cfg.InFlight != 0 && cfg.InFlight != 1 {
+		return nil, fmt.Errorf("serve: the dispatcher serves one request at a time; InFlight must be 0 or 1, got %d", cfg.InFlight)
 	}
 	if cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("serve: queue bound must be >= 0, got %d", cfg.MaxQueue)
@@ -159,8 +148,8 @@ func New(cfg Config) (*Dispatcher, error) {
 	return d, nil
 }
 
-// Start launches InFlight workers. They run until Drain completes, Stop is
-// called, or ctx is canceled. Start is idempotent; it must precede the
+// Start launches the worker. It runs until Drain completes, Stop is called,
+// or ctx is canceled. Start is idempotent; it must precede the
 // first Submit.
 func (d *Dispatcher) Start(ctx context.Context) {
 	d.startMu.Lock()
@@ -170,10 +159,7 @@ func (d *Dispatcher) Start(ctx context.Context) {
 	}
 	d.ctx, d.cancel = context.WithCancel(ctx)
 	d.started.Store(true)
-	d.live.Store(int32(d.cfg.InFlight))
-	for range d.cfg.InFlight {
-		go d.work()
-	}
+	go d.work()
 }
 
 // Head returns the current emulated head cylinder.
@@ -197,7 +183,7 @@ func (d *Dispatcher) Submit(ctx context.Context, r *core.Request) error {
 //
 // SubmitAt works before Start too — Preload stages a whole trace that way
 // so every value anchors on the initial head and sweep state — but a
-// pre-Start submission must not depend on the workers for progress: with a
+// pre-Start submission must not depend on the worker for progress: with a
 // MaxQueue smaller than the staged trace it would block on quota no
 // dispatch can ever free.
 func (d *Dispatcher) SubmitAt(ctx context.Context, r *core.Request, now int64) error {
@@ -268,7 +254,7 @@ func (d *Dispatcher) Drain(ctx context.Context) error {
 // backend services are canceled and recorded as abandoned, and requests
 // still queued are counted abandoned as well — also on a dispatcher that
 // was never started, whose staged work (Preload) would otherwise stay
-// outstanding forever. Stop blocks until every worker has exited.
+// outstanding forever. Stop blocks until the worker has exited.
 // Idempotent; a Start after Stop does nothing.
 func (d *Dispatcher) Stop() {
 	d.stop.Do(func() {
@@ -298,13 +284,8 @@ func (d *Dispatcher) Stop() {
 // order. Empty unless Config.KeepRecords was set.
 func (d *Dispatcher) Records() []Record {
 	d.recMu.Lock()
-	out := make([]Record, len(d.recs))
-	copy(out, d.recs)
-	d.recMu.Unlock()
-	// Workers append at completion, so the raw slice is in completion
-	// order; hand back dispatch order, which is what callers align on.
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	defer d.recMu.Unlock()
+	return append([]Record(nil), d.recs...)
 }
 
 // wake nudges the worker waiting for work; never blocks.
@@ -315,16 +296,15 @@ func (d *Dispatcher) wake() {
 	}
 }
 
-// work is one of the InFlight workers: it decides under the turn, so each
-// decision is made when a service slot frees and sees the head of the one
-// before, then serves inline. The last to exit closes stopped.
+// work is the dispatcher's one worker: each decision is made when the
+// previous service ends and sees its head, and is then served inline, so
+// records are appended in dispatch order. It closes stopped on exit.
 func (d *Dispatcher) work() {
+	defer close(d.stopped)
 	for {
-		d.turn.Lock()
 		r, target, travel, decided := d.take()
 		if r == nil {
-			d.turn.Unlock()
-			break
+			return
 		}
 		// The head is en route to the target for the whole service window,
 		// so submissions arriving mid-service anchor their values on the
@@ -337,13 +317,7 @@ func (d *Dispatcher) work() {
 			m.Dispatched.Inc()
 			m.InFlight.Add(1)
 		}
-		seq := d.dispSeq
-		d.dispSeq++
-		d.turn.Unlock()
-		d.serveOne(r, head, target, seq, decided)
-	}
-	if d.live.Add(-1) == 0 {
-		close(d.stopped)
+		d.serveOne(r, head, target, decided)
 	}
 }
 
@@ -369,8 +343,9 @@ func (d *Dispatcher) take() (r *core.Request, target int, travel int64, decided 
 		if r != nil {
 			return r, target, travel, decided
 		}
-		// Workers decrement outstanding before kicking, so after consuming
-		// a kick this check never misses a finished request.
+		// The worker retires its own requests before it gets here, and
+		// producers count theirs before kicking, so after consuming a kick
+		// this check sees an up-to-date count.
 		if d.draining.Load() && d.outstanding.Load() == 0 {
 			return nil, 0, 0, 0
 		}
@@ -382,33 +357,31 @@ func (d *Dispatcher) take() (r *core.Request, target int, travel int64, decided 
 	}
 }
 
-// drop records the discard of an expired request. Drops consume a dispatch
-// sequence number (the decision was made) but no backend service.
+// drop records the discard of an expired request: a dispatch decision
+// that costs no backend service.
 func (d *Dispatcher) drop(r *core.Request, now int64) {
-	seq := d.dispSeq
-	d.dispSeq++
 	if m := d.m; m != nil {
 		m.Dispatched.Inc()
 		m.Dropped.Inc()
 	}
 	d.record(Record{
-		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: now,
+		ID: r.ID, Arrival: r.Arrival, Dispatch: now,
 		Head: d.Head(), Target: d.Head(), Dropped: true,
 	})
 	d.finishOne()
 }
 
-// serveOne runs one backend service on the calling worker and does the
-// completion accounting. decided is the clock reading take decided at; the
-// completion is the worker's only other read, so a served request costs
-// two clock reads, and the decision's model time, the completion's and the
-// wall time between them all come from those two.
-func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, decided time.Duration) {
+// serveOne runs one backend service on the worker and does the completion
+// accounting. decided is the clock reading take decided at; the completion
+// is the worker's only other read, so a served request costs two clock
+// reads, and the decision's model time, the completion's and the wall time
+// between them all come from those two.
+func (d *Dispatcher) serveOne(r *core.Request, head, target int, decided time.Duration) {
 	comp, err := d.cfg.Backend.Serve(d.ctx, r, head)
 	ended := d.cfg.Clock.elapsed()
 	done := d.cfg.Clock.model(ended)
 	rec := Record{
-		ID: r.ID, Seq: seq, Arrival: r.Arrival, Dispatch: d.cfg.Clock.model(decided), Done: done,
+		ID: r.ID, Arrival: r.Arrival, Dispatch: d.cfg.Clock.model(decided), Done: done,
 		Head: head, Target: target, Seek: comp.Seek, Service: comp.Service,
 	}
 	if err != nil {
@@ -431,14 +404,13 @@ func (d *Dispatcher) serveOne(r *core.Request, head, target, seq int, decided ti
 	d.finishOne()
 }
 
-// finishOne retires one outstanding request: releases its backpressure
-// quota and lets a drain observe quiescence.
+// finishOne retires one outstanding request and releases its backpressure
+// quota. It runs on the worker, which checks for quiescence in take.
 func (d *Dispatcher) finishOne() {
 	d.outstanding.Add(-1)
 	if d.quota != nil {
 		<-d.quota
 	}
-	d.wake()
 }
 
 // record keeps rec when Config.KeepRecords is set.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,28 +12,36 @@ import (
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/sched"
+	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 )
 
-// serveConfig is the cascaded configuration the serving tests schedule
-// with: deadline and cylinder stages over the Table 1 geometry.
-func serveConfig() core.EncapsulatorConfig {
-	return core.EncapsulatorConfig{
+// cascade builds the cascade every serving test schedules with, under the
+// given dispatcher policy: dims priority dimensions over 8 levels (through
+// a Hilbert SFC1 when there is more than one), the deadline stage over a
+// 700 ms horizon weighed against them at F = 1 (schedsim's -f default),
+// and three SFC3 partitions of the Table 1 geometry.
+func cascade(dims int, dcfg core.DispatcherConfig, windowFrac float64) *core.Scheduler {
+	ecfg := core.EncapsulatorConfig{
 		Levels:      8,
-		UseDeadline: true, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
+		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
 		UseCylinder: true, R: 3, Cylinders: 3832,
 	}
-}
-
-// cascade builds the cascaded scheduler under the given dispatcher policy.
-func cascade(dcfg core.DispatcherConfig, windowFrac float64) *core.Scheduler {
-	return core.MustScheduler("", serveConfig(), dcfg, windowFrac)
+	if dims > 1 {
+		cv, err := sfc.New("hilbert", dims, 8)
+		if err != nil {
+			panic(err)
+		}
+		ecfg.Curve1 = cv
+	}
+	return core.MustScheduler("", ecfg, dcfg, windowFrac)
 }
 
 // fullyPreemptive is the policy the serving tests default to: pure v_c
-// order, the one the layer served before it could serve any other.
+// order over one priority dimension, the one the layer served before it
+// could serve any other.
 func fullyPreemptive() *core.Scheduler {
-	return cascade(core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	return cascade(1, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 }
 
 // reqAt builds one test request with a far-off deadline.
@@ -134,6 +143,7 @@ func TestNewValidation(t *testing.T) {
 		{Sched: s, Clock: clock},
 		{Sched: s, Backend: be},
 		{Sched: s, Backend: be, Clock: clock, InFlight: -1},
+		{Sched: s, Backend: be, Clock: clock, InFlight: 2},
 		{Sched: s, Backend: be, Clock: clock, MaxQueue: -1},
 	}
 	for i, cfg := range bad {
@@ -141,13 +151,19 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+	// One arm, spelled either way.
+	for _, inflight := range []int{0, 1} {
+		if _, err := New(Config{Sched: fullyPreemptive(), Backend: be, Clock: clock, InFlight: inflight}); err != nil {
+			t.Errorf("InFlight %d rejected: %v", inflight, err)
+		}
+	}
 }
 
 // TestDispatcherServesAllConcurrentSubmitters is the serving layer's bread
-// and butter: many producers, bounded in-flight dispatch, graceful drain,
-// nothing lost and nothing served twice.
+// and butter: many producers, one arm, graceful drain, nothing lost and
+// nothing served twice.
 func TestDispatcherServesAllConcurrentSubmitters(t *testing.T) {
-	d, m := newTestDispatcher(t, Config{InFlight: 4})
+	d, m := newTestDispatcher(t, Config{})
 	d.Start(context.Background())
 
 	const producers = 4
@@ -179,8 +195,13 @@ func TestDispatcherServesAllConcurrentSubmitters(t *testing.T) {
 	}
 	seen := make(map[uint64]bool, total)
 	for i, rec := range recs {
-		if rec.Seq != i {
-			t.Fatalf("record %d has seq %d: dispatch sequence not dense", i, rec.Seq)
+		// Records are in dispatch order: each departs from the head the
+		// one before it left, no earlier than that one completed.
+		if i > 0 {
+			if prev := recs[i-1]; rec.Head != prev.Target || rec.Dispatch < prev.Done {
+				t.Fatalf("record %d (head %d, dispatched %d) does not follow record %d (target %d, done %d)",
+					i, rec.Head, rec.Dispatch, i-1, prev.Target, prev.Done)
+			}
 		}
 		if seen[rec.ID] {
 			t.Fatalf("request %d recorded twice", rec.ID)
@@ -230,7 +251,7 @@ func submitConcurrently(t *testing.T, d *Dispatcher, producers, perProducer int)
 func servedPolicies() []sched.Policy {
 	cond := core.ConditionallyPreemptive
 	cascaded := func(name string, dcfg core.DispatcherConfig, w float64) sched.Policy {
-		return sched.Policy{Name: name, New: func(sched.Estimator, int) sched.Scheduler { return cascade(dcfg, w) }}
+		return sched.Policy{Name: name, New: func(sched.Estimator, int) sched.Scheduler { return cascade(1, dcfg, w) }}
 	}
 	return append([]sched.Policy{
 		{Name: "cascaded-full", New: func(sched.Estimator, int) sched.Scheduler { return fullyPreemptive() }},
@@ -245,9 +266,8 @@ func servedPolicies() []sched.Policy {
 // preloaded arrival-at-zero trace the live dispatcher's dispatch order is
 // bit-identical to sim.Run's, because both sides enqueue the whole trace
 // against the initial head and sweep state and then pop a fixed queued set
-// — wall-clock jitter has nothing left to perturb. The guarantee is
-// independent of the in-flight bound, and it holds for every policy the
-// layer can serve, not only pure v_c order. (FD-SCAN and SSEDV read the
+// — wall-clock jitter has nothing left to perturb. The guarantee holds for
+// every policy the layer can serve, not only pure v_c order. (FD-SCAN and SSEDV read the
 // clock in Next, and the two sides' clocks do differ; they agree here
 // because the trace's deadlines are far off and 1 µs apart, so whichever
 // clock is asked sees them all feasible or all expired together.)
@@ -255,44 +275,66 @@ func TestDispatcherExactSimOrder(t *testing.T) {
 	model := disk.MustModel(disk.QuantumXP32150Params())
 	sm := disk.ServiceModel{Disk: model}
 	for _, pol := range servedPolicies() {
-		for _, inflight := range []int{1, 3} {
-			trace := zeroArrivalTrace(96)
-			var simOrder []uint64
-			if _, err := sim.Run(sim.Config{
-				Disk: model, Scheduler: pol.New(model.ServiceTime, 8),
-				Options: sim.Options{Trace: func(ev sim.TraceEvent) {
-					if !ev.Dropped {
-						simOrder = append(simOrder, ev.Request.ID)
-					}
-				}},
-			}, trace); err != nil {
-				t.Fatalf("%s: sim.Run: %v", pol.Name, err)
-			}
-
-			clock, _ := NewClock(50_000)
-			be, err := NewEmulatedDisk(sm, clock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, _ := newTestDispatcher(t, Config{Sched: pol.New(model.ServiceTime, 8), Backend: be, Clock: clock, InFlight: inflight})
-			if err := Preload(context.Background(), d, trace); err != nil {
-				t.Fatalf("%s: Preload: %v", pol.Name, err)
-			}
-			d.Start(context.Background())
-			if err := d.Drain(context.Background()); err != nil {
-				t.Fatalf("%s: Drain: %v", pol.Name, err)
-			}
-
-			recs := d.Records()
-			if len(recs) != len(simOrder) {
-				t.Fatalf("%s inflight %d: live served %d, sim served %d", pol.Name, inflight, len(recs), len(simOrder))
-			}
-			for i, rec := range recs {
-				if rec.ID != simOrder[i] {
-					t.Fatalf("%s inflight %d: dispatch order diverges at %d: live %d, sim %d",
-						pol.Name, inflight, i, rec.ID, simOrder[i])
+		trace := zeroArrivalTrace(96)
+		var simOrder []uint64
+		if _, err := sim.Run(sim.Config{
+			Disk: model, Scheduler: pol.New(model.ServiceTime, 8),
+			Options: sim.Options{Trace: func(ev sim.TraceEvent) {
+				if !ev.Dropped {
+					simOrder = append(simOrder, ev.Request.ID)
 				}
+			}},
+		}, trace); err != nil {
+			t.Fatalf("%s: sim.Run: %v", pol.Name, err)
+		}
+
+		clock, _ := NewClock(50_000)
+		be, err := NewEmulatedDisk(sm, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := newTestDispatcher(t, Config{Sched: pol.New(model.ServiceTime, 8), Backend: be, Clock: clock})
+		if err := Preload(context.Background(), d, trace); err != nil {
+			t.Fatalf("%s: Preload: %v", pol.Name, err)
+		}
+		d.Start(context.Background())
+		if err := d.Drain(context.Background()); err != nil {
+			t.Fatalf("%s: Drain: %v", pol.Name, err)
+		}
+
+		recs := d.Records()
+		if len(recs) != len(simOrder) {
+			t.Fatalf("%s: live served %d, sim served %d", pol.Name, len(recs), len(simOrder))
+		}
+		for i, rec := range recs {
+			if rec.ID != simOrder[i] {
+				t.Fatalf("%s: dispatch order diverges at %d: live %d, sim %d", pol.Name, i, rec.ID, simOrder[i])
 			}
+		}
+	}
+}
+
+// TestServedCascadeWeighsDeadlines pins that the cascade the serving tests
+// hand the dispatcher weighs deadlines: two requests at one priority level
+// and one cylinder differ only in their deadline, so every discipline must
+// dispatch the nearer one first, although it was queued second.
+func TestServedCascadeWeighsDeadlines(t *testing.T) {
+	for _, pol := range servedPolicies() {
+		if !strings.HasPrefix(pol.Name, "cascaded-") {
+			continue
+		}
+		d, _ := newTestDispatcher(t, Config{Sched: pol.New(nil, 8)})
+		far := &core.Request{ID: 1, Priorities: []int{3}, Deadline: 690_000, Cylinder: 1000, Size: 4096}
+		near := &core.Request{ID: 2, Priorities: []int{3}, Deadline: 400_000, Cylinder: 1000, Size: 4096}
+		if err := Preload(context.Background(), d, []*core.Request{far, near}); err != nil {
+			t.Fatalf("%s: Preload: %v", pol.Name, err)
+		}
+		d.Start(context.Background())
+		if err := d.Drain(context.Background()); err != nil {
+			t.Fatalf("%s: Drain: %v", pol.Name, err)
+		}
+		if recs := d.Records(); len(recs) != 2 || recs[0].ID != near.ID {
+			t.Errorf("%s: records %+v, want request %d (the 400 ms deadline) first", pol.Name, recs, near.ID)
 		}
 	}
 }
@@ -300,7 +342,7 @@ func TestDispatcherExactSimOrder(t *testing.T) {
 func TestDispatcherBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	be := &fakeBackend{gate: gate}
-	d, m := newTestDispatcher(t, Config{Backend: be, InFlight: 1, MaxQueue: 2})
+	d, m := newTestDispatcher(t, Config{Backend: be, MaxQueue: 2})
 	d.Start(context.Background())
 
 	if err := d.Submit(context.Background(), reqAt(1, 100, 4096)); err != nil {
@@ -338,7 +380,7 @@ func TestDispatcherBackpressureSubmitCancel(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	be := &fakeBackend{gate: gate}
-	d, m := newTestDispatcher(t, Config{Backend: be, InFlight: 1, MaxQueue: 1})
+	d, m := newTestDispatcher(t, Config{Backend: be, MaxQueue: 1})
 	d.Start(context.Background())
 	if err := d.Submit(context.Background(), reqAt(1, 100, 4096)); err != nil {
 		t.Fatalf("Submit 1: %v", err)
@@ -358,28 +400,28 @@ func TestDispatcherStopAbandons(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	be := &fakeBackend{gate: gate}
-	// Each case parks inflight requests in the backend and leaves queued
-	// ones behind them. Stop must cancel the former, dispatch nothing
-	// further, and account them all.
-	for _, tc := range []struct{ inflight, queued int }{{1, 2}, {3, 5}} {
-		d, m := newTestDispatcher(t, Config{Backend: be, InFlight: tc.inflight})
+	// Each case parks one request in the backend and leaves queued ones
+	// behind it. Stop must cancel the former, dispatch nothing further, and
+	// account them all.
+	for _, queued := range []int{2, 5} {
+		d, m := newTestDispatcher(t, Config{Backend: be})
 		d.Start(context.Background())
-		total := tc.inflight + tc.queued
+		total := 1 + queued
 		for i := 1; i <= total; i++ {
 			if err := d.Submit(context.Background(), reqAt(uint64(i), i*100, 4096)); err != nil {
 				t.Fatalf("Submit %d: %v", i, err)
 			}
 		}
-		waitFor(t, "dispatch", func() bool { return m.Dispatched.Load() == uint64(tc.inflight) })
+		waitFor(t, "dispatch", func() bool { return m.Dispatched.Load() == 1 })
 		d.Stop()
 		if got := m.Abandoned.Load(); got != uint64(total) {
-			t.Fatalf("in-flight %d: Abandoned = %d, want %d", tc.inflight, got, total)
+			t.Fatalf("%d queued: Abandoned = %d, want %d", queued, got, total)
 		}
 		if got := m.Completed.Load(); got != 0 {
-			t.Fatalf("in-flight %d: Completed = %d, want 0", tc.inflight, got)
+			t.Fatalf("%d queued: Completed = %d, want 0", queued, got)
 		}
-		if got := m.Dispatched.Load(); got != uint64(tc.inflight) {
-			t.Fatalf("in-flight %d: Dispatched = %d after Stop, want %d", tc.inflight, got, tc.inflight)
+		if got := m.Dispatched.Load(); got != 1 {
+			t.Fatalf("%d queued: Dispatched = %d after Stop, want 1", queued, got)
 		}
 		var abandoned int
 		for _, rec := range d.Records() {
@@ -387,8 +429,8 @@ func TestDispatcherStopAbandons(t *testing.T) {
 				abandoned++
 			}
 		}
-		if abandoned != tc.inflight {
-			t.Fatalf("%d abandoned records, want %d (the in-flight services)", abandoned, tc.inflight)
+		if abandoned != 1 {
+			t.Fatalf("%d abandoned records, want 1 (the service in flight)", abandoned)
 		}
 		// Stop is idempotent and the ingress stays shut.
 		d.Stop()
@@ -418,10 +460,9 @@ func TestDispatcherStopAbandons(t *testing.T) {
 }
 
 // boundBackend counts concurrent services, parks each on gate, and at
-// every entry counts a breach when the ledger holds more dispatched but
-// unfinished requests than limit.
+// every entry counts a breach when the ledger holds more than one
+// dispatched but unfinished request.
 type boundBackend struct {
-	limit           int64
 	m               *Metrics
 	gate            chan struct{}
 	cur, peak, over atomic.Int64
@@ -438,7 +479,7 @@ func (b *boundBackend) Serve(ctx context.Context, _ *core.Request, _ int) (Compl
 	// difference smaller than it was.
 	disp := int64(b.m.Dispatched.Load())
 	unfinished := disp - int64(b.m.Completed.Load()+b.m.Dropped.Load()+b.m.Abandoned.Load())
-	if unfinished > b.limit {
+	if unfinished > 1 {
 		b.over.Add(1)
 	}
 	select {
@@ -449,39 +490,37 @@ func (b *boundBackend) Serve(ctx context.Context, _ *core.Request, _ int) (Compl
 	return Completion{Service: 10}, nil
 }
 
-// TestDispatcherInFlightBound pins the InFlight bound: with producers
-// outrunning a parked backend the dispatcher fills exactly InFlight
-// services and never more, and at no dispatch does the ledger hold more
-// than InFlight requests between dispatch and their end.
+// TestDispatcherInFlightBound pins the one arm: with producers outrunning
+// a parked backend the dispatcher serves exactly one request at a time,
+// and at no dispatch does the ledger hold more than one request between
+// dispatch and its end.
 func TestDispatcherInFlightBound(t *testing.T) {
 	const producers, perProducer = 4, 50
-	for _, inflight := range []int{1, 3} {
-		be := &boundBackend{limit: int64(inflight), gate: make(chan struct{})}
-		d, m := newTestDispatcher(t, Config{Backend: be, InFlight: inflight})
-		be.m = m
-		d.Start(context.Background())
-		submitConcurrently(t, d, producers, perProducer)
-		waitFor(t, "a full in-flight set", func() bool { return be.cur.Load() == int64(inflight) })
-		// Every worker is parked in the backend, so nothing else can be
-		// dispatched until the gate opens.
-		if got := m.Dispatched.Load(); got != uint64(inflight) {
-			t.Fatalf("in-flight %d: %d dispatched with every service parked", inflight, got)
-		}
-		close(be.gate)
-		if err := d.Drain(context.Background()); err != nil {
-			t.Fatalf("in-flight %d: Drain: %v", inflight, err)
-		}
-		if got := be.peak.Load(); got != int64(inflight) {
-			t.Errorf("in-flight %d: peak concurrent services %d", inflight, got)
-		}
-		if got := be.over.Load(); got != 0 {
-			t.Errorf("in-flight %d: %d dispatches exceeded the bound", inflight, got)
-		}
-		if got := m.Completed.Load(); got != producers*perProducer {
-			t.Errorf("in-flight %d: Completed = %d, want %d", inflight, got, producers*perProducer)
-		}
-		checkLedger(t, d, m)
+	be := &boundBackend{gate: make(chan struct{})}
+	d, m := newTestDispatcher(t, Config{Backend: be})
+	be.m = m
+	d.Start(context.Background())
+	submitConcurrently(t, d, producers, perProducer)
+	waitFor(t, "a parked service", func() bool { return be.cur.Load() == 1 })
+	// The worker is parked in the backend, so nothing else can be
+	// dispatched until the gate opens.
+	if got := m.Dispatched.Load(); got != 1 {
+		t.Fatalf("%d dispatched with the service parked", got)
 	}
+	close(be.gate)
+	if err := d.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if got := be.peak.Load(); got != 1 {
+		t.Errorf("peak concurrent services %d, want 1", got)
+	}
+	if got := be.over.Load(); got != 0 {
+		t.Errorf("%d dispatches overlapped an unfinished one", got)
+	}
+	if got := m.Completed.Load(); got != producers*perProducer {
+		t.Errorf("Completed = %d, want %d", got, producers*perProducer)
+	}
+	checkLedger(t, d, m)
 }
 
 // TestDispatcherNoPerRequestAllocs pins that a warm Submit → Backend.Serve
@@ -550,48 +589,24 @@ func (f backendFunc) Serve(ctx context.Context, r *core.Request, _ int) (Complet
 // ledger is conserved whatever the backend does.
 func TestDispatcherHostileBackends(t *testing.T) {
 	const n = 12
-	// reversing completes each in-flight triple backwards: request id
-	// waits for id+1 unless it is the last of its triple.
-	finished := make([]chan struct{}, n+2)
-	for i := range finished {
-		finished[i] = make(chan struct{})
-	}
-	var mu sync.Mutex
-	var completion []uint64
-	reversing := backendFunc(func(ctx context.Context, r *core.Request) error {
-		if r.ID%3 != 0 {
-			select {
-			case <-finished[r.ID+1]:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		mu.Lock()
-		completion = append(completion, r.ID)
-		mu.Unlock()
-		close(finished[r.ID])
-		return nil
-	})
 	for _, tc := range []struct {
 		name      string
-		inflight  int
 		backend   Backend
 		drainFor  time.Duration // 0: no deadline
 		wantErr   error
 		completed uint64
 		fails     func(id uint64) bool // which dispatched services end abandoned
 	}{
-		{"serve errors", 1, backendFunc(func(_ context.Context, r *core.Request) error {
+		{"serve errors", backendFunc(func(_ context.Context, r *core.Request) error {
 			if r.ID%3 == 0 {
 				return errors.New("medium error")
 			}
 			return nil
 		}), 0, nil, 8, func(id uint64) bool { return id%3 == 0 }},
-		{"out-of-order completion", 3, reversing, 0, nil, n, func(uint64) bool { return false }},
-		{"stall past the drain deadline", 2, &fakeBackend{gate: make(chan struct{})},
+		{"stall past the drain deadline", &fakeBackend{gate: make(chan struct{})},
 			20 * time.Millisecond, context.DeadlineExceeded, 0, func(uint64) bool { return true }},
 	} {
-		d, m := newTestDispatcher(t, Config{Sched: sched.NewFCFS(), Backend: tc.backend, InFlight: tc.inflight})
+		d, m := newTestDispatcher(t, Config{Sched: sched.NewFCFS(), Backend: tc.backend})
 		if err := Preload(context.Background(), d, zeroArrivalTrace(n)); err != nil {
 			t.Fatalf("%s: Preload: %v", tc.name, err)
 		}
@@ -610,21 +625,12 @@ func TestDispatcherHostileBackends(t *testing.T) {
 		}
 		checkLedger(t, d, m)
 		for i, rec := range d.Records() {
-			if rec.Seq != i || rec.ID != uint64(i+1) {
-				t.Fatalf("%s: record %d is request %d seq %d; FCFS dispatch order is ID order", tc.name, i, rec.ID, rec.Seq)
+			if rec.ID != uint64(i+1) {
+				t.Fatalf("%s: record %d is request %d; FCFS dispatch order is ID order", tc.name, i, rec.ID)
 			}
 			if rec.Abandoned != tc.fails(rec.ID) {
 				t.Fatalf("%s: request %d abandoned = %v, want %v", tc.name, rec.ID, rec.Abandoned, tc.fails(rec.ID))
 			}
-		}
-	}
-	want := []uint64{3, 2, 1, 6, 5, 4, 9, 8, 7, 12, 11, 10}
-	if len(completion) != n {
-		t.Fatalf("reversing backend completed %v", completion)
-	}
-	for i, id := range completion {
-		if id != want[i] {
-			t.Fatalf("completion order %v, want %v: the backend did not complete out of order", completion, want)
 		}
 	}
 }
@@ -670,7 +676,7 @@ func TestDispatcherHeadTracking(t *testing.T) {
 	model := disk.MustModel(disk.QuantumXP32150Params())
 	clock, _ := NewClock(50_000)
 	be, _ := NewEmulatedDisk(disk.ServiceModel{Disk: model}, clock)
-	d, m := newTestDispatcher(t, Config{Backend: be, Clock: clock, InFlight: 1})
+	d, m := newTestDispatcher(t, Config{Backend: be, Clock: clock})
 	trace := []*core.Request{reqAt(1, 1000, 4096), reqAt(2, 3000, 4096), reqAt(3, 2000, 4096)}
 	if err := Preload(context.Background(), d, trace); err != nil {
 		t.Fatal(err)
@@ -705,7 +711,7 @@ func TestDispatcherHeadTracking(t *testing.T) {
 // target for free, as a sim.Station with no disk model does: the decision
 // is sim.Pick on both sides, so neither counts travel.
 func TestDispatcherNoGeometryNoTravel(t *testing.T) {
-	d, m := newTestDispatcher(t, Config{InFlight: 1})
+	d, m := newTestDispatcher(t, Config{})
 	trace := []*core.Request{reqAt(1, 1000, 4096), reqAt(2, 3000, 4096), reqAt(3, 2000, 4096)}
 	if err := Preload(context.Background(), d, trace); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func Replay(ctx context.Context, d *Dispatcher, trace []*core.Request) error {
 // trace computes before its first dispatch — so the dispatch order of the
 // queued set is fully determined by the stored (value, sequence) pairs
 // and provably identical to the simulator's, independent of wall-clock
-// jitter or the in-flight bound. Calibrate stages a trace's arrivals at
+// jitter. Calibrate stages a trace's arrivals at
 // time zero this way, before it starts the dispatcher and replays the
 // rest: the engine's own rule that every arrival at t is delivered before
 // the dispatch at t.

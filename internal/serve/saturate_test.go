@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/workload"
 )
 
@@ -13,18 +12,10 @@ import (
 const liveCylinders = 3832
 
 // liveCascade is the scheduler bench/run.sh's serve-live workload serves
-// with: a 3-d Hilbert SFC1 over 8 levels, the deadline stage over a 700 ms
-// horizon and three SFC3 partitions, fully preemptive.
+// with: the serving tests' cascade over three priority dimensions, fully
+// preemptive.
 func liveCascade() *core.Scheduler {
-	cv, err := sfc.New("hilbert", 3, 8)
-	if err != nil {
-		panic(err)
-	}
-	return core.MustScheduler("serve-live", core.EncapsulatorConfig{
-		Curve1: cv, Levels: 8,
-		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-		UseCylinder: true, R: 3, Cylinders: liveCylinders,
-	}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	return cascade(3, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 }
 
 // liveRing is serve-live's request ring: 8192 recycled requests, more than

@@ -15,7 +15,6 @@ import (
 	"sfcsched/internal/disk"
 	"sfcsched/internal/obs"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/workload"
 )
 
@@ -40,19 +39,10 @@ func inBubble(f func()) {
 }
 
 // schedsimCascade builds the cascade schedsim runs at its default flags:
-// a 3-d Hilbert SFC1 over 8 levels, the deadline stage over a 700 ms
-// horizon, three SFC3 partitions, conditionally preemptive with SP at
-// window 0.02.
-func schedsimCascade(m *disk.Model) sched.Scheduler {
-	cv, err := sfc.New("hilbert", 3, 8)
-	if err != nil {
-		panic(err)
-	}
-	return core.MustScheduler("cascaded", core.EncapsulatorConfig{
-		Curve1: cv, Levels: 8,
-		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-		UseCylinder: true, R: 3, Cylinders: m.Cylinders,
-	}, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
+// the serving tests' cascade over three priority dimensions,
+// conditionally preemptive with SP at window 0.02.
+func schedsimCascade() sched.Scheduler {
+	return cascade(3, core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, 0.02)
 }
 
 // liveTrace is schedsim's open workload at the given mean interarrival.
@@ -98,7 +88,7 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 	model := disk.MustModel(disk.QuantumXP32150Params())
 	sm := disk.ServiceModel{Disk: model}
 	policies := append([]sched.Policy{{Name: "cascaded", New: func(sched.Estimator, int) sched.Scheduler {
-		return schedsimCascade(model)
+		return schedsimCascade()
 	}}}, sched.Policies...)
 	for _, pol := range policies {
 		newSched := func() sched.Scheduler { return pol.New(model.ServiceTime, 8) }
@@ -120,7 +110,7 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 	for _, r := range burst[:50] {
 		r.Arrival = 0
 	}
-	liveIsSim(t, "cascaded/burst-at-zero", func() sched.Scheduler { return schedsimCascade(model) }, sm, true, burst)
+	liveIsSim(t, "cascaded/burst-at-zero", func() sched.Scheduler { return schedsimCascade() }, sm, true, burst)
 
 	// schedbench -serve's configuration, which overloads the disk: a 1-d
 	// trace at 4 ms against ~15 ms services, under the fully preemptive
@@ -130,15 +120,9 @@ func TestLiveDispatcherIsSimRun(t *testing.T) {
 		Dims: 1, Levels: 8, DeadlineMin: 400_000, DeadlineMax: 700_000,
 		Cylinders: model.Cylinders, SizeMin: 4 << 10, SizeMax: 128 << 10,
 	}.MustGenerate()
-	preemptive := func() sched.Scheduler {
-		return core.MustScheduler("cascaded", core.EncapsulatorConfig{
-			Levels:      8,
-			UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-			UseCylinder: true, R: 3, Cylinders: model.Cylinders,
-		}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-	}
 	for _, dropLate := range []bool{false, true} {
-		liveIsSim(t, fmt.Sprintf("cascaded/overload/drop=%v", dropLate), preemptive, sm, dropLate, overload)
+		liveIsSim(t, fmt.Sprintf("cascaded/overload/drop=%v", dropLate),
+			func() sched.Scheduler { return fullyPreemptive() }, sm, dropLate, overload)
 	}
 }
 
@@ -169,7 +153,7 @@ func TestLiveAccountingOnVirtualClock(t *testing.T) {
 				return
 			}
 			var d *Dispatcher
-			d, err = New(Config{Sched: schedsimCascade(model), Backend: be, Clock: clock, Metrics: m, KeepRecords: true})
+			d, err = New(Config{Sched: schedsimCascade(), Backend: be, Clock: clock, Metrics: m, KeepRecords: true})
 			if err != nil {
 				return
 			}
