@@ -21,8 +21,9 @@ test:
 # The live dispatcher against sim.Run on a virtual clock
 # (internal/serve/synctest_test.go): every policy must calibrate exact,
 # under the race detector. The test needs the synctest experiment, which
-# plain go test leaves off.
+# plain go test and go vet leave off, so it is vetted here too.
 synctest:
+	GOEXPERIMENT=synctest go vet ./internal/serve
 	GOEXPERIMENT=synctest go test -race -count=1 -run TestLive ./internal/serve
 
 # Regenerates every committed golden after an intended output change: the

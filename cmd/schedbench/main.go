@@ -71,9 +71,5 @@ func main() {
 // run executes one experiment with the flag overrides of o.
 func run(out io.Writer, id string, o *options) error {
 	p := experiments.Params{Seed: o.seed, Requests: o.requests, Workers: o.workers}
-	var err error
-	if p.Users, err = o.parseUsers(); err != nil {
-		return err
-	}
 	return experiments.Run(out, id, p, o.asCSV)
 }

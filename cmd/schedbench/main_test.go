@@ -45,7 +45,6 @@ func TestRunEveryExperimentReduced(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := run(&buf, "fig11", testOptions(func(o *options) {
-		o.users = "68,72"
 		o.asCSV = true
 		o.workers = 2
 	})); err != nil {
@@ -61,9 +60,6 @@ func TestRunRejectsUnknown(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, "fig99", testOptions(nil)); err == nil {
 		t.Error("expected error for unknown experiment")
-	}
-	if err := run(&buf, "fig11", testOptions(func(o *options) { o.users = "abc" })); err == nil {
-		t.Error("expected error for malformed user list")
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -18,7 +17,6 @@ type options struct {
 	exp      string
 	seed     uint64
 	requests int
-	users    string
 	asCSV    bool
 	workers  int
 	httpAddr string
@@ -35,7 +33,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+strings.Join(experiments.All(), ", ")+", or all")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")
 	fs.IntVar(&o.requests, "requests", 0, "override request count (0 = experiment default)")
-	fs.StringVar(&o.users, "users", "", "fig11 and fig11raid only: comma-separated user counts")
 	fs.BoolVar(&o.asCSV, "csv", false, "emit CSV instead of aligned tables")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers for sweep experiments (0 = GOMAXPROCS); output is identical for any value")
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics (Prometheus) and /debug/pprof/ on this address, and stay alive after the work finishes (e.g. :9090)")
@@ -66,42 +63,5 @@ func (o *options) validate() error {
 	if o.serveFor > 0 && !o.serve {
 		return fmt.Errorf("-serve-for requires -serve")
 	}
-	if _, err := o.parseUsers(); err != nil {
-		return fmt.Errorf("-users: %w", err)
-	}
-	if o.users != "" && (o.serve || !o.sweepsUsers()) {
-		return fmt.Errorf("-users sets the fig11 and fig11raid stream counts: -exp must name one of them or be all, without -serve")
-	}
 	return nil
-}
-
-// sweepsUsers reports whether -exp runs a row that reads -users: fig11,
-// fig11raid, or every row.
-func (o *options) sweepsUsers() bool {
-	if o.exp == "all" {
-		return true
-	}
-	for _, id := range strings.Split(o.exp, ",") {
-		if id = strings.TrimSpace(id); id == "fig11" || id == "fig11raid" {
-			return true
-		}
-	}
-	return false
-}
-
-// parseUsers parses the -users list; empty means "use the experiment
-// default".
-func (o *options) parseUsers() ([]int, error) {
-	if o.users == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(o.users, ",") {
-		u, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || u < 1 {
-			return nil, fmt.Errorf("user count %q is not a positive integer", f)
-		}
-		out = append(out, u)
-	}
-	return out, nil
 }

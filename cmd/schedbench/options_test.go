@@ -45,13 +45,6 @@ func TestOptionsRejects(t *testing.T) {
 		{"infinite dilation", []string{"-serve", "-dilation", "+Inf"}, "-dilation: serve: dilation factor must be positive and finite"},
 		{"negative serve-for", []string{"-serve", "-serve-for", "-1s"}, "-serve-for"},
 		{"serve-for without serve", []string{"-serve-for", "2s"}, "requires -serve"},
-		{"users with trailing junk", []string{"-exp", "fig11", "-users", "68x,70"}, `-users: user count "68x" is not a positive integer`},
-		{"fractional users", []string{"-exp", "fig11", "-users", "68,70.5"}, `-users: user count "70.5" is not a positive integer`},
-		{"zero users", []string{"-exp", "fig11", "-users", "0"}, `-users: user count "0" is not a positive integer`},
-		{"empty users field", []string{"-exp", "fig11", "-users", "68,,70"}, `-users: user count "" is not a positive integer`},
-		{"users with a row that ignores them", []string{"-exp", "table1", "-users", "5"}, "-exp must name one of them"},
-		{"users with rows that ignore them", []string{"-exp", "fig5, fig10", "-users", "5"}, "-exp must name one of them"},
-		{"users with serve", []string{"-serve", "-users", "5"}, "without -serve"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,10 +64,6 @@ func TestOptionsAccepts(t *testing.T) {
 		{"-serve", "-dilation", "0.5"},
 		{"-serve", "-serve-for", "2s", "-http", ":0"},
 		{"-exp", "fig5", "-requests", "100", "-workers", "3", "-csv"},
-		{"-exp", "fig11", "-users", "68, 70"},
-		{"-exp", "fig11raid", "-users", "5"},
-		{"-exp", "fig5, fig11", "-users", "5"},
-		{"-users", "68"},
 	}
 	for _, args := range cases {
 		if _, err := parseBench(t, args...); err != nil {

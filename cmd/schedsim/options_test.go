@@ -48,6 +48,7 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"rebuild negative interval", []string{"-array", "5", "-fail-disk", "1", "-rebuild", "-rebuild-interval", "-1ms"}, "fault flags: fault: negative RebuildInterval"},
 		{"write-frac above one", []string{"-write-frac", "1.5"}, "workload flags: workload: WriteFrac 1.5 outside [0,1]"},
 		{"write-frac negative", []string{"-write-frac", "-0.1"}, "workload flags: workload: WriteFrac -0.1 outside [0,1]"},
+		{"write-frac NaN", []string{"-write-frac", "NaN"}, "workload flags: workload: WriteFrac NaN outside [0,1]"},
 		{"fault-rate above one", []string{"-fault-rate", "2"}, "fault flags: fault: TransientRate 2 outside [0,1]"},
 		{"fault-rate negative", []string{"-fault-rate", "-0.5"}, "fault flags: fault: TransientRate -0.5 outside [0,1]"},
 		{"negative retries", []string{"-retries", "-1"}, "-retries"},
@@ -76,6 +77,7 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"cluster zero admit rate", []string{"-cluster", "4", "-admit", "token", "-admit-rate", "0"}, "-admit: cluster: token bucket rate and burst must be positive"},
 		{"negative tenants", []string{"-tenants", "-2"}, "workload flags: workload: Tenants and TenantSkew must be non-negative"},
 		{"negative tenant skew", []string{"-tenants", "4", "-tenant-skew", "-1"}, "workload flags: workload: Tenants and TenantSkew must be non-negative"},
+		{"NaN tenant skew", []string{"-tenants", "4", "-tenant-skew", "NaN"}, "workload flags: workload: Tenants and TenantSkew must be non-negative"},
 		{"zones without tenants", []string{"-tenant-zones"}, "-tenant-zones"},
 		{"zero classes", []string{"-classes", "0"}, "-classes"},
 		{"zero dilation", []string{"-serve", "-dilation", "0"}, "-dilation: serve: dilation factor must be positive"},

@@ -52,7 +52,6 @@ var testOnlyMembers = map[string]string{
 	"internal/workload.Spec.MustGenerate":         "test helper",
 	"internal/workload.Spec.MustGenerateArena":    "test helper",
 	"internal/workload.Streams.MustGenerateArena": "test helper",
-	"internal/serve.CalibrationConfig.Metrics":    "per-run metrics sink",
 	"internal/workload.Open.Dist":                 "priority skew for ROADMAP items 6 and 7",
 	"internal/workload.Client.Dist":               "priority skew for ROADMAP items 6 and 7",
 }

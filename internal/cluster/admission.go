@@ -105,7 +105,7 @@ func NewAdmitter(name string, classes int, ratePerSec, burst int64) (Admitter, e
 	switch name {
 	case "always":
 		return AlwaysAdmit{}, nil
-	case "token", "token-bucket":
+	case "token":
 		return NewTokenBucket(classes, ratePerSec, burst)
 	default:
 		return nil, fmt.Errorf("cluster: unknown admission policy %q (want always or token)", name)

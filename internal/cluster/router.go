@@ -106,9 +106,9 @@ func (Affinity) Route(r *core.Request, nodes []*Node, _ int64) int {
 // "least" (least-loaded) or "affinity" (block-range affinity).
 func NewRouter(name string) (Router, error) {
 	switch name {
-	case "rr", "round-robin":
+	case "rr":
 		return &RoundRobin{}, nil
-	case "least", "least-loaded":
+	case "least":
 		return LeastLoaded{}, nil
 	case "affinity":
 		return Affinity{}, nil

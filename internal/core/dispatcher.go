@@ -90,7 +90,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		if cfg.Expansion == 0 {
 			cfg.Expansion = 2
 		}
-		if cfg.Expansion <= 1 {
+		if !(1 < cfg.Expansion) {
 			return nil, fmt.Errorf("core: ER expansion must be > 1, got %v", cfg.Expansion)
 		}
 	}

@@ -154,7 +154,7 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 		if cfg.DeadlineHorizon <= 0 {
 			return nil, fmt.Errorf("core: DeadlineHorizon must be positive when UseDeadline is set")
 		}
-		if cfg.F < 0 {
+		if !(0 <= cfg.F) {
 			return nil, fmt.Errorf("core: F must be >= 0, got %v", cfg.F)
 		}
 		if cfg.DeadlineSpan < 0 || cfg.DeadlineSpan > cfg.DeadlineHorizon {

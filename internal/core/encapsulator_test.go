@@ -306,6 +306,31 @@ func TestEncapsulatorValidation(t *testing.T) {
 	}
 }
 
+// A NaN fails every comparison, so a range check written x < lo || x > hi
+// lets it through; each float check of the cascade's constructors must
+// reject it.
+func TestFloatChecksRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	for name, build := range map[string]func() error{
+		"window fraction": func() error {
+			_, err := NewScheduler("x", EncapsulatorConfig{Levels: 8}, DispatcherConfig{}, nan)
+			return err
+		},
+		"F": func() error {
+			_, err := NewEncapsulator(EncapsulatorConfig{Levels: 8, UseDeadline: true, DeadlineHorizon: 1000, F: nan})
+			return err
+		},
+		"Expansion": func() error {
+			_, err := NewDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, ER: true, Expansion: nan})
+			return err
+		},
+	} {
+		if build() == nil {
+			t.Errorf("%s NaN accepted", name)
+		}
+	}
+}
+
 // TestUsedEncapsulatorIsCollectedAtNextGC: the runtime keeps a used
 // sync.Pool reachable for two collections, so a pool embedded in the
 // encapsulator (or one whose New closes over it) pins the encapsulator

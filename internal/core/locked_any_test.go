@@ -67,13 +67,13 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 	}
 	full := core.DispatcherConfig{Mode: core.FullyPreemptive}
 	schedulers := []sched.Scheduler{
-		must(core.NewScheduler("", core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000}, full, 0)),
+		must(core.NewScheduler("cascaded-sfc", core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000}, full, 0)),
 		core.EmulateFCFS(),
 		core.EmulateEDF(),
 		core.EmulateSSTF(),
 		core.EmulateCSCAN(3832),
 		core.EmulateMultiQueue(8),
-		must(core.NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832, full)),
+		must(core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832, full)),
 	}
 	for _, s := range schedulers {
 		t.Run(s.Name(), func(t *testing.T) {

@@ -40,14 +40,11 @@ func NewScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, w
 	if err != nil {
 		return nil, err
 	}
-	if windowFrac < 0 || windowFrac > 1 {
+	if !(0 <= windowFrac && windowFrac <= 1) {
 		return nil, fmt.Errorf("core: window fraction %v outside [0,1]", windowFrac)
 	}
 	if dcfg.Window == 0 && windowFrac > 0 {
 		dcfg.Window = uint64(windowFrac * float64(enc.MaxValue()))
-	}
-	if name == "" {
-		name = "cascaded-sfc"
 	}
 	return NewValueScheduler(name, enc, enc.cfg.Cylinders, dcfg)
 }

@@ -107,8 +107,5 @@ func NewSingleStageScheduler(name, curveName string, priorityDims, levels int, d
 	if err != nil {
 		return nil, err
 	}
-	if name == "" {
-		name = "single-" + curveName
-	}
 	return NewValueScheduler(name, ValueFunc(ss.Value), 0, dcfg)
 }

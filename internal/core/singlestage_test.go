@@ -55,7 +55,7 @@ func TestSingleStageDeadlineClamping(t *testing.T) {
 }
 
 func TestSingleStageSchedulerRuns(t *testing.T) {
-	s, err := NewSingleStageScheduler("", "hilbert", 2, 8, 1_000_000, 3832,
+	s, err := NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832,
 		DispatcherConfig{Mode: FullyPreemptive})
 	if err != nil {
 		t.Fatal(err)

@@ -38,14 +38,9 @@ const (
 	fig11CostRatio = 11.0
 )
 
-// fig11Users returns the swept stream counts: p.Users, or the paper's
-// 68-91.
-func fig11Users(p Params) []int {
-	if len(p.Users) > 0 {
-		return p.Users
-	}
-	return []int{68, 72, 76, 80, 84, 88, 91}
-}
+// fig11Users are the swept stream counts, the paper's 68-91, and the
+// x-axis of fig11 and fig11raid.
+var fig11Users = []float64{68, 72, 76, 80, 84, 88, 91}
 
 // streamPolicy builds one §6 2-D curve scheduler. The 2-D grid is
 // (time-to-deadline, priority) at enqueue: a stationary square, so curves
@@ -84,25 +79,16 @@ var fig11Policies = []policy{
 	streamPolicy("moore", "moore", false),
 }
 
-// fig11Axis renders the swept stream counts as the x-axis.
-func fig11Axis(users []int) []float64 {
-	xs := make([]float64, len(users))
-	for i, u := range users {
-		xs[i] = float64(u)
-	}
-	return xs
-}
-
 // fig11Traces generates one NewsByte5 workload per swept user count, at
 // bitRate over an address space of cylinders, up front; each is then
 // shared read-only by every cell of its sweep point.
-func fig11Traces(seed uint64, users []int, bitRate float64, cylinders int) ([][]*core.Request, error) {
-	traces := make([][]*core.Request, len(users))
-	for i, u := range users {
+func fig11Traces(seed uint64, bitRate float64, cylinders int) ([][]*core.Request, error) {
+	traces := make([][]*core.Request, len(fig11Users))
+	for i, u := range fig11Users {
 		var err error
 		traces[i], err = workload.Streams{
 			Seed:        seed,
-			Users:       u,
+			Users:       int(u),
 			Duration:    fig11Duration,
 			BitRate:     bitRate,
 			BlockSize:   fig11BlockSize,
@@ -127,14 +113,13 @@ func fig11(_ io.Writer, p Params) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	users := fig11Users(p)
 	weights := metrics.LinearWeights(fig11Levels, fig11CostRatio)
 	res := &Result{
 		ID:     "fig11",
 		Title:  "Aggregate weighted losses vs number of users (NewsByte5 workload)",
 		XLabel: "users",
 		YLabel: fmt.Sprintf("weighted loss cost (top:bottom weight %g:1)", fig11CostRatio),
-		X:      fig11Axis(users),
+		X:      fig11Users,
 		Notes: []string{
 			fmt.Sprintf("bitrate=%.0fkbps block=%dKB levels=%d deadlines=[%d,%d]ms writes=%.0f%% duration=%ds",
 				fig11BitRate/1000, fig11BlockSize>>10, fig11Levels,
@@ -142,7 +127,7 @@ func fig11(_ io.Writer, p Params) ([]*Result, error) {
 			"bitrate scaled from the paper's 1.5 Mbps so one simulated disk spans the same load band as the PanaViss RAID (see DESIGN.md)",
 		},
 	}
-	traces, err := fig11Traces(p.Seed, users, fig11BitRate, m.Cylinders)
+	traces, err := fig11Traces(p.Seed, fig11BitRate, m.Cylinders)
 	if err != nil {
 		return nil, err
 	}

@@ -26,14 +26,13 @@ func fig11RAID(_ io.Writer, p Params) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	users := fig11Users(p)
 	weights := metrics.LinearWeights(fig11Levels, fig11CostRatio)
 	res := &Result{
 		ID:     "fig11raid",
 		Title:  "Aggregate weighted losses vs users on the RAID-5 array (true 1.5 Mbps)",
 		XLabel: "users",
 		YLabel: fmt.Sprintf("weighted loss cost (top:bottom weight %g:1)", fig11CostRatio),
-		X:      fig11Axis(users),
+		X:      fig11Users,
 		Notes: []string{
 			fmt.Sprintf("array: %d disks RAID-5, block %d KB; bitrate=1500kbps levels=%d deadlines=[%d,%d]ms writes=%.0f%% duration=%ds",
 				array.Disks, fig11BlockSize>>10, fig11Levels,
@@ -42,7 +41,7 @@ func fig11RAID(_ io.Writer, p Params) ([]*Result, error) {
 		},
 	}
 	// The paper's MPEG-1 rate, unscaled, over the logical block space.
-	traces, err := fig11Traces(p.Seed, users, 1_500_000, int(array.MaxBlocks()/4))
+	traces, err := fig11Traces(p.Seed, 1_500_000, int(array.MaxBlocks()/4))
 	if err != nil {
 		return nil, err
 	}

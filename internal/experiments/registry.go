@@ -15,8 +15,6 @@ type Params struct {
 	// Workers bounds the parallel sweep cells (0 = GOMAXPROCS). The
 	// results are identical for every worker count; see internal/runner.
 	Workers int
-	// Users overrides the fig11/fig11raid stream counts.
-	Users []int
 }
 
 // sized returns p with Requests set to n, the experiment's default,

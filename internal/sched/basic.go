@@ -124,15 +124,5 @@ func (s *CSCAN) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	best, bestD := 0, int(^uint(0)>>1)
-	for i, r := range s.reqs {
-		d := r.Cylinder - head
-		if d < 0 {
-			d += 1 << 30 // behind the head: next sweep
-		}
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return s.removeAt(best)
+	return s.removeAt(s.sweepNext(head))
 }

@@ -84,11 +84,7 @@ func (s *SCANEDF) Next(now int64, head int) *core.Request {
 		if batches[i] != minBatch {
 			continue
 		}
-		key := r.Cylinder - head
-		if key < 0 {
-			key += 1 << 30 // behind the head: serve after the ones ahead
-		}
-		if key < bestKey {
+		if key := ahead(r.Cylinder, head); key < bestKey {
 			best, bestKey = i, key
 		}
 	}

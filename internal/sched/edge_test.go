@@ -23,7 +23,8 @@ func TestSCANEDFZeroQuantumIsEDFWithSeekTies(t *testing.T) {
 }
 
 func TestSSEDOWindowLargerThanQueue(t *testing.T) {
-	s := NewSSEDO(100, 1.5)
+	// Two queued, fewer than the ssedWindow candidates.
+	s := NewSSEDO()
 	s.Add(rq(1, 100, 900_000), 0, 0)
 	s.Add(rq(2, 200, 100_000), 0, 0)
 	if r := s.Next(0, 150); r == nil {
@@ -31,17 +32,6 @@ func TestSSEDOWindowLargerThanQueue(t *testing.T) {
 	}
 	if s.Next(0, 150) == nil || s.Next(0, 150) != nil {
 		t.Fatal("queue accounting broken")
-	}
-}
-
-func TestSSEDODefaults(t *testing.T) {
-	s := NewSSEDO(0, 0)
-	if s.Window != 5 || s.Beta != 1.5 {
-		t.Errorf("defaults = %d/%v, want 5/1.5", s.Window, s.Beta)
-	}
-	v := NewSSEDV(-3, 7)
-	if v.Window != 5 || v.Alpha != 0.8 {
-		t.Errorf("ssedv defaults = %d/%v, want 5/0.8", v.Window, v.Alpha)
 	}
 }
 

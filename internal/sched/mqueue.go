@@ -51,19 +51,9 @@ func (s *MultiQueue) Next(now int64, head int) *core.Request {
 		if q.Len() == 0 {
 			continue
 		}
-		// Scan order within the level: nearest cyclically ahead.
-		best, bestD := 0, int(^uint(0)>>1)
-		for j, r := range q.reqs {
-			d := r.Cylinder - head
-			if d < 0 {
-				d += 1 << 30
-			}
-			if d < bestD {
-				best, bestD = j, d
-			}
-		}
+		// Scan order within the level.
 		s.n--
-		return q.removeAt(best)
+		return q.removeAt(q.sweepNext(head))
 	}
 	return nil
 }

@@ -27,8 +27,8 @@ var Policies = []Policy{
 	{"scan-edf", func(Estimator, int) Scheduler { return NewSCANEDF(50_000) }},
 	{"fd-scan", func(est Estimator, _ int) Scheduler { return NewFDSCAN(est) }},
 	{"scan-rt", func(est Estimator, _ int) Scheduler { return NewSCANRT(est) }},
-	{"ssedo", func(Estimator, int) Scheduler { return NewSSEDO(0, 0) }},
-	{"ssedv", func(Estimator, int) Scheduler { return NewSSEDV(0, 0) }},
+	{"ssedo", func(Estimator, int) Scheduler { return NewSSEDO() }},
+	{"ssedv", func(Estimator, int) Scheduler { return NewSSEDV() }},
 	{"multi-queue", func(_ Estimator, levels int) Scheduler { return NewMultiQueue(levels) }},
 	{"kamel", func(est Estimator, _ int) Scheduler { return NewKamel(est) }},
 }

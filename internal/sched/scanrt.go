@@ -7,8 +7,8 @@ import "sfcsched/internal/core"
 // any already-queued request past its deadline; otherwise the arrival is
 // appended to the tail. Dispatch simply pops the queue front.
 type SCANRT struct {
-	reqs []*core.Request
-	est  Estimator
+	queue
+	est Estimator
 }
 
 // NewSCANRT returns a SCAN-RT scheduler using est for deadline-feasibility
@@ -17,16 +17,6 @@ func NewSCANRT(est Estimator) *SCANRT { return &SCANRT{est: est} }
 
 // Name implements Scheduler.
 func (s *SCANRT) Name() string { return "scan-rt" }
-
-// Len implements Scheduler.
-func (s *SCANRT) Len() int { return len(s.reqs) }
-
-// Each implements Scheduler.
-func (s *SCANRT) Each(visit func(*core.Request)) {
-	for _, r := range s.reqs {
-		visit(r)
-	}
-}
 
 // Add implements Scheduler.
 func (s *SCANRT) Add(r *core.Request, now int64, head int) {
@@ -40,17 +30,10 @@ func (s *SCANRT) Add(r *core.Request, now int64, head int) {
 // scanInsert returns a new queue: reqs with r inserted at its position in
 // upward-sweep order (cyclic distance ahead of the head).
 func scanInsert(reqs []*core.Request, r *core.Request, head int) []*core.Request {
-	key := func(c int) int {
-		d := c - head
-		if d < 0 {
-			d += 1 << 30
-		}
-		return d
-	}
-	k := key(r.Cylinder)
+	k := ahead(r.Cylinder, head)
 	pos := len(reqs)
 	for i, q := range reqs {
-		if key(q.Cylinder) > k {
+		if ahead(q.Cylinder, head) > k {
 			pos = i
 			break
 		}

@@ -34,7 +34,8 @@ type Scheduler interface {
 type Estimator func(head, cyl int, size int64) int64
 
 // queue is the shared slice-backed request store used by the schedulers
-// that scan their queue at dispatch time. For the queue depths the paper
+// that scan their queue at dispatch time, and by SCAN-RT, which keeps it
+// in service order and pops the front. For the queue depths the paper
 // simulates (tens to a few hundred requests) linear scans beat the constant
 // factors of heap bookkeeping and keep every policy trivially auditable.
 type queue struct {
@@ -59,6 +60,28 @@ func (q *queue) removeAt(i int) *core.Request {
 	q.reqs[last] = nil
 	q.reqs = q.reqs[:last]
 	return r
+}
+
+// sweepNext returns the index of the request nearest cyclically ahead of
+// the head, the earliest queued on a tie. q must not be empty.
+func (q *queue) sweepNext(head int) int {
+	best, bestD := 0, int(^uint(0)>>1)
+	for i, r := range q.reqs {
+		if d := ahead(r.Cylinder, head); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// ahead is cylinder c's distance ahead of the head on an upward sweep; a
+// cylinder behind the head waits for the next sweep, 2^30 further on.
+func ahead(c, head int) int {
+	d := c - head
+	if d < 0 {
+		d += 1 << 30
+	}
+	return d
 }
 
 // effDeadline treats "no deadline" as infinitely far away.

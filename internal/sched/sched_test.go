@@ -193,7 +193,7 @@ func TestSCANRTAppendsWhenInfeasible(t *testing.T) {
 }
 
 func TestSSEDOBalancesSeekAndDeadline(t *testing.T) {
-	s := NewSSEDO(5, 1.5)
+	s := NewSSEDO()
 	// Earliest deadline is far away; a slightly later deadline is at the
 	// head. The close one should win under the rank penalty.
 	s.Add(rq(1, 3800, 400_000), 0, 0)
@@ -202,7 +202,7 @@ func TestSSEDOBalancesSeekAndDeadline(t *testing.T) {
 		t.Fatalf("want near request 2, got %d", r.ID)
 	}
 	// But a much earlier deadline wins even when far.
-	s2 := NewSSEDO(5, 1.5)
+	s2 := NewSSEDO()
 	s2.Add(rq(1, 3800, 50_000), 0, 0)
 	s2.Add(rq(2, 3700, 450_000), 0, 0)
 	if r := s2.Next(0, 3790); r.ID != 1 {
@@ -211,17 +211,18 @@ func TestSSEDOBalancesSeekAndDeadline(t *testing.T) {
 }
 
 func TestSSEDVBlendsSlackAndSeek(t *testing.T) {
-	s := NewSSEDV(5, 0.8)
+	s := NewSSEDV()
 	s.Add(rq(1, 2000, 100_000), 0, 0) // tight deadline, far
 	s.Add(rq(2, 10, 2_000_000), 0, 0) // slack deadline, near
 	if r := s.Next(0, 0); r.ID != 1 {
-		t.Fatalf("alpha=0.8 should favor slack: want 1, got %d", r.ID)
+		t.Fatalf("a much tighter deadline should win: want 1, got %d", r.ID)
 	}
-	s2 := NewSSEDV(5, 0.01)
-	s2.Add(rq(1, 2000, 100_000), 0, 0)
-	s2.Add(rq(2, 10, 2_000_000), 0, 0)
+	// Slacks 5% apart: the seek term decides (0.96 against 0.80).
+	s2 := NewSSEDV()
+	s2.Add(rq(1, 2000, 1_000_000), 0, 0)
+	s2.Add(rq(2, 10, 1_050_000), 0, 0)
 	if r := s2.Next(0, 0); r.ID != 2 {
-		t.Fatalf("alpha~0 should favor seek: want 2, got %d", r.ID)
+		t.Fatalf("similar slacks should favor seek: want 2, got %d", r.ID)
 	}
 }
 

@@ -7,33 +7,28 @@ import (
 	"sfcsched/internal/core"
 )
 
+// The SSED policies' fixed settings: the candidate window m, SSEDO's
+// per-rank seek penalty β and SSEDV's slack weight α.
+const (
+	ssedWindow = 5
+	ssedoBeta  = 1.5
+	ssedvAlpha = 0.8
+)
+
 // SSEDO (Chen, Stankovic, Kurose & Towsley: Shortest Seek and Earliest
-// Deadline by Ordering) considers the m earliest-deadline requests and
-// serves the one minimizing seek distance weighted by deadline rank:
-// candidates with later deadlines must be substantially closer to win.
+// Deadline by Ordering) considers the ssedWindow earliest-deadline
+// requests and serves the one minimizing seek distance weighted by
+// deadline rank: candidates with later deadlines must be substantially
+// closer to win.
 //
 // The 1991 paper leaves the weight schedule as a tunable; this
-// reconstruction uses weight Beta^rank with Beta > 1, which preserves the
-// published behavior (rank 0 wins unless a later candidate is much closer).
-type SSEDO struct {
-	queue
-	// Window is m, the number of earliest-deadline candidates considered.
-	Window int
-	// Beta is the per-rank seek-distance penalty (> 1).
-	Beta float64
-}
+// reconstruction uses weight ssedoBeta^rank with ssedoBeta > 1, which
+// preserves the published behavior (rank 0 wins unless a later candidate
+// is much closer).
+type SSEDO struct{ queue }
 
-// NewSSEDO returns an SSEDO scheduler with window m and penalty beta.
-// Zero values default to m = 5, beta = 1.5.
-func NewSSEDO(m int, beta float64) *SSEDO {
-	if m <= 0 {
-		m = 5
-	}
-	if beta <= 1 {
-		beta = 1.5
-	}
-	return &SSEDO{Window: m, Beta: beta}
-}
+// NewSSEDO returns an SSEDO scheduler.
+func NewSSEDO() *SSEDO { return &SSEDO{} }
 
 // Name implements Scheduler.
 func (s *SSEDO) Name() string { return "ssedo" }
@@ -46,12 +41,12 @@ func (s *SSEDO) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	cand := deadlineWindow(s.reqs, s.Window)
+	cand := deadlineWindow(s.reqs)
 	best, bestScore := cand[0], math.Inf(1)
 	for rank, i := range cand {
 		r := s.reqs[i]
 		// +1 keeps zero-distance requests comparable across ranks.
-		score := float64(absDist(r.Cylinder, head)+1) * math.Pow(s.Beta, float64(rank))
+		score := float64(absDist(r.Cylinder, head)+1) * math.Pow(ssedoBeta, float64(rank))
 		if score < bestScore {
 			best, bestScore = i, score
 		}
@@ -61,25 +56,12 @@ func (s *SSEDO) Next(now int64, head int) *core.Request {
 
 // SSEDV (Shortest Seek and Earliest Deadline by Value) scores the same
 // candidate window by a linear blend of deadline slack and seek distance:
-// score = Alpha*slack + (1-Alpha)*seek, both normalized to their window
-// maxima. Alpha = 1 is pure EDF over the window; Alpha = 0 pure SSTF.
-type SSEDV struct {
-	queue
-	Window int
-	Alpha  float64
-}
+// score = ssedvAlpha*slack + (1-ssedvAlpha)*seek, both normalized to their
+// window maxima.
+type SSEDV struct{ queue }
 
-// NewSSEDV returns an SSEDV scheduler; zero values default to m = 5,
-// alpha = 0.8.
-func NewSSEDV(m int, alpha float64) *SSEDV {
-	if m <= 0 {
-		m = 5
-	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.8
-	}
-	return &SSEDV{Window: m, Alpha: alpha}
-}
+// NewSSEDV returns an SSEDV scheduler.
+func NewSSEDV() *SSEDV { return &SSEDV{} }
 
 // Name implements Scheduler.
 func (s *SSEDV) Name() string { return "ssedv" }
@@ -92,7 +74,7 @@ func (s *SSEDV) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}
-	cand := deadlineWindow(s.reqs, s.Window)
+	cand := deadlineWindow(s.reqs)
 	maxSlack, maxSeek := int64(1), 1
 	for _, i := range cand {
 		r := s.reqs[i]
@@ -113,8 +95,8 @@ func (s *SSEDV) Next(now int64, head int) *core.Request {
 		if sl > maxSlack {
 			sl = maxSlack
 		}
-		score := s.Alpha*float64(sl)/float64(maxSlack) +
-			(1-s.Alpha)*float64(absDist(r.Cylinder, head))/float64(maxSeek)
+		score := ssedvAlpha*float64(sl)/float64(maxSlack) +
+			(1-ssedvAlpha)*float64(absDist(r.Cylinder, head))/float64(maxSeek)
 		if score < bestScore {
 			best, bestScore = i, score
 		}
@@ -122,9 +104,9 @@ func (s *SSEDV) Next(now int64, head int) *core.Request {
 	return s.removeAt(best)
 }
 
-// deadlineWindow returns the indices of the m earliest-deadline requests,
-// ordered by deadline.
-func deadlineWindow(reqs []*core.Request, m int) []int {
+// deadlineWindow returns the indices of the ssedWindow earliest-deadline
+// requests, ordered by deadline.
+func deadlineWindow(reqs []*core.Request) []int {
 	idx := make([]int, len(reqs))
 	for i := range idx {
 		idx[i] = i
@@ -132,8 +114,8 @@ func deadlineWindow(reqs []*core.Request, m int) []int {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return effDeadline(reqs[idx[a]]) < effDeadline(reqs[idx[b]])
 	})
-	if len(idx) > m {
-		idx = idx[:m]
+	if len(idx) > ssedWindow {
+		idx = idx[:ssedWindow]
 	}
 	return idx
 }

@@ -31,8 +31,6 @@ type CalibrationConfig struct {
 	Dilation float64
 	// DropLate applies the §6 drop semantics on both sides.
 	DropLate bool
-	// Metrics is the live dispatcher's sink; nil counts nothing.
-	Metrics *Metrics
 }
 
 // Calibration is the scored outcome of one run: how well the simulator
@@ -140,7 +138,7 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig, trace []*core.Request
 	}
 	d, err := New(Config{
 		Sched: liveSched, Backend: backend, Clock: clock,
-		DropLate: cfg.DropLate, Metrics: cfg.Metrics, KeepRecords: true,
+		DropLate: cfg.DropLate, KeepRecords: true,
 	})
 	if err != nil {
 		return nil, err

@@ -112,6 +112,10 @@ func (c Client) validate(i, dims int) error {
 	if c.Process < 0 || c.Process >= arrivalProcessCount {
 		return fmt.Errorf("workload: client %d (%s): unknown arrival process %d", i, c.Name, c.Process)
 	}
+	// Shapes <= 0 default to 1; NaN and +Inf draw no gap.
+	if !(c.Shape <= math.MaxFloat64) {
+		return fmt.Errorf("workload: client %d (%s): Shape %v draws no gap", i, c.Name, c.Shape)
+	}
 	if c.Dims < 0 || c.Levels < 1 {
 		return fmt.Errorf("workload: client %d (%s): invalid priority shape dims=%d levels=%d", i, c.Name, c.Dims, c.Levels)
 	}
@@ -126,8 +130,11 @@ func (c Client) validate(i, dims int) error {
 			return fmt.Errorf("workload: client %d (%s): zone [%d,%d) outside [0,%d)", i, c.Name, c.ZoneLo, c.ZoneHi, c.Cylinders)
 		}
 	}
+	if !(0 <= c.WriteFrac && c.WriteFrac <= 1) {
+		return fmt.Errorf("workload: client %d (%s): WriteFrac %v outside [0,1]", i, c.Name, c.WriteFrac)
+	}
 	for j, w := range c.Windows {
-		if w.To <= w.From || w.Factor <= 0 {
+		if w.To <= w.From || !(0 < w.Factor) {
 			return fmt.Errorf("workload: client %d (%s): window %d invalid ([%d,%d) factor %g)", i, c.Name, j, w.From, w.To, w.Factor)
 		}
 	}

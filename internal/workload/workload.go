@@ -99,10 +99,10 @@ func (w Open) validate() error {
 	if (w.SizeMin != 0 || w.SizeMax != 0) && (w.SizeMin < 1 || w.SizeMax < w.SizeMin) {
 		return fmt.Errorf("workload: sizes must satisfy 1 <= SizeMin <= SizeMax, got %d and %d", w.SizeMin, w.SizeMax)
 	}
-	if w.WriteFrac < 0 || w.WriteFrac > 1 {
+	if !(0 <= w.WriteFrac && w.WriteFrac <= 1) {
 		return fmt.Errorf("workload: WriteFrac %v outside [0,1]", w.WriteFrac)
 	}
-	if w.Tenants < 0 || w.TenantSkew < 0 {
+	if w.Tenants < 0 || !(0 <= w.TenantSkew) {
 		return fmt.Errorf("workload: Tenants and TenantSkew must be non-negative")
 	}
 	if w.TenantZones && w.Tenants > 0 && w.Cylinders > 0 && w.Cylinders < w.Tenants {
@@ -238,7 +238,7 @@ func (s Streams) validate() (burst int, err error) {
 	if s.Users <= 0 || s.Duration <= 0 {
 		return 0, fmt.Errorf("workload: Users and Duration must be positive")
 	}
-	if s.BitRate <= 0 || s.BlockSize <= 0 {
+	if !(0 < s.BitRate) || s.BlockSize <= 0 {
 		return 0, fmt.Errorf("workload: BitRate and BlockSize must be positive")
 	}
 	if s.Levels < 1 || s.Cylinders < 1 {
@@ -246,6 +246,9 @@ func (s Streams) validate() (burst int, err error) {
 	}
 	if s.DeadlineMax < s.DeadlineMin || s.DeadlineMin <= 0 {
 		return 0, fmt.Errorf("workload: invalid deadline range [%d,%d]", s.DeadlineMin, s.DeadlineMax)
+	}
+	if !(0 <= s.WriteFrac && s.WriteFrac <= 1) {
+		return 0, fmt.Errorf("workload: WriteFrac %v outside [0,1]", s.WriteFrac)
 	}
 	burst = s.Burst
 	if burst < 1 {

@@ -284,6 +284,62 @@ func TestStreamsMostlySequentialCylinders(t *testing.T) {
 	}
 }
 
+// A NaN fails every comparison, so a range check written x < lo || x > hi
+// lets it through. Every float field of the three generators must be
+// range-checked in a form that rejects it, WriteFrac on all three.
+func TestFloatFieldsOutOfRangeRejected(t *testing.T) {
+	nan := math.NaN()
+	client := func(mut func(*Client)) func() error {
+		return func() error {
+			c := Client{Name: "c", Count: 10, MeanInterarrival: 1000, Dims: 1, Levels: 4, Cylinders: 100}
+			mut(&c)
+			_, err := Spec{Seed: 1, Clients: []Client{c}}.Generate()
+			return err
+		}
+	}
+	open := func(mut func(*Open)) func() error {
+		return func() error {
+			w := openCfg()
+			mut(&w)
+			_, err := w.Generate()
+			return err
+		}
+	}
+	streams := func(mut func(*Streams)) func() error {
+		return func() error {
+			s := Streams{Users: 5, Duration: 1_000_000, BitRate: 1e6, BlockSize: 1024, Levels: 8,
+				Cylinders: 100, DeadlineMin: 100, DeadlineMax: 200}
+			mut(&s)
+			_, err := s.Generate()
+			return err
+		}
+	}
+	for name, generate := range map[string]func() error{
+		"Open.WriteFrac NaN":     open(func(w *Open) { w.WriteFrac = nan }),
+		"Open.TenantSkew NaN":    open(func(w *Open) { w.Tenants, w.TenantSkew = 4, nan }),
+		"Client.WriteFrac 1.5":   client(func(c *Client) { c.WriteFrac = 1.5 }),
+		"Client.WriteFrac -0.5":  client(func(c *Client) { c.WriteFrac = -0.5 }),
+		"Client.WriteFrac NaN":   client(func(c *Client) { c.WriteFrac = nan }),
+		"Client.Shape NaN":       client(func(c *Client) { c.Process, c.Shape = GammaArrivals, nan }),
+		"Client.Shape +Inf":      client(func(c *Client) { c.Process, c.Shape = GammaArrivals, math.Inf(1) }),
+		"Window.Factor NaN":      client(func(c *Client) { c.Windows = []Window{{From: 0, To: 5, Factor: nan}} }),
+		"Streams.WriteFrac 1.5":  streams(func(s *Streams) { s.WriteFrac = 1.5 }),
+		"Streams.WriteFrac -0.5": streams(func(s *Streams) { s.WriteFrac = -0.5 }),
+		"Streams.WriteFrac NaN":  streams(func(s *Streams) { s.WriteFrac = nan }),
+		"Streams.BitRate NaN":    streams(func(s *Streams) { s.BitRate = nan }),
+	} {
+		if generate() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// The base configurations are valid.
+	for _, generate := range []func() error{open(func(*Open) {}), client(func(*Client) {}), streams(func(*Streams) {})} {
+		if err := generate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestStreamsValidation(t *testing.T) {
 	bad := []Streams{
 		{},
