@@ -123,10 +123,11 @@ func capture(t *testing.T, args ...string) ([]byte, error) {
 // The observer streams are pinned byte for byte with the report they ride
 // along: a single-disk cascade with a shadow and all three streams, a
 // faulty RAID-5 array with decisions and telemetry, and a 3×2 cluster with
-// telemetry. Each run writes its streams to files named by the flag;
-// -update rewrites testdata/observers-<run>.*, only for an intended change.
-// A decision record is about 600 bytes, so the runs that trace decisions
-// are short.
+// telemetry, plus a RAID-5 array that loses a disk and rebuilds it. Each
+// run writes its streams to files named by the flag; -update rewrites
+// testdata/observers-<run>.*, only for an intended change. A decision
+// record is about 600 bytes, so the runs that trace decisions are short,
+// except array-fail: its failure must find a queue to drain.
 func TestObserverStreamsGolden(t *testing.T) {
 	streams := map[string]string{
 		"-dispatch-trace": "dispatch.jsonl",
@@ -141,6 +142,13 @@ func TestObserverStreamsGolden(t *testing.T) {
 		{"single", []string{"-sched", "cascaded", "-shadow", "edf", "-requests", "60"},
 			[]string{"-dispatch-trace", "-decision-trace", "-telemetry"}},
 		{"array", []string{"-array", "5", "-write-frac", "0.3", "-fault-rate", "0.01", "-sched", "cascaded", "-requests", "60"},
+			[]string{"-decision-trace", "-telemetry"}},
+		// Disk 1 holds 5 queued ops when it fails at 4.28 s (the light
+		// default load first queues 3 behind a service at about 4.2 s), so
+		// the failure drain removes several requests from the observed
+		// queue at once; the rebuild then runs its reads through it.
+		{"array-fail", []string{"-array", "5", "-write-frac", "0.3", "-fail-disk", "1", "-fail-at", "4.28s", "-rebuild",
+			"-sched", "cascaded", "-requests", "300"},
 			[]string{"-decision-trace", "-telemetry"}},
 		{"cluster", []string{"-cluster", "3", "-cluster-disks", "2", "-sched", "scan-edf", "-requests", "300"},
 			[]string{"-telemetry"}},
