@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"sfcsched/internal/core"
@@ -57,7 +58,10 @@ func (s *SSEDO) Next(now int64, head int) *core.Request {
 // SSEDV (Shortest Seek and Earliest Deadline by Value) scores the same
 // candidate window by a linear blend of deadline slack and seek distance:
 // score = ssedvAlpha*slack + (1-ssedvAlpha)*seek, both normalized to their
-// window maxima.
+// window maxima. Since ssedvAlpha is 4/5, the score times
+// 5·maxSlack·maxSeek is the integer 4·slack·maxSeek + seek·maxSlack, and
+// candidates are compared on that, exactly: a tie keeps the earlier
+// deadline.
 type SSEDV struct{ queue }
 
 // NewSSEDV returns an SSEDV scheduler.
@@ -85,23 +89,29 @@ func (s *SSEDV) Next(now int64, head int) *core.Request {
 			maxSeek = d
 		}
 	}
-	best, bestScore := cand[0], math.Inf(1)
+	best := -1
+	var bestHi, bestLo uint64
 	for _, i := range cand {
 		r := s.reqs[i]
-		sl := r.Slack(now)
-		if sl < 0 {
-			sl = 0
-		}
-		if sl > maxSlack {
-			sl = maxSlack
-		}
-		score := ssedvAlpha*float64(sl)/float64(maxSlack) +
-			(1-ssedvAlpha)*float64(absDist(r.Cylinder, head))/float64(maxSeek)
-		if score < bestScore {
-			best, bestScore = i, score
+		sl := min(max(r.Slack(now), 0), maxSlack)
+		hi, lo := ssedvScore(uint64(sl), uint64(absDist(r.Cylinder, head)), uint64(maxSlack), uint64(maxSeek))
+		if best < 0 || hi < bestHi || hi == bestHi && lo < bestLo {
+			best, bestHi, bestLo = i, hi, lo
 		}
 	}
 	return s.removeAt(best)
+}
+
+// ssedvScore returns 4·slack·maxSeek + seek·maxSlack as a 128-bit
+// (hi, lo) pair. slack ≤ maxSlack < 2^61 and seek ≤ maxSeek < 2^63, so
+// each term is below 2^126 and the sum cannot overflow.
+func ssedvScore(slack, seek, maxSlack, maxSeek uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(slack, maxSeek)
+	hi, lo = hi<<2|lo>>62, lo<<2
+	h2, l2 := bits.Mul64(seek, maxSlack)
+	lo, carry := bits.Add64(lo, l2, 0)
+	hi, _ = bits.Add64(hi, h2, carry)
+	return hi, lo
 }
 
 // deadlineWindow returns the indices of the ssedWindow earliest-deadline

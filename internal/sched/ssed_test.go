@@ -45,8 +45,8 @@ func ssedoRef(queue []*core.Request, head int) []*core.Request {
 // order, serve the one least in 0.8·slack/maxSlack + 0.2·seek/maxSeek,
 // the earlier on a tie. Slack is clamped to [0, maxSlack]; maxSlack is the
 // largest slack of the five with a deadline and maxSeek their longest
-// seek, each at least 1. The score is the policy's float expression: an
-// exact tie can round either way (0.4+0.2 > 0.5333…+0.0666…).
+// seek, each at least 1. The score is compared times 5·maxSlack·maxSeek,
+// as the integer 4·slack·maxSeek + seek·maxSlack, so ties are exact.
 func ssedvRef(queue []*core.Request, now int64, head int) []*core.Request {
 	left := byDeadline(queue)
 	var order []*core.Request
@@ -59,9 +59,9 @@ func ssedvRef(queue []*core.Request, now int64, head int) []*core.Request {
 			}
 			maxSeek = max(maxSeek, absDist(r.Cylinder, head))
 		}
-		score := func(r *core.Request) float64 {
+		score := func(r *core.Request) int64 {
 			slack := min(max(r.Slack(now), 0), maxSlack)
-			return 0.8*float64(slack)/float64(maxSlack) + 0.2*float64(absDist(r.Cylinder, head))/float64(maxSeek)
+			return 4*slack*int64(maxSeek) + int64(absDist(r.Cylinder, head))*maxSlack
 		}
 		best := 0
 		for k, r := range cand {
@@ -74,6 +74,46 @@ func ssedvRef(queue []*core.Request, now int64, head int) []*core.Request {
 		left = slices.Delete(left, best, best+1)
 	}
 	return order
+}
+
+// SSEDV serves the earlier deadline of two candidates whose scores tie
+// exactly. Each row queues (cylinder, deadline) pairs at time 0 and names
+// the ID served first.
+func TestSSEDVExactTies(t *testing.T) {
+	type cd struct {
+		cyl int
+		dl  int64
+	}
+	for _, tc := range []struct {
+		name  string
+		head  int
+		queue []cd
+		want  uint64
+	}{
+		// Window maxima slack 6 and seek 3: (3,3) scores 0.4+0.2 and
+		// (5,4) 0.5333…+0.0666…, both exactly 0.6; in floats the first
+		// sum rounds above the second.
+		{"head 6, tie at 0.6", 6, []cd{{3, 3}, {5, 4}, {6, 6}}, 1},
+		// Equal deadlines and equal seeks: queue order.
+		{"identical candidates", 2, []cd{{4, 5}, {0, 5}}, 1},
+		// No tie: the nearer cylinder wins with the same slack.
+		{"seek decides", 6, []cd{{0, 5}, {5, 5}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSSEDV()
+			reqs := make([]*core.Request, len(tc.queue))
+			for i, q := range tc.queue {
+				reqs[i] = &core.Request{ID: uint64(i + 1), Cylinder: q.cyl, Deadline: q.dl}
+				s.Add(reqs[i], 0, tc.head)
+			}
+			if got := s.Next(0, tc.head); got.ID != tc.want {
+				t.Errorf("served request %d first, want %d", got.ID, tc.want)
+			}
+			if ref := ssedvRef(reqs, 0, tc.head); ref[0].ID != tc.want {
+				t.Errorf("reference serves %d first, want %d", ref[0].ID, tc.want)
+			}
+		})
+	}
 }
 
 // FuzzSSEDMatchesBruteForce queues one request per byte of queue
