@@ -241,6 +241,10 @@ func (s Streams) validate() (burst int, err error) {
 	if !(0 < s.BitRate) || s.BlockSize <= 0 {
 		return 0, fmt.Errorf("workload: BitRate and BlockSize must be positive")
 	}
+	if s.blockPeriod() < 1 {
+		return 0, fmt.Errorf("workload: BitRate %g bits/s must be below BlockSize·8·10⁶ = %g bits/s, one block per µs",
+			s.BitRate, float64(s.BlockSize)*8e6)
+	}
 	if s.Levels < 1 || s.Cylinders < 1 {
 		return 0, fmt.Errorf("workload: Levels and Cylinders must be positive")
 	}
@@ -257,14 +261,18 @@ func (s Streams) validate() (burst int, err error) {
 	return burst, nil
 }
 
+// blockPeriod is how long one block lasts a stream consuming BitRate
+// bits/s, in whole µs.
+func (s Streams) blockPeriod() int64 {
+	return int64(float64(s.BlockSize*8) / s.BitRate * 1e6)
+}
+
 // generate runs the stream mix and hands every request to emit in
 // generation (pre-sort) order, with its single priority level passed
 // separately so the caller chooses where the priority vector lives.
 func (s Streams) generate(burst int, emit func(r core.Request, level int)) {
 	rng := stats.NewRNG(s.Seed)
-	// A stream consumes BitRate bits/s; each block lasts blockPeriod.
-	blockPeriod := int64(float64(s.BlockSize*8) / s.BitRate * 1e6)
-	period := blockPeriod * int64(burst)
+	period := s.blockPeriod() * int64(burst)
 
 	id := uint64(1)
 	for u := 0; u < s.Users; u++ {

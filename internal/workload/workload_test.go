@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -347,10 +348,17 @@ func TestStreamsValidation(t *testing.T) {
 		{Users: 5, Duration: 1000, BitRate: 1e6, BlockSize: 1024, Levels: 8, Cylinders: 100},
 		{Users: 5, Duration: 1000, BitRate: 1e6, BlockSize: 1024, Levels: 8, Cylinders: 100,
 			DeadlineMin: 100, DeadlineMax: 50},
+		// A block period under 1 µs: the bound is BlockSize·8·10⁶ bits/s.
+		{Users: 5, Duration: 1000, BitRate: 1e12, BlockSize: 1024, Levels: 8, Cylinders: 100,
+			DeadlineMin: 100, DeadlineMax: 200},
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.Generate(); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	_, err := bad[len(bad)-1].Generate()
+	if err == nil || !strings.Contains(err.Error(), "BlockSize·8·10⁶ = 8.192e+09 bits/s") {
+		t.Errorf("a sub-µs block period: err = %v, want one naming the bound", err)
 	}
 }
