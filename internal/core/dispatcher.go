@@ -235,14 +235,3 @@ func (d *Dispatcher) Each(visit func(*Request)) {
 		visit(e.Val.req)
 	}
 }
-
-// EachValue is Each yielding every queued request with the value it was
-// enqueued at: the value the dispatcher orders it by.
-func (d *Dispatcher) EachValue(visit func(*Request, uint64)) {
-	for _, e := range d.q.Slice() {
-		visit(e.Val.req, e.Key)
-	}
-	for _, e := range d.qw.Slice() {
-		visit(e.Val.req, e.Key)
-	}
-}

@@ -54,10 +54,10 @@ func TestLockedAnySchedulerCloseRejects(t *testing.T) {
 
 // TestValueSchedulersShareOneContract: every value-ordered constructor
 // yields the same type, so each has redirectable counters that attribute
-// dispatches as well as adds, the batch insert, and the EachValue,
-// RequestValue and Window views that sim.ValueWalker, sim.ValueRanker and
-// sim.WindowStater name (asserted as interfaces in internal/sim, which core
-// cannot import).
+// dispatches as well as adds, the batch insert, the value-reporting add
+// the simulator's queue view keeps values from, and the RequestValue and
+// Window views that sim.ValueRanker and sim.WindowStater name (asserted as
+// interfaces in internal/sim, which core cannot import).
 func TestValueSchedulersShareOneContract(t *testing.T) {
 	must := func(s sched.Scheduler, err error) sched.Scheduler {
 		if err != nil {
@@ -80,12 +80,12 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 			v, ok := s.(interface {
 				SetMetrics(*core.Metrics)
 				AddBatch(rs []*core.Request, now int64, head int)
-				EachValue(visit func(*core.Request, uint64))
+				AddValue(r *core.Request, now int64, head int) uint64
 				RequestValue(r *core.Request, now int64, head int) uint64
 				Window() uint64
 			})
 			if !ok {
-				t.Fatalf("%T lacks SetMetrics, AddBatch, EachValue, RequestValue or Window", s)
+				t.Fatalf("%T lacks SetMetrics, AddBatch, AddValue, RequestValue or Window", s)
 			}
 			m := &core.Metrics{}
 			v.SetMetrics(m)
@@ -93,16 +93,17 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 			for i := range reqs {
 				reqs[i] = &core.Request{ID: uint64(i + 1), Priorities: []int{i % 8, 0}, Deadline: int64(100_000 * (i + 1)), Cylinder: 500 * i}
 			}
-			s.Add(reqs[0], 0, 100)
+			queued := v.AddValue(reqs[0], 0, 100)
 			want := v.RequestValue(reqs[0], 0, 100)
 			if again := v.RequestValue(reqs[0], 0, 100); again != want {
 				t.Errorf("RequestValue is not read-only: %d then %d", want, again)
 			}
+			if queued != want {
+				t.Errorf("AddValue reported %d, the valuer gives %d", queued, want)
+			}
 			v.AddBatch(reqs[1:], 0, 100)
-			walked := 0
-			v.EachValue(func(*core.Request, uint64) { walked++ })
-			if walked != s.Len() {
-				t.Errorf("EachValue visited %d of %d queued requests", walked, s.Len())
+			if s.Len() != len(reqs) {
+				t.Errorf("%d queued after adding %d", s.Len(), len(reqs))
 			}
 			if v.Window() != 0 {
 				t.Errorf("Window = %d on a fully-preemptive dispatcher", v.Window())

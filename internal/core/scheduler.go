@@ -102,9 +102,16 @@ func (s *Scheduler) observeHead(head int) {
 
 // Add enqueues r, computing its characterization value at time now with
 // the disk head at cylinder head.
-func (s *Scheduler) Add(r *Request, now int64, head int) {
+func (s *Scheduler) Add(r *Request, now int64, head int) { s.AddValue(r, now, head) }
+
+// AddValue is Add returning the value r was queued at: the one the
+// dispatcher orders it by. The simulator's observers keep it from here,
+// so v_c is computed once per request, at insertion, as §3 has it.
+func (s *Scheduler) AddValue(r *Request, now int64, head int) uint64 {
 	s.observeHead(head)
-	s.disp.Add(r, s.v.ValueAt(r, now, head, s.progress))
+	v := s.v.ValueAt(r, now, head, s.progress)
+	s.disp.Add(r, v)
+	return v
 }
 
 // AddBatch enqueues every request of rs, in order, exactly as Add would.
@@ -130,7 +137,7 @@ func (s *Scheduler) Next(now int64, head int) *Request {
 // RequestValue returns the characterization value the valuer would
 // assign r at time now with the head at cylinder head, on the current
 // sweep timeline. Read-only: neither the queues nor the sweep progress
-// change. It is not the value r was queued at (see EachValue); nothing
+// change. It is not the value r was queued at (see AddValue); nothing
 // outside tests calls it but the benchmark's scheduler decorator
 // (bench/decor.go), which stays frozen until the benchmark is next revised.
 func (s *Scheduler) RequestValue(r *Request, now int64, head int) uint64 {
@@ -146,7 +153,3 @@ func (s *Scheduler) Len() int { return s.disp.Len() }
 
 // Each visits all queued requests.
 func (s *Scheduler) Each(visit func(*Request)) { s.disp.Each(visit) }
-
-// EachValue visits all queued requests with the values they were enqueued
-// at (Dispatcher.EachValue), so observers read v_c without recomputing it.
-func (s *Scheduler) EachValue(visit func(*Request, uint64)) { s.disp.EachValue(visit) }

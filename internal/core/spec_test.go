@@ -145,7 +145,9 @@ func (p *specPair) state() string {
 		return "preemption or promotion count"
 	}
 	var got, want []idValue
-	d.EachValue(func(r *Request, v uint64) { got = append(got, idValue{r.ID, v}) })
+	for _, e := range slices.Concat(d.q.Slice(), d.qw.Slice()) {
+		got = append(got, idValue{e.Val.req.ID, e.Key})
+	}
 	for _, it := range slices.Concat(s.q, s.qw) {
 		want = append(want, idValue{it.id, it.v})
 	}

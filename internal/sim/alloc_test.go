@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -281,6 +282,66 @@ func TestRunArrayAllocsConstantInTraceLength(t *testing.T) {
 				t.Errorf("RunArray allocates %v at %d logical requests and %v at %d, want within 8",
 					short, tc.n, long, 2*tc.n)
 			}
+		})
+	}
+}
+
+// BenchmarkObservedRun times the cascade with all four observers attached
+// — dispatch trace, decision trace, an EDF shadow and telemetry, as
+// schedsim and the sim-observed workload attach them — at two loads:
+// sim-observed's (DropLate, mean queue depth ≈ 22 at each decision) and a
+// saturated one without DropLate (mean depth ≈ 2 000). One op is one run
+// through a Reuse with a fresh cascade and shadow, as a sweep cell makes
+// them; ns/request divides it by the trace length. allocs/request counts
+// every allocation of the timed runs: a run allocates a run-constant
+// handful (the scheduler, the shadow, the result) and nothing per request.
+func BenchmarkObservedRun(b *testing.B) {
+	enc, err := core.NewEncapsulator(benchCascadeConfig(b, 3, 700_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		n            int
+		interarrival int64
+		drop         bool
+	}{
+		{"depth22", 5_000, 20_000, true},
+		{"saturated", 10_000, 10_000, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var arena workload.Arena
+			trace := workload.Open{
+				Seed: 1, Count: tc.n, MeanInterarrival: tc.interarrival,
+				Dims: 3, Levels: 8, DeadlineMin: 500_000, DeadlineMax: 700_000,
+				Cylinders: 3832, SizeMin: 4 << 10, SizeMax: 128 << 10,
+			}.MustGenerateArena(&arena)
+			var ru Reuse
+			dt, tel := NewDecisionTrace(0), NewTelemetry(100_000)
+			run := func() {
+				tel.Reset()
+				res := MustRun(Config{
+					Disk: xp(), Scheduler: benchCascade(b, enc, enc, core.ConditionallyPreemptive), Reuse: &ru,
+					Options: Options{DropLate: tc.drop, Dims: 3, Levels: 8,
+						Trace: JSONLTrace(io.Discard), Decisions: dt, Telemetry: tel,
+						Shadows: []*Shadow{NewShadow("edf", sched.NewEDF())}},
+				}, trace)
+				if res.Served+res.Dropped != uint64(tc.n) {
+					b.Fatalf("served %d + dropped %d of %d requests", res.Served, res.Dropped, tc.n)
+				}
+			}
+			run() // warm: grows the event heap, the queue view and the collector
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			reqs := float64(tc.n) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/request")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/request")
 		})
 	}
 }

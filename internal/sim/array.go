@@ -307,6 +307,7 @@ func (a *raid5) fail(now int64) {
 		if pr == nil {
 			break
 		}
+		st.left(pr)
 		a.eng.lose(st, pr, now)
 	}
 	if a.cfg.Fault.Rebuild {

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/sched"
 )
 
 // This file is the decision-observability layer of the simulator: a
@@ -19,56 +18,35 @@ import (
 //
 // Cost contract: with Options.Decisions nil the engine's dispatch path is
 // untouched (no captures, no allocations — pinned by the alloc gates).
-// With tracing enabled, each record is built in one scratch record, handed
-// to the OnRecord hook and forgotten; every per-decision buffer (candidate
-// scratch, slack scratch, JSONL buffer) is reused, so capture retains
-// nothing and performs no per-decision allocations once the scratch has
-// grown to the deepest queue observed. A decision
-// costs one queue walk and one pass over its candidates: values are read
-// as queued (ValueWalker), never recomputed, and nothing is sorted.
+// With tracing enabled, each record is read off the station's queue view
+// (view.go) into one scratch record, handed to the OnRecord hook and
+// forgotten: no queue walk, no sort, O(MaxTopK) per decision. Values are
+// the ones the dispatcher queued, kept by the view from the add itself
+// (AddValue), never recomputed. The JSONL buffer is reused, so capture
+// retains nothing and allocates nothing per decision once the view has
+// grown to the deepest queue observed.
 
 // MaxTopK is the number of head-of-queue candidates retained per decision
 // record. Fixed-size so records are flat copyable values with no
 // per-record allocation.
 const MaxTopK = 8
 
-// NoValue marks a candidate whose scheduler exposes no queued values (it
-// does not implement ValueWalker).
+// NoValue marks a candidate whose scheduler reports no queued values (it
+// has no AddValue method).
 const NoValue = ^uint64(0)
 
 // NoDeadlineSlack is the slack reported for requests without a deadline
 // (matching core.Request.Slack).
 const NoDeadlineSlack = int64(1) << 62
 
-// ValueWalker is implemented by schedulers that order requests by a scalar
-// computed once, at enqueue — lower is served earlier. EachValue visits
-// every queued request with that value and must be read-only: decision
-// tracing and telemetry walk live queues with it. core.Scheduler
-// implements it with the dispatcher's queued v_c.
-type ValueWalker interface {
-	EachValue(visit func(*core.Request, uint64))
-}
-
 // ValueRanker is implemented by schedulers that can recompute the value
 // they would assign a request now (core.Scheduler.RequestValue). No
-// observer in this package calls it — they read the queued values through
-// ValueWalker. It stays because the benchmark's scheduler decorator
-// (bench/decor.go) forwards it, until the benchmark is next revised.
+// observer in this package calls it — they keep the value the scheduler
+// reported when it queued each request. It stays because the benchmark's
+// scheduler decorator (bench/decor.go) forwards it, until the benchmark
+// is next revised.
 type ValueRanker interface {
 	RequestValue(r *core.Request, now int64, head int) uint64
-}
-
-// eachValue walks s's queue as (request, value) pairs: with the values the
-// dispatcher queued when s is a ValueWalker, otherwise through noValue,
-// which must be visit with NoValue bound once by the caller so the walk
-// allocates nothing. It reports whether the values are the scheduler's.
-func eachValue(s sched.Scheduler, visit func(*core.Request, uint64), noValue func(*core.Request)) bool {
-	if w, ok := s.(ValueWalker); ok {
-		w.EachValue(visit)
-		return true
-	}
-	s.Each(noValue)
-	return false
 }
 
 // WindowStater is implemented by schedulers exposing a blocking-window
@@ -88,8 +66,8 @@ type DecisionCandidate struct {
 	// expired, NoDeadlineSlack when the request has no deadline).
 	Slack int64
 	// V is the value the candidate was enqueued at — the one the
-	// dispatcher orders it by — or NoValue when the scheduler is not a
-	// ValueWalker.
+	// dispatcher orders it by — or NoValue when the scheduler reports no
+	// values.
 	V uint64
 }
 
@@ -119,7 +97,7 @@ type DecisionRecord struct {
 	// Dropped marks a §6 deadline drop rather than a service start.
 	Dropped bool
 	// VSpread is the max-min spread of the candidates' queued values when
-	// the scheduler is a ValueWalker, 0 otherwise.
+	// the scheduler reports them, 0 otherwise.
 	VSpread uint64
 	// SlackMin, SlackP50 and SlackMax summarize the deadline-slack
 	// distribution over the Deadlined candidates, µs. All zero when no
@@ -131,7 +109,7 @@ type DecisionRecord struct {
 	K int
 	// TopK holds the K head-of-queue candidates in rank order: by (V, ID)
 	// over the enqueue-time values the dispatcher sorted by when the
-	// scheduler is a ValueWalker, by (Slack, ID) otherwise.
+	// scheduler reports them, by (Slack, ID) otherwise.
 	TopK [MaxTopK]DecisionCandidate
 }
 
@@ -148,176 +126,36 @@ type DecisionTrace struct {
 
 	rec   DecisionRecord
 	total uint64
-
-	// Per-snapshot scratch, reused across decisions.
-	cands   []DecisionCandidate
-	slacks  []int64
-	visit   func(*core.Request, uint64)
-	noValue func(*core.Request)
-	byV     bool
-	now     int64
-	head    int
 }
 
 // NewDecisionTrace returns a trace with no hook. capacity is unused: the
 // trace retains no records. It stays because the benchmark passes one,
 // until the benchmark is next revised.
-func NewDecisionTrace(capacity int) *DecisionTrace {
-	t := &DecisionTrace{}
-	t.visit = func(r *core.Request, v uint64) {
-		t.cands = append(t.cands, DecisionCandidate{
-			ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(t.now), V: v,
-		})
-	}
-	t.noValue = func(r *core.Request) { t.visit(r, NoValue) }
-	return t
-}
+func NewDecisionTrace(capacity int) *DecisionTrace { return &DecisionTrace{} }
 
 // Total returns the number of decisions captured over the trace's
 // lifetime.
 func (t *DecisionTrace) Total() uint64 { return t.total }
 
-// snapshot walks the station's queue into the candidate scratch before the
-// scheduler is asked to decide. The walk is read-only.
-func (t *DecisionTrace) snapshot(st *Station, now int64) {
-	t.cands = t.cands[:0]
-	t.now, t.head = now, st.head
-	t.byV = eachValue(st.Sched, t.visit, t.noValue)
-}
-
-// ranksBefore orders candidates by (V, ID) when byV, by (Slack, ID)
-// otherwise. Queued IDs are distinct, so both are total orders and
-// rankings are deterministic.
-func ranksBefore(a, b DecisionCandidate, byV bool) bool {
-	if byV && a.V != b.V {
-		return a.V < b.V
-	}
-	if !byV && a.Slack != b.Slack {
-		return a.Slack < b.Slack
-	}
-	return a.ID < b.ID
-}
-
-// summarize fills rec's candidate summary — Chosen.V, Deadlined, VSpread,
-// the slack distribution and TopK — in one pass over cands, keeping the
-// top MaxTopK by bounded insertion. rec.Chosen.ID must be set and rec.K
-// zero. slacks is scratch, returned grown.
-func summarize(rec *DecisionRecord, cands []DecisionCandidate, byV bool, slacks []int64) []int64 {
-	slacks = slacks[:0]
-	vmin, vmax := NoValue, uint64(0)
-	for _, c := range cands {
-		if c.ID == rec.Chosen.ID {
-			rec.Chosen.V = c.V
-		}
-		if c.Slack != NoDeadlineSlack {
-			slacks = append(slacks, c.Slack)
-		}
-		vmin, vmax = min(vmin, c.V), max(vmax, c.V)
-
-		k := rec.K
-		if k == MaxTopK {
-			if !ranksBefore(c, rec.TopK[k-1], byV) {
-				continue
-			}
-			k--
-		} else {
-			rec.K++
-		}
-		for ; k > 0 && ranksBefore(c, rec.TopK[k-1], byV); k-- {
-			rec.TopK[k] = rec.TopK[k-1]
-		}
-		rec.TopK[k] = c
-	}
-	if byV && len(cands) > 0 {
-		rec.VSpread = vmax - vmin
-	}
-	rec.Deadlined = len(slacks)
-	rec.SlackMin, rec.SlackP50, rec.SlackMax = slackSummary(slacks)
-	return slacks
-}
-
-// slackSummary returns the minimum, the median — exactly what a sort would
-// leave at s[len(s)/2] — and the maximum of s, all 0 when s is empty. It
-// reorders s: the median comes from quickselect, O(n) expected, where a
-// sort would be O(n log n).
-func slackSummary(s []int64) (lo, p50, hi int64) {
-	if len(s) == 0 {
-		return 0, 0, 0
-	}
-	lo, hi = s[0], s[0]
-	for _, x := range s[1:] {
-		lo, hi = min(lo, x), max(hi, x)
-	}
-	return lo, selectNth(s, len(s)/2), hi
-}
-
-// selectNth returns the element a sort would place at index k of s,
-// partially reordering s: quickselect with a middle pivot and a
-// branch-free Lomuto partition, since on a queue-sized set the
-// comparisons are unpredictable and a mispredicted branch per element
-// costs more than the swap. Copies of the pivot are counted and moved out
-// of the range, so ties cost no extra rounds.
-func selectNth(s []int64, k int) int64 {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		s[mid], s[hi] = s[hi], s[mid]
-		p := s[hi]
-		i, eq := lo, 0
-		for j := lo; j < hi; j++ {
-			x := s[j]
-			s[j], s[i] = s[i], x
-			i += b2i(x < p)
-			eq += b2i(x == p)
-		}
-		s[i], s[hi] = p, s[i]
-		// Now s[lo:i] < p = s[i] ≤ s[i+1:hi+1], eq of which equal p.
-		switch {
-		case k < i:
-			hi = i - 1
-		case k <= i+eq:
-			return p
-		default:
-			lo = i + 1
-			if eq > 0 {
-				for j := lo; j <= hi; j++ {
-					x := s[j]
-					s[j], s[lo] = s[lo], x
-					lo += b2i(x == p)
-				}
-			}
-		}
-	}
-	return s[k]
-}
-
-// b2i is 1 for true and 0 for false; the compiler emits it as a flag
-// move, without a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// commit turns the pending snapshot plus the scheduler's choice into the
-// scratch record and hands it to OnRecord. Called once per decision, for
-// serves and deadline drops alike.
+// commit reads the decision to serve or drop r off the station's queue
+// view, which still holds r, into the scratch record and hands it to
+// OnRecord. Called once per decision, for serves and deadline drops alike.
 func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped bool) {
+	q := st.view
 	rec := &t.rec
 	*rec = DecisionRecord{
 		Seq:     t.total,
 		Now:     now,
 		DiskID:  st.ID,
-		Head:    t.head,
-		Depth:   len(t.cands),
+		Head:    st.head,
+		Depth:   q.len(),
 		Dropped: dropped,
-		Chosen:  DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: NoValue},
+		Chosen:  DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: q.value(r)},
 	}
 	if ws, ok := st.Sched.(WindowStater); ok {
 		rec.Window = ws.Window()
 	}
-	t.slacks = summarize(rec, t.cands, t.byV, t.slacks)
+	q.summary(rec, now)
 	t.total++
 	if t.OnRecord != nil {
 		t.OnRecord(rec)

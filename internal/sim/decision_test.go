@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -67,7 +68,7 @@ func TestDecisionTraceCapturesDecisions(t *testing.T) {
 			t.Fatalf("record %d has depth %d; the chosen request is a candidate", i, rec.Depth)
 		}
 		if rec.Chosen.V == NoValue {
-			t.Fatalf("record %d: cascaded scheduler is a ValueWalker, chosen V missing", i)
+			t.Fatalf("record %d: cascaded scheduler reports queued values, chosen V missing", i)
 		}
 		if rec.K != min(rec.Depth, MaxTopK) {
 			t.Fatalf("record %d: K = %d with depth %d", i, rec.K, rec.Depth)
@@ -207,9 +208,9 @@ func candBySlack(a, b DecisionCandidate) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// sortSummary is the candidate summary commit computed before summarize:
-// the slacks and the candidates sorted in full, the top K copied off the
-// head. Kept as the reference summarize must reproduce.
+// sortSummary is the candidate summary the decision trace computed before
+// the queue view: the slacks and the candidates sorted in full, the top K
+// copied off the head. Kept as the reference the view must reproduce.
 func sortSummary(cands []DecisionCandidate, byV bool) DecisionRecord {
 	var rec DecisionRecord
 	cands = slices.Clone(cands)
@@ -237,27 +238,103 @@ func sortSummary(cands []DecisionCandidate, byV bool) DecisionRecord {
 	return rec
 }
 
-// checkSummary compares summarize with sortSummary over cands, the
-// candidate at index chosen being the choice (none when out of range).
-func checkSummary(t *testing.T, cands []DecisionCandidate, byV bool, chosen int) {
-	t.Helper()
-	got := DecisionRecord{Chosen: DecisionCandidate{ID: 0, V: NoValue}}
-	wantV := NoValue
-	if chosen >= 0 && chosen < len(cands) {
-		got.Chosen.ID, wantV = cands[chosen].ID, cands[chosen].V
-	}
-	summarize(&got, cands, byV, nil)
-	want := sortSummary(cands, byV)
-	if got.Chosen.V != wantV {
-		t.Errorf("Chosen.V = %d, want the chosen candidate's %d", got.Chosen.V, wantV)
-	}
+// sameSummary reports how got's queue summary differs from want's, ""
+// when it does not.
+func sameSummary(got, want *DecisionRecord) string {
 	if got.K != want.K || got.TopK != want.TopK || got.VSpread != want.VSpread ||
 		got.Deadlined != want.Deadlined || got.SlackMin != want.SlackMin ||
 		got.SlackP50 != want.SlackP50 || got.SlackMax != want.SlackMax {
-		t.Fatalf("byV=%v over %v:\n got K=%d top=%v spread=%d deadlined=%d slack=%d/%d/%d\nwant K=%d top=%v spread=%d deadlined=%d slack=%d/%d/%d",
-			byV, cands,
+		return fmt.Sprintf("got K=%d top=%v spread=%d deadlined=%d slack=%d/%d/%d\nwant K=%d top=%v spread=%d deadlined=%d slack=%d/%d/%d",
 			got.K, got.TopK[:got.K], got.VSpread, got.Deadlined, got.SlackMin, got.SlackP50, got.SlackMax,
 			want.K, want.TopK[:want.K], want.VSpread, want.Deadlined, want.SlackMin, want.SlackP50, want.SlackMax)
+	}
+	return ""
+}
+
+// presetValues is FCFS whose AddValue reports the value its map holds for
+// the request's ID, so a test can fill a queue view with chosen values.
+type presetValues struct {
+	*sched.FCFS
+	v map[uint64]uint64
+}
+
+func (p presetValues) AddValue(r *core.Request, now int64, head int) uint64 {
+	p.Add(r, now, head)
+	return p.v[r.ID]
+}
+
+// viewNow is the clock of the view tests: far enough from 0 that no
+// candidate's deadline lands on 0, which means "no deadline".
+const viewNow = 1000
+
+// viewOf queues a request per candidate on a fresh view, in order: its
+// deadline is viewNow+Slack, and a NoDeadlineSlack candidate has none
+// when its ID is even and the deadline viewNow+NoDeadlineSlack, which
+// Request.Slack reports as no deadline too, when it is odd. With byV the
+// scheduler reports each candidate's V; without, it reports none.
+func viewOf(cands []DecisionCandidate, byV bool) (*queueView, []*core.Request) {
+	p := presetValues{FCFS: sched.NewFCFS(), v: map[uint64]uint64{}}
+	var s sched.Scheduler = p.FCFS
+	if byV {
+		s = p
+	}
+	q := new(queueView)
+	q.reset(s)
+	reqs := make([]*core.Request, len(cands))
+	for i, c := range cands {
+		reqs[i] = &core.Request{ID: c.ID, Cylinder: c.Cylinder, Deadline: viewNow + c.Slack}
+		if c.Slack == NoDeadlineSlack && c.ID%2 == 0 {
+			reqs[i].Deadline = 0
+		}
+		p.v[c.ID] = c.V
+		q.add(reqs[i], viewNow, 0)
+	}
+	return q, reqs
+}
+
+// checkView compares the summary of a view holding cands with sortSummary
+// over cands, then takes the candidates out in the order of perm and
+// compares again after each removal.
+func checkView(t *testing.T, cands []DecisionCandidate, byV bool, perm []int) {
+	t.Helper()
+	cands = slices.Clone(cands)
+	if !byV {
+		for i := range cands {
+			cands[i].V = NoValue
+		}
+	}
+	q, reqs := viewOf(cands, byV)
+	left := slices.Clone(cands)
+	for k := 0; ; k++ {
+		if q.len() != len(left) {
+			t.Fatalf("view holds %d, want %d", q.len(), len(left))
+		}
+		var got DecisionRecord
+		q.summary(&got, viewNow)
+		want := sortSummary(left, byV)
+		if diff := sameSummary(&got, &want); diff != "" {
+			t.Fatalf("byV=%v over %v:\n%s", byV, left, diff)
+		}
+		lo, hi := q.values()
+		wantLo, wantHi := uint64(0), uint64(0)
+		if byV && len(left) > 0 {
+			wantLo, wantHi = slices.MinFunc(left, candByV).V, slices.MaxFunc(left, candByV).V
+		}
+		if lo != wantLo || hi != wantHi {
+			t.Fatalf("byV=%v over %v: values %d..%d, want %d..%d", byV, left, lo, hi, wantLo, wantHi)
+		}
+		for _, c := range left {
+			r := reqs[slices.IndexFunc(cands, func(d DecisionCandidate) bool { return d.ID == c.ID })]
+			if v := q.value(r); v != c.V {
+				t.Fatalf("byV=%v: request %d queued at %d, view says %d", byV, c.ID, c.V, v)
+			}
+		}
+		if k == len(perm) {
+			return
+		}
+		r := reqs[perm[k]]
+		q.remove(r)
+		left = slices.DeleteFunc(left, func(c DecisionCandidate) bool { return c.ID == r.ID })
 	}
 }
 
@@ -278,8 +355,10 @@ func randomCandidates(rng *rand.Rand, n, vRange, slackRange, noDeadline int) []D
 	return cands
 }
 
-// The one-pass summary equals the sorts it replaced: K, TopK, VSpread and
-// the slack min/median/max, on hand-picked sets and on random ones.
+// The queue view's summary equals the sorts it replaced — K, TopK,
+// VSpread, the slack min/median/max, the value range and every queued
+// value — on hand-picked sets and random ones, as built and after each
+// removal.
 func TestSummarizeMatchesSortReference(t *testing.T) {
 	c := func(id, v uint64, slack int64) DecisionCandidate {
 		return DecisionCandidate{ID: id, Cylinder: int(id), V: v, Slack: slack}
@@ -302,20 +381,30 @@ func TestSummarizeMatchesSortReference(t *testing.T) {
 		"descending":             descending,
 		"all equal":              {c(5, 2, 2), c(4, 2, 2), c(3, 2, 2), c(2, 2, 2), c(1, 2, 2), c(6, 2, 2), c(7, 2, 2), c(8, 2, 2), c(9, 2, 2)},
 		"extreme values":         {c(1, 0, -1<<40), c(2, NoValue-1, 1<<40), c(3, 1<<63, none)},
+		// Deadlines at now ± 2^62 and just past now + 2^62, negative
+		// deadlines, and both spellings of "no deadline" (IDs 1 and 3 at
+		// now + 2^62, IDs 2 and 6 with none), interleaved by ID.
+		"around no deadline": {c(1, 5, none), c(2, 4, none+1), c(3, 6, none), c(4, 1, -none), c(5, 2, none-1),
+			c(6, 9, none), c(7, 3, -viewNow-1), c(8, 8, none+1), c(9, 7, 0)},
 	}
 	for name, cands := range cases {
 		t.Run(name, func(t *testing.T) {
 			for _, byV := range []bool{true, false} {
-				for chosen := -1; chosen < len(cands); chosen++ {
-					checkSummary(t, cands, byV, chosen)
+				perm := make([]int, len(cands))
+				for i := range perm {
+					perm[i] = (i*7 + 3) % len(cands) // a fixed shuffle when gcd(7, n) = 1
 				}
+				if len(cands)%7 == 0 {
+					perm = rand.New(rand.NewSource(1)).Perm(len(cands))
+				}
+				checkView(t, cands, byV, perm)
 			}
 		})
 	}
 	rng := rand.New(rand.NewSource(1))
 	for range 500 {
 		cands := randomCandidates(rng, rng.Intn(201), 1+rng.Intn(40), 1+rng.Intn(40), rng.Intn(4))
-		checkSummary(t, cands, rng.Intn(2) == 0, rng.Intn(len(cands)+1))
+		checkView(t, cands, rng.Intn(2) == 0, rng.Perm(len(cands)))
 	}
 }
 
@@ -327,7 +416,7 @@ func FuzzDecisionSummary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, vRange, slackRange, noDeadline uint8, byV bool) {
 		rng := rand.New(rand.NewSource(seed))
 		cands := randomCandidates(rng, int(n)%201, int(vRange)+1, int(slackRange)+1, int(noDeadline)%4)
-		checkSummary(t, cands, byV, rng.Intn(len(cands)+1))
+		checkView(t, cands, byV, rng.Perm(len(cands)))
 	})
 }
 
@@ -335,7 +424,7 @@ func FuzzDecisionSummary(f *testing.F) {
 // SFC1 over dims priority dimensions at 8 levels, f = 1, slack-mode
 // deadlines over horizon µs, head-relative seek at R = 3 on the Table 1
 // disk's 3832 cylinders.
-func benchCascadeConfig(t *testing.T, dims int, horizon int64) core.EncapsulatorConfig {
+func benchCascadeConfig(t testing.TB, dims int, horizon int64) core.EncapsulatorConfig {
 	t.Helper()
 	curve, err := sfc.New("hilbert", dims, 8)
 	if err != nil {
@@ -351,7 +440,7 @@ func benchCascadeConfig(t *testing.T, dims int, horizon int64) core.Encapsulator
 // benchCascade puts v, a criterion over enc, in front of the benchmark's
 // dispatcher for mode: the conditionally preemptive one has a window of
 // 5 % of enc's value space with SP and ER (e = 2).
-func benchCascade(t *testing.T, enc *core.Encapsulator, v core.Valuer, mode core.PreemptMode) *core.Scheduler {
+func benchCascade(t testing.TB, enc *core.Encapsulator, v core.Valuer, mode core.PreemptMode) *core.Scheduler {
 	t.Helper()
 	dcfg := core.DispatcherConfig{Mode: mode}
 	if mode == core.ConditionallyPreemptive {

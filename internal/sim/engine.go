@@ -54,6 +54,9 @@ type Station struct {
 	svcSeek    int64
 	svcTime    int64
 	shadows    []*Shadow
+	// view is the sorted copy of the queue the observers read; nil when
+	// the run has neither Decisions nor Telemetry.
+	view *queueView
 }
 
 // Head returns the station's current head cylinder.
@@ -70,11 +73,23 @@ func (s *Station) Busy() bool { return s.inSvc != nil }
 // schedulers never observe a position outside the disk. Attached shadow
 // schedulers receive the same request (with their own head positions), so
 // counterfactual queues see every arrival and fault retry the primary
-// queue sees.
+// queue sees. It is the queue view's one insert path.
 func (s *Station) Enqueue(r *core.Request, now int64) {
-	s.Sched.Add(r, now, s.head)
+	if s.view == nil {
+		s.Sched.Add(r, now, s.head)
+	} else {
+		s.view.add(r, now, s.head)
+	}
 	for _, sh := range s.shadows {
 		sh.add(r, now)
+	}
+}
+
+// left takes r, which the scheduler has just handed out to be served,
+// dropped or drained, out of the queue view: the view's one removal path.
+func (s *Station) left(r *core.Request) {
+	if s.view != nil {
+		s.view.remove(r)
 	}
 }
 
@@ -194,6 +209,20 @@ func (e *Engine) Setup(opts Options, stations []*Station, failable bool) error {
 		if e.faults, err = fault.New(*plan, 0); err != nil {
 			return err
 		}
+	}
+	observed := opts.Decisions != nil || opts.Telemetry != nil
+	for _, st := range stations {
+		if !observed {
+			st.view = nil
+			continue
+		}
+		if n := st.Sched.Len(); n > 0 {
+			return fmt.Errorf("sim: station %d's scheduler holds %d requests before the run; observers need an empty queue", st.ID, n)
+		}
+		if st.view == nil {
+			st.view = new(queueView)
+		}
+		st.view.reset(st.Sched)
 	}
 	// Bind last: a run Setup rejects must not spend its shadows.
 	for _, sh := range opts.Shadows {
@@ -323,12 +352,6 @@ func (e *Engine) dispatch(st *Station, now int64) {
 		// re-routes its queue at failure time.
 		return
 	}
-	if e.opts.Decisions != nil {
-		// Snapshot the candidate set before the scheduler decides (drop
-		// takes a new one after each drop); the walk is read-only, so the
-		// decision itself is unperturbed.
-		e.opts.Decisions.snapshot(st, now)
-	}
 	r, target, travel := Pick(st.Sched, now, st.head, st.cylinders(), e.opts.DropLate,
 		func(r *core.Request) { e.drop(st, r, now) })
 	if r == nil {
@@ -343,6 +366,7 @@ func (e *Engine) dispatch(st *Station, now int64) {
 	if e.opts.Decisions != nil {
 		e.opts.Decisions.commit(st, r, now, false)
 	}
+	st.left(r)
 	for _, sh := range st.shadows {
 		sh.observe(r, now)
 	}
@@ -371,11 +395,10 @@ func (e *Engine) drop(st *Station, r *core.Request, now int64) {
 	if e.opts.Decisions != nil {
 		e.opts.Decisions.commit(st, r, now, true)
 	}
+	// Out of the view before OnDropped, which may recycle r.
+	st.left(r)
 	if e.OnDropped != nil {
 		e.OnDropped(st, r, now)
-	}
-	if e.opts.Decisions != nil {
-		e.opts.Decisions.snapshot(st, now)
 	}
 }
 

@@ -3,7 +3,8 @@ package sim
 import "sfcsched/internal/metrics"
 
 // Reuse holds the per-run state of Run — the metrics collector, the
-// Station, and the Engine with its event heap — and recycles it across
+// Station with its queue view, and the Engine with its event heap — and
+// recycles it across
 // successive runs. Every Run goes through one: without Config.Reuse it is a
 // throw-away, so the fresh path is the recycled path on an empty Reuse. A
 // sweep that runs thousands of simulations through one Reuse performs a
@@ -26,6 +27,7 @@ import "sfcsched/internal/metrics"
 type Reuse struct {
 	col      *metrics.Collector
 	st       Station
+	view     queueView
 	stations [1]*Station
 	eng      Engine
 }

@@ -130,8 +130,8 @@ func TestValuePresetsAreObservable(t *testing.T) {
 	}
 	for _, s := range []sched.Scheduler{core.EmulateFCFS(), core.EmulateEDF(), core.EmulateSSTF(),
 		core.EmulateCSCAN(3832), core.EmulateMultiQueue(8), single} {
-		if _, ok := s.(ValueWalker); !ok {
-			t.Errorf("%s is not a ValueWalker", s.Name())
+		if _, ok := s.(valueAdder); !ok {
+			t.Errorf("%s reports no queued values", s.Name())
 		}
 		if _, ok := s.(ValueRanker); !ok {
 			t.Errorf("%s is not a ValueRanker", s.Name())

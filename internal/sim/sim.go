@@ -125,6 +125,7 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		Disk:         cfg.Disk,
 		Col:          col,
 		FixedService: cfg.FixedService,
+		view:         &ru.view, // Setup drops it from an unobserved run
 	}
 	ru.stations[0] = st
 	if err := eng.Setup(cfg.Options, ru.stations[:], false); err != nil {

@@ -3,8 +3,6 @@ package sim
 import (
 	"io"
 	"strconv"
-
-	"sfcsched/internal/core"
 )
 
 // Telemetry samples per-station state at fixed sim-time intervals: queue
@@ -23,8 +21,9 @@ import (
 // interval is covered and per-station utilization sums span the whole
 // run; only an entirely empty run produces no rows.
 //
-// Rows are built in one scratch row and scratch buffers are reused, so
-// sampling retains nothing and allocates nothing in steady state.
+// Cost contract: a row is read off the station's queue view (view.go) in
+// O(1) — no queue walk — into one scratch row, so sampling retains
+// nothing and allocates nothing in steady state.
 type Telemetry struct {
 	// Interval is the sampling period, µs. Set by NewTelemetry.
 	Interval int64
@@ -39,13 +38,6 @@ type Telemetry struct {
 	next     int64
 	prevTime int64
 	prevBusy []int64
-
-	// Queue-walk scratch, reused across rows.
-	visit      func(*core.Request, uint64)
-	noValue    func(*core.Request)
-	now        int64
-	vmin, vmax uint64
-	slacks     []int64
 }
 
 // TelemetryRow is one sampled station state.
@@ -54,7 +46,7 @@ type TelemetryRow struct {
 	Disk      int     // station ID
 	Depth     int     // queue depth (excluding the in-service request)
 	Busy      float64 // completed-service utilization since the last row, [0,1]
-	VMin      uint64  // min queued value (0 when no ValueWalker or empty)
+	VMin      uint64  // min queued value (0 when the scheduler reports none, or empty)
 	VMax      uint64  // max queued value; both are the enqueue-time values the dispatcher sorts by
 	Deadlined int     // queued requests carrying a deadline
 	SlackMin  int64   // slack distribution over the Deadlined requests, µs
@@ -68,15 +60,7 @@ func NewTelemetry(interval int64) *Telemetry {
 	if interval < 1 {
 		interval = 1
 	}
-	t := &Telemetry{Interval: interval}
-	t.visit = func(r *core.Request, v uint64) {
-		t.vmin, t.vmax = min(t.vmin, v), max(t.vmax, v)
-		if s := r.Slack(t.now); s != NoDeadlineSlack {
-			t.slacks = append(t.slacks, s)
-		}
-	}
-	t.noValue = func(r *core.Request) { t.visit(r, NoValue) }
-	return t
+	return &Telemetry{Interval: interval}
 }
 
 // Rows returns the number of rows sampled since the last Reset.
@@ -135,20 +119,12 @@ func (tel *Telemetry) sampleStation(st *Station, t int64) {
 	}
 	tel.prevBusy[st.ID] = st.Col.ServiceTime
 
-	// Walk the queue for value spread and slack distribution.
-	tel.now = t
-	tel.vmin, tel.vmax = NoValue, 0
-	tel.slacks = tel.slacks[:0]
-	values := eachValue(st.Sched, tel.visit, tel.noValue)
-	vmin, vmax := tel.vmin, tel.vmax
-	if !values || vmin > vmax { // no queued values, or empty queue
-		vmin, vmax = 0, 0
-	}
-	smin, sp50, smax := slackSummary(tel.slacks)
-
+	// Depth, value spread and slack distribution, read off the queue view.
+	vmin, vmax := st.view.values()
+	deadlined, smin, sp50, smax := st.view.slacks(t)
 	tel.row = TelemetryRow{
-		Time: t, Disk: st.ID, Depth: st.Sched.Len(), Busy: busy,
-		VMin: vmin, VMax: vmax, Deadlined: len(tel.slacks),
+		Time: t, Disk: st.ID, Depth: st.view.len(), Busy: busy,
+		VMin: vmin, VMax: vmax, Deadlined: deadlined,
 		SlackMin: smin, SlackP50: sp50, SlackMax: smax,
 	}
 	tel.rows++
