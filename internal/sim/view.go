@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"slices"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/sched"
@@ -77,10 +76,9 @@ func (q *queueView) remove(r *core.Request) {
 	list, key := q.deadlineList(r)
 	i := findEntry(*list, key, r)
 	v := (*list)[i].v
-	*list = slices.Delete(*list, i, i+1)
+	*list = deleteEntry(*list, i)
 	if q.adder != nil {
-		j := findEntry(q.byV, v, r)
-		q.byV = slices.Delete(q.byV, j, j+1)
+		q.byV = deleteEntry(q.byV, findEntry(q.byV, v, r))
 	}
 }
 
@@ -118,7 +116,20 @@ func search(s []viewEntry, key, id uint64) int {
 
 // insertEntry inserts e into s at its rank.
 func insertEntry(s []viewEntry, e viewEntry) []viewEntry {
-	return slices.Insert(s, search(s, e.key, e.id), e)
+	i := search(s, e.key, e.id)
+	s = append(s, viewEntry{})
+	copy(s[i+1:], s[i:])
+	s[i] = e
+	return s
+}
+
+// deleteEntry removes s[i], clearing the vacated slot so the view's spare
+// capacity pins no request.
+func deleteEntry(s []viewEntry, i int) []viewEntry {
+	n := len(s) - 1
+	copy(s[i:], s[i+1:])
+	s[n] = viewEntry{}
+	return s[:n]
 }
 
 // findEntry returns the index of r's entry in s, keyed key. Queued IDs are
