@@ -4,12 +4,12 @@ import "sfcsched/internal/metrics"
 
 // Reuse holds the per-run state of Run — the metrics collector, the
 // Station with its queue view, and the Engine with its event heap — and
-// recycles it across
-// successive runs. Every Run goes through one: without Config.Reuse it is a
-// throw-away, so the fresh path is the recycled path on an empty Reuse. A
-// sweep that runs thousands of simulations through one Reuse performs a
-// small run-constant number of allocations per run instead of re-growing
-// every buffer (pinned by the allocation gate in alloc_test.go).
+// recycles it across successive runs. Every Run goes through one: without
+// Config.Reuse it is a throw-away, so the fresh path is the recycled path
+// on an empty Reuse. A sweep that runs thousands of simulations through
+// one Reuse performs a small run-constant number of allocations per run
+// instead of re-growing every buffer (pinned by the allocation gate in
+// alloc_test.go).
 //
 // The zero value is ready to use; install it via Config.Reuse. A Reuse is
 // NOT safe for concurrent use — parallel sweeps give each worker cell its

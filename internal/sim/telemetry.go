@@ -21,9 +21,11 @@ import (
 // interval is covered and per-station utilization sums span the whole
 // run; only an entirely empty run produces no rows.
 //
-// Cost contract: a row is read off the station's queue view (view.go) in
-// O(1) — no queue walk — into one scratch row, so sampling retains
-// nothing and allocates nothing in steady state.
+// Cost contract: a row is read off the station's queue view (view.go),
+// with no queue walk, into one scratch row, so sampling retains nothing
+// and allocates nothing in steady state. The view itself costs every
+// enqueue and removal a binary search per list, paid whenever a sampler
+// (or a decision trace) is attached.
 type Telemetry struct {
 	// Interval is the sampling period, µs. Set by NewTelemetry.
 	Interval int64

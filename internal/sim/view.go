@@ -28,9 +28,10 @@ type valueAdder interface {
 //   - dl holds the requests with a deadline, keyed by timeKey(Deadline);
 //   - noDl holds the requests without one, all keyed 0.
 //
-// dl's keys are the deadline multiset; deadline order is slack order, so
-// dl and noDl merge into the (Slack, ID) ranking of a scheduler with no
-// values. A dl or noDl entry carries its request's queued value, which
+// dl's keys are the deadline multiset; deadline order is slack order
+// (Slack is Deadline − now, which does not overflow for the clocks and
+// deadlines a run holds), so dl and noDl merge into the (Slack, ID)
+// ranking of a scheduler with no values. A dl or noDl entry carries its request's queued value, which
 // locates the request in byV. Each insert or removal is a binary search
 // per list plus the slice shift; reading a record costs O(MaxTopK).
 type queueView struct {
