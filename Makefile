@@ -34,7 +34,7 @@ goldens:
 	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster ./cmd/schedsim ./cmd/sfcviz \
 		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestSchedAllGolden|TestObserverStreamsGolden|TestOutputGolden' -update
 
-# Mirrors the CI race job: internal packages carry the concurrent paths
+# The CI race job runs this target: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher, sfc's shared curve
 # tables) and the golden differential suite; the last two lines are the
 # shutdown/ingress soak and the concurrent table-publishing soak.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ var testOnlyMembers = map[string]string{
 //     literal, as the target of an assignment or ++/--, by taking its
 //     address, or by calling a pointer-receiver method on it.
 func TestNoTestOnlyExports(t *testing.T) {
-	x, err := loadExportIndex(".")
+	x, err := repoIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +93,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 const module = "sfcsched"
 
+// repoIndex loads the module once for every guard in this package.
+var repoIndex = sync.OnceValues(func() (*exportIndex, error) { return loadExportIndex(".") })
+
 // exportIndex maps each exported object declared under internal/ to its
 // guard name ("internal/sim.MustRun", "internal/serve.Config.InFlight")
 // and records which of them real code uses.
@@ -99,6 +103,15 @@ type exportIndex struct {
 	idents, members map[types.Object]string
 	used            map[types.Object]bool
 	ifaceCalls      map[string]bool // names of interface methods real code calls
+	files           []checkedFile   // every type-checked file, for the other guards
+}
+
+// checkedFile is one non-test source file as the loader type-checked it;
+// name is its slash path relative to the module root.
+type checkedFile struct {
+	name string
+	f    *ast.File
+	info *types.Info
 }
 
 // unused lists the guard names of the declared objects real code does not
@@ -212,6 +225,9 @@ func (l *loader) Import(p string) (*types.Package, error) {
 		l.x.declare(pkg, strings.TrimPrefix(p, module+"/"))
 	}
 	l.x.scan(files, info)
+	for i, name := range bp.GoFiles {
+		l.x.files = append(l.x.files, checkedFile{filepath.ToSlash(filepath.Join(dir, name)), files[i], info})
+	}
 	return pkg, nil
 }
 

@@ -267,23 +267,20 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 	}, stations, false); err != nil {
 		return nil, err
 	}
-	eng.OnServed = func(_ *sim.Station, r *core.Request, now int64, late bool) {
+	eng.OnLeft = func(_ *sim.Station, r *core.Request, now int64, late, dropped bool) {
 		cs := res.PerClass[r.Class]
-		cs.Served++
-		lat := now - r.Arrival
-		if lat < 0 {
-			lat = 0
+		if dropped {
+			cs.DispatchDropped++
+		} else {
+			cs.Served++
+			lat := max(now-r.Arrival, 0)
+			cs.Latency.Observe(uint64(lat))
+			cs.LatencySum += lat
+			res.Tenants[r.Tenant].Served++
+			if late {
+				cs.Late++
+			}
 		}
-		cs.Latency.Observe(uint64(lat))
-		cs.LatencySum += lat
-		res.Tenants[r.Tenant].Served++
-		if late {
-			cs.Late++
-		}
-		free = append(free, r)
-	}
-	eng.OnDropped = func(_ *sim.Station, r *core.Request, _ int64) {
-		res.PerClass[r.Class].DispatchDropped++
 		free = append(free, r)
 	}
 
@@ -310,12 +307,8 @@ func Run(cfg Config, trace []*core.Request) (*Result, error) {
 		} else {
 			phys = new(core.Request)
 		}
-		*phys = core.Request{
-			ID: r.ID, Priorities: r.Priorities, Deadline: r.Deadline,
-			Cylinder: block / dpn, Size: r.Size, Arrival: r.Arrival,
-			Write: r.Write, Value: r.Value,
-			Tenant: tenant, Class: class,
-		}
+		*phys = *r
+		phys.Cylinder, phys.Tenant, phys.Class = block/dpn, tenant, class
 		st.Col.OnArrival(phys)
 		st.Enqueue(phys, now)
 	})

@@ -111,16 +111,16 @@ func TestSweepTimelineWrapsAreForwardOnly(t *testing.T) {
 // f=0 and (deadline-major) f=inf produce genuinely different orders —
 // a sanity check that the balance knob is live end to end.
 func TestCascadeStageOrderMatters(t *testing.T) {
-	mk := func(f float64, tie TiePolicy) *Scheduler {
+	mk := func(f float64) *Scheduler {
 		return MustScheduler("x", EncapsulatorConfig{
-			Levels: 8, UseDeadline: true, F: f, Tie: tie, DeadlineHorizon: 1_000_000,
+			Levels: 8, UseDeadline: true, F: f, DeadlineHorizon: 1_000_000,
 		}, DispatcherConfig{Mode: FullyPreemptive}, 0)
 	}
 	reqs := []*Request{
 		{ID: 1, Priorities: []int{7}, Deadline: 100_000},
 		{ID: 2, Priorities: []int{0}, Deadline: 900_000},
 	}
-	p := mk(0, TieDeadline)
+	p := mk(0)
 	d := EmulateEDF()
 	for _, r := range reqs {
 		p.Add(r, 0, 0)

@@ -284,8 +284,10 @@ func TestDispatcherValidation(t *testing.T) {
 	if _, err := NewDispatcher(DispatcherConfig{Mode: PreemptMode(9)}); err == nil {
 		t.Error("expected error for unknown mode")
 	}
-	if _, err := NewDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, ER: true, Expansion: 0.5}); err == nil {
-		t.Error("expected error for expansion <= 1")
+	for _, e := range []float64{0.5, 1} {
+		if _, err := NewDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, ER: true, Expansion: e}); err == nil {
+			t.Errorf("expected error for expansion %v <= 1", e)
+		}
 	}
 	d, err := NewDispatcher(DispatcherConfig{Mode: ConditionallyPreemptive, ER: true})
 	if err != nil || d.cfg.Expansion != 2 {

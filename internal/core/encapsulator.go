@@ -18,21 +18,6 @@ const stage2Res = 1 << 16
 // stage3Res is the resolution of the priority-deadline axis entering SFC3.
 const stage3Res = 4096
 
-// TiePolicy selects how the SFC2 weighted sum breaks ties at the extreme
-// balance-factor settings (paper §5.2).
-type TiePolicy int
-
-const (
-	// TieNone quantizes the weighted sum with no secondary key.
-	TieNone TiePolicy = iota
-	// TieDeadline breaks ties by earliest deadline; with F == 0 this
-	// realizes the priority-major sweep curve.
-	TieDeadline
-	// TiePriority breaks ties by highest priority; with F == +Inf this
-	// realizes the deadline-major sweep curve.
-	TiePriority
-)
-
 // EncapsulatorConfig configures the three cascaded stages. The zero value
 // is not usable; at minimum Levels must be set.
 type EncapsulatorConfig struct {
@@ -47,10 +32,10 @@ type EncapsulatorConfig struct {
 	UseDeadline bool
 	// F is the SFC2 balance factor: v2 = priority + F*deadline. F < 1
 	// favors priority-inversion minimization, F > 1 favors deadlines.
-	// math.Inf(1) is accepted and orders by deadline with priority ties.
+	// The two limits are the paper's sweep curves (§5.2): F == 0 orders
+	// by priority and breaks ties by earliest deadline; math.Inf(1)
+	// orders by deadline and breaks ties by highest priority.
 	F float64
-	// Tie selects the tie-break at extreme F values.
-	Tie TiePolicy
 	// DeadlineHorizon bounds the deadline axis, microseconds. Required when
 	// UseDeadline is set. In the default (absolute) mode it is the largest
 	// absolute deadline expected during the run; deadlines are clamped
@@ -176,7 +161,7 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 			e.max2 = stage2Res * stage2Res
 		default:
 			// Weighted sum: majors span (1 + F*horizon/span) dimensionless
-			// units at wScale resolution, each carrying tie bits.
+			// units at wScale resolution, each stage2Res values wide.
 			spans := float64(e.cfg.DeadlineHorizon) / float64(e.cfg.DeadlineSpan)
 			majors := (1 + cfg.F*spans) * wScale
 			if majors >= float64(math.MaxUint64/stage2Res-1) {
@@ -289,33 +274,14 @@ func (e *Encapsulator) stage2(v1 uint64, r *Request, now int64) uint64 {
 
 	switch {
 	case e.cfg.F == 0:
-		v := pn * stage2Res
-		if e.cfg.Tie == TieDeadline {
-			v += dn
-		}
-		return v
+		return pn*stage2Res + dn
 	case math.IsInf(e.cfg.F, 1):
-		v := dn * stage2Res
-		if e.cfg.Tie == TiePriority {
-			v += pn
-		}
-		return v
+		return dn*stage2Res + pn
 	default:
 		// Weighted sum in dimensionless units: one full priority range
 		// weighs as much as F DeadlineSpans of deadline distance.
 		sum := float64(pn)/stage2Res + e.cfg.F*float64(d)/float64(e.cfg.DeadlineSpan)
-		major := uint64(sum * wScale)
-		v := major * stage2Res
-		switch e.cfg.Tie {
-		case TieDeadline:
-			v += dn
-		case TiePriority:
-			v += pn
-		}
-		if v >= e.max2 {
-			v = e.max2 - 1
-		}
-		return v
+		return min(uint64(sum*wScale)*stage2Res, e.max2-1)
 	}
 }
 

@@ -30,14 +30,19 @@ func TestStage1PassthroughWithoutCurve(t *testing.T) {
 
 func TestStage1ClampsLevels(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{Levels: 8})
-	if got := e.ValueAt(req([]int{99}, 0, 0), 0, 0, 0); got != 7 {
-		t.Errorf("overflow level -> %d, want 7", got)
-	}
-	if got := e.ValueAt(req([]int{-3}, 0, 0), 0, 0, 0); got != 0 {
-		t.Errorf("negative level -> %d, want 0", got)
-	}
-	if got := e.ValueAt(req(nil, 0, 0), 0, 0, 0); got != 0 {
-		t.Errorf("missing priorities -> %d, want 0", got)
+	for _, c := range []struct {
+		name string
+		p    []int
+		want uint64
+	}{
+		{"overflow level", []int{99}, 7},
+		{"level == Levels", []int{8}, 7},
+		{"negative level", []int{-3}, 0},
+		{"missing priorities", nil, 0},
+	} {
+		if got := e.ValueAt(req(c.p, 0, 0), 0, 0, 0); got != c.want {
+			t.Errorf("%s -> %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
@@ -68,7 +73,7 @@ func TestStage1SweepIsLexicographic(t *testing.T) {
 
 func TestStage2PriorityMajorAtFZero(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{
-		Levels: 8, UseDeadline: true, F: 0, Tie: TieDeadline,
+		Levels: 8, UseDeadline: true, F: 0,
 		DeadlineHorizon: 1_000_000,
 	})
 	// Priority dominates regardless of deadline.
@@ -87,7 +92,7 @@ func TestStage2PriorityMajorAtFZero(t *testing.T) {
 
 func TestStage2DeadlineMajorAtFInf(t *testing.T) {
 	e := MustEncapsulator(EncapsulatorConfig{
-		Levels: 8, UseDeadline: true, F: math.Inf(1), Tie: TiePriority,
+		Levels: 8, UseDeadline: true, F: math.Inf(1),
 		DeadlineHorizon: 1_000_000,
 	})
 	urgent := e.ValueAt(req([]int{7}, 10_000, 0), 0, 0, 0)
@@ -303,6 +308,9 @@ func TestEncapsulatorValidation(t *testing.T) {
 		if _, err := NewEncapsulator(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
+	}
+	if _, err := NewEncapsulator(EncapsulatorConfig{Levels: 8, UseCylinder: true, R: 1, Cylinders: 1}); err != nil {
+		t.Errorf("a one-cylinder disk rejected: %v", err)
 	}
 }
 

@@ -101,6 +101,22 @@ func TestSchedulerMetrics(t *testing.T) {
 	}
 }
 
+// TestDispatchAtArrivalCountsInWait: a request dispatched at its own
+// arrival time waited zero, which is a wait: every dispatch lands in the
+// histogram.
+func TestDispatchAtArrivalCountsInWait(t *testing.T) {
+	s := MustScheduler("x", shardedTestConfig(), DispatcherConfig{Mode: FullyPreemptive}, 0)
+	m := &Metrics{}
+	s.SetMetrics(m)
+	s.Add(&Request{ID: 1, Priorities: []int{1, 2, 3}, Arrival: 40}, 40, 0)
+	if s.Next(40, 0) == nil {
+		t.Fatal("nothing dispatched")
+	}
+	if got, want := m.DispatchWait.Count(), m.Dispatches.Load(); got != want || got != 1 {
+		t.Errorf("DispatchWait count = %d, Dispatches = %d, want 1 and 1", got, want)
+	}
+}
+
 func TestShardedSchedulerMetrics(t *testing.T) {
 	s := mustLocked(shardedTestConfig())
 	m := &Metrics{}

@@ -5,14 +5,25 @@ import (
 )
 
 func TestSingleStageValidation(t *testing.T) {
-	if _, err := NewSingleStage("hilbert", -1, 8, 0, 0); err == nil {
-		t.Error("expected error for negative dims")
-	}
-	if _, err := NewSingleStage("hilbert", 0, 8, 0, 0); err == nil {
-		t.Error("expected error for zero axes")
-	}
-	if _, err := NewSingleStage("nope", 2, 8, 0, 0); err == nil {
-		t.Error("expected error for unknown curve")
+	for _, c := range []struct {
+		name         string
+		curve        string
+		dims, levels int
+		horizon      int64
+		cylinders    int
+		ok           bool
+	}{
+		{"negative dims", "hilbert", -1, 8, 0, 0, false},
+		{"zero levels", "hilbert", 1, 0, 1_000_000, 0, false},
+		{"zero axes", "hilbert", 0, 8, 0, 0, false},
+		{"unknown curve", "nope", 2, 8, 0, 0, false},
+		{"one level", "hilbert", 1, 1, 1_000_000, 0, true},
+		{"deadline axis only", "sweep", 0, 8, 1_000_000, 0, true},
+	} {
+		_, err := NewSingleStage(c.curve, c.dims, c.levels, c.horizon, c.cylinders)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok %v", c.name, err, c.ok)
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ func ablationDeadlineMode(w io.Writer, seed uint64, workers int) error {
 	}
 	misses, err := runner.Map(workers, 2, func(i int) (uint64, error) {
 		s, err := core.NewScheduler("x", core.EncapsulatorConfig{
-			Levels: 8, UseDeadline: true, F: math.Inf(1), Tie: core.TiePriority,
+			Levels: 8, UseDeadline: true, F: math.Inf(1),
 			DeadlineHorizon: 210_000_000, DeadlineSpan: 700_000, DeadlineSlack: i == 1,
 		}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
 		if err != nil {

@@ -19,9 +19,14 @@
 // The package has one grid and one table. A figure is an x-axis × series
 // grid of independent simulation runs: its function prepares what the
 // cells share read-only (traces, baselines, the disk model) and hands the
-// grid to sweep (sweep.go), the only place cells are fanned out over the
-// worker pool and transposed into series — so Workers means the same thing
-// in every experiment and never changes a byte of output. Registry
+// grid to sweep (sweep.go), which fans the cells out over the worker pool
+// and transposes them into series. Where one run answers a whole series
+// (fig9) or a whole load point (divergence), the figure fans those runs
+// out with runner.Map itself and sweep only unpacks them; the ablation
+// tables are no grid and call runner.Map directly. Every fan-out goes
+// through runner.Map, which returns results in index order, so Workers
+// means the same thing in every experiment and never changes a byte of
+// output. Registry
 // (registry.go) is the only list of experiments; schedbench's -exp help,
 // -exp all and the golden test range over it.
 //

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/runner"
@@ -72,18 +71,11 @@ func (c stage2) scheduler(curve string, f float64) (*core.Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	tie := core.TieNone
-	if f == 0 {
-		tie = core.TieDeadline
-	}
-	if math.IsInf(f, 1) {
-		tie = core.TiePriority
-	}
 	return core.NewScheduler(
 		fmt.Sprintf("%s-f%g", curve, f),
 		core.EncapsulatorConfig{
 			Curve1: cv, Levels: stage2Levels,
-			UseDeadline: true, F: f, Tie: tie,
+			UseDeadline: true, F: f,
 			DeadlineHorizon: 2*int64(c.Requests)*stage2Interarrival + stage2DeadlineMax,
 			DeadlineSpan:    stage2DeadlineMax,
 		},

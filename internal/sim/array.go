@@ -137,7 +137,7 @@ func RunArray(cfg ArrayConfig, logical []*core.Request) (*ArrayResult, error) {
 	if err := a.eng.Setup(cfg.Options, stations, true); err != nil {
 		return nil, err
 	}
-	a.eng.OnServed, a.eng.OnDropped, a.eng.onFaulted = a.onServed, a.onDropped, a.onFaulted
+	a.eng.OnLeft, a.eng.onFaulted = a.onLeft, a.onFaulted
 	if cfg.Fault != nil && cfg.Fault.FailAt > 0 {
 		a.eng.At(cfg.Fault.FailAt, a.fail)
 	}
@@ -267,17 +267,12 @@ func (a *raid5) take(r *core.Request) *logicalState {
 	return st
 }
 
-// onServed retires r from its logical state; an op that started late
-// misses its request.
-func (a *raid5) onServed(_ *Station, r *core.Request, now int64, late bool) {
+// onLeft retires r from its logical state; an op that started late or
+// was dropped (which OnLeft reports late) misses its request.
+func (a *raid5) onLeft(_ *Station, r *core.Request, now int64, late, _ bool) {
 	st := a.take(r)
 	st.missed = st.missed || late
 	a.advance(st, now)
-}
-
-// onDropped retires r like a late service: a drop misses its request.
-func (a *raid5) onDropped(st *Station, r *core.Request, now int64) {
-	a.onServed(st, r, now, true)
 }
 
 // onFaulted marks a late failed attempt's request missed, and re-issues

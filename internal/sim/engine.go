@@ -137,14 +137,15 @@ type Engine struct {
 	// reproducible.
 	Stations []*Station
 
-	// OnServed fires when a station completes a service, late when that
-	// service started past the request's deadline (possible only without
-	// DropLate); OnDropped when a station drops an expired request.
-	// Multi-stage topologies (RAID read-modify-write) layer their logical
-	// bookkeeping here — the hooks run inline at the exact event time, so
-	// follow-up work they enqueue participates in the same dispatch round.
-	OnServed  func(st *Station, r *core.Request, now int64, late bool)
-	OnDropped func(st *Station, r *core.Request, now int64)
+	// OnLeft fires when r leaves the run at st for good: served (dropped
+	// false), or dropped — expired at dispatch under DropLate, or
+	// abandoned when its retry budget ran out. late says r missed its
+	// deadline: a served r started past it (possible only without
+	// DropLate), and a dropped r always did. Multi-stage topologies (RAID
+	// read-modify-write) layer their logical bookkeeping here — the hook
+	// runs inline at the exact event time, so follow-up work it enqueues
+	// participates in the same dispatch round.
+	OnLeft func(st *Station, r *core.Request, now int64, late, dropped bool)
 	// onFaulted fires when a service attempt of r fails on an injected
 	// fault and r stays in the run: Retry (it re-enters st's queue after
 	// a backoff) or Lost (stranded on a failed disk). late says the failed
@@ -291,7 +292,7 @@ func (e *Engine) Run(trace []*core.Request, deliver func(r *core.Request, now in
 		}
 		e.now = t
 		// Completions first, so freed stations (and any follow-up work the
-		// OnServed hook enqueues) can take this round's arrivals.
+		// OnLeft hook enqueues) can take this round's arrivals.
 		for k := timeKey(t); e.events.Len() > 0 && e.events.Peek().Key == k; {
 			ev := e.events.Pop().Val
 			if ev.fn != nil {
@@ -395,10 +396,10 @@ func (e *Engine) drop(st *Station, r *core.Request, now int64) {
 	if e.opts.Decisions != nil {
 		e.opts.Decisions.commit(st, r, now, true)
 	}
-	// Out of the view before OnDropped, which may recycle r.
+	// Out of the view before OnLeft, which may recycle r.
 	st.left(r)
-	if e.OnDropped != nil {
-		e.OnDropped(st, r, now)
+	if e.OnLeft != nil {
+		e.OnLeft(st, r, now, true, true)
 	}
 }
 
@@ -426,8 +427,8 @@ func (e *Engine) complete(st *Station, now int64) {
 		}
 	}
 	st.Col.OnServed(r, st.svcSeek, st.svcTime, st.svcStart)
-	if e.OnServed != nil {
-		e.OnServed(st, r, now, late)
+	if e.OnLeft != nil {
+		e.OnLeft(st, r, now, late, false)
 	}
 }
 
@@ -442,8 +443,8 @@ func (e *Engine) faulted(st *Station, r *core.Request, verdict fault.Verdict, de
 	if verdict == fault.Exhausted {
 		st.Col.OnDropped(r)
 		st.Col.OnFaultDropped()
-		if e.OnDropped != nil {
-			e.OnDropped(st, r, now)
+		if e.OnLeft != nil {
+			e.OnLeft(st, r, now, true, true)
 		}
 		return
 	}
