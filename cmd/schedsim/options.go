@@ -86,7 +86,7 @@ type options struct {
 func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.sched, "sched", "cascaded", "scheduler: cascaded, "+strings.Join(sched.PolicyNames(), ", ")+", or all")
 	fs.StringVar(&o.curve, "curve", "hilbert", "cascaded: SFC1 curve: "+strings.Join(sfc.Names(), ", "))
-	fs.Float64Var(&o.f, "f", 1, "cascaded: SFC2 balance factor v = priority + f*deadline; 0 orders by priority with earliest-deadline ties, +Inf by deadline with highest-priority ties")
+	fs.Float64Var(&o.f, "f", 1, "cascaded: SFC2 balance factor v = priority + f*deadline; 0 orders by priority with earliest-deadline ties, +Inf by deadline with highest-priority ties (the ties need -r 0: the seek stage drops them)")
 	fs.IntVar(&o.r, "r", 3, "cascaded: SFC3 partitions (0 disables the seek stage)")
 	fs.Float64Var(&o.window, "window", 0.02, "cascaded: blocking window as a fraction of the value space")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed")

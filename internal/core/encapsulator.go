@@ -34,7 +34,10 @@ type EncapsulatorConfig struct {
 	// favors priority-inversion minimization, F > 1 favors deadlines.
 	// The two limits are the paper's sweep curves (§5.2): F == 0 orders
 	// by priority and breaks ties by earliest deadline; math.Inf(1)
-	// orders by deadline and breaks ties by highest priority.
+	// orders by deadline and breaks ties by highest priority. The tie
+	// breaks reach v_c only with UseCylinder unset: stage 3 rescales the
+	// stage-2 value onto about stage3Res cells, which keeps the major key
+	// and drops the minor one.
 	F float64
 	// DeadlineHorizon bounds the deadline axis, microseconds. Required when
 	// UseDeadline is set. In the default (absolute) mode it is the largest

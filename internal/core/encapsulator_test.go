@@ -108,6 +108,28 @@ func TestStage2DeadlineMajorAtFInf(t *testing.T) {
 	}
 }
 
+// F == 0's earliest-deadline tie break reaches v_c only with the seek
+// stage off: stage 3 rescales the 2^32 stage-2 values onto ps·R ≈ 4 096
+// cells, which keeps the priority and drops the deadline under it. Two
+// top-priority requests that differ only in deadline are ordered at R = 0
+// and get equal values at R = 3, schedsim's default.
+func TestTieBreakNeedsSeekStageOff(t *testing.T) {
+	cfg := EncapsulatorConfig{
+		Curve1: sfc.MustNew("hilbert", 3, 8), Levels: 8,
+		UseDeadline: true, F: 0, DeadlineHorizon: 700_000, DeadlineSlack: true,
+	}
+	soon, later := req([]int{0, 0, 0}, 100_000, 500), req([]int{0, 0, 0}, 600_000, 500)
+	e := MustEncapsulator(cfg)
+	if a, b := e.ValueAt(soon, 0, 0, 0), e.ValueAt(later, 0, 0, 0); a >= b {
+		t.Errorf("R = 0: earlier deadline valued %d, later %d; want the earlier first", a, b)
+	}
+	cfg.UseCylinder, cfg.R, cfg.Cylinders = true, 3, 3832
+	e = MustEncapsulator(cfg)
+	if a, b := e.ValueAt(soon, 0, 0, 0), e.ValueAt(later, 0, 0, 0); a != b {
+		t.Errorf("R = 3: values %d and %d, want equal: the seek stage keeps no deadline bits under the priority", a, b)
+	}
+}
+
 func TestStage2BalanceMonotoneInF(t *testing.T) {
 	// As f grows, a tight-deadline low-priority request should overtake a
 	// slack-deadline high-priority one.
@@ -292,10 +314,27 @@ func TestScaleOrderPreserving(t *testing.T) {
 	if scale(5, 0, 64) != 0 {
 		t.Error("empty source range should map to 0")
 	}
+	// A v at or past from counts as from − 1, on the shift path and on
+	// the 128-bit one.
+	for _, g := range [][2]uint64{{16, 64}, {1000, 64}, {10, 7}} {
+		from, to := g[0], g[1]
+		want := scale(from-1, from, to)
+		for _, v := range []uint64{from, from + 1, math.MaxUint64} {
+			if got := scale(v, from, to); got != want {
+				t.Errorf("scale(%d, %d, %d) = %d, want %d (v clamped to from-1)", v, from, to, got, want)
+			}
+		}
+	}
 }
 
 func TestEncapsulatorValidation(t *testing.T) {
+	// The weighted-sum value space, (majors+1)·stage2Res values, must fit
+	// in 64 bits: an F whose majors = (1 + F)·wScale reach
+	// MaxUint64/stage2Res − 1 (2^48 − 2, exact in float64) is rejected, the
+	// bound itself included.
+	fAtBound := float64(math.MaxUint64/stage2Res-1)/wScale - 1
 	bad := []EncapsulatorConfig{
+		{Levels: 8, UseDeadline: true, DeadlineHorizon: 1000, F: fAtBound},
 		{},
 		{Levels: 32, Curve1: sfc.MustNew("sweep", 2, 16)},
 		{Levels: 8, UseDeadline: true},
@@ -311,6 +350,16 @@ func TestEncapsulatorValidation(t *testing.T) {
 	}
 	if _, err := NewEncapsulator(EncapsulatorConfig{Levels: 8, UseCylinder: true, R: 1, Cylinders: 1}); err != nil {
 		t.Errorf("a one-cylinder disk rejected: %v", err)
+	}
+	// The F just below the bound builds, its values ordered inside MaxValue.
+	below := math.Nextafter(fAtBound, 0)
+	e, err := NewEncapsulator(EncapsulatorConfig{Levels: 8, UseDeadline: true, DeadlineHorizon: 1000, F: below})
+	if err != nil {
+		t.Fatalf("F = %v, just below the overflow bound, rejected: %v", below, err)
+	}
+	first, last := e.ValueAt(req([]int{0}, 1, 0), 0, 0, 0), e.ValueAt(req([]int{7}, 1000, 0), 0, 0, 0)
+	if !(first < last && last < e.MaxValue()) {
+		t.Errorf("F = %v: values %d .. %d, MaxValue %d; want ordered and inside", below, first, last, e.MaxValue())
 	}
 }
 

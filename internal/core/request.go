@@ -43,11 +43,15 @@ type Request struct {
 	Class int
 }
 
+// NoDeadlineSlack is the slack Slack reports for a request without a
+// deadline: far beyond any deadline a run holds.
+const NoDeadlineSlack = int64(1) << 62
+
 // Slack returns time remaining until the deadline at time now; requests
-// without a deadline report a very large slack.
+// without a deadline report NoDeadlineSlack.
 func (r *Request) Slack(now int64) int64 {
 	if r.Deadline == 0 {
-		return 1 << 62
+		return NoDeadlineSlack
 	}
 	return r.Deadline - now
 }

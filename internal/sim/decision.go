@@ -35,9 +35,9 @@ const MaxTopK = 8
 // has no AddValue method).
 const NoValue = ^uint64(0)
 
-// NoDeadlineSlack is the slack reported for requests without a deadline
-// (matching core.Request.Slack).
-const NoDeadlineSlack = int64(1) << 62
+// NoDeadlineSlack is the slack Request.Slack reports for a request
+// without a deadline.
+const NoDeadlineSlack = core.NoDeadlineSlack
 
 // ValueRanker is implemented by schedulers that can recompute the value
 // they would assign a request now (core.Scheduler.RequestValue). No
@@ -71,6 +71,26 @@ type DecisionCandidate struct {
 	V uint64
 }
 
+// QueueSummary describes a station's queue at one instant, read off its
+// queue view: the part a decision record and a telemetry row share.
+type QueueSummary struct {
+	// Depth is the number of queued requests; a decision record counts
+	// the chosen one among them, a telemetry row the waiting ones only.
+	Depth int
+	// Deadlined is the number of queued requests carrying a deadline; the
+	// slack distribution below is over exactly these.
+	Deadlined int
+	// VMin and VMax are the least and greatest queued value, the
+	// enqueue-time values the dispatcher sorts by; both 0 when the
+	// scheduler reports no values or the queue is empty.
+	VMin, VMax uint64
+	// SlackMin, SlackP50 and SlackMax summarize the deadline slack of the
+	// Deadlined requests, µs: minimum, median (the element a sort would
+	// leave at index Deadlined/2) and maximum. All 0 when none has a
+	// deadline.
+	SlackMin, SlackP50, SlackMax int64
+}
+
 // DecisionRecord captures the context of one dispatch decision.
 type DecisionRecord struct {
 	// Seq is the decision's index in the run, dense from 0 across all
@@ -82,12 +102,9 @@ type DecisionRecord struct {
 	DiskID int
 	// Head is the station's head cylinder when the scheduler decided.
 	Head int
-	// Depth is the candidate-set size the scheduler chose from (including
-	// the chosen request).
-	Depth int
-	// Deadlined is the number of candidates carrying a deadline; the slack
-	// distribution below is over exactly these.
-	Deadlined int
+	// QueueSummary describes the candidate set the scheduler chose from,
+	// the chosen request included.
+	QueueSummary
 	// Window is the blocking-window state of a WindowStater scheduler at
 	// the decision, 0 otherwise.
 	Window uint64
@@ -96,15 +113,6 @@ type DecisionRecord struct {
 	Chosen DecisionCandidate
 	// Dropped marks a §6 deadline drop rather than a service start.
 	Dropped bool
-	// VSpread is the max-min spread of the candidates' queued values when
-	// the scheduler reports them, 0 otherwise.
-	VSpread uint64
-	// SlackMin, SlackP50 and SlackMax summarize the deadline-slack
-	// distribution over the Deadlined candidates, µs. All zero when no
-	// candidate has a deadline.
-	SlackMin int64
-	SlackP50 int64
-	SlackMax int64
 	// K is the number of valid entries in TopK.
 	K int
 	// TopK holds the K head-of-queue candidates in rank order: by (V, ID)
@@ -144,18 +152,18 @@ func (t *DecisionTrace) commit(st *Station, r *core.Request, now int64, dropped 
 	q := st.view
 	rec := &t.rec
 	*rec = DecisionRecord{
-		Seq:     t.total,
-		Now:     now,
-		DiskID:  st.ID,
-		Head:    st.head,
-		Depth:   q.len(),
-		Dropped: dropped,
-		Chosen:  DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: q.value(r)},
+		Seq:          t.total,
+		Now:          now,
+		DiskID:       st.ID,
+		Head:         st.head,
+		QueueSummary: q.summary(now),
+		Dropped:      dropped,
+		Chosen:       DecisionCandidate{ID: r.ID, Cylinder: r.Cylinder, Slack: r.Slack(now), V: q.value(r)},
 	}
 	if ws, ok := st.Sched.(WindowStater); ok {
 		rec.Window = ws.Window()
 	}
-	q.summary(rec, now)
+	q.topK(rec, now)
 	t.total++
 	if t.OnRecord != nil {
 		t.OnRecord(rec)
@@ -181,63 +189,55 @@ func appendCandidate(b []byte, c DecisionCandidate) []byte {
 }
 
 // DecisionJSONL adapts w into an OnRecord hook writing one JSON object per
-// line per decision, into a buffer reused across records (zero allocations
-// per record once grown). The first write error silences the hook for the
-// rest of the run.
+// line per decision; the first write error silences it for the rest of
+// the run.
 func DecisionJSONL(w io.Writer) func(*DecisionRecord) {
-	var buf []byte
-	failed := false
-	return func(rec *DecisionRecord) {
-		if failed {
-			return
-		}
-		b := buf[:0]
-		b = append(b, `{"seq":`...)
-		b = strconv.AppendUint(b, rec.Seq, 10)
-		b = append(b, `,"now":`...)
-		b = strconv.AppendInt(b, rec.Now, 10)
-		if rec.DiskID != 0 {
-			b = append(b, `,"disk":`...)
-			b = strconv.AppendInt(b, int64(rec.DiskID), 10)
-		}
-		b = append(b, `,"head":`...)
-		b = strconv.AppendInt(b, int64(rec.Head), 10)
-		b = append(b, `,"depth":`...)
-		b = strconv.AppendInt(b, int64(rec.Depth), 10)
-		if rec.Window != 0 {
-			b = append(b, `,"window":`...)
-			b = strconv.AppendUint(b, rec.Window, 10)
-		}
-		b = append(b, `,"chosen":`...)
-		b = appendCandidate(b, rec.Chosen)
-		if rec.Dropped {
-			b = append(b, `,"dropped":true`...)
-		}
-		if rec.VSpread != 0 {
-			b = append(b, `,"v_spread":`...)
-			b = strconv.AppendUint(b, rec.VSpread, 10)
-		}
-		if rec.Deadlined > 0 {
-			b = append(b, `,"deadlined":`...)
-			b = strconv.AppendInt(b, int64(rec.Deadlined), 10)
-			b = append(b, `,"slack_min":`...)
-			b = strconv.AppendInt(b, rec.SlackMin, 10)
-			b = append(b, `,"slack_p50":`...)
-			b = strconv.AppendInt(b, rec.SlackP50, 10)
-			b = append(b, `,"slack_max":`...)
-			b = strconv.AppendInt(b, rec.SlackMax, 10)
-		}
-		b = append(b, `,"topk":[`...)
-		for i := 0; i < rec.K; i++ {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendCandidate(b, rec.TopK[i])
-		}
-		b = append(b, ']', '}', '\n')
-		buf = b
-		if _, err := w.Write(b); err != nil {
-			failed = true
-		}
+	return lineHook(w, appendDecision)
+}
+
+// appendDecision appends rec as one JSON line.
+func appendDecision(b []byte, rec *DecisionRecord) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, rec.Seq, 10)
+	b = append(b, `,"now":`...)
+	b = strconv.AppendInt(b, rec.Now, 10)
+	if rec.DiskID != 0 {
+		b = append(b, `,"disk":`...)
+		b = strconv.AppendInt(b, int64(rec.DiskID), 10)
 	}
+	b = append(b, `,"head":`...)
+	b = strconv.AppendInt(b, int64(rec.Head), 10)
+	b = append(b, `,"depth":`...)
+	b = strconv.AppendInt(b, int64(rec.Depth), 10)
+	if rec.Window != 0 {
+		b = append(b, `,"window":`...)
+		b = strconv.AppendUint(b, rec.Window, 10)
+	}
+	b = append(b, `,"chosen":`...)
+	b = appendCandidate(b, rec.Chosen)
+	if rec.Dropped {
+		b = append(b, `,"dropped":true`...)
+	}
+	if spread := rec.VMax - rec.VMin; spread != 0 {
+		b = append(b, `,"v_spread":`...)
+		b = strconv.AppendUint(b, spread, 10)
+	}
+	if rec.Deadlined > 0 {
+		b = append(b, `,"deadlined":`...)
+		b = strconv.AppendInt(b, int64(rec.Deadlined), 10)
+		b = append(b, `,"slack_min":`...)
+		b = strconv.AppendInt(b, rec.SlackMin, 10)
+		b = append(b, `,"slack_p50":`...)
+		b = strconv.AppendInt(b, rec.SlackP50, 10)
+		b = append(b, `,"slack_max":`...)
+		b = strconv.AppendInt(b, rec.SlackMax, 10)
+	}
+	b = append(b, `,"topk":[`...)
+	for i := 0; i < rec.K; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCandidate(b, rec.TopK[i])
+	}
+	return append(b, ']', '}', '\n')
 }

@@ -109,9 +109,9 @@ func TestDecisionTraceNonValueScheduler(t *testing.T) {
 		Options: Options{DropLate: true, Decisions: dt},
 	}, decisionWorkload(3))
 	for i, rec := range *recs {
-		if rec.Chosen.V != NoValue || rec.VSpread != 0 {
-			t.Fatalf("record %d: FCFS exposes no values, got V=%d spread=%d",
-				i, rec.Chosen.V, rec.VSpread)
+		if rec.Chosen.V != NoValue || rec.VMin != 0 || rec.VMax != 0 {
+			t.Fatalf("record %d: FCFS exposes no values, got V=%d range %d..%d",
+				i, rec.Chosen.V, rec.VMin, rec.VMax)
 		}
 		for k := 1; k < rec.K; k++ {
 			if candBySlack(rec.TopK[k-1], rec.TopK[k]) > 0 {
@@ -212,7 +212,7 @@ func candBySlack(a, b DecisionCandidate) int {
 // the queue view: the slacks and the candidates sorted in full, the top K
 // copied off the head. Kept as the reference the view must reproduce.
 func sortSummary(cands []DecisionCandidate, byV bool) DecisionRecord {
-	var rec DecisionRecord
+	rec := DecisionRecord{QueueSummary: QueueSummary{Depth: len(cands)}}
 	cands = slices.Clone(cands)
 	var slacks []int64
 	for _, c := range cands {
@@ -228,7 +228,7 @@ func sortSummary(cands []DecisionCandidate, byV bool) DecisionRecord {
 	if byV {
 		slices.SortFunc(cands, candByV)
 		if n := len(cands); n > 0 {
-			rec.VSpread = cands[n-1].V - cands[0].V
+			rec.VMin, rec.VMax = cands[0].V, cands[n-1].V
 		}
 	} else {
 		slices.SortFunc(cands, candBySlack)
@@ -241,12 +241,9 @@ func sortSummary(cands []DecisionCandidate, byV bool) DecisionRecord {
 // sameSummary reports how got's queue summary differs from want's, ""
 // when it does not.
 func sameSummary(got, want *DecisionRecord) string {
-	if got.K != want.K || got.TopK != want.TopK || got.VSpread != want.VSpread ||
-		got.Deadlined != want.Deadlined || got.SlackMin != want.SlackMin ||
-		got.SlackP50 != want.SlackP50 || got.SlackMax != want.SlackMax {
-		return fmt.Sprintf("got K=%d top=%v spread=%d deadlined=%d slack=%d/%d/%d\nwant K=%d top=%v spread=%d deadlined=%d slack=%d/%d/%d",
-			got.K, got.TopK[:got.K], got.VSpread, got.Deadlined, got.SlackMin, got.SlackP50, got.SlackMax,
-			want.K, want.TopK[:want.K], want.VSpread, want.Deadlined, want.SlackMin, want.SlackP50, want.SlackMax)
+	if got.K != want.K || got.TopK != want.TopK || got.QueueSummary != want.QueueSummary {
+		return fmt.Sprintf("got K=%d top=%v %+v\nwant K=%d top=%v %+v",
+			got.K, got.TopK[:got.K], got.QueueSummary, want.K, want.TopK[:want.K], want.QueueSummary)
 	}
 	return ""
 }
@@ -309,19 +306,11 @@ func checkView(t *testing.T, cands []DecisionCandidate, byV bool, perm []int) {
 		if q.len() != len(left) {
 			t.Fatalf("view holds %d, want %d", q.len(), len(left))
 		}
-		var got DecisionRecord
-		q.summary(&got, viewNow)
+		got := DecisionRecord{QueueSummary: q.summary(viewNow)}
+		q.topK(&got, viewNow)
 		want := sortSummary(left, byV)
 		if diff := sameSummary(&got, &want); diff != "" {
 			t.Fatalf("byV=%v over %v:\n%s", byV, left, diff)
-		}
-		lo, hi := q.values()
-		wantLo, wantHi := uint64(0), uint64(0)
-		if byV && len(left) > 0 {
-			wantLo, wantHi = slices.MinFunc(left, candByV).V, slices.MaxFunc(left, candByV).V
-		}
-		if lo != wantLo || hi != wantHi {
-			t.Fatalf("byV=%v over %v: values %d..%d, want %d..%d", byV, left, lo, hi, wantLo, wantHi)
 		}
 		for _, c := range left {
 			r := reqs[slices.IndexFunc(cands, func(d DecisionCandidate) bool { return d.ID == c.ID })]

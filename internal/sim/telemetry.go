@@ -27,14 +27,13 @@ import (
 // enqueue and removal a binary search per list, paid whenever a sampler
 // (or a decision trace) is attached.
 type Telemetry struct {
-	// Interval is the sampling period, µs. Set by NewTelemetry.
-	Interval int64
 	// OnRow, when non-nil, receives every sampled row. The pointer aliases
 	// the sampler's scratch row and is overwritten by the next row: hooks
 	// must copy what they retain. TelemetryCSV adapts an io.Writer into a
 	// streaming hook.
 	OnRow func(*TelemetryRow)
 
+	interval int64 // the sampling period, µs
 	row      TelemetryRow
 	rows     int
 	next     int64
@@ -44,16 +43,10 @@ type Telemetry struct {
 
 // TelemetryRow is one sampled station state.
 type TelemetryRow struct {
-	Time      int64   // sim time of the row, µs
-	Disk      int     // station ID
-	Depth     int     // queue depth (excluding the in-service request)
-	Busy      float64 // completed-service utilization since the last row, [0,1]
-	VMin      uint64  // min queued value (0 when the scheduler reports none, or empty)
-	VMax      uint64  // max queued value; both are the enqueue-time values the dispatcher sorts by
-	Deadlined int     // queued requests carrying a deadline
-	SlackMin  int64   // slack distribution over the Deadlined requests, µs
-	SlackP50  int64
-	SlackMax  int64
+	Time         int64   // sim time of the row, µs
+	Disk         int     // station ID
+	Busy         float64 // completed-service utilization since the last row, [0,1]
+	QueueSummary         // the waiting requests; the one in service is not queued
 }
 
 // NewTelemetry returns a sampler with the given period (µs) and no hook;
@@ -62,7 +55,7 @@ func NewTelemetry(interval int64) *Telemetry {
 	if interval < 1 {
 		interval = 1
 	}
-	return &Telemetry{Interval: interval}
+	return &Telemetry{interval: interval}
 }
 
 // Rows returns the number of rows sampled since the last Reset.
@@ -90,7 +83,7 @@ func (tel *Telemetry) sample(e *Engine, t int64) {
 		tel.sampleStation(st, t)
 	}
 	tel.prevTime = t
-	tel.next = (t/tel.Interval + 1) * tel.Interval
+	tel.next = (t/tel.interval + 1) * tel.interval
 }
 
 // closeRun records the final partial interval: one closing row per
@@ -121,14 +114,7 @@ func (tel *Telemetry) sampleStation(st *Station, t int64) {
 	}
 	tel.prevBusy[st.ID] = st.Col.ServiceTime
 
-	// Depth, value spread and slack distribution, read off the queue view.
-	vmin, vmax := st.view.values()
-	deadlined, smin, sp50, smax := st.view.slacks(t)
-	tel.row = TelemetryRow{
-		Time: t, Disk: st.ID, Depth: st.view.len(), Busy: busy,
-		VMin: vmin, VMax: vmax, Deadlined: deadlined,
-		SlackMin: smin, SlackP50: sp50, SlackMax: smax,
-	}
+	tel.row = TelemetryRow{Time: t, Disk: st.ID, Busy: busy, QueueSummary: st.view.summary(t)}
 	tel.rows++
 	if tel.OnRow != nil {
 		tel.OnRow(&tel.row)
@@ -139,41 +125,35 @@ func (tel *Telemetry) sampleStation(st *Station, t int64) {
 const telemetryHeader = "time_us,disk,depth,busy,v_min,v_max,deadlined,slack_min,slack_p50,slack_max\n"
 
 // TelemetryCSV writes the CSV header line to w and adapts w into an OnRow
-// hook writing one line per row, into a buffer reused across rows (zero
-// allocations per row once grown). The first write error silences the
-// hook for the rest of the run.
+// hook writing one line per row; the first write error, the header's
+// included, silences it for the rest of the run.
 func TelemetryCSV(w io.Writer) func(*TelemetryRow) {
-	_, err := io.WriteString(w, telemetryHeader)
-	failed := err != nil
-	var buf []byte
-	return func(row *TelemetryRow) {
-		if failed {
-			return
-		}
-		b := buf[:0]
-		b = strconv.AppendInt(b, row.Time, 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(row.Disk), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(row.Depth), 10)
-		b = append(b, ',')
-		b = strconv.AppendFloat(b, row.Busy, 'f', 4, 64)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, row.VMin, 10)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, row.VMax, 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(row.Deadlined), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, row.SlackMin, 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, row.SlackP50, 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, row.SlackMax, 10)
-		b = append(b, '\n')
-		buf = b
-		if _, err := w.Write(b); err != nil {
-			failed = true
-		}
+	if _, err := io.WriteString(w, telemetryHeader); err != nil {
+		return func(*TelemetryRow) {}
 	}
+	return lineHook(w, appendTelemetryRow)
+}
+
+// appendTelemetryRow appends row as one CSV line.
+func appendTelemetryRow(b []byte, row *TelemetryRow) []byte {
+	b = strconv.AppendInt(b, row.Time, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(row.Disk), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(row.Depth), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, row.Busy, 'f', 4, 64)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, row.VMin, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, row.VMax, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(row.Deadlined), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, row.SlackMin, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, row.SlackP50, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, row.SlackMax, 10)
+	return append(b, '\n')
 }

@@ -51,7 +51,7 @@ func TestTelemetrySampling(t *testing.T) {
 		// The final row closes the run at the completion time and may
 		// share the last sampled row's interval; every other boundary
 		// lands at most one row per interval.
-		if i > 0 && i < len(rows)-1 && row.Time/tel.Interval == rows[i-1].Time/tel.Interval {
+		if i > 0 && i < len(rows)-1 && row.Time/tel.interval == rows[i-1].Time/tel.interval {
 			t.Fatalf("row %d: two rows in one interval (%d, %d)", i, rows[i-1].Time, row.Time)
 		}
 		if row.Busy < 0 || row.Busy > 1 {

@@ -40,119 +40,104 @@ type TraceEvent struct {
 	QueueLen int
 }
 
-// traceRecord is the flattened JSONL form of a TraceEvent. It is the
-// declarative spec of the line format: JSONLTrace appends the same fields
-// by hand, and the equivalence test in trace_test.go checks the two ways
-// byte for byte.
-type traceRecord struct {
-	Now      int64  `json:"now"`
-	Disk     int    `json:"disk,omitempty"`
-	ID       uint64 `json:"id"`
-	Cylinder int    `json:"cyl"`
-	Arrival  int64  `json:"arrival"`
-	Wait     int64  `json:"wait"`
-	Deadline int64  `json:"deadline,omitempty"`
-	Prio     []int  `json:"prio,omitempty"`
-	Size     int64  `json:"size,omitempty"`
-	Write    bool   `json:"write,omitempty"`
-	Value    int    `json:"value,omitempty"`
-	Tenant   int    `json:"tenant,omitempty"`
-	Class    int    `json:"class,omitempty"`
-	Head     int    `json:"head"`
-	Seek     int64  `json:"seek,omitempty"`
-	Service  int64  `json:"service,omitempty"`
-	Dropped  bool   `json:"dropped,omitempty"`
-	Faulted  bool   `json:"faulted,omitempty"`
-	Queue    int    `json:"queue"`
-}
-
 // JSONLTrace adapts w into an Options.Trace hook that writes one JSON object
 // per line per dispatch decision. The first write error silences the hook
 // for the rest of the run (the simulation result is unaffected); wrap w in
 // a bufio.Writer for long traces and flush it after Run returns.
 //
-// Lines are appended by hand into one buffer reused across events instead
-// of reflecting through encoding/json per dispatch; the bytes are
-// identical to a json.Encoder over traceRecord (the equivalence is pinned
-// by a test), at zero allocations per event once the buffer has grown.
+// Lines are appended by hand instead of reflecting through encoding/json
+// per dispatch; the bytes are identical to a json.Encoder over the flat
+// record trace_test.go declares (the equivalence is pinned by a test).
 func JSONLTrace(w io.Writer) func(TraceEvent) {
+	return lineHook(w, appendTrace)
+}
+
+// lineHook adapts w into a hook writing each record as the line appendLine
+// appends for it, into one buffer reused across records (zero allocations
+// per record once grown). The first write error silences the hook for the
+// rest of the run. The dispatch trace, the decision records and the
+// telemetry rows are all written through it.
+func lineHook[T any](w io.Writer, appendLine func([]byte, T) []byte) func(T) {
 	var buf []byte
 	failed := false
-	return func(ev TraceEvent) {
+	return func(rec T) {
 		if failed {
 			return
 		}
-		r := ev.Request
-		b := buf[:0]
-		b = append(b, `{"now":`...)
-		b = strconv.AppendInt(b, ev.Now, 10)
-		if ev.DiskID != 0 {
-			b = append(b, `,"disk":`...)
-			b = strconv.AppendInt(b, int64(ev.DiskID), 10)
-		}
-		b = append(b, `,"id":`...)
-		b = strconv.AppendUint(b, r.ID, 10)
-		b = append(b, `,"cyl":`...)
-		b = strconv.AppendInt(b, int64(r.Cylinder), 10)
-		b = append(b, `,"arrival":`...)
-		b = strconv.AppendInt(b, r.Arrival, 10)
-		b = append(b, `,"wait":`...)
-		b = strconv.AppendInt(b, ev.Now-r.Arrival, 10)
-		if r.Deadline != 0 {
-			b = append(b, `,"deadline":`...)
-			b = strconv.AppendInt(b, r.Deadline, 10)
-		}
-		if len(r.Priorities) > 0 {
-			b = append(b, `,"prio":[`...)
-			for i, p := range r.Priorities {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendInt(b, int64(p), 10)
-			}
-			b = append(b, ']')
-		}
-		if r.Size != 0 {
-			b = append(b, `,"size":`...)
-			b = strconv.AppendInt(b, r.Size, 10)
-		}
-		if r.Write {
-			b = append(b, `,"write":true`...)
-		}
-		if r.Value != 0 {
-			b = append(b, `,"value":`...)
-			b = strconv.AppendInt(b, int64(r.Value), 10)
-		}
-		if r.Tenant != 0 {
-			b = append(b, `,"tenant":`...)
-			b = strconv.AppendInt(b, int64(r.Tenant), 10)
-		}
-		if r.Class != 0 {
-			b = append(b, `,"class":`...)
-			b = strconv.AppendInt(b, int64(r.Class), 10)
-		}
-		b = append(b, `,"head":`...)
-		b = strconv.AppendInt(b, int64(ev.Head), 10)
-		if ev.Seek != 0 {
-			b = append(b, `,"seek":`...)
-			b = strconv.AppendInt(b, ev.Seek, 10)
-		}
-		if ev.Service != 0 {
-			b = append(b, `,"service":`...)
-			b = strconv.AppendInt(b, ev.Service, 10)
-		}
-		if ev.Dropped {
-			b = append(b, `,"dropped":true`...)
-		}
-		if ev.Faulted {
-			b = append(b, `,"faulted":true`...)
-		}
-		b = append(b, `,"queue":`...)
-		b = strconv.AppendInt(b, int64(ev.QueueLen), 10)
-		b = append(b, '}', '\n')
-		buf = b
-		if _, err := w.Write(b); err != nil {
+		buf = appendLine(buf[:0], rec)
+		if _, err := w.Write(buf); err != nil {
 			failed = true
 		}
 	}
+}
+
+// appendTrace appends ev as one JSON line.
+func appendTrace(b []byte, ev TraceEvent) []byte {
+	r := ev.Request
+	b = append(b, `{"now":`...)
+	b = strconv.AppendInt(b, ev.Now, 10)
+	if ev.DiskID != 0 {
+		b = append(b, `,"disk":`...)
+		b = strconv.AppendInt(b, int64(ev.DiskID), 10)
+	}
+	b = append(b, `,"id":`...)
+	b = strconv.AppendUint(b, r.ID, 10)
+	b = append(b, `,"cyl":`...)
+	b = strconv.AppendInt(b, int64(r.Cylinder), 10)
+	b = append(b, `,"arrival":`...)
+	b = strconv.AppendInt(b, r.Arrival, 10)
+	b = append(b, `,"wait":`...)
+	b = strconv.AppendInt(b, ev.Now-r.Arrival, 10)
+	if r.Deadline != 0 {
+		b = append(b, `,"deadline":`...)
+		b = strconv.AppendInt(b, r.Deadline, 10)
+	}
+	if len(r.Priorities) > 0 {
+		b = append(b, `,"prio":[`...)
+		for i, p := range r.Priorities {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(p), 10)
+		}
+		b = append(b, ']')
+	}
+	if r.Size != 0 {
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, r.Size, 10)
+	}
+	if r.Write {
+		b = append(b, `,"write":true`...)
+	}
+	if r.Value != 0 {
+		b = append(b, `,"value":`...)
+		b = strconv.AppendInt(b, int64(r.Value), 10)
+	}
+	if r.Tenant != 0 {
+		b = append(b, `,"tenant":`...)
+		b = strconv.AppendInt(b, int64(r.Tenant), 10)
+	}
+	if r.Class != 0 {
+		b = append(b, `,"class":`...)
+		b = strconv.AppendInt(b, int64(r.Class), 10)
+	}
+	b = append(b, `,"head":`...)
+	b = strconv.AppendInt(b, int64(ev.Head), 10)
+	if ev.Seek != 0 {
+		b = append(b, `,"seek":`...)
+		b = strconv.AppendInt(b, ev.Seek, 10)
+	}
+	if ev.Service != 0 {
+		b = append(b, `,"service":`...)
+		b = strconv.AppendInt(b, ev.Service, 10)
+	}
+	if ev.Dropped {
+		b = append(b, `,"dropped":true`...)
+	}
+	if ev.Faulted {
+		b = append(b, `,"faulted":true`...)
+	}
+	b = append(b, `,"queue":`...)
+	b = strconv.AppendInt(b, int64(ev.QueueLen), 10)
+	return append(b, '}', '\n')
 }

@@ -64,6 +64,30 @@ func TestJSONLTraceStream(t *testing.T) {
 	}
 }
 
+// traceRecord is the flattened JSONL form of a TraceEvent, the declarative
+// spec of the line format that JSONLTrace appends by hand.
+type traceRecord struct {
+	Now      int64  `json:"now"`
+	Disk     int    `json:"disk,omitempty"`
+	ID       uint64 `json:"id"`
+	Cylinder int    `json:"cyl"`
+	Arrival  int64  `json:"arrival"`
+	Wait     int64  `json:"wait"`
+	Deadline int64  `json:"deadline,omitempty"`
+	Prio     []int  `json:"prio,omitempty"`
+	Size     int64  `json:"size,omitempty"`
+	Write    bool   `json:"write,omitempty"`
+	Value    int    `json:"value,omitempty"`
+	Tenant   int    `json:"tenant,omitempty"`
+	Class    int    `json:"class,omitempty"`
+	Head     int    `json:"head"`
+	Seek     int64  `json:"seek,omitempty"`
+	Service  int64  `json:"service,omitempty"`
+	Dropped  bool   `json:"dropped,omitempty"`
+	Faulted  bool   `json:"faulted,omitempty"`
+	Queue    int    `json:"queue"`
+}
+
 // JSONLTrace hand-appends its lines; every byte must match what a
 // json.Encoder over traceRecord would have produced, across every
 // omitempty combination.

@@ -149,21 +149,15 @@ func (e *viewEntry) candidate(now int64) DecisionCandidate {
 	return DecisionCandidate{ID: e.id, Cylinder: e.r.Cylinder, Slack: e.r.Slack(now), V: e.v}
 }
 
-// values returns the least and greatest queued value, (0, 0) when the
-// view is empty or its scheduler reports no values.
-func (q *queueView) values() (lo, hi uint64) {
+// summary returns the view's QueueSummary at time now. Deadline order is
+// slack order, so the slack minimum, median and maximum are read off dl.
+// A deadline exactly NoDeadlineSlack past now reads as no deadline, as
+// Request.Slack reports it; those form one run of dl, skipped here.
+func (q *queueView) summary(now int64) QueueSummary {
+	s := QueueSummary{Depth: q.len()}
 	if n := len(q.byV); n > 0 {
-		return q.byV[0].key, q.byV[n-1].key
+		s.VMin, s.VMax = q.byV[0].key, q.byV[n-1].key
 	}
-	return 0, 0
-}
-
-// slacks summarizes the deadline slack at time now of the queued
-// requests that have one: their count, minimum, median (the element a
-// sort would leave at index count/2) and maximum, all 0 when there are
-// none. A deadline exactly NoDeadlineSlack past now reads as no deadline,
-// as Request.Slack reports it; those form one run of dl, skipped here.
-func (q *queueView) slacks(now int64) (n int, lo, p50, hi int64) {
 	key := timeKey(now + NoDeadlineSlack)
 	a, skip := len(q.dl), 0
 	if a > 0 && q.dl[a-1].key >= key { // a deadline reaches that far
@@ -172,9 +166,9 @@ func (q *queueView) slacks(now int64) (n int, lo, p50, hi int64) {
 			skip++
 		}
 	}
-	n = len(q.dl) - skip
+	n := len(q.dl) - skip
 	if n == 0 {
-		return 0, 0, 0, 0
+		return s
 	}
 	at := func(i int) int64 {
 		if i >= a {
@@ -182,16 +176,8 @@ func (q *queueView) slacks(now int64) (n int, lo, p50, hi int64) {
 		}
 		return keyTime(q.dl[i].key) - now
 	}
-	return n, at(0), at(n / 2), at(n - 1)
-}
-
-// summary fills rec's summary of the queue at time now: VSpread, the
-// slack distribution, K and TopK.
-func (q *queueView) summary(rec *DecisionRecord, now int64) {
-	lo, hi := q.values()
-	rec.VSpread = hi - lo
-	rec.Deadlined, rec.SlackMin, rec.SlackP50, rec.SlackMax = q.slacks(now)
-	q.topK(rec, now)
+	s.Deadlined, s.SlackMin, s.SlackP50, s.SlackMax = n, at(0), at(n/2), at(n-1)
+	return s
 }
 
 // topK fills rec.TopK and rec.K with the view's first MaxTopK requests at
