@@ -344,8 +344,8 @@ func randomCandidates(rng *rand.Rand, n, vRange, slackRange, noDeadline int) []D
 	return cands
 }
 
-// The queue view's summary equals the sorts it replaced — K, TopK,
-// VSpread, the slack min/median/max, the value range and every queued
+// The queue view's summary equals the sorts it replaced — K, TopK, the
+// depth, the slack min/median/max, the value range and every queued
 // value — on hand-picked sets and random ones, as built and after each
 // removal.
 func TestSummarizeMatchesSortReference(t *testing.T) {
