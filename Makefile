@@ -58,9 +58,9 @@ cover:
 perf:
 	go run ./bench
 
-# Every go-test benchmark with allocation columns, the two kernel benches
-# among them: BenchmarkDispatcherAddNext (internal/core) and
-# BenchmarkHilbertIndexFast (internal/sfc).
+# Every go-test benchmark with allocation columns, the kernel benches
+# among them: BenchmarkDispatcherAddNext (internal/core),
+# BenchmarkHilbertIndexFast and BenchmarkIndexFast (internal/sfc).
 bench:
 	go test -run '^$$' -bench . -benchmem ./...
 

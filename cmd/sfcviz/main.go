@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -36,6 +37,9 @@ func run(args []string, w io.Writer) error {
 		stats = fs.Bool("stats", false, "print irregularity and locality statistics")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2, as flag.Parse does
+	if *side > math.MaxUint32 {
+		return fmt.Errorf("-side %d exceeds %d", *side, uint32(math.MaxUint32))
+	}
 
 	names := sfc.PaperNames()
 	if *curve != "" {

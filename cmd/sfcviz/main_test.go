@@ -63,6 +63,20 @@ func TestPrintStats(t *testing.T) {
 	}
 }
 
+// A side uint32 cannot hold is an error, not a truncated grid, and so is
+// one a binary curve would need 32 bits for.
+func TestRejectsOversizedSide(t *testing.T) {
+	for _, args := range [][]string{
+		{"-side", "4294967298"},
+		{"-curve", "hilbert", "-side", "3000000000"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("sfcviz %v succeeded:\n%s", args, buf.Bytes())
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/*.txt from the code")
 
 // TestOutputGolden pins every rendering mode byte for byte: the arrow

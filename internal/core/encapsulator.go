@@ -282,9 +282,10 @@ func (e *Encapsulator) stage2(v1 uint64, r *Request, now int64) uint64 {
 		return dn*stage2Res + pn
 	default:
 		// Weighted sum in dimensionless units: one full priority range
-		// weighs as much as F DeadlineSpans of deadline distance.
+		// weighs as much as F DeadlineSpans of deadline distance. sum stays
+		// below 1 + F*horizon/span, which NewEncapsulator sizes max2 from.
 		sum := float64(pn)/stage2Res + e.cfg.F*float64(d)/float64(e.cfg.DeadlineSpan)
-		return min(uint64(sum*wScale)*stage2Res, e.max2-1)
+		return uint64(sum*wScale) * stage2Res
 	}
 }
 

@@ -149,6 +149,53 @@ func TestStage2BalanceMonotoneInF(t *testing.T) {
 	}
 }
 
+// The weighted sum's largest input, the top priority level (pn =
+// stage2Res-1) at d = DeadlineHorizon, stays below MaxValue for F up to the
+// largest value NewEncapsulator accepts, at horizon/span ratios from 1 to
+// 2^63: the stage-2 bound needs no clamp.
+func TestStage2WeightedSumBelowMaxValue(t *testing.T) {
+	for _, g := range []struct{ horizon, span int64 }{
+		{1, 1}, {1_000_000, 1_000_000}, {1_000_000, 7}, {1_000_000, 1},
+		{3_600_000_000, 250_000}, {math.MaxInt64, 1},
+	} {
+		cfg := func(f float64) EncapsulatorConfig {
+			return EncapsulatorConfig{Levels: stage2Res, UseDeadline: true, F: f,
+				DeadlineHorizon: g.horizon, DeadlineSpan: g.span}
+		}
+		accepts := func(f float64) bool {
+			_, err := NewEncapsulator(cfg(f))
+			return err == nil
+		}
+		// Bisect to the largest accepted F: lo accepted, hi not, until
+		// they are adjacent floats.
+		lo, hi := 0.0, 1.0
+		for accepts(hi) {
+			lo, hi = hi, hi*2
+		}
+		for mid := lo + (hi-lo)/2; mid > lo && mid < hi; mid = lo + (hi-lo)/2 {
+			if accepts(mid) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		top := req([]int{stage2Res - 1}, g.horizon, 0)
+		fs := []float64{lo, math.Nextafter(lo, 0), math.Nextafter(math.Nextafter(lo, 0), 0)}
+		for k := 1; k <= 128; k++ {
+			fs = append(fs, lo*math.Pow(2, -float64(k)/4))
+		}
+		for _, f := range fs {
+			e := MustEncapsulator(cfg(f))
+			if e.stage1(top) != stage2Res-1 {
+				t.Fatalf("top level reaches stage 2 as %d, want %d", e.stage1(top), stage2Res-1)
+			}
+			if v := e.ValueAt(top, 0, 0, 0); v >= e.MaxValue() {
+				t.Errorf("horizon %d, span %d, F=%v: ValueAt = %d >= MaxValue %d", g.horizon, g.span, f, v, e.MaxValue())
+			}
+		}
+	}
+}
+
 func TestStage2AbsoluteDeadlineIgnoresArrivalSkew(t *testing.T) {
 	// In the default absolute mode, the value of a request depends only on
 	// its deadline, not on when it was enqueued — two computations of the

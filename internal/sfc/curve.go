@@ -19,6 +19,7 @@ package sfc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Point is a grid cell: one coordinate per dimension. Coordinates must be
@@ -63,10 +64,8 @@ type Curve interface {
 	ScratchLen() int
 }
 
-// grid is the header every curve embeds: the shape of its natural grid, the
-// exclusive bound on its Index results, and the Curve accessors that read
-// them. A curve whose IndexFast needs working memory declares its own
-// ScratchLen over this one.
+// grid is the shape of a curve's natural grid and the exclusive bound on
+// its Index results, with the Curve accessors that read them.
 type grid struct {
 	dims int
 	side uint32
@@ -82,8 +81,43 @@ func (g *grid) Side() uint32 { return g.side }
 // MaxIndex implements Curve.
 func (g *grid) MaxIndex() uint64 { return g.max }
 
+// curve is every curve of the package: a grid, the registry name and
+// bijectivity it reports, and the kernel that maps a cell to its index.
+// digits is the kernel's digit count per axis (bits for the binary curves,
+// base-3 digits for Peano) and scratch the working memory it needs.
+type curve struct {
+	grid
+	name      string
+	bijective bool
+	scratch   int
+	digits    int
+	index     kernel
+}
+
+// kernel is a curve's index function. It may assume p is a valid cell of
+// c's grid, and must work in scratch when it has enough room and allocate
+// otherwise.
+type kernel func(c *curve, p Point, scratch []uint32) uint64
+
+// Name implements Curve.
+func (c *curve) Name() string { return c.name }
+
+// Bijective implements Curve.
+func (c *curve) Bijective() bool { return c.bijective }
+
 // ScratchLen implements Curve.
-func (g *grid) ScratchLen() int { return 0 }
+func (c *curve) ScratchLen() int { return c.scratch }
+
+// Index implements Curve.
+func (c *curve) Index(p Point) uint64 {
+	checkPoint(p, c.dims, c.side)
+	return c.index(c, p, nil)
+}
+
+// IndexFast implements Curve.
+func (c *curve) IndexFast(p Point, scratch []uint32) uint64 {
+	return c.index(c, p, scratch)
+}
 
 // scratchFor returns a scratch slice of at least n elements, reusing s
 // when its capacity allows.
@@ -136,11 +170,7 @@ func gridCells(dims int, side uint32) (uint64, error) {
 
 // log2Ceil returns the smallest b with 2^b >= v (v >= 1).
 func log2Ceil(v uint32) int {
-	b := 0
-	for uint32(1)<<b < v {
-		b++
-	}
-	return b
+	return bits.Len32(v - 1)
 }
 
 // pow3Ceil returns the smallest m with 3^m >= v (v >= 1).

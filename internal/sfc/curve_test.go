@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -245,10 +246,10 @@ func TestSpiralRoundsUpToOdd(t *testing.T) {
 }
 
 func TestGrayNeighborsDifferInOneBit(t *testing.T) {
-	c := MustNew("gray", 2, 8).(*Gray)
+	c := MustNew("gray", 2, 8).(*curve)
 	cells := walk(t, c)
 	for idx := 1; idx < len(cells); idx++ {
-		diff := interleave(cells[idx], c.bits) ^ interleave(cells[idx-1], c.bits)
+		diff := interleave(cells[idx], c.digits) ^ interleave(cells[idx-1], c.digits)
 		if diff == 0 || diff&(diff-1) != 0 {
 			t.Fatalf("gray: cells %d and %d differ in bits %b", idx-1, idx, diff)
 		}
@@ -297,14 +298,31 @@ func TestRegistryRoundsSides(t *testing.T) {
 }
 
 func TestOverflowRejected(t *testing.T) {
-	if _, err := NewSweep(5, 1<<20); err == nil {
-		t.Error("expected overflow error for 2^100 cells")
+	for _, tc := range []struct {
+		name    string
+		dims    int
+		minSide uint32
+		why     string
+	}{
+		{"sweep", 5, 1 << 20, "2^100 cells"},
+		{"hilbert", 9, 256, "dims*bits = 72 > 64"},
+		{"peano", 9, 243, "3^45 cells"},
+		// A side above 2^31 needs 32 bits, whose side 2^32 wraps uint32.
+		{"hilbert", 1, 1<<31 + 1, "side 2^32"},
+		{"hilbert", 2, 3_000_000_000, "side 2^32"},
+		{"gray", 1, math.MaxUint32, "side 2^32"},
+		{"zorder", 1, math.MaxUint32, "side 2^32"},
+		{"moore", 2, math.MaxUint32, "side 2^32"},
+	} {
+		if c, err := New(tc.name, tc.dims, tc.minSide); err == nil {
+			t.Errorf("New(%s, %d, %d) = side %d, want an error for %s", tc.name, tc.dims, tc.minSide, c.Side(), tc.why)
+		}
 	}
-	if _, err := NewHilbert(9, 8); err == nil {
-		t.Error("expected error for dims*bits > 64")
-	}
-	if _, err := NewPeano(9, 5); err == nil {
-		t.Error("expected overflow error for 3^45 cells")
+	// The largest binary side still fits.
+	if c, err := New("hilbert", 1, 1<<31); err != nil {
+		t.Errorf("New(hilbert, 1, 2^31): %v", err)
+	} else if c.Side() != 1<<31 {
+		t.Errorf("New(hilbert, 1, 2^31): side %d", c.Side())
 	}
 }
 
@@ -372,7 +390,7 @@ func TestDiagonalNDOrderBySum(t *testing.T) {
 
 func TestMooreBijectionAndContinuity(t *testing.T) {
 	for _, bits := range []int{1, 2, 3, 4} {
-		c, err := NewMoore(bits)
+		c, err := newMoore(bits)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,51 +2,36 @@ package sfc
 
 import "fmt"
 
-// Diagonal is the anti-diagonal zigzag order: cells are sorted by the sum
-// of their coordinates, with alternating traversal direction within each
-// diagonal (the Cantor zigzag). Section 5.2 of the paper identifies the
-// balance factor f = 1 of the SFC2 stage with this curve.
+// The anti-diagonal zigzag order: cells are sorted by the sum of their
+// coordinates, with alternating traversal direction within each diagonal
+// (the Cantor zigzag). Section 5.2 of the paper identifies the balance
+// factor f = 1 of the SFC2 stage with this curve.
 //
 // In two dimensions the order is an exact bijection. For dims > 2 the
 // curve defines a total order (sum of coordinates major, alternating
 // lexicographic minor) but not a contiguous bijection, so Bijective()
 // reports false.
-type Diagonal struct{ grid }
 
-// NewDiagonal returns a diagonal order over a (side)^dims grid.
-func NewDiagonal(dims int, side uint32) (*Diagonal, error) {
+// newDiagonal returns a diagonal order over a (side)^dims grid.
+func newDiagonal(dims int, side uint32) (*curve, error) {
 	n, err := gridCells(dims, side)
 	if err != nil {
 		return nil, err
 	}
-	if dims != 2 {
-		// Order values are sum*side^dims + lexicographic rank; the sum can
-		// reach dims*(side-1), so bound the product.
-		if _, ok := pow(uint64(side), dims+1); !ok {
-			return nil, fmt.Errorf("sfc: diagonal order values for %d^%d grid overflow uint64", side, dims)
-		}
-		n *= uint64(dims)
+	if dims == 2 {
+		return &curve{grid: grid{dims, side, n}, name: "diagonal", bijective: true, index: diagonal2}, nil
 	}
-	return &Diagonal{grid{dims, side, n}}, nil
+	// Order values are sum*side^dims + lexicographic rank; the sum can
+	// reach dims*(side-1), so bound the product.
+	if _, ok := pow(uint64(side), dims+1); !ok {
+		return nil, fmt.Errorf("sfc: diagonal order values for %d^%d grid overflow uint64", side, dims)
+	}
+	return &curve{grid: grid{dims, side, n * uint64(dims)}, name: "diagonal", index: diagonalSum}, nil
 }
 
-// Name implements Curve.
-func (c *Diagonal) Name() string { return "diagonal" }
-
-// Bijective implements Curve.
-func (c *Diagonal) Bijective() bool { return c.dims == 2 }
-
-// Index implements Curve.
-func (c *Diagonal) Index(p Point) uint64 {
-	checkPoint(p, c.dims, c.side)
-	return c.IndexFast(p, nil)
-}
-
-// IndexFast implements Curve.
-func (c *Diagonal) IndexFast(p Point, _ []uint32) uint64 {
-	if c.dims == 2 {
-		return c.index2(int64(p[0]), int64(p[1]))
-	}
+// diagonalSum is the order-only kernel: coordinate sum major, alternating
+// lexicographic minor.
+func diagonalSum(c *curve, p Point, _ []uint32) uint64 {
 	var sum uint64
 	for _, v := range p {
 		sum += uint64(v)
@@ -75,9 +60,9 @@ func diagLen(t, n int64) int64 {
 	return l
 }
 
-// index2 returns the exact 2-D zigzag diagonal index.
-func (c *Diagonal) index2(x, y int64) uint64 {
-	n := int64(c.side)
+// diagonal2 is the exact 2-D zigzag kernel.
+func diagonal2(c *curve, p Point, _ []uint32) uint64 {
+	x, y, n := int64(p[0]), int64(p[1]), int64(c.side)
 	t := x + y
 	// Cells on diagonals before t.
 	var before int64

@@ -245,7 +245,7 @@ func FuzzIndexFastEquivalence(f *testing.F) {
 	moo := MustNew("moore", 2, 64)
 	curves := []Curve{hil, pea, moo}
 	scratch := make([]uint32, 8)
-	// Hilbert.Index calls IndexFast, so the Hilbert kernel is also held to
+	// Index and IndexFast run one kernel, so the Hilbert kernel is also held to
 	// the branchy reference, in 3 and in 12 dimensions.
 	hil12 := MustNew("hilbert", 12, 16)
 	p12 := make(Point, 12)
@@ -284,5 +284,42 @@ func TestNewLUTConstructionAllocs(t *testing.T) {
 		if allocs > 4 {
 			t.Errorf("%s(%dd,%d): NewLUT allocates %v times, want <= 4", c.Name(), c.Dims(), c.Side(), allocs)
 		}
+	}
+}
+
+// BenchmarkIndexFast times every registry curve's kernel alone, on a grid
+// too large for a lookup table: 3 dimensions of side 64 (Peano rounds up
+// to 81), Moore 2 of side 512.
+func BenchmarkIndexFast(b *testing.B) {
+	for _, name := range Names() {
+		dims, side := 3, uint32(64)
+		if name == "moore" {
+			dims, side = 2, 512
+		}
+		b.Run(name, func(b *testing.B) {
+			c, err := New(name, dims, side)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if Accelerate(c) != c {
+				b.Fatalf("%s(%dd,%d) fits a lookup table", name, dims, c.Side())
+			}
+			rng := rand.New(rand.NewSource(1))
+			pts := make([]Point, 1024)
+			for k := range pts {
+				pts[k] = make(Point, dims)
+				for i := range pts[k] {
+					pts[k][i] = uint32(rng.Intn(int(c.Side())))
+				}
+			}
+			scratch := make([]uint32, c.ScratchLen())
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink uint64
+			for i := range b.N {
+				sink += c.IndexFast(pts[i&1023], scratch)
+			}
+			benchSink = sink
+		})
 	}
 }

@@ -39,7 +39,7 @@ func FuzzHilbertSuccessor(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint16(0))
 	f.Add(uint16(31), uint16(17), uint16(5))
 	f.Add(uint16(65535), uint16(1), uint16(32768))
-	c, err := NewHilbert(3, 16)
+	c, err := newHilbert(3, 16)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func FuzzPeanoSuccessor(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(0x0123456789abcdef))
 	f.Add(last)
-	c, err := NewPeano(12, 3)
+	c, err := newPeano(12, 3)
 	if err != nil {
 		f.Fatal(err)
 	}

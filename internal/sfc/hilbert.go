@@ -1,61 +1,46 @@
 package sfc
 
-// Hilbert is the d-dimensional Hilbert curve, implemented with John
-// Skilling's transform ("Programming the Hilbert curve", AIP Conf. Proc.
-// 707, 2004). The curve is continuous — consecutive cells are always grid
-// neighbors — and is the most "fair" of the curves studied in the paper:
-// no dimension dominates the order.
-type Hilbert struct {
-	grid
-	bits int
-}
+// The d-dimensional Hilbert curve, implemented with John Skilling's
+// transform ("Programming the Hilbert curve", AIP Conf. Proc. 707, 2004).
+// The curve is continuous — consecutive cells are always grid neighbors —
+// and is the most "fair" of the curves studied in the paper: no dimension
+// dominates the order.
 
-// NewHilbert returns a Hilbert curve over a (2^bits)^dims grid.
+// newHilbert returns a Hilbert curve over a (2^bits)^dims grid.
 // dims*bits must be at most 64.
-func NewHilbert(dims, bits int) (*Hilbert, error) {
-	if err := checkBinary(dims, bits); err != nil {
-		return nil, err
-	}
-	return &Hilbert{grid{dims, 1 << bits, shiftMax(dims * bits)}, bits}, nil
+func newHilbert(dims, bits int) (*curve, error) {
+	return newBinary("hilbert", dims, bits, hilbert, dims)
 }
 
-// Name implements Curve.
-func (c *Hilbert) Name() string { return "hilbert" }
-
-// Bijective implements Curve.
-func (c *Hilbert) Bijective() bool { return true }
-
-// Index implements Curve.
-func (c *Hilbert) Index(p Point) uint64 {
-	checkPoint(p, c.dims, c.side)
-	return c.IndexFast(p, nil)
+// hilbert is the Hilbert kernel.
+func hilbert(c *curve, p Point, scratch []uint32) uint64 {
+	return hilbertIndex(p, c.digits, scratch)
 }
 
-// IndexFast implements Curve.
-func (c *Hilbert) IndexFast(p Point, scratch []uint32) uint64 {
+// hilbertIndex returns the Hilbert index of p on a (2^bits)^len(p) grid,
+// working in scratch when it holds len(p) words.
+func hilbertIndex(p Point, bits int, scratch []uint32) uint64 {
 	// Work on a copy in Skilling's "transpose" layout: X[0] carries the
 	// most significant interleaved bits.
-	x := scratchFor(scratch, c.dims)
+	dims := len(p)
+	x := scratchFor(scratch, dims)
 	for i := range x {
-		x[i] = p[c.dims-1-i]
+		x[i] = p[dims-1-i]
 	}
-	axesToTranspose(x, c.bits)
+	axesToTranspose(x, bits)
 	// Interleave the transposed words into the scalar index: bit plane b
 	// is digit b of the index in base 2^dims, X[0] its top bit. Each plane
 	// is gathered on its own dependency chain.
 	var idx uint64
-	for b := 0; b < c.bits; b++ {
+	for b := 0; b < bits; b++ {
 		var plane uint64
 		for _, w := range x {
 			plane = plane<<1 | uint64(w>>b&1)
 		}
-		idx |= plane << (b * c.dims)
+		idx |= plane << (b * dims)
 	}
 	return idx
 }
-
-// ScratchLen implements Curve.
-func (c *Hilbert) ScratchLen() int { return c.dims }
 
 // axesToTranspose converts grid coordinates (in transpose layout) into the
 // transposed Hilbert index in place. Skilling 2004, figure 2, without its

@@ -8,7 +8,7 @@ import (
 
 // hilbertRef is Skilling's axes-to-transpose and the bit interleave as
 // "Programming the Hilbert curve" (AIP Conf. Proc. 707, 2004, figure 2)
-// writes them, one branch per bit: the reference Hilbert.IndexFast is
+// writes them, one branch per bit: the reference the Hilbert kernel is
 // checked against. p's last coordinate is Skilling's X[0].
 func hilbertRef(p Point, bits int) uint64 {
 	n := len(p)
@@ -58,7 +58,7 @@ func hilbertRef(p Point, bits int) uint64 {
 func TestHilbertMatchesReferenceOnEveryCell(t *testing.T) {
 	for dims := 1; dims <= 16; dims++ {
 		for bits := 1; dims*bits <= 16; bits++ {
-			c, err := NewHilbert(dims, bits)
+			c, err := newHilbert(dims, bits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestHilbertMatchesReferenceOnEveryCell(t *testing.T) {
 // on the 12- and 16-dimensional grids the cascades use.
 func TestHilbertMatchesReferenceAtHighDims(t *testing.T) {
 	for _, g := range []struct{ dims, bits int }{{12, 3}, {16, 4}} {
-		c, err := NewHilbert(g.dims, g.bits)
+		c, err := newHilbert(g.dims, g.bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestHilbertMatchesReferenceAtHighDims(t *testing.T) {
 func BenchmarkHilbertIndexFast(b *testing.B) {
 	for _, g := range []struct{ dims, bits int }{{3, 3}, {12, 3}, {16, 4}} {
 		b.Run(fmt.Sprintf("d%d", g.dims), func(b *testing.B) {
-			c, err := NewHilbert(g.dims, g.bits)
+			c, err := newHilbert(g.dims, g.bits)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -43,6 +43,9 @@ func NewLUT(c Curve) (*LUT, error) {
 	return l, nil
 }
 
+// ScratchLen implements Curve: a table lookup needs no working memory.
+func (l *LUT) ScratchLen() int { return 0 }
+
 // Name implements Curve. It reports the base curve's name so experiment
 // labels stay stable when a LUT is swapped in.
 func (l *LUT) Name() string { return l.base.Name() }
@@ -69,7 +72,7 @@ func (l *LUT) IndexFast(p Point, _ []uint32) uint64 {
 // itself otherwise. Already-accelerated curves pass through unchanged.
 //
 // The table of one of this package's curves is a pure function of the
-// curve's type, Dims and Side, so the first Accelerate of a grid builds it
+// curve's name, Dims and Side, so the first Accelerate of a grid builds it
 // with NewLUT and every later one in the process wraps c around that same
 // table: a fresh scheduler pays one map lookup, not one IndexFast per cell.
 // Tables are never evicted. Any other Curve implementation gets a private
@@ -102,7 +105,7 @@ func Accelerate(c Curve) Curve {
 }
 
 // lutKey names a shared table: the curve's registry name stands for its
-// concrete type, which tableKey has checked is this package's.
+// kernel, which tableKey has checked is this package's.
 type lutKey struct {
 	name string
 	dims int
@@ -116,11 +119,11 @@ var tables = struct {
 }{m: map[lutKey][]uint64{}}
 
 // tableKey reports the shared-table key of c, and false unless c is one of
-// the package's own curves, whose order its type, Dims and Side fix.
+// the package's own curves, whose order its name, Dims and Side fix.
 func tableKey(c Curve) (lutKey, bool) {
-	switch c.(type) {
-	case *Sweep, *Scan, *CScan, *Peano, *Gray, *Hilbert, *Moore, *ZOrder, *Spiral, *Diagonal:
-		return lutKey{c.Name(), c.Dims(), c.Side()}, true
+	cv, ok := c.(*curve)
+	if !ok {
+		return lutKey{}, false
 	}
-	return lutKey{}, false
+	return lutKey{cv.name, cv.dims, cv.side}, true
 }

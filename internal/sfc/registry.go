@@ -27,33 +27,40 @@ func New(name string, dims int, minSide uint32) (Curve, error) {
 	if minSide < 1 {
 		return nil, fmt.Errorf("sfc: minSide must be >= 1, got %d", minSide)
 	}
+	bits := max(1, log2Ceil(minSide))
+	var c *curve
+	var err error
 	switch name {
 	case "sweep":
-		return NewSweep(dims, minSide)
+		c, err = newLexi(name, dims, minSide, sweep)
 	case "scan":
-		return NewScan(dims, minSide)
+		c, err = newLexi(name, dims, minSide, scan)
 	case "cscan":
-		return NewCScan(dims, minSide)
+		c, err = newLexi(name, dims, minSide, cscan)
 	case "peano":
-		return NewPeano(dims, pow3Ceil(minSide))
+		c, err = newPeano(dims, pow3Ceil(minSide))
 	case "gray":
-		return NewGray(dims, maxInt(1, log2Ceil(minSide)))
+		c, err = newGray(dims, bits)
 	case "hilbert":
-		return NewHilbert(dims, maxInt(1, log2Ceil(minSide)))
+		c, err = newHilbert(dims, bits)
 	case "moore":
 		if dims != 2 {
 			return nil, fmt.Errorf("sfc: moore curve is 2-dimensional, got %d dims", dims)
 		}
-		return NewMoore(maxInt(1, log2Ceil(minSide)))
+		c, err = newMoore(bits)
 	case "zorder":
-		return NewZOrder(dims, maxInt(1, log2Ceil(minSide)))
+		c, err = newZOrder(dims, bits)
 	case "spiral":
-		return NewSpiral(dims, minSide)
+		c, err = newSpiral(dims, minSide)
 	case "diagonal":
-		return NewDiagonal(dims, minSide)
+		c, err = newDiagonal(dims, minSide)
 	default:
 		return nil, fmt.Errorf("sfc: unknown curve %q", name)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -63,11 +70,4 @@ func MustNew(name string, dims int, minSide uint32) Curve {
 		panic(err)
 	}
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

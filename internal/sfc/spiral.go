@@ -2,7 +2,7 @@ package sfc
 
 import "fmt"
 
-// Spiral is the center-out spiral order. In two dimensions it is an exact
+// The center-out spiral order. In two dimensions it is an exact
 // space-filling curve over an odd-sided grid: ring s (Chebyshev distance s
 // from the center) occupies indices [(2s-1)^2, (2s+1)^2), traversed
 // counter-clockwise starting just above the ring's bottom-right corner, so
@@ -12,14 +12,11 @@ import "fmt"
 // are sorted by Chebyshev distance from the grid center, ties broken
 // lexicographically. That generalization defines a total order but not a
 // bijection onto a contiguous index range, so Bijective() reports false.
-type Spiral struct {
-	grid // side is odd for dims == 2
-}
 
-// NewSpiral returns a spiral order over a (side)^dims grid. For dims == 2
+// newSpiral returns a spiral order over a (side)^dims grid. For dims == 2
 // the side is rounded up to the next odd number so the spiral has a center
 // cell; callers should treat Side() as authoritative.
-func NewSpiral(dims int, side uint32) (*Spiral, error) {
+func newSpiral(dims int, side uint32) (*curve, error) {
 	if dims == 2 && side%2 == 0 {
 		side++
 	}
@@ -27,35 +24,20 @@ func NewSpiral(dims int, side uint32) (*Spiral, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dims != 2 {
-		// Order values are shell*side^dims + lexicographic rank: not
-		// contiguous, so MaxIndex bounds them instead.
-		if _, ok := pow(uint64(side), dims+1); !ok {
-			return nil, fmt.Errorf("sfc: spiral order values for %d^%d grid overflow uint64", side, dims)
-		}
-		n *= uint64(side)
+	if dims == 2 {
+		return &curve{grid: grid{dims, side, n}, name: "spiral", bijective: true, index: spiral2}, nil
 	}
-	return &Spiral{grid{dims, side, n}}, nil
+	// Order values are shell*side^dims + lexicographic rank: not
+	// contiguous, so MaxIndex bounds them instead.
+	if _, ok := pow(uint64(side), dims+1); !ok {
+		return nil, fmt.Errorf("sfc: spiral order values for %d^%d grid overflow uint64", side, dims)
+	}
+	return &curve{grid: grid{dims, side, n * uint64(side)}, name: "spiral", index: spiralShell}, nil
 }
 
-// Name implements Curve.
-func (c *Spiral) Name() string { return "spiral" }
-
-// Bijective implements Curve.
-func (c *Spiral) Bijective() bool { return c.dims == 2 }
-
-// Index implements Curve.
-func (c *Spiral) Index(p Point) uint64 {
-	checkPoint(p, c.dims, c.side)
-	return c.IndexFast(p, nil)
-}
-
-// IndexFast implements Curve.
-func (c *Spiral) IndexFast(p Point, _ []uint32) uint64 {
-	if c.dims == 2 {
-		return c.index2(p)
-	}
-	// L-infinity shell from the center, ties lexicographic.
+// spiralShell is the order-only kernel: L-infinity shell from the center,
+// ties lexicographic.
+func spiralShell(c *curve, p Point, _ []uint32) uint64 {
 	center := int64(c.side-1) / 2
 	var shell int64
 	for _, v := range p {
@@ -75,8 +57,8 @@ func (c *Spiral) IndexFast(p Point, _ []uint32) uint64 {
 	return uint64(shell)*cells + lex
 }
 
-// index2 returns the exact 2-D spiral index.
-func (c *Spiral) index2(p Point) uint64 {
+// spiral2 is the exact 2-D spiral kernel.
+func spiral2(c *curve, p Point, _ []uint32) uint64 {
 	center := int64(c.side-1) / 2
 	dx := int64(p[0]) - center
 	dy := int64(p[1]) - center

@@ -2,31 +2,33 @@ package sfc
 
 import "fmt"
 
-// ZOrder is the Morton (bit-interleaving) curve. It is not continuous, but
-// serves as the substrate for the Gray-coded curve and as a cheap locality
-// order in its own right. Dimension Dims()-1 contributes the most
-// significant bit at every level.
-type ZOrder struct {
-	grid
-	bits int
-}
+// The Morton (bit-interleaving) curve. It is not continuous, but serves as
+// the substrate for the Gray-coded curve and as a cheap locality order in
+// its own right. Dimension Dims()-1 contributes the most significant bit
+// at every level.
 
-// NewZOrder returns a Z-order curve over a (2^bits)^dims grid.
+// newZOrder returns a Z-order curve over a (2^bits)^dims grid.
 // dims*bits must be at most 64.
-func NewZOrder(dims, bits int) (*ZOrder, error) {
+func newZOrder(dims, bits int) (*curve, error) { return newBinary("zorder", dims, bits, zorder, 0) }
+
+// newBinary returns a bijective curve over a (2^bits)^dims grid, whose
+// kernel reads bits as its digits per axis.
+func newBinary(name string, dims, bits int, index kernel, scratch int) (*curve, error) {
 	if err := checkBinary(dims, bits); err != nil {
 		return nil, err
 	}
-	return &ZOrder{grid{dims, 1 << bits, shiftMax(dims * bits)}, bits}, nil
+	g := grid{dims, 1 << bits, shiftMax(dims * bits)}
+	return &curve{grid: g, name: name, bijective: true, scratch: scratch, digits: bits, index: index}, nil
 }
 
-// checkBinary validates a binary-grid configuration.
+// checkBinary validates a binary-grid configuration: the side 2^bits must
+// fit in uint32, the index in uint64.
 func checkBinary(dims, bits int) error {
 	if dims < 1 {
 		return fmt.Errorf("sfc: dims must be >= 1, got %d", dims)
 	}
-	if bits < 1 || bits > 32 {
-		return fmt.Errorf("sfc: bits must be in [1,32], got %d", bits)
+	if bits < 1 || bits > 31 {
+		return fmt.Errorf("sfc: bits must be in [1,31] for a side 2^bits that fits uint32, got %d", bits)
 	}
 	if dims*bits > 64 {
 		return fmt.Errorf("sfc: dims*bits = %d exceeds 64", dims*bits)
@@ -42,21 +44,9 @@ func shiftMax(n int) uint64 {
 	return 1 << n
 }
 
-// Name implements Curve.
-func (c *ZOrder) Name() string { return "zorder" }
-
-// Bijective implements Curve.
-func (c *ZOrder) Bijective() bool { return true }
-
-// Index implements Curve.
-func (c *ZOrder) Index(p Point) uint64 {
-	checkPoint(p, c.dims, c.side)
-	return interleave(p, c.bits)
-}
-
-// IndexFast implements Curve.
-func (c *ZOrder) IndexFast(p Point, _ []uint32) uint64 {
-	return interleave(p, c.bits)
+// zorder is the Z-order kernel.
+func zorder(c *curve, p Point, _ []uint32) uint64 {
+	return interleave(p, c.digits)
 }
 
 // interleave packs the bits of p into one word, most significant bit level
