@@ -155,6 +155,11 @@ func (o *options) validate() error {
 			return fmt.Errorf("-deadline-min must not be negative, got %v", o.deadlineMin)
 		}
 	}
+	// The cascade's curve side is uint32(o.levels) and its encapsulator
+	// keeps a table word per level, so the bound is the encapsulator's.
+	if o.levels > core.MaxLevels {
+		return fmt.Errorf("-levels must be at most %d, got %d", core.MaxLevels, o.levels)
+	}
 	if o.sched != "all" {
 		if err := knownScheduler(o.sched); err != nil {
 			return fmt.Errorf("-sched: %w", err)

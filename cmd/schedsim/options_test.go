@@ -62,8 +62,14 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"zero interarrival", []string{"-interarrival", "0"}, "workload flags: workload: MeanInterarrival must be positive"},
 		{"zero dims", []string{"-dims", "0"}, "-dims"},
 		{"zero levels", []string{"-levels", "0"}, "workload flags: workload: invalid priority shape"},
-		// Above 2^31 levels a binary curve's side would need 32 bits.
-		{"levels beyond a binary side", []string{"-levels", "3000000000"}, "sfc: bits must be in [1,31]"},
+		// The encapsulator's level table bounds -levels for every
+		// scheduler, far below where a binary curve's side would need 32
+		// bits or uint32(-levels) would wrap.
+		{"levels beyond a binary side", []string{"-levels", "3000000000"}, "-levels must be at most 65536, got 3000000000"},
+		{"levels beyond the level table", []string{"-levels", "65537"}, "-levels must be at most 65536"},
+		{"levels that wrap a curve side", []string{"-levels", "4294967300"}, "-levels must be at most 65536"},
+		{"levels under multi-queue", []string{"-sched", "multi-queue", "-levels", "3000000000"}, "-levels must be at most 65536"},
+		{"levels under a 2-D sweep", []string{"-levels", "2147483649", "-curve", "sweep", "-dims", "2"}, "-levels must be at most 65536"},
 		{"deadline max below min", []string{"-deadline-min", "1s", "-deadline-max", "500ms"}, "workload flags: workload: DeadlineMax < DeadlineMin"},
 		{"negative deadline min", []string{"-deadline-min", "-1s"}, "-deadline-min"},
 		{"size max below min", []string{"-size-min", "8192", "-size-max", "4096"}, "workload flags: workload: sizes must satisfy 1 <= SizeMin <= SizeMax"},

@@ -18,6 +18,12 @@ const stage2Res = 1 << 16
 // stage3Res is the resolution of the priority-deadline axis entering SFC3.
 const stage3Res = 4096
 
+// MaxLevels bounds EncapsulatorConfig.Levels. With a Curve1 the
+// encapsulator keeps one table word per level, so a level count from a
+// flag must not size memory unchecked; 2^16 levels, as many as the
+// stage-2 priority axis has cells, keep the table at 256 KiB.
+const MaxLevels = stage2Res
+
 // EncapsulatorConfig configures the three cascaded stages. The zero value
 // is not usable; at minimum Levels must be set.
 type EncapsulatorConfig struct {
@@ -25,7 +31,8 @@ type EncapsulatorConfig struct {
 	// nil means requests carry a single priority that feeds stage 2
 	// directly (the paper's "applications with only one priority type").
 	Curve1 sfc.Curve
-	// Levels is the number of priority levels per dimension.
+	// Levels is the number of priority levels per dimension, in
+	// [1, MaxLevels].
 	Levels int
 
 	// UseDeadline enables the SFC2 stage.
@@ -118,8 +125,8 @@ type encScratch struct {
 
 // NewEncapsulator validates cfg and returns a ready encapsulator.
 func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("core: Levels must be >= 1, got %d", cfg.Levels)
+	if cfg.Levels < 1 || cfg.Levels > MaxLevels {
+		return nil, fmt.Errorf("core: Levels must be in [1, %d], got %d", MaxLevels, cfg.Levels)
 	}
 	if cfg.Curve1 != nil && uint64(cfg.Levels) > uint64(cfg.Curve1.Side()) {
 		return nil, fmt.Errorf("core: %d levels exceed curve side %d", cfg.Levels, cfg.Curve1.Side())

@@ -384,6 +384,10 @@ func TestEncapsulatorValidation(t *testing.T) {
 		{Levels: 8, UseDeadline: true, DeadlineHorizon: 1000, F: fAtBound},
 		{},
 		{Levels: 32, Curve1: sfc.MustNew("sweep", 2, 16)},
+		// A 2-D sweep has a side of 2^31+1, but the level table must not
+		// take 8 GiB: the level count is bounded first.
+		{Levels: 1<<31 + 1, Curve1: sfc.MustNew("sweep", 2, 1<<31+1)},
+		{Levels: MaxLevels + 1},
 		{Levels: 8, UseDeadline: true},
 		{Levels: 8, UseDeadline: true, DeadlineHorizon: 1000, F: -1},
 		{Levels: 8, UseDeadline: true, DeadlineHorizon: 1000, Curve2: sfc.MustNew("sweep", 3, 8)},
@@ -397,6 +401,9 @@ func TestEncapsulatorValidation(t *testing.T) {
 	}
 	if _, err := NewEncapsulator(EncapsulatorConfig{Levels: 8, UseCylinder: true, R: 1, Cylinders: 1}); err != nil {
 		t.Errorf("a one-cylinder disk rejected: %v", err)
+	}
+	if _, err := NewEncapsulator(EncapsulatorConfig{Levels: MaxLevels, Curve1: sfc.MustNew("sweep", 2, MaxLevels)}); err != nil {
+		t.Errorf("MaxLevels levels rejected: %v", err)
 	}
 	// The F just below the bound builds, its values ordered inside MaxValue.
 	below := math.Nextafter(fAtBound, 0)

@@ -2,63 +2,41 @@ package sched
 
 import "sfcsched/internal/core"
 
-// FDSCAN (Abbott & Garcia-Molina) aims the sweep at the request with the
-// earliest *feasible* deadline — one the head can still reach in time — and
-// serves requests encountered en route. When no deadline is feasible it
-// degrades to serving the earliest deadline.
-type FDSCAN struct {
-	queue
-	est Estimator
-}
-
-// NewFDSCAN returns a feasible-deadline-scan scheduler using est to decide
-// whether a deadline can still be met.
-func NewFDSCAN(est Estimator) *FDSCAN { return &FDSCAN{est: est} }
-
-// Name implements Scheduler.
-func (s *FDSCAN) Name() string { return "fd-scan" }
-
-// Add implements Scheduler.
-func (s *FDSCAN) Add(r *core.Request, now int64, head int) { s.add(r) }
-
-// Next implements Scheduler.
-func (s *FDSCAN) Next(now int64, head int) *core.Request {
-	if len(s.reqs) == 0 {
-		return nil
-	}
-	target := s.earliestFeasible(now, head)
-	if target < 0 {
-		// No feasible deadline: fall back to the earliest one.
-		target = 0
-		for i, r := range s.reqs[1:] {
-			if effDeadline(r) < effDeadline(s.reqs[target]) {
-				target = i + 1
+// NewFDSCAN returns a feasible-deadline-scan scheduler (Abbott &
+// Garcia-Molina). It aims the sweep at the request with the earliest
+// *feasible* deadline — one the head can still reach in time, by est —
+// and serves requests encountered en route. When no deadline is feasible
+// it aims at the earliest deadline.
+func NewFDSCAN(est Estimator) Scheduler {
+	return &picker{name: "fd-scan", pick: func(reqs []*core.Request, now int64, head int) int {
+		target := earliestFeasible(est, reqs, now, head)
+		if target < 0 {
+			target = earliestDeadline(reqs, now, head)
+		}
+		// Serve the pending request closest to the head on the way to the
+		// target (the target itself qualifies).
+		tc := reqs[target].Cylinder
+		best, bestD := target, absDist(tc, head)
+		for i, r := range reqs {
+			c := r.Cylinder
+			onRoute := (head <= c && c <= tc) || (tc <= c && c <= head)
+			if onRoute && absDist(c, head) < bestD {
+				best, bestD = i, absDist(c, head)
 			}
 		}
-	}
-	// Serve the pending request closest to the head on the way to the
-	// target (the target itself qualifies).
-	tc := s.reqs[target].Cylinder
-	best, bestD := target, absDist(tc, head)
-	for i, r := range s.reqs {
-		c := r.Cylinder
-		onRoute := (head <= c && c <= tc) || (tc <= c && c <= head)
-		if onRoute && absDist(c, head) < bestD {
-			best, bestD = i, absDist(c, head)
-		}
-	}
-	return s.removeAt(best)
+		return best
+	}}
 }
 
 // earliestFeasible returns the index of the request with the earliest
-// deadline that the head can still meet, or -1.
-func (s *FDSCAN) earliestFeasible(now int64, head int) int {
+// deadline that the head can still meet by est, or -1.
+func earliestFeasible(est Estimator, reqs []*core.Request, now int64, head int) int {
 	best := -1
-	for i, r := range s.reqs {
-		if now+s.est(head, r.Cylinder, r.Size) > effDeadline(r) {
+	for i, r := range reqs {
+		if now+est(head, r.Cylinder, r.Size) > effDeadline(r) {
 			continue
 		}
-		if best < 0 || effDeadline(r) < effDeadline(s.reqs[best]) {
+		if best < 0 || effDeadline(r) < effDeadline(reqs[best]) {
 			best = i
 		}
 	}

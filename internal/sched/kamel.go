@@ -2,14 +2,14 @@ package sched
 
 import "sfcsched/internal/core"
 
-// Kamel implements the deadline-driven multi-priority algorithm of Kamel,
+// kamel implements the deadline-driven multi-priority algorithm of Kamel,
 // Niranjan & Ghandeharizadeh (ICDE 2000), the paper's reference [12]: an
 // arriving request is inserted at its scan position when that keeps every
 // queued deadline feasible; otherwise the scheduler moves the lowest
 // priority queued request to the tail and retries, so deadline pressure is
 // absorbed by the least important work. Tail-parked requests stay out of
 // the scan order and are served only after the active queue drains.
-type Kamel struct {
+type kamel struct {
 	active []*core.Request // scan-ordered, feasibility-protected
 	parked []*core.Request // sacrificed low-priority requests
 	est    Estimator
@@ -19,16 +19,16 @@ type Kamel struct {
 const maxEvictions = 8
 
 // NewKamel returns the deadline-driven multi-priority scheduler.
-func NewKamel(est Estimator) *Kamel { return &Kamel{est: est} }
+func NewKamel(est Estimator) Scheduler { return &kamel{est: est} }
 
 // Name implements Scheduler.
-func (s *Kamel) Name() string { return "kamel" }
+func (s *kamel) Name() string { return "kamel" }
 
 // Len implements Scheduler.
-func (s *Kamel) Len() int { return len(s.active) + len(s.parked) }
+func (s *kamel) Len() int { return len(s.active) + len(s.parked) }
 
 // Each implements Scheduler.
-func (s *Kamel) Each(visit func(*core.Request)) {
+func (s *kamel) Each(visit func(*core.Request)) {
 	for _, r := range s.active {
 		visit(r)
 	}
@@ -37,16 +37,8 @@ func (s *Kamel) Each(visit func(*core.Request)) {
 	}
 }
 
-// priorityOf returns the request's primary priority level (0 = highest).
-func priorityOf(r *core.Request) int {
-	if len(r.Priorities) == 0 {
-		return 0
-	}
-	return r.Priorities[0]
-}
-
 // Add implements Scheduler.
-func (s *Kamel) Add(r *core.Request, now int64, head int) {
+func (s *kamel) Add(r *core.Request, now int64, head int) {
 	for ev := 0; ; ev++ {
 		cand := scanInsert(s.active, r, head)
 		if feasible(s.est, cand, now, head) || ev >= maxEvictions || len(s.active) == 0 {
@@ -67,7 +59,7 @@ func (s *Kamel) Add(r *core.Request, now int64, head int) {
 }
 
 // Next implements Scheduler.
-func (s *Kamel) Next(now int64, head int) *core.Request {
+func (s *kamel) Next(now int64, head int) *core.Request {
 	if len(s.active) > 0 {
 		r := s.active[0]
 		s.active = s.active[1:]

@@ -8,7 +8,7 @@ import (
 // Policy is one row of the baseline table: a name and a constructor that
 // builds a fresh instance. est is the service-time estimator the
 // feasibility-testing baselines consult; levels is the priority level
-// count per dimension, which multi-queue keeps one queue for each of.
+// count per dimension, into which multi-queue clamps a request's level.
 type Policy struct {
 	Name string
 	New  func(est Estimator, levels int) Scheduler

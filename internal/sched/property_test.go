@@ -231,7 +231,7 @@ func TestSCANEDFMatchesTwoPassReference(t *testing.T) {
 	for _, quantum := range []int64{0, 1, 50_000} {
 		for seed := uint64(1); seed <= 20; seed++ {
 			rng := stats.NewRNG(seed)
-			s, ref := NewSCANEDF(quantum), &twoPassSCANEDF{Quantum: quantum}
+			s, ref := NewSCANEDF(quantum).(*scanEDF), &twoPassSCANEDF{Quantum: quantum}
 			now, head := int64(0), 0
 			step := func(add bool) {
 				now += int64(rng.Uint64n(20_000))

@@ -2,24 +2,24 @@ package sched
 
 import "sfcsched/internal/core"
 
-// SCANRT (Kamel & Ito) keeps the queue in scan order and inserts an
+// scanRT (Kamel & Ito) keeps the queue in scan order and inserts an
 // arriving request at its scan position only when doing so would not push
 // any already-queued request past its deadline; otherwise the arrival is
 // appended to the tail. Dispatch simply pops the queue front.
-type SCANRT struct {
+type scanRT struct {
 	queue
 	est Estimator
 }
 
 // NewSCANRT returns a SCAN-RT scheduler using est for deadline-feasibility
 // estimates.
-func NewSCANRT(est Estimator) *SCANRT { return &SCANRT{est: est} }
+func NewSCANRT(est Estimator) Scheduler { return &scanRT{est: est} }
 
 // Name implements Scheduler.
-func (s *SCANRT) Name() string { return "scan-rt" }
+func (s *scanRT) Name() string { return "scan-rt" }
 
 // Add implements Scheduler.
-func (s *SCANRT) Add(r *core.Request, now int64, head int) {
+func (s *scanRT) Add(r *core.Request, now int64, head int) {
 	if cand := scanInsert(s.reqs, r, head); feasible(s.est, cand, now, head) {
 		s.reqs = cand
 		return
@@ -60,7 +60,7 @@ func feasible(est Estimator, reqs []*core.Request, now int64, head int) bool {
 }
 
 // Next implements Scheduler.
-func (s *SCANRT) Next(now int64, head int) *core.Request {
+func (s *scanRT) Next(now int64, head int) *core.Request {
 	if len(s.reqs) == 0 {
 		return nil
 	}

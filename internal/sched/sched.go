@@ -3,9 +3,14 @@
 // FD-SCAN, SCAN-RT, SSEDO, SSEDV, the multi-queue priority scheduler, and
 // the deadline-driven multi-priority algorithm of Kamel et al. (ICDE 2000).
 //
-// All schedulers share the Scheduler interface, which core.Scheduler (the
-// Cascaded-SFC scheduler) also satisfies, so the simulator can drive any of
-// them interchangeably. Policies (policy.go) lists the twelve by name.
+// A baseline is one criterion (§4.2). Eight of the twelve append at Add and
+// choose at Next, so each of them is a name and a pick kernel over the
+// queue, the clock and the head, run by one picker type. SCAN, SCAN-EDF,
+// SCAN-RT and Kamel keep state beyond their queue and have a type each.
+// Every constructor returns the Scheduler interface, which core.Scheduler
+// (the Cascaded-SFC scheduler) also satisfies, so the simulator can drive
+// any of them interchangeably. Policies (policy.go) lists the twelve by
+// name.
 package sched
 
 import (
@@ -62,12 +67,47 @@ func (q *queue) removeAt(i int) *core.Request {
 	return r
 }
 
+// picker is a baseline that queues in arrival order and decides only at
+// dispatch: pick returns the index to serve from a non-empty queue, given
+// the clock and the head.
+type picker struct {
+	queue
+	name string
+	pick func(reqs []*core.Request, now int64, head int) int
+}
+
+// Name implements Scheduler.
+func (s *picker) Name() string { return s.name }
+
+// Add implements Scheduler.
+func (s *picker) Add(r *core.Request, now int64, head int) { s.add(r) }
+
+// Next implements Scheduler.
+func (s *picker) Next(now int64, head int) *core.Request {
+	if len(s.reqs) == 0 {
+		return nil
+	}
+	return s.removeAt(s.pick(s.reqs, now, head))
+}
+
 // sweepNext returns the index of the request nearest cyclically ahead of
-// the head, the earliest queued on a tie. q must not be empty.
-func (q *queue) sweepNext(head int) int {
+// the head, the earliest queued on a tie. reqs must not be empty.
+func sweepNext(reqs []*core.Request, _ int64, head int) int {
 	best, bestD := 0, int(^uint(0)>>1)
-	for i, r := range q.reqs {
+	for i, r := range reqs {
 		if d := ahead(r.Cylinder, head); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// earliestDeadline returns the index of the request with the earliest
+// deadline, the earliest queued on a tie. reqs must not be empty.
+func earliestDeadline(reqs []*core.Request, _ int64, _ int) int {
+	best, bestD := 0, effDeadline(reqs[0])
+	for i, r := range reqs {
+		if d := effDeadline(r); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -84,6 +124,14 @@ func ahead(c, head int) int {
 	return d
 }
 
+// priorityOf returns the request's primary priority level (0 = highest).
+func priorityOf(r *core.Request) int {
+	if len(r.Priorities) == 0 {
+		return 0
+	}
+	return r.Priorities[0]
+}
+
 // effDeadline treats "no deadline" as infinitely far away.
 func effDeadline(r *core.Request) int64 {
 	if r.Deadline == 0 {
@@ -92,10 +140,13 @@ func effDeadline(r *core.Request) int64 {
 	return r.Deadline
 }
 
-// absDist returns |a - b|.
+// absDist returns |a - b|. This form compiles to a conditional move: the
+// SSTF kernel calls it once per queued request, where the sign is a coin
+// a branch predictor would lose.
 func absDist(a, b int) int {
-	if a > b {
-		return a - b
+	d := a - b
+	if d < 0 {
+		d = -d
 	}
-	return b - a
+	return d
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -249,6 +251,30 @@ func TestMultiQueueClampsLevels(t *testing.T) {
 	s.Add(&core.Request{ID: 2}, 0, 0) // no priorities -> level 0
 	if r := s.Next(0, 0); r.ID != 2 {
 		t.Fatalf("want clamped level-0 request 2, got %d", r.ID)
+	}
+}
+
+// One queue holds every level, so the level count costs nothing at
+// construction: the largest count builds with the allocations, and about
+// the bytes, of eight levels, and still serves level 0 first.
+func TestMultiQueueBuildsInConstantSpace(t *testing.T) {
+	build := func(levels int) (allocs float64, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(10, func() { NewMultiQueue(levels) })
+		runtime.ReadMemStats(&after)
+		return allocs, after.TotalAlloc - before.TotalAlloc
+	}
+	small, smallBytes := build(8)
+	huge, hugeBytes := build(math.MaxInt)
+	if huge != small || hugeBytes > smallBytes+4096 {
+		t.Errorf("NewMultiQueue(MaxInt): %v allocs, %d B; NewMultiQueue(8): %v allocs, %d B", huge, hugeBytes, small, smallBytes)
+	}
+	s := NewMultiQueue(math.MaxInt)
+	s.Add(&core.Request{ID: 1, Priorities: []int{math.MaxInt - 1}}, 0, 0)
+	s.Add(&core.Request{ID: 2, Priorities: []int{0}, Cylinder: 9}, 0, 0)
+	if r := s.Next(0, 0); r.ID != 2 {
+		t.Fatalf("want level-0 request 2, got %d", r.ID)
 	}
 }
 

@@ -251,7 +251,7 @@ func sameSummary(got, want *DecisionRecord) string {
 // presetValues is FCFS whose AddValue reports the value its map holds for
 // the request's ID, so a test can fill a queue view with chosen values.
 type presetValues struct {
-	*sched.FCFS
+	sched.Scheduler
 	v map[uint64]uint64
 }
 
@@ -270,8 +270,8 @@ const viewNow = 1000
 // Request.Slack reports as no deadline too, when it is odd. With byV the
 // scheduler reports each candidate's V; without, it reports none.
 func viewOf(cands []DecisionCandidate, byV bool) (*queueView, []*core.Request) {
-	p := presetValues{FCFS: sched.NewFCFS(), v: map[uint64]uint64{}}
-	var s sched.Scheduler = p.FCFS
+	p := presetValues{Scheduler: sched.NewFCFS(), v: map[uint64]uint64{}}
+	var s sched.Scheduler = p.Scheduler
 	if byV {
 		s = p
 	}
