@@ -318,10 +318,14 @@ const wScale = 1 << 20
 func (e *Encapsulator) stage3(v2 uint64, r *Request, head int, progress uint64) uint64 {
 	xv := scale(v2, e.max2, e.maxX)
 	c := e.cfg.Cylinders
-	cyl := min(max(r.Cylinder, 0), c-1)
-	ahead := uint64((cyl - head + c) % c)
+	// Both ends clamped to [0, c), as observeHead clamps the head, so the
+	// cyclic distance ahead is one conditional add rather than a division.
+	ahead := min(max(r.Cylinder, 0), c-1) - min(max(head, 0), c-1)
+	if ahead < 0 {
+		ahead += c
+	}
 	pn := xv / e.ps
-	yv := progress + ahead + pn*uint64(c)
+	yv := progress + uint64(ahead) + pn*uint64(c)
 	return yv*e.ps + (xv - e.ps*pn)
 }
 

@@ -325,6 +325,39 @@ func TestStage3CylinderDistanceIsCyclic(t *testing.T) {
 	if noWrap >= wrap {
 		t.Errorf("cyclic distance broken: %d >= %d", noWrap, wrap)
 	}
+	// The head's own cylinder is 0 ahead, not a whole sweep: it ranks
+	// first, and the cylinder just behind the head last.
+	atHead := e.ValueAt(req([]int{0}, 0, head), 0, head, 0)
+	behind := e.ValueAt(req([]int{0}, 0, head-1), 0, head, 0)
+	if atHead >= noWrap || behind <= wrap {
+		t.Errorf("at the head %d, 50 ahead %d, 200 ahead %d, 1 behind %d", atHead, noWrap, wrap, behind)
+	}
+}
+
+// A head outside the disk reads as the nearest cylinder on it, the head
+// Scheduler.observeHead advances the sweep timeline by, so the distance
+// ahead is never measured from a cylinder the disk does not have.
+func TestStage3ClampsTheHead(t *testing.T) {
+	const cyls = 3832
+	e := MustEncapsulator(EncapsulatorConfig{
+		Curve1: sfc.MustNew("hilbert", 3, 16), Levels: 16,
+		UseDeadline: true, F: 1, DeadlineHorizon: 700_000,
+		UseCylinder: true, R: 3, Cylinders: cyls,
+	})
+	for _, r := range []*Request{
+		req([]int{0, 0, 0}, 100_000, 0),
+		req([]int{8, 2, 11}, 350_000, 1916),
+		req([]int{15, 15, 15}, 700_000, cyls-1),
+	} {
+		for _, c := range []struct{ head, clamped int }{
+			{-1, 0}, {cyls, cyls - 1}, {cyls + 68, cyls - 1},
+		} {
+			got := e.ValueAt(r, 0, c.head, 5000)
+			if want := e.ValueAt(r, 0, c.clamped, 5000); got != want {
+				t.Errorf("cylinder %d, head %d: v_c %d, at head %d %d", r.Cylinder, c.head, got, c.clamped, want)
+			}
+		}
+	}
 }
 
 func TestFullCascadeInBounds(t *testing.T) {

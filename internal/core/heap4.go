@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // HeapItem is one element of a Heap4: the payload Val ordered by (Key,
 // Seq), lower first. Seq breaks ties between equal keys.
 type HeapItem[T any] struct {
@@ -14,6 +16,19 @@ type HeapItem[T any] struct {
 // sift step and never inlines. This one inlines into both sift loops.
 func before(k1, s1, k2, s2 uint64) bool {
 	return k1 < k2 || k1 == k2 && s1 < s2
+}
+
+// pick is a branch-free match between (k0, s0) and (k1, s1): b is 1 when
+// the second is strictly before the first, else 0, and (k, s) is the one b
+// chooses. b is the borrow of the 128-bit difference (k1, s1) − (k0, s0),
+// and -b is the mask that selects. siftDown's choice among four children
+// runs on random keys, where a compare-and-branch mispredicts half the
+// time.
+func pick(k0, s0, k1, s1 uint64) (b, k, s uint64) {
+	_, b = bits.Sub64(s1, s0, 0)
+	_, b = bits.Sub64(k1, k0, b)
+	m := -b
+	return b, k0 ^ (k0^k1)&m, s0 ^ (s0^s1)&m
 }
 
 // Heap4 is a non-interface generic 4-ary min-heap of HeapItem[T]. It
@@ -93,12 +108,27 @@ func (h *Heap4[T]) siftDown(i int, x HeapItem[T]) {
 			break
 		}
 		c := first // the smallest child
-		for j := first + 1; j < min(first+4, n); j++ {
-			if before(a[j].Key, a[j].Seq, a[c].Key, a[c].Seq) {
-				c = j
+		var ck, cs uint64
+		if first+4 <= n {
+			// A full group: a two-round tournament, each match won by the
+			// right side only when it is strictly before the left, so the
+			// first of equal children wins, as in the loop below.
+			g := a[first : first+4 : first+4]
+			b01, k01, s01 := pick(g[0].Key, g[0].Seq, g[1].Key, g[1].Seq)
+			b23, k23, s23 := pick(g[2].Key, g[2].Seq, g[3].Key, g[3].Seq)
+			b, k, s := pick(k01, s01, k23, s23)
+			i01, i23 := int(b01), 2+int(b23)
+			c += i01 ^ (i01^i23)&-int(b)
+			ck, cs = k, s
+		} else {
+			for j := first + 1; j < n; j++ {
+				if before(a[j].Key, a[j].Seq, a[c].Key, a[c].Seq) {
+					c = j
+				}
 			}
+			ck, cs = a[c].Key, a[c].Seq
 		}
-		if !before(a[c].Key, a[c].Seq, x.Key, x.Seq) {
+		if !before(ck, cs, x.Key, x.Seq) {
 			break
 		}
 		a[i] = a[c]

@@ -6,7 +6,12 @@ import "sfcsched/internal/core"
 // Garcia-Molina). It aims the sweep at the request with the earliest
 // *feasible* deadline — one the head can still reach in time, by est —
 // and serves requests encountered en route. When no deadline is feasible
-// it aims at the earliest deadline.
+// it aims at the earliest deadline. A deadline met exactly (now plus the
+// estimate equal to it) is feasible.
+//
+// Its pick stays linear in the queue depth whatever index the queue might
+// keep: feasibility depends on the head and the clock, so every dispatch
+// calls est once for every queued request.
 func NewFDSCAN(est Estimator) Scheduler {
 	return &picker{name: "fd-scan", pick: func(reqs []*core.Request, now int64, head int) int {
 		target := earliestFeasible(est, reqs, now, head)

@@ -161,6 +161,27 @@ func TestFDSCANServesEnRoute(t *testing.T) {
 	}
 }
 
+// A deadline that the estimate meets to the nanosecond is feasible, and
+// one a nanosecond sooner is not. Request 1 is the earliest deadline,
+// above the head; request 2 is feasible, later and below it, so the target
+// decides which of the two is served.
+func TestFDSCANDeadlineMetExactlyIsFeasible(t *testing.T) {
+	est := testEstimator()
+	const now, head = 10_000, 1000
+	exact := now + est(head, 2000, 64<<10)
+	for _, c := range []struct {
+		deadline int64
+		want     uint64
+	}{{exact, 1}, {exact - 1, 2}} {
+		s := NewFDSCAN(est)
+		s.Add(rq(1, 2000, c.deadline), now, head)
+		s.Add(rq(2, 500, 10_000_000), now, head)
+		if r := s.Next(now, head); r.ID != c.want {
+			t.Errorf("deadline now+est%+d: served %d, want %d", c.deadline-exact, r.ID, c.want)
+		}
+	}
+}
+
 func TestFDSCANFallbackWhenNoneFeasible(t *testing.T) {
 	s := NewFDSCAN(testEstimator())
 	// Neither deadline is reachable; the sweep targets the earliest one

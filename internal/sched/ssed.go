@@ -3,7 +3,6 @@ package sched
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"sfcsched/internal/core"
 )
@@ -28,7 +27,8 @@ const (
 // is much closer).
 func NewSSEDO() Scheduler {
 	return &picker{name: "ssedo", pick: func(reqs []*core.Request, _ int64, head int) int {
-		cand := deadlineWindow(reqs)
+		w, n := deadlineWindow(reqs)
+		cand := w[:n]
 		best, bestScore := cand[0], math.Inf(1)
 		for rank, i := range cand {
 			r := reqs[i]
@@ -52,7 +52,8 @@ func NewSSEDO() Scheduler {
 // deadline.
 func NewSSEDV() Scheduler {
 	return &picker{name: "ssedv", pick: func(reqs []*core.Request, now int64, head int) int {
-		cand := deadlineWindow(reqs)
+		w, n := deadlineWindow(reqs)
+		cand := w[:n]
 		maxSlack, maxSeek := int64(1), 1
 		for _, i := range cand {
 			r := reqs[i]
@@ -90,17 +91,23 @@ func ssedvScore(slack, seek, maxSlack, maxSeek uint64) (hi, lo uint64) {
 }
 
 // deadlineWindow returns the indices of the ssedWindow earliest-deadline
-// requests, ordered by deadline.
-func deadlineWindow(reqs []*core.Request) []int {
-	idx := make([]int, len(reqs))
-	for i := range idx {
-		idx[i] = i
+// requests, ordered by deadline with the earlier queued first on a tie (a
+// stable sort's order), and how many there are: fewer only on a shorter
+// queue. One pass inserts into a fixed window, so a dispatch neither sorts
+// the queue nor allocates.
+func deadlineWindow(reqs []*core.Request) (idx [ssedWindow]int, n int) {
+	var dl [ssedWindow]int64
+	for i, r := range reqs {
+		d := effDeadline(r)
+		if n == ssedWindow && d >= dl[n-1] {
+			continue
+		}
+		j := min(n, ssedWindow-1) // the slot to fill, or the last one to evict
+		for ; j > 0 && d < dl[j-1]; j-- {
+			idx[j], dl[j] = idx[j-1], dl[j-1]
+		}
+		idx[j], dl[j] = i, d
+		n = min(n+1, ssedWindow)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return effDeadline(reqs[idx[a]]) < effDeadline(reqs[idx[b]])
-	})
-	if len(idx) > ssedWindow {
-		idx = idx[:ssedWindow]
-	}
-	return idx
+	return idx, n
 }
