@@ -6,30 +6,32 @@ import "sfcsched/internal/core"
 // requests strictly in arrival order. It is maximally fair to request
 // order and indifferent to everything else; the paper normalizes
 // priority-inversion counts against it.
-func NewFCFS() Scheduler {
-	return &picker{name: "fcfs", pick: func([]*core.Request, int64, int) int { return 0 }}
-}
+func NewFCFS() Scheduler { return &picker{rule: &ruleFCFS} }
+
+var ruleFCFS = rule{name: "fcfs", pick: front}
 
 // NewSSTF returns a shortest-seek-time-first scheduler, which serves the
 // request nearest the head, recomputed at every dispatch; the earliest
 // queued wins a tie.
-func NewSSTF() Scheduler {
-	return &picker{name: "sstf", pick: func(reqs []*core.Request, _ int64, head int) int {
-		best, bestD := 0, absDist(reqs[0].Cylinder, head)
-		for i, r := range reqs {
-			if d := absDist(r.Cylinder, head); d < bestD {
-				best, bestD = i, d
-			}
+func NewSSTF() Scheduler { return &picker{rule: &ruleSSTF} }
+
+var ruleSSTF = rule{name: "sstf", pick: func(q []keyed, _ int64, head int) int {
+	best, bestD := 0, absDist(q[0].r.Cylinder, head)
+	for i, e := range q {
+		if d := absDist(e.r.Cylinder, head); d < bestD {
+			best, bestD = i, d
 		}
-		return best
-	}}
-}
+	}
+	return best
+}}
 
 // NewCSCAN returns a circular-scan scheduler: the head sweeps upward only,
 // wrapping to the lowest pending cylinder when none remain ahead, so
 // service order within one sweep is increasing cyclic distance ahead of
 // the head.
-func NewCSCAN() Scheduler { return &picker{name: "cscan", pick: sweepNext} }
+func NewCSCAN() Scheduler { return &picker{rule: &ruleCSCAN} }
+
+var ruleCSCAN = rule{name: "cscan", pick: sweepRun}
 
 // scan is the elevator algorithm (LOOK variant): the head sweeps in one
 // direction serving requests in cylinder order and reverses when no

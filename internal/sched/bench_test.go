@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strconv"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -13,50 +14,92 @@ const benchDepth = 22
 
 // BenchmarkPolicies times one Add and one Next on every row of the policy
 // table, built through NewPolicy, with benchDepth requests queued between
-// iterations. The request Next returns is re-armed from a precomputed
-// table and added back in the next iteration, so the loop allocates only
-// what the scheduler does.
+// iterations.
 func BenchmarkPolicies(b *testing.B) {
-	type arm struct {
-		cyl, level int
-		dl         int64
+	for _, p := range Policies {
+		b.Run(p.Name, func(b *testing.B) { benchAddNext(b, p.Name, benchDepth) })
 	}
-	rng := stats.NewRNG(22)
-	arms := make([]arm, 4096)
-	for i := range arms {
-		arms[i] = arm{rng.Intn(3832), rng.Intn(8), 100_000 + int64(rng.Uint64n(600_000))}
-	}
+}
+
+// BenchmarkPoliciesDeep is BenchmarkPolicies at depths 256 and 2 048,
+// where a pick that scans the queue costs what the depth does:
+// PoliciesDeep/<policy>/<depth>.
+func BenchmarkPoliciesDeep(b *testing.B) {
 	for _, p := range Policies {
 		b.Run(p.Name, func(b *testing.B) {
-			s, err := NewPolicy(p.Name, testEstimator(), 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			reqs := make([]core.Request, benchDepth+1)
-			var now int64
-			head := 0
-			rearm := func(r *core.Request, i int) {
-				a := arms[i%len(arms)]
-				*r = core.Request{ID: uint64(i), Arrival: now, Deadline: now + a.dl, Cylinder: a.cyl,
-					Size: 64 << 10, Priorities: r.Priorities[:0]}
-				r.Priorities = append(r.Priorities, a.level)
-			}
-			for i := range reqs[:benchDepth] {
-				rearm(&reqs[i], i)
-				s.Add(&reqs[i], now, head)
-			}
-			spare := &reqs[benchDepth]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := range b.N {
-				now += 500
-				rearm(spare, benchDepth+i)
-				s.Add(spare, now, head)
-				if spare = s.Next(now, head); spare == nil {
-					b.Fatal("Next returned nil from a non-empty queue")
-				}
-				head = spare.Cylinder
+			for _, depth := range []int{256, 2048} {
+				b.Run(strconv.Itoa(depth), func(b *testing.B) { benchAddNext(b, p.Name, depth) })
 			}
 		})
 	}
+}
+
+// benchAddNext times one Add and one Next on the named policy with depth
+// requests queued between iterations. The request Next returns is
+// re-armed from a precomputed table and added back in the next iteration,
+// so the loop allocates only what the scheduler does.
+func benchAddNext(b *testing.B, name string, depth int) {
+	s, err := NewPolicy(name, testEstimator(), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := newSteadyDriver(s, depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		d.step(b)
+	}
+}
+
+// steadyDriver holds a scheduler at a fixed depth: each step re-arms the
+// request the last Next returned from a table of 4 096 seeded arrivals
+// (cylinders over the Table 1 disk, eight levels, deadlines 100–700 ms
+// out), adds it, and serves one, the head following the served cylinder.
+type steadyDriver struct {
+	s     Scheduler
+	arms  []steadyArm
+	spare *core.Request
+	n     int
+	now   int64
+	head  int
+}
+
+type steadyArm struct {
+	cyl, level int
+	dl         int64
+}
+
+// newSteadyDriver fills s with depth requests.
+func newSteadyDriver(s Scheduler, depth int) *steadyDriver {
+	rng := stats.NewRNG(22)
+	d := &steadyDriver{s: s, arms: make([]steadyArm, 4096)}
+	for i := range d.arms {
+		d.arms[i] = steadyArm{rng.Intn(3832), rng.Intn(8), 100_000 + int64(rng.Uint64n(600_000))}
+	}
+	reqs := make([]core.Request, depth+1)
+	for i := range reqs[:depth] {
+		d.rearm(&reqs[i])
+		s.Add(&reqs[i], d.now, d.head)
+	}
+	d.spare = &reqs[depth]
+	return d
+}
+
+func (d *steadyDriver) rearm(r *core.Request) {
+	a := d.arms[d.n%len(d.arms)]
+	*r = core.Request{ID: uint64(d.n), Arrival: d.now, Deadline: d.now + a.dl, Cylinder: a.cyl,
+		Size: 64 << 10, Priorities: r.Priorities[:0]}
+	r.Priorities = append(r.Priorities, a.level)
+	d.n++
+}
+
+// step adds one request and serves one.
+func (d *steadyDriver) step(tb testing.TB) {
+	d.now += 500
+	d.rearm(d.spare)
+	d.s.Add(d.spare, d.now, d.head)
+	if d.spare = d.s.Next(d.now, d.head); d.spare == nil {
+		tb.Fatal("Next returned nil from a non-empty queue")
+	}
+	d.head = d.spare.Cylinder
 }

@@ -10,8 +10,8 @@ import "sfcsched/internal/core"
 // absorbed by the least important work. Tail-parked requests stay out of
 // the scan order and are served only after the active queue drains.
 type kamel struct {
-	active []*core.Request // scan-ordered, feasibility-protected
-	parked []*core.Request // sacrificed low-priority requests
+	active ordered // scan-ordered, feasibility-protected
+	parked ordered // sacrificed low-priority requests
 	est    Estimator
 }
 
@@ -25,50 +25,41 @@ func NewKamel(est Estimator) Scheduler { return &kamel{est: est} }
 func (s *kamel) Name() string { return "kamel" }
 
 // Len implements Scheduler.
-func (s *kamel) Len() int { return len(s.active) + len(s.parked) }
+func (s *kamel) Len() int { return s.active.Len() + s.parked.Len() }
 
 // Each implements Scheduler.
 func (s *kamel) Each(visit func(*core.Request)) {
-	for _, r := range s.active {
-		visit(r)
-	}
-	for _, r := range s.parked {
-		visit(r)
-	}
+	s.active.Each(visit)
+	s.parked.Each(visit)
 }
 
 // Add implements Scheduler.
 func (s *kamel) Add(r *core.Request, now int64, head int) {
 	for ev := 0; ; ev++ {
-		cand := scanInsert(s.active, r, head)
-		if feasible(s.est, cand, now, head) || ev >= maxEvictions || len(s.active) == 0 {
-			s.active = cand
+		q := s.active.live()
+		p := scanPos(q, r, head)
+		if feasible(s.est, q, p, r, now, head) || ev >= maxEvictions || len(q) == 0 {
+			s.active.insertAt(p, keyed{r: r})
 			return
 		}
 		// Park the lowest-priority active request at the tail and retry.
 		low := 0
-		for i, q := range s.active {
-			if priorityOf(q) > priorityOf(s.active[low]) {
+		for i, e := range q {
+			if priorityOf(e.r) > priorityOf(q[low].r) {
 				low = i
 			}
 		}
-		victim := s.active[low]
-		s.active = append(s.active[:low], s.active[low+1:]...)
-		s.parked = append(s.parked, victim)
+		s.parked.insertAt(s.parked.Len(), keyed{r: s.active.removeAt(low)})
 	}
 }
 
 // Next implements Scheduler.
 func (s *kamel) Next(now int64, head int) *core.Request {
-	if len(s.active) > 0 {
-		r := s.active[0]
-		s.active = s.active[1:]
-		return r
+	if s.active.Len() > 0 {
+		return s.active.removeAt(0)
 	}
-	if len(s.parked) > 0 {
-		r := s.parked[0]
-		s.parked = s.parked[1:]
-		return r
+	if s.parked.Len() > 0 {
+		return s.parked.removeAt(0)
 	}
 	return nil
 }

@@ -7,19 +7,17 @@ import "sfcsched/internal/core"
 // highest non-empty level, in scan order within it. A request's
 // Priorities[0], clamped into range, selects its level (0 = highest).
 //
-// One queue holds every level: the kernel picks the lowest level, then
-// the nearest request cyclically ahead, then the earliest queued, which
-// is the order one queue per level would serve.
+// One queue ordered by level holds every level: the first run is the
+// highest non-empty level in arrival order, and the sweep serves its
+// nearest request cyclically ahead, then its earliest queued, which is
+// the order one queue per level would serve.
 func NewMultiQueue(levels int) Scheduler {
-	levels = max(levels, 1)
-	return &picker{name: "multi-queue", pick: func(reqs []*core.Request, _ int64, head int) int {
-		best, bestLevel, bestD := 0, levels, 0
-		for i, r := range reqs {
-			level := min(max(priorityOf(r), 0), levels-1)
-			if d := ahead(r.Cylinder, head); level < bestLevel || level == bestLevel && d < bestD {
-				best, bestLevel, bestD = i, level, d
-			}
-		}
-		return best
-	}}
+	return &picker{rule: &ruleMultiQueue, arg: int64(max(levels, 1))}
+}
+
+var ruleMultiQueue = rule{name: "multi-queue", key: levelKey, pick: sweepRun}
+
+// levelKey keys a request by its primary level clamped into [0, levels).
+func levelKey(r *core.Request, levels int64) int64 {
+	return min(max(int64(priorityOf(r)), 0), levels-1)
 }

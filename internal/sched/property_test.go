@@ -226,12 +226,13 @@ func (s *twoPassSCANEDF) Next(now int64, head int) *core.Request {
 // reference through the same random Add/Next interleavings — few distinct
 // cylinders so scan ties occur, deadlines that share batches, requests
 // with no deadline — and requires the same request from every Next, and a
-// key slice that never drifts from the queue.
+// queue that holds one key per queued request, its request's batch, in an
+// order whose keys never decrease.
 func TestSCANEDFMatchesTwoPassReference(t *testing.T) {
 	for _, quantum := range []int64{0, 1, 50_000} {
 		for seed := uint64(1); seed <= 20; seed++ {
 			rng := stats.NewRNG(seed)
-			s, ref := NewSCANEDF(quantum).(*scanEDF), &twoPassSCANEDF{Quantum: quantum}
+			s, ref := NewSCANEDF(quantum).(*picker), &twoPassSCANEDF{Quantum: quantum}
 			now, head := int64(0), 0
 			step := func(add bool) {
 				now += int64(rng.Uint64n(20_000))
@@ -251,8 +252,15 @@ func TestSCANEDFMatchesTwoPassReference(t *testing.T) {
 						head = got.Cylinder
 					}
 				}
-				if len(s.batches) != s.Len() || s.Len() != ref.Len() {
-					t.Fatalf("quantum %d seed %d: %d keys, Len %d, reference Len %d", quantum, seed, len(s.batches), s.Len(), ref.Len())
+				q := s.live()
+				if len(q) != s.Len() || s.Len() != ref.Len() {
+					t.Fatalf("quantum %d seed %d: %d keys, Len %d, reference Len %d", quantum, seed, len(q), s.Len(), ref.Len())
+				}
+				for i, e := range q {
+					if e.key != ref.batch(e.r) || i > 0 && e.key < q[i-1].key {
+						t.Fatalf("quantum %d seed %d: key %d of %d is %d after %d, its request's batch %d",
+							quantum, seed, i, len(q), e.key, q[max(i-1, 0)].key, ref.batch(e.r))
+					}
 				}
 			}
 			for i := 0; i < 1500; i++ {

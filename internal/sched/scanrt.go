@@ -7,7 +7,7 @@ import "sfcsched/internal/core"
 // any already-queued request past its deadline; otherwise the arrival is
 // appended to the tail. Dispatch simply pops the queue front.
 type scanRT struct {
-	queue
+	ordered
 	est Estimator
 }
 
@@ -20,51 +20,51 @@ func (s *scanRT) Name() string { return "scan-rt" }
 
 // Add implements Scheduler.
 func (s *scanRT) Add(r *core.Request, now int64, head int) {
-	if cand := scanInsert(s.reqs, r, head); feasible(s.est, cand, now, head) {
-		s.reqs = cand
-		return
+	q := s.live()
+	p := scanPos(q, r, head)
+	if !feasible(s.est, q, p, r, now, head) {
+		p = len(q)
 	}
-	s.reqs = append(s.reqs, r)
-}
-
-// scanInsert returns a new queue: reqs with r inserted at its position in
-// upward-sweep order (cyclic distance ahead of the head).
-func scanInsert(reqs []*core.Request, r *core.Request, head int) []*core.Request {
-	k := ahead(r.Cylinder, head)
-	pos := len(reqs)
-	for i, q := range reqs {
-		if ahead(q.Cylinder, head) > k {
-			pos = i
-			break
-		}
-	}
-	cand := make([]*core.Request, 0, len(reqs)+1)
-	cand = append(cand, reqs[:pos]...)
-	cand = append(cand, r)
-	return append(cand, reqs[pos:]...)
-}
-
-// feasible simulates serving reqs in order from (now, head) with est and
-// reports whether every deadline is met at service start.
-func feasible(est Estimator, reqs []*core.Request, now int64, head int) bool {
-	t := now
-	h := head
-	for _, r := range reqs {
-		if t > effDeadline(r) {
-			return false
-		}
-		t += est(h, r.Cylinder, r.Size)
-		h = r.Cylinder
-	}
-	return true
+	s.insertAt(p, keyed{r: r})
 }
 
 // Next implements Scheduler.
 func (s *scanRT) Next(now int64, head int) *core.Request {
-	if len(s.reqs) == 0 {
+	if s.Len() == 0 {
 		return nil
 	}
-	r := s.reqs[0]
-	s.reqs = s.reqs[1:]
-	return r
+	return s.removeAt(0)
+}
+
+// scanPos returns r's position in q in upward-sweep order (cyclic
+// distance ahead of the head): before the first request farther ahead.
+func scanPos(q []keyed, r *core.Request, head int) int {
+	k := ahead(r.Cylinder, head)
+	for i, e := range q {
+		if ahead(e.r.Cylinder, head) > k {
+			return i
+		}
+	}
+	return len(q)
+}
+
+// feasible simulates serving q with r inserted at index p, in order from
+// (now, head) with est, and reports whether every deadline is met at
+// service start.
+func feasible(est Estimator, q []keyed, p int, r *core.Request, now int64, head int) bool {
+	t, h := now, head
+	for i := 0; i <= len(q); i++ {
+		x := r
+		if i < p {
+			x = q[i].r
+		} else if i > p {
+			x = q[i-1].r
+		}
+		if t > effDeadline(x) {
+			return false
+		}
+		t += est(h, x.Cylinder, x.Size)
+		h = x.Cylinder
+	}
+	return true
 }

@@ -3,10 +3,15 @@
 // FD-SCAN, SCAN-RT, SSEDO, SSEDV, the multi-queue priority scheduler, and
 // the deadline-driven multi-priority algorithm of Kamel et al. (ICDE 2000).
 //
-// A baseline is one criterion (§4.2). Eight of the twelve append at Add and
-// choose at Next, so each of them is a name and a pick kernel over the
-// queue, the clock and the head, run by one picker type. SCAN, SCAN-EDF,
-// SCAN-RT and Kamel keep state beyond their queue and have a type each.
+// A baseline is one criterion (§4.2). Nine of the twelve are a name, a key
+// and a pick kernel, run by one picker type: Add files a request by its
+// key after every equal key, and Next serves the index the kernel picks
+// from the key-ordered queue, the clock and the head. FCFS and EDF pop
+// the front; SCAN-EDF and multi-queue sweep the first run of equal keys
+// (quantized deadline, clamped level); SSEDO and SSEDV score the first
+// five by deadline. SSTF, C-SCAN and FD-SCAN have no key, so their queue
+// is in arrival order and their kernels read all of it. SCAN, SCAN-RT and
+// Kamel keep state beyond a key order and have a type each.
 // Every constructor returns the Scheduler interface, which core.Scheduler
 // (the Cascaded-SFC scheduler) also satisfies, so the simulator can drive
 // any of them interchangeably. Policies (policy.go) lists the twelve by
@@ -38,11 +43,9 @@ type Scheduler interface {
 // (FD-SCAN, SCAN-RT, Kamel) need one; disk.Model.ServiceTime satisfies it.
 type Estimator func(head, cyl int, size int64) int64
 
-// queue is the shared slice-backed request store used by the schedulers
-// that scan their queue at dispatch time, and by SCAN-RT, which keeps it
-// in service order and pops the front. For the queue depths the paper
-// simulates (tens to a few hundred requests) linear scans beat the constant
-// factors of heap bookkeeping and keep every policy trivially auditable.
+// queue is the arrival-order request store of SCAN, which chooses by a
+// direction it keeps beside the queue and so scans every queued request
+// at dispatch.
 type queue struct {
 	reqs []*core.Request
 }
@@ -67,35 +70,165 @@ func (q *queue) removeAt(i int) *core.Request {
 	return r
 }
 
-// picker is a baseline that queues in arrival order and decides only at
-// dispatch: pick returns the index to serve from a non-empty queue, given
-// the clock and the head.
-type picker struct {
-	queue
+// keyed is a queued request and the key it is ordered by.
+type keyed struct {
+	key int64
+	r   *core.Request
+}
+
+// ordered is a request store kept in one slice with a gap at the front:
+// the queue is buf[off:]. An insert or a removal shifts whichever side of
+// its position is shorter, so the ends cost O(1) and the middle at most
+// half the queue. The pickers keep it sorted by key, SCAN-RT and Kamel in
+// service order.
+type ordered struct {
+	buf []keyed
+	off int
+}
+
+// Len implements Scheduler.
+func (q *ordered) Len() int { return len(q.buf) - q.off }
+
+// live returns the queue, front first.
+func (q *ordered) live() []keyed { return q.buf[q.off:] }
+
+// Each implements Scheduler; it visits in queue order.
+func (q *ordered) Each(visit func(*core.Request)) {
+	for _, e := range q.live() {
+		visit(e.r)
+	}
+}
+
+// insert queues r with key k after every queued request whose key is at
+// most k, so requests with equal keys stay in arrival order. The queue
+// must be sorted by key.
+func (q *ordered) insert(k int64, r *core.Request) {
+	live := q.live()
+	p := len(live)
+	if p > 0 && k < live[p-1].key {
+		// The first index whose key exceeds k lies in live[base:base+n],
+		// and live[p-1] exceeds k. Halving moves base only by a
+		// conditional add, which compiles without a branch.
+		base, n := 0, p
+		for n > 1 {
+			half := n >> 1
+			if live[base+half-1].key <= k {
+				base += half
+			}
+			n -= half
+		}
+		p = base
+	}
+	q.insertAt(p, keyed{k, r})
+}
+
+// insertAt places e at index p of the queue, 0 ≤ p ≤ Len.
+func (q *ordered) insertAt(p int, e keyed) {
+	n := q.Len()
+	switch {
+	case q.off > 0 && p < n-p:
+		q.off--
+		copy(q.buf[q.off:q.off+p], q.buf[q.off+1:])
+		q.buf[q.off+p] = e
+		return
+	case p == n && (len(q.buf) < cap(q.buf) || q.off == 0):
+		q.buf = append(q.buf, e)
+		return
+	case len(q.buf) == cap(q.buf) && q.off > 0 && 4*q.off >= n:
+		// A quarter of the queue's length lies in the gap: close it
+		// rather than grow.
+		m := copy(q.buf, q.live())
+		clear(q.buf[m:])
+		q.buf, q.off = q.buf[:m], 0
+	}
+	i := q.off + p
+	q.buf = append(q.buf, keyed{})
+	copy(q.buf[i+1:], q.buf[i:])
+	q.buf[i] = e
+}
+
+// removeAt removes and returns the request at index i of the queue. The
+// vacated slot is cleared so served requests are not pinned by the
+// slice's spare capacity.
+func (q *ordered) removeAt(i int) *core.Request {
+	live := q.live()
+	r, last := live[i].r, len(live)-1
+	switch {
+	case i == last:
+		live[last] = keyed{}
+		q.buf = q.buf[:len(q.buf)-1]
+	case i == 0:
+		live[0] = keyed{}
+		q.off++
+	case i < last-i:
+		copy(live[1:i+1], live[:i])
+		live[0] = keyed{}
+		q.off++
+	default:
+		copy(live[i:], live[i+1:])
+		live[last] = keyed{}
+		q.buf = q.buf[:len(q.buf)-1]
+	}
+	if q.off == len(q.buf) {
+		q.buf, q.off = q.buf[:0], 0
+	}
+	return r
+}
+
+// rule is what a picker runs: a name, a key and a pick. key maps a
+// request and the picker's arg to its key (nil: every key 0, so the queue
+// is in arrival order); pick returns the index to serve from the
+// non-empty queue, given the clock and the head.
+type rule struct {
 	name string
-	pick func(reqs []*core.Request, now int64, head int) int
+	key  func(r *core.Request, arg int64) int64
+	pick func(q []keyed, now int64, head int) int
+}
+
+// picker is a baseline that serves from the front of one key order. Its
+// rule is shared by every instance of the policy, so a fresh picker is
+// its queue, a pointer and the key's parameter.
+type picker struct {
+	ordered
+	*rule
+	arg int64
 }
 
 // Name implements Scheduler.
 func (s *picker) Name() string { return s.name }
 
 // Add implements Scheduler.
-func (s *picker) Add(r *core.Request, now int64, head int) { s.add(r) }
+func (s *picker) Add(r *core.Request, now int64, head int) {
+	if s.key == nil {
+		s.insertAt(s.Len(), keyed{r: r})
+		return
+	}
+	s.insert(s.key(r, s.arg), r)
+}
 
 // Next implements Scheduler.
 func (s *picker) Next(now int64, head int) *core.Request {
-	if len(s.reqs) == 0 {
+	q := s.live()
+	if len(q) == 0 {
 		return nil
 	}
-	return s.removeAt(s.pick(s.reqs, now, head))
+	return s.removeAt(s.pick(q, now, head))
 }
 
-// sweepNext returns the index of the request nearest cyclically ahead of
-// the head, the earliest queued on a tie. reqs must not be empty.
-func sweepNext(reqs []*core.Request, _ int64, head int) int {
+// front picks the head of the key order.
+func front([]keyed, int64, int) int { return 0 }
+
+// sweepRun returns the index of the request nearest cyclically ahead of
+// the head among the first run of equal keys, the earliest queued on a
+// tie. q must not be empty.
+func sweepRun(q []keyed, _ int64, head int) int {
+	k := q[0].key
 	best, bestD := 0, int(^uint(0)>>1)
-	for i, r := range reqs {
-		if d := ahead(r.Cylinder, head); d < bestD {
+	for i, e := range q {
+		if e.key != k {
+			break
+		}
+		if d := ahead(e.r.Cylinder, head); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -103,16 +236,19 @@ func sweepNext(reqs []*core.Request, _ int64, head int) int {
 }
 
 // earliestDeadline returns the index of the request with the earliest
-// deadline, the earliest queued on a tie. reqs must not be empty.
-func earliestDeadline(reqs []*core.Request, _ int64, _ int) int {
-	best, bestD := 0, effDeadline(reqs[0])
-	for i, r := range reqs {
-		if d := effDeadline(r); d < bestD {
+// deadline, the earliest queued on a tie. q must not be empty.
+func earliestDeadline(q []keyed) int {
+	best, bestD := 0, effDeadline(q[0].r)
+	for i, e := range q {
+		if d := effDeadline(e.r); d < bestD {
 			best, bestD = i, d
 		}
 	}
 	return best
 }
+
+// deadlineKey keys a request by its deadline.
+func deadlineKey(r *core.Request, _ int64) int64 { return effDeadline(r) }
 
 // ahead is cylinder c's distance ahead of the head on an upward sweep; a
 // cylinder behind the head waits for the next sweep, 2^30 further on.

@@ -344,3 +344,28 @@ func TestRemoveAtClearsVacatedSlot(t *testing.T) {
 		t.Errorf("vacated slot still references request %d", tail.ID)
 	}
 }
+
+// TestPoliciesAddNextAllocateNothing holds every row of the policy table
+// at depths 22 and 2 048, the way BenchmarkPolicies and
+// BenchmarkPoliciesDeep do, and requires an Add and a Next to allocate
+// nothing once the queue's slice has reached its size.
+func TestPoliciesAddNextAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, p := range Policies {
+		for _, depth := range []int{benchDepth, 2048} {
+			s, err := NewPolicy(p.Name, testEstimator(), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newSteadyDriver(s, depth)
+			for range 2 * depth {
+				d.step(t)
+			}
+			if a := testing.AllocsPerRun(100, func() { d.step(t) }); a != 0 {
+				t.Errorf("%s at depth %d: %v allocations per Add+Next, want 0", p.Name, depth, a)
+			}
+		}
+	}
+}

@@ -3,8 +3,6 @@ package sched
 import (
 	"math"
 	"math/bits"
-
-	"sfcsched/internal/core"
 )
 
 // The SSED policies' fixed settings: the candidate window m, SSEDO's
@@ -25,22 +23,28 @@ const (
 // reconstruction uses weight ssedoBeta^rank with ssedoBeta > 1, which
 // preserves the published behavior (rank 0 wins unless a later candidate
 // is much closer).
-func NewSSEDO() Scheduler {
-	return &picker{name: "ssedo", pick: func(reqs []*core.Request, _ int64, head int) int {
-		w, n := deadlineWindow(reqs)
-		cand := w[:n]
-		best, bestScore := cand[0], math.Inf(1)
-		for rank, i := range cand {
-			r := reqs[i]
-			// +1 keeps zero-distance requests comparable across ranks.
-			score := float64(absDist(r.Cylinder, head)+1) * math.Pow(ssedoBeta, float64(rank))
-			if score < bestScore {
-				best, bestScore = i, score
-			}
+func NewSSEDO() Scheduler { return &picker{rule: &ruleSSEDO} }
+
+var ruleSSEDO = rule{name: "ssedo", key: deadlineKey, pick: func(q []keyed, _ int64, head int) int {
+	best, bestScore := 0, math.Inf(1)
+	for rank, e := range q[:min(len(q), ssedWindow)] {
+		// +1 keeps zero-distance requests comparable across ranks.
+		score := float64(absDist(e.r.Cylinder, head)+1) * ssedoWeight[rank]
+		if score < bestScore {
+			best, bestScore = rank, score
 		}
-		return best
-	}}
-}
+	}
+	return best
+}}
+
+// ssedoWeight[rank] is ssedoBeta^rank, SSEDO's seek penalty by deadline
+// rank.
+var ssedoWeight = func() (w [ssedWindow]float64) {
+	for rank := range w {
+		w[rank] = math.Pow(ssedoBeta, float64(rank))
+	}
+	return w
+}()
 
 // NewSSEDV returns an SSEDV scheduler (Shortest Seek and Earliest
 // Deadline by Value). It scores the same candidate window as SSEDO by a
@@ -50,33 +54,32 @@ func NewSSEDO() Scheduler {
 // 5·maxSlack·maxSeek is the integer 4·slack·maxSeek + seek·maxSlack, and
 // candidates are compared on that, exactly: a tie keeps the earlier
 // deadline.
-func NewSSEDV() Scheduler {
-	return &picker{name: "ssedv", pick: func(reqs []*core.Request, now int64, head int) int {
-		w, n := deadlineWindow(reqs)
-		cand := w[:n]
-		maxSlack, maxSeek := int64(1), 1
-		for _, i := range cand {
-			r := reqs[i]
-			if sl := r.Slack(now); sl > 0 && sl < 1<<61 && sl > maxSlack {
-				maxSlack = sl
-			}
-			if d := absDist(r.Cylinder, head); d > maxSeek {
-				maxSeek = d
-			}
+func NewSSEDV() Scheduler { return &picker{rule: &ruleSSEDV} }
+
+var ruleSSEDV = rule{name: "ssedv", key: deadlineKey, pick: func(q []keyed, now int64, head int) int {
+	cand := q[:min(len(q), ssedWindow)]
+	maxSlack, maxSeek := int64(1), 1
+	for _, e := range cand {
+		r := e.r
+		if sl := r.Slack(now); sl > 0 && sl < 1<<61 && sl > maxSlack {
+			maxSlack = sl
 		}
-		best := -1
-		var bestHi, bestLo uint64
-		for _, i := range cand {
-			r := reqs[i]
-			sl := min(max(r.Slack(now), 0), maxSlack)
-			hi, lo := ssedvScore(uint64(sl), uint64(absDist(r.Cylinder, head)), uint64(maxSlack), uint64(maxSeek))
-			if best < 0 || hi < bestHi || hi == bestHi && lo < bestLo {
-				best, bestHi, bestLo = i, hi, lo
-			}
+		if d := absDist(r.Cylinder, head); d > maxSeek {
+			maxSeek = d
 		}
-		return best
-	}}
-}
+	}
+	best := -1
+	var bestHi, bestLo uint64
+	for i, e := range cand {
+		r := e.r
+		sl := min(max(r.Slack(now), 0), maxSlack)
+		hi, lo := ssedvScore(uint64(sl), uint64(absDist(r.Cylinder, head)), uint64(maxSlack), uint64(maxSeek))
+		if best < 0 || hi < bestHi || hi == bestHi && lo < bestLo {
+			best, bestHi, bestLo = i, hi, lo
+		}
+	}
+	return best
+}}
 
 // ssedvScore returns 4·slack·maxSeek + seek·maxSlack as a 128-bit
 // (hi, lo) pair. slack ≤ maxSlack < 2^61 and seek ≤ maxSeek < 2^63, so
@@ -88,26 +91,4 @@ func ssedvScore(slack, seek, maxSlack, maxSeek uint64) (hi, lo uint64) {
 	lo, carry := bits.Add64(lo, l2, 0)
 	hi, _ = bits.Add64(hi, h2, carry)
 	return hi, lo
-}
-
-// deadlineWindow returns the indices of the ssedWindow earliest-deadline
-// requests, ordered by deadline with the earlier queued first on a tie (a
-// stable sort's order), and how many there are: fewer only on a shorter
-// queue. One pass inserts into a fixed window, so a dispatch neither sorts
-// the queue nor allocates.
-func deadlineWindow(reqs []*core.Request) (idx [ssedWindow]int, n int) {
-	var dl [ssedWindow]int64
-	for i, r := range reqs {
-		d := effDeadline(r)
-		if n == ssedWindow && d >= dl[n-1] {
-			continue
-		}
-		j := min(n, ssedWindow-1) // the slot to fill, or the last one to evict
-		for ; j > 0 && d < dl[j-1]; j-- {
-			idx[j], dl[j] = idx[j-1], dl[j-1]
-		}
-		idx[j], dl[j] = i, d
-		n = min(n+1, ssedWindow)
-	}
-	return idx, n
 }

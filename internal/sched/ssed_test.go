@@ -24,21 +24,27 @@ func byDeadline(queue []*core.Request) []*core.Request {
 // the earlier on a tie. The weights are in sixteenths, so the arithmetic
 // is exact.
 func ssedoRef(queue []*core.Request, head int) []*core.Request {
-	weight := [5]int{16, 24, 36, 54, 81}
 	left := byDeadline(queue)
 	var order []*core.Request
 	for len(left) > 0 {
-		best := 0
-		for k := range min(5, len(left)) {
-			if (absDist(left[k].Cylinder, head)+1)*weight[k] < (absDist(left[best].Cylinder, head)+1)*weight[best] {
-				best = k
-			}
-		}
+		best := ssedoPick(left, head)
 		order = append(order, left[best])
 		head = left[best].Cylinder
 		left = slices.Delete(left, best, best+1)
 	}
 	return order
+}
+
+// ssedoPick is ssedoRef's choice from left, which is in deadline order.
+func ssedoPick(left []*core.Request, head int) int {
+	weight := [5]int{16, 24, 36, 54, 81}
+	best := 0
+	for k := range min(5, len(left)) {
+		if (absDist(left[k].Cylinder, head)+1)*weight[k] < (absDist(left[best].Cylinder, head)+1)*weight[best] {
+			best = k
+		}
+	}
+	return best
 }
 
 // ssedvRef is SSEDV by brute force: of the first five left in deadline
@@ -51,29 +57,35 @@ func ssedvRef(queue []*core.Request, now int64, head int) []*core.Request {
 	left := byDeadline(queue)
 	var order []*core.Request
 	for ; len(left) > 0; now++ {
-		cand := left[:min(5, len(left))]
-		maxSlack, maxSeek := int64(1), 1
-		for _, r := range cand {
-			if r.Deadline != 0 {
-				maxSlack = max(maxSlack, r.Deadline-now)
-			}
-			maxSeek = max(maxSeek, absDist(r.Cylinder, head))
-		}
-		score := func(r *core.Request) int64 {
-			slack := min(max(r.Slack(now), 0), maxSlack)
-			return 4*slack*int64(maxSeek) + int64(absDist(r.Cylinder, head))*maxSlack
-		}
-		best := 0
-		for k, r := range cand {
-			if score(r) < score(cand[best]) {
-				best = k
-			}
-		}
+		best := ssedvPick(left, now, head)
 		order = append(order, left[best])
 		head = left[best].Cylinder
 		left = slices.Delete(left, best, best+1)
 	}
 	return order
+}
+
+// ssedvPick is ssedvRef's choice from left, which is in deadline order.
+func ssedvPick(left []*core.Request, now int64, head int) int {
+	cand := left[:min(5, len(left))]
+	maxSlack, maxSeek := int64(1), 1
+	for _, r := range cand {
+		if r.Deadline != 0 {
+			maxSlack = max(maxSlack, r.Deadline-now)
+		}
+		maxSeek = max(maxSeek, absDist(r.Cylinder, head))
+	}
+	score := func(r *core.Request) int64 {
+		slack := min(max(r.Slack(now), 0), maxSlack)
+		return 4*slack*int64(maxSeek) + int64(absDist(r.Cylinder, head))*maxSlack
+	}
+	best := 0
+	for k, r := range cand {
+		if score(r) < score(cand[best]) {
+			best = k
+		}
+	}
+	return best
 }
 
 // SSEDV serves the earlier deadline of two candidates whose scores tie
