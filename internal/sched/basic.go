@@ -37,7 +37,7 @@ var ruleCSCAN = rule{name: "cscan", pick: sweepRun}
 // direction serving requests in cylinder order and reverses when no
 // requests remain ahead.
 type scan struct {
-	queue
+	ordered
 	up bool
 }
 
@@ -48,11 +48,11 @@ func NewSCAN() Scheduler { return &scan{up: true} }
 func (s *scan) Name() string { return "scan" }
 
 // Add implements Scheduler.
-func (s *scan) Add(r *core.Request, now int64, head int) { s.add(r) }
+func (s *scan) Add(r *core.Request, now int64, head int) { s.insertAt(s.Len(), keyed{r: r}) }
 
 // Next implements Scheduler.
 func (s *scan) Next(now int64, head int) *core.Request {
-	if len(s.reqs) == 0 {
+	if s.Len() == 0 {
 		return nil
 	}
 	if i := s.nearestAhead(head); i >= 0 {
@@ -66,15 +66,16 @@ func (s *scan) Next(now int64, head int) *core.Request {
 // nearestAhead returns the index of the closest request at or beyond the
 // head in the current direction, or -1.
 func (s *scan) nearestAhead(head int) int {
-	best, bestD := -1, int(^uint(0)>>1)
-	for i, r := range s.reqs {
-		var d int
-		if s.up {
-			d = r.Cylinder - head
-		} else {
-			d = head - r.Cylinder
-		}
-		if d >= 0 && d < bestD {
+	dir := 1
+	if !s.up {
+		dir = -1
+	}
+	q := s.live()
+	best, bestD := -1, uint(1)<<63
+	for i := range q {
+		// A request behind the head has d < 0, which converts to at
+		// least 2^63 and so never wins.
+		if d := uint((q[i].r.Cylinder - head) * dir); d < bestD {
 			best, bestD = i, d
 		}
 	}

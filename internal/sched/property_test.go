@@ -180,6 +180,47 @@ func TestMultiQueueNeverInvertsLevels(t *testing.T) {
 	}
 }
 
+// queue is the arrival-order request store the package kept before the
+// ordered one; twoPassSCANEDF runs on it, unchanged.
+type queue struct {
+	reqs []*core.Request
+}
+
+func (q *queue) add(r *core.Request) { q.reqs = append(q.reqs, r) }
+func (q *queue) Len() int            { return len(q.reqs) }
+
+// removeAt removes and returns the request at index i. The vacated tail
+// slot is nilled out so served requests become collectible under long
+// traces instead of being pinned by the slice's spare capacity.
+func (q *queue) removeAt(i int) *core.Request {
+	r := q.reqs[i]
+	last := len(q.reqs) - 1
+	copy(q.reqs[i:], q.reqs[i+1:])
+	q.reqs[last] = nil
+	q.reqs = q.reqs[:last]
+	return r
+}
+
+// Regression: queue.removeAt must nil out the vacated tail slot so the
+// slice's spare capacity does not pin served requests in memory for the
+// rest of a long trace.
+func TestRemoveAtClearsVacatedSlot(t *testing.T) {
+	q := &queue{}
+	a, b, c := rq(1, 0, 0), rq(2, 0, 0), rq(3, 0, 0)
+	q.add(a)
+	q.add(b)
+	q.add(c)
+	if got := q.removeAt(1); got != b {
+		t.Fatalf("removeAt(1) = %v, want request 2", got)
+	}
+	if q.Len() != 2 || q.reqs[0] != a || q.reqs[1] != c {
+		t.Fatalf("queue after removal = %v, want [1 3]", q.reqs)
+	}
+	if tail := q.reqs[:3][2]; tail != nil {
+		t.Errorf("vacated slot still references request %d", tail.ID)
+	}
+}
+
 // twoPassSCANEDF is SCAN-EDF as it stood before requests carried their
 // batch: Next quantizes every queued deadline in each of its two passes.
 // Kept verbatim as the reference the keyed SCANEDF must pop identically to.

@@ -11,7 +11,8 @@
 // (quantized deadline, clamped level); SSEDO and SSEDV score the first
 // five by deadline. SSTF, C-SCAN and FD-SCAN have no key, so their queue
 // is in arrival order and their kernels read all of it. SCAN, SCAN-RT and
-// Kamel keep state beyond a key order and have a type each.
+// Kamel keep state beyond a key order and have a type each, on the same
+// store.
 // Every constructor returns the Scheduler interface, which core.Scheduler
 // (the Cascaded-SFC scheduler) also satisfies, so the simulator can drive
 // any of them interchangeably. Policies (policy.go) lists the twelve by
@@ -43,33 +44,6 @@ type Scheduler interface {
 // (FD-SCAN, SCAN-RT, Kamel) need one; disk.Model.ServiceTime satisfies it.
 type Estimator func(head, cyl int, size int64) int64
 
-// queue is the arrival-order request store of SCAN, which chooses by a
-// direction it keeps beside the queue and so scans every queued request
-// at dispatch.
-type queue struct {
-	reqs []*core.Request
-}
-
-func (q *queue) add(r *core.Request) { q.reqs = append(q.reqs, r) }
-func (q *queue) Len() int            { return len(q.reqs) }
-func (q *queue) Each(visit func(r *core.Request)) {
-	for _, r := range q.reqs {
-		visit(r)
-	}
-}
-
-// removeAt removes and returns the request at index i. The vacated tail
-// slot is nilled out so served requests become collectible under long
-// traces instead of being pinned by the slice's spare capacity.
-func (q *queue) removeAt(i int) *core.Request {
-	r := q.reqs[i]
-	last := len(q.reqs) - 1
-	copy(q.reqs[i:], q.reqs[i+1:])
-	q.reqs[last] = nil
-	q.reqs = q.reqs[:last]
-	return r
-}
-
 // keyed is a queued request and the key it is ordered by.
 type keyed struct {
 	key int64
@@ -79,8 +53,8 @@ type keyed struct {
 // ordered is a request store kept in one slice with a gap at the front:
 // the queue is buf[off:]. An insert or a removal shifts whichever side of
 // its position is shorter, so the ends cost O(1) and the middle at most
-// half the queue. The pickers keep it sorted by key, SCAN-RT and Kamel in
-// service order.
+// half the queue. The pickers keep it sorted by key, SCAN in arrival
+// order, SCAN-RT and Kamel in service order.
 type ordered struct {
 	buf []keyed
 	off int
@@ -187,7 +161,9 @@ type rule struct {
 
 // picker is a baseline that serves from the front of one key order. Its
 // rule is shared by every instance of the policy, so a fresh picker is
-// its queue, a pointer and the key's parameter.
+// its queue, a pointer and the key's parameter: 48 bytes, where the rule's
+// three fields inline would make it 72 and cost sim-fleet's one-request
+// cell, which builds 13 fresh SCAN-EDF schedulers, about 1 % in latency.
 type picker struct {
 	ordered
 	*rule

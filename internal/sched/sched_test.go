@@ -325,26 +325,6 @@ func TestKamelKeepsScanOrderWhenFeasible(t *testing.T) {
 	}
 }
 
-// Regression: removeAt must nil out the vacated tail slot so the slice's
-// spare capacity does not pin served requests in memory for the rest of a
-// long trace.
-func TestRemoveAtClearsVacatedSlot(t *testing.T) {
-	q := &queue{}
-	a, b, c := rq(1, 0, 0), rq(2, 0, 0), rq(3, 0, 0)
-	q.add(a)
-	q.add(b)
-	q.add(c)
-	if got := q.removeAt(1); got != b {
-		t.Fatalf("removeAt(1) = %v, want request 2", got)
-	}
-	if q.Len() != 2 || q.reqs[0] != a || q.reqs[1] != c {
-		t.Fatalf("queue after removal = %v, want [1 3]", q.reqs)
-	}
-	if tail := q.reqs[:3][2]; tail != nil {
-		t.Errorf("vacated slot still references request %d", tail.ID)
-	}
-}
-
 // TestPoliciesAddNextAllocateNothing holds every row of the policy table
 // at depths 22 and 2 048, the way BenchmarkPolicies and
 // BenchmarkPoliciesDeep do, and requires an Add and a Next to allocate
