@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sfcsched/internal/core"
+	"sfcsched/internal/sfc"
 	"sfcsched/internal/stats"
 )
 
@@ -87,22 +90,33 @@ func checkDispatchOrder(t *testing.T, name string, n uint64, pNext float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := dispatchOrder(s, n, pNext)
-		fmt.Fprintf(&got, "%s: %d dispatched\n", p.Name, len(order))
-		for i, id := range order {
-			sep := " "
-			if i%20 == 19 || i == len(order)-1 {
-				sep = "\n"
-			}
-			fmt.Fprintf(&got, "%d%s", id, sep)
-		}
+		writeOrder(&got, p.Name, dispatchOrder(s, n, pNext))
 	}
+	checkGolden(t, name, got.Bytes())
+}
+
+// writeOrder appends one golden row: its label, the dispatch count and the
+// IDs, twenty to a line.
+func writeOrder(w *bytes.Buffer, label string, order []uint64) {
+	fmt.Fprintf(w, "%s: %d dispatched\n", label, len(order))
+	for i, id := range order {
+		sep := " "
+		if i%20 == 19 || i == len(order)-1 {
+			sep = "\n"
+		}
+		fmt.Fprintf(w, "%d%s", id, sep)
+	}
+}
+
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
 	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +124,7 @@ func checkDispatchOrder(t *testing.T, name string, n uint64, pNext float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, w := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := range min(len(g), len(w)) {
 		if !bytes.Equal(g[i], w[i]) {
 			t.Fatalf("%s line %d:\n got %s\nwant %s", path, i+1, g[i], w[i])
@@ -119,4 +133,124 @@ func checkDispatchOrder(t *testing.T, name string, n uint64, pNext float64) {
 	if len(g) != len(w) {
 		t.Fatalf("%s: %d lines, want %d", path, len(g), len(w))
 	}
+}
+
+// orderCylinders is the disk the cascade rows' seek stage spans: the
+// Table 1 drive, past the last cylinder dispatchOrder draws.
+const orderCylinders = 3832
+
+// cascadeRow is one Cascaded-SFC configuration of the cascade golden:
+// two priority dimensions over orderLevels levels.
+type cascadeRow struct {
+	name        string
+	curve       string // SFC1 curve; "" feeds the first priority to stage 2
+	plane       string // SFC2 curve over (deadline, priority); "" is the weighted sum
+	priorityOnY bool
+	f           float64
+	horizon     int64 // 0 skips SFC2
+	span        int64
+	slack       bool
+	r           int // 0 skips SFC3
+	mode        core.PreemptMode
+	window      float64
+	sp, er      bool
+}
+
+func (c cascadeRow) build() (*core.Scheduler, error) {
+	ecfg := core.EncapsulatorConfig{Levels: orderLevels}
+	if c.curve != "" {
+		cv, err := sfc.New(c.curve, 2, orderLevels)
+		if err != nil {
+			return nil, err
+		}
+		ecfg.Curve1 = cv
+	}
+	if c.horizon > 0 {
+		ecfg.UseDeadline, ecfg.F, ecfg.DeadlineHorizon, ecfg.DeadlineSpan, ecfg.DeadlineSlack = true, c.f, c.horizon, c.span, c.slack
+		if c.plane != "" {
+			cv, err := sfc.New(c.plane, 2, orderLevels)
+			if err != nil {
+				return nil, err
+			}
+			ecfg.Curve2, ecfg.Curve2PriorityOnY = cv, c.priorityOnY
+		}
+	}
+	if c.r > 0 {
+		ecfg.UseCylinder, ecfg.R, ecfg.Cylinders = true, c.r, orderCylinders
+	}
+	return core.NewScheduler(c.name, ecfg, core.DispatcherConfig{Mode: c.mode, SP: c.sp, ER: c.er}, c.window)
+}
+
+// cascadeRows are the configurations the cascade golden pins: the default
+// (hilbert SFC1, f 1 over a 700 ms slack horizon, R 3, conditionally
+// preemptive at w 5 % with SP) under each registry curve, then the
+// default with one setting changed. TestDispatchOrderGoldenCascade
+// requires every row to dispatch in an order no earlier row does.
+func cascadeRows() []cascadeRow {
+	def := cascadeRow{curve: "hilbert", f: 1, horizon: 700_000, slack: true, r: 3,
+		mode: core.ConditionallyPreemptive, window: 0.05, sp: true}
+	var rows []cascadeRow
+	vary := func(name string, change func(*cascadeRow)) {
+		row := def
+		row.name = name
+		change(&row)
+		rows = append(rows, row)
+	}
+	for _, curve := range sfc.Names() {
+		// Over two dimensions cscan is sweep: it differs only above the
+		// lowest two.
+		if curve != "cscan" {
+			vary(curve, func(c *cascadeRow) { c.curve = curve })
+		}
+	}
+	vary("f=0", func(c *cascadeRow) { c.f = 0 })
+	vary("f=+Inf", func(c *cascadeRow) { c.f = math.Inf(1) })
+	vary("R=0", func(c *cascadeRow) { c.r = 0 })
+	vary("R=1", func(c *cascadeRow) { c.r = 1 })
+	vary("non-preemptive", func(c *cascadeRow) { c.mode = core.NonPreemptive })
+	vary("fully preemptive", func(c *cascadeRow) { c.mode = core.FullyPreemptive })
+	// With the seek stage on, SP off serves this traffic exactly as
+	// non-preemptive does; without it the two part.
+	vary("SP off, R=0", func(c *cascadeRow) { c.sp, c.r = false, 0 })
+	vary("ER on", func(c *cascadeRow) { c.er = true })
+	vary("absolute deadlines", func(c *cascadeRow) { c.horizon, c.span, c.slack = 3_000_000, 700_000, false })
+	for _, plane := range []string{"sweep", "hilbert"} {
+		for _, axis := range []string{"X", "Y"} {
+			vary(plane+" plane, priority on "+axis, func(c *cascadeRow) {
+				c.curve, c.plane, c.priorityOnY = "", plane, axis == "Y"
+			})
+		}
+	}
+	return rows
+}
+
+// TestDispatchOrderGoldenCascade pins the Cascaded-SFC scheduler the way
+// TestDispatchOrderGolden pins the baselines: each of cascadeRows on
+// dispatchOrder's 400-request traffic, then the default on the deep
+// 4 000-request traffic. -update rewrites
+// testdata/dispatch-order-cascade.txt.
+func TestDispatchOrderGoldenCascade(t *testing.T) {
+	var got bytes.Buffer
+	fmt.Fprintln(&got, "# Dispatch order of Cascaded-SFC configurations on order_test.go's traffic.")
+	rows := cascadeRows()
+	seen := map[string]string{}
+	for _, row := range rows {
+		s, err := row.build()
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		order := dispatchOrder(s, 400, 0.4)
+		key := fmt.Sprint(order)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%s dispatches in the same order as %s: the row pins nothing new", row.name, prev)
+		}
+		seen[key] = row.name
+		writeOrder(&got, row.name, order)
+	}
+	s, err := rows[slices.IndexFunc(rows, func(c cascadeRow) bool { return c.name == "hilbert" })].build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeOrder(&got, "hilbert, deep", dispatchOrder(s, 4000, 0.25))
+	checkGolden(t, "dispatch-order-cascade.txt", got.Bytes())
 }
