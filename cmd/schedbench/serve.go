@@ -140,9 +140,6 @@ func runServe(out io.Writer, o *options, reg *obs.Registry) error {
 // priority levels, a deadline stage weighed against them at F = 1
 // (schedsim's -f default), and the cylinder stage, with no window.
 func serveScheduler(cylinders int) (*core.Scheduler, error) {
-	return core.NewScheduler("serve", core.EncapsulatorConfig{
-		Levels:      8,
-		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-		UseCylinder: true, R: 3, Cylinders: cylinders,
-	}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+	return core.Cascade{Name: "serve", Levels: 8, F: 1, Horizon: 700_000, Slack: true, R: 3,
+		Mode: core.FullyPreemptive}.Build(cylinders)
 }

@@ -28,7 +28,6 @@ import (
 	"sfcsched/internal/fault"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -349,31 +348,18 @@ func printFaultCols(plan *fault.Plan, fs *fault.Stats, cols []*metrics.Collector
 }
 
 // build constructs the named scheduler: any name but cascaded from sched's
-// policy table, the cascade from the cascaded flags translated into the
-// three-stage encapsulator configuration. Every path goes through it — the
-// simulated runs, the shadows, and both sides of a -serve calibration — so
-// a flag means the same policy wherever it applies.
+// policy table, the cascade as the core.Cascade the cascaded flags
+// describe (-deadline-max 0 skips the deadline stage, -r 0 the seek
+// stage). Every path goes through it — the simulated runs, the shadows,
+// and both sides of a -serve calibration — so a flag means the same
+// policy wherever it applies.
 func (opt options) build(name string, m *disk.Model) (sched.Scheduler, error) {
 	if name != "cascaded" {
 		return sched.NewPolicy(name, m.ServiceTime, opt.levels)
 	}
-	cv, err := sfc.New(opt.curve, opt.dims, uint32(opt.levels))
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.EncapsulatorConfig{Curve1: cv, Levels: opt.levels}
-	if horizon := opt.deadlineMax.Microseconds(); horizon > 0 {
-		cfg.UseDeadline = true
-		cfg.F = opt.f
-		cfg.DeadlineHorizon = horizon
-		cfg.DeadlineSpan = horizon
-		cfg.DeadlineSlack = true
-	}
-	if opt.r > 0 {
-		cfg.UseCylinder = true
-		cfg.R = opt.r
-		cfg.Cylinders = m.Cylinders
-	}
-	return core.NewScheduler("cascaded", cfg,
-		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, opt.window)
+	return core.Cascade{
+		Name: "cascaded", Curve: opt.curve, Dims: opt.dims, Levels: opt.levels,
+		F: opt.f, Horizon: opt.deadlineMax.Microseconds(), Slack: true, R: opt.r,
+		Mode: core.ConditionallyPreemptive, Window: opt.window, SP: true,
+	}.Build(m.Cylinders)
 }

@@ -160,6 +160,17 @@ func (o *options) validate() error {
 	if o.levels > core.MaxLevels {
 		return fmt.Errorf("-levels must be at most %d, got %d", core.MaxLevels, o.levels)
 	}
+	// The cascade reads a zero -r or -deadline-max as "skip the stage"; a
+	// negative one is a mistake, not a way to say so.
+	if o.r < 0 {
+		return fmt.Errorf("-r must not be negative (0 disables the seek stage), got %d", o.r)
+	}
+	if o.deadlineMax < 0 {
+		return fmt.Errorf("-deadline-max must not be negative, got %v", o.deadlineMax)
+	}
+	if !(0 <= o.window && o.window <= 1) {
+		return fmt.Errorf("-window must be a fraction in [0, 1], got %v", o.window)
+	}
 	if o.sched != "all" {
 		if err := knownScheduler(o.sched); err != nil {
 			return fmt.Errorf("-sched: %w", err)

@@ -71,6 +71,11 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"levels under multi-queue", []string{"-sched", "multi-queue", "-levels", "3000000000"}, "-levels must be at most 65536"},
 		{"levels under a 2-D sweep", []string{"-levels", "2147483649", "-curve", "sweep", "-dims", "2"}, "-levels must be at most 65536"},
 		{"deadline max below min", []string{"-deadline-min", "1s", "-deadline-max", "500ms"}, "workload flags: workload: DeadlineMax < DeadlineMin"},
+		{"negative deadline max under a spec", []string{"-spec", "mixed", "-deadline-max", "-1s"}, "-deadline-max must not be negative, got -1s"},
+		{"negative r", []string{"-r", "-1"}, "-r must not be negative (0 disables the seek stage), got -1"},
+		{"window past 1", []string{"-window", "2"}, "-window must be a fraction in [0, 1], got 2"},
+		{"negative window", []string{"-window", "-0.01"}, "-window must be a fraction in [0, 1], got -0.01"},
+		{"NaN window", []string{"-window", "NaN"}, "-window must be a fraction in [0, 1], got NaN"},
 		{"negative deadline min", []string{"-deadline-min", "-1s"}, "-deadline-min"},
 		{"size max below min", []string{"-size-min", "8192", "-size-max", "4096"}, "workload flags: workload: sizes must satisfy 1 <= SizeMin <= SizeMax"},
 		{"zero size min", []string{"-size-min", "0"}, "workload flags: workload: sizes must satisfy 1 <= SizeMin <= SizeMax"},

@@ -63,15 +63,15 @@ func TestBadCascadeFlagsPrintNothing(t *testing.T) {
 	}{
 		{[]string{"-curve", "bogus"}, `sfc: unknown curve "bogus"`},
 		{[]string{"-curve", "moore"}, "sfc: moore curve is 2-dimensional, got 3 dims"},
-		{[]string{"-window", "2"}, "core: window fraction 2 outside [0,1]"},
-		{[]string{"-window", "-1"}, "core: window fraction -1 outside [0,1]"},
-		{[]string{"-window", "NaN"}, "core: window fraction NaN outside [0,1]"},
+		{[]string{"-window", "2"}, "-window must be a fraction in [0, 1], got 2"},
+		{[]string{"-window", "-1"}, "-window must be a fraction in [0, 1], got -1"},
+		{[]string{"-window", "NaN"}, "-window must be a fraction in [0, 1], got NaN"},
 		{[]string{"-f", "-1"}, "core: F must be >= 0, got -1"},
 		{[]string{"-f", "NaN"}, "core: F must be >= 0, got NaN"},
 		{[]string{"-dims", "40"}, "sfc: dims*bits = 120 exceeds 64"},
 		{[]string{"-sched", "all", "-curve", "bogus"}, `sfc: unknown curve "bogus"`},
 		{[]string{"-sched", "fcfs", "-shadow", "cascaded", "-f", "-1"}, "core: F must be >= 0, got -1"},
-		{[]string{"-spec", "mixed", "-window", "2"}, "core: window fraction 2 outside [0,1]"},
+		{[]string{"-spec", "mixed", "-window", "2"}, "-window must be a fraction in [0, 1], got 2"},
 	} {
 		args := append([]string{"-sched", "cascaded", "-requests", "200"}, tc.args...)
 		printed, err := capture(t, args...)

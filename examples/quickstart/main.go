@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"sfcsched/internal/core"
-	"sfcsched/internal/sfc"
 )
 
 func main() {
@@ -22,28 +21,26 @@ func main() {
 	// fairly. Stage 2: balance factor f = 1 weighs priority and deadline
 	// equally. Stage 3: R = 3 partitions trade seek optimization against
 	// priority fidelity (the paper's sweet spot).
-	scheduler := core.MustScheduler("quickstart",
-		core.EncapsulatorConfig{
-			Curve1: sfc.MustNew("hilbert", 2, levels),
-			Levels: levels,
+	scheduler, err := core.Cascade{
+		Name:   "quickstart",
+		Curve:  "hilbert",
+		Dims:   2,
+		Levels: levels,
 
-			UseDeadline:     true,
-			F:               1,
-			DeadlineHorizon: 1_000_000, // 1 s, µs units
-			DeadlineSpan:    1_000_000,
-			DeadlineSlack:   true,
+		F:       1,
+		Horizon: 1_000_000, // 1 s of slack, µs units
+		Slack:   true,
 
-			UseCylinder: true,
-			R:           3,
-			Cylinders:   cylinders,
-		},
-		core.DispatcherConfig{
-			Mode: core.ConditionallyPreemptive,
-			SP:   true, // promote waiting requests that clear the window
-			ER:   true, // expand-and-reset guards against starvation
-		},
-		0.05, // blocking window: 5% of the characterization-value space
-	)
+		R: 3,
+
+		Mode:   core.ConditionallyPreemptive,
+		Window: 0.05, // blocking window: 5% of the characterization-value space
+		SP:     true, // promote waiting requests that clear the window
+		ER:     true, // expand-and-reset guards against starvation
+	}.Build(cylinders)
+	if err != nil {
+		panic(err)
+	}
 	// A scheduler counts its policy events only into a sink its owner
 	// installs; install before the first Add.
 	events := new(core.Metrics)

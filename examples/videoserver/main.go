@@ -14,7 +14,6 @@ import (
 	"sfcsched/internal/disk"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -108,17 +107,7 @@ func schedulerFactory(policy string, model *disk.Model) func(int) (sched.Schedul
 		if policy != "cascaded-peano" {
 			return sched.NewPolicy(policy, model.ServiceTime, levels)
 		}
-		return core.NewScheduler(policy,
-			core.EncapsulatorConfig{
-				Levels:          levels,
-				UseDeadline:     true,
-				Curve2:          sfc.MustNew("peano", 2, levels),
-				DeadlineHorizon: deadlineMax,
-				DeadlineSlack:   true,
-				UseCylinder:     true,
-				R:               3,
-				Cylinders:       model.Cylinders,
-			},
-			core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+		return core.Cascade{Name: policy, Levels: levels, Plane: "peano", Horizon: deadlineMax, Slack: true,
+			R: 3, Mode: core.FullyPreemptive}.Build(model.Cylinders)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"sfcsched/internal/sfc"
@@ -141,5 +142,55 @@ func TestWeightedSumOverflowRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("expected overflow rejection for extreme F and span ratio")
+	}
+}
+
+// testCascade is the default cascade of schedsim and the dispatch-order
+// golden: hilbert SFC1, f 1 over a 700 ms slack horizon, R 3,
+// conditionally preemptive at w 5 % with SP.
+var testCascade = Cascade{Name: "cascaded", Curve: "hilbert", Dims: 2, Levels: 8,
+	F: 1, Horizon: 700_000, Slack: true, R: 3, Mode: ConditionallyPreemptive, Window: 0.05, SP: true}
+
+// Build rejects a configuration it would otherwise build wrong: a level
+// count past MaxLevels would reach sfc.New truncated to 32 bits, and a
+// negative horizon or R would silently turn its stage off.
+func TestCascadeBuildRejects(t *testing.T) {
+	cases := []struct {
+		name   string
+		change func(*Cascade)
+		want   string
+	}{
+		{"zero levels", func(c *Cascade) { c.Levels = 0 }, "core: Levels must be in [1, 65536], got 0"},
+		{"levels past MaxLevels", func(c *Cascade) { c.Levels = MaxLevels + 1 }, "core: Levels must be in [1, 65536], got 65537"},
+		{"levels that wrap a curve side", func(c *Cascade) { c.Levels = 1<<32 + 4 }, "core: Levels must be in [1, 65536], got 4294967300"},
+		{"negative horizon", func(c *Cascade) { c.Horizon = -1 }, "core: Horizon must not be negative (0 skips the deadline stage), got -1"},
+		{"negative R", func(c *Cascade) { c.R = -1 }, "core: R must not be negative (0 skips the seek stage), got -1"},
+		{"unknown curve", func(c *Cascade) { c.Curve = "bogus" }, `sfc: unknown curve "bogus"`},
+		{"unknown plane", func(c *Cascade) { c.Plane = "bogus" }, `sfc: unknown curve "bogus"`},
+		{"window past 1", func(c *Cascade) { c.Window = 2 }, "core: window fraction 2 outside [0,1]"},
+		{"span past the horizon", func(c *Cascade) { c.Span = c.Horizon + 1 }, "core: DeadlineSpan 700001 outside [0, DeadlineHorizon]"},
+	}
+	for _, tc := range cases {
+		c := testCascade
+		tc.change(&c)
+		if _, err := c.Build(3832); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: Build = %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Build hands the cylinder count to the scheduler only with the seek
+// stage on; without it the scheduler keeps no sweep timeline.
+func TestCascadeBuildTimelineOnlyWithSeekStage(t *testing.T) {
+	for r, want := range map[int]int{0: 0, 3: 3832} {
+		c := testCascade
+		c.R = r
+		s, err := c.Build(3832)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cylinders != want {
+			t.Errorf("R %d: timeline over %d cylinders, want %d", r, s.cylinders, want)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestValueSchedulersShareOneContract(t *testing.T) {
 		core.EmulateSSTF(),
 		core.EmulateCSCAN(3832),
 		core.EmulateMultiQueue(8),
-		must(core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832, full)),
+		must(core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832)),
 	}
 	for _, s := range schedulers {
 		t.Run(s.Name(), func(t *testing.T) {

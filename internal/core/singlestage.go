@@ -100,12 +100,12 @@ func (s *SingleStage) Value(r *Request, now int64, head int) uint64 {
 	return s.curve.IndexFast(p, s.scratch)
 }
 
-// NewSingleStageScheduler puts the single-stage core in front of a
-// dispatcher.
-func NewSingleStageScheduler(name, curveName string, priorityDims, levels int, deadlineHorizon int64, cylinders int, dcfg DispatcherConfig) (*Scheduler, error) {
+// NewSingleStageScheduler puts the single-stage core in front of a fully
+// preemptive dispatcher, so requests are served in curve order.
+func NewSingleStageScheduler(name, curveName string, priorityDims, levels int, deadlineHorizon int64, cylinders int) (*Scheduler, error) {
 	ss, err := NewSingleStage(curveName, priorityDims, levels, deadlineHorizon, cylinders)
 	if err != nil {
 		return nil, err
 	}
-	return NewValueScheduler(name, ValueFunc(ss.Value), 0, dcfg)
+	return NewValueScheduler(name, ValueFunc(ss.Value), 0, DispatcherConfig{Mode: FullyPreemptive})
 }

@@ -66,8 +66,7 @@ func TestSingleStageDeadlineClamping(t *testing.T) {
 }
 
 func TestSingleStageSchedulerRuns(t *testing.T) {
-	s, err := NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832,
-		DispatcherConfig{Mode: FullyPreemptive})
+	s, err := NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832)
 	if err != nil {
 		t.Fatal(err)
 	}

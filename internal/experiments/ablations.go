@@ -8,7 +8,6 @@ import (
 	"sfcsched/internal/core"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -52,20 +51,12 @@ func ablationCascadeVsSingle(w io.Writer, seed uint64, workers int) error {
 		return err
 	}
 	horizon := 2*int64(5000)*13_000 + 700_000
-	cv, err := sfc.New("hilbert", 2, 8)
+	cascaded, err := core.Cascade{Name: "cascaded", Curve: "hilbert", Dims: 2, Levels: 8,
+		F: 1, Horizon: 700_000, Slack: true, R: 3, Mode: core.FullyPreemptive}.Build(m.Cylinders)
 	if err != nil {
 		return err
 	}
-	cascaded, err := core.NewScheduler("cascaded", core.EncapsulatorConfig{
-		Curve1: cv, Levels: 8,
-		UseDeadline: true, F: 1, DeadlineHorizon: 700_000, DeadlineSpan: 700_000, DeadlineSlack: true,
-		UseCylinder: true, R: 3, Cylinders: m.Cylinders,
-	}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
-	if err != nil {
-		return err
-	}
-	single, err := core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8,
-		horizon, m.Cylinders, core.DispatcherConfig{Mode: core.FullyPreemptive})
+	single, err := core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, horizon, m.Cylinders)
 	if err != nil {
 		return err
 	}
@@ -110,10 +101,8 @@ func ablationDeadlineMode(w io.Writer, seed uint64, workers int) error {
 		return err
 	}
 	misses, err := runner.Map(workers, 2, func(i int) (uint64, error) {
-		s, err := core.NewScheduler("x", core.EncapsulatorConfig{
-			Levels: 8, UseDeadline: true, F: math.Inf(1),
-			DeadlineHorizon: 210_000_000, DeadlineSpan: 700_000, DeadlineSlack: i == 1,
-		}, core.DispatcherConfig{Mode: core.FullyPreemptive}, 0)
+		s, err := core.Cascade{Name: "x", Levels: 8, F: math.Inf(1),
+			Horizon: 210_000_000, Span: 700_000, Slack: i == 1, Mode: core.FullyPreemptive}.Build(0)
 		if err != nil {
 			return 0, err
 		}
@@ -149,12 +138,8 @@ func ablationSP(w io.Writer, seed uint64, workers int) error {
 		return err
 	}
 	inv, err := runner.Map(workers, 2, func(i int) (uint64, error) {
-		cv, err := sfc.New("peano", 4, 16)
-		if err != nil {
-			return 0, err
-		}
-		s, err := core.NewScheduler("x", core.EncapsulatorConfig{Curve1: cv, Levels: 16},
-			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: i == 0}, 0.05)
+		s, err := core.Cascade{Name: "x", Curve: "peano", Dims: 4, Levels: 16,
+			Mode: core.ConditionallyPreemptive, Window: 0.05, SP: i == 0}.Build(0)
 		if err != nil {
 			return 0, err
 		}
@@ -225,12 +210,8 @@ func ablationWindow(w io.Writer, seed uint64, workers int) error {
 	}
 	fracs := []float64{0, 0.02, 0.05, 0.2, 0.5}
 	cells, err := runner.Map(workers, len(fracs), func(i int) ([]string, error) {
-		cv, err := sfc.New("peano", 4, 16)
-		if err != nil {
-			return nil, err
-		}
-		s, err := core.NewScheduler("x", core.EncapsulatorConfig{Curve1: cv, Levels: 16},
-			core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, fracs[i])
+		s, err := core.Cascade{Name: "x", Curve: "peano", Dims: 4, Levels: 16,
+			Mode: core.ConditionallyPreemptive, Window: fracs[i], SP: true}.Build(0)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"sfcsched/internal/core"
 	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -49,17 +48,8 @@ var fig11Users = []float64{68, 72, 76, 80, 84, 88, 91}
 // deadline.
 func streamPolicy(name, curve string, priorityOnY bool) policy {
 	return policy{name, func() (sched.Scheduler, error) {
-		cv, err := sfc.New(curve, 2, fig11Levels)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewScheduler(curve,
-			core.EncapsulatorConfig{
-				Levels:      fig11Levels,
-				UseDeadline: true, Curve2: cv, Curve2PriorityOnY: priorityOnY,
-				DeadlineHorizon: fig11DeadlineMax, DeadlineSlack: true,
-			},
-			core.DispatcherConfig{Mode: core.NonPreemptive}, 0)
+		return core.Cascade{Name: curve, Levels: fig11Levels, Plane: curve, PriorityOnY: priorityOnY,
+			Horizon: fig11DeadlineMax, Slack: true, Mode: core.NonPreemptive}.Build(0)
 	}}
 }
 

@@ -63,16 +63,11 @@ func (c stage1) fifo(trace []*core.Request) (*sim.Result, error) {
 
 // scheduler builds the Cascaded-SFC scheduler reduced to SFC1 only.
 func (c stage1) scheduler(curve string, windowFrac float64) (*core.Scheduler, error) {
-	cv, err := sfc.New(curve, c.dims, stage1Levels)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewScheduler(
-		fmt.Sprintf("%s-w%.0f%%", curve, windowFrac*100),
-		core.EncapsulatorConfig{Curve1: cv, Levels: stage1Levels},
-		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true},
-		windowFrac,
-	)
+	return core.Cascade{
+		Name:  fmt.Sprintf("%s-w%.0f%%", curve, windowFrac*100),
+		Curve: curve, Dims: c.dims, Levels: stage1Levels,
+		Mode: core.ConditionallyPreemptive, Window: windowFrac, SP: true,
+	}.Build(0)
 }
 
 // cell runs one (curve, window) grid cell over trace, with its own

@@ -7,7 +7,6 @@ import (
 	"sfcsched/internal/core"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -67,21 +66,12 @@ func (c stage2) edf(trace []*core.Request) (*sim.Result, error) {
 // dispatcher is fully preemptive. The deadline horizon bounds the
 // absolute deadlines of the whole run.
 func (c stage2) scheduler(curve string, f float64) (*core.Scheduler, error) {
-	cv, err := sfc.New(curve, stage2Dims, stage2Levels)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewScheduler(
-		fmt.Sprintf("%s-f%g", curve, f),
-		core.EncapsulatorConfig{
-			Curve1: cv, Levels: stage2Levels,
-			UseDeadline: true, F: f,
-			DeadlineHorizon: 2*int64(c.Requests)*stage2Interarrival + stage2DeadlineMax,
-			DeadlineSpan:    stage2DeadlineMax,
-		},
-		core.DispatcherConfig{Mode: core.FullyPreemptive},
-		0,
-	)
+	return core.Cascade{
+		Name:  fmt.Sprintf("%s-f%g", curve, f),
+		Curve: curve, Dims: stage2Dims, Levels: stage2Levels,
+		F: f, Horizon: 2*int64(c.Requests)*stage2Interarrival + stage2DeadlineMax, Span: stage2DeadlineMax,
+		Mode: core.FullyPreemptive,
+	}.Build(0)
 }
 
 // fig8 measures the effect of the SFC2 balance factor f on (a) priority

@@ -7,7 +7,6 @@ import (
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 	"sfcsched/internal/workload"
 )
@@ -64,22 +63,12 @@ func (c stage3) simConfig(m *disk.Model, s sched.Scheduler) sim.Config {
 // so the deadline dimension uses the matching insertion-relative slack
 // coordinate and the bounded window it implies.
 func (c stage3) scheduler(m *disk.Model, r int) (*core.Scheduler, error) {
-	cv, err := sfc.New(stage3Curve1, stage3Dims, stage3Levels)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewScheduler(
-		fmt.Sprintf("cascaded-R%d", r),
-		core.EncapsulatorConfig{
-			Curve1: cv, Levels: stage3Levels,
-			UseDeadline: true, F: stage3F,
-			DeadlineHorizon: stage3DeadlineMax, DeadlineSpan: stage3DeadlineMax,
-			DeadlineSlack: true,
-			UseCylinder:   true, R: r, Cylinders: m.Cylinders,
-		},
-		core.DispatcherConfig{Mode: core.FullyPreemptive},
-		0,
-	)
+	return core.Cascade{
+		Name:  fmt.Sprintf("cascaded-R%d", r),
+		Curve: stage3Curve1, Dims: stage3Dims, Levels: stage3Levels,
+		F: stage3F, Horizon: stage3DeadlineMax, Slack: true, R: r,
+		Mode: core.FullyPreemptive,
+	}.Build(m.Cylinders)
 }
 
 // fig10 sweeps the SFC3 partition count R and reports, against the EDF and

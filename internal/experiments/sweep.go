@@ -7,7 +7,6 @@ import (
 	"sfcsched/internal/disk"
 	"sfcsched/internal/runner"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/sfc"
 	"sfcsched/internal/sim"
 )
 
@@ -72,17 +71,8 @@ func baseline(name string) policy {
 // divergence experiments: hilbert over the (deadline, priority) plane,
 // conditionally preemptive with SP, blocking window w of the value space.
 func planeCascade(levels int, horizon int64, w float64) (sched.Scheduler, error) {
-	cv, err := sfc.New("hilbert", 2, uint32(levels))
-	if err != nil {
-		return nil, err
-	}
-	return core.NewScheduler("cascaded",
-		core.EncapsulatorConfig{
-			Levels:      levels,
-			UseDeadline: true, Curve2: cv,
-			DeadlineHorizon: horizon, DeadlineSlack: true,
-		},
-		core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true}, w)
+	return core.Cascade{Name: "cascaded", Levels: levels, Plane: "hilbert", Horizon: horizon, Slack: true,
+		Mode: core.ConditionallyPreemptive, Window: w, SP: true}.Build(0)
 }
 
 // xp32150 is the Table 1 disk every experiment simulates.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
@@ -12,12 +13,31 @@ import (
 // depth (the bench ledger's sched.queue_depth_mean).
 const benchDepth = 22
 
-// BenchmarkPolicies times one Add and one Next on every row of the policy
-// table, built through NewPolicy, with benchDepth requests queued between
-// iterations.
+// steadyCascade is the Cascaded-SFC row of the steady benchmarks: the
+// dispatch-order golden's default over the one priority dimension and
+// eight levels steadyDriver's requests carry.
+var steadyCascade = core.Cascade{Name: "cascaded", Curve: "hilbert", Dims: 1, Levels: 8,
+	F: 1, Horizon: 700_000, Slack: true, R: 3, Mode: core.ConditionallyPreemptive, Window: 0.05, SP: true}
+
+// steadyRows are the schedulers the Add+Next benchmarks and the
+// allocation gate hold at a depth: every row of the policy table at eight
+// levels, then steadyCascade.
+func steadyRows() []Policy {
+	cascade := Policy{steadyCascade.Name, func(Estimator, int) Scheduler {
+		s, err := steadyCascade.Build(orderCylinders)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}}
+	return append(slices.Clone(Policies), cascade)
+}
+
+// BenchmarkPolicies times one Add and one Next on every steady row with
+// benchDepth requests queued between iterations.
 func BenchmarkPolicies(b *testing.B) {
-	for _, p := range Policies {
-		b.Run(p.Name, func(b *testing.B) { benchAddNext(b, p.Name, benchDepth) })
+	for _, p := range steadyRows() {
+		b.Run(p.Name, func(b *testing.B) { benchAddNext(b, p, benchDepth) })
 	}
 }
 
@@ -25,25 +45,21 @@ func BenchmarkPolicies(b *testing.B) {
 // where a pick that scans the queue costs what the depth does:
 // PoliciesDeep/<policy>/<depth>.
 func BenchmarkPoliciesDeep(b *testing.B) {
-	for _, p := range Policies {
+	for _, p := range steadyRows() {
 		b.Run(p.Name, func(b *testing.B) {
 			for _, depth := range []int{256, 2048} {
-				b.Run(strconv.Itoa(depth), func(b *testing.B) { benchAddNext(b, p.Name, depth) })
+				b.Run(strconv.Itoa(depth), func(b *testing.B) { benchAddNext(b, p, depth) })
 			}
 		})
 	}
 }
 
-// benchAddNext times one Add and one Next on the named policy with depth
-// requests queued between iterations. The request Next returns is
-// re-armed from a precomputed table and added back in the next iteration,
-// so the loop allocates only what the scheduler does.
-func benchAddNext(b *testing.B, name string, depth int) {
-	s, err := NewPolicy(name, testEstimator(), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := newSteadyDriver(s, depth)
+// benchAddNext times one Add and one Next on p with depth requests queued
+// between iterations. The request Next returns is re-armed from a
+// precomputed table and added back in the next iteration, so the loop
+// allocates only what the scheduler does.
+func benchAddNext(b *testing.B, p Policy, depth int) {
+	d := newSteadyDriver(p.New(testEstimator(), 8), depth)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

@@ -139,60 +139,18 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // Table 1 drive, past the last cylinder dispatchOrder draws.
 const orderCylinders = 3832
 
-// cascadeRow is one Cascaded-SFC configuration of the cascade golden:
-// two priority dimensions over orderLevels levels.
-type cascadeRow struct {
-	name        string
-	curve       string // SFC1 curve; "" feeds the first priority to stage 2
-	plane       string // SFC2 curve over (deadline, priority); "" is the weighted sum
-	priorityOnY bool
-	f           float64
-	horizon     int64 // 0 skips SFC2
-	span        int64
-	slack       bool
-	r           int // 0 skips SFC3
-	mode        core.PreemptMode
-	window      float64
-	sp, er      bool
-}
-
-func (c cascadeRow) build() (*core.Scheduler, error) {
-	ecfg := core.EncapsulatorConfig{Levels: orderLevels}
-	if c.curve != "" {
-		cv, err := sfc.New(c.curve, 2, orderLevels)
-		if err != nil {
-			return nil, err
-		}
-		ecfg.Curve1 = cv
-	}
-	if c.horizon > 0 {
-		ecfg.UseDeadline, ecfg.F, ecfg.DeadlineHorizon, ecfg.DeadlineSpan, ecfg.DeadlineSlack = true, c.f, c.horizon, c.span, c.slack
-		if c.plane != "" {
-			cv, err := sfc.New(c.plane, 2, orderLevels)
-			if err != nil {
-				return nil, err
-			}
-			ecfg.Curve2, ecfg.Curve2PriorityOnY = cv, c.priorityOnY
-		}
-	}
-	if c.r > 0 {
-		ecfg.UseCylinder, ecfg.R, ecfg.Cylinders = true, c.r, orderCylinders
-	}
-	return core.NewScheduler(c.name, ecfg, core.DispatcherConfig{Mode: c.mode, SP: c.sp, ER: c.er}, c.window)
-}
-
 // cascadeRows are the configurations the cascade golden pins: the default
 // (hilbert SFC1, f 1 over a 700 ms slack horizon, R 3, conditionally
 // preemptive at w 5 % with SP) under each registry curve, then the
 // default with one setting changed. TestDispatchOrderGoldenCascade
 // requires every row to dispatch in an order no earlier row does.
-func cascadeRows() []cascadeRow {
-	def := cascadeRow{curve: "hilbert", f: 1, horizon: 700_000, slack: true, r: 3,
-		mode: core.ConditionallyPreemptive, window: 0.05, sp: true}
-	var rows []cascadeRow
-	vary := func(name string, change func(*cascadeRow)) {
+func cascadeRows() []core.Cascade {
+	def := core.Cascade{Curve: "hilbert", Dims: 2, Levels: orderLevels, F: 1, Horizon: 700_000, Slack: true, R: 3,
+		Mode: core.ConditionallyPreemptive, Window: 0.05, SP: true}
+	var rows []core.Cascade
+	vary := func(name string, change func(*core.Cascade)) {
 		row := def
-		row.name = name
+		row.Name = name
 		change(&row)
 		rows = append(rows, row)
 	}
@@ -200,24 +158,24 @@ func cascadeRows() []cascadeRow {
 		// Over two dimensions cscan is sweep: it differs only above the
 		// lowest two.
 		if curve != "cscan" {
-			vary(curve, func(c *cascadeRow) { c.curve = curve })
+			vary(curve, func(c *core.Cascade) { c.Curve = curve })
 		}
 	}
-	vary("f=0", func(c *cascadeRow) { c.f = 0 })
-	vary("f=+Inf", func(c *cascadeRow) { c.f = math.Inf(1) })
-	vary("R=0", func(c *cascadeRow) { c.r = 0 })
-	vary("R=1", func(c *cascadeRow) { c.r = 1 })
-	vary("non-preemptive", func(c *cascadeRow) { c.mode = core.NonPreemptive })
-	vary("fully preemptive", func(c *cascadeRow) { c.mode = core.FullyPreemptive })
+	vary("f=0", func(c *core.Cascade) { c.F = 0 })
+	vary("f=+Inf", func(c *core.Cascade) { c.F = math.Inf(1) })
+	vary("R=0", func(c *core.Cascade) { c.R = 0 })
+	vary("R=1", func(c *core.Cascade) { c.R = 1 })
+	vary("non-preemptive", func(c *core.Cascade) { c.Mode = core.NonPreemptive })
+	vary("fully preemptive", func(c *core.Cascade) { c.Mode = core.FullyPreemptive })
 	// With the seek stage on, SP off serves this traffic exactly as
 	// non-preemptive does; without it the two part.
-	vary("SP off, R=0", func(c *cascadeRow) { c.sp, c.r = false, 0 })
-	vary("ER on", func(c *cascadeRow) { c.er = true })
-	vary("absolute deadlines", func(c *cascadeRow) { c.horizon, c.span, c.slack = 3_000_000, 700_000, false })
+	vary("SP off, R=0", func(c *core.Cascade) { c.SP, c.R = false, 0 })
+	vary("ER on", func(c *core.Cascade) { c.ER = true })
+	vary("absolute deadlines", func(c *core.Cascade) { c.Horizon, c.Span, c.Slack = 3_000_000, 700_000, false })
 	for _, plane := range []string{"sweep", "hilbert"} {
 		for _, axis := range []string{"X", "Y"} {
-			vary(plane+" plane, priority on "+axis, func(c *cascadeRow) {
-				c.curve, c.plane, c.priorityOnY = "", plane, axis == "Y"
+			vary(plane+" plane, priority on "+axis, func(c *core.Cascade) {
+				c.Curve, c.Plane, c.PriorityOnY = "", plane, axis == "Y"
 			})
 		}
 	}
@@ -235,19 +193,19 @@ func TestDispatchOrderGoldenCascade(t *testing.T) {
 	rows := cascadeRows()
 	seen := map[string]string{}
 	for _, row := range rows {
-		s, err := row.build()
+		s, err := row.Build(orderCylinders)
 		if err != nil {
-			t.Fatalf("%s: %v", row.name, err)
+			t.Fatalf("%s: %v", row.Name, err)
 		}
 		order := dispatchOrder(s, 400, 0.4)
 		key := fmt.Sprint(order)
 		if prev, dup := seen[key]; dup {
-			t.Errorf("%s dispatches in the same order as %s: the row pins nothing new", row.name, prev)
+			t.Errorf("%s dispatches in the same order as %s: the row pins nothing new", row.Name, prev)
 		}
-		seen[key] = row.name
-		writeOrder(&got, row.name, order)
+		seen[key] = row.Name
+		writeOrder(&got, row.Name, order)
 	}
-	s, err := rows[slices.IndexFunc(rows, func(c cascadeRow) bool { return c.name == "hilbert" })].build()
+	s, err := rows[slices.IndexFunc(rows, func(c core.Cascade) bool { return c.Name == "hilbert" })].Build(orderCylinders)
 	if err != nil {
 		t.Fatal(err)
 	}

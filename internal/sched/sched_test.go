@@ -325,21 +325,17 @@ func TestKamelKeepsScanOrderWhenFeasible(t *testing.T) {
 	}
 }
 
-// TestPoliciesAddNextAllocateNothing holds every row of the policy table
-// at depths 22 and 2 048, the way BenchmarkPolicies and
-// BenchmarkPoliciesDeep do, and requires an Add and a Next to allocate
+// TestPoliciesAddNextAllocateNothing holds every steady row (the policy
+// table and the cascade) at depths 22 and 2 048, the way BenchmarkPolicies
+// and BenchmarkPoliciesDeep do, and requires an Add and a Next to allocate
 // nothing once the queue's slice has reached its size.
 func TestPoliciesAddNextAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	for _, p := range Policies {
+	for _, p := range steadyRows() {
 		for _, depth := range []int{benchDepth, 2048} {
-			s, err := NewPolicy(p.Name, testEstimator(), 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := newSteadyDriver(s, depth)
+			d := newSteadyDriver(p.New(testEstimator(), 8), depth)
 			for range 2 * depth {
 				d.step(t)
 			}

@@ -123,8 +123,7 @@ func TestShadowSSTFBeatsFCFSTravel(t *testing.T) {
 // The §4.2 presets and the single-curve baseline are core.Schedulers like
 // the cascade: the decision layer sees their queued values and window.
 func TestValuePresetsAreObservable(t *testing.T) {
-	single, err := core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832,
-		core.DispatcherConfig{Mode: core.FullyPreemptive})
+	single, err := core.NewSingleStageScheduler("single-hilbert", "hilbert", 2, 8, 1_000_000, 3832)
 	if err != nil {
 		t.Fatal(err)
 	}
