@@ -53,6 +53,9 @@ func compare() []*sim.Result {
 		DeadlineMax:      400_000,
 	}.MustGenerate()
 
+	// core.Cascade builds this in one value; the example spells out the
+	// three stages instead, to show the configuration each one reads and
+	// how leaving UseCylinder unset drops SFC3.
 	cascaded := core.MustScheduler("cascaded-cpu",
 		core.EncapsulatorConfig{
 			Curve1: sfc.MustNew("peano", dims, levels),

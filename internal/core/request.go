@@ -7,6 +7,10 @@
 // v_c through up to three cascaded space-filling-curve stages; the
 // Dispatcher serves requests in increasing v_c with a tunable preemption
 // policy. Lower v_c means higher service priority.
+//
+// Cascade is the constructor: one value describing the three stages and
+// the dispatcher, whose Build fills in the EncapsulatorConfig and
+// DispatcherConfig that NewScheduler takes.
 package core
 
 // Time values throughout the scheduler are absolute simulation clock

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"sfcsched/internal/core"
@@ -139,24 +138,25 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // Table 1 drive, past the last cylinder dispatchOrder draws.
 const orderCylinders = 3832
 
+// orderCascade is the cascade golden's default: hilbert SFC1, f 1 over a
+// 700 ms slack horizon, R 3, conditionally preemptive at w 5 % with SP.
+var orderCascade = core.Cascade{Name: "hilbert", Curve: "hilbert", Dims: 2, Levels: orderLevels,
+	F: 1, Horizon: 700_000, Slack: true, R: 3, Mode: core.ConditionallyPreemptive, Window: 0.05, SP: true}
+
 // cascadeRows are the configurations the cascade golden pins: the default
-// (hilbert SFC1, f 1 over a 700 ms slack horizon, R 3, conditionally
-// preemptive at w 5 % with SP) under each registry curve, then the
-// default with one setting changed. TestDispatchOrderGoldenCascade
-// requires every row to dispatch in an order no earlier row does.
+// under each registry curve, then the default with one setting changed.
+// TestDispatchOrderGoldenCascade requires every row to dispatch in an
+// order no earlier row does.
 func cascadeRows() []core.Cascade {
-	def := core.Cascade{Curve: "hilbert", Dims: 2, Levels: orderLevels, F: 1, Horizon: 700_000, Slack: true, R: 3,
-		Mode: core.ConditionallyPreemptive, Window: 0.05, SP: true}
 	var rows []core.Cascade
 	vary := func(name string, change func(*core.Cascade)) {
-		row := def
+		row := orderCascade
 		row.Name = name
 		change(&row)
 		rows = append(rows, row)
 	}
 	for _, curve := range sfc.Names() {
-		// Over two dimensions cscan is sweep: it differs only above the
-		// lowest two.
+		// Over two dimensions cscan is sweep; they part only from three.
 		if curve != "cscan" {
 			vary(curve, func(c *core.Cascade) { c.Curve = curve })
 		}
@@ -190,9 +190,8 @@ func cascadeRows() []core.Cascade {
 func TestDispatchOrderGoldenCascade(t *testing.T) {
 	var got bytes.Buffer
 	fmt.Fprintln(&got, "# Dispatch order of Cascaded-SFC configurations on order_test.go's traffic.")
-	rows := cascadeRows()
 	seen := map[string]string{}
-	for _, row := range rows {
+	for _, row := range cascadeRows() {
 		s, err := row.Build(orderCylinders)
 		if err != nil {
 			t.Fatalf("%s: %v", row.Name, err)
@@ -205,7 +204,7 @@ func TestDispatchOrderGoldenCascade(t *testing.T) {
 		seen[key] = row.Name
 		writeOrder(&got, row.Name, order)
 	}
-	s, err := rows[slices.IndexFunc(rows, func(c core.Cascade) bool { return c.Name == "hilbert" })].Build(orderCylinders)
+	s, err := orderCascade.Build(orderCylinders)
 	if err != nil {
 		t.Fatal(err)
 	}
