@@ -4,14 +4,28 @@ package sim
 // the metrics of the two deleted pre-engine loops (preserved verbatim in
 // legacy_test.go) exactly — same collectors, same head travel, same trace
 // stream — on fuzzed traces across every scheduler and option combination.
+// Every case's outputs are also pinned, one line per case, in
+// testdata/engine-outputs.txt; regenerate it with
+//
+//	go test ./internal/sim -run TestEngineMatchesLegacy -update
+//
+// only when a behaviour change is intended.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"hash"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"sfcsched/internal/core"
 	"sfcsched/internal/disk"
+	"sfcsched/internal/metrics"
 	"sfcsched/internal/sched"
 	"sfcsched/internal/workload"
 )
@@ -97,6 +111,113 @@ func flatten(ev TraceEvent) flatEvent {
 	}
 }
 
+// streamDigest is a Trace sink that keeps a dispatch stream as its length
+// and the SHA-256 of one "%v\n" line per flattened event.
+type streamDigest struct {
+	n int
+	h hash.Hash
+}
+
+func newStreamDigest() *streamDigest { return &streamDigest{h: sha256.New()} }
+
+func (d *streamDigest) trace(ev TraceEvent) {
+	d.n++
+	fmt.Fprintf(d.h, "%v\n", flatten(ev))
+}
+
+func (d *streamDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+
+// singleOutputs is one single-disk case's line of the engine golden: every
+// output the differential against the pre-engine loop compares.
+type singleOutputs struct {
+	Collector    *metrics.Collector
+	Dims, Levels int
+	HeadTravel   int64
+	Scheduler    string
+	PolicyEvents [3]uint64 // preemptions, promotions, swaps
+	Dispatches   int
+	StreamSHA256 string
+}
+
+// arrayOutputs is one array case's line of the engine golden.
+type arrayOutputs struct {
+	Logical            *metrics.Collector
+	Dims, Levels       int
+	SeekTime, BusyTime int64
+	PerDiskOps         []uint64
+	Makespan           int64
+	Dispatches         int
+	StreamSHA256       string
+}
+
+const engineOutputsPath = "testdata/engine-outputs.txt"
+
+// engineOutputs holds the committed lines of testdata/engine-outputs.txt,
+// each a case name and its outputs as JSON, keyed by the name. One test
+// owns the cases under prefix; under -update its lines are replaced by the
+// ones it records and the file is rewritten in name order.
+type engineOutputs struct {
+	prefix string
+	lines  map[string]string
+}
+
+func openEngineOutputs(t *testing.T, prefix string) *engineOutputs {
+	t.Helper()
+	data, err := os.ReadFile(engineOutputsPath)
+	if err != nil && !*update {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	g := &engineOutputs{prefix: prefix, lines: map[string]string{}}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if name != "" && !(*update && strings.HasPrefix(name, prefix)) {
+			g.lines[name] = line
+		}
+	}
+	return g
+}
+
+// check compares the case's outputs with its committed line, or records
+// them under -update.
+func (g *engineOutputs) check(t *testing.T, name string, out any) {
+	t.Helper()
+	js, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name = g.prefix + name
+	line := name + " " + string(js)
+	if *update {
+		g.lines[name] = line
+		return
+	}
+	if want, ok := g.lines[name]; !ok {
+		t.Errorf("%s: no line for %s (run with -update to record)", engineOutputsPath, name)
+	} else if want != line {
+		t.Errorf("%s: outputs diverged\nwant %s\ngot  %s", engineOutputsPath, want, line)
+	}
+}
+
+// save rewrites the file under -update.
+func (g *engineOutputs) save(t *testing.T) {
+	t.Helper()
+	if !*update {
+		return
+	}
+	names := make([]string, 0, len(g.lines))
+	for name := range g.lines {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var b strings.Builder
+	for _, name := range names {
+		b.WriteString(g.lines[name] + "\n")
+	}
+	if err := os.WriteFile(engineOutputsPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEngineMatchesLegacySingle(t *testing.T) {
 	m := xp()
 	scenarios := []struct {
@@ -112,10 +233,12 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 		{"transfer-only", Config{Disk: m, FixedService: m.TransferTime(0, 64<<10), Options: Options{DropLate: true}}},
 		{"fixed-service", Config{FixedService: 12_000, Options: Options{DropLate: true}}},
 	}
+	g := openEngineOutputs(t, "single/")
 	for name, mk := range goldenSchedulers(m) {
 		for _, sc := range scenarios {
 			for _, seed := range []uint64{1, 7} {
-				t.Run(fmt.Sprintf("%s/%s/seed%d", name, sc.name, seed), func(t *testing.T) {
+				c := fmt.Sprintf("%s/%s/seed%d", name, sc.name, seed)
+				t.Run(c, func(t *testing.T) {
 					trace := goldenTrace(seed, m)
 
 					var wantEvents, gotEvents []flatEvent
@@ -131,7 +254,8 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 					gotCfg := sc.cfg
 					gotCfg.Scheduler = mk()
 					gotPolicy := policyEvents(gotCfg.Scheduler)
-					gotCfg.Trace = func(ev TraceEvent) { gotEvents = append(gotEvents, flatten(ev)) }
+					d := newStreamDigest()
+					gotCfg.Trace = func(ev TraceEvent) { gotEvents = append(gotEvents, flatten(ev)); d.trace(ev) }
 					got, err := Run(gotCfg, smallTraceCopy(trace))
 					if err != nil {
 						t.Fatal(err)
@@ -158,10 +282,13 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 							}
 						}
 					}
+					g.check(t, c, singleOutputs{got.Collector, got.Dims(), got.Levels(), got.HeadTravel,
+						got.Scheduler, gotPolicy(), d.n, d.sum()})
 				})
 			}
 		}
 	}
+	g.save(t)
 }
 
 // goldenArrayTrace fuzzes a logical block trace with writes, so the RAID-5
@@ -182,17 +309,9 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factories := map[string]func(int) (sched.Scheduler, error){
-		"fcfs": func(int) (sched.Scheduler, error) { return sched.NewFCFS(), nil },
-		"edf":  func(int) (sched.Scheduler, error) { return sched.NewEDF(), nil },
-		"scan": func(int) (sched.Scheduler, error) { return sched.NewSCAN(), nil },
-		"cascaded": func(int) (sched.Scheduler, error) {
-			return core.NewScheduler("cascaded",
-				core.EncapsulatorConfig{Levels: 8, UseDeadline: true, F: 1, DeadlineHorizon: 800_000},
-				core.DispatcherConfig{Mode: core.ConditionallyPreemptive, SP: true},
-				0.05)
-		},
-	}
+	// The legacy array loop kept the head "at rest" at its last target,
+	// which only these rows cannot tell from the engine's en-route head.
+	legacyRows := map[string]bool{"fcfs": true, "edf": true, "scan": true, "cascaded": true}
 	scenarios := []struct {
 		name string
 		opts Options
@@ -200,17 +319,28 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 		{"plain", Options{Dims: 1, Levels: 8}},
 		{"drop", Options{DropLate: true, Dims: 1, Levels: 8}},
 	}
-	for name, mk := range factories {
+	g := openEngineOutputs(t, "array/")
+	for name, mk := range goldenSchedulers(m) {
 		for _, sc := range scenarios {
-			t.Run(fmt.Sprintf("%s/%s", name, sc.name), func(t *testing.T) {
+			c := fmt.Sprintf("%s/%s", name, sc.name)
+			t.Run(c, func(t *testing.T) {
 				trace := goldenArrayTrace(3, array)
-				cfg := ArrayConfig{Array: array, NewScheduler: mk, Options: sc.opts}
-
-				want, err := legacyRunArray(cfg, smallTraceCopy(trace))
+				cfg := ArrayConfig{Array: array, Options: sc.opts,
+					NewScheduler: func(int) (sched.Scheduler, error) { return mk(), nil }}
+				d := newStreamDigest()
+				gotCfg := cfg
+				gotCfg.Trace = d.trace
+				got, err := RunArray(gotCfg, smallTraceCopy(trace))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := RunArray(cfg, smallTraceCopy(trace))
+				g.check(t, c, arrayOutputs{got.Logical, got.Logical.Dims(), got.Logical.Levels(),
+					got.SeekTime, got.BusyTime, got.PerDiskOps, got.Makespan, d.n, d.sum()})
+				if !legacyRows[name] {
+					return
+				}
+
+				want, err := legacyRunArray(cfg, smallTraceCopy(trace))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -231,6 +361,7 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 			})
 		}
 	}
+	g.save(t)
 }
 
 // TestArrayTraceEventsCarryDiskID asserts array runs feed the TraceEvent
