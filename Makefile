@@ -28,12 +28,12 @@ synctest:
 
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables
-# quoting them, the sim and cluster recordings, every baseline's dispatch
-# order, schedsim's -sched all reports and observer streams, and sfcviz's
-# renderings. Review the diff.
+# quoting them, the sim engine's per-case outputs and the sim and cluster
+# recordings, every baseline's dispatch order, schedsim's -sched all
+# reports and observer streams, and sfcviz's renderings. Review the diff.
 goldens:
 	go test -count=1 ./internal/experiments ./internal/sim ./internal/cluster ./internal/sched ./cmd/schedsim ./cmd/sfcviz \
-		-run 'TestRegistryGoldenAndWorkerInvariant|TestGoldenRecordings|TestDispatchOrderGolden|TestSchedAllGolden|TestObserverStreamsGolden|TestOutputGolden' -update
+		-run 'TestRegistryGoldenAndWorkerInvariant|TestEngineMatchesLegacy|TestGoldenRecordings|TestDispatchOrderGolden|TestSchedAllGolden|TestObserverStreamsGolden|TestOutputGolden' -update
 
 # The CI race job runs this target: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher, sfc's shared curve

@@ -7,7 +7,6 @@ import (
 	"sfcsched/internal/disk"
 	"sfcsched/internal/fault"
 	"sfcsched/internal/sched"
-	"sfcsched/internal/workload"
 )
 
 func testArray(t testing.TB) *disk.RAID5 {
@@ -178,32 +177,6 @@ func TestArrayAbandonsWritePhaseAfterMiss(t *testing.T) {
 	}
 	if totalOps != 2 {
 		t.Errorf("abandoned write should enqueue only the 2 read ops, got %d", totalOps)
-	}
-}
-
-func TestArrayDeterministic(t *testing.T) {
-	array := testArray(t)
-	mk := func() []*core.Request {
-		trace := workload.Streams{
-			Seed: 3, Users: 20, Duration: 5_000_000,
-			BitRate: 1e6, BlockSize: 64 << 10, Levels: 8,
-			DeadlineMin: 500_000, DeadlineMax: 900_000,
-			Cylinders: 10000, WriteFrac: 0.3, Burst: 2,
-		}.MustGenerate()
-		return trace
-	}
-	cfg := ArrayConfig{Array: array, NewScheduler: fcfsPerDisk, Options: Options{DropLate: true, Dims: 1, Levels: 8}}
-	a, err := RunArray(cfg, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunArray(cfg, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Makespan != b.Makespan || a.SeekTime != b.SeekTime ||
-		a.Logical.Served != b.Logical.Served || a.Logical.Dropped != b.Logical.Dropped {
-		t.Error("identical array runs diverged")
 	}
 }
 

@@ -1,24 +1,24 @@
 package sim
 
-// Golden differential tests: the unified event-heap Engine must reproduce
-// the metrics of the two deleted pre-engine loops (preserved verbatim in
-// legacy_test.go) exactly — same collectors, same head travel, same trace
-// stream — on fuzzed traces across every scheduler and option combination.
-// Every case's outputs are also pinned, one line per case, in
-// testdata/engine-outputs.txt; regenerate it with
+// The engine golden: the unified event-heap Engine's outputs on fuzzed
+// traces across every scheduler and option combination, pinned one line
+// per case in testdata/engine-outputs.txt. The file was recorded while the
+// engine still reproduced the two pre-engine loops (the sequential
+// single-disk loop and the array loop) exactly, so it holds their outputs:
+// same collectors, head travel, policy events and dispatch stream. The
+// array rows the old loop could not run (it kept the head at rest) were
+// recorded from the engine alone. Regenerate with
 //
 //	go test ./internal/sim -run TestEngineMatchesLegacy -update
 //
-// only when a behaviour change is intended.
+// only when a behaviour change is intended; a refactor must reproduce it.
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
 	"os"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -67,8 +67,8 @@ func withPolicies(m *disk.Model, cascades map[string]func() sched.Scheduler) map
 
 // policyEvents gives a Cascaded-SFC scheduler counters of its own and
 // returns a reader of its policy events (preemptions, promotions, swaps);
-// the engine must reproduce even these, which depend on the exact Add/Next
-// call sequence, nil probes included. Other schedulers read zero.
+// the golden pins even these, which depend on the exact Add/Next call
+// sequence, nil probes included. Other schedulers read zero.
 func policyEvents(s sched.Scheduler) func() [3]uint64 {
 	m := new(core.Metrics)
 	if cs, ok := s.(*core.Scheduler); ok {
@@ -78,9 +78,8 @@ func policyEvents(s sched.Scheduler) func() [3]uint64 {
 }
 
 // goldenTrace fuzzes an arrival-sorted trace with in-range cylinders (the
-// legacy loop briefly exposed unclamped cylinders to schedulers — a bug the
-// engine fixed — so out-of-range cylinders would be a semantic difference,
-// not a regression).
+// pre-engine loop the golden was first checked against exposed unclamped
+// cylinders to schedulers, a bug the engine fixed).
 func goldenTrace(seed uint64, m *disk.Model) []*core.Request {
 	return workload.Open{
 		Seed: seed, Count: 600, MeanInterarrival: 20_000,
@@ -118,17 +117,15 @@ type streamDigest struct {
 	h hash.Hash
 }
 
-func newStreamDigest() *streamDigest { return &streamDigest{h: sha256.New()} }
-
 func (d *streamDigest) trace(ev TraceEvent) {
 	d.n++
 	fmt.Fprintf(d.h, "%v\n", flatten(ev))
 }
 
-func (d *streamDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+func (d *streamDigest) sum() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
 
 // singleOutputs is one single-disk case's line of the engine golden: every
-// output the differential against the pre-engine loop compares.
+// output the differential against the pre-engine loop compared.
 type singleOutputs struct {
 	Collector    *metrics.Collector
 	Dims, Levels int
@@ -152,72 +149,57 @@ type arrayOutputs struct {
 
 const engineOutputsPath = "testdata/engine-outputs.txt"
 
-// engineOutputs holds the committed lines of testdata/engine-outputs.txt,
-// each a case name and its outputs as JSON, keyed by the name. One test
-// owns the cases under prefix; under -update its lines are replaced by the
-// ones it records and the file is rewritten in name order.
-type engineOutputs struct {
-	prefix string
-	lines  map[string]string
-}
+// engineOutputs holds the lines of testdata/engine-outputs.txt, each a
+// case name and the case's outputs as JSON, keyed by the name. Under
+// -update a test drops the lines under its prefix, records its cases and
+// saves the file in line order.
+type engineOutputs map[string]string
 
-func openEngineOutputs(t *testing.T, prefix string) *engineOutputs {
-	t.Helper()
+func loadEngineOutputs(t *testing.T, prefix string) engineOutputs {
 	data, err := os.ReadFile(engineOutputsPath)
 	if err != nil && !*update {
 		t.Fatalf("%v (run with -update to record)", err)
 	}
-	g := &engineOutputs{prefix: prefix, lines: map[string]string{}}
+	g := engineOutputs{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		name, _, _ := strings.Cut(line, " ")
-		if name != "" && !(*update && strings.HasPrefix(name, prefix)) {
-			g.lines[name] = line
+		if name, _, _ := strings.Cut(line, " "); name != "" && !(*update && strings.HasPrefix(name, prefix)) {
+			g[name] = line
 		}
 	}
 	return g
 }
 
-// check compares the case's outputs with its committed line, or records
-// them under -update.
-func (g *engineOutputs) check(t *testing.T, name string, out any) {
-	t.Helper()
+// check compares a case's outputs with its line, or records them under
+// -update.
+func (g engineOutputs) check(t *testing.T, name string, out any) {
 	js, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name = g.prefix + name
 	line := name + " " + string(js)
 	if *update {
-		g.lines[name] = line
-		return
-	}
-	if want, ok := g.lines[name]; !ok {
-		t.Errorf("%s: no line for %s (run with -update to record)", engineOutputsPath, name)
-	} else if want != line {
-		t.Errorf("%s: outputs diverged\nwant %s\ngot  %s", engineOutputsPath, want, line)
+		g[name] = line
+	} else if g[name] != line {
+		t.Errorf("%s diverged (run with -update to record)\nwant %s\ngot  %s", engineOutputsPath, g[name], line)
 	}
 }
 
-// save rewrites the file under -update.
-func (g *engineOutputs) save(t *testing.T) {
-	t.Helper()
+func (g engineOutputs) save(t *testing.T) {
 	if !*update {
 		return
 	}
-	names := make([]string, 0, len(g.lines))
-	for name := range g.lines {
-		names = append(names, name)
+	lines := make([]string, 0, len(g))
+	for _, line := range g {
+		lines = append(lines, line+"\n")
 	}
-	slices.Sort(names)
-	var b strings.Builder
-	for _, name := range names {
-		b.WriteString(g.lines[name] + "\n")
-	}
-	if err := os.WriteFile(engineOutputsPath, []byte(b.String()), 0o644); err != nil {
+	slices.Sort(lines)
+	if err := os.WriteFile(engineOutputsPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestEngineMatchesLegacySingle pins every single-disk case: 14 schedulers
+// × 4 scenarios × 2 seeds.
 func TestEngineMatchesLegacySingle(t *testing.T) {
 	m := xp()
 	scenarios := []struct {
@@ -233,57 +215,23 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 		{"transfer-only", Config{Disk: m, FixedService: m.TransferTime(0, 64<<10), Options: Options{DropLate: true}}},
 		{"fixed-service", Config{FixedService: 12_000, Options: Options{DropLate: true}}},
 	}
-	g := openEngineOutputs(t, "single/")
+	g := loadEngineOutputs(t, "single/")
 	for name, mk := range goldenSchedulers(m) {
 		for _, sc := range scenarios {
 			for _, seed := range []uint64{1, 7} {
 				c := fmt.Sprintf("%s/%s/seed%d", name, sc.name, seed)
 				t.Run(c, func(t *testing.T) {
-					trace := goldenTrace(seed, m)
-
-					var wantEvents, gotEvents []flatEvent
-					wantCfg := sc.cfg
-					wantCfg.Scheduler = mk()
-					wantPolicy := policyEvents(wantCfg.Scheduler)
-					wantCfg.Trace = func(ev TraceEvent) { wantEvents = append(wantEvents, flatten(ev)) }
-					want, err := legacyRun(wantCfg, smallTraceCopy(trace))
+					cfg := sc.cfg
+					cfg.Scheduler = mk()
+					policy := policyEvents(cfg.Scheduler)
+					d := &streamDigest{h: sha256.New()}
+					cfg.Trace = d.trace
+					res, err := Run(cfg, goldenTrace(seed, m))
 					if err != nil {
 						t.Fatal(err)
 					}
-
-					gotCfg := sc.cfg
-					gotCfg.Scheduler = mk()
-					gotPolicy := policyEvents(gotCfg.Scheduler)
-					d := newStreamDigest()
-					gotCfg.Trace = func(ev TraceEvent) { gotEvents = append(gotEvents, flatten(ev)); d.trace(ev) }
-					got, err := Run(gotCfg, smallTraceCopy(trace))
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					if !reflect.DeepEqual(got.Collector, want.Collector) {
-						t.Errorf("collector diverged from legacy loop:\n got %+v\nwant %+v", got.Collector, want.Collector)
-					}
-					if got.HeadTravel != want.HeadTravel {
-						t.Errorf("head travel = %d, legacy %d", got.HeadTravel, want.HeadTravel)
-					}
-					if got.Scheduler != want.Scheduler {
-						t.Errorf("scheduler name = %q, legacy %q", got.Scheduler, want.Scheduler)
-					}
-					if got, want := gotPolicy(), wantPolicy(); got != want {
-						t.Errorf("preemptions, promotions, swaps = %v, legacy %v", got, want)
-					}
-					if !reflect.DeepEqual(gotEvents, wantEvents) {
-						t.Errorf("trace stream diverged: %d events vs legacy %d", len(gotEvents), len(wantEvents))
-						for i := range gotEvents {
-							if i < len(wantEvents) && gotEvents[i] != wantEvents[i] {
-								t.Errorf("first divergence at event %d:\n got %+v\nwant %+v", i, gotEvents[i], wantEvents[i])
-								break
-							}
-						}
-					}
-					g.check(t, c, singleOutputs{got.Collector, got.Dims(), got.Levels(), got.HeadTravel,
-						got.Scheduler, gotPolicy(), d.n, d.sum()})
+					g.check(t, "single/"+c, singleOutputs{res.Collector, res.Dims(), res.Levels(), res.HeadTravel,
+						res.Scheduler, policy(), d.n, d.sum()})
 				})
 			}
 		}
@@ -303,15 +251,14 @@ func goldenArrayTrace(seed uint64, array *disk.RAID5) []*core.Request {
 	}.MustGenerate()
 }
 
+// TestEngineMatchesLegacyArray pins every scheduler on a five-disk RAID-5
+// array, with and without DropLate.
 func TestEngineMatchesLegacyArray(t *testing.T) {
 	m := xp()
 	array, err := disk.NewRAID5(5, 64<<10, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy array loop kept the head "at rest" at its last target,
-	// which only these rows cannot tell from the engine's en-route head.
-	legacyRows := map[string]bool{"fcfs": true, "edf": true, "scan": true, "cascaded": true}
 	scenarios := []struct {
 		name string
 		opts Options
@@ -319,45 +266,21 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 		{"plain", Options{Dims: 1, Levels: 8}},
 		{"drop", Options{DropLate: true, Dims: 1, Levels: 8}},
 	}
-	g := openEngineOutputs(t, "array/")
+	g := loadEngineOutputs(t, "array/")
 	for name, mk := range goldenSchedulers(m) {
 		for _, sc := range scenarios {
 			c := fmt.Sprintf("%s/%s", name, sc.name)
 			t.Run(c, func(t *testing.T) {
-				trace := goldenArrayTrace(3, array)
+				d := &streamDigest{h: sha256.New()}
 				cfg := ArrayConfig{Array: array, Options: sc.opts,
 					NewScheduler: func(int) (sched.Scheduler, error) { return mk(), nil }}
-				d := newStreamDigest()
-				gotCfg := cfg
-				gotCfg.Trace = d.trace
-				got, err := RunArray(gotCfg, smallTraceCopy(trace))
+				cfg.Trace = d.trace
+				res, err := RunArray(cfg, goldenArrayTrace(3, array))
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.check(t, c, arrayOutputs{got.Logical, got.Logical.Dims(), got.Logical.Levels(),
-					got.SeekTime, got.BusyTime, got.PerDiskOps, got.Makespan, d.n, d.sum()})
-				if !legacyRows[name] {
-					return
-				}
-
-				want, err := legacyRunArray(cfg, smallTraceCopy(trace))
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if !reflect.DeepEqual(got.Logical, want.Logical) {
-					t.Errorf("logical collector diverged:\n got %+v\nwant %+v", got.Logical, want.Logical)
-				}
-				if got.SeekTime != want.SeekTime || got.BusyTime != want.BusyTime {
-					t.Errorf("seek/busy = %d/%d, legacy %d/%d",
-						got.SeekTime, got.BusyTime, want.SeekTime, want.BusyTime)
-				}
-				if !reflect.DeepEqual(got.PerDiskOps, want.PerDiskOps) {
-					t.Errorf("per-disk ops = %v, legacy %v", got.PerDiskOps, want.PerDiskOps)
-				}
-				if got.Makespan != want.Makespan {
-					t.Errorf("makespan = %d, legacy %d", got.Makespan, want.Makespan)
-				}
+				g.check(t, "array/"+c, arrayOutputs{res.Logical, res.Logical.Dims(), res.Logical.Levels(),
+					res.SeekTime, res.BusyTime, res.PerDiskOps, res.Makespan, d.n, d.sum()})
 			})
 		}
 	}

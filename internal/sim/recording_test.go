@@ -1,8 +1,9 @@
 package sim
 
-// Committed golden recordings for the paths legacy_test.go predates:
-// degraded reads, absorbed writes, re-routing at failure time, the rebuild
-// pump, and single-disk faults with shadows attached. Each recording is
+// Committed golden recordings for the paths the engine golden
+// (golden_test.go) does not cross: degraded reads, absorbed writes,
+// re-routing at failure time, the rebuild pump, and single-disk faults
+// with shadows attached. Each recording is
 // the run's dispatch JSONL plus one trailing summary line (the counters
 // and shadow reports the dispatch stream does not carry). Regenerate with
 //
@@ -25,7 +26,7 @@ import (
 	"sfcsched/internal/workload"
 )
 
-var update = flag.Bool("update", false, "regenerate the testdata/*.jsonl golden recordings")
+var update = flag.Bool("update", false, "regenerate the testdata golden recordings and engine outputs")
 
 // arraySummary is the trailing line of an array recording.
 type arraySummary struct {

@@ -19,15 +19,6 @@ func smallTrace() []*core.Request {
 	}.MustGenerate()
 }
 
-func TestRunDeterministic(t *testing.T) {
-	trace := smallTrace()
-	a := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF()}, trace)
-	b := MustRun(Config{Disk: xp(), Scheduler: sched.NewSSTF()}, smallTrace())
-	if a.Makespan != b.Makespan || a.SeekTime != b.SeekTime || a.TotalInversions() != b.TotalInversions() {
-		t.Error("identical runs diverged")
-	}
-}
-
 func TestSSTFBeatsFCFSOnSeek(t *testing.T) {
 	trace := workload.Open{
 		Seed: 11, Count: 2000, MeanInterarrival: 5_000,
