@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,6 +213,39 @@ func TestSCANRTAppendsWhenInfeasible(t *testing.T) {
 	s.Add(rq(2, 1000, 5_000_000), 0, 0)
 	if r := s.Next(0, 0); r.ID != 1 {
 		t.Fatalf("infeasible insertion should append: want 1 first, got %d", r.ID)
+	}
+}
+
+// A deadline is met when service starts by it, so an arrival that makes a
+// queued request start exactly at its deadline may take its scan
+// position, and one that makes it start a microsecond late may not. There
+// SCAN-RT appends the arrival, and Kamel parks the lowest-priority queued
+// request (3), then the one the arrival would make late (1).
+func TestFeasibilityBoundaryDeadlineMetExactly(t *testing.T) {
+	est := testEstimator()
+	const now, head = 10_000, 0
+	exact := now + est(head, 1000, 64<<10) // request 1's start behind arrival 2
+	for _, c := range []struct {
+		s        Scheduler
+		deadline int64
+		want     []uint64
+	}{
+		{NewSCANRT(est), exact, []uint64{2, 1, 3}},
+		{NewSCANRT(est), exact - 1, []uint64{1, 3, 2}},
+		{NewKamel(est), exact, []uint64{2, 1, 3}},
+		{NewKamel(est), exact - 1, []uint64{2, 3, 1}},
+	} {
+		c.s.Add(&core.Request{ID: 1, Priorities: []int{0}, Cylinder: 2000, Deadline: c.deadline, Size: 64 << 10}, now, head)
+		c.s.Add(&core.Request{ID: 3, Priorities: []int{7}, Cylinder: 3000, Deadline: 10_000_000, Size: 64 << 10}, now, head)
+		c.s.Add(rq(2, 1000, 10_000_000), now, head)
+		var got []uint64
+		for h := head; c.s.Len() > 0; {
+			r := c.s.Next(now, h)
+			got, h = append(got, r.ID), r.Cylinder
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s, deadline exact%+d: served %v, want %v", c.s.Name(), c.deadline-exact, got, c.want)
+		}
 	}
 }
 
