@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: all vet build test synctest race cover bench bench-smoke perf goldens loc
+.PHONY: all vet build test synctest nofma race cover bench bench-smoke perf goldens loc
 
 all: vet build test
 
@@ -25,6 +25,20 @@ test:
 synctest:
 	GOEXPERIMENT=synctest go vet ./internal/serve
 	GOEXPERIMENT=synctest go test -race -count=1 -run TestLive ./internal/serve
+
+# Fails on any fused multiply-add in ./internal/...'s code for the four
+# architectures that have one. A fused op rounds once where a product and
+# an add round twice, so it would break "identical numbers on any
+# platform". The Go spec lets the compiler fuse x*y + z unless the product
+# is converted explicitly, as in float64(x*y) + z. Offline: the installed
+# toolchain cross-compiles. The regexp is every fused mnemonic the four
+# assemblers print.
+FUSED := \b(FMADD|FMSUB|FNMADD|FNMSUB|FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|WFMADB|WFMSDB|FMA|FMAD|FMSD|FNMSD|FNMAD)\b
+nofma:
+	@status=0; for arch in arm64 ppc64le s390x riscv64; do \
+		out=$$(GOARCH=$$arch go build -gcflags=-S ./internal/... 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
+		if echo "$$out" | grep -aE '$(FUSED)'; then echo "fused multiply-add on $$arch" >&2; status=1; fi; \
+	done; exit $$status
 
 # Regenerates every committed golden after an intended output change: the
 # experiment registry's testdata/<id>.csv and the EXPERIMENTS.md tables

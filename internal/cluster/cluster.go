@@ -191,7 +191,7 @@ func (r *Result) Jain() float64 {
 		}
 		x := float64(t.Served) / float64(t.Arrived)
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x) // rounded before the add: no fused multiply-add (make nofma)
 		n++
 	}
 	if n < 2 || sumSq == 0 {

@@ -167,7 +167,10 @@ func (d *Dispatcher) notePreemption() {
 // this single implementation so a growth-rule fix cannot land in only one
 // of the two paths.
 func (d *Dispatcher) expandWindow() {
-	nw := uint64(float64(d.w) * d.cfg.Expansion)
+	// float64(…) keeps the product from fusing into the subtract by which
+	// some architectures convert values of 2^63 and above to uint64
+	// (make nofma).
+	nw := uint64(float64(float64(d.w) * d.cfg.Expansion))
 	if nw <= d.w { // w == 0 or float saturation
 		nw = d.w + 1
 	}

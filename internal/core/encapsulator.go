@@ -172,8 +172,11 @@ func NewEncapsulator(cfg EncapsulatorConfig) (*Encapsulator, error) {
 		default:
 			// Weighted sum: majors span (1 + F*horizon/span) dimensionless
 			// units at wScale resolution, each stage2Res values wide.
+			// float64(…) keeps each product from fusing into the add, or
+			// into the uint64 conversion's subtract, on architectures with
+			// FMA, so max2 is the same everywhere.
 			spans := float64(e.cfg.DeadlineHorizon) / float64(e.cfg.DeadlineSpan)
-			majors := (1 + cfg.F*spans) * wScale
+			majors := float64((1 + float64(cfg.F*spans)) * wScale)
 			if majors >= float64(math.MaxUint64/stage2Res-1) {
 				return nil, fmt.Errorf("core: F=%v over %v horizon spans overflows the value space", cfg.F, spans)
 			}
@@ -291,8 +294,11 @@ func (e *Encapsulator) stage2(v1 uint64, r *Request, now int64) uint64 {
 		// Weighted sum in dimensionless units: one full priority range
 		// weighs as much as F DeadlineSpans of deadline distance. sum stays
 		// below 1 + F*horizon/span, which NewEncapsulator sizes max2 from.
-		sum := float64(pn)/stage2Res + e.cfg.F*float64(d)/float64(e.cfg.DeadlineSpan)
-		return uint64(sum*wScale) * stage2Res
+		// The division by the power of two stage2Res compiles to a
+		// product; float64(…) keeps it, and sum*wScale, from fusing into
+		// the add and the uint64 conversion.
+		sum := float64(float64(pn)/stage2Res) + e.cfg.F*float64(d)/float64(e.cfg.DeadlineSpan)
+		return uint64(float64(sum*wScale)) * stage2Res
 	}
 }
 

@@ -44,7 +44,8 @@ func NewScheduler(name string, ecfg EncapsulatorConfig, dcfg DispatcherConfig, w
 		return nil, fmt.Errorf("core: window fraction %v outside [0,1]", windowFrac)
 	}
 	if dcfg.Window == 0 && windowFrac > 0 {
-		dcfg.Window = uint64(windowFrac * float64(enc.MaxValue()))
+		// float64(…): see expandWindow.
+		dcfg.Window = uint64(float64(windowFrac * float64(enc.MaxValue())))
 	}
 	return NewValueScheduler(name, enc, enc.cfg.Cylinders, dcfg)
 }

@@ -139,7 +139,7 @@ func calibrateGamma(min, max, avg int64) float64 {
 	expect := func(g float64) float64 { return 2 / ((g + 1) * (g + 2)) }
 	lo, hi := 1e-6, 64.0
 	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
+		mid := float64((lo + hi) / 2) // a product by 0.5, kept out of expect's adds (make nofma)
 		if expect(mid) > target {
 			lo = mid // larger exponent lowers the expectation
 		} else {
@@ -252,7 +252,9 @@ func (m *Model) Capacity() int64 {
 func (m *Model) AvgTransferRate() float64 {
 	var bytes float64
 	for _, z := range m.Zones {
-		bytes += float64(z.Cylinders) * float64(m.TracksPer) * float64(z.SectorsPerTrack) * float64(m.SectorSize)
+		// float64(…) rounds the product before the add: no fused
+		// multiply-add (make nofma).
+		bytes += float64(float64(z.Cylinders) * float64(m.TracksPer) * float64(z.SectorsPerTrack) * float64(m.SectorSize))
 	}
 	// One track per revolution across all tracks: total time = tracks * rev.
 	tracks := float64(m.Cylinders * m.TracksPer)
@@ -269,7 +271,8 @@ func (m *Model) MeanSeek() float64 {
 	for i := 1; i <= steps; i++ {
 		u := float64(i) / steps
 		w := 2 * (1 - u)
-		acc += w * (float64(m.MinSeek) + float64(m.MaxSeek-m.MinSeek)*math.Pow(u, m.gamma))
+		// float64(…) rounds each product before its add (make nofma).
+		acc += float64(w * (float64(m.MinSeek) + float64(float64(m.MaxSeek-m.MinSeek)*math.Pow(u, m.gamma))))
 		wsum += w
 	}
 	return acc / wsum

@@ -48,10 +48,12 @@ func Pearson(x, y []float64) float64 {
 	my /= n
 	var sxy, sxx, syy float64
 	for i := range x {
+		// float64(…) rounds each product before the add: no fused
+		// multiply-add (make nofma).
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return math.NaN()

@@ -92,7 +92,9 @@ func (r *RNG) Intn(n int) int {
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	// The division compiles to a product; float64(…) keeps it from fusing
+	// into a caller's add once inlined (make nofma).
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Exponential returns a draw from the exponential distribution with the
@@ -126,17 +128,19 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 	}
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
+	// float64(…) rounds each product before its add or subtract: no
+	// fused multiply-add (make nofma).
 	for {
 		x := r.Normal(0, 1)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.Float64()
 		// Squeeze check first (cheap), exact log check second. log(0) is
 		// -Inf, which correctly rejects a zero uniform draw.
-		if u < 1-0.0331*x*x*x*x || math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u < 1-float64(0.0331*x*x*x*x) || math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v * scale
 		}
 	}
@@ -157,12 +161,14 @@ func (r *RNG) Weibull(shape, scale float64) float64 {
 // Normal returns a draw from the normal distribution N(mu, sigma^2),
 // using the Marsaglia polar method.
 func (r *RNG) Normal(mu, sigma float64) float64 {
+	// float64(…) rounds each product before its add: no fused
+	// multiply-add (make nofma).
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return mu + sigma*u*math.Sqrt(-2*math.Log(s)/s)
+			return mu + float64(sigma*u*math.Sqrt(-2*math.Log(s)/s))
 		}
 	}
 }

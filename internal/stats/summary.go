@@ -15,7 +15,7 @@ func MeanStdDev(vs []float64) (mean, stddev float64) {
 	var acc float64
 	for _, v := range vs {
 		d := v - mean
-		acc += d * d
+		acc += float64(d * d) // rounded before the add: no fused multiply-add (make nofma)
 	}
 	return mean, math.Sqrt(acc / float64(len(vs)))
 }
