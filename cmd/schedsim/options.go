@@ -274,6 +274,17 @@ func (o *options) validate() error {
 	if o.failDisk >= 0 && o.failAt <= 0 {
 		return fmt.Errorf("-fail-at must be positive, got %v", o.failAt)
 	}
+	// Only an array loses a whole disk, and only one of its own; the
+	// engine would reject either after the report header is printed.
+	if o.failDisk >= 0 && o.arrayDisks == 0 {
+		return fmt.Errorf("-fail-disk needs -array: only an array run can lose a whole disk")
+	}
+	if o.arrayDisks > 0 && o.failDisk >= o.arrayDisks {
+		return fmt.Errorf("-fail-disk %d outside the %d-disk array (disks 0 to %d)", o.failDisk, o.arrayDisks, o.arrayDisks-1)
+	}
+	if o.arrayDisks != 0 && o.blockSize < 1 {
+		return fmt.Errorf("-block must be at least 1 byte, got %d", o.blockSize)
+	}
 	if err := o.faultPlan().Validate(); err != nil {
 		return fmt.Errorf("fault flags: %w", err)
 	}

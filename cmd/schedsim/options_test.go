@@ -40,8 +40,8 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		args    []string
 		wantErr string // substring of the error
 	}{
-		{"fail-disk without array", []string{"-fail-disk", "0"}, "sim: whole-disk failure requires an array run"},
-		{"fail-disk out of range", []string{"-array", "5", "-fail-disk", "5"}, "sim: FailDisk 5 outside array of 5 disks"},
+		{"fail-disk without array", []string{"-fail-disk", "0"}, "-fail-disk needs -array: only an array run can lose a whole disk"},
+		{"fail-disk out of range", []string{"-array", "5", "-fail-disk", "5"}, "-fail-disk 5 outside the 5-disk array (disks 0 to 4)"},
 		{"fail-disk negative fail-at", []string{"-array", "5", "-fail-disk", "1", "-fail-at", "-1s"}, "-fail-at"},
 		{"rebuild without fail-disk", []string{"-rebuild"}, "fault flags: fault: Rebuild requires a planned disk failure"},
 		{"rebuild without blocks", []string{"-array", "5", "-fail-disk", "1", "-rebuild", "-rebuild-blocks", "0"}, "fault flags: fault: Rebuild requires RebuildBlocks > 0"},
@@ -57,7 +57,7 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"retry backoff overflows", []string{"-fault-rate", "0.97", "-retries", "62", "-drop=false"}, "fault flags: fault: 62 retries"},
 		{"two-disk array", []string{"-array", "2"}, "-array: disk: RAID-5 needs at least 3 disks, got 2"},
 		{"negative array", []string{"-array", "-1"}, "-array: disk: RAID-5 needs at least 3 disks, got -1"},
-		{"array zero block size", []string{"-array", "5", "-block", "0"}, "-array: disk: invalid block size 0"},
+		{"array zero block size", []string{"-array", "5", "-block", "0"}, "-block must be at least 1 byte, got 0"},
 		{"zero requests", []string{"-requests", "0"}, "workload flags: workload: Count must be positive"},
 		{"zero interarrival", []string{"-interarrival", "0"}, "workload flags: workload: MeanInterarrival must be positive"},
 		{"zero dims", []string{"-dims", "0"}, "-dims"},

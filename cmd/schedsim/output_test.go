@@ -53,9 +53,10 @@ func TestSchedAllGolden(t *testing.T) {
 	}
 }
 
-// A flag value the cascade cannot be built with fails the run (exit 1)
-// before the report header or any row is printed, including when the
-// cascade is one of -sched all or a shadow.
+// A flag value the cascade cannot be built with, or a disk failure the
+// topology cannot have, fails the run (exit 1) before the report header or
+// any row is printed, including when the cascade is one of -sched all or a
+// shadow.
 func TestBadCascadeFlagsPrintNothing(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -72,6 +73,9 @@ func TestBadCascadeFlagsPrintNothing(t *testing.T) {
 		{[]string{"-sched", "all", "-curve", "bogus"}, `sfc: unknown curve "bogus"`},
 		{[]string{"-sched", "fcfs", "-shadow", "cascaded", "-f", "-1"}, "core: F must be >= 0, got -1"},
 		{[]string{"-spec", "mixed", "-window", "2"}, "-window must be a fraction in [0, 1], got 2"},
+		{[]string{"-fail-disk", "1"}, "-fail-disk needs -array"},
+		{[]string{"-array", "5", "-fail-disk", "7"}, "-fail-disk 7 outside the 5-disk array (disks 0 to 4)"},
+		{[]string{"-array", "5", "-block", "0"}, "-block must be at least 1 byte, got 0"},
 	} {
 		args := append([]string{"-sched", "cascaded", "-requests", "200"}, tc.args...)
 		printed, err := capture(t, args...)
