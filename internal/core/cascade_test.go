@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sfcsched/internal/sfc"
+	"sfcsched/internal/stats"
 )
 
 // Additional depth tests for cascade edge cases and stage interactions.
@@ -191,6 +192,66 @@ func TestCascadeBuildTimelineOnlyWithSeekStage(t *testing.T) {
 		}
 		if s.cylinders != want {
 			t.Errorf("R %d: timeline over %d cylinders, want %d", r, s.cylinders, want)
+		}
+	}
+}
+
+// With the seek stage on, stage 3 places each arrival on the absolute
+// sweep timeline, at or past the head's progress. While the queue never
+// drains, the request in service sits there too, so no arrival preempts
+// it whatever the blocking window, and only SP promotions reorder the
+// queue: schedsim's defaults (R 3, w 2 %, SP on, an overloaded disk) run
+// this way. Once the queue drains, the dispatcher may serve a request its
+// partition deferred by whole sweeps before the head has made them, and
+// arrivals nearer on the timeline preempt it. With the stage off,
+// arrivals preempt in both regimes.
+func TestSeekStagePreemptsOnlyWhenTheQueueDrains(t *testing.T) {
+	for _, c := range []struct {
+		pNext    float64 // share of steps that call Next: 0.4 never drains the queue
+		r        int
+		window   float64
+		sp       bool
+		preempts bool
+	}{
+		{0.4, 3, 0, false, false}, {0.4, 3, 0.05, false, false}, {0.4, 3, 0.02, true, false},
+		{0.4, 0, 0, false, true}, {0.4, 0, 0.05, false, true},
+		{0.6, 3, 0.05, false, true},
+	} {
+		s, err := Cascade{
+			Name: "c", Curve: "hilbert", Dims: 2, Levels: 8, F: 1, Horizon: 700_000, Slack: true,
+			R: c.r, Mode: ConditionallyPreemptive, Window: c.window, SP: c.sp,
+		}.Build(3832)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := new(Metrics)
+		s.SetMetrics(m)
+		rng := stats.NewRNG(55)
+		now, head := int64(0), 0
+		next := func() bool {
+			r := s.Next(now, head)
+			if r != nil {
+				head = r.Cylinder
+			}
+			return r != nil
+		}
+		for id := uint64(1); id <= 400; {
+			now += int64(rng.Uint64n(4_000))
+			if rng.Float64() < c.pNext {
+				next()
+				continue
+			}
+			s.Add(&Request{
+				ID: id, Arrival: now, Cylinder: 300 * rng.Intn(12), Size: 16 << 10,
+				Priorities: []int{rng.Intn(8), rng.Intn(8)}, Deadline: now + 100_000 + int64(rng.Intn(600_000)),
+			}, now, head)
+			id++
+		}
+		for next() {
+		}
+		if got := m.Preemptions.Load(); (got > 0) != c.preempts {
+			t.Errorf("Next share %v, R %d, w %v, SP %v: %d preemptions, want some: %v",
+				c.pNext, c.r, c.window, c.sp, got, c.preempts)
 		}
 	}
 }
