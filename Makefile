@@ -51,7 +51,7 @@ goldens:
 
 # The CI race job runs this target: internal packages carry the concurrent paths
 # (core.Locked, obs counters, the serve dispatcher, sfc's shared curve
-# tables) and the golden differential suite; the last two lines are the
+# tables) and the engine golden; the last two lines are the
 # shutdown/ingress soak and the concurrent table-publishing soak.
 race:
 	go test -race ./internal/...
