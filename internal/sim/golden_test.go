@@ -77,9 +77,8 @@ func policyEvents(s sched.Scheduler) func() [3]uint64 {
 	return func() [3]uint64 { return [3]uint64{m.Preemptions.Load(), m.Promotions.Load(), m.Swaps.Load()} }
 }
 
-// goldenTrace fuzzes an arrival-sorted trace with in-range cylinders (the
-// pre-engine loop the golden was first checked against exposed unclamped
-// cylinders to schedulers, a bug the engine fixed).
+// goldenTrace fuzzes an arrival-sorted trace with in-range cylinders: the
+// single-disk inputs the engine golden is recorded on.
 func goldenTrace(seed uint64, m *disk.Model) []*core.Request {
 	return workload.Open{
 		Seed: seed, Count: 600, MeanInterarrival: 20_000,
