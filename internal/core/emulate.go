@@ -56,10 +56,7 @@ func EmulateSSTF() *Scheduler {
 type cscan int
 
 func (c cscan) ValueAt(r *Request, _ int64, head int, progress uint64) uint64 {
-	n := int(c)
-	cyl := min(max(r.Cylinder, 0), n-1)
-	head = min(max(head, 0), n-1)
-	return progress + uint64((cyl-head+n)%n)
+	return progress + uint64(cylsAhead(r.Cylinder, head, int(c)))
 }
 
 // EmulateCSCAN orders by cyclic distance ahead of the head on the absolute

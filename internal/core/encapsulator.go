@@ -324,15 +324,22 @@ const wScale = 1 << 20
 func (e *Encapsulator) stage3(v2 uint64, r *Request, head int, progress uint64) uint64 {
 	xv := scale(v2, e.max2, e.maxX)
 	c := e.cfg.Cylinders
-	// Both ends clamped to [0, c), as observeHead clamps the head, so the
-	// cyclic distance ahead is one conditional add rather than a division.
-	ahead := min(max(r.Cylinder, 0), c-1) - min(max(head, 0), c-1)
-	if ahead < 0 {
-		ahead += c
-	}
 	pn := xv / e.ps
-	yv := progress + uint64(ahead) + pn*uint64(c)
+	yv := progress + uint64(cylsAhead(r.Cylinder, head, c)) + pn*uint64(c)
 	return yv*e.ps + (xv - e.ps*pn)
+}
+
+// cylsAhead returns how many cylinders an upward sweep of a c-cylinder
+// disk travels from head to cyl, both clamped to [0, c): the one rule for
+// "distance ahead of the head" that stage 3, the single-stage curve, the
+// C-SCAN preset and the sweep timeline share. With both ends in range the
+// cyclic distance is one conditional add rather than a division.
+func cylsAhead(cyl, head, c int) int {
+	d := min(max(cyl, 0), c-1) - min(max(head, 0), c-1)
+	if d < 0 {
+		d += c
+	}
+	return d
 }
 
 // scale maps v in [0, from) onto [0, to) preserving order. The mapping is

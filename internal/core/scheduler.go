@@ -94,7 +94,7 @@ func (s *Scheduler) observeHead(head int) {
 	if head == s.lastHead {
 		return
 	}
-	s.progress += uint64((head - s.lastHead + c) % c)
+	s.progress += uint64(cylsAhead(head, s.lastHead, c))
 	s.lastHead = head
 	if m := s.disp.Metrics(); m != nil {
 		m.SweepProgress.Set(int64(s.progress))

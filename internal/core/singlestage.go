@@ -91,10 +91,9 @@ func (s *SingleStage) Value(r *Request, now int64, head int) uint64 {
 		axis++
 	}
 	if s.cylinders > 0 {
-		// Both on the disk: IndexFast does not validate the point.
-		cyl := min(max(r.Cylinder, 0), s.cylinders-1)
-		head = min(max(head, 0), s.cylinders-1)
-		ahead := uint64((cyl - head + s.cylinders) % s.cylinders)
+		// cylsAhead clamps both onto the disk: IndexFast does not
+		// validate the point.
+		ahead := uint64(cylsAhead(r.Cylinder, head, s.cylinders))
 		p[axis] = uint32(ahead * side / uint64(s.cylinders))
 	}
 	return s.curve.IndexFast(p, s.scratch)

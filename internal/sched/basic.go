@@ -48,7 +48,7 @@ func NewSCAN() Scheduler { return &scan{up: true} }
 func (s *scan) Name() string { return "scan" }
 
 // Add implements Scheduler.
-func (s *scan) Add(r *core.Request, now int64, head int) { s.insertAt(s.Len(), keyed{r: r}) }
+func (s *scan) Add(r *core.Request, now int64, head int) { s.InsertAt(s.Len(), keyed{r: r}) }
 
 // Next implements Scheduler.
 func (s *scan) Next(now int64, head int) *core.Request {
@@ -56,11 +56,11 @@ func (s *scan) Next(now int64, head int) *core.Request {
 		return nil
 	}
 	if i := s.nearestAhead(head); i >= 0 {
-		return s.removeAt(i)
+		return s.RemoveAt(i).r
 	}
 	// Nothing lies ahead, so after the reversal every request does.
 	s.up = !s.up
-	return s.removeAt(s.nearestAhead(head))
+	return s.RemoveAt(s.nearestAhead(head)).r
 }
 
 // nearestAhead returns the index of the closest request at or beyond the
@@ -70,7 +70,7 @@ func (s *scan) nearestAhead(head int) int {
 	if !s.up {
 		dir = -1
 	}
-	q := s.live()
+	q := s.Live()
 	best, bestD := -1, uint(1)<<63
 	for i := range q {
 		// A request behind the head has d < 0, which converts to at

@@ -36,10 +36,10 @@ func (s *kamel) Each(visit func(*core.Request)) {
 // Add implements Scheduler.
 func (s *kamel) Add(r *core.Request, now int64, head int) {
 	for ev := 0; ; ev++ {
-		q := s.active.live()
+		q := s.active.Live()
 		p := scanPos(q, r, head)
 		if feasible(s.est, q, p, r, now, head) || ev >= maxEvictions || len(q) == 0 {
-			s.active.insertAt(p, keyed{r: r})
+			s.active.InsertAt(p, keyed{r: r})
 			return
 		}
 		// Park the lowest-priority active request at the tail and retry.
@@ -49,17 +49,17 @@ func (s *kamel) Add(r *core.Request, now int64, head int) {
 				low = i
 			}
 		}
-		s.parked.insertAt(s.parked.Len(), keyed{r: s.active.removeAt(low)})
+		s.parked.InsertAt(s.parked.Len(), s.active.RemoveAt(low))
 	}
 }
 
 // Next implements Scheduler.
 func (s *kamel) Next(now int64, head int) *core.Request {
 	if s.active.Len() > 0 {
-		return s.active.removeAt(0)
+		return s.active.RemoveAt(0).r
 	}
 	if s.parked.Len() > 0 {
-		return s.parked.removeAt(0)
+		return s.parked.RemoveAt(0).r
 	}
 	return nil
 }

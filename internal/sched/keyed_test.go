@@ -106,38 +106,3 @@ func FuzzKeyedPoliciesMatchDefinitions(f *testing.F) {
 		}
 	})
 }
-
-// TestOrderedClearsVacatedSlots: a removal from either side of the queue
-// and a drain leave no served request in the slice's spare capacity, and
-// inserts at the front, middle and back keep the queue in order.
-func TestOrderedClearsVacatedSlots(t *testing.T) {
-	var q ordered
-	reqs := make([]*core.Request, 6)
-	for i := range reqs {
-		reqs[i] = rq(uint64(i+1), 0, 0)
-		q.insertAt(q.Len(), keyed{int64(i), reqs[i]})
-	}
-	if got := q.removeAt(1); got != reqs[1] {
-		t.Fatalf("removeAt(1) = %v, want request 2", got)
-	}
-	if got := q.removeAt(3); got != reqs[4] {
-		t.Fatalf("removeAt(3) = %v, want request 5", got)
-	}
-	if q.off != 1 || q.buf[0] != (keyed{}) || q.buf[:6][5] != (keyed{}) {
-		t.Fatalf("vacated slots still hold %v and %v", q.buf[0], q.buf[:6][5])
-	}
-	q.insert(0, reqs[1]) // after request 1: the front shifts into the gap
-	q.insert(3, reqs[4]) // after request 4, whose key is 3
-	q.insert(2, reqs[2]) // after request 3, whose key is 2
-	var ids []uint64
-	q.Each(func(r *core.Request) { ids = append(ids, r.ID) })
-	if want := []uint64{1, 2, 3, 3, 4, 5, 6}; !slices.Equal(ids, want) {
-		t.Fatalf("queue order %v, want %v", ids, want)
-	}
-	for q.Len() > 0 {
-		q.removeAt(q.Len() / 2)
-	}
-	if q.off != 0 || slices.ContainsFunc(q.buf[:cap(q.buf)], func(e keyed) bool { return e.r != nil }) {
-		t.Fatalf("drained queue keeps offset %d or a served request in %v", q.off, q.buf[:cap(q.buf)])
-	}
-}

@@ -293,7 +293,7 @@ func TestSCANEDFMatchesTwoPassReference(t *testing.T) {
 						head = got.Cylinder
 					}
 				}
-				q := s.live()
+				q := s.Live()
 				if len(q) != s.Len() || s.Len() != ref.Len() {
 					t.Fatalf("quantum %d seed %d: %d keys, Len %d, reference Len %d", quantum, seed, len(q), s.Len(), ref.Len())
 				}

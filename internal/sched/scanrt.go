@@ -20,12 +20,12 @@ func (s *scanRT) Name() string { return "scan-rt" }
 
 // Add implements Scheduler.
 func (s *scanRT) Add(r *core.Request, now int64, head int) {
-	q := s.live()
+	q := s.Live()
 	p := scanPos(q, r, head)
 	if !feasible(s.est, q, p, r, now, head) {
 		p = len(q)
 	}
-	s.insertAt(p, keyed{r: r})
+	s.InsertAt(p, keyed{r: r})
 }
 
 // Next implements Scheduler.
@@ -33,7 +33,7 @@ func (s *scanRT) Next(now int64, head int) *core.Request {
 	if s.Len() == 0 {
 		return nil
 	}
-	return s.removeAt(0)
+	return s.RemoveAt(0).r
 }
 
 // scanPos returns r's position in q in upward-sweep order (cyclic

@@ -12,7 +12,9 @@
 // five by deadline. SSTF, C-SCAN and FD-SCAN have no key, so their queue
 // is in arrival order and their kernels read all of it. SCAN, SCAN-RT and
 // Kamel keep state beyond a key order and have a type each, on the same
-// store.
+// store: core.Gapped, the slice with a gap at the front that the
+// simulator's queue view shifts in too. This package keeps only its key
+// search.
 // Every constructor returns the Scheduler interface, which core.Scheduler
 // (the Cascaded-SFC scheduler) also satisfies, so the simulator can drive
 // any of them interchangeably. Policies (policy.go) lists the twelve by
@@ -50,25 +52,16 @@ type keyed struct {
 	r   *core.Request
 }
 
-// ordered is a request store kept in one slice with a gap at the front:
-// the queue is buf[off:]. An insert or a removal shifts whichever side of
-// its position is shorter, so the ends cost O(1) and the middle at most
-// half the queue. The pickers keep it sorted by key, SCAN in arrival
-// order, SCAN-RT and Kamel in service order.
+// ordered is a request queue on core's gapped store, so an insert or a
+// removal shifts only the shorter side. The pickers keep it sorted by key,
+// SCAN in arrival order, SCAN-RT and Kamel in service order.
 type ordered struct {
-	buf []keyed
-	off int
+	core.Gapped[keyed]
 }
-
-// Len implements Scheduler.
-func (q *ordered) Len() int { return len(q.buf) - q.off }
-
-// live returns the queue, front first.
-func (q *ordered) live() []keyed { return q.buf[q.off:] }
 
 // Each implements Scheduler; it visits in queue order.
 func (q *ordered) Each(visit func(*core.Request)) {
-	for _, e := range q.live() {
+	for _, e := range q.Live() {
 		visit(e.r)
 	}
 }
@@ -77,7 +70,7 @@ func (q *ordered) Each(visit func(*core.Request)) {
 // most k, so requests with equal keys stay in arrival order. The queue
 // must be sorted by key.
 func (q *ordered) insert(k int64, r *core.Request) {
-	live := q.live()
+	live := q.Live()
 	p := len(live)
 	if p > 0 && k < live[p-1].key {
 		// The first index whose key exceeds k lies in live[base:base+n],
@@ -93,60 +86,7 @@ func (q *ordered) insert(k int64, r *core.Request) {
 		}
 		p = base
 	}
-	q.insertAt(p, keyed{k, r})
-}
-
-// insertAt places e at index p of the queue, 0 ≤ p ≤ Len.
-func (q *ordered) insertAt(p int, e keyed) {
-	n := q.Len()
-	switch {
-	case q.off > 0 && p < n-p:
-		q.off--
-		copy(q.buf[q.off:q.off+p], q.buf[q.off+1:])
-		q.buf[q.off+p] = e
-		return
-	case p == n && (len(q.buf) < cap(q.buf) || q.off == 0):
-		q.buf = append(q.buf, e)
-		return
-	case len(q.buf) == cap(q.buf) && q.off > 0 && 4*q.off >= n:
-		// A quarter of the queue's length lies in the gap: close it
-		// rather than grow.
-		m := copy(q.buf, q.live())
-		clear(q.buf[m:])
-		q.buf, q.off = q.buf[:m], 0
-	}
-	i := q.off + p
-	q.buf = append(q.buf, keyed{})
-	copy(q.buf[i+1:], q.buf[i:])
-	q.buf[i] = e
-}
-
-// removeAt removes and returns the request at index i of the queue. The
-// vacated slot is cleared so served requests are not pinned by the
-// slice's spare capacity.
-func (q *ordered) removeAt(i int) *core.Request {
-	live := q.live()
-	r, last := live[i].r, len(live)-1
-	switch {
-	case i == last:
-		live[last] = keyed{}
-		q.buf = q.buf[:len(q.buf)-1]
-	case i == 0:
-		live[0] = keyed{}
-		q.off++
-	case i < last-i:
-		copy(live[1:i+1], live[:i])
-		live[0] = keyed{}
-		q.off++
-	default:
-		copy(live[i:], live[i+1:])
-		live[last] = keyed{}
-		q.buf = q.buf[:len(q.buf)-1]
-	}
-	if q.off == len(q.buf) {
-		q.buf, q.off = q.buf[:0], 0
-	}
-	return r
+	q.InsertAt(p, keyed{k, r})
 }
 
 // rule is what a picker runs: a name, a key and a pick. key maps a
@@ -176,7 +116,7 @@ func (s *picker) Name() string { return s.name }
 // Add implements Scheduler.
 func (s *picker) Add(r *core.Request, now int64, head int) {
 	if s.key == nil {
-		s.insertAt(s.Len(), keyed{r: r})
+		s.InsertAt(s.Len(), keyed{r: r})
 		return
 	}
 	s.insert(s.key(r, s.arg), r)
@@ -184,11 +124,11 @@ func (s *picker) Add(r *core.Request, now int64, head int) {
 
 // Next implements Scheduler.
 func (s *picker) Next(now int64, head int) *core.Request {
-	q := s.live()
+	q := s.Live()
 	if len(q) == 0 {
 		return nil
 	}
-	return s.removeAt(s.pick(q, now, head))
+	return s.RemoveAt(s.pick(q, now, head)).r
 }
 
 // front picks the head of the key order.

@@ -6,8 +6,8 @@ package sim
 // engine still reproduced the two pre-engine loops (the sequential
 // single-disk loop and the array loop) exactly, so it holds their outputs:
 // same collectors, head travel, policy events and dispatch stream. The
-// array rows the old loop could not run (it kept the head at rest) were
-// recorded from the engine alone. Regenerate with
+// array rows the old loop could not run (it kept the head at rest), and the
+// loaded array rows added later, were recorded from the engine alone. Regenerate with
 //
 //	go test ./internal/sim -run TestEngineMatchesLegacy -update
 //
@@ -239,31 +239,43 @@ func TestEngineMatchesLegacySingle(t *testing.T) {
 }
 
 // goldenArrayTrace fuzzes a logical block trace with writes, so the RAID-5
-// read-modify-write path (deferred write phase, abandonment on miss) is
-// exercised by the differential run.
+// read-modify-write path runs. At 24 users every deadline is met.
 func goldenArrayTrace(seed uint64, array *disk.RAID5) []*core.Request {
+	return goldenStreams(seed, 24, array).MustGenerate()
+}
+
+// goldenStreams is the array golden's workload from that many users.
+func goldenStreams(seed uint64, users int, array *disk.RAID5) workload.Streams {
 	return workload.Streams{
-		Seed: seed, Users: 24, Duration: 4_000_000,
+		Seed: seed, Users: users, Duration: 4_000_000,
 		BitRate: 1_200_000, BlockSize: array.BlockSize, Levels: 8,
 		DeadlineMin: 300_000, DeadlineMax: 700_000,
 		Cylinders: int(array.MaxBlocks()), WriteFrac: 0.3, Burst: 3,
-	}.MustGenerate()
+	}
 }
 
 // TestEngineMatchesLegacyArray pins every scheduler on a five-disk RAID-5
-// array, with and without DropLate.
+// array, with and without DropLate, at a load that meets every deadline and
+// at one that misses many.
 func TestEngineMatchesLegacyArray(t *testing.T) {
 	m := xp()
 	array, err := disk.NewRAID5(5, 64<<10, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The loaded scenarios run the same mix from 72 users, more than the
+	// array serves in time, so physical ops start late and the miss paths
+	// run: a logical request missed by any of its ops, and a write phase
+	// abandoned after a missed read.
 	scenarios := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		users int
 	}{
-		{"plain", Options{Dims: 1, Levels: 8}},
-		{"drop", Options{DropLate: true, Dims: 1, Levels: 8}},
+		{"plain", Options{Dims: 1, Levels: 8}, 24},
+		{"drop", Options{DropLate: true, Dims: 1, Levels: 8}, 24},
+		{"loaded", Options{Dims: 1, Levels: 8}, 72},
+		{"loaded-drop", Options{DropLate: true, Dims: 1, Levels: 8}, 72},
 	}
 	g := loadEngineOutputs(t, "array/")
 	for name, mk := range goldenSchedulers(m) {
@@ -274,7 +286,7 @@ func TestEngineMatchesLegacyArray(t *testing.T) {
 				cfg := ArrayConfig{Array: array, Options: sc.opts,
 					NewScheduler: func(int) (sched.Scheduler, error) { return mk(), nil }}
 				cfg.Trace = d.trace
-				res, err := RunArray(cfg, goldenArrayTrace(3, array))
+				res, err := RunArray(cfg, goldenStreams(3, sc.users, array).MustGenerate())
 				if err != nil {
 					t.Fatal(err)
 				}

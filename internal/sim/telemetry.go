@@ -24,8 +24,10 @@ import (
 // Cost contract: a row is read off the station's queue view (view.go),
 // with no queue walk, into one scratch row, so sampling retains nothing
 // and allocates nothing in steady state. The view itself costs every
-// enqueue and removal a binary search per list, paid whenever a sampler
-// (or a decision trace) is attached.
+// enqueue and removal a binary search per list and a shift of the shorter
+// side of that list's core.Gapped store (a served request sits near the
+// front, so few entries move), paid whenever a sampler (or a decision
+// trace) is attached.
 type Telemetry struct {
 	// OnRow, when non-nil, receives every sampled row. The pointer aliases
 	// the sampler's scratch row and is overwritten by the next row: hooks

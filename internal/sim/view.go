@@ -31,15 +31,18 @@ type valueAdder interface {
 // dl's keys are the deadline multiset; deadline order is slack order
 // (Slack is Deadline − now, which does not overflow for the clocks and
 // deadlines a run holds), so dl and noDl merge into the (Slack, ID)
-// ranking of a scheduler with no values. A dl or noDl entry carries its request's queued value, which
-// locates the request in byV. Each insert or removal is a binary search
-// per list plus the slice shift; reading a record costs O(MaxTopK).
+// ranking of a scheduler with no values. A dl or noDl entry carries its
+// request's queued value, which locates the request in byV. Each list is
+// a core.Gapped store, the baselines' queue store, so an insert or a
+// removal is a binary search per list plus a shift of the list's shorter
+// side: a served request sits near the front and moves few entries, and
+// the stores keep their memory. Reading a record costs O(MaxTopK).
 type queueView struct {
 	sched sched.Scheduler
 	adder valueAdder // sched, when it reports queued values
-	byV   []viewEntry
-	dl    []viewEntry
-	noDl  []viewEntry
+	byV   core.Gapped[viewEntry]
+	dl    core.Gapped[viewEntry]
+	noDl  core.Gapped[viewEntry]
 }
 
 // viewEntry is one queued request in one of the view's lists.
@@ -53,45 +56,46 @@ type viewEntry struct {
 func (q *queueView) reset(s sched.Scheduler) {
 	q.sched = s
 	q.adder, _ = s.(valueAdder)
-	q.byV, q.dl, q.noDl = q.byV[:0], q.dl[:0], q.noDl[:0]
+	q.byV.Reset()
+	q.dl.Reset()
+	q.noDl.Reset()
 }
 
 // len returns the number of requests in the view.
-func (q *queueView) len() int { return len(q.dl) + len(q.noDl) }
+func (q *queueView) len() int { return q.dl.Len() + q.noDl.Len() }
 
 // add hands r to the scheduler and records it with its queued value.
 func (q *queueView) add(r *core.Request, now int64, head int) {
 	v := NoValue
 	if q.adder != nil {
 		v = q.adder.AddValue(r, now, head)
-		q.byV = insertEntry(q.byV, viewEntry{key: v, id: r.ID, v: v, r: r})
+		q.byV.InsertAt(search(q.byV.Live(), v, r.ID), viewEntry{key: v, id: r.ID, v: v, r: r})
 	} else {
 		q.sched.Add(r, now, head)
 	}
 	list, key := q.deadlineList(r)
-	*list = insertEntry(*list, viewEntry{key: key, id: r.ID, v: v, r: r})
+	list.InsertAt(search(list.Live(), key, r.ID), viewEntry{key: key, id: r.ID, v: v, r: r})
 }
 
 // remove drops r from the view.
 func (q *queueView) remove(r *core.Request) {
 	list, key := q.deadlineList(r)
-	i := findEntry(*list, key, r)
-	v := (*list)[i].v
-	*list = deleteEntry(*list, i)
+	v := list.RemoveAt(findEntry(list.Live(), key, r)).v
 	if q.adder != nil {
-		q.byV = deleteEntry(q.byV, findEntry(q.byV, v, r))
+		q.byV.RemoveAt(findEntry(q.byV.Live(), v, r))
 	}
 }
 
 // value returns the value r was queued at, NoValue without a valueAdder.
 func (q *queueView) value(r *core.Request) uint64 {
 	list, key := q.deadlineList(r)
-	return (*list)[findEntry(*list, key, r)].v
+	live := list.Live()
+	return live[findEntry(live, key, r)].v
 }
 
 // deadlineList returns the list holding r by its deadline, and r's key
 // in it.
-func (q *queueView) deadlineList(r *core.Request) (*[]viewEntry, uint64) {
+func (q *queueView) deadlineList(r *core.Request) (*core.Gapped[viewEntry], uint64) {
 	if r.Deadline == 0 {
 		return &q.noDl, 0
 	}
@@ -113,24 +117,6 @@ func search(s []viewEntry, key, id uint64) int {
 		n = half
 	}
 	return base
-}
-
-// insertEntry inserts e into s at its rank.
-func insertEntry(s []viewEntry, e viewEntry) []viewEntry {
-	i := search(s, e.key, e.id)
-	s = append(s, viewEntry{})
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
-}
-
-// deleteEntry removes s[i], clearing the vacated slot so the view's spare
-// capacity pins no request.
-func deleteEntry(s []viewEntry, i int) []viewEntry {
-	n := len(s) - 1
-	copy(s[i:], s[i+1:])
-	s[n] = viewEntry{}
-	return s[:n]
 }
 
 // findEntry returns the index of r's entry in s, keyed key. Queued IDs are
@@ -155,18 +141,19 @@ func (e *viewEntry) candidate(now int64) DecisionCandidate {
 // Request.Slack reports it; those form one run of dl, skipped here.
 func (q *queueView) summary(now int64) QueueSummary {
 	s := QueueSummary{Depth: q.len()}
-	if n := len(q.byV); n > 0 {
-		s.VMin, s.VMax = q.byV[0].key, q.byV[n-1].key
+	if byV := q.byV.Live(); len(byV) > 0 {
+		s.VMin, s.VMax = byV[0].key, byV[len(byV)-1].key
 	}
+	dl := q.dl.Live()
 	key := timeKey(now + NoDeadlineSlack)
-	a, skip := len(q.dl), 0
-	if a > 0 && q.dl[a-1].key >= key { // a deadline reaches that far
-		a = search(q.dl, key, 0)
-		for a+skip < len(q.dl) && q.dl[a+skip].key == key {
+	a, skip := len(dl), 0
+	if a > 0 && dl[a-1].key >= key { // a deadline reaches that far
+		a = search(dl, key, 0)
+		for a+skip < len(dl) && dl[a+skip].key == key {
 			skip++
 		}
 	}
-	n := len(q.dl) - skip
+	n := len(dl) - skip
 	if n == 0 {
 		return s
 	}
@@ -174,7 +161,7 @@ func (q *queueView) summary(now int64) QueueSummary {
 		if i >= a {
 			i += skip
 		}
-		return keyTime(q.dl[i].key) - now
+		return keyTime(dl[i].key) - now
 	}
 	s.Deadlined, s.SlackMin, s.SlackP50, s.SlackMax = n, at(0), at(n/2), at(n-1)
 	return s
@@ -185,26 +172,28 @@ func (q *queueView) summary(now int64) QueueSummary {
 // merging dl with noDl, whose slack is NoDeadlineSlack.
 func (q *queueView) topK(rec *DecisionRecord, now int64) {
 	if q.adder != nil {
-		rec.K = min(len(q.byV), MaxTopK)
+		byV := q.byV.Live()
+		rec.K = min(len(byV), MaxTopK)
 		for k := range rec.K {
-			rec.TopK[k] = q.byV[k].candidate(now)
+			rec.TopK[k] = byV[k].candidate(now)
 		}
 		return
 	}
+	dl, noDl := q.dl.Live(), q.noDl.Live()
 	i, j := 0, 0
 	for rec.K = 0; rec.K < MaxTopK; rec.K++ {
 		var e *viewEntry
 		switch {
-		case i < len(q.dl) && j < len(q.noDl):
-			if c := q.dl[i].candidate(now); c.Slack < NoDeadlineSlack || c.Slack == NoDeadlineSlack && c.ID < q.noDl[j].id {
-				e, i = &q.dl[i], i+1
+		case i < len(dl) && j < len(noDl):
+			if c := dl[i].candidate(now); c.Slack < NoDeadlineSlack || c.Slack == NoDeadlineSlack && c.ID < noDl[j].id {
+				e, i = &dl[i], i+1
 			} else {
-				e, j = &q.noDl[j], j+1
+				e, j = &noDl[j], j+1
 			}
-		case i < len(q.dl):
-			e, i = &q.dl[i], i+1
-		case j < len(q.noDl):
-			e, j = &q.noDl[j], j+1
+		case i < len(dl):
+			e, i = &dl[i], i+1
+		case j < len(noDl):
+			e, j = &noDl[j], j+1
 		default:
 			return
 		}

@@ -73,6 +73,7 @@ type viewOracle struct {
 	records int
 	rows    int
 	served  int // dispatch trace events that started a service
+	deepest int // the largest queue a row saw
 	bad     int
 }
 
@@ -144,6 +145,7 @@ func (h *viewOracle) record(rec *sim.DecisionRecord) {
 
 func (h *viewOracle) row(row *sim.TelemetryRow) {
 	h.rows++
+	h.deepest = max(h.deepest, row.Depth)
 	o := h.scheds[row.Disk]
 	cands := h.walk(o, row.Time)
 	want := sim.SortSummary(cands, o.values != nil)
@@ -194,6 +196,32 @@ func oracleTrace(cylinders, count int, interarrival int64) []*core.Request {
 	return trace
 }
 
+// saturatedTrace is oracleTrace's mix on a saturated disk: a burst of a
+// thousand requests 1 ms apart on average fills the queue, and 800 more
+// follow 15 ms apart, about the pace at which the disk serves them, so the
+// queue turns over while it is a thousand deep. That runs the view's
+// stores through middle shifts and, once a front gap has grown to a
+// quarter of a full slice, the closing of that gap. A deadline moves with
+// its arrival.
+func saturatedTrace(cylinders int) []*core.Request {
+	trace := oracleTrace(cylinders, 1_800, 1_000)
+	t0 := trace[999].Arrival
+	for _, r := range trace[1_000:] {
+		shift := 14 * (r.Arrival - t0)
+		r.Arrival += shift
+		if r.Deadline != 0 {
+			r.Deadline += shift
+		}
+	}
+	return trace
+}
+
+// saturated names the policies the saturated run checks: the cascade,
+// whose view keeps its value list, and two baselines without values, one
+// serving in deadline order and one not. A check at every decision of a
+// thousand-deep queue costs about 0.7 s per policy.
+var saturated = map[string]bool{"cascaded/conditionally-preemptive": true, "fcfs": true, "edf": true}
+
 // oraclePolicies is every sched.Policies row and the cascade in each
 // preemption mode.
 func oraclePolicies(t *testing.T, m *disk.Model) []sched.Policy {
@@ -222,9 +250,10 @@ func oraclePolicies(t *testing.T, m *disk.Model) []sched.Policy {
 // The queue view matches a fresh walk of the queue at every decision and
 // every telemetry row: under every policy and the cascade in all three
 // preemption modes, on a single disk with fault retries, on a RAID-5 array
-// that loses a disk and rebuilds it, and on a 3×2 cluster; and the engine
-// walks each queue once per served dispatch, for the collector, and no
-// more.
+// that loses a disk and rebuilds it, and on a 3×2 cluster, and for three
+// of them on a saturated disk without DropLate, the queue a thousand
+// deep; and the engine walks each queue once per served dispatch, for the
+// collector, and no more.
 func TestQueueViewMatchesWalk(t *testing.T) {
 	m := disk.MustModel(disk.QuantumXP32150Params())
 	array, err := disk.NewRAID5(5, 64<<10, m)
@@ -243,6 +272,19 @@ func TestQueueViewMatchesWalk(t *testing.T) {
 			}
 			h.done(false)
 		})
+		if saturated[p.Name] {
+			t.Run(p.Name+"/saturated", func(t *testing.T) {
+				h := &viewOracle{t: t}
+				if _, err := sim.Run(sim.Config{Disk: m, Scheduler: h.wrap(newSched()), Options: h.options(sim.Options{}, false)},
+					saturatedTrace(m.Cylinders)); err != nil {
+					t.Fatal(err)
+				}
+				h.done(false)
+				if h.deepest < 1_000 {
+					t.Errorf("the queue peaked at %d requests, want at least a thousand", h.deepest)
+				}
+			})
+		}
 		t.Run(p.Name+"/raid5", func(t *testing.T) {
 			h := &viewOracle{t: t}
 			opts := h.options(sim.Options{DropLate: true, Fault: &fault.Plan{
